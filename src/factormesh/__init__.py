@@ -16,7 +16,7 @@ from .fixedpoint import (LINEAR, LOG, U16_MAX, Q88_ONE, Q88_MIN, Q88_MAX,
 from .image import (SUMPROD, MINSUM, GIBBS, MODES, Capacities,
                     DEFAULT_CAPACITIES, ImageError, MachineImage, dumps,
                     parse_image)
-from .machine import Machine, MachineError, Stats, load_image
+from .machine import Machine, MachineError, Stats
 from .mapper import (MapperError, lower, cluster, place, cost, emit_image,
                      compile_graph)
 from . import apps
@@ -37,7 +37,7 @@ __all__ = [
     "SUMPROD", "MINSUM", "GIBBS", "MODES", "Capacities",
     "DEFAULT_CAPACITIES", "ImageError", "MachineImage", "dumps",
     "parse_image",
-    "Machine", "MachineError", "Stats", "load_image",
+    "Machine", "MachineError", "Stats",
     "MapperError", "lower", "cluster", "place", "cost", "emit_image",
     "compile_graph",
     "apps",

@@ -97,9 +97,10 @@ def mul_u16(a: int, b: int) -> int:
     """u16 * u16 -> u16 with 65535 acting as 1.0, round to nearest.
 
     The exact-half case cannot occur (65535 is odd), so nearest rounding
-    coincides with round-half-even here.
+    coincides with round-half-even here, and flooring (a * b + 32767) / 65535
+    gives rne_div(a * b, U16_MAX) in one step.
     """
-    return rne_div(a * b, U16_MAX)
+    return (a * b + U16_MAX // 2) // U16_MAX
 
 
 def norm_linear(vec: list[int]) -> list[int]:

@@ -50,7 +50,7 @@ def _factor_nd(graph: FactorGraph, f) -> np.ndarray:
     return np.asarray(f.table, dtype=np.float64).reshape(graph.scope_cards(f))
 
 
-def _evidence_vec(graph: FactorGraph, v) -> np.ndarray:
+def _evidence_indicator(graph: FactorGraph, v) -> np.ndarray:
     var = graph.variables[v]
     if var.evidence is None:
         return np.ones(var.cardinality)
@@ -84,7 +84,7 @@ def _joint(graph: FactorGraph) -> np.ndarray:
         if v.evidence is not None:
             shape = [1] * n
             shape[v.id] = cards[v.id]
-            joint *= _evidence_vec(graph, v.id).reshape(shape)
+            joint *= _evidence_indicator(graph, v.id).reshape(shape)
     return joint
 
 
@@ -167,7 +167,7 @@ def sum_product(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0
     if not (0.0 <= damping < 1.0):
         raise InferenceError("damping must be in [0, 1)")
     ed = _Edges(graph)
-    ev = [_evidence_vec(graph, v.id) for v in graph.variables]
+    ev = [_evidence_indicator(graph, v.id) for v in graph.variables]
     m_vf = {}
     m_fv = {}
     for f in graph.factors:
@@ -278,7 +278,7 @@ def min_sum(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
         logt = [np.log(t) for t in ed.tables]
         ev = []
         for v in graph.variables:
-            ev.append(np.log(_evidence_vec(graph, v.id)))
+            ev.append(np.log(_evidence_indicator(graph, v.id)))
     m_vf = {}
     m_fv = {}
     for f in graph.factors:

@@ -27,12 +27,9 @@ Micro-op mnemonics:
                            1-D slice along scope axis j at current values
     MUL <axis> IN<k>       accumulator *= input k broadcast along axis
     ADD <axis> IN<k>       saturating add (log domain)
-    MAX <axis> IN<k>       pointwise max with broadcast
     SUM_REDUCE <axis>      marginalize an axis by summation
     MAX_REDUCE <axis>      marginalize an axis by maximum
     NORMALIZE OUT<j>       anchor the (now 1-D) accumulator, emit for scope j
-    COPY IN<k>             ACC <- input k
-    WTA OUT<j>             one-hot argmax of the accumulator, emit for scope j
     MUL COND               sampling conditional *= ACC (GIBBS)
 """
 
@@ -172,7 +169,7 @@ def parse_op(text: str, line: int = 0) -> tuple:
         if len(toks) == 1:
             return ("LOAD_TABLE_SLICE", None)
         return ("LOAD_TABLE_SLICE", arg_int(1, "a scope axis"))
-    if name in ("MUL", "ADD", "MAX"):
+    if name in ("MUL", "ADD"):
         if name == "MUL" and len(toks) == 2 and toks[1] == "COND":
             return ("MUL_COND",)
         return (name, arg_int(1, "an axis"), arg_in(2))
@@ -180,10 +177,6 @@ def parse_op(text: str, line: int = 0) -> tuple:
         return (name, arg_int(1, "an axis"))
     if name == "NORMALIZE":
         return (name, arg_out(1))
-    if name == "WTA":
-        return (name, arg_out(1))
-    if name == "COPY":
-        return (name, arg_in(1))
     raise ImageError("line %d: unknown micro-op %r" % (line, name))
 
 
@@ -193,14 +186,12 @@ def format_op(op: tuple) -> str:
         return name if op[1] is None else "%s %d" % (name, op[1])
     if name == "MUL_COND":
         return "MUL COND"
-    if name in ("MUL", "ADD", "MAX"):
+    if name in ("MUL", "ADD"):
         return "%s %d IN%d" % (name, op[1], op[2])
     if name in ("SUM_REDUCE", "MAX_REDUCE"):
         return "%s %d" % (name, op[1])
-    if name in ("NORMALIZE", "WTA"):
+    if name == "NORMALIZE":
         return "%s OUT%d" % (name, op[1])
-    if name == "COPY":
-        return "%s IN%d" % (name, op[1])
     raise ImageError("cannot format op %r" % (op,))
 
 

@@ -17,10 +17,9 @@ conditionals given shadowed neighbor values and never quiesces on its own.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fixedpoint as fp
 from .image import (MachineImage, MAX_PROGRAM_OPS, DEFAULT_CAPACITIES,
@@ -32,36 +31,6 @@ from .rng import raw64, uniform01
 
 class MachineError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# exact vectorized fixed-point helpers (must agree with the scalar ones)
-# ---------------------------------------------------------------------------
-
-def _rne_div_vec(num, den):
-    # round half to even; num >= 0, den > 0
-    q = num // den
-    r = num - q * den
-    up = (2 * r > den) | ((2 * r == den) & (q % 2 == 1))
-    return q + up
-
-
-def _mul_u16_vec(a, b):
-    # 2*a*b is never an odd multiple of 65535, so ties cannot occur
-    p = a * b
-    return (2 * p + fp.U16_MAX) // (2 * fp.U16_MAX)
-
-
-def _norm_linear_vec(v):
-    m = int(v.max())
-    if m == 0:
-        return v
-    return _rne_div_vec(v * fp.U16_MAX, m)
-
-
-def _norm_log_vec(v):
-    m = int(v.max())
-    return np.clip(v - m, fp.Q88_MIN, fp.Q88_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +105,46 @@ class _Shadow:
         self.wired = False
 
 
+class _Kernel:
+    """A converging relation program lowered for one scope shape.
+
+    `outputs` holds one (j, groups) per `NORMALIZE OUT<j>`, in program
+    order, with one group per element of the emitted vector.  A group lists
+    the terms reduced into that element; a term (t, offsets) is table word t
+    combined, in program order, with the input words at `offsets` in the
+    concatenation of the scope's input vectors.  The terms depend only on
+    the shape and the ops, not on the table, so relations that share both
+    share one kernel."""
+
+    __slots__ = ("outputs", "combine", "reduce")
+
+    def __init__(self, outputs, linear):
+        self.outputs = outputs
+        self.combine = fp.mul_u16 if linear else fp.sat_add
+        self.reduce = sum if linear else max
+
+    def run(self, table, x):
+        """Unnormalized (j, vector) per output for table words and inputs x."""
+        combine = self.combine
+        reduce = self.reduce
+        outs = []
+        for j, groups in self.outputs:
+            vec = []
+            for group in groups:
+                vals = []
+                for t, offsets in group:
+                    v = table[t]
+                    for i in offsets:
+                        v = combine(v, x[i])
+                    vals.append(v)
+                vec.append(reduce(vals))
+            outs.append((j, vec))
+        return outs
+
+
 class _Rel:
     __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
-                 "table", "table_nd", "prog", "cost", "pending", "out_vids")
+                 "table", "prog", "kernel", "cost", "pending", "out_vids")
 
     def __init__(self, cell, slot, fid, refs, shape, table, prog):
         self.cell = cell
@@ -151,8 +157,8 @@ class _Rel:
             strides[i] = strides[i + 1] * shape[i + 1]
         self.strides = strides
         self.table = table      # flat tuple of ints, last scope position fastest
-        self.table_nd = np.array(table, dtype=np.int64).reshape(shape)
         self.prog = prog
+        self.kernel = None      # _Kernel in SUMPROD/MINSUM modes
         self.cost = max(1, len(prog))
         self.pending = False
         self.out_vids = [r[1].vid for r in refs]
@@ -213,6 +219,11 @@ class Machine:
         self.cells = {}
         self.var_owner = {}
         default_thresh = DEFAULT_THRESH_LINEAR if self.linear else DEFAULT_THRESH_LOG
+        if self.linear:
+            word_lo, word_hi = 0, fp.U16_MAX
+        else:
+            word_lo, word_hi = fp.Q88_MIN, fp.Q88_MAX
+        kernels = {}            # (shape, program) -> _Kernel
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
@@ -275,6 +286,9 @@ class Machine:
                 if size != len(rs.table):
                     raise MachineError("relation %d: table has %d words, scope needs %d"
                                        % (rs.factor_id, len(rs.table), size))
+                if min(rs.table) < word_lo or max(rs.table) > word_hi:
+                    raise MachineError("relation %d: table word outside [%d, %d]"
+                                       % (rs.factor_id, word_lo, word_hi))
                 words += len(rs.table)
                 if len(rs.prog) > MAX_PROGRAM_OPS:
                     raise MachineError("relation %d: program too long" % rs.factor_id)
@@ -285,6 +299,11 @@ class Machine:
                     if kind == "h":
                         obj.consumers.append(rel)
                 self._check_program(rel)
+                if self.mode != GIBBS:
+                    key = (shape, tuple(rel.prog))
+                    rel.kernel = kernels.get(key)
+                    if rel.kernel is None:
+                        rel.kernel = kernels[key] = self._lower(rel)
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
 
@@ -384,7 +403,7 @@ class Machine:
         k = len(rel.shape)
         for op in rel.prog:
             name = op[0]
-            if name in ("MUL", "ADD", "MAX"):
+            if name in ("MUL", "ADD"):
                 axis, src = op[1], op[2]
                 if not (0 <= axis < k) or not (0 <= src < k):
                     raise MachineError("relation %d: operand out of range in %s"
@@ -395,15 +414,82 @@ class Machine:
             elif name in ("SUM_REDUCE", "MAX_REDUCE"):
                 if not (0 <= op[1] < k):
                     raise MachineError("relation %d: reduce axis out of range" % rel.fid)
-            elif name in ("NORMALIZE", "WTA"):
+            elif name == "NORMALIZE":
                 if not (0 <= op[1] < k):
                     raise MachineError("relation %d: output position out of range" % rel.fid)
-            elif name == "COPY":
-                if not (0 <= op[1] < k):
-                    raise MachineError("relation %d: COPY input out of range" % rel.fid)
             elif name == "LOAD_TABLE_SLICE" and op[1] is not None:
                 if not (0 <= op[1] < k):
                     raise MachineError("relation %d: slice axis out of range" % rel.fid)
+
+    def _lower(self, rel):
+        """Lower a converging program into a _Kernel by running it on symbols.
+
+        The accumulator maps each index tuple (0 on reduced axes) to the
+        terms reduced into it.  Combining and reducing use the mode's
+        semiring: MUL and SUM_REDUCE in SUMPROD, ADD and MAX_REDUCE in
+        MINSUM.  A combine after a reduce would act on a reduced value, which
+        no term list can express, so the program is rejected at load.  A
+        LOAD_TABLE_SLICE axis selects nothing here (it matters only for
+        sampling), and MUL COND is a no-op."""
+        shape = rel.shape
+        offsets = [0] * len(shape)
+        for p in range(1, len(shape)):
+            offsets[p] = offsets[p - 1] + shape[p - 1]
+        combine_op, reduce_op = ("MUL", "SUM_REDUCE") if self.linear else \
+            ("ADD", "MAX_REDUCE")
+        acc = None
+        dims = None
+        reduced = False
+        outputs = []
+        for op in rel.prog:
+            name = op[0]
+            if name == "MUL_COND":
+                continue
+            if name == "LOAD_TABLE_SLICE":
+                dims = list(shape)
+                acc = {idx: [(t, ())] for t, idx in
+                       enumerate(itertools.product(*map(range, shape)))}
+                reduced = False
+                continue
+            if acc is None:
+                raise MachineError("relation %d: %s before LOAD_TABLE_SLICE"
+                                   % (rel.fid, name))
+            if name in ("MUL", "ADD", "SUM_REDUCE", "MAX_REDUCE") and \
+                    name not in (combine_op, reduce_op):
+                raise MachineError("relation %d: %s in a %s program"
+                                   % (rel.fid, name, self.mode))
+            if name == combine_op:
+                if reduced:
+                    raise MachineError("relation %d: %s after a reduction"
+                                       % (rel.fid, name))
+                axis, src = op[1], op[2]
+                acc = {idx: [(t, offs + (offsets[src] + idx[axis],))
+                             for t, offs in terms]
+                       for idx, terms in acc.items()}
+            elif name == reduce_op:
+                axis = op[1]
+                dims[axis] = 1
+                merged = {}
+                for idx, terms in acc.items():
+                    key = idx[:axis] + (0,) + idx[axis + 1:]
+                    merged.setdefault(key, []).extend(terms)
+                acc = merged
+                reduced = True
+            elif name == "NORMALIZE":
+                j = op[1]
+                size = math.prod(dims)
+                if size != shape[j]:
+                    raise MachineError("relation %d: %s before reducing other axes"
+                                       % (rel.fid, name))
+                # the emitted vector is the accumulator flattened row-major
+                groups = [None] * size
+                for idx, terms in acc.items():
+                    o = 0
+                    for a, d in zip(idx, dims):
+                        o = o * d + a
+                    groups[o] = tuple(terms)
+                outputs.append((j, tuple(groups)))
+        return _Kernel(tuple(outputs), self.linear)
 
     # -- event plumbing -----------------------------------------------------
 
@@ -510,34 +596,38 @@ class Machine:
                 ind = tuple(0 if a == var.evidence else fp.Q88_MIN for a in range(card))
             var.belief = ind
             return {fid: ind for fid in var.attached}
-        msgs = [np.array(var.in_msgs[fid], dtype=np.int64) for fid in var.attached]
+        msgs = [var.in_msgs[fid] for fid in var.attached]
         n = len(msgs)
         if n == 0:
             var.belief = self._uniform(card)
             return {}
-        # prefix/suffix products give each exclude-one combination one way
-        ident = np.full(card, fp.U16_MAX if self.linear else 0, dtype=np.int64)
-        pre = [ident]
+        # prefix/suffix combinations give each exclude-one combination one
+        # way; None stands for the uniform message, which combines exactly
+        combine = self._combine
+        pre = [None]
         for m in msgs:
-            pre.append(self._combine(pre[-1], m))
-        suf = [ident]
+            pre.append(m if pre[-1] is None else combine(pre[-1], m))
+        suf = [None]
         for m in reversed(msgs):
-            suf.append(self._combine(m, suf[-1]))
+            suf.append(m if suf[-1] is None else combine(m, suf[-1]))
         suf.reverse()
+        norm = self._norm
         outs = {}
         for i, fid in enumerate(var.attached):
-            vec = self._combine(pre[i], suf[i + 1])
-            outs[fid] = tuple(int(x) for x in self._norm(vec))
-        var.belief = tuple(int(x) for x in self._norm(pre[n]))
+            a, b = pre[i], suf[i + 1]
+            if a is None:
+                vec = self._uniform(card) if b is None else b
+            else:
+                vec = a if b is None else combine(a, b)
+            outs[fid] = norm(vec)
+        var.belief = norm(pre[n])
         return outs
 
     def _combine(self, a, b):
-        if self.linear:
-            return _mul_u16_vec(a, b)
-        return np.clip(a + b, fp.Q88_MIN, fp.Q88_MAX)
+        return tuple(map(fp.mul_u16 if self.linear else fp.sat_add, a, b))
 
     def _norm(self, v):
-        return _norm_linear_vec(v) if self.linear else _norm_log_vec(v)
+        return tuple(fp.norm_linear(v) if self.linear else fp.norm_log(v))
 
     def _emit_var(self, var, time):
         """Publish changed outgoing messages to local relations and wires."""
@@ -681,73 +771,32 @@ class Machine:
         self._trace(time, cell, "CLAMP", var.vid, value)
         self._emit_var(var, time)
 
-    # -- micro-program interpreter ------------------------------------------
+    # -- relation kernels -----------------------------------------------------
 
     def _exec_program(self, rel):
-        shape = rel.shape
-        k = len(shape)
-        tacc = None
+        """Run the relation's kernel on its current inputs: (j, message) per
+        NORMALIZE OUT<j>, anchored and, with noise_lsbs, perturbed."""
+        fid = rel.fid
+        x = ()
+        for kind, obj in rel.refs:
+            x += obj.out_msgs[fid] if kind == "v" else obj.data
         outs = []
-
-        def fetch(i):
-            kind, obj = rel.refs[i]
-            vec = obj.out_msgs[rel.fid] if kind == "v" else obj.data
-            return np.array(vec, dtype=np.int64)
-
-        def bshape(axis):
-            s = [1] * k
-            s[axis] = shape[axis]
-            return s
-
-        for op in rel.prog:
-            name = op[0]
-            if name == "LOAD_TABLE_SLICE":
-                tacc = rel.table_nd
-            elif name == "MUL":
-                tacc = _mul_u16_vec(tacc, fetch(op[2]).reshape(bshape(op[1])))
-            elif name == "ADD":
-                tacc = np.clip(tacc + fetch(op[2]).reshape(bshape(op[1])),
-                               fp.Q88_MIN, fp.Q88_MAX)
-            elif name == "MAX":
-                tacc = np.maximum(tacc, fetch(op[2]).reshape(bshape(op[1])))
-            elif name == "SUM_REDUCE":
-                tacc = tacc.sum(axis=op[1], keepdims=True)
-            elif name == "MAX_REDUCE":
-                tacc = tacc.max(axis=op[1], keepdims=True)
-            elif name == "COPY":
-                tacc = fetch(op[1]).reshape(bshape(op[1]))
-            elif name in ("NORMALIZE", "WTA"):
-                j = op[1]
-                if tacc.size != shape[j]:
-                    raise MachineError("relation %d: %s before reducing other axes"
-                                       % (rel.fid, name))
-                vec = tacc.reshape(shape[j])
-                if name == "NORMALIZE":
-                    vec = self._norm(vec)
-                else:
-                    best = int(np.argmax(vec))
-                    if self.linear:
-                        vec = np.where(np.arange(shape[j]) == best, fp.U16_MAX, 0)
-                    else:
-                        vec = np.where(np.arange(shape[j]) == best, 0, fp.Q88_MIN)
-                if self.noise_lsbs:
-                    vec = self._apply_noise(vec)
-                outs.append((j, tuple(int(x) for x in vec)))
-            elif name == "MUL_COND":
-                pass        # sampling sections run inside ticks, not here
+        for j, vec in rel.kernel.run(rel.table, x):
+            vec = self._norm(vec)
+            if self.noise_lsbs:
+                vec = self._apply_noise(vec)
+            outs.append((j, vec))
         return outs
 
     def _apply_noise(self, vec):
         span = 2 * self.noise_lsbs + 1
-        noise = []
-        for _ in range(len(vec)):
+        lo, hi = (0, fp.U16_MAX) if self.linear else (fp.Q88_MIN, fp.Q88_MAX)
+        out = []
+        for v in vec:
             self._noise_ctr += 1
-            draw = raw64(self.seed, (1 << 48) | 1, self._noise_ctr) % span
-            noise.append(draw - self.noise_lsbs)
-        vec = vec + np.array(noise, dtype=np.int64)
-        if self.linear:
-            return np.clip(vec, 0, fp.U16_MAX)
-        return np.clip(vec, fp.Q88_MIN, fp.Q88_MAX)
+            v += raw64(self.seed, (1 << 48) | 1, self._noise_ctr) % span - self.noise_lsbs
+            out.append(lo if v < lo else hi if v > hi else v)
+        return tuple(out)
 
     # -- external surface ----------------------------------------------------
 
@@ -856,16 +905,3 @@ class Machine:
             raise MachineError("tracing was not enabled")
         return "cycle,cell_row,cell_col,event,var_id,detail\n" + \
             "".join(row + "\n" for row in self.trace)
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers
-# ---------------------------------------------------------------------------
-
-def load_image(text, capacities: Capacities = DEFAULT_CAPACITIES,
-               trace: bool = False, noise_lsbs: int = 0) -> Machine:
-    return Machine(text, capacities=capacities, trace=trace, noise_lsbs=noise_lsbs)
-
-
-def run_until_quiescent(machine: Machine, max_cycles: int = 100000):
-    return machine.run_until_quiescent(max_cycles)

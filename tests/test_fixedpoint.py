@@ -1,15 +1,12 @@
-"""Fixed-point formats: rounding, anchoring, saturation, vector agreement."""
+"""Fixed-point formats: rounding, anchoring, saturation."""
 
 import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from factormesh import fixedpoint as fp
-from factormesh.machine import (_mul_u16_vec, _norm_linear_vec, _norm_log_vec,
-                                _rne_div_vec)
 
 
 def test_rne_ties_to_even():
@@ -92,9 +89,10 @@ def test_mul_u16_unit_and_zero():
 
 def test_mul_u16_rounds_to_nearest():
     rng = random.Random(1)
-    for _ in range(200):
-        a = rng.randrange(65536)
-        b = rng.randrange(65536)
+    # quotients just below and just above a half-integer
+    pairs = [(32767, 1), (32768, 1), (3, 32767), (3, 32768)]
+    pairs += [(rng.randrange(65536), rng.randrange(65536)) for _ in range(200)]
+    for a, b in pairs:
         want = round(Fraction(a * b, fp.U16_MAX))
         assert fp.mul_u16(a, b) == want
 
@@ -111,19 +109,3 @@ def test_norm_log():
     assert fp.norm_log([10, -5]) == [0, -15]
     assert fp.norm_log([32767, -32760]) == [0, fp.Q88_MIN]
 
-
-def test_vector_helpers_agree_with_scalars():
-    rng = random.Random(2)
-    a = np.array([rng.randrange(65536) for _ in range(64)], dtype=np.int64)
-    b = np.array([rng.randrange(65536) for _ in range(64)], dtype=np.int64)
-    got = _mul_u16_vec(a, b)
-    assert [int(x) for x in got] == [fp.mul_u16(int(x), int(y))
-                                     for x, y in zip(a, b)]
-    num = np.array([rng.randrange(1 << 24) for _ in range(64)], dtype=np.int64)
-    got = _rne_div_vec(num, 97)
-    assert [int(x) for x in got] == [fp.rne_div(int(x), 97) for x in num]
-    vec = np.array([rng.randrange(1, 65536) for _ in range(16)], dtype=np.int64)
-    assert [int(x) for x in _norm_linear_vec(vec)] == fp.norm_linear(list(vec))
-    logv = np.array([rng.randrange(fp.Q88_MIN, 1) for _ in range(16)],
-                    dtype=np.int64)
-    assert [int(x) for x in _norm_log_vec(logv)] == fp.norm_log(list(logv))

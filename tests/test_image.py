@@ -14,12 +14,9 @@ CANONICAL_OPS = [
     "MUL 0 IN2",
     "MUL COND",
     "ADD 1 IN0",
-    "MAX 2 IN1",
     "SUM_REDUCE 1",
     "MAX_REDUCE 0",
     "NORMALIZE OUT1",
-    "WTA OUT0",
-    "COPY IN3",
 ]
 
 
@@ -32,7 +29,7 @@ def test_op_text_round_trip():
 
 def test_op_parse_rejects_malformed():
     bad = ["", "FROB 1", "MUL 0", "MUL x IN0", "MUL 0 INx", "ADD 0 OUT1",
-           "SUM_REDUCE", "NORMALIZE IN0", "WTA 3", "COPY OUT1"]
+           "SUM_REDUCE", "NORMALIZE IN0", "WTA OUT0", "COPY IN3", "MAX 2 IN1"]
     for text in bad:
         with pytest.raises(ImageError) as err:
             parse_op(text, line=7)
@@ -141,10 +138,10 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nREL 0 0 2 X9\n", "bad scope reference"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1 2 3\n", "too many table words"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1 oops\n", "expected 2 more table words"),
-    (HEAD + "CELL 0 0\nPROG 1\nCOPY IN0\n", "PROG without a REL record"),
+    (HEAD + "CELL 0 0\nPROG 1\nSUM_REDUCE 0\n", "PROG without a REL record"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\nPROG 0\n", "before table words complete"),
     (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nPROG 400\n", "out of range"),
-    (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nPROG 2\nCOPY IN0\n", "inside PROG"),
+    (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nPROG 2\nSUM_REDUCE 0\n", "inside PROG"),
     (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nTHRESH 4\n", "missing its PROG"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1\n", "REL record incomplete"),
     (HEAD + "CELL 0 0\nTHRESH -1\n", "threshold must be >= 0"),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import gen
-from factormesh import apps, golden, machine as machine_mod
+from factormesh import apps, golden
 from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
                               expand_all, with_evidence)
 from factormesh.image import Capacities, dumps
-from factormesh.machine import Machine, MachineError, load_image
+from factormesh.machine import Machine, MachineError
 from factormesh.mapper import Placement, cluster, compile_graph, emit_image, lower, place
 
 TOL_CELL = 2.0 ** -7
@@ -55,7 +55,7 @@ def test_fresh_machine_holds_uniform_beliefs():
 def test_single_unary_converges_fast_and_close():
     m, report = compiled(unary_graph(), "SUMPROD", grid=(1, 1))
     assert report["clusters"] == 1
-    stats, quiescent = machine_mod.run_until_quiescent(m)
+    stats, quiescent = m.run_until_quiescent()
     assert quiescent and stats.cycles < 100
     beliefs, _ = m.read_beliefs()
     assert max(abs(beliefs[0][0] - 0.3), abs(beliefs[0][1] - 0.7)) < TOL_CELL
@@ -156,19 +156,19 @@ VAR 0 1 2
 
 
 def test_route_charges_one_cycle_per_link():
-    m = load_image(ROUTE_IMG)
+    m = Machine(ROUTE_IMG)
     # 3 column hops then 2 row hops
     assert m._route(m.cells[(0, 0)], m.cells[(2, 3)], 0) == 5
     assert m._route(m.cells[(2, 3)], m.cells[(0, 0)], 0) == 5
 
 
 def test_route_local_port_costs_one_cycle():
-    m = load_image(ROUTE_IMG)
+    m = Machine(ROUTE_IMG)
     assert m._route(m.cells[(0, 0)], m.cells[(0, 0)], 0) == 1
 
 
 def test_route_contention_stalls_second_packet():
-    m = load_image(ROUTE_IMG)
+    m = Machine(ROUTE_IMG)
     first = m._route(m.cells[(0, 0)], m.cells[(2, 3)], 0)
     second = m._route(m.cells[(0, 0)], m.cells[(2, 3)], 0)
     assert (first, second) == (5, 6)
@@ -331,6 +331,22 @@ VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
     ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 V0\n1 1\nPROG 1\nMUL 0 IN5\n",
      "operand out of range"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n70000 1\nPROG 0\n",
+     "table word outside [0, 65535]"),
+    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n-40000 0\nPROG 0\n",
+     "table word outside [-32768, 32767]"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 1\nNORMALIZE OUT0\n",
+     "NORMALIZE before LOAD_TABLE_SLICE"),
+    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 2\n"
+     "REL 0 0 4 V0 V1\n0 0 0 0\nPROG 2\nLOAD_TABLE_SLICE\nMUL 1 IN1\n",
+     "MUL in a MINSUM program"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 2\n"
+     "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 3\nLOAD_TABLE_SLICE\nSUM_REDUCE 1\n"
+     "MUL 0 IN0\n",
+     "MUL after a reduction"),
 ]
 
 
@@ -345,10 +361,17 @@ def test_program_must_reduce_before_normalize():
     text = ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
             "VAR 0 0 2\nVAR 1 1 2\n"
             "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 2\nLOAD_TABLE_SLICE\nNORMALIZE OUT0\n")
-    m = Machine(text)
     with pytest.raises(MachineError) as err:
-        m.run_until_quiescent()
+        Machine(text)
     assert "before reducing other axes" in str(err.value)
+
+
+def test_relations_with_one_shape_and_program_share_a_kernel():
+    bench = apps.build_sudoku()
+    m, _ = compiled(bench.graph, "MINSUM", grid=bench.grid)
+    rels = [rel for cell in m.cells.values() for rel in cell.rels]
+    assert len(rels) == 56 and {rel.shape for rel in rels} == {(4, 4)}
+    assert len({id(rel.kernel) for rel in rels}) == 1
 
 
 def test_stats_text_matches_energy_proxy():
