@@ -812,7 +812,9 @@ class Machine:
         """Dequantized per-variable beliefs plus argmax assignment.
 
         GIBBS mode reports empirical tick frequencies as beliefs and the
-        current sampled state as the assignment."""
+        current sampled state as the assignment.  A LINEAR belief whose words
+        are all zero raises MachineError naming the variable, because no
+        distribution can be read from it."""
         beliefs = {}
         assignment = {}
         for vid in sorted(self.var_owner):
@@ -827,16 +829,17 @@ class Machine:
                 assignment[vid] = var.value
             else:
                 if self.linear:
+                    if not any(var.belief):
+                        raise MachineError(
+                            "variable %d: belief collapsed to all zeros "
+                            "(contradictory evidence or underflow)" % vid)
                     vec = [x / fp.U16_MAX for x in var.belief]
                 else:
+                    # anchored at the maximum, so some entry is exp(0) = 1
                     anchor = max(var.belief)
                     vec = [math.exp((x - anchor) / fp.Q88_ONE) for x in var.belief]
                 s = sum(vec)
-                if s <= 0:
-                    vec = [1.0 / var.card] * var.card
-                else:
-                    vec = [x / s for x in vec]
-                beliefs[vid] = vec
+                beliefs[vid] = [x / s for x in vec]
                 best = 0
                 for a in range(1, var.card):
                     if var.belief[a] > var.belief[best]:

@@ -304,74 +304,68 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
           mode: str = SUMPROD, epochs: int = 50, epoch_scale: int = 100,
           cooling: float = 0.95) -> Placement:
     """Simulated annealing from a row-major start; returns the best placement
-    seen, never worse than the start."""
+    seen, never worse than the start.
+
+    A move scores only the moved clusters' edges, read from a table of grid
+    distances between cells, so each placement equals the one a full
+    recompute of every touched edge would pick."""
     R, C = grid
     n = len(clusters)
     if n > R * C:
         raise MapperError("grid %dx%d too small for %d clusters" % (R, C, n))
-    coords = [(i // C, i % C) for i in range(n)]
+    cells = [(p // C, p % C) for p in range(R * C)]
+    dist = [[abs(r1 - r2) + abs(c1 - c2) for r2, c2 in cells] for r1, c1 in cells]
     edges = _edge_weights(clusters, graph, mode)
-    inc = [[] for _ in range(n)]
-    for idx, (a, b, w) in enumerate(edges):
-        inc[a].append(idx)
-        inc[b].append(idx)
-
-    def dist(p, q):
-        return abs(p[0] - q[0]) + abs(p[1] - q[1])
-
-    def edge_cost(idx):
-        a, b, w = edges[idx]
-        return w * dist(coords[a], coords[b])
-
-    cost0 = sum(edge_cost(i) for i in range(len(edges)))
+    adj = [[] for _ in range(n)]
+    for a, b, w in edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    cost0 = sum(w * dist[a][b] for a, b, w in edges)
     if cost0 == 0 or n <= 1:
-        return Placement(grid, list(coords), cost0, cost0)
+        return Placement(grid, cells[:n], cost0, cost0)
 
     edge_total = sum(w for _, _, w in edges)
     temp = 2.0 * cost0 / max(edge_total, 1)
     rng = random.Random(seed)
-    cell_at = {coords[i]: i for i in range(n)}
+    pos = list(range(n))
+    at = pos + [None] * (R * C - n)
     cur = cost0
-    best = list(coords)
+    best = list(pos)
     best_cost = cost0
 
     for _ in range(epochs):
         accepts = 0
         for _ in range(epoch_scale * n):
             i = rng.randrange(n)
-            p = rng.randrange(R * C)
-            pc = (p // C, p % C)
-            if pc == coords[i]:
+            q = rng.randrange(R * C)
+            p = pos[i]
+            if q == p:
                 continue
-            j = cell_at.get(pc)
-            touched = set(inc[i])
+            j = at[q]
+            dp, dq = dist[p], dist[q]
+            # explicit loops beat sum() over generators here; the i-j edge
+            # keeps its length in a swap
+            delta = 0
+            for k, w in adj[i]:
+                if k != j:
+                    delta += w * (dq[pos[k]] - dp[pos[k]])
             if j is not None:
-                touched.update(inc[j])
-            before = sum(edge_cost(e) for e in touched)
-            old_i = coords[i]
-            coords[i] = pc
-            if j is not None:
-                coords[j] = old_i
-            delta = sum(edge_cost(e) for e in touched) - before
+                for k, w in adj[j]:
+                    if k != i:
+                        delta += w * (dp[pos[k]] - dq[pos[k]])
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                cell_at[pc] = i
+                pos[i], at[q], at[p] = q, i, j
                 if j is not None:
-                    cell_at[old_i] = j
-                else:
-                    del cell_at[old_i]
+                    pos[j] = p
                 cur += delta
                 accepts += 1
                 if cur < best_cost:
                     best_cost = cur
-                    best = list(coords)
-            else:
-                coords[i] = old_i
-                if j is not None:
-                    coords[j] = pc
+                    best = list(pos)
         if accepts == 0:
             break
         temp *= cooling
-    return Placement(grid, best, cost0, best_cost)
+    return Placement(grid, [cells[p] for p in best], cost0, best_cost)
 
 
 # ---------------------------------------------------------------------------

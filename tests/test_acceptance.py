@@ -348,8 +348,8 @@ def artifact_bundle():
     return chunks
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path):
-    first = artifact_bundle()
+def test_criterion_10_byte_identical_reruns(tmp_path, bundle):
+    first = bundle
     second = artifact_bundle()
     assert len(first) == len(second) == 9
     identical = 0

@@ -122,6 +122,26 @@ def test_run_gibbs_ticks(tmp_path, capsys):
     assert all(abs(sum(beliefs[v]) - 1.0) < 1e-9 for v in range(3))
 
 
+def test_run_collapsed_belief_exits_2(tmp_path, capsys):
+    # v0 = 0 and v2 = 1 tied through v1 by two equalities: v1 has no state
+    eq = (1.0, 0.0, 0.0, 1.0)
+    graph = FactorGraph([VariableNode(i, 2) for i in range(3)],
+                        [FactorNode(0, (0, 1), TABLE, eq),
+                         FactorNode(1, (1, 2), TABLE, eq)])
+    graph_file = write(tmp_path, "chain.uai", serialize_uai(graph))
+    evidence_file = write(tmp_path, "chain.evid",
+                          serialize_evidence({0: 0, 2: 1}))
+    image = str(tmp_path / "chain.fmimg")
+    assert run_cli(capsys, "compile", graph_file, "--evidence", evidence_file,
+                   "--out", image, "--grid", "1x1")[0] == 0
+    beliefs_file = tmp_path / "chain.beliefs"
+    code, _, stderr = run_cli(capsys, "run", image, "--beliefs",
+                              str(beliefs_file))
+    assert code == 2
+    assert "error: variable 1: belief collapsed" in stderr
+    assert not beliefs_file.exists()
+
+
 def test_run_rejects_garbage_image(tmp_path, capsys):
     bad = write(tmp_path, "junk.fmimg", "not an image\n")
     code, _, stderr = run_cli(capsys, "run", bad)

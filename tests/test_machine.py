@@ -127,6 +127,25 @@ def test_inject_evidence_reconditions_a_finished_run():
         m.inject_evidence(0, 5)
 
 
+def contradiction_chain():
+    """v0 = 0 and v2 = 1 as evidence, tied through v1 by two equalities."""
+    eq = (1.0, 0.0, 0.0, 1.0)
+    graph = FactorGraph([VariableNode(i, 2) for i in range(3)],
+                        [FactorNode(0, (0, 1), TABLE, eq),
+                         FactorNode(1, (1, 2), TABLE, eq)])
+    return with_evidence(graph, {0: 0, 2: 1})
+
+
+def test_collapsed_belief_raises_instead_of_reading_uniform():
+    m, _ = compiled(contradiction_chain(), "SUMPROD", grid=(1, 1))
+    _, quiescent = m.run_until_quiescent()
+    assert quiescent
+    assert m.var_owner[1].belief == (0, 0)
+    with pytest.raises(MachineError) as err:
+        m.read_beliefs()
+    assert "variable 1" in str(err.value) and "collapsed" in str(err.value)
+
+
 def test_minsum_machine_recovers_map_assignment():
     variables = [VariableNode(i, 2) for i in range(3)]
     factors = [FactorNode(0, (0, 1), TABLE, (0.9, 0.1, 0.1, 0.9)),

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import gen
 from factormesh import apps, golden
@@ -12,8 +14,8 @@ from factormesh.graph import (ALL_DIFFERENT, PARITY, TABLE, FactorGraph,
                               FactorNode, VariableNode, expand_all)
 from factormesh.image import Capacities
 from factormesh.machine import Machine
-from factormesh.mapper import (MapperError, Placement, cluster, compile_graph,
-                               cost, emit_image, lower, place)
+from factormesh.mapper import (MapperError, Placement, _edge_weights, cluster,
+                               compile_graph, cost, emit_image, lower, place)
 
 
 def vars_of(n, card=2):
@@ -198,6 +200,132 @@ def test_place_is_deterministic_and_never_worse_than_start():
     with pytest.raises(MapperError) as err:
         place(clusters, low, (1, 1), seed=0)
     assert "too small" in str(err.value)
+
+
+def reference_place(clusters, graph, grid, seed=0, mode="SUMPROD", epochs=50,
+                    epoch_scale=100, cooling=0.95):
+    """Full-recompute annealer: each move re-sums every edge it touches."""
+    R, C = grid
+    n = len(clusters)
+    if n > R * C:
+        raise MapperError("grid %dx%d too small for %d clusters" % (R, C, n))
+    coords = [(i // C, i % C) for i in range(n)]
+    edges = _edge_weights(clusters, graph, mode)
+    inc = [[] for _ in range(n)]
+    for idx, (a, b, w) in enumerate(edges):
+        inc[a].append(idx)
+        inc[b].append(idx)
+
+    def dist(p, q):
+        return abs(p[0] - q[0]) + abs(p[1] - q[1])
+
+    def edge_cost(idx):
+        a, b, w = edges[idx]
+        return w * dist(coords[a], coords[b])
+
+    cost0 = sum(edge_cost(i) for i in range(len(edges)))
+    if cost0 == 0 or n <= 1:
+        return Placement(grid, list(coords), cost0, cost0)
+
+    edge_total = sum(w for _, _, w in edges)
+    temp = 2.0 * cost0 / max(edge_total, 1)
+    rng = random.Random(seed)
+    cell_at = {coords[i]: i for i in range(n)}
+    cur = cost0
+    best = list(coords)
+    best_cost = cost0
+
+    for _ in range(epochs):
+        accepts = 0
+        for _ in range(epoch_scale * n):
+            i = rng.randrange(n)
+            p = rng.randrange(R * C)
+            pc = (p // C, p % C)
+            if pc == coords[i]:
+                continue
+            j = cell_at.get(pc)
+            touched = set(inc[i])
+            if j is not None:
+                touched.update(inc[j])
+            before = sum(edge_cost(e) for e in touched)
+            old_i = coords[i]
+            coords[i] = pc
+            if j is not None:
+                coords[j] = old_i
+            delta = sum(edge_cost(e) for e in touched) - before
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                cell_at[pc] = i
+                if j is not None:
+                    cell_at[old_i] = j
+                else:
+                    del cell_at[old_i]
+                cur += delta
+                accepts += 1
+                if cur < best_cost:
+                    best_cost = cur
+                    best = list(coords)
+            else:
+                coords[i] = old_i
+                if j is not None:
+                    coords[j] = pc
+        if accepts == 0:
+            break
+        temp *= cooling
+    return Placement(grid, best, cost0, best_cost)
+
+
+@st.composite
+def placement_cases(draw):
+    """A lowered, clustered random graph and a grid that holds it: from one
+    row up to 4x4, sometimes exactly full so that every move is a swap."""
+    mode = draw(st.sampled_from(("SUMPROD", "MINSUM", "GIBBS")))
+    graph_seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        graph = gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10)
+    else:
+        graph = gen.random_builtin_graph(graph_seed)
+    # GIBBS replicates every touching relation into a cell, so its relation
+    # budget stays wide while its variable budget is tight
+    caps = Capacities(var_slots=draw(st.integers(1, 3)),
+                      rel_slots=draw(st.integers(1, 3)) if mode != "GIBBS" else 16)
+    low = lower(graph, mode=mode)
+    try:
+        clusters = cluster(low, capacities=caps, mode=mode)
+    except MapperError:
+        reject()
+    n = len(clusters)
+    rows = draw(st.integers(1, 4))
+    cols_min = max(1, -(-n // rows))
+    cols = draw(st.integers(cols_min, max(cols_min, 4)))
+    return clusters, low, (rows, cols), mode
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=placement_cases(), seed=st.integers(0, 2 ** 32 - 1),
+       epochs=st.integers(1, 10), epoch_scale=st.sampled_from((1, 7, 40, 100)))
+def test_place_matches_full_recompute_reference(case, seed, epochs, epoch_scale):
+    clusters, graph, grid, mode = case
+    got = place(clusters, graph, grid, seed=seed, mode=mode, epochs=epochs,
+                epoch_scale=epoch_scale)
+    want = reference_place(clusters, graph, grid, seed=seed, mode=mode,
+                           epochs=epochs, epoch_scale=epoch_scale)
+    assert got == want
+    assert cost(got, clusters, graph, mode) == got.cost_final
+
+
+@pytest.mark.parametrize("n_vars, grid", [(1, (1, 1)), (1, (3, 2)), (4, (2, 2)),
+                                          (5, (1, 5))])
+def test_place_early_returns_match_reference(n_vars, grid):
+    # one cluster (n <= 1), or clusters joined by no edge (cost0 == 0)
+    variables = vars_of(n_vars)
+    factors = [FactorNode(v, (v,), TABLE, (0.3, 0.7)) for v in range(n_vars)]
+    graph = FactorGraph(variables, factors)
+    clusters = cluster(graph, capacities=Capacities(var_slots=1))
+    assert len(clusters) == n_vars
+    got = place(clusters, graph, grid, seed=3)
+    assert got == reference_place(clusters, graph, grid, seed=3)
+    assert got.cost_initial == got.cost_final == 0
+    assert got.coords == [(i // grid[1], i % grid[1]) for i in range(n_vars)]
 
 
 # -- emission -----------------------------------------------------------------

@@ -8,7 +8,7 @@ machine.  Each digest hashes the texts in order, each followed by a NUL byte.
 
 import hashlib
 
-from test_acceptance import MULTI_CAPS, artifact_bundle, multi_cell_suite
+from test_acceptance import MULTI_CAPS, multi_cell_suite
 from factormesh import apps
 from factormesh.image import MINSUM
 from factormesh.machine import Machine
@@ -43,8 +43,8 @@ def sudoku_image():
     return image
 
 
-def test_acceptance_bundle_digest():
-    assert digest(artifact_bundle()) == BUNDLE_SHA
+def test_acceptance_bundle_digest(bundle):
+    assert digest(bundle) == BUNDLE_SHA
 
 
 def test_minsum_sudoku_digest():
