@@ -374,9 +374,10 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     """Systematic-scan Gibbs sampling (variables 0..N-1 per sweep).
 
     The draw for variable v in sweep s uses the counter-based stream
-    uniform01(seed, v, s), so the sampler is deterministic given the seed
-    and independent of everything but (seed, variable, sweep).  Tables must
-    give every conditional a positive total (use soft expansions).
+    uniform01(seed, v, s), keyed once per variable, so the sampler is
+    deterministic given the seed and independent of everything but (seed,
+    variable, sweep).  Tables must give every conditional a positive total
+    (use soft expansions).
     """
     _require_tables(graph)
     if sweeps <= 0:
@@ -405,12 +406,13 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                 others = [(f.scope[j], strides[f.id][j])
                           for j in range(len(f.scope)) if j != k]
                 rows[vid].append((flats[f.id], others, strides[f.id][k], cards[vid]))
+    plan = [(v, rows[v], rng.stream_key(seed, v)) for v in free]
     counts = [[0] * c for c in cards]
-    uniform01 = rng.uniform01
+    uniform01 = rng.keyed_uniform01
     for s in range(burn_in + sweeps):
-        for v in free:
+        for v, terms, key in plan:
             w = None
-            for flat, others, step, card in rows[v]:
+            for flat, others, step, card in terms:
                 base = 0
                 for ov, ostride in others:
                     base += state[ov] * ostride
@@ -427,7 +429,7 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
             if total <= 0.0:
                 raise InferenceError(
                     "zero-total Gibbs conditional for variable %d (use soft tables)" % v)
-            threshold = uniform01(seed, v, s) * total
+            threshold = uniform01(key, s) * total
             acc = 0.0
             val = len(w) - 1
             for a, x in enumerate(w):

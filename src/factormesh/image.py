@@ -31,6 +31,15 @@ Micro-op mnemonics:
     MAX_REDUCE <axis>      marginalize an axis by maximum
     NORMALIZE OUT<j>       anchor the (now 1-D) accumulator, emit for scope j
     MUL COND               sampling conditional *= ACC (GIBBS)
+
+A GIBBS program is a list of `LOAD_TABLE_SLICE j` / `MUL COND` pairs, j the
+scope position of a variable in the same cell.  On each tick, for every free
+variable at such a position j, the slice takes the table words along axis j
+with every other scope position at its current value (a local variable's
+sample or a VALUE shadow's last delivered value), and `MUL COND` multiplies
+them elementwise into that variable's conditional, which starts at all ones.
+The variable is then drawn from the conditional.  The machine lowers each
+pair into one term at load and rejects any other GIBBS program.
 """
 
 from __future__ import annotations

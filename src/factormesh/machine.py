@@ -11,7 +11,9 @@ at least the cell's change threshold.  Event order is the total order
 
 In SUMPROD/MINSUM modes the machine settles to quiescence (empty queue).  In
 GIBBS mode each cell periodically resamples its variables from the fixed-point
-conditionals given shadowed neighbor values and never quiesces on its own.
+conditionals given shadowed neighbor values and never quiesces on its own; the
+relation programs, lowered at load into per-variable terms, define those
+conditionals.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from . import fixedpoint as fp
 from .image import (MachineImage, MAX_PROGRAM_OPS, DEFAULT_CAPACITIES,
                     DEFAULT_THRESH_LINEAR, DEFAULT_THRESH_LOG, gibbs_var_cost,
                     SUMPROD, MINSUM, GIBBS, VTOF, FTOV, VALUE,
                     Capacities, parse_image)
-from .rng import raw64, uniform01
+from .rng import keyed_raw64, keyed_uniform01, stream_key
 
 
 class MachineError(ValueError):
     pass
+
+
+# random stream of the output noise; variable streams are their ids
+_NOISE_STREAM = (1 << 48) | 1
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +76,7 @@ class Stats:
 class _Var:
     __slots__ = ("cell", "slot", "vid", "card", "evidence", "value",
                  "in_msgs", "out_msgs", "belief", "attached", "local_rels",
-                 "counts", "uses")
+                 "counts", "terms", "key")
 
     def __init__(self, cell, slot, vid, card, evidence):
         self.cell = cell
@@ -84,7 +91,8 @@ class _Var:
         self.attached = []      # sorted fids
         self.local_rels = {}    # fid -> _Rel in the same cell
         self.counts = [0] * card
-        self.uses = []          # GIBBS: list of (rel, scope position)
+        self.terms = []         # GIBBS: (table, stride, others) per MUL COND
+        self.key = None         # GIBBS: key of the variable's random stream
 
 
 class _Shadow:
@@ -166,8 +174,7 @@ class _Rel:
 
 class _Cell:
     __slots__ = ("r", "c", "cid", "vars", "rels", "shadows", "thresh",
-                 "period", "phase", "tick_idx", "tick_budget", "tick_cost",
-                 "plan")
+                 "period", "phase", "tick_idx", "tick_budget", "tick_cost")
 
     def __init__(self, r, c, cid):
         self.r = r
@@ -182,7 +189,6 @@ class _Cell:
         self.tick_idx = 0
         self.tick_budget = None
         self.tick_cost = 0
-        self.plan = []          # GIBBS: (var, [(rel, pos), ...]) in slot order
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +210,7 @@ class Machine:
         self.stats = Stats()
         self.trace = [] if trace else None
         self.noise_lsbs = noise_lsbs
+        self._noise_key = stream_key(image.seed, _NOISE_STREAM)
         self._noise_ctr = 0
         self._heap = []
         self._seq = 0
@@ -385,15 +392,15 @@ class Machine:
                     raise MachineError("cell (%d, %d) owns variables but has no "
                                        "resample period" % (cell.r, cell.c))
                 for rel in cell.rels:
-                    for pos, (kind, obj) in enumerate(rel.refs):
+                    for kind, obj in rel.refs:
                         if kind == "h" and obj.role != VALUE:
                             raise MachineError("relation %d: sampling needs VALUE shadows"
                                                % rel.fid)
-                        if kind == "v":
-                            obj.uses.append((rel, pos))
+                    for pos, term in self._lower_gibbs(rel):
+                        rel.refs[pos][1].terms.append(term)
                 for var in cell.vars:
-                    cell.plan.append((var, var.uses))
-                    cell.tick_cost += gibbs_var_cost(len(var.uses))
+                    var.key = stream_key(self.seed, var.vid)
+                    cell.tick_cost += gibbs_var_cost(len(var.terms))
 
     def _uniform(self, card):
         return (fp.U16_MAX,) * card if self.linear else (0,) * card
@@ -491,6 +498,45 @@ class Machine:
                 outputs.append((j, tuple(groups)))
         return _Kernel(tuple(outputs), self.linear)
 
+    def _lower_gibbs(self, rel):
+        """Lower a sampling program into (scope position, term) pairs.
+
+        The program must be a list of `LOAD_TABLE_SLICE j` / `MUL COND`
+        pairs with j a local variable's position.  Each pair becomes one
+        term (table, stride of j, others) of that variable's conditional;
+        `others` holds an (owner variable or VALUE shadow, stride) pair per
+        other scope position, whose current values select the slice."""
+        fid = rel.fid
+        pairs = []
+        pos = None
+        for op in rel.prog:
+            name = op[0]
+            if name == "LOAD_TABLE_SLICE":
+                if pos is not None:
+                    raise MachineError("relation %d: LOAD_TABLE_SLICE %d is not "
+                                       "followed by MUL COND" % (fid, pos))
+                pos = op[1]
+                if pos is None:
+                    raise MachineError("relation %d: LOAD_TABLE_SLICE needs an "
+                                       "axis in a GIBBS program" % fid)
+                if rel.refs[pos][0] != "v":
+                    raise MachineError("relation %d: LOAD_TABLE_SLICE %d slices a "
+                                       "shadow position" % (fid, pos))
+            elif name == "MUL_COND":
+                if pos is None:
+                    raise MachineError("relation %d: MUL COND before "
+                                       "LOAD_TABLE_SLICE" % fid)
+                others = tuple((obj, rel.strides[q])
+                               for q, (_kind, obj) in enumerate(rel.refs) if q != pos)
+                pairs.append((pos, (rel.table, rel.strides[pos], others)))
+                pos = None
+            else:
+                raise MachineError("relation %d: %s in a GIBBS program" % (fid, name))
+        if pos is not None:
+            raise MachineError("relation %d: LOAD_TABLE_SLICE %d is not followed "
+                               "by MUL COND" % (fid, pos))
+        return pairs
+
     # -- event plumbing -----------------------------------------------------
 
     def _push(self, time, cell, kind, payload):
@@ -559,6 +605,8 @@ class Machine:
         """GIBBS: run until every variable-owning cell resampled `ticks` times."""
         if self.mode != GIBBS:
             raise MachineError("tick-bounded runs only apply to GIBBS mode")
+        if ticks < 1:
+            raise MachineError("tick count must be at least 1, got %d" % ticks)
         for cell in self.cells.values():
             cell.tick_budget = ticks
         while self._heap:
@@ -724,29 +772,35 @@ class Machine:
             shadow.value = value
 
     def _on_tick(self, cell, time):
+        """Resample the cell's free variables in slot order.  A variable's
+        conditional is the product of its terms' table slices at the current
+        values of the other scope positions; the draw for tick k is
+        uniform01(seed, vid, k) scaled by the conditional's total."""
         k = cell.tick_idx
         changed = []
-        for var, uses in cell.plan:
+        trace = self.trace
+        activations = 0
+        for var in cell.vars:
             if var.evidence is None:
-                cond = [1] * var.card
-                for rel, pos in uses:
+                card = var.card
+                terms = var.terms
+                activations += len(terms)
+                cond = None
+                for tbl, sv, others in terms:
                     base = 0
-                    for q, (kind, obj) in enumerate(rel.refs):
-                        if q == pos:
-                            continue
-                        base += obj.value * rel.strides[q]
-                    sv = rel.strides[pos]
-                    tbl = rel.table
-                    for a in range(var.card):
-                        cond[a] *= tbl[base + a * sv]
-                self.stats.activations += len(uses)
+                    for obj, st in others:
+                        base += obj.value * st
+                    row = tbl[base:base + card * sv:sv]
+                    cond = row if cond is None else list(map(mul, cond, row))
+                if cond is None:
+                    cond = (1,) * card
                 total = sum(cond)
                 if total > 0:
-                    target = uniform01(self.seed, var.vid, k) * total
+                    target = keyed_uniform01(var.key, k) * total
                     acc = 0
-                    val = var.card - 1
-                    for a in range(var.card):
-                        acc += cond[a]
+                    val = card - 1
+                    for a, w in enumerate(cond):
+                        acc += w
                         if acc > target:
                             val = a
                             break
@@ -754,7 +808,9 @@ class Machine:
                         var.value = val
                         changed.append(var)
             var.counts[var.value] += 1
-            self._trace(time, cell, "SAMPLE", var.vid, var.value)
+            if trace is not None:
+                self._trace(time, cell, "SAMPLE", var.vid, var.value)
+        self.stats.activations += activations
         cell.tick_idx = k + 1
         out_t = time + cell.tick_cost
         for var in changed:
@@ -794,7 +850,7 @@ class Machine:
         out = []
         for v in vec:
             self._noise_ctr += 1
-            v += raw64(self.seed, (1 << 48) | 1, self._noise_ctr) % span - self.noise_lsbs
+            v += keyed_raw64(self._noise_key, self._noise_ctr) % span - self.noise_lsbs
             out.append(lo if v < lo else hi if v > hi else v)
         return tuple(out)
 
@@ -813,8 +869,9 @@ class Machine:
 
         GIBBS mode reports empirical tick frequencies as beliefs and the
         current sampled state as the assignment.  A LINEAR belief whose words
-        are all zero raises MachineError naming the variable, because no
-        distribution can be read from it."""
+        are all zero, or a GIBBS variable with no samples yet, raises
+        MachineError naming the variable, because no distribution can be
+        read from it."""
         beliefs = {}
         assignment = {}
         for vid in sorted(self.var_owner):
@@ -822,10 +879,9 @@ class Machine:
             if self.mode == GIBBS:
                 total = sum(var.counts)
                 if total == 0:
-                    vec = [1.0 / var.card] * var.card
-                else:
-                    vec = [c / total for c in var.counts]
-                beliefs[vid] = vec
+                    raise MachineError("variable %d: no samples yet (run at least "
+                                       "one tick before reading beliefs)" % vid)
+                beliefs[vid] = [c / total for c in var.counts]
                 assignment[vid] = var.value
             else:
                 if self.linear:

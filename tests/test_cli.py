@@ -122,6 +122,21 @@ def test_run_gibbs_ticks(tmp_path, capsys):
     assert all(abs(sum(beliefs[v]) - 1.0) < 1e-9 for v in range(3))
 
 
+def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):
+    bench = apps.build_coloring(apps.TRIANGLE_EDGES, 3)
+    graph_file = write(tmp_path, "tri.uai",
+                       serialize_uai(expand_all(bench.graph, np.exp(-20.0))))
+    image = str(tmp_path / "tri.fmimg")
+    assert run_cli(capsys, "compile", graph_file, "--out", image,
+                   "--mode", "GIBBS", "--grid", "2x2")[0] == 0
+    beliefs_file = tmp_path / "tri.beliefs"
+    code, stdout, stderr = run_cli(capsys, "run", image, "--ticks", "0",
+                                   "--beliefs", str(beliefs_file))
+    assert code == 2 and stdout == ""
+    assert "error: tick count must be at least 1" in stderr
+    assert not beliefs_file.exists()
+
+
 def test_run_collapsed_belief_exits_2(tmp_path, capsys):
     # v0 = 0 and v2 = 1 tied through v1 by two equalities: v1 has no state
     eq = (1.0, 0.0, 0.0, 1.0)

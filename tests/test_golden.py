@@ -1,11 +1,13 @@
 """Reference kernels against hand computations and against each other."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import gen
+from factormesh import apps
 from factormesh.golden import (FLOODING, SEQUENTIAL, EnumerationBoundError,
                                InferenceError, exact_marginals, gibbs_sample,
                                map_bruteforce, min_sum, sum_product)
@@ -244,3 +246,31 @@ def test_gibbs_zero_conditional_raises():
 def test_gibbs_rejects_bad_sweeps():
     with pytest.raises(InferenceError):
         gibbs_sample(two_var_graph(), seed=0, sweeps=0)
+
+
+# sha256 of gibbs_counts_text(), recorded before the sampler keyed each
+# variable's random stream once per run
+ISING_GIBBS_SHA = "fd1a57b48e180e946ebdaceb9887c0393b99a3010da69f39e3962f93070b3312"
+COLORING_GIBBS_SHA = "55a4c04cd2196e1826be4809b034418b1980d2f199b0d17ff0849d1be15d1eb0"
+
+
+def gibbs_counts_text(res):
+    """Per-variable sample counts, one line each, then the final state."""
+    lines = [" ".join(str(int(round(x * res.sweeps))) for x in m)
+             for m in res.marginals]
+    lines.append(" ".join(map(str, res.assignment)))
+    return "\n".join(lines) + "\n"
+
+
+def test_gibbs_pinned_counts():
+    ising = apps.build_ising_chain(8, 0.5, 0.2)
+    res = gibbs_sample(expand_all(ising.graph, 0.0), seed=1000, burn_in=100,
+                       sweeps=5000)
+    text = gibbs_counts_text(res)
+    assert hashlib.sha256(text.encode()).hexdigest() == ISING_GIBBS_SHA
+    coloring = apps.build_coloring(apps.FIVE_CYCLE_EDGES, 3)
+    graph = expand_all(with_evidence(coloring.graph, {0: 2, 3: 1}), EPS_SOFT)
+    res = gibbs_sample(graph, seed=7, burn_in=50, sweeps=3000)
+    text = gibbs_counts_text(res)
+    assert text.splitlines()[0] == "0 0 3000"
+    assert hashlib.sha256(text.encode()).hexdigest() == COLORING_GIBBS_SHA

@@ -271,6 +271,27 @@ def test_gibbs_single_site_frequencies_match_unary():
     assert "SAMPLE" in events
 
 
+def test_run_ticks_rejects_counts_below_one():
+    for ticks in (0, -5):
+        m, _ = compiled(unary_graph(), "GIBBS", grid=(1, 1))
+        with pytest.raises(MachineError) as err:
+            m.run_ticks(ticks)
+        assert "at least 1" in str(err.value)
+        assert m.var_owner[0].counts == [0, 0]
+
+
+def test_gibbs_beliefs_without_samples_raise():
+    m, _ = compiled(pair_graph(), "GIBBS", grid=(1, 1))
+    m.run_until_quiescent(10)
+    assert m.cells[(0, 0)].tick_idx == 0
+    with pytest.raises(MachineError) as err:
+        m.read_beliefs()
+    assert "variable 0" in str(err.value) and "no samples" in str(err.value)
+    m.run_ticks(1)
+    beliefs, _ = m.read_beliefs()
+    assert all(sum(b) == 1.0 for b in beliefs.values())
+
+
 def test_gibbs_samples_do_not_depend_on_placement():
     bench = apps.build_ising_chain(4, 0.5, 0.2)
     lowered = lower(bench.graph, epsilon=0.0, mode="GIBBS")
@@ -366,6 +387,27 @@ VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
      "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 3\nLOAD_TABLE_SLICE\nSUM_REDUCE 1\n"
      "MUL 0 IN0\n",
      "MUL after a reduction"),
+    ("""FMIMG 1\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"""
+     """SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n1 1 1 1\n"""
+     """PROG 2\nLOAD_TABLE_SLICE 1\nMUL COND\nGIBBS_PERIOD 10 0\n"""
+     """CELL 0 1\nVAR 0 1 2\nGIBBS_PERIOD 10 5\nWIRE 1 0 1 0 0 0\n""",
+     "LOAD_TABLE_SLICE 1 slices a shadow position"),
+    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 1\nMUL COND\nGIBBS_PERIOD 10 0\n",
+     "relation 0: MUL COND before LOAD_TABLE_SLICE"),
+    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 2\n"
+     "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 2\nLOAD_TABLE_SLICE 0\nMUL 1 IN1\n"
+     "GIBBS_PERIOD 10 0\n",
+     "relation 0: MUL in a GIBBS program"),
+    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 1\nSUM_REDUCE 0\nGIBBS_PERIOD 10 0\n",
+     "relation 0: SUM_REDUCE in a GIBBS program"),
+    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nMUL COND\nGIBBS_PERIOD 10 0\n",
+     "LOAD_TABLE_SLICE needs an axis in a GIBBS program"),
+    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 1\nLOAD_TABLE_SLICE 0\nGIBBS_PERIOD 10 0\n",
+     "LOAD_TABLE_SLICE 0 is not followed by MUL COND"),
 ]
 
 
