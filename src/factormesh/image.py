@@ -23,8 +23,9 @@ MINSUM).  Unknown records are load errors; nothing is skipped silently.
 
 Micro-op mnemonics:
 
-    LOAD_TABLE_SLICE [j]   table accumulator <- table; with j: vector ACC <-
-                           1-D slice along scope axis j at current values
+    LOAD_TABLE_SLICE [j]   table accumulator <- table; with j (GIBBS only):
+                           vector ACC <- 1-D slice along scope axis j at
+                           current values
     MUL <axis> IN<k>       accumulator *= input k broadcast along axis
     ADD <axis> IN<k>       saturating add (log domain)
     SUM_REDUCE <axis>      marginalize an axis by summation

@@ -435,9 +435,8 @@ class Machine:
         terms reduced into it.  Combining and reducing use the mode's
         semiring: MUL and SUM_REDUCE in SUMPROD, ADD and MAX_REDUCE in
         MINSUM.  A combine after a reduce would act on a reduced value, which
-        no term list can express, so the program is rejected at load.  A
-        LOAD_TABLE_SLICE axis selects nothing here (it matters only for
-        sampling), and MUL COND is a no-op."""
+        no term list can express, so the program is rejected at load, as is
+        a sampling op (MUL COND, or a LOAD_TABLE_SLICE with an axis)."""
         shape = rel.shape
         offsets = [0] * len(shape)
         for p in range(1, len(shape)):
@@ -451,8 +450,13 @@ class Machine:
         for op in rel.prog:
             name = op[0]
             if name == "MUL_COND":
-                continue
+                raise MachineError("relation %d: MUL COND in a %s program"
+                                   % (rel.fid, self.mode))
             if name == "LOAD_TABLE_SLICE":
+                if op[1] is not None:
+                    raise MachineError("relation %d: LOAD_TABLE_SLICE %d has an "
+                                       "axis in a %s program"
+                                       % (rel.fid, op[1], self.mode))
                 dims = list(shape)
                 acc = {idx: [(t, ())] for t, idx in
                        enumerate(itertools.product(*map(range, shape)))}
@@ -602,11 +606,23 @@ class Machine:
         return self.stats, quiescent
 
     def run_ticks(self, ticks: int):
-        """GIBBS: run until every variable-owning cell resampled `ticks` times."""
+        """GIBBS: run until every variable-owning cell resampled `ticks` times.
+
+        Only once per machine: a cell that has ticked, in an earlier
+        run_ticks or a run_until_quiescent, is an error."""
         if self.mode != GIBBS:
             raise MachineError("tick-bounded runs only apply to GIBBS mode")
         if ticks < 1:
             raise MachineError("tick count must be at least 1, got %d" % ticks)
+        for coord in sorted(self.cells):
+            cell = self.cells[coord]
+            if cell.tick_idx:
+                # after a run_ticks the queue holds no tick to continue
+                # from, and after a run_until_quiescent the budget would
+                # count ticks already taken
+                raise MachineError("cell (%d, %d) has already ticked %d times; "
+                                   "run_ticks needs a machine that has not "
+                                   "ticked" % (coord + (cell.tick_idx,)))
         for cell in self.cells.values():
             cell.tick_budget = ticks
         while self._heap:

@@ -308,12 +308,19 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
 
     A move scores only the moved clusters' edges, read from a table of grid
     distances between cells, so each placement equals the one a full
-    recompute of every touched edge would pick."""
+    recompute of every touched edge would pick.
+
+    A move's cluster i and target cell q are drawn as `randrange` draws
+    them (CPython's `_randbelow_with_getrandbits`, the same in 3.10-3.13):
+    `getrandbits(bound.bit_length())` until the value is below the bound.
+    Inlining that loop skips two Python frames per draw while every seed
+    consumes the same bits, so placements match `randrange`'s exactly
+    (test_mapper.py pins this contract)."""
     R, C = grid
-    n = len(clusters)
-    if n > R * C:
+    n, cells_n = len(clusters), R * C
+    if n > cells_n:
         raise MapperError("grid %dx%d too small for %d clusters" % (R, C, n))
-    cells = [(p // C, p % C) for p in range(R * C)]
+    cells = [(p // C, p % C) for p in range(cells_n)]
     dist = [[abs(r1 - r2) + abs(c1 - c2) for r2, c2 in cells] for r1, c1 in cells]
     edges = _edge_weights(clusters, graph, mode)
     adj = [[] for _ in range(n)]
@@ -327,8 +334,10 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     edge_total = sum(w for _, _, w in edges)
     temp = 2.0 * cost0 / max(edge_total, 1)
     rng = random.Random(seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
+    ki, kq = n.bit_length(), cells_n.bit_length()
     pos = list(range(n))
-    at = pos + [None] * (R * C - n)
+    at = pos + [None] * (cells_n - n)
     cur = cost0
     best = list(pos)
     best_cost = cost0
@@ -336,8 +345,12 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     for _ in range(epochs):
         accepts = 0
         for _ in range(epoch_scale * n):
-            i = rng.randrange(n)
-            q = rng.randrange(R * C)
+            i = getrandbits(ki)
+            while i >= n:
+                i = getrandbits(ki)
+            q = getrandbits(kq)
+            while q >= cells_n:
+                q = getrandbits(kq)
             p = pos[i]
             if q == p:
                 continue
@@ -353,7 +366,7 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
                 for k, w in adj[j]:
                     if k != i:
                         delta += w * (dp[pos[k]] - dq[pos[k]])
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+            if delta <= 0 or uniform() < math.exp(-delta / temp):
                 pos[i], at[q], at[p] = q, i, j
                 if j is not None:
                     pos[j] = p

@@ -280,6 +280,28 @@ def test_run_ticks_rejects_counts_below_one():
         assert m.var_owner[0].counts == [0, 0]
 
 
+def test_run_ticks_refuses_a_machine_that_has_ticked():
+    bench = apps.build_ising_chain(4, 0.5, 0.2)
+    m, _ = compiled(bench.graph, "GIBBS")
+    stats = m.run_ticks(10)
+    text = stats.text()
+    with pytest.raises(MachineError) as err:
+        m.run_ticks(20)
+    first = min(coord for coord, cell in m.cells.items() if cell.vars)
+    assert "cell (%d, %d) has already ticked 10 times" % first in str(err.value)
+    assert all(sum(m.var_owner[v].counts) == 10 for v in range(4))
+    assert m.stats.text() == text
+    # a run_until_quiescent that reached a tick counts too
+    m, _ = compiled(bench.graph, "GIBBS")
+    m.run_until_quiescent(2000)
+    ticks = m.cells[first].tick_idx
+    assert ticks > 0
+    with pytest.raises(MachineError) as err:
+        m.run_ticks(5)
+    assert "cell (%d, %d) has already ticked %d times" % (first + (ticks,)) \
+        in str(err.value)
+
+
 def test_gibbs_beliefs_without_samples_raise():
     m, _ = compiled(pair_graph(), "GIBBS", grid=(1, 1))
     m.run_until_quiescent(10)
@@ -408,6 +430,18 @@ VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
     ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 V0\n1 1\nPROG 1\nLOAD_TABLE_SLICE 0\nGIBBS_PERIOD 10 0\n",
      "LOAD_TABLE_SLICE 0 is not followed by MUL COND"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 3\nMUL COND\nLOAD_TABLE_SLICE\nNORMALIZE OUT0\n",
+     "relation 0: MUL COND in a SUMPROD program"),
+    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n0 0\nPROG 3\nLOAD_TABLE_SLICE\nMUL COND\nNORMALIZE OUT0\n",
+     "relation 0: MUL COND in a MINSUM program"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE 0\nNORMALIZE OUT0\n",
+     "relation 0: LOAD_TABLE_SLICE 0 has an axis in a SUMPROD program"),
+    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n0 0\nPROG 2\nLOAD_TABLE_SLICE 0\nNORMALIZE OUT0\n",
+     "relation 0: LOAD_TABLE_SLICE 0 has an axis in a MINSUM program"),
 ]
 
 

@@ -274,6 +274,25 @@ def reference_place(clusters, graph, grid, seed=0, mode="SUMPROD", epochs=50,
     return Placement(grid, best, cost0, best_cost)
 
 
+def test_move_draw_matches_randrange():
+    # place() inlines randrange's draw for its moves; an interpreter whose
+    # randrange draws differently fails here, not as a moved placement
+    def draw_below(getrandbits, bound):
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        return r
+
+    for seed in (0, 1, 7, 12345, 2 ** 32 - 1, 2 ** 70 + 3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for bound in range(1, 66):
+            for _ in range(10):
+                assert draw_below(ours.getrandbits, bound) == theirs.randrange(bound)
+            assert ours.getstate() == theirs.getstate()
+        assert ours.random() == theirs.random()
+
+
 @st.composite
 def placement_cases(draw):
     """A lowered, clustered random graph and a grid that holds it: from one
