@@ -9,15 +9,20 @@ reading it, and recomputed messages are re-transmitted only when they moved by
 at least the cell's change threshold.  Event order is the total order
 (time, row-major cell id, sequence number), which makes runs bit-reproducible.
 
-In SUMPROD/MINSUM modes the machine settles to quiescence (empty queue).  In
-GIBBS mode each cell periodically resamples its variables from the fixed-point
-conditionals given shadowed neighbor values and never quiesces on its own; the
-relation programs, lowered at load into per-variable terms, define those
-conditionals.
+In SUMPROD/MINSUM modes the machine settles to quiescence (empty queue).
+Each relation program and each variable's message refresh has a fixed
+structure once the image is loaded, so both run as Python functions generated
+at load from that structure: straight-line fixed-point arithmetic spliced
+from the expression templates in `fixedpoint`, one function shared by every
+relation or variable of the same structure.  In GIBBS mode each cell
+periodically resamples its variables from the fixed-point conditionals given
+shadowed neighbor values and never quiesces on its own; the relation
+programs, lowered at load into per-variable terms, define those conditionals.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -76,7 +81,7 @@ class Stats:
 class _Var:
     __slots__ = ("cell", "slot", "vid", "card", "evidence", "value",
                  "in_msgs", "out_msgs", "belief", "attached", "local_rels",
-                 "counts", "terms", "key")
+                 "counts", "terms", "key", "refresh")
 
     def __init__(self, cell, slot, vid, card, evidence):
         self.cell = cell
@@ -93,6 +98,7 @@ class _Var:
         self.counts = [0] * card
         self.terms = []         # GIBBS: (table, stride, others) per MUL COND
         self.key = None         # GIBBS: key of the variable's random stream
+        self.refresh = None     # generated refresh for its card and degree
 
 
 class _Shadow:
@@ -113,43 +119,6 @@ class _Shadow:
         self.wired = False
 
 
-class _Kernel:
-    """A converging relation program lowered for one scope shape.
-
-    `outputs` holds one (j, groups) per `NORMALIZE OUT<j>`, in program
-    order, with one group per element of the emitted vector.  A group lists
-    the terms reduced into that element; a term (t, offsets) is table word t
-    combined, in program order, with the input words at `offsets` in the
-    concatenation of the scope's input vectors.  The terms depend only on
-    the shape and the ops, not on the table, so relations that share both
-    share one kernel."""
-
-    __slots__ = ("outputs", "combine", "reduce")
-
-    def __init__(self, outputs, linear):
-        self.outputs = outputs
-        self.combine = fp.mul_u16 if linear else fp.sat_add
-        self.reduce = sum if linear else max
-
-    def run(self, table, x):
-        """Unnormalized (j, vector) per output for table words and inputs x."""
-        combine = self.combine
-        reduce = self.reduce
-        outs = []
-        for j, groups in self.outputs:
-            vec = []
-            for group in groups:
-                vals = []
-                for t, offsets in group:
-                    v = table[t]
-                    for i in offsets:
-                        v = combine(v, x[i])
-                    vals.append(v)
-                vec.append(reduce(vals))
-            outs.append((j, vec))
-        return outs
-
-
 class _Rel:
     __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
                  "table", "prog", "kernel", "cost", "pending", "out_vids")
@@ -166,7 +135,7 @@ class _Rel:
         self.strides = strides
         self.table = table      # flat tuple of ints, last scope position fastest
         self.prog = prog
-        self.kernel = None      # _Kernel in SUMPROD/MINSUM modes
+        self.kernel = None      # generated kernel in SUMPROD/MINSUM modes
         self.cost = max(1, len(prog))
         self.pending = False
         self.out_vids = [r[1].vid for r in refs]
@@ -189,6 +158,172 @@ class _Cell:
         self.tick_idx = 0
         self.tick_budget = None
         self.tick_cost = 0
+
+
+# ---------------------------------------------------------------------------
+# converging paths generated at load
+# ---------------------------------------------------------------------------
+
+def _lower(mode, shape, prog):
+    """Lower a converging program into term lists by running it on symbols.
+
+    Returns one (j, groups) per `NORMALIZE OUT<j>`, in program order, with
+    one group per element of the emitted vector.  A group lists the terms
+    reduced into that element; a term (t, offsets) is table word t combined,
+    in program order, with the input words at `offsets` in the concatenation
+    of the scope's input vectors.  The accumulator maps each index tuple (0
+    on reduced axes) to its terms.  Combining and reducing use the mode's
+    semiring: MUL and SUM_REDUCE in SUMPROD, ADD and MAX_REDUCE in MINSUM.
+    A combine after a reduce would act on a reduced value, which no term
+    list can express, so the program is rejected, as is a sampling op (MUL
+    COND, or a LOAD_TABLE_SLICE with an axis).  Error messages leave out
+    the relation, which the caller names."""
+    offsets = [0] * len(shape)
+    for p in range(1, len(shape)):
+        offsets[p] = offsets[p - 1] + shape[p - 1]
+    combine_op, reduce_op = ("ADD", "MAX_REDUCE") if mode == MINSUM else \
+        ("MUL", "SUM_REDUCE")
+    acc = None
+    dims = None
+    reduced = False
+    outputs = []
+    for op in prog:
+        name = op[0]
+        if name == "MUL_COND":
+            raise MachineError("MUL COND in a %s program" % mode)
+        if name == "LOAD_TABLE_SLICE":
+            if op[1] is not None:
+                raise MachineError("LOAD_TABLE_SLICE %d has an axis in a %s "
+                                   "program" % (op[1], mode))
+            dims = list(shape)
+            acc = {idx: [(t, ())] for t, idx in
+                   enumerate(itertools.product(*map(range, shape)))}
+            reduced = False
+            continue
+        if acc is None:
+            raise MachineError("%s before LOAD_TABLE_SLICE" % name)
+        if name in ("MUL", "ADD", "SUM_REDUCE", "MAX_REDUCE") and \
+                name not in (combine_op, reduce_op):
+            raise MachineError("%s in a %s program" % (name, mode))
+        if name == combine_op:
+            if reduced:
+                raise MachineError("%s after a reduction" % name)
+            axis, src = op[1], op[2]
+            acc = {idx: [(t, offs + (offsets[src] + idx[axis],))
+                         for t, offs in terms]
+                   for idx, terms in acc.items()}
+        elif name == reduce_op:
+            axis = op[1]
+            dims[axis] = 1
+            merged = {}
+            for idx, terms in acc.items():
+                key = idx[:axis] + (0,) + idx[axis + 1:]
+                merged.setdefault(key, []).extend(terms)
+            acc = merged
+            reduced = True
+        elif name == "NORMALIZE":
+            j = op[1]
+            size = math.prod(dims)
+            if size != shape[j]:
+                raise MachineError("%s before reducing other axes" % name)
+            # the emitted vector is the accumulator flattened row-major
+            groups = [None] * size
+            for idx, terms in acc.items():
+                o = 0
+                for a, d in zip(idx, dims):
+                    o = o * d + a
+                groups[o] = tuple(terms)
+            outputs.append((j, tuple(groups)))
+    return tuple(outputs)
+
+
+def _define(source, linear):
+    """Compile generated source into its one function, with `norm` bound to
+    the mode's normalization."""
+    namespace = {"norm": fp.norm_linear if linear else fp.norm_log}
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace["generated"]
+
+
+def _unpack(names, source):
+    """A line of generated code unpacking `source` into `names`."""
+    return "    %s= %s" % ("".join(n + ", " for n in names), source)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(mode, shape, prog):
+    """Generate a converging program's kernel: kernel(table, *inputs) takes
+    the table words and one input vector per scope position and returns the
+    normalized (j, message) per `NORMALIZE OUT<j>` as straight-line code
+    over the term lists of `_lower`.  The table is an argument, so every
+    relation with one shape and program shares one kernel.  The source is
+    built only from the term lists' integers and the `fixedpoint`
+    templates."""
+    linear = mode != MINSUM
+    combine = fp.MUL_U16 if linear else fp.SAT_ADD
+    lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
+             _unpack(["t%d" % t for t in range(math.prod(shape))], "T")]
+    offset = 0
+    for p, card in enumerate(shape):
+        lines.append(_unpack(["x%d" % (offset + a) for a in range(card)], "m%d" % p))
+        offset += card
+    outs = []
+    for j, groups in _lower(mode, shape, prog):
+        elems = []
+        for group in groups:
+            terms = []
+            for t, offsets in group:
+                v = "t%d" % t
+                for i in offsets:
+                    v = combine.format(a=v, b="x%d" % i)
+                terms.append(v)
+            if linear:
+                elems.append(" + ".join(terms))
+            else:
+                elems.append(terms[0] if len(terms) == 1 else
+                             "max(%s)" % ", ".join(terms))
+        outs.append("(%d, tuple(norm([%s])))" % (j, ", ".join(elems)))
+    lines.append("    return [%s]" % ", ".join(outs))
+    return _define("\n".join(lines) + "\n", linear)
+
+
+@functools.lru_cache(maxsize=256)
+def _refresh(linear, card, degree):
+    """Generate a variable's refresh: refresh(*messages) takes its degree
+    >= 1 incoming messages in attachment order and returns (the normalized
+    outgoing message per attachment, the normalized belief).  Outgoing
+    message i combines every incoming message but the i-th, from prefix and
+    suffix combinations, and the belief combines them all."""
+    combine = fp.MUL_U16 if linear else fp.SAT_ADD
+    lines = ["def generated(%s):" % ", ".join("m%d" % i for i in range(degree))]
+    msgs = []
+    for i in range(degree):
+        msgs.append(["m%d_%d" % (i, a) for a in range(card)])
+        lines.append(_unpack(msgs[i], "m%d" % i))
+
+    def emit(name, u, v):
+        # None stands for the uniform message, which combines exactly
+        if u is None or v is None:
+            return v if u is None else u
+        names = ["%s_%d" % (name, a) for a in range(card)]
+        for n, a, b in zip(names, u, v):
+            lines.append("    %s = %s" % (n, combine.format(a=a, b=b)))
+        return names
+
+    pre = [None]                    # pre[i] combines messages 0 .. i-1
+    for i in range(degree):
+        pre.append(emit("p%d" % (i + 1), pre[i], msgs[i]))
+    suf = [None] * (degree + 1)     # suf[i] combines messages i .. degree-1
+    for i in range(degree - 1, 0, -1):
+        suf[i] = emit("q%d" % i, msgs[i], suf[i + 1])
+    uniform = ["%d" % (fp.U16_MAX if linear else 0)] * card
+    outs = []
+    for i in range(degree):
+        vec = emit("o%d" % i, pre[i], suf[i + 1]) or uniform
+        outs.append("tuple(norm([%s]))" % ", ".join(vec))
+    lines.append("    return (%s, ), tuple(norm([%s]))"
+                 % (", ".join(outs), ", ".join(pre[degree])))
+    return _define("\n".join(lines) + "\n", linear)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +365,6 @@ class Machine:
             word_lo, word_hi = 0, fp.U16_MAX
         else:
             word_lo, word_hi = fp.Q88_MIN, fp.Q88_MAX
-        kernels = {}            # (shape, program) -> _Kernel
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
@@ -307,10 +441,10 @@ class Machine:
                         obj.consumers.append(rel)
                 self._check_program(rel)
                 if self.mode != GIBBS:
-                    key = (shape, tuple(rel.prog))
-                    rel.kernel = kernels.get(key)
-                    if rel.kernel is None:
-                        rel.kernel = kernels[key] = self._lower(rel)
+                    try:
+                        rel.kernel = _kernel(self.mode, shape, tuple(rel.prog))
+                    except MachineError as e:
+                        raise MachineError("relation %d: %s" % (rel.fid, e)) from None
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
 
@@ -384,6 +518,8 @@ class Machine:
             var.attached = sorted(var.in_msgs)
             for fid in var.attached:
                 var.out_msgs[fid] = self._uniform(var.card)
+            if var.attached:
+                var.refresh = _refresh(self.linear, var.card, len(var.attached))
             self._refresh_var(var)
 
         if self.mode == GIBBS:
@@ -427,80 +563,6 @@ class Machine:
             elif name == "LOAD_TABLE_SLICE" and op[1] is not None:
                 if not (0 <= op[1] < k):
                     raise MachineError("relation %d: slice axis out of range" % rel.fid)
-
-    def _lower(self, rel):
-        """Lower a converging program into a _Kernel by running it on symbols.
-
-        The accumulator maps each index tuple (0 on reduced axes) to the
-        terms reduced into it.  Combining and reducing use the mode's
-        semiring: MUL and SUM_REDUCE in SUMPROD, ADD and MAX_REDUCE in
-        MINSUM.  A combine after a reduce would act on a reduced value, which
-        no term list can express, so the program is rejected at load, as is
-        a sampling op (MUL COND, or a LOAD_TABLE_SLICE with an axis)."""
-        shape = rel.shape
-        offsets = [0] * len(shape)
-        for p in range(1, len(shape)):
-            offsets[p] = offsets[p - 1] + shape[p - 1]
-        combine_op, reduce_op = ("MUL", "SUM_REDUCE") if self.linear else \
-            ("ADD", "MAX_REDUCE")
-        acc = None
-        dims = None
-        reduced = False
-        outputs = []
-        for op in rel.prog:
-            name = op[0]
-            if name == "MUL_COND":
-                raise MachineError("relation %d: MUL COND in a %s program"
-                                   % (rel.fid, self.mode))
-            if name == "LOAD_TABLE_SLICE":
-                if op[1] is not None:
-                    raise MachineError("relation %d: LOAD_TABLE_SLICE %d has an "
-                                       "axis in a %s program"
-                                       % (rel.fid, op[1], self.mode))
-                dims = list(shape)
-                acc = {idx: [(t, ())] for t, idx in
-                       enumerate(itertools.product(*map(range, shape)))}
-                reduced = False
-                continue
-            if acc is None:
-                raise MachineError("relation %d: %s before LOAD_TABLE_SLICE"
-                                   % (rel.fid, name))
-            if name in ("MUL", "ADD", "SUM_REDUCE", "MAX_REDUCE") and \
-                    name not in (combine_op, reduce_op):
-                raise MachineError("relation %d: %s in a %s program"
-                                   % (rel.fid, name, self.mode))
-            if name == combine_op:
-                if reduced:
-                    raise MachineError("relation %d: %s after a reduction"
-                                       % (rel.fid, name))
-                axis, src = op[1], op[2]
-                acc = {idx: [(t, offs + (offsets[src] + idx[axis],))
-                             for t, offs in terms]
-                       for idx, terms in acc.items()}
-            elif name == reduce_op:
-                axis = op[1]
-                dims[axis] = 1
-                merged = {}
-                for idx, terms in acc.items():
-                    key = idx[:axis] + (0,) + idx[axis + 1:]
-                    merged.setdefault(key, []).extend(terms)
-                acc = merged
-                reduced = True
-            elif name == "NORMALIZE":
-                j = op[1]
-                size = math.prod(dims)
-                if size != shape[j]:
-                    raise MachineError("relation %d: %s before reducing other axes"
-                                       % (rel.fid, name))
-                # the emitted vector is the accumulator flattened row-major
-                groups = [None] * size
-                for idx, terms in acc.items():
-                    o = 0
-                    for a, d in zip(idx, dims):
-                        o = o * d + a
-                    groups[o] = tuple(terms)
-                outputs.append((j, tuple(groups)))
-        return _Kernel(tuple(outputs), self.linear)
 
     def _lower_gibbs(self, rel):
         """Lower a sampling program into (scope position, term) pairs.
@@ -651,7 +713,8 @@ class Machine:
                 self._gate_send((cell.cid, "fv", rel.fid, vid), payload, avail, cell)
 
     def _refresh_var(self, var):
-        """Recompute outgoing messages and belief from stored inputs."""
+        """Recompute outgoing messages, one per attachment in order, and the
+        belief from stored inputs."""
         card = var.card
         if var.evidence is not None:
             if self.linear:
@@ -659,39 +722,13 @@ class Machine:
             else:
                 ind = tuple(0 if a == var.evidence else fp.Q88_MIN for a in range(card))
             var.belief = ind
-            return {fid: ind for fid in var.attached}
-        msgs = [var.in_msgs[fid] for fid in var.attached]
-        n = len(msgs)
-        if n == 0:
+            return (ind,) * len(var.attached)
+        if not var.attached:
             var.belief = self._uniform(card)
-            return {}
-        # prefix/suffix combinations give each exclude-one combination one
-        # way; None stands for the uniform message, which combines exactly
-        combine = self._combine
-        pre = [None]
-        for m in msgs:
-            pre.append(m if pre[-1] is None else combine(pre[-1], m))
-        suf = [None]
-        for m in reversed(msgs):
-            suf.append(m if suf[-1] is None else combine(m, suf[-1]))
-        suf.reverse()
-        norm = self._norm
-        outs = {}
-        for i, fid in enumerate(var.attached):
-            a, b = pre[i], suf[i + 1]
-            if a is None:
-                vec = self._uniform(card) if b is None else b
-            else:
-                vec = a if b is None else combine(a, b)
-            outs[fid] = norm(vec)
-        var.belief = norm(pre[n])
+            return ()
+        in_msgs = var.in_msgs
+        outs, var.belief = var.refresh(*[in_msgs[fid] for fid in var.attached])
         return outs
-
-    def _combine(self, a, b):
-        return tuple(map(fp.mul_u16 if self.linear else fp.sat_add, a, b))
-
-    def _norm(self, v):
-        return tuple(fp.norm_linear(v) if self.linear else fp.norm_log(v))
 
     def _emit_var(self, var, time):
         """Publish changed outgoing messages to local relations and wires."""
@@ -703,8 +740,7 @@ class Machine:
                 self._gate_send(key, var.value, time, cell, value_packet=True)
             return
         outs = self._refresh_var(var)
-        for fid in var.attached:
-            new = outs[fid]
+        for fid, new in zip(var.attached, outs):
             if var.out_msgs[fid] != new:
                 var.out_msgs[fid] = new
                 rel = var.local_rels.get(fid)
@@ -849,15 +885,10 @@ class Machine:
         """Run the relation's kernel on its current inputs: (j, message) per
         NORMALIZE OUT<j>, anchored and, with noise_lsbs, perturbed."""
         fid = rel.fid
-        x = ()
-        for kind, obj in rel.refs:
-            x += obj.out_msgs[fid] if kind == "v" else obj.data
-        outs = []
-        for j, vec in rel.kernel.run(rel.table, x):
-            vec = self._norm(vec)
-            if self.noise_lsbs:
-                vec = self._apply_noise(vec)
-            outs.append((j, vec))
+        outs = rel.kernel(rel.table, *[obj.out_msgs[fid] if kind == "v" else obj.data
+                                       for kind, obj in rel.refs])
+        if self.noise_lsbs:
+            outs = [(j, self._apply_noise(vec)) for j, vec in outs]
         return outs
 
     def _apply_noise(self, vec):
@@ -878,6 +909,9 @@ class Machine:
             raise MachineError("unknown variable %d" % vid)
         if not (0 <= value < var.card):
             raise MachineError("value %d outside domain of variable %d" % (value, vid))
+        if at_time < self.time:
+            raise MachineError("cannot inject evidence at cycle %d: the machine "
+                               "is already at cycle %d" % (at_time, self.time))
         self._push(at_time, var.cell, "I", (var, value))
 
     def read_beliefs(self):
@@ -949,13 +983,13 @@ class Machine:
         for cell in self.cells.values():
             for var in cell.vars:
                 outs = self._refresh_var(var)
-                for fid in var.attached:
-                    d = max(abs(a - b) for a, b in zip(outs[fid], var.out_msgs[fid]))
+                for fid, new in zip(var.attached, outs):
+                    d = max(abs(a - b) for a, b in zip(new, var.out_msgs[fid]))
                     local = max(local, d)
                     key = (cell.cid, "vf", var.vid, fid)
                     if key in self.wire_index and key in self.last_sent:
                         d = max(abs(a - b)
-                                for a, b in zip(outs[fid], self.last_sent[key]))
+                                for a, b in zip(new, self.last_sent[key]))
                         remote = max(remote, d)
             if self.mode == GIBBS:
                 continue

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factormesh import fixedpoint as fp
 
@@ -109,3 +110,56 @@ def test_norm_log():
     assert fp.norm_log([10, -5]) == [0, -15]
     assert fp.norm_log([32767, -32760]) == [0, fp.Q88_MIN]
 
+
+
+# -- the templates machine code is generated from ------------------------------
+
+def template(tmpl):
+    """The template as a function of two ints, the way generated code
+    evaluates it: operand names spliced in, inside a function body."""
+    namespace = {}
+    exec("def f(a, b):\n    return %s\n" % tmpl.format(a="a", b="b"), namespace)
+    return namespace["f"]
+
+
+def test_mul_u16_template_at_the_domain_edges():
+    f = template(fp.MUL_U16)
+    edges = (0, 1, 2, 32766, 32767, 32768, 32769, 65534, 65535)
+    for a in edges:
+        for b in edges:
+            assert f(a, b) == fp.mul_u16(a, b), (a, b)
+
+
+def test_sat_add_template_at_the_domain_edges():
+    f = template(fp.SAT_ADD)
+    # table words and anchored messages span the Q8.8 range; output noise
+    # lifts anchored messages to small positive words
+    edges = (fp.Q88_MIN, fp.Q88_MIN + 1, -256, -1, 0, 1, 2, 256,
+             fp.Q88_MAX - 1, fp.Q88_MAX)
+    for a in edges:
+        for b in edges:
+            assert f(a, b) == fp.sat_add(a, b), (a, b)
+
+
+def test_templates_nest_as_operands():
+    # generated code chains a term's combines by splicing one template into
+    # the next, so SAT_ADD's inner binding of s must not leak outwards
+    for tmpl, scalar, (a, b, c) in ((fp.MUL_U16, fp.mul_u16, (65535, 32768, 3)),
+                                    (fp.SAT_ADD, fp.sat_add, (fp.Q88_MAX, 2, -5)),
+                                    (fp.SAT_ADD, fp.sat_add, (fp.Q88_MIN, -2, 5))):
+        namespace = {}
+        exec("def f(a, b, c):\n    return %s\n"
+             % tmpl.format(a=tmpl.format(a="a", b="b"), b="c"), namespace)
+        assert namespace["f"](a, b, c) == scalar(scalar(a, b), c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, fp.U16_MAX), st.integers(0, fp.U16_MAX))
+def test_mul_u16_template_matches_scalar(a, b):
+    assert template(fp.MUL_U16)(a, b) == fp.mul_u16(a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(fp.Q88_MIN, fp.Q88_MAX), st.integers(fp.Q88_MIN, fp.Q88_MAX))
+def test_sat_add_template_matches_scalar(a, b):
+    assert template(fp.SAT_ADD)(a, b) == fp.sat_add(a, b)

@@ -1,0 +1,280 @@
+"""Generated converging path: the machine sends exactly what the old
+interpreter sent.
+
+`ReferenceKernelMachine` keeps the relation kernel and the variable refresh
+from before they were generated at load: `_Kernel.run` walks the term lists
+of `_lower` and combines with the scalar `fixedpoint` functions, and the
+refresh folds prefix and suffix combinations in a loop.  Both machines run
+the same image, and every packet, trace row, counter and belief must agree.
+"""
+
+import random
+
+from hypothesis import given, reject, settings, strategies as st
+
+import gen
+from factormesh import fixedpoint as fp
+from factormesh.graph import with_evidence
+from factormesh.image import MAX_PROGRAM_OPS, MINSUM, SUMPROD, Capacities, dumps
+from factormesh.machine import Machine, _lower
+from factormesh.mapper import MapperError, compile_graph
+
+
+class _Kernel:
+    """A converging relation program lowered for one scope shape.
+
+    `outputs` holds one (j, groups) per `NORMALIZE OUT<j>`, in program
+    order, with one group per element of the emitted vector.  A group lists
+    the terms reduced into that element; a term (t, offsets) is table word t
+    combined, in program order, with the input words at `offsets` in the
+    concatenation of the scope's input vectors.  The terms depend only on
+    the shape and the ops, not on the table, so relations that share both
+    share one kernel."""
+
+    __slots__ = ("outputs", "combine", "reduce")
+
+    def __init__(self, outputs, linear):
+        self.outputs = outputs
+        self.combine = fp.mul_u16 if linear else fp.sat_add
+        self.reduce = sum if linear else max
+
+    def run(self, table, x):
+        """Unnormalized (j, vector) per output for table words and inputs x."""
+        combine = self.combine
+        reduce = self.reduce
+        outs = []
+        for j, groups in self.outputs:
+            vec = []
+            for group in groups:
+                vals = []
+                for t, offsets in group:
+                    v = table[t]
+                    for i in offsets:
+                        v = combine(v, x[i])
+                    vals.append(v)
+                vec.append(reduce(vals))
+            outs.append((j, vec))
+        return outs
+
+
+class ReferenceKernelMachine(Machine):
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ref_kernels = {rel: _Kernel(_lower(self.mode, rel.shape, tuple(rel.prog)),
+                                          self.linear)
+                             for cell in self.cells.values() for rel in cell.rels}
+
+    def _refresh_var(self, var):
+        # the machine takes the messages in attachment order
+        outs = self._reference_refresh(var)
+        return [outs[fid] for fid in var.attached]
+
+    def _reference_refresh(self, var):
+        """Recompute outgoing messages and belief from stored inputs."""
+        card = var.card
+        if var.evidence is not None:
+            if self.linear:
+                ind = tuple(fp.U16_MAX if a == var.evidence else 0 for a in range(card))
+            else:
+                ind = tuple(0 if a == var.evidence else fp.Q88_MIN for a in range(card))
+            var.belief = ind
+            return {fid: ind for fid in var.attached}
+        msgs = [var.in_msgs[fid] for fid in var.attached]
+        n = len(msgs)
+        if n == 0:
+            var.belief = self._uniform(card)
+            return {}
+        # prefix/suffix combinations give each exclude-one combination one
+        # way; None stands for the uniform message, which combines exactly
+        combine = self._combine
+        pre = [None]
+        for m in msgs:
+            pre.append(m if pre[-1] is None else combine(pre[-1], m))
+        suf = [None]
+        for m in reversed(msgs):
+            suf.append(m if suf[-1] is None else combine(m, suf[-1]))
+        suf.reverse()
+        norm = self._norm
+        outs = {}
+        for i, fid in enumerate(var.attached):
+            a, b = pre[i], suf[i + 1]
+            if a is None:
+                vec = self._uniform(card) if b is None else b
+            else:
+                vec = a if b is None else combine(a, b)
+            outs[fid] = norm(vec)
+        var.belief = norm(pre[n])
+        return outs
+
+    def _combine(self, a, b):
+        return tuple(map(fp.mul_u16 if self.linear else fp.sat_add, a, b))
+
+    def _norm(self, v):
+        return tuple(fp.norm_linear(v) if self.linear else fp.norm_log(v))
+
+    def _exec_program(self, rel):
+        """Run the relation's kernel on its current inputs: (j, message) per
+        NORMALIZE OUT<j>, anchored and, with noise_lsbs, perturbed."""
+        fid = rel.fid
+        x = ()
+        for kind, obj in rel.refs:
+            x += obj.out_msgs[fid] if kind == "v" else obj.data
+        outs = []
+        for j, vec in self._ref_kernels[rel].run(rel.table, x):
+            vec = self._norm(vec)
+            if self.noise_lsbs:
+                vec = self._apply_noise(vec)
+            outs.append((j, vec))
+        return outs
+
+
+def run(cls, text, caps, noise, inject, budget):
+    m = cls(text, capacities=caps, trace=True, noise_lsbs=noise)
+    if inject is not None:
+        m.inject_evidence(*inject)
+    stats, _ = m.run_until_quiescent(budget)
+    beliefs = {vid: var.belief for vid, var in m.var_owner.items()}
+    return stats, m.time, m.trace, beliefs, m.last_sent
+
+
+def assert_same_runs(text, caps, inject=None, budget=1500):
+    for noise in (0, 2):
+        got = run(Machine, text, caps, noise, inject, budget)
+        assert got == run(ReferenceKernelMachine, text, caps, noise, inject, budget)
+
+
+@st.composite
+def converging_cases(draw):
+    """A random gen.py graph with evidence on some variables, compiled under
+    SUMPROD or MINSUM with a zero or positive change threshold, plus an
+    optional evidence injection."""
+    graph_seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        graph = gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10, card_hi=4)
+    else:
+        graph = gen.random_builtin_graph(graph_seed)
+    pick = random.Random(draw(st.integers(0, 10 ** 6)))
+    evidence = {v.id: pick.randrange(v.cardinality) for v in graph.variables
+                if pick.random() < 0.2}
+    graph = with_evidence(graph, evidence)
+    mode = draw(st.sampled_from((SUMPROD, MINSUM)))
+    caps = Capacities(var_slots=draw(st.integers(1, 3)), rel_slots=16,
+                      shadow_slots=64, table_words=4096)
+    try:
+        image, _ = compile_graph(graph, mode, grid=(4, 4),
+                                 seed=draw(st.integers(0, 2 ** 32 - 1)),
+                                 capacities=caps,
+                                 thresh=draw(st.sampled_from((0, 1, None))),
+                                 epochs=2)
+    except MapperError:
+        reject()
+    inject = None
+    if draw(st.booleans()):
+        slots = [vs for ci in image.cells.values() for vs in ci.var_slots]
+        vs = pick.choice(slots)
+        inject = (vs.var_id, pick.randrange(vs.card), draw(st.integers(0, 400)))
+    return dumps(image), caps, inject, draw(st.sampled_from((0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=converging_cases(), budget=st.integers(100, 1500))
+def test_generated_path_matches_reference_interpreter(case, budget):
+    text, caps, inject, noise = case
+    got = run(Machine, text, caps, noise, inject, budget)
+    want = run(ReferenceKernelMachine, text, caps, noise, inject, budget)
+    assert got == want
+
+
+# -- fixed cases at the capacity limits ---------------------------------------
+
+def words(mode, n, rng):
+    lo, hi = (0, fp.U16_MAX) if mode == SUMPROD else (fp.Q88_MIN, fp.Q88_MAX)
+    return [rng.randint(lo, hi) for _ in range(n)]
+
+
+def program(mode, k, outputs):
+    combine, reduce = ("MUL", "SUM_REDUCE") if mode == SUMPROD else ("ADD", "MAX_REDUCE")
+    lines = []
+    for j in outputs:
+        others = [p for p in range(k) if p != j]
+        lines.append("LOAD_TABLE_SLICE")
+        lines += ["%s %d IN%d" % (combine, p, p) for p in others]
+        lines += ["%s %d" % (reduce, p) for p in others]
+        lines.append("NORMALIZE OUT%d" % j)
+    return ["PROG %d" % len(lines)] + lines
+
+
+def relation(slot, fid, refs, table, prog):
+    return (["REL %d %d %d %s" % (slot, fid, len(table), " ".join(refs)),
+             " ".join(map(str, table))] + prog)
+
+
+def test_widest_relation_table_generates_and_matches():
+    # 9 binary positions fill the 512 table words of one cell; as many
+    # outputs as fit in the program length limit
+    caps = Capacities(var_slots=9)
+    outputs = (0, 4, 8)
+    assert len(outputs) * 18 <= MAX_PROGRAM_OPS < (len(outputs) + 1) * 18
+    rng = random.Random(9)
+    for mode in (SUMPROD, MINSUM):
+        lines = ["FMIMG 1", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines += ["VAR %d %d 2%s" % (p, p, " EVIDENCE %d" % (p % 2) if p in (1, 4) else "")
+                  for p in range(9)]
+        lines += relation(0, 0, ["V%d" % p for p in range(9)],
+                          words(mode, caps.table_words, rng), program(mode, 9, outputs))
+        text = "\n".join(lines) + "\nTHRESH 0\n"
+        assert_same_runs(text, caps)
+        # and straight on inputs across the whole word range
+        machines = [cls(text, capacities=caps) for cls in (Machine, ReferenceKernelMachine)]
+        for _ in range(20):
+            inputs = [tuple(words(mode, 2, rng)) for _ in range(9)]
+            outs = []
+            for m in machines:
+                for p, vec in enumerate(inputs):
+                    m.var_owner[p].out_msgs[0] = vec
+                outs.append(m._exec_program(m.cells[(0, 0)].rels[0]))
+            assert outs[0] == outs[1]
+
+
+def star_image(mode, thresh):
+    """Variable 0 at the highest degree the default capacities allow: every
+    relation slot of its cell holds a unary relation on it, and every shadow
+    slot an FTOV message from a pairwise relation in one of four leaf cells,
+    each of which fills its variable, shadow and relation slots."""
+    caps = Capacities()
+    rng = random.Random(20)
+    lines = ["FMIMG 1", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
+    wires = []
+    leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
+    for h, fid in enumerate(leaf_fids):
+        col = 1 + h // caps.rel_slots
+        lines.append("SHADOW %d 0 3 0 %d FTOV %d" % (h, col, fid))
+        wires.append("WIRE 0 0 %d 0 0 %d" % (col, h))
+    for fid in range(caps.rel_slots):
+        lines += relation(fid, fid, ["V0"], words(mode, 3, rng), program(mode, 1, (0,)))
+    lines.append("THRESH %d" % thresh)
+    for col in range(1, 5):
+        lines.append("CELL 0 %d" % col)
+        for slot in range(caps.var_slots):
+            vid = col * caps.var_slots + slot
+            lines.append("VAR %d %d 2%s" % (slot, vid,
+                                            " EVIDENCE 1" if vid % 3 == 0 else ""))
+        fids = leaf_fids[(col - 1) * caps.rel_slots:col * caps.rel_slots]
+        for slot, fid in enumerate(fids):
+            lines.append("SHADOW %d 0 3 0 0 VTOF %d" % (slot, fid))
+            wires.append("WIRE 0 0 0 0 %d %d" % (col, slot))
+        for slot, fid in enumerate(fids):
+            lines += relation(slot, fid, ["H%d" % slot, "V%d" % slot],
+                              words(mode, 6, rng), program(mode, 2, (0, 1)))
+        lines.append("THRESH %d" % thresh)
+    return "\n".join(lines + wires) + "\n", caps
+
+
+def test_highest_variable_degree_generates_and_matches():
+    for mode in (SUMPROD, MINSUM):
+        for thresh in (0, 16):
+            text, caps = star_image(mode, thresh)
+            m = Machine(text)
+            assert len(m.var_owner[0].attached) == caps.rel_slots + caps.shadow_slots
+            assert_same_runs(text, caps, inject=(0, 2, 40))

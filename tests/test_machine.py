@@ -127,6 +127,33 @@ def test_inject_evidence_reconditions_a_finished_run():
         m.inject_evidence(0, 5)
 
 
+def test_inject_evidence_refuses_a_past_time_after_a_run():
+    word = apps.hamming_encode((1, 0, 1, 1))
+    bench = apps.build_parity_code(word)
+    m, _ = compiled(bench.graph, "SUMPROD", grid=(4, 4), seed=1, thresh=64)
+    m.run_until_quiescent()
+    now = m.time
+    assert now > 0
+    with pytest.raises(MachineError) as err:
+        m.inject_evidence(2, 0, at_time=-50)
+    assert "cycle -50" in str(err.value) and "cycle %d" % now in str(err.value)
+    with pytest.raises(MachineError):
+        m.inject_evidence(2, 0, at_time=now - 1)
+    # the clock did not move and nothing was queued
+    assert m.time == now and not m.step()
+    m.inject_evidence(2, 0, at_time=now)
+    _, quiescent = m.run_until_quiescent()
+    assert quiescent and m.time >= now
+
+
+def test_inject_evidence_refuses_a_negative_time_before_any_run():
+    m, _ = compiled(pair_graph(), "SUMPROD", grid=(1, 1))
+    with pytest.raises(MachineError) as err:
+        m.inject_evidence(1, 0, at_time=-1)
+    assert "cycle -1" in str(err.value) and "cycle 0" in str(err.value)
+    m.inject_evidence(1, 0, at_time=0)
+
+
 def contradiction_chain():
     """v0 = 0 and v2 = 1 as evidence, tied through v1 by two equalities."""
     eq = (1.0, 0.0, 0.0, 1.0)

@@ -20,6 +20,7 @@ SUDOKU_SHA = "f5380ba21942db7984f94344adf60954d707d90d658c2ead9a9109dde29cd34f"
 SUDOKU_NOISE_SHA = "1cb38492026df8a45426ecb5451d376911c4dee03277a520df9f552723df896c"
 TREE_NOISE_SHA = "d0e80b7693ce411bc5d494b63099e3664b40d39f6df5d982b5efb02b2d955c38"
 PLACEMENT_SHA = "e5b226f7e64bbc4b4c374a2456267fe3537cbe81cdba1556ad319f7849ff6567"
+HAMMING_T0_SHA = "a537bd2ca1ed90c8e4dd19fde4008cd19830672413917eec6fb6cdff45fdc550"
 
 
 def digest(chunks):
@@ -59,6 +60,28 @@ def test_output_noise_digests():
     _, _, image = next(multi_cell_suite())
     assert digest(traced_run(image, 1000, capacities=MULTI_CAPS,
                              noise_lsbs=2)) == TREE_NOISE_SHA
+
+
+def test_hamming_thresh0_digest():
+    # the benchmark's hamming-t0 path: every recomputation sends, and three
+    # of the seven flip positions run out the cycle budget
+    budget = 3000
+    word = apps.hamming_codewords()[5]
+    chunks = []
+    exhausted = 0
+    for pos in range(7):
+        received = tuple(b ^ (i == pos) for i, b in enumerate(word))
+        bench = apps.build_parity_code(received, flip_p=0.05)
+        image, _ = compile_graph(bench.graph, SUMPROD, grid=bench.grid, seed=0,
+                                 thresh=0)
+        machine = Machine(image, trace=True)
+        trajectory = "".join(
+            "%s\n" % "".join(map(str, a))
+            for a in apps.machine_hamming_trajectory(machine, budget=budget))
+        exhausted += machine.time > budget
+        chunks.append((machine.trace_text(), machine.stats.text(), trajectory))
+    assert exhausted == 3
+    assert digest(chunks) == HAMMING_T0_SHA
 
 
 def test_placement_digest():
