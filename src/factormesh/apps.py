@@ -19,10 +19,7 @@ import numpy as np
 from .graph import (ALL_DIFFERENT, EPS_SOFT, PAIRWISE_ISING, PARITY, TABLE,
                     FactorGraph, FactorNode, GraphError, VariableNode,
                     expand_all, with_evidence)
-
-SUMPROD = "SUMPROD"
-MINSUM = "MINSUM"
-GIBBS = "GIBBS"
+from .image import GIBBS, MINSUM, SUMPROD
 
 ASSIGNMENT = "assignment"
 MARGINALS = "marginals"

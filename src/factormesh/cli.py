@@ -139,20 +139,16 @@ def cmd_golden(args):
         out = apps.write_results(as_dict(golden.exact_marginals(graph)))
     elif alg == "map":
         out = apps.write_results(as_dict(golden.map_bruteforce(graph)))
-    elif alg == "sumprod":
-        state = golden.sum_product(
+    elif alg in ("sumprod", "minsum"):
+        kernel = golden.sum_product if alg == "sumprod" else golden.min_sum
+        state = kernel(
             graph,
             schedule=_resolve(args, "schedule", golden.FLOODING),
             damping=_resolve(args, "damping", 0.0, float),
             max_iters=_resolve(args, "max_iters", 100, int),
             tol=_resolve(args, "tol", 1e-6, float))
-        out = apps.write_results(as_dict(state.beliefs))
-    elif alg == "minsum":
-        state = golden.min_sum(
-            graph,
-            max_iters=_resolve(args, "max_iters", 100, int),
-            tol=_resolve(args, "tol", 1e-6, float))
-        out = apps.write_results(as_dict(state.assignment))
+        out = apps.write_results(as_dict(state.beliefs if alg == "sumprod"
+                                         else state.assignment))
     elif alg == "gibbs":
         res = golden.gibbs_sample(
             graph, seed=seed,

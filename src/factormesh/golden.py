@@ -11,13 +11,17 @@ Kernels:
     sum_product       loopy belief propagation, LINEAR messages (sum to 1)
     min_sum           max-product in the log domain, messages anchored max=0
     gibbs_sample      systematic-scan Gibbs with counter-based randomness
+
+sum_product and min_sum are one propagation loop run over two semirings:
+(multiply, sum, divide by the total) on weights and (add, max, subtract the
+maximum) on their logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -130,25 +134,136 @@ class BeliefState:
         return [int(np.argmax(b)) for b in self.beliefs]
 
 
-class _Edges:
-    """Edge bookkeeping shared by sum_product and min_sum."""
+@dataclass(frozen=True)
+class _Semiring:
+    """What the propagation loop needs of a semiring (Aji and McEliece's
+    generalized distributive law): the same loop is sum-product over
+    (multiply, sum) on weights and max-product over (add, max) on their
+    logs."""
+    domain: str         # LINEAR or LOG
+    lift: Callable      # table or indicator weights -> scores
+    combine: Callable   # ufunc joining two scores
+    reduce: Callable    # ufunc marginalizing scores over an axis
+    rescale: Callable   # ufunc taking a vector's total back out of it
+    zero: float         # score of weight 0: a total at or below it is void
+    zero_name: str
 
-    def __init__(self, graph: FactorGraph):
-        _require_tables(graph)
-        self.graph = graph
-        self.tables = [_factor_nd(graph, f) for f in graph.factors]
-        # (factor id, position) -> variable id is graph.factors[f].scope[k]
-        self.var_edges = [graph.factors_of(v.id) for v in graph.variables]
 
-    def scope(self, fid):
-        return self.graph.factors[fid].scope
+_SUM_PRODUCT = _Semiring(LINEAR, np.asarray, np.multiply, np.add, np.true_divide,
+                         0.0, "all-zero")
+_MAX_PRODUCT = _Semiring(LOG, np.log, np.add, np.maximum, np.subtract,
+                         -math.inf, "all-(-inf)")
 
 
-def _norm_sum(vec: np.ndarray, what: str) -> np.ndarray:
-    s = float(vec.sum())
-    if s <= 0.0:
-        raise InferenceError("all-zero message %s (hard-contradictory evidence)" % what)
-    return vec / s
+def _normalize(sr: _Semiring, vec: np.ndarray, what: str) -> np.ndarray:
+    total = float(sr.reduce.reduce(vec, axis=None))
+    if total <= sr.zero:
+        raise InferenceError("%s message %s (hard-contradictory evidence)"
+                             % (sr.zero_name, what))
+    return sr.rescale(vec, total)
+
+
+def _change(val: np.ndarray, old: np.ndarray) -> float:
+    """L-inf message change.  A NaN, from -inf entries in both vectors,
+    reads as no change if the vectors are equal and as infinite otherwise."""
+    d = float(np.maximum.reduce(np.abs(val - old)))
+    if math.isnan(d):
+        return 0.0 if np.array_equal(val, old) else math.inf
+    return d
+
+
+def _propagate(sr: _Semiring, graph: FactorGraph, schedule: str, damping: float,
+               max_iters: int, tol: float, init_messages: Optional[dict]) -> BeliefState:
+    """Loopy belief propagation over semiring sr.  A FLOODING iteration
+    updates every variable-to-factor message, then every factor-to-variable
+    one; a SEQUENTIAL iteration does the same factor by factor."""
+    if schedule not in (FLOODING, SEQUENTIAL):
+        raise InferenceError("unknown schedule %r" % schedule)
+    if not (0.0 <= damping < 1.0):
+        raise InferenceError("damping must be in [0, 1)")
+    _require_tables(graph)
+    combine = sr.combine
+    with np.errstate(divide="ignore"):
+        tables = [sr.lift(_factor_nd(graph, f)) for f in graph.factors]
+        ev = [sr.lift(_evidence_indicator(graph, v.id)) for v in graph.variables]
+    var_edges = [graph.factors_of(v.id) for v in graph.variables]
+    # messages are replaced, never written in place, so edges of one
+    # cardinality can share their start message
+    start = {}
+    m_vf = {}
+    for f in graph.factors:
+        for k, vid in enumerate(f.scope):
+            c = graph.variables[vid].cardinality
+            if c not in start:
+                start[c] = _normalize(sr, sr.lift(np.ones(c)), "")
+            m_vf[(f.id, k)] = start[c]
+    m_fv = dict(m_vf)
+    if init_messages:
+        for (kind, fid, k), val in init_messages.items():
+            tgt = m_vf if kind == "vf" else m_fv
+            if (fid, k) not in tgt:
+                raise InferenceError("warm-start message for unknown edge "
+                                     "(%s, %d, %d)" % (kind, fid, k))
+            tgt[(fid, k)] = np.asarray(val, dtype=np.float64)
+
+    def gather(vid, skip=None):
+        acc = ev[vid]
+        for edge in var_edges[vid]:
+            if edge != skip:
+                acc = combine(acc, m_fv[edge])
+        return acc
+
+    def to_factor(fid, k):
+        vid = graph.factors[fid].scope[k]
+        return _normalize(sr, gather(vid, (fid, k)),
+                          "from variable %d to factor %d" % (vid, fid))
+
+    def to_variable(fid, k):
+        scope = graph.factors[fid].scope
+        acc = tables[fid]
+        for j in range(len(scope)):
+            if j == k:
+                continue
+            shape = [1] * len(scope)
+            shape[j] = len(m_vf[(fid, j)])
+            acc = combine(acc, m_vf[(fid, j)].reshape(shape))
+        axes = tuple(j for j in range(len(scope)) if j != k)
+        raw = sr.reduce.reduce(acc, axis=axes) if axes else acc
+        return _normalize(sr, raw, "from factor %d to variable %d" % (fid, scope[k]))
+
+    # a variable-to-factor update reads only factor-to-variable messages,
+    # so a group's first half may run in any order
+    if schedule == FLOODING:
+        groups = [list(m_vf)]
+    else:
+        groups = [[(f.id, k) for k in range(len(f.scope))] for f in graph.factors]
+    converged = False
+    it = 0
+    # -inf - -inf in a change, where log-domain messages share a hard zero
+    with np.errstate(invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            delta = 0.0
+            for group in groups:
+                for edge in group:
+                    val = to_factor(*edge)
+                    delta = max(delta, _change(val, m_vf[edge]))
+                    m_vf[edge] = val
+                for edge in group:
+                    val = to_variable(*edge)
+                    # damping 0 must not touch val: 0 * -inf would poison it
+                    if damping:
+                        val = (1.0 - damping) * val + damping * m_fv[edge]
+                    delta = max(delta, _change(val, m_fv[edge]))
+                    m_fv[edge] = val
+            if delta < tol:
+                converged = True
+                break
+
+    beliefs = [_normalize(sr, gather(v.id), "belief of variable %d" % v.id)
+               for v in graph.variables]
+    messages = {("vf",) + key: val for key, val in m_vf.items()}
+    messages.update({("fv",) + key: val for key, val in m_fv.items()})
+    return BeliefState(beliefs, sr.domain, converged, it, messages)
 
 
 def sum_product(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
@@ -162,103 +277,8 @@ def sum_product(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0
     init_messages warm-starts from a previous BeliefState.messages dict so a
     caller can iterate in small steps and watch the trajectory.
     """
-    if schedule not in (FLOODING, SEQUENTIAL):
-        raise InferenceError("unknown schedule %r" % schedule)
-    if not (0.0 <= damping < 1.0):
-        raise InferenceError("damping must be in [0, 1)")
-    ed = _Edges(graph)
-    ev = [_evidence_indicator(graph, v.id) for v in graph.variables]
-    m_vf = {}
-    m_fv = {}
-    for f in graph.factors:
-        for k, vid in enumerate(f.scope):
-            c = graph.variables[vid].cardinality
-            m_vf[(f.id, k)] = np.full(c, 1.0 / c)
-            m_fv[(f.id, k)] = np.full(c, 1.0 / c)
-    if init_messages:
-        for (kind, fid, k), val in init_messages.items():
-            tgt = m_vf if kind == "vf" else m_fv
-            if (fid, k) not in tgt:
-                raise InferenceError("warm-start message for unknown edge "
-                                     "(%s, %d, %d)" % (kind, fid, k))
-            tgt[(fid, k)] = np.asarray(val, dtype=np.float64)
-
-    def update_vf(fid, k):
-        vid = ed.scope(fid)[k]
-        acc = ev[vid].copy()
-        for gid, pos in ed.var_edges[vid]:
-            if gid == fid and pos == k:
-                continue
-            acc = acc * m_fv[(gid, pos)]
-        return _norm_sum(acc, "from variable %d to factor %d" % (vid, fid))
-
-    def update_fv(fid, k):
-        scope = ed.scope(fid)
-        acc = ed.tables[fid]
-        for j in range(len(scope)):
-            if j == k:
-                continue
-            shape = [1] * len(scope)
-            shape[j] = len(m_vf[(fid, j)])
-            acc = acc * m_vf[(fid, j)].reshape(shape)
-        axes = tuple(j for j in range(len(scope)) if j != k)
-        raw = acc.sum(axis=axes) if axes else acc
-        return _norm_sum(raw, "from factor %d to variable %d" % (fid, scope[k]))
-
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        delta = 0.0
-        if schedule == FLOODING:
-            new_vf = {key: update_vf(*key) for key in m_vf}
-            for key, val in new_vf.items():
-                delta = max(delta, float(np.max(np.abs(val - m_vf[key]))))
-                m_vf[key] = val
-            for key in m_fv:
-                raw = update_fv(*key)
-                val = (1.0 - damping) * raw + damping * m_fv[key]
-                delta = max(delta, float(np.max(np.abs(val - m_fv[key]))))
-                m_fv[key] = val
-        else:
-            for f in graph.factors:
-                for k in range(len(f.scope)):
-                    val = update_vf(f.id, k)
-                    delta = max(delta, float(np.max(np.abs(val - m_vf[(f.id, k)]))))
-                    m_vf[(f.id, k)] = val
-                for k in range(len(f.scope)):
-                    raw = update_fv(f.id, k)
-                    val = (1.0 - damping) * raw + damping * m_fv[(f.id, k)]
-                    delta = max(delta, float(np.max(np.abs(val - m_fv[(f.id, k)]))))
-                    m_fv[(f.id, k)] = val
-        if delta < tol:
-            converged = True
-            break
-
-    beliefs = []
-    for v in graph.variables:
-        acc = ev[v.id].copy()
-        for gid, pos in ed.var_edges[v.id]:
-            acc = acc * m_fv[(gid, pos)]
-        beliefs.append(_norm_sum(acc, "belief of variable %d" % v.id))
-    messages = {("vf",) + key: val for key, val in m_vf.items()}
-    messages.update({("fv",) + key: val for key, val in m_fv.items()})
-    return BeliefState(beliefs, LINEAR, converged, it, messages)
-
-
-def _log_delta(val: np.ndarray, old: np.ndarray) -> float:
-    """Message change in the log domain; matching -inf entries count as zero."""
-    with np.errstate(invalid="ignore"):
-        d = float(np.max(np.abs(val - old)))
-    if math.isnan(d):
-        return 0.0 if np.array_equal(val, old) else math.inf
-    return d
-
-
-def _log_blend(raw: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
-    # damping 0 must not touch raw: 0 * -inf would poison it with NaN
-    if damping == 0.0:
-        return raw
-    return (1.0 - damping) * raw + damping * old
+    return _propagate(_SUM_PRODUCT, graph, schedule, damping, max_iters, tol,
+                      init_messages)
 
 
 def min_sum(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
@@ -269,91 +289,7 @@ def min_sum(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
     lowest value.  Zero table entries become -inf log scores; a message that
     is -inf everywhere is an error, mirroring sum_product's all-zero case.
     """
-    if schedule not in (FLOODING, SEQUENTIAL):
-        raise InferenceError("unknown schedule %r" % schedule)
-    if not (0.0 <= damping < 1.0):
-        raise InferenceError("damping must be in [0, 1)")
-    ed = _Edges(graph)
-    with np.errstate(divide="ignore"):
-        logt = [np.log(t) for t in ed.tables]
-        ev = []
-        for v in graph.variables:
-            ev.append(np.log(_evidence_indicator(graph, v.id)))
-    m_vf = {}
-    m_fv = {}
-    for f in graph.factors:
-        for k, vid in enumerate(f.scope):
-            c = graph.variables[vid].cardinality
-            m_vf[(f.id, k)] = np.zeros(c)
-            m_fv[(f.id, k)] = np.zeros(c)
-
-    def anchor(vec, what):
-        m = float(np.max(vec))
-        if m == -math.inf:
-            raise InferenceError("all-(-inf) message %s (hard-contradictory evidence)" % what)
-        return vec - m
-
-    def update_vf(fid, k):
-        vid = ed.scope(fid)[k]
-        acc = ev[vid].copy()
-        for gid, pos in ed.var_edges[vid]:
-            if gid == fid and pos == k:
-                continue
-            acc = acc + m_fv[(gid, pos)]
-        return anchor(acc, "from variable %d to factor %d" % (vid, fid))
-
-    def update_fv(fid, k):
-        scope = ed.scope(fid)
-        acc = logt[fid]
-        for j in range(len(scope)):
-            if j == k:
-                continue
-            shape = [1] * len(scope)
-            shape[j] = len(m_vf[(fid, j)])
-            acc = acc + m_vf[(fid, j)].reshape(shape)
-        axes = tuple(j for j in range(len(scope)) if j != k)
-        raw = acc.max(axis=axes) if axes else acc
-        return anchor(raw, "from factor %d to variable %d" % (fid, scope[k]))
-
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        delta = 0.0
-        if schedule == FLOODING:
-            new_vf = {key: update_vf(*key) for key in m_vf}
-            for key, val in new_vf.items():
-                delta = max(delta, _log_delta(val, m_vf[key]))
-                m_vf[key] = val
-            for key in m_fv:
-                val = _log_blend(update_fv(*key), m_fv[key], damping)
-                delta = max(delta, _log_delta(val, m_fv[key]))
-                m_fv[key] = val
-        else:
-            for f in graph.factors:
-                for k in range(len(f.scope)):
-                    val = update_vf(f.id, k)
-                    delta = max(delta, _log_delta(val, m_vf[(f.id, k)]))
-                    m_vf[(f.id, k)] = val
-                for k in range(len(f.scope)):
-                    val = _log_blend(update_fv(f.id, k), m_fv[(f.id, k)], damping)
-                    delta = max(delta, _log_delta(val, m_fv[(f.id, k)]))
-                    m_fv[(f.id, k)] = val
-        if delta < tol:
-            converged = True
-            break
-
-    beliefs = []
-    for v in graph.variables:
-        acc = ev[v.id].copy()
-        for gid, pos in ed.var_edges[v.id]:
-            acc = acc + m_fv[(gid, pos)]
-        m = float(np.max(acc))
-        if m == -math.inf:
-            raise InferenceError("all-(-inf) belief of variable %d" % v.id)
-        beliefs.append(acc - m)
-    messages = {("vf",) + key: val for key, val in m_vf.items()}
-    messages.update({("fv",) + key: val for key, val in m_fv.items()})
-    state = BeliefState(beliefs, LOG, converged, it, messages)
+    state = _propagate(_MAX_PRODUCT, graph, schedule, damping, max_iters, tol, None)
     state.assignment = state.argmax()
     return state
 

@@ -518,9 +518,11 @@ class Machine:
             var.attached = sorted(var.in_msgs)
             for fid in var.attached:
                 var.out_msgs[fid] = self._uniform(var.card)
-            if var.attached:
-                var.refresh = _refresh(self.linear, var.card, len(var.attached))
-            self._refresh_var(var)
+            # GIBBS cells publish sampled values, never messages or beliefs
+            if self.mode != GIBBS:
+                if var.attached:
+                    var.refresh = _refresh(self.linear, var.card, len(var.attached))
+                self._refresh_var(var)
 
         if self.mode == GIBBS:
             for cell in self.cells.values():
@@ -977,7 +979,10 @@ class Machine:
         Returns {"local": d1, "remote": d2}: the largest deviation between a
         recomputed message and (local) what its consumer holds, or (remote)
         the last-sent copy.  At quiescence local must be 0 and remote below
-        the sending cell's threshold."""
+        the sending cell's threshold.  GIBBS machines never quiesce and
+        compute no messages, so asking one raises MachineError."""
+        if self.mode == GIBBS:
+            raise MachineError("quiescence only applies to SUMPROD and MINSUM modes")
         local = 0
         remote = 0
         for cell in self.cells.values():
@@ -991,8 +996,6 @@ class Machine:
                         d = max(abs(a - b)
                                 for a, b in zip(new, self.last_sent[key]))
                         remote = max(remote, d)
-            if self.mode == GIBBS:
-                continue
             for rel in cell.rels:
                 for pos, payload in self._exec_program(rel):
                     kind, obj = rel.refs[pos]

@@ -6,7 +6,8 @@ import pytest
 import gen
 from factormesh import apps, cli, golden
 from factormesh.graph import (FactorGraph, FactorNode, VariableNode, TABLE,
-                              expand_all, serialize_uai, serialize_evidence)
+                              expand_all, parse_uai, serialize_uai,
+                              serialize_evidence)
 
 PAIR_UAI = "MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 3 4\n"
 
@@ -179,6 +180,32 @@ def test_golden_exact_vs_sumprod_on_a_tree(tmp_path, capsys):
     bp = apps.parse_results(stdout)
     for v in exact:
         assert float(np.max(np.abs(np.asarray(bp[v]) - exact[v]))) < 1e-8
+
+
+def test_golden_minsum_rejects_damping_one(tmp_path, capsys):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    for alg in ("sumprod", "minsum"):
+        code, _, stderr = run_cli(capsys, "golden", graph_file, "--alg", alg,
+                                  "--damping", "1.0")
+        assert code == 2 and "damping" in stderr
+
+
+def test_golden_minsum_takes_schedule_flags_and_config(tmp_path, capsys):
+    text, _ = tree_uai()
+    graph_file = write(tmp_path, "tree.uai", text)
+    graph = parse_uai(text)
+    one_sweep = golden.min_sum(graph, schedule=golden.SEQUENTIAL, max_iters=1, tol=0)
+    # one flooding sweep decodes this tree differently
+    assert one_sweep.assignment != golden.min_sum(graph, max_iters=1, tol=0).assignment
+    want = apps.write_results(dict(enumerate(one_sweep.assignment)))
+    code, stdout, _ = run_cli(capsys, "golden", graph_file, "--alg", "minsum",
+                              "--schedule", "SEQUENTIAL", "--max-iters", "1",
+                              "--tol", "0")
+    assert code == 0 and stdout == want
+    cfg = write(tmp_path, "bp.cfg", "schedule SEQUENTIAL\nmax-iters 1\ntol 0\n")
+    code, stdout, _ = run_cli(capsys, "golden", graph_file, "--alg", "minsum",
+                              "--config", cfg)
+    assert code == 0 and stdout == want
 
 
 def test_golden_map_with_evidence(tmp_path, capsys):

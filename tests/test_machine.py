@@ -287,6 +287,16 @@ def test_gibbs_machine_never_quiesces():
         m2.run_ticks(5)
 
 
+def test_gibbs_machine_has_no_quiescence_to_verify():
+    bench = apps.build_ising_chain(8, 0.5, 0.2)
+    m, _ = compiled(bench.graph, "GIBBS", grid=(4, 4))
+    # sampling cells publish values: no variable gets a message refresh
+    assert all(var.refresh is None for var in m.var_owner.values())
+    m.run_ticks(20)
+    with pytest.raises(MachineError, match="SUMPROD and MINSUM"):
+        m.verify_quiescent()
+
+
 def test_gibbs_single_site_frequencies_match_unary():
     m, _ = compiled(unary_graph(), "GIBBS", grid=(1, 1), seed=11)
     m.run_ticks(30000)
