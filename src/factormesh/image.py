@@ -18,7 +18,12 @@ Text format (version header `FMIMG 1`), one record per line, `#` comments:
 
 Shadow roles: VTOF f holds the variable's message into factor f, FTOV f holds
 factor f's message to the variable, VALUE holds the variable's sampled value.
-Table words are quantized integers (u16 for LINEAR-domain modes, raw Q8.8 for
+SUMPROD and MINSUM machines feed only VTOF and FTOV shadows, GIBBS machines
+only VALUE shadows; the machine rejects any other role at load.  A shadow's
+cardinality is its variable's.  An FTOV f shadow sits in the variable's cell
+and is wired from a cell whose relation f sends the variable a message, and
+every such message needs that wire.  Micro-op axis, IN and OUT operands name
+scope positions of their relation.  Table words are quantized integers (u16 for LINEAR-domain modes, raw Q8.8 for
 MINSUM).  Unknown records are load errors; nothing is skipped silently.
 
 Micro-op mnemonics:

@@ -121,7 +121,7 @@ class _Shadow:
 
 class _Rel:
     __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
-                 "table", "prog", "kernel", "cost", "pending", "out_vids")
+                 "table", "prog", "kernel", "cost", "pending")
 
     def __init__(self, cell, slot, fid, refs, shape, table, prog):
         self.cell = cell
@@ -138,7 +138,6 @@ class _Rel:
         self.kernel = None      # generated kernel in SUMPROD/MINSUM modes
         self.cost = max(1, len(prog))
         self.pending = False
-        self.out_vids = [r[1].vid for r in refs]
 
 
 class _Cell:
@@ -176,10 +175,13 @@ def _lower(mode, shape, prog):
     semiring: MUL and SUM_REDUCE in SUMPROD, ADD and MAX_REDUCE in MINSUM.
     A combine after a reduce would act on a reduced value, which no term
     list can express, so the program is rejected, as is a sampling op (MUL
-    COND, or a LOAD_TABLE_SLICE with an axis).  Error messages leave out
-    the relation, which the caller names."""
-    offsets = [0] * len(shape)
-    for p in range(1, len(shape)):
+    COND, or a LOAD_TABLE_SLICE with an axis).  Each op's axis, input and
+    output operands must name scope positions, and an input must fit its
+    axis; these checks come before the order and mode checks.  Error
+    messages leave out the relation, which the caller names."""
+    k = len(shape)
+    offsets = [0] * k
+    for p in range(1, k):
         offsets[p] = offsets[p - 1] + shape[p - 1]
     combine_op, reduce_op = ("ADD", "MAX_REDUCE") if mode == MINSUM else \
         ("MUL", "SUM_REDUCE")
@@ -200,6 +202,16 @@ def _lower(mode, shape, prog):
                    enumerate(itertools.product(*map(range, shape)))}
             reduced = False
             continue
+        if name == "NORMALIZE":
+            if not 0 <= op[1] < k:
+                raise MachineError("output position out of range")
+        elif name in ("SUM_REDUCE", "MAX_REDUCE"):
+            if not 0 <= op[1] < k:
+                raise MachineError("reduce axis out of range")
+        elif not (0 <= op[1] < k and 0 <= op[2] < k):
+            raise MachineError("operand out of range in %s" % name)
+        elif shape[op[2]] != shape[op[1]]:
+            raise MachineError("input %d does not fit axis %d" % (op[2], op[1]))
         if acc is None:
             raise MachineError("%s before LOAD_TABLE_SLICE" % name)
         if name in ("MUL", "ADD", "SUM_REDUCE", "MAX_REDUCE") and \
@@ -365,6 +377,7 @@ class Machine:
             word_lo, word_hi = 0, fp.U16_MAX
         else:
             word_lo, word_hi = fp.Q88_MIN, fp.Q88_MAX
+        sends = set()           # wire keys of relation messages to remote variables
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
@@ -399,10 +412,7 @@ class Machine:
                     raise MachineError("shadow of %d: cardinality above limit" % sh.var_id)
                 shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card,
                                  sh.src, sh.role, sh.fid)
-                if self.linear:
-                    shadow.data = (fp.U16_MAX,) * sh.card
-                else:
-                    shadow.data = (0,) * sh.card
+                shadow.data = self._uniform(sh.card)
                 hslots[sh.slot] = ("h", shadow)
                 cell.shadows[sh.slot] = shadow
             words = 0
@@ -419,6 +429,9 @@ class Machine:
                         if ent is None:
                             raise MachineError("relation %d: dangling shadow slot H%d"
                                                % (rs.factor_id, sl))
+                        if ent[1].role == VTOF and ent[1].fid != rs.factor_id:
+                            raise MachineError("relation %d reads a shadow bound to "
+                                               "relation %s" % (rs.factor_id, ent[1].fid))
                     refs.append(ent)
                 shape = tuple(r[1].card for r in refs)
                 size = 1
@@ -439,14 +452,26 @@ class Machine:
                 for kind, obj in refs:
                     if kind == "h":
                         obj.consumers.append(rel)
-                self._check_program(rel)
-                if self.mode != GIBBS:
-                    try:
+                try:
+                    if self.mode == GIBBS:
+                        for pos, term in self._lower_gibbs(rel):
+                            refs[pos][1].terms.append(term)
+                    else:
                         rel.kernel = _kernel(self.mode, shape, tuple(rel.prog))
-                    except MachineError as e:
-                        raise MachineError("relation %d: %s" % (rel.fid, e)) from None
+                except MachineError as e:
+                    raise MachineError("relation %d: %s" % (rel.fid, e)) from None
+                for op in rel.prog:
+                    if op[0] == "NORMALIZE" and refs[op[1]][0] == "h":
+                        sends.add((cell.cid, "fv", rel.fid, refs[op[1]][1].vid))
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
+            if self.mode == GIBBS:
+                if cell.vars and not cell.period:
+                    raise MachineError("cell (%d, %d) owns variables but has no "
+                                       "resample period" % coord)
+                for var in cell.vars:
+                    var.key = stream_key(self.seed, var.vid)
+                    cell.tick_cost += gibbs_var_cost(len(var.terms))
 
         # wire index: quantity key -> list of (dst cell, dst slot, hops)
         self.wire_index = {}
@@ -466,20 +491,29 @@ class Machine:
             if shadow.src != tuple(w.src):
                 raise MachineError("shadow for variable %d expects a different producer"
                                    % w.var_id)
-            if shadow.role == VTOF:
-                owner = self.var_owner.get(w.var_id)
-                if owner is None or owner.cell is not src:
-                    raise MachineError("wire source does not own variable %d" % w.var_id)
-                key = (src.cid, "vf", w.var_id, shadow.fid)
-            elif shadow.role == FTOV:
-                if not any(rel.fid == shadow.fid for rel in src.rels):
-                    raise MachineError("wire source has no relation %d" % shadow.fid)
+            # sampling cells send only values, converging cells only messages
+            if (shadow.role == VALUE) != (self.mode == GIBBS):
+                raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
+                                   % (dst.r, dst.c, self.mode, shadow.role))
+            owner = self.var_owner.get(w.var_id)
+            if shadow.role == FTOV:
+                if owner is None or owner.cell is not dst:
+                    raise MachineError("FTOV shadow of %d must sit in the owning cell"
+                                       % w.var_id)
                 key = (src.cid, "fv", shadow.fid, w.var_id)
+                if key not in sends:
+                    raise MachineError("wire source has no relation %d sending to "
+                                       "variable %d" % (shadow.fid, w.var_id))
             else:
-                owner = self.var_owner.get(w.var_id)
                 if owner is None or owner.cell is not src:
                     raise MachineError("wire source does not own variable %d" % w.var_id)
-                key = (src.cid, "val", w.var_id, 0)
+                if shadow.role == VTOF:
+                    key = (src.cid, "vf", w.var_id, shadow.fid)
+                else:
+                    key = (src.cid, "val", w.var_id, 0)
+            if shadow.card != owner.card:
+                raise MachineError("shadow of variable %d has cardinality %d, the "
+                                   "variable has %d" % (w.var_id, shadow.card, owner.card))
             shadow.wired = True
             self.wire_index.setdefault(key, []).append(
                 (dst, w.dst_slot, abs(w.src[0] - w.dst[0]) + abs(w.src[1] - w.dst[1])))
@@ -489,82 +523,34 @@ class Machine:
                 if not shadow.wired:
                     raise MachineError("shadow of variable %d in cell (%d, %d) has no producer"
                                        % (shadow.vid, cell.r, cell.c))
+        # GIBBS cells publish sampled values, never messages or beliefs
+        if self.mode == GIBBS:
+            return
 
-        # attach relations to their local/remote variables
+        missing = sends - self.wire_index.keys()
+        if missing:
+            raise MachineError("relation %d: no wire carries its message to variable %d"
+                               % min(missing)[2:])
+        # attach relations to their local variables; remote factor inputs
+        # arrive through FTOV shadows of the owner cell
         for cell in self.cells.values():
             for rel in cell.rels:
-                for pos, (kind, obj) in enumerate(rel.refs):
+                for kind, obj in rel.refs:
                     if kind == "v":
-                        var = obj
-                        if rel.fid not in var.local_rels:
-                            var.local_rels[rel.fid] = rel
-                        if rel.fid not in var.in_msgs:
-                            var.in_msgs[rel.fid] = self._uniform(var.card)
-                    else:
-                        if obj.role == VTOF and obj.fid != rel.fid:
-                            raise MachineError(
-                                "relation %d reads a shadow bound to relation %s"
-                                % (rel.fid, obj.fid))
-        # remote factor inputs arrive through FTOV shadows of the owner cell
-        for cell in self.cells.values():
+                        obj.local_rels.setdefault(rel.fid, rel)
+                        obj.in_msgs[rel.fid] = self._uniform(obj.card)
             for shadow in cell.shadows.values():
                 if shadow.role == FTOV:
-                    owner = self.var_owner.get(shadow.vid)
-                    if owner is None or owner.cell is not cell:
-                        raise MachineError("FTOV shadow of %d must sit in the owning cell"
-                                           % shadow.vid)
-                    owner.in_msgs[shadow.fid] = self._uniform(owner.card)
+                    self.var_owner[shadow.vid].in_msgs[shadow.fid] = shadow.data
         for var in self.var_owner.values():
             var.attached = sorted(var.in_msgs)
-            for fid in var.attached:
-                var.out_msgs[fid] = self._uniform(var.card)
-            # GIBBS cells publish sampled values, never messages or beliefs
-            if self.mode != GIBBS:
-                if var.attached:
-                    var.refresh = _refresh(self.linear, var.card, len(var.attached))
-                self._refresh_var(var)
-
-        if self.mode == GIBBS:
-            for cell in self.cells.values():
-                if cell.vars and not cell.period:
-                    raise MachineError("cell (%d, %d) owns variables but has no "
-                                       "resample period" % (cell.r, cell.c))
-                for rel in cell.rels:
-                    for kind, obj in rel.refs:
-                        if kind == "h" and obj.role != VALUE:
-                            raise MachineError("relation %d: sampling needs VALUE shadows"
-                                               % rel.fid)
-                    for pos, term in self._lower_gibbs(rel):
-                        rel.refs[pos][1].terms.append(term)
-                for var in cell.vars:
-                    var.key = stream_key(self.seed, var.vid)
-                    cell.tick_cost += gibbs_var_cost(len(var.terms))
+            var.out_msgs = dict.fromkeys(var.attached, self._uniform(var.card))
+            if var.attached:
+                var.refresh = _refresh(self.linear, var.card, len(var.attached))
+            self._refresh_var(var)
 
     def _uniform(self, card):
         return (fp.U16_MAX,) * card if self.linear else (0,) * card
-
-    def _check_program(self, rel):
-        """Static shape check: axis and operand indices must be in range."""
-        k = len(rel.shape)
-        for op in rel.prog:
-            name = op[0]
-            if name in ("MUL", "ADD"):
-                axis, src = op[1], op[2]
-                if not (0 <= axis < k) or not (0 <= src < k):
-                    raise MachineError("relation %d: operand out of range in %s"
-                                       % (rel.fid, name))
-                if rel.refs[src][1].card != rel.shape[axis]:
-                    raise MachineError("relation %d: input %d does not fit axis %d"
-                                       % (rel.fid, src, axis))
-            elif name in ("SUM_REDUCE", "MAX_REDUCE"):
-                if not (0 <= op[1] < k):
-                    raise MachineError("relation %d: reduce axis out of range" % rel.fid)
-            elif name == "NORMALIZE":
-                if not (0 <= op[1] < k):
-                    raise MachineError("relation %d: output position out of range" % rel.fid)
-            elif name == "LOAD_TABLE_SLICE" and op[1] is not None:
-                if not (0 <= op[1] < k):
-                    raise MachineError("relation %d: slice axis out of range" % rel.fid)
 
     def _lower_gibbs(self, rel):
         """Lower a sampling program into (scope position, term) pairs.
@@ -573,36 +559,38 @@ class Machine:
         pairs with j a local variable's position.  Each pair becomes one
         term (table, stride of j, others) of that variable's conditional;
         `others` holds an (owner variable or VALUE shadow, stride) pair per
-        other scope position, whose current values select the slice."""
-        fid = rel.fid
+        other scope position, whose current values select the slice.  A
+        slice axis must name a scope position, checked before the order.
+        Error messages leave out the relation, which the caller names."""
         pairs = []
         pos = None
         for op in rel.prog:
             name = op[0]
             if name == "LOAD_TABLE_SLICE":
+                if op[1] is not None and not 0 <= op[1] < len(rel.refs):
+                    raise MachineError("slice axis out of range")
                 if pos is not None:
-                    raise MachineError("relation %d: LOAD_TABLE_SLICE %d is not "
-                                       "followed by MUL COND" % (fid, pos))
+                    raise MachineError("LOAD_TABLE_SLICE %d is not followed by "
+                                       "MUL COND" % pos)
                 pos = op[1]
                 if pos is None:
-                    raise MachineError("relation %d: LOAD_TABLE_SLICE needs an "
-                                       "axis in a GIBBS program" % fid)
+                    raise MachineError("LOAD_TABLE_SLICE needs an axis in a GIBBS "
+                                       "program")
                 if rel.refs[pos][0] != "v":
-                    raise MachineError("relation %d: LOAD_TABLE_SLICE %d slices a "
-                                       "shadow position" % (fid, pos))
+                    raise MachineError("LOAD_TABLE_SLICE %d slices a shadow "
+                                       "position" % pos)
             elif name == "MUL_COND":
                 if pos is None:
-                    raise MachineError("relation %d: MUL COND before "
-                                       "LOAD_TABLE_SLICE" % fid)
+                    raise MachineError("MUL COND before LOAD_TABLE_SLICE")
                 others = tuple((obj, rel.strides[q])
                                for q, (_kind, obj) in enumerate(rel.refs) if q != pos)
                 pairs.append((pos, (rel.table, rel.strides[pos], others)))
                 pos = None
             else:
-                raise MachineError("relation %d: %s in a GIBBS program" % (fid, name))
+                raise MachineError("%s in a GIBBS program" % name)
         if pos is not None:
-            raise MachineError("relation %d: LOAD_TABLE_SLICE %d is not followed "
-                               "by MUL COND" % (fid, pos))
+            raise MachineError("LOAD_TABLE_SLICE %d is not followed by MUL COND"
+                               % pos)
         return pairs
 
     # -- event plumbing -----------------------------------------------------
@@ -705,14 +693,12 @@ class Machine:
         avail = time + rel.cost
         for pos, payload in outs:
             kind, obj = rel.refs[pos]
-            vid = rel.out_vids[pos]
             if kind == "v":
-                var = obj
-                if var.in_msgs.get(rel.fid) != payload:
-                    var.in_msgs[rel.fid] = payload
-                    self._emit_var(var, avail)
+                if obj.in_msgs.get(rel.fid) != payload:
+                    obj.in_msgs[rel.fid] = payload
+                    self._emit_var(obj, avail)
             else:
-                self._gate_send((cell.cid, "fv", rel.fid, vid), payload, avail, cell)
+                self._gate_send((cell.cid, "fv", rel.fid, obj.vid), payload, avail, cell)
 
     def _refresh_var(self, var):
         """Recompute outgoing messages, one per attachment in order, and the
@@ -868,9 +854,7 @@ class Machine:
         cell.tick_idx = k + 1
         out_t = time + cell.tick_cost
         for var in changed:
-            key = (cell.cid, "val", var.vid, 0)
-            if key in self.wire_index:
-                self._gate_send(key, var.value, out_t, cell, value_packet=True)
+            self._emit_var(var, out_t)
         if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
             self._push(time + cell.period, cell, "T", None)
 
@@ -999,13 +983,12 @@ class Machine:
             for rel in cell.rels:
                 for pos, payload in self._exec_program(rel):
                     kind, obj = rel.refs[pos]
-                    vid = rel.out_vids[pos]
                     if kind == "v":
                         held = obj.in_msgs.get(rel.fid)
                         d = max(abs(a - b) for a, b in zip(payload, held))
                         local = max(local, d)
                     else:
-                        key = (cell.cid, "fv", rel.fid, vid)
+                        key = (cell.cid, "fv", rel.fid, obj.vid)
                         if key in self.last_sent:
                             d = max(abs(a - b)
                                     for a, b in zip(payload, self.last_sent[key]))

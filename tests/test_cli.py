@@ -164,6 +164,70 @@ def test_run_rejects_garbage_image(tmp_path, capsys):
     assert code == 2 and "error:" in stderr
 
 
+def equality_pair_image(role="VTOF 0", card=2, ftov=0):
+    """Variable 0 in cell (0, 0) tied by an equality relation to variable 1,
+    clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0."""
+    table = " ".join("65535" if a == b else "0"
+                     for a in range(2) for b in range(card))
+    return """FMIMG 1
+GRID 1 2
+MODE SUMPROD
+CELL 0 0
+VAR 0 0 2
+SHADOW 0 1 %d 0 1 %s
+REL 0 0 %d V0 H0
+%s
+PROG 8
+LOAD_TABLE_SLICE
+MUL 1 IN1
+SUM_REDUCE 1
+NORMALIZE OUT0
+LOAD_TABLE_SLICE
+MUL 0 IN0
+SUM_REDUCE 0
+NORMALIZE OUT1
+REL 1 1 2 V0
+65535 65535
+PROG 2
+LOAD_TABLE_SLICE
+NORMALIZE OUT0
+CELL 0 1
+VAR 0 1 2 EVIDENCE 1
+SHADOW 0 1 2 0 0 FTOV %d
+WIRE 1 0 0 0 1 0
+WIRE 1 0 1 0 0 0
+""" % (card, role, 2 * card, table, ftov)
+
+
+def test_run_equality_pair_image(tmp_path, capsys):
+    image = write(tmp_path, "pair.fmimg", equality_pair_image())
+    beliefs_file = tmp_path / "pair.beliefs"
+    code, stdout, _ = run_cli(capsys, "run", image, "--beliefs", str(beliefs_file))
+    assert code == 0 and "quiescent=true" in stdout
+    beliefs = apps.parse_results(beliefs_file.read_text())
+    assert beliefs[0] == [0.0, 1.0] and beliefs[1] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("fields, message", [
+    # the relation would read a uniform VALUE shadow and report variable 0
+    # as [0.5, 0.5]
+    ({"role": "VALUE"}, "a SUMPROD machine feeds no VALUE shadows"),
+    # the relation's kernel would unpack a 2-word message as 3 words
+    ({"card": 3}, "shadow of variable 1 has cardinality 3, the variable has 2"),
+    # relation 0's message to variable 1 would have no wire to travel
+    ({"ftov": 1}, "wire source has no relation 1 sending to variable 1"),
+])
+def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
+                                                           fields, message):
+    image = write(tmp_path, "bad.fmimg", equality_pair_image(**fields))
+    beliefs_file = tmp_path / "bad.beliefs"
+    code, stdout, stderr = run_cli(capsys, "run", image, "--beliefs",
+                                   str(beliefs_file))
+    assert code == 2 and stdout == ""
+    assert "error: " in stderr and message in stderr
+    assert not beliefs_file.exists()
+
+
 # -- golden -------------------------------------------------------------------
 
 def test_golden_exact_vs_sumprod_on_a_tree(tmp_path, capsys):

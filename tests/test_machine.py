@@ -1,13 +1,16 @@
 """Event-driven simulator: build checks, timing, gating, golden agreement."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gen
 from factormesh import apps, golden
 from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
                               expand_all, with_evidence)
-from factormesh.image import Capacities, dumps
+from factormesh.image import Capacities, ImageError, dumps
 from factormesh.machine import Machine, MachineError
 from factormesh.mapper import Placement, cluster, compile_graph, emit_image, lower, place
 
@@ -290,8 +293,10 @@ def test_gibbs_machine_never_quiesces():
 def test_gibbs_machine_has_no_quiescence_to_verify():
     bench = apps.build_ising_chain(8, 0.5, 0.2)
     m, _ = compiled(bench.graph, "GIBBS", grid=(4, 4))
-    # sampling cells publish values: no variable gets a message refresh
-    assert all(var.refresh is None for var in m.var_owner.values())
+    # sampling cells publish values: no variable gets message state
+    for var in m.var_owner.values():
+        assert var.refresh is None
+        assert var.in_msgs == {} and var.out_msgs == {} and var.attached == []
     m.run_ticks(20)
     with pytest.raises(MachineError, match="SUMPROD and MINSUM"):
         m.verify_quiescent()
@@ -479,6 +484,58 @@ VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
     ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 V0\n0 0\nPROG 2\nLOAD_TABLE_SLICE 0\nNORMALIZE OUT0\n",
      "relation 0: LOAD_TABLE_SLICE 0 has an axis in a MINSUM program"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 3\n"
+     "REL 0 0 6 V0 V1\n1 1 1 1 1 1\nPROG 2\nLOAD_TABLE_SLICE\nMUL 0 IN1\n",
+     "relation 0: input 1 does not fit axis 0"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nSUM_REDUCE 1\n",
+     "relation 0: reduce axis out of range"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nSUM_REDUCE -1\n",
+     "relation 0: reduce axis out of range"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nNORMALIZE OUT1\n",
+     "relation 0: output position out of range"),
+    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nMUL -1 IN0\n",
+     "relation 0: operand out of range in MUL"),
+    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE -1\nMUL COND\nGIBBS_PERIOD 10 0\n",
+     "relation 0: slice axis out of range"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 1\nREL 0 0 4 V0 H0\n1 1 1 1\nPROG 0\n"
+     "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
+     "relation 0 reads a shadow bound to relation 1"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 FTOV 0\nCELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\nPROG 0\n"
+     "WIRE 1 0 1 0 0 0\n",
+     "FTOV shadow of 1 must sit in the owning cell"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 0 2 0 1 FTOV 5\nCELL 0 1\nVAR 0 1 2\nWIRE 0 0 1 0 0 0\n",
+     "wire source has no relation 5"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n65535 0 0 65535\nPROG 4\n"
+     "LOAD_TABLE_SLICE\nMUL 1 IN1\nSUM_REDUCE 1\nNORMALIZE OUT0\n"
+     "CELL 0 1\nVAR 0 1 2 EVIDENCE 1\nWIRE 1 0 1 0 0 0\n",
+     "cell (0, 0): a SUMPROD machine feeds no VALUE shadows"),
+    ("FMIMG 1\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 0\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 0 1 2\n"
+     "GIBBS_PERIOD 10 5\nWIRE 1 0 1 0 0 0\n",
+     "cell (0, 0): a GIBBS machine feeds no VTOF shadows"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 3 0 1 VTOF 0\nREL 0 0 6 V0 H0\n1 1 1 1 1 1\nPROG 4\n"
+     "LOAD_TABLE_SLICE\nMUL 1 IN1\nSUM_REDUCE 1\nNORMALIZE OUT0\n"
+     "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
+     "shadow of variable 1 has cardinality 3, the variable has 2"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 2\n"
+     "PROG 2\nLOAD_TABLE_SLICE\nNORMALIZE OUT0\nCELL 0 1\nVAR 0 1 2\n"
+     "SHADOW 0 1 2 0 0 FTOV 0\nWIRE 1 0 0 0 1 0\n",
+     "wire source has no relation 0 sending to variable 1"),
+    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\nPROG 4\n"
+     "LOAD_TABLE_SLICE\nMUL 0 IN0\nSUM_REDUCE 0\nNORMALIZE OUT1\n"
+     "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
+     "relation 0: no wire carries its message to variable 1"),
 ]
 
 
@@ -515,3 +572,72 @@ def test_stats_text_matches_energy_proxy():
     assert "activations=%d" % stats.activations in text
     assert "quiescent=true" in text
     assert abs(stats.energy_proxy() - (stats.activations + 0.1 * stats.hops)) < 1e-12
+
+
+# -- load fuzz ----------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def fuzz_images():
+    """One small image per mode, its variables spread over a 2x2 grid so
+    that every shadow role and wire kind appears, and relations 0 and 1
+    share a cell so that a factor id off by one names a real relation."""
+    tree = FactorGraph([VariableNode(i, c) for i, c in enumerate((2, 3, 2))],
+                       [FactorNode(0, (0, 1), TABLE, (0.2, 0.5, 0.9, 0.4, 0.3, 0.7)),
+                        FactorNode(1, (0,), TABLE, (0.3, 0.7)),
+                        FactorNode(2, (1, 2), TABLE, (0.6, 0.1, 0.3, 0.8, 0.5, 0.5))])
+    tree = with_evidence(tree, {2: 1})
+    return tuple(dumps(compile_graph(tree, mode, grid=(2, 2), seed=0,
+                                     capacities=Capacities(var_slots=1),
+                                     epochs=5)[0])
+                 for mode in ("SUMPROD", "MINSUM", "GIBBS"))
+
+
+ROLES = ("VTOF", "FTOV", "VALUE")
+
+
+def token_mutations(tok):
+    """Replacements for one image token: an integer (bare or as the index
+    of an IN/OUT/V/H operand) moved by one or set to 0, -1 or 99, or a
+    shadow role swapped for another."""
+    if tok in ROLES:
+        return [role for role in ROLES if role != tok]
+    prefix = tok.rstrip("-0123456789")
+    if prefix not in ("", "IN", "OUT", "V", "H") or tok == prefix:
+        return []
+    try:
+        v = int(tok[len(prefix):])
+    except ValueError:
+        return []
+    return sorted({prefix + str(x) for x in (v + 1, v - 1, 0, -1, 99)} - {tok})
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.data())
+def test_mutated_images_fail_only_with_load_errors(data):
+    text = data.draw(st.sampled_from(fuzz_images()))
+    lines = text.splitlines()
+    sites = [(i, j, new) for i, line in enumerate(lines)
+             for j, tok in enumerate(line.split()) for new in token_mutations(tok)]
+    i, j, new = data.draw(st.sampled_from(sites))
+    toks = lines[i].split()
+    toks[j] = new
+    lines[i] = " ".join(toks)
+    try:
+        m = Machine("\n".join(lines) + "\n")
+        if m.mode == "GIBBS":
+            m.run_ticks(3)
+        else:
+            m.run_until_quiescent(300)
+        m.read_beliefs()
+    except (MachineError, ImageError):
+        pass
+
+
+def test_fuzz_images_run_unmutated():
+    for text in fuzz_images():
+        m = Machine(text)
+        if m.mode == "GIBBS":
+            m.run_ticks(3)
+        else:
+            assert m.run_until_quiescent()[1]
+        m.read_beliefs()
