@@ -103,8 +103,8 @@ def mul_u16(a: int, b: int) -> int:
     return (a * b + U16_MAX // 2) // U16_MAX
 
 
-# Templates of mul_u16 and sat_add for code generated from a program's
-# fixed structure: {a} and {b} stand for operand expressions, each evaluated
+# Templates of mul_u16 and sat_add for code generated at load from a fixed
+# structure: {a} and {b} stand for operand expressions, each evaluated
 # once, and the result is parenthesized so it can be an operand in turn.
 # SAT_ADD binds the local name s to the unsaturated sum.
 MUL_U16 = "(({a} * {b} + %d) // %d)" % (U16_MAX // 2, U16_MAX)

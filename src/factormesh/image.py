@@ -1,8 +1,8 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 1`), one record per line, `#` comments:
+Text format (version header `FMIMG 2`), one record per line, `#` comments:
 
-    FMIMG 1
+    FMIMG 2
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
@@ -11,7 +11,6 @@ Text format (version header `FMIMG 1`), one record per line, `#` comments:
     SHADOW <slot> <var_id> <card> <src_r> <src_c> VTOF <fid>|FTOV <fid>|VALUE
     REL <slot> <factor_id> <nwords> <ref>...   refs bind scope positions, V<slot>/H<slot>
     <nwords integer table words on following lines>
-    PROG <k>                              then k micro-op lines for the last REL
     THRESH <lsb>                          per-cell packet gate threshold
     GIBBS_PERIOD <period> <phase>         resample timing (GIBBS mode)
     WIRE <var_id> <src_r> <src_c> <dst_r> <dst_c> <dst_slot>
@@ -20,32 +19,26 @@ Shadow roles: VTOF f holds the variable's message into factor f, FTOV f holds
 factor f's message to the variable, VALUE holds the variable's sampled value.
 SUMPROD and MINSUM machines feed only VTOF and FTOV shadows, GIBBS machines
 only VALUE shadows; the machine rejects any other role at load.  A shadow's
-cardinality is its variable's.  An FTOV f shadow sits in the variable's cell
-and is wired from a cell whose relation f sends the variable a message, and
-every such message needs that wire.  Micro-op axis, IN and OUT operands name
-scope positions of their relation.  Table words are quantized integers (u16 for LINEAR-domain modes, raw Q8.8 for
-MINSUM).  Unknown records are load errors; nothing is skipped silently.
+cardinality is its variable's, and one WIRE feeds it.  An FTOV f shadow sits
+in the variable's cell and is wired from a cell whose relation f sends the
+variable a message, and every such message needs that wire.  Table words are
+quantized integers (u16 for LINEAR-domain modes, raw Q8.8 for MINSUM).
+Unknown records are load errors; nothing is skipped silently.
 
-Micro-op mnemonics:
-
-    LOAD_TABLE_SLICE [j]   table accumulator <- table; with j (GIBBS only):
-                           vector ACC <- 1-D slice along scope axis j at
-                           current values
-    MUL <axis> IN<k>       accumulator *= input k broadcast along axis
-    ADD <axis> IN<k>       saturating add (log domain)
-    SUM_REDUCE <axis>      marginalize an axis by summation
-    MAX_REDUCE <axis>      marginalize an axis by maximum
-    NORMALIZE OUT<j>       anchor the (now 1-D) accumulator, emit for scope j
-    MUL COND               sampling conditional *= ACC (GIBBS)
-
-A GIBBS program is a list of `LOAD_TABLE_SLICE j` / `MUL COND` pairs, j the
-scope position of a variable in the same cell.  On each tick, for every free
-variable at such a position j, the slice takes the table words along axis j
-with every other scope position at its current value (a local variable's
-sample or a VALUE shadow's last delivered value), and `MUL COND` multiplies
-them elementwise into that variable's conditional, which starts at all ones.
-The variable is then drawn from the conditional.  The machine lowers each
-pair into one term at load and rejects any other GIBBS program.
+A relation carries no program: its mode and scope fix what it computes.  In
+SUMPROD and MINSUM a factor id names one relation of the machine, which
+sends a message to every scope position j: the table combined with the
+input of every other position i, in ascending i, those positions reduced,
+and the vector normalized.  The semiring is the mode's: multiply and sum in
+SUMPROD, add and max in MINSUM.  An update of k positions costs
+`relation_cost(k)` cycles (per output, one table load, k - 1 combines, k - 1
+reductions and a normalize), and the machine rejects a relation costing more
+than MAX_PROGRAM_OPS.  In GIBBS a factor id names at most one relation per
+cell.  On each tick, for every free variable at a scope position j of a
+relation in its cell, the table words along axis j with every other position
+at its current value (a local variable's sample or a VALUE shadow's last
+delivered value) multiply elementwise into that variable's conditional,
+which starts at all ones; the variable is then drawn from the conditional.
 """
 
 from __future__ import annotations
@@ -62,11 +55,18 @@ VTOF = "VTOF"
 FTOV = "FTOV"
 VALUE = "VALUE"
 
+# cycle budget of one converging relation update
 MAX_PROGRAM_OPS = 64
 
 # default packet gate, in LSBs of the mode's message format
 DEFAULT_THRESH_LINEAR = 256
 DEFAULT_THRESH_LOG = 16
+
+
+def relation_cost(k: int) -> int:
+    """Cycles of one converging update of a k-position relation: per output
+    a table load, k - 1 combines, k - 1 reductions and a normalize."""
+    return 2 * k * k
 
 
 def gibbs_var_cost(n_rels: int) -> int:
@@ -116,7 +116,6 @@ class RelSlot:
     factor_id: int
     scope_refs: list                # ('V'|'H', slot) per scope position
     table: list                     # quantized integer words
-    prog: list                      # parsed micro-ops
 
 
 @dataclass
@@ -149,73 +148,11 @@ class MachineImage:
 
 
 # ---------------------------------------------------------------------------
-# micro-op text forms
-# ---------------------------------------------------------------------------
-
-def _parse_ref(tok: str, what: str, line: int):
-    if len(tok) >= 2 and tok[0] in ("V", "H") and tok[1:].isdigit():
-        return (tok[0], int(tok[1:]))
-    raise ImageError("line %d: bad %s reference %r" % (line, what, tok))
-
-
-def parse_op(text: str, line: int = 0) -> tuple:
-    toks = text.split()
-    if not toks:
-        raise ImageError("line %d: empty micro-op" % line)
-    name = toks[0]
-
-    def arg_int(i, what):
-        try:
-            return int(toks[i])
-        except (IndexError, ValueError):
-            raise ImageError("line %d: %s needs %s" % (line, name, what))
-
-    def arg_in(i):
-        if len(toks) <= i or not toks[i].startswith("IN") or not toks[i][2:].isdigit():
-            raise ImageError("line %d: %s needs an IN<k> operand" % (line, name))
-        return int(toks[i][2:])
-
-    def arg_out(i):
-        if len(toks) <= i or not toks[i].startswith("OUT") or not toks[i][3:].isdigit():
-            raise ImageError("line %d: %s needs an OUT<j> operand" % (line, name))
-        return int(toks[i][3:])
-
-    if name == "LOAD_TABLE_SLICE":
-        if len(toks) == 1:
-            return ("LOAD_TABLE_SLICE", None)
-        return ("LOAD_TABLE_SLICE", arg_int(1, "a scope axis"))
-    if name in ("MUL", "ADD"):
-        if name == "MUL" and len(toks) == 2 and toks[1] == "COND":
-            return ("MUL_COND",)
-        return (name, arg_int(1, "an axis"), arg_in(2))
-    if name in ("SUM_REDUCE", "MAX_REDUCE"):
-        return (name, arg_int(1, "an axis"))
-    if name == "NORMALIZE":
-        return (name, arg_out(1))
-    raise ImageError("line %d: unknown micro-op %r" % (line, name))
-
-
-def format_op(op: tuple) -> str:
-    name = op[0]
-    if name == "LOAD_TABLE_SLICE":
-        return name if op[1] is None else "%s %d" % (name, op[1])
-    if name == "MUL_COND":
-        return "MUL COND"
-    if name in ("MUL", "ADD"):
-        return "%s %d IN%d" % (name, op[1], op[2])
-    if name in ("SUM_REDUCE", "MAX_REDUCE"):
-        return "%s %d" % (name, op[1])
-    if name == "NORMALIZE":
-        return "%s OUT%d" % (name, op[1])
-    raise ImageError("cannot format op %r" % (op,))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 1",
+    lines = ["FMIMG 2",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -239,9 +176,6 @@ def dumps(image: MachineImage) -> str:
                                               len(rel.table), refs))
             for i in range(0, len(rel.table), 12):
                 lines.append(" ".join(str(w) for w in rel.table[i:i + 12]))
-            lines.append("PROG %d" % len(rel.prog))
-            for op in rel.prog:
-                lines.append(format_op(op))
         if cell.thresh is not None:
             lines.append("THRESH %d" % cell.thresh)
         if cell.gibbs_period is not None:
@@ -272,6 +206,12 @@ class _Lines:
         return None, self.i
 
 
+def _parse_ref(tok: str, what: str, line: int):
+    if len(tok) >= 2 and tok[0] in ("V", "H") and tok[1:].isdigit():
+        return (tok[0], int(tok[1:]))
+    raise ImageError("line %d: bad %s reference %r" % (line, what, tok))
+
+
 def _ints(toks, n, line, what):
     if len(toks) != n:
         raise ImageError("line %d: %s needs %d fields" % (line, what, n))
@@ -284,8 +224,8 @@ def _ints(toks, n, line, what):
 def parse_image(text: str) -> MachineImage:
     src = _Lines(text)
     toks, line = src.next_payload()
-    if toks is None or toks[:2] != ["FMIMG", "1"]:
-        raise ImageError("line %d: expected FMIMG 1 header" % line)
+    if toks is None or toks[:2] != ["FMIMG", "2"]:
+        raise ImageError("line %d: expected FMIMG 2 header" % line)
     grid = None
     mode = None
     seed = 0
@@ -300,7 +240,7 @@ def parse_image(text: str) -> MachineImage:
         if toks is None:
             break
         head = toks[0]
-        if pending_words > 0 and head not in ("PROG",):
+        if pending_words > 0:
             # table words, free-form across lines
             try:
                 words = [int(t) for t in toks]
@@ -312,25 +252,6 @@ def parse_image(text: str) -> MachineImage:
             pending_rel.table.extend(words)
             pending_words -= len(words)
             continue
-        if head == "PROG":
-            if pending_rel is None:
-                raise ImageError("line %d: PROG without a REL record" % line)
-            if pending_words:
-                raise ImageError("line %d: PROG before table words complete (missing %d)"
-                                 % (line, pending_words))
-            (k,) = _ints(toks[1:], 1, line, "PROG")
-            if k < 0 or k > MAX_PROGRAM_OPS:
-                raise ImageError("line %d: program length %d out of range [0, %d]"
-                                 % (line, k, MAX_PROGRAM_OPS))
-            for _ in range(k):
-                op_toks, op_line = src.next_payload()
-                if op_toks is None:
-                    raise ImageError("line %d: unexpected end of input inside PROG" % op_line)
-                pending_rel.prog.append(parse_op(" ".join(op_toks), op_line))
-            pending_rel = None
-            continue
-        if pending_rel is not None:
-            raise ImageError("line %d: REL record missing its PROG" % line)
         if head == "GRID":
             r, c = _ints(toks[1:], 2, line, "GRID")
             if r < 1 or c < 1:
@@ -395,7 +316,7 @@ def parse_image(text: str) -> MachineImage:
             if nwords < 1:
                 raise ImageError("line %d: REL needs at least one table word" % line)
             refs = [_parse_ref(t, "scope", line) for t in toks[4:]]
-            pending_rel = RelSlot(slot, fid, refs, [], [])
+            pending_rel = RelSlot(slot, fid, refs, [])
             pending_words = nwords
             cur.rel_slots.append(pending_rel)
         elif head == "THRESH":
@@ -419,7 +340,7 @@ def parse_image(text: str) -> MachineImage:
         else:
             raise ImageError("line %d: unknown record %r" % (line, head))
 
-    if pending_rel is not None:
+    if pending_words:
         raise ImageError("unexpected end of input: REL record incomplete")
     if grid is None:
         raise ImageError("missing GRID record")

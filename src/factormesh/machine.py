@@ -2,7 +2,7 @@
 
 A Machine is built from a MachineImage.  Each cell owns variable slots
 (registers holding per-relation outgoing messages and a combined belief),
-relation slots (micro-programmed table units), and shadow slots (local copies
+relation slots (fixed-function table units), and shadow slots (local copies
 of remote quantities kept fresh by routed packets).  Execution is fully
 event-driven: a write that actually changes a stored value triggers the units
 reading it, and recomputed messages are re-transmitted only when they moved by
@@ -10,14 +10,15 @@ at least the cell's change threshold.  Event order is the total order
 (time, row-major cell id, sequence number), which makes runs bit-reproducible.
 
 In SUMPROD/MINSUM modes the machine settles to quiescence (empty queue).
-Each relation program and each variable's message refresh has a fixed
-structure once the image is loaded, so both run as Python functions generated
-at load from that structure: straight-line fixed-point arithmetic spliced
-from the expression templates in `fixedpoint`, one function shared by every
-relation or variable of the same structure.  In GIBBS mode each cell
-periodically resamples its variables from the fixed-point conditionals given
-shadowed neighbor values and never quiesces on its own; the relation
-programs, lowered at load into per-variable terms, define those conditionals.
+A relation's update is fixed by the mode and the cardinalities of its scope,
+and a variable's message refresh by its cardinality and degree, so both run
+as Python functions generated at load from that structure: straight-line
+fixed-point arithmetic spliced from the expression templates in
+`fixedpoint`, one function shared by every relation or variable of the same
+structure.  In GIBBS mode each cell periodically resamples its variables
+from the fixed-point conditionals given shadowed neighbor values and never
+quiesces on its own; each relation adds one term, built at load, to the
+conditional of each variable of its cell in its scope.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from operator import mul
 from . import fixedpoint as fp
 from .image import (MachineImage, MAX_PROGRAM_OPS, DEFAULT_CAPACITIES,
                     DEFAULT_THRESH_LINEAR, DEFAULT_THRESH_LOG, gibbs_var_cost,
-                    SUMPROD, MINSUM, GIBBS, VTOF, FTOV, VALUE,
+                    relation_cost, MINSUM, GIBBS, VTOF, FTOV, VALUE,
                     Capacities, parse_image)
 from .rng import keyed_raw64, keyed_uniform01, stream_key
 
@@ -96,7 +97,7 @@ class _Var:
         self.attached = []      # sorted fids
         self.local_rels = {}    # fid -> _Rel in the same cell
         self.counts = [0] * card
-        self.terms = []         # GIBBS: (table, stride, others) per MUL COND
+        self.terms = []         # GIBBS: (table, stride, others) per scope position
         self.key = None         # GIBBS: key of the variable's random stream
         self.refresh = None     # generated refresh for its card and degree
 
@@ -121,9 +122,9 @@ class _Shadow:
 
 class _Rel:
     __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
-                 "table", "prog", "kernel", "cost", "pending")
+                 "table", "kernel", "cost", "pending")
 
-    def __init__(self, cell, slot, fid, refs, shape, table, prog):
+    def __init__(self, cell, slot, fid, refs, shape, table):
         self.cell = cell
         self.slot = slot
         self.fid = fid
@@ -134,9 +135,8 @@ class _Rel:
             strides[i] = strides[i + 1] * shape[i + 1]
         self.strides = strides
         self.table = table      # flat tuple of ints, last scope position fastest
-        self.prog = prog
         self.kernel = None      # generated kernel in SUMPROD/MINSUM modes
-        self.cost = max(1, len(prog))
+        self.cost = relation_cost(len(shape))
         self.pending = False
 
 
@@ -163,89 +163,24 @@ class _Cell:
 # converging paths generated at load
 # ---------------------------------------------------------------------------
 
-def _lower(mode, shape, prog):
-    """Lower a converging program into term lists by running it on symbols.
+def _lower(shape):
+    """Term lists of a converging relation's update over scope `shape`.
 
-    Returns one (j, groups) per `NORMALIZE OUT<j>`, in program order, with
-    one group per element of the emitted vector.  A group lists the terms
-    reduced into that element; a term (t, offsets) is table word t combined,
-    in program order, with the input words at `offsets` in the concatenation
-    of the scope's input vectors.  The accumulator maps each index tuple (0
-    on reduced axes) to its terms.  Combining and reducing use the mode's
-    semiring: MUL and SUM_REDUCE in SUMPROD, ADD and MAX_REDUCE in MINSUM.
-    A combine after a reduce would act on a reduced value, which no term
-    list can express, so the program is rejected, as is a sampling op (MUL
-    COND, or a LOAD_TABLE_SLICE with an axis).  Each op's axis, input and
-    output operands must name scope positions, and an input must fit its
-    axis; these checks come before the order and mode checks.  Error
-    messages leave out the relation, which the caller names."""
-    k = len(shape)
-    offsets = [0] * k
-    for p in range(1, k):
-        offsets[p] = offsets[p - 1] + shape[p - 1]
-    combine_op, reduce_op = ("ADD", "MAX_REDUCE") if mode == MINSUM else \
-        ("MUL", "SUM_REDUCE")
-    acc = None
-    dims = None
-    reduced = False
+    Returns one (j, groups) per scope position j, in order, with one group
+    per element of the message to j.  A group lists the terms reduced into
+    that element; a term (t, offsets) is table word t combined with the
+    input words at `offsets` in the concatenation of the scope's input
+    vectors, one per other scope position in ascending order, each at its
+    value in table cell t."""
+    starts = list(itertools.accumulate(shape, initial=0))
+    cells = list(enumerate(itertools.product(*map(range, shape))))
     outputs = []
-    for op in prog:
-        name = op[0]
-        if name == "MUL_COND":
-            raise MachineError("MUL COND in a %s program" % mode)
-        if name == "LOAD_TABLE_SLICE":
-            if op[1] is not None:
-                raise MachineError("LOAD_TABLE_SLICE %d has an axis in a %s "
-                                   "program" % (op[1], mode))
-            dims = list(shape)
-            acc = {idx: [(t, ())] for t, idx in
-                   enumerate(itertools.product(*map(range, shape)))}
-            reduced = False
-            continue
-        if name == "NORMALIZE":
-            if not 0 <= op[1] < k:
-                raise MachineError("output position out of range")
-        elif name in ("SUM_REDUCE", "MAX_REDUCE"):
-            if not 0 <= op[1] < k:
-                raise MachineError("reduce axis out of range")
-        elif not (0 <= op[1] < k and 0 <= op[2] < k):
-            raise MachineError("operand out of range in %s" % name)
-        elif shape[op[2]] != shape[op[1]]:
-            raise MachineError("input %d does not fit axis %d" % (op[2], op[1]))
-        if acc is None:
-            raise MachineError("%s before LOAD_TABLE_SLICE" % name)
-        if name in ("MUL", "ADD", "SUM_REDUCE", "MAX_REDUCE") and \
-                name not in (combine_op, reduce_op):
-            raise MachineError("%s in a %s program" % (name, mode))
-        if name == combine_op:
-            if reduced:
-                raise MachineError("%s after a reduction" % name)
-            axis, src = op[1], op[2]
-            acc = {idx: [(t, offs + (offsets[src] + idx[axis],))
-                         for t, offs in terms]
-                   for idx, terms in acc.items()}
-        elif name == reduce_op:
-            axis = op[1]
-            dims[axis] = 1
-            merged = {}
-            for idx, terms in acc.items():
-                key = idx[:axis] + (0,) + idx[axis + 1:]
-                merged.setdefault(key, []).extend(terms)
-            acc = merged
-            reduced = True
-        elif name == "NORMALIZE":
-            j = op[1]
-            size = math.prod(dims)
-            if size != shape[j]:
-                raise MachineError("%s before reducing other axes" % name)
-            # the emitted vector is the accumulator flattened row-major
-            groups = [None] * size
-            for idx, terms in acc.items():
-                o = 0
-                for a, d in zip(idx, dims):
-                    o = o * d + a
-                groups[o] = tuple(terms)
-            outputs.append((j, tuple(groups)))
+    for j, card in enumerate(shape):
+        groups = [[] for _ in range(card)]
+        for t, idx in cells:
+            groups[idx[j]].append((t, tuple(starts[i] + a for i, a in enumerate(idx)
+                                            if i != j)))
+        outputs.append((j, tuple(map(tuple, groups))))
     return tuple(outputs)
 
 
@@ -263,14 +198,13 @@ def _unpack(names, source):
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel(mode, shape, prog):
-    """Generate a converging program's kernel: kernel(table, *inputs) takes
+def _kernel(mode, shape):
+    """Generate a converging relation's kernel: kernel(table, *inputs) takes
     the table words and one input vector per scope position and returns the
-    normalized (j, message) per `NORMALIZE OUT<j>` as straight-line code
-    over the term lists of `_lower`.  The table is an argument, so every
-    relation with one shape and program shares one kernel.  The source is
-    built only from the term lists' integers and the `fixedpoint`
-    templates."""
+    normalized (j, message) per scope position j as straight-line code over
+    the term lists of `_lower`.  The table is an argument, so every relation
+    with one shape shares one kernel.  The source is built only from the
+    term lists' integers and the `fixedpoint` templates."""
     linear = mode != MINSUM
     combine = fp.MUL_U16 if linear else fp.SAT_ADD
     lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
@@ -280,7 +214,7 @@ def _kernel(mode, shape, prog):
         lines.append(_unpack(["x%d" % (offset + a) for a in range(card)], "m%d" % p))
         offset += card
     outs = []
-    for j, groups in _lower(mode, shape, prog):
+    for j, groups in _lower(shape):
         elems = []
         for group in groups:
             terms = []
@@ -378,6 +312,7 @@ class Machine:
         else:
             word_lo, word_hi = fp.Q88_MIN, fp.Q88_MAX
         sends = set()           # wire keys of relation messages to remote variables
+        fids = set()            # (cell id in GIBBS else None, factor id)
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
@@ -444,25 +379,31 @@ class Machine:
                     raise MachineError("relation %d: table word outside [%d, %d]"
                                        % (rs.factor_id, word_lo, word_hi))
                 words += len(rs.table)
-                if len(rs.prog) > MAX_PROGRAM_OPS:
-                    raise MachineError("relation %d: program too long" % rs.factor_id)
-                rel = _Rel(cell, rs.slot, rs.factor_id, refs, shape,
-                           tuple(rs.table), list(rs.prog))
+                rel = _Rel(cell, rs.slot, rs.factor_id, refs, shape, tuple(rs.table))
+                if self.mode != GIBBS:
+                    if rel.cost > MAX_PROGRAM_OPS:
+                        raise MachineError("relation %d: an update of %d scope positions "
+                                           "costs %d cycles, above %d" % (
+                                               rel.fid, len(shape), rel.cost,
+                                               MAX_PROGRAM_OPS))
+                    rel.kernel = _kernel(self.mode, shape)
+                # a factor id names one relation, or one per cell in GIBBS
+                owner = cell.cid if self.mode == GIBBS else None
+                if (owner, rel.fid) in fids:
+                    raise MachineError("cell (%d, %d): factor id %d names a second "
+                                       "relation" % (coord + (rel.fid,)))
+                fids.add((owner, rel.fid))
                 cell.rels.append(rel)
-                for kind, obj in refs:
+                for pos, (kind, obj) in enumerate(refs):
                     if kind == "h":
                         obj.consumers.append(rel)
-                try:
-                    if self.mode == GIBBS:
-                        for pos, term in self._lower_gibbs(rel):
-                            refs[pos][1].terms.append(term)
-                    else:
-                        rel.kernel = _kernel(self.mode, shape, tuple(rel.prog))
-                except MachineError as e:
-                    raise MachineError("relation %d: %s" % (rel.fid, e)) from None
-                for op in rel.prog:
-                    if op[0] == "NORMALIZE" and refs[op[1]][0] == "h":
-                        sends.add((cell.cid, "fv", rel.fid, refs[op[1]][1].vid))
+                        if self.mode != GIBBS:
+                            sends.add((cell.cid, "fv", rel.fid, obj.vid))
+                    elif self.mode == GIBBS:
+                        # the table slice along pos at the other positions' values
+                        others = tuple((o, rel.strides[q])
+                                       for q, (_kind, o) in enumerate(refs) if q != pos)
+                        obj.terms.append((rel.table, rel.strides[pos], others))
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
             if self.mode == GIBBS:
@@ -486,6 +427,9 @@ class Machine:
             if shadow is None:
                 raise MachineError("wire for variable %d: destination slot %d is not a shadow"
                                    % (w.var_id, w.dst_slot))
+            if shadow.wired:
+                raise MachineError("cell (%d, %d): shadow slot %d has a second wire"
+                                   % (dst.r, dst.c, w.dst_slot))
             if shadow.vid != w.var_id:
                 raise MachineError("wire/shadow variable mismatch at slot %d" % w.dst_slot)
             if shadow.src != tuple(w.src):
@@ -551,47 +495,6 @@ class Machine:
 
     def _uniform(self, card):
         return (fp.U16_MAX,) * card if self.linear else (0,) * card
-
-    def _lower_gibbs(self, rel):
-        """Lower a sampling program into (scope position, term) pairs.
-
-        The program must be a list of `LOAD_TABLE_SLICE j` / `MUL COND`
-        pairs with j a local variable's position.  Each pair becomes one
-        term (table, stride of j, others) of that variable's conditional;
-        `others` holds an (owner variable or VALUE shadow, stride) pair per
-        other scope position, whose current values select the slice.  A
-        slice axis must name a scope position, checked before the order.
-        Error messages leave out the relation, which the caller names."""
-        pairs = []
-        pos = None
-        for op in rel.prog:
-            name = op[0]
-            if name == "LOAD_TABLE_SLICE":
-                if op[1] is not None and not 0 <= op[1] < len(rel.refs):
-                    raise MachineError("slice axis out of range")
-                if pos is not None:
-                    raise MachineError("LOAD_TABLE_SLICE %d is not followed by "
-                                       "MUL COND" % pos)
-                pos = op[1]
-                if pos is None:
-                    raise MachineError("LOAD_TABLE_SLICE needs an axis in a GIBBS "
-                                       "program")
-                if rel.refs[pos][0] != "v":
-                    raise MachineError("LOAD_TABLE_SLICE %d slices a shadow "
-                                       "position" % pos)
-            elif name == "MUL_COND":
-                if pos is None:
-                    raise MachineError("MUL COND before LOAD_TABLE_SLICE")
-                others = tuple((obj, rel.strides[q])
-                               for q, (_kind, obj) in enumerate(rel.refs) if q != pos)
-                pairs.append((pos, (rel.table, rel.strides[pos], others)))
-                pos = None
-            else:
-                raise MachineError("%s in a GIBBS program" % name)
-        if pos is not None:
-            raise MachineError("LOAD_TABLE_SLICE %d is not followed by MUL COND"
-                               % pos)
-        return pairs
 
     # -- event plumbing -----------------------------------------------------
 
@@ -687,9 +590,9 @@ class Machine:
 
     def _on_exec(self, cell, rel, time):
         rel.pending = False
-        outs = self._exec_program(rel)
+        outs = self._exec_relation(rel)
         self.stats.activations += 1
-        self._trace(time, cell, "UPDATE", rel.fid, len(rel.prog))
+        self._trace(time, cell, "UPDATE", rel.fid, rel.cost)
         avail = time + rel.cost
         for pos, payload in outs:
             kind, obj = rel.refs[pos]
@@ -867,12 +770,15 @@ class Machine:
 
     # -- relation kernels -----------------------------------------------------
 
-    def _exec_program(self, rel):
-        """Run the relation's kernel on its current inputs: (j, message) per
-        NORMALIZE OUT<j>, anchored and, with noise_lsbs, perturbed."""
+    def _inputs(self, rel):
+        """The relation's input vector per scope position."""
         fid = rel.fid
-        outs = rel.kernel(rel.table, *[obj.out_msgs[fid] if kind == "v" else obj.data
-                                       for kind, obj in rel.refs])
+        return [obj.out_msgs[fid] if kind == "v" else obj.data for kind, obj in rel.refs]
+
+    def _exec_relation(self, rel):
+        """Run the relation's kernel on its current inputs: (j, message) per
+        scope position j, anchored and, with noise_lsbs, perturbed."""
+        outs = rel.kernel(rel.table, *self._inputs(rel))
         if self.noise_lsbs:
             outs = [(j, self._apply_noise(vec)) for j, vec in outs]
         return outs
@@ -963,8 +869,11 @@ class Machine:
         Returns {"local": d1, "remote": d2}: the largest deviation between a
         recomputed message and (local) what its consumer holds, or (remote)
         the last-sent copy.  At quiescence local must be 0 and remote below
-        the sending cell's threshold.  GIBBS machines never quiesce and
-        compute no messages, so asking one raises MachineError."""
+        the sending cell's threshold.  Recomputed messages carry no output
+        noise, and the check draws nothing from the noise stream, so a run
+        continued after it is the run it would have been.  GIBBS machines
+        never quiesce and compute no messages, so asking one raises
+        MachineError."""
         if self.mode == GIBBS:
             raise MachineError("quiescence only applies to SUMPROD and MINSUM modes")
         local = 0
@@ -981,7 +890,7 @@ class Machine:
                                 for a, b in zip(new, self.last_sent[key]))
                         remote = max(remote, d)
             for rel in cell.rels:
-                for pos, payload in self._exec_program(rel):
+                for pos, payload in rel.kernel(rel.table, *self._inputs(rel)):
                     kind, obj = rel.refs[pos]
                     if kind == "v":
                         held = obj.in_msgs.get(rel.fid)

@@ -3,7 +3,7 @@
 Pipeline: lower builtin relations to capacity-feasible tables, group variables
 and relations into per-cell clusters, place clusters on the grid by simulated
 annealing over total Manhattan wire length, then emit the loadable image
-(slots, quantized tables, micro-programs, shadow wiring, timing).
+(slots, quantized tables, shadow wiring, timing).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
 from .image import (MachineImage, CellImage, VarSlot, ShadowSlot, RelSlot, Wire,
                     Capacities, DEFAULT_CAPACITIES, DEFAULT_THRESH_LINEAR,
-                    DEFAULT_THRESH_LOG, MAX_PROGRAM_OPS, gibbs_var_cost,
+                    DEFAULT_THRESH_LOG, MAX_PROGRAM_OPS, gibbs_var_cost, relation_cost,
                     SUMPROD, MINSUM, GIBBS, VTOF, FTOV, VALUE)
 
 
@@ -41,11 +41,11 @@ def _default_epsilon(mode: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _max_arity(mode: str) -> int:
-    # each relation programs 2*arity ops per output in converging modes
+    # a converging update costs relation_cost(arity) cycles
     if mode == GIBBS:
         return MAX_PROGRAM_OPS // 2
     k = 1
-    while 2 * (k + 1) * (k + 1) <= MAX_PROGRAM_OPS:
+    while relation_cost(k + 1) <= MAX_PROGRAM_OPS:
         k += 1
     return k
 
@@ -58,8 +58,8 @@ def lower(graph: FactorGraph, epsilon: float = 0.0,
     ALL_DIFFERENT becomes a clique of pairwise not-equal tables (duplicate
     pairs across constraints collapse to one factor).  PARITY wider than three
     bits becomes a chain of three-bit parity tables over fresh auxiliary
-    variables appended after the original ones.  Oversized tables or programs
-    are rejected."""
+    variables appended after the original ones.  Oversized tables and
+    relations whose update costs too many cycles are rejected."""
     variables = list(graph.variables)
     factors = []
     seen_pairs = set()
@@ -68,10 +68,10 @@ def lower(graph: FactorGraph, epsilon: float = 0.0,
     def add(scope, table):
         scope = tuple(scope)
         if len(scope) > arity_cap:
-            raise MapperError("factor over %d variables needs a %d-op program; "
-                              "limit is %d" % (len(scope),
-                                               2 * len(scope) * len(scope),
-                                               MAX_PROGRAM_OPS))
+            raise MapperError("factor over %d variables costs %d cycles per "
+                              "update; limit is %d" % (len(scope),
+                                                       relation_cost(len(scope)),
+                                                       MAX_PROGRAM_OPS))
         words = len(table)
         if words > capacities.table_words:
             raise MapperError("factor table of %d words exceeds cell memory (%d)"
@@ -392,30 +392,6 @@ def _quantize_table(table, mode):
     return tuple(fp.quantize(list(table), fp.LINEAR))
 
 
-def _prog_converging(arity, mode):
-    ops = []
-    combine = "MUL" if mode == SUMPROD else "ADD"
-    reduce_op = "SUM_REDUCE" if mode == SUMPROD else "MAX_REDUCE"
-    for j in range(arity):
-        ops.append(("LOAD_TABLE_SLICE", None))
-        for i in range(arity):
-            if i != j:
-                ops.append((combine, i, i))
-        for i in range(arity):
-            if i != j:
-                ops.append((reduce_op, i))
-        ops.append(("NORMALIZE", j))
-    return ops
-
-
-def _prog_gibbs(local_positions):
-    ops = []
-    for j in local_positions:
-        ops.append(("LOAD_TABLE_SLICE", j))
-        ops.append(("MUL_COND",))
-    return ops
-
-
 def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                mode: str, seed: int = 0, thresh: Optional[int] = None,
                capacities: Capacities = DEFAULT_CAPACITIES) -> MachineImage:
@@ -463,21 +439,15 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         for rs, fid in enumerate(cl.rels):
             f = factors[fid]
             refs = []
-            local_positions = []
-            for pos, v in enumerate(f.scope):
+            for v in f.scope:
                 if v in vslot:
                     refs.append(("V", vslot[v]))
-                    local_positions.append(pos)
                 elif mode == GIBBS:
                     refs.append(("H", shadow_for(("val", v), v, VALUE, None, cvar[v])))
                 else:
                     refs.append(("H", shadow_for(("vf", v, fid), v, VTOF, fid,
                                                  cvar[v])))
-            if mode == GIBBS:
-                prog = _prog_gibbs(local_positions)
-            else:
-                prog = _prog_converging(len(f.scope), mode)
-            cell.rel_slots.append(RelSlot(rs, fid, refs, list(qtable(fid)), prog))
+            cell.rel_slots.append(RelSlot(rs, fid, refs, list(qtable(fid))))
         if mode != GIBBS:
             rset = set(cl.rels)
             for v in cl.vars:

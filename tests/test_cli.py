@@ -169,7 +169,7 @@ def equality_pair_image(role="VTOF 0", card=2, ftov=0):
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0."""
     table = " ".join("65535" if a == b else "0"
                      for a in range(2) for b in range(card))
-    return """FMIMG 1
+    return """FMIMG 2
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
@@ -177,20 +177,8 @@ VAR 0 0 2
 SHADOW 0 1 %d 0 1 %s
 REL 0 0 %d V0 H0
 %s
-PROG 8
-LOAD_TABLE_SLICE
-MUL 1 IN1
-SUM_REDUCE 1
-NORMALIZE OUT0
-LOAD_TABLE_SLICE
-MUL 0 IN0
-SUM_REDUCE 0
-NORMALIZE OUT1
 REL 1 1 2 V0
 65535 65535
-PROG 2
-LOAD_TABLE_SLICE
-NORMALIZE OUT0
 CELL 0 1
 VAR 0 1 2 EVIDENCE 1
 SHADOW 0 1 2 0 0 FTOV %d
@@ -226,6 +214,19 @@ def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
     assert code == 2 and stdout == ""
     assert "error: " in stderr and message in stderr
     assert not beliefs_file.exists()
+
+
+def test_run_rejects_the_old_image_format(tmp_path, capsys):
+    current = equality_pair_image()
+    old = write(tmp_path, "old.fmimg", current.replace("FMIMG 2", "FMIMG 1"))
+    code, stdout, stderr = run_cli(capsys, "run", old)
+    assert code == 2 and stdout == ""
+    assert "error: " in stderr and "line 1: expected FMIMG 2 header" in stderr
+    prog = write(tmp_path, "prog.fmimg",
+                 current.replace("65535 65535\n", "65535 65535\nPROG 2\n"))
+    code, stdout, stderr = run_cli(capsys, "run", prog)
+    assert code == 2 and stdout == ""
+    assert "line 11: unknown record 'PROG'" in stderr
 
 
 # -- golden -------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Generated converging path: the machine sends exactly what the old
 interpreter sent.
 
-`ReferenceKernelMachine` keeps the relation kernel and the variable refresh
-from before they were generated at load: `_Kernel.run` walks the term lists
-of `_lower` and combines with the scalar `fixedpoint` functions, and the
-refresh folds prefix and suffix combinations in a loop.  Both machines run
-the same image, and every packet, trace row, counter and belief must agree.
+`ReferenceKernelMachine` keeps a relation kernel and a variable refresh
+that are not generated at load: each relation runs its update written out
+as ops by `test_kernel.standard_program` through the nested-loop
+interpreter `test_kernel.reference`, and the refresh folds prefix and
+suffix combinations in a loop.  Both machines run the same image, and every
+packet, trace row, counter and belief must agree.
 """
 
 import random
@@ -13,57 +14,16 @@ import random
 from hypothesis import given, reject, settings, strategies as st
 
 import gen
+from test_kernel import reference, standard_program
 from factormesh import fixedpoint as fp
 from factormesh.graph import with_evidence
-from factormesh.image import MAX_PROGRAM_OPS, MINSUM, SUMPROD, Capacities, dumps
-from factormesh.machine import Machine, _lower
+from factormesh.image import (MAX_PROGRAM_OPS, MINSUM, SUMPROD, Capacities, dumps,
+                              relation_cost)
+from factormesh.machine import Machine
 from factormesh.mapper import MapperError, compile_graph
 
 
-class _Kernel:
-    """A converging relation program lowered for one scope shape.
-
-    `outputs` holds one (j, groups) per `NORMALIZE OUT<j>`, in program
-    order, with one group per element of the emitted vector.  A group lists
-    the terms reduced into that element; a term (t, offsets) is table word t
-    combined, in program order, with the input words at `offsets` in the
-    concatenation of the scope's input vectors.  The terms depend only on
-    the shape and the ops, not on the table, so relations that share both
-    share one kernel."""
-
-    __slots__ = ("outputs", "combine", "reduce")
-
-    def __init__(self, outputs, linear):
-        self.outputs = outputs
-        self.combine = fp.mul_u16 if linear else fp.sat_add
-        self.reduce = sum if linear else max
-
-    def run(self, table, x):
-        """Unnormalized (j, vector) per output for table words and inputs x."""
-        combine = self.combine
-        reduce = self.reduce
-        outs = []
-        for j, groups in self.outputs:
-            vec = []
-            for group in groups:
-                vals = []
-                for t, offsets in group:
-                    v = table[t]
-                    for i in offsets:
-                        v = combine(v, x[i])
-                    vals.append(v)
-                vec.append(reduce(vals))
-            outs.append((j, vec))
-        return outs
-
-
 class ReferenceKernelMachine(Machine):
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._ref_kernels = {rel: _Kernel(_lower(self.mode, rel.shape, tuple(rel.prog)),
-                                          self.linear)
-                             for cell in self.cells.values() for rel in cell.rels}
 
     def _refresh_var(self, var):
         # the machine takes the messages in attachment order
@@ -113,19 +73,16 @@ class ReferenceKernelMachine(Machine):
     def _norm(self, v):
         return tuple(fp.norm_linear(v) if self.linear else fp.norm_log(v))
 
-    def _exec_program(self, rel):
-        """Run the relation's kernel on its current inputs: (j, message) per
-        NORMALIZE OUT<j>, anchored and, with noise_lsbs, perturbed."""
+    def _exec_relation(self, rel):
+        """Interpret the relation's update on its current inputs: (j,
+        message) per scope position j, anchored and, with noise_lsbs,
+        perturbed."""
         fid = rel.fid
-        x = ()
-        for kind, obj in rel.refs:
-            x += obj.out_msgs[fid] if kind == "v" else obj.data
-        outs = []
-        for j, vec in self._ref_kernels[rel].run(rel.table, x):
-            vec = self._norm(vec)
-            if self.noise_lsbs:
-                vec = self._apply_noise(vec)
-            outs.append((j, vec))
+        inputs = [obj.out_msgs[fid] if kind == "v" else obj.data for kind, obj in rel.refs]
+        outs = reference(rel.shape, rel.table, inputs,
+                         standard_program(self.mode, len(rel.shape)), self.linear)
+        if self.noise_lsbs:
+            outs = [(j, self._apply_noise(vec)) for j, vec in outs]
         return outs
 
 
@@ -193,47 +150,36 @@ def words(mode, n, rng):
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
-def program(mode, k, outputs):
-    combine, reduce = ("MUL", "SUM_REDUCE") if mode == SUMPROD else ("ADD", "MAX_REDUCE")
-    lines = []
-    for j in outputs:
-        others = [p for p in range(k) if p != j]
-        lines.append("LOAD_TABLE_SLICE")
-        lines += ["%s %d IN%d" % (combine, p, p) for p in others]
-        lines += ["%s %d" % (reduce, p) for p in others]
-        lines.append("NORMALIZE OUT%d" % j)
-    return ["PROG %d" % len(lines)] + lines
-
-
-def relation(slot, fid, refs, table, prog):
-    return (["REL %d %d %d %s" % (slot, fid, len(table), " ".join(refs)),
-             " ".join(map(str, table))] + prog)
+def relation(slot, fid, refs, table):
+    return ["REL %d %d %d %s" % (slot, fid, len(table), " ".join(refs)),
+            " ".join(map(str, table))]
 
 
 def test_widest_relation_table_generates_and_matches():
-    # 9 binary positions fill the 512 table words of one cell; as many
-    # outputs as fit in the program length limit
-    caps = Capacities(var_slots=9)
-    outputs = (0, 4, 8)
-    assert len(outputs) * 18 <= MAX_PROGRAM_OPS < (len(outputs) + 1) * 18
+    # five positions, the most whose update fits the cycle limit, with
+    # cardinalities that fill the 512 table words of one cell
+    caps = Capacities(var_slots=5)
+    shape = (4, 4, 4, 4, 2)
+    assert relation_cost(len(shape)) <= MAX_PROGRAM_OPS < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 1", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
-        lines += ["VAR %d %d 2%s" % (p, p, " EVIDENCE %d" % (p % 2) if p in (1, 4) else "")
-                  for p in range(9)]
-        lines += relation(0, 0, ["V%d" % p for p in range(9)],
-                          words(mode, caps.table_words, rng), program(mode, 9, outputs))
+        lines = ["FMIMG 2", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines += ["VAR %d %d %d%s" % (p, p, card, " EVIDENCE %d" % (p % 2)
+                                      if p in (1, 4) else "")
+                  for p, card in enumerate(shape)]
+        lines += relation(0, 0, ["V%d" % p for p in range(len(shape))],
+                          words(mode, caps.table_words, rng))
         text = "\n".join(lines) + "\nTHRESH 0\n"
         assert_same_runs(text, caps)
         # and straight on inputs across the whole word range
         machines = [cls(text, capacities=caps) for cls in (Machine, ReferenceKernelMachine)]
         for _ in range(20):
-            inputs = [tuple(words(mode, 2, rng)) for _ in range(9)]
+            inputs = [tuple(words(mode, card, rng)) for card in shape]
             outs = []
             for m in machines:
                 for p, vec in enumerate(inputs):
                     m.var_owner[p].out_msgs[0] = vec
-                outs.append(m._exec_program(m.cells[(0, 0)].rels[0]))
+                outs.append(m._exec_relation(m.cells[(0, 0)].rels[0]))
             assert outs[0] == outs[1]
 
 
@@ -244,7 +190,7 @@ def star_image(mode, thresh):
     each of which fills its variable, shadow and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 1", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
+    lines = ["FMIMG 2", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
     wires = []
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
     for h, fid in enumerate(leaf_fids):
@@ -252,7 +198,7 @@ def star_image(mode, thresh):
         lines.append("SHADOW %d 0 3 0 %d FTOV %d" % (h, col, fid))
         wires.append("WIRE 0 0 %d 0 0 %d" % (col, h))
     for fid in range(caps.rel_slots):
-        lines += relation(fid, fid, ["V0"], words(mode, 3, rng), program(mode, 1, (0,)))
+        lines += relation(fid, fid, ["V0"], words(mode, 3, rng))
     lines.append("THRESH %d" % thresh)
     for col in range(1, 5):
         lines.append("CELL 0 %d" % col)
@@ -266,7 +212,7 @@ def star_image(mode, thresh):
             wires.append("WIRE 0 0 0 0 %d %d" % (col, slot))
         for slot, fid in enumerate(fids):
             lines += relation(slot, fid, ["H%d" % slot, "V%d" % slot],
-                              words(mode, 6, rng), program(mode, 2, (0, 1)))
+                              words(mode, 6, rng))
         lines.append("THRESH %d" % thresh)
     return "\n".join(lines + wires) + "\n", caps
 

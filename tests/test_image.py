@@ -1,48 +1,24 @@
-"""Image text format: micro-ops, canonical dumps, parse diagnostics."""
+"""Image text format: canonical dumps, round trips, parse diagnostics."""
+
+import random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+import gen
 from factormesh import image
-from factormesh.image import ImageError, dumps, format_op, parse_image, parse_op
-
-
-# -- micro-ops ---------------------------------------------------------------
-
-CANONICAL_OPS = [
-    "LOAD_TABLE_SLICE",
-    "LOAD_TABLE_SLICE 1",
-    "MUL 0 IN2",
-    "MUL COND",
-    "ADD 1 IN0",
-    "SUM_REDUCE 1",
-    "MAX_REDUCE 0",
-    "NORMALIZE OUT1",
-]
-
-
-def test_op_text_round_trip():
-    for text in CANONICAL_OPS:
-        assert format_op(parse_op(text)) == text
-    assert parse_op("MUL COND") == ("MUL_COND",)
-    assert parse_op("LOAD_TABLE_SLICE") == ("LOAD_TABLE_SLICE", None)
-
-
-def test_op_parse_rejects_malformed():
-    bad = ["", "FROB 1", "MUL 0", "MUL x IN0", "MUL 0 INx", "ADD 0 OUT1",
-           "SUM_REDUCE", "NORMALIZE IN0", "WTA OUT0", "COPY IN3", "MAX 2 IN1"]
-    for text in bad:
-        with pytest.raises(ImageError) as err:
-            parse_op(text, line=7)
-        assert "line 7" in str(err.value), text
-    with pytest.raises(ImageError):
-        format_op(("BLORB", 1))
+from factormesh.graph import with_evidence
+from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, ImageError, dumps,
+                              parse_image)
+from factormesh.machine import Machine
+from factormesh.mapper import MapperError, compile_graph
 
 
 # -- round trip through the text form ----------------------------------------
 
 MESSY = """\
 # comment, then records out of canonical order
-FMIMG 1
+FMIMG 2
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -60,11 +36,6 @@ REL 0 0 6 V0 H1
 65535 32768 16384
 8192 4096
 2048
-PROG 4
-LOAD_TABLE_SLICE
-MUL 1 IN1
-SUM_REDUCE 1
-NORMALIZE OUT0
 THRESH 256
 WIRE 1 0 1 0 0 1
 WIRE 0 0 0 0 1 5
@@ -80,8 +51,6 @@ def test_parse_tolerates_comments_and_order():
     rel = cell.rel_slots[0]
     assert rel.table == [65535, 32768, 16384, 8192, 4096, 2048]
     assert rel.scope_refs == [("V", 0), ("H", 1)]
-    assert rel.prog[0] == ("LOAD_TABLE_SLICE", None)
-    assert rel.prog[3] == ("NORMALIZE", 0)
     other = img.cells[(0, 1)]
     assert {(v.slot, v.var_id, v.card, v.evidence) for v in other.var_slots} == \
         {(0, 1, 3, 2), (1, 2, 2, None)}
@@ -99,13 +68,12 @@ def test_dumps_is_canonical_and_stable():
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 1", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 2", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 0 2",
         "SHADOW 0 1 2 0 0 VALUE",
         "REL 0 0 4 V0 H0",
         "200 100 100 200",
-        "PROG 2", "LOAD_TABLE_SLICE 0", "MUL COND",
         "GIBBS_PERIOD 12 4",
     ]) + "\n"
     img = parse_image(text)
@@ -116,16 +84,18 @@ def test_gibbs_records_round_trip():
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 1\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 2\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 1 header"),
-    ("FMIMG 2\nGRID 1 1\n", "expected FMIMG 1 header"),
-    ("FMIMG 1\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 1\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 1\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 1\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
-    ("FMIMG 1\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
+    ("GRID 1 1\n", "expected FMIMG 2 header"),
+    ("FMIMG 3\nGRID 1 1\n", "expected FMIMG 2 header"),
+    # the format before relations lost their programs
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 2 header"),
+    ("FMIMG 2\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 2\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 2\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 2\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    ("FMIMG 2\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
     (HEAD + "CELL 2 0\n", "outside grid"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "VAR 0 0 2\n", "VAR outside a CELL"),
@@ -138,11 +108,8 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nREL 0 0 2 X9\n", "bad scope reference"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1 2 3\n", "too many table words"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1 oops\n", "expected 2 more table words"),
-    (HEAD + "CELL 0 0\nPROG 1\nSUM_REDUCE 0\n", "PROG without a REL record"),
-    (HEAD + "CELL 0 0\nREL 0 0 2 V0\nPROG 0\n", "before table words complete"),
-    (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nPROG 400\n", "out of range"),
-    (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nPROG 2\nSUM_REDUCE 0\n", "inside PROG"),
-    (HEAD + "CELL 0 0\nREL 0 0 1 V0\n1\nTHRESH 4\n", "missing its PROG"),
+    (HEAD + "CELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\nPROG 2\n",
+     "line 8: unknown record 'PROG'"),
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1\n", "REL record incomplete"),
     (HEAD + "CELL 0 0\nTHRESH -1\n", "threshold must be >= 0"),
     (HEAD + "CELL 0 0\nGIBBS_PERIOD 0 0\n", "bad GIBBS_PERIOD values"),
@@ -160,3 +127,32 @@ def test_parse_error_catalog():
 
 def test_gibbs_var_cost():
     assert [image.gibbs_var_cost(n) for n in (0, 1, 3)] == [2, 4, 8]
+
+
+def test_relation_cost_admits_five_scope_positions():
+    assert [image.relation_cost(k) for k in (1, 2, 5, 6)] == [2, 8, 50, 72]
+    assert image.relation_cost(5) <= image.MAX_PROGRAM_OPS < image.relation_cost(6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_seed=st.integers(0, 10 ** 6), tree=st.booleans(),
+       mode=st.sampled_from((SUMPROD, MINSUM, GIBBS)),
+       evidence_seed=st.integers(0, 10 ** 6), place_seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_images_round_trip_and_load(graph_seed, tree, mode, evidence_seed,
+                                             place_seed):
+    if tree:
+        graph = gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10, card_hi=4)
+    else:
+        graph = gen.random_builtin_graph(graph_seed)
+    pick = random.Random(evidence_seed)
+    graph = with_evidence(graph, {v.id: pick.randrange(v.cardinality)
+                                  for v in graph.variables if pick.random() < 0.2})
+    caps = Capacities(var_slots=2, rel_slots=16, shadow_slots=64, table_words=4096)
+    try:
+        img, _ = compile_graph(graph, mode, grid=(4, 4), seed=place_seed,
+                               capacities=caps, epochs=2)
+    except MapperError:
+        reject()
+    text = dumps(img)
+    assert dumps(parse_image(text)) == text
+    Machine(text, capacities=caps)

@@ -1,20 +1,36 @@
-"""Lowered relation kernels against a nested-loop reading of the micro-ops.
+"""Generated relation kernels against a nested-loop reading of the update.
 
-The reference below follows the micro-op semantics in `image.py` one op at a
-time on a dict of accumulator cells, using the scalar `fixedpoint`
-functions; the machine runs the same program through the kernel it lowered
-at load.  Both must give the same words for any shape, table and inputs.
+A relation's update is fixed by its mode and scope.  `standard_program`
+writes it out as the op list the compiler once emitted, and `reference`
+interprets that list one op at a time on a dict of accumulator cells, using
+the scalar `fixedpoint` functions; the machine runs the kernel it generated
+at load from the scope's shape.  Both must give the same words for any
+shape, table and inputs.
 """
 
 import itertools
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from factormesh import fixedpoint as fp
-from factormesh.image import MINSUM, SUMPROD, format_op
-from factormesh.machine import Machine, MachineError
+from factormesh.image import MINSUM, SUMPROD
+from factormesh.machine import Machine
+
+
+def standard_program(mode, k):
+    """The update of a k-position relation as ops: for every output j, load
+    the table, combine every other position i with its own input in
+    ascending i, reduce those positions and normalize to j."""
+    combine, reduce = ("MUL", "SUM_REDUCE") if mode == SUMPROD else ("ADD", "MAX_REDUCE")
+    prog = []
+    for j in range(k):
+        others = [i for i in range(k) if i != j]
+        prog.append(("LOAD_TABLE_SLICE",))
+        prog += [(combine, i, i) for i in others]
+        prog += [(reduce, i) for i in others]
+        prog.append(("NORMALIZE", j))
+    return prog
 
 
 def reference(shape, table, inputs, prog, linear):
@@ -45,67 +61,37 @@ def reference(shape, table, inputs, prog, linear):
     return outs
 
 
-def one_relation_image(mode, shape, table, prog):
-    lines = ["FMIMG 1", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+def one_relation_image(mode, shape, table):
+    lines = ["FMIMG 2", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
     lines += ["VAR %d %d %d" % (p, p, c) for p, c in enumerate(shape)]
     lines.append("REL 0 0 %d %s" % (len(table),
                                     " ".join("V%d" % p for p in range(len(shape)))))
     lines.append(" ".join(str(w) for w in table))
-    lines.append("PROG %d" % len(prog))
-    lines += [format_op(op) for op in prog]
     return "\n".join(lines) + "\n"
 
 
 @st.composite
 def relations(draw):
-    """A mode, a shape and a converging program in the compiler's form, with
-    the outputs, the combine operands and the reductions in random order."""
+    """A mode, a scope shape, table words and one input vector per scope
+    position, drawn across the mode's whole word range."""
     mode = draw(st.sampled_from([SUMPROD, MINSUM]))
-    linear = mode == SUMPROD
     shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
-    k = len(shape)
-    combine, reduce = ("MUL", "SUM_REDUCE") if linear else ("ADD", "MAX_REDUCE")
-    prog = []
-    for j in draw(st.permutations(range(k))):
-        others = [i for i in range(k) if i != j]
-        prog.append(("LOAD_TABLE_SLICE", None))
-        for axis in draw(st.permutations(others)):
-            # any scope position whose domain fits the axis can feed it
-            src = draw(st.sampled_from([p for p in range(k)
-                                        if shape[p] == shape[axis]]))
-            prog.append((combine, axis, src))
-        for axis in draw(st.permutations(others)):
-            prog.append((reduce, axis))
-        prog.append(("NORMALIZE", j))
-    lo, hi = (0, fp.U16_MAX) if linear else (fp.Q88_MIN, fp.Q88_MAX)
+    lo, hi = (0, fp.U16_MAX) if mode == SUMPROD else (fp.Q88_MIN, fp.Q88_MAX)
     words = st.integers(lo, hi)
     size = math.prod(shape)
     table = draw(st.lists(words, min_size=size, max_size=size))
     inputs = [tuple(draw(st.lists(words, min_size=c, max_size=c))) for c in shape]
-    return mode, shape, table, prog, inputs
+    return mode, shape, table, inputs
 
 
 @settings(max_examples=300, deadline=None)
 @given(relations())
 def test_kernel_matches_nested_loop_reference(case):
-    mode, shape, table, prog, inputs = case
-    m = Machine(one_relation_image(mode, shape, table, prog))
+    mode, shape, table, inputs = case
+    m = Machine(one_relation_image(mode, shape, table))
     rel = m.cells[(0, 0)].rels[0]
     for p, vec in enumerate(inputs):
         m.var_owner[p].out_msgs[rel.fid] = vec
-    want = reference(shape, table, inputs, prog, mode == SUMPROD)
-    assert m._exec_program(rel) == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(relations(), st.data())
-def test_normalize_before_all_reductions_is_rejected(case, data):
-    mode, shape, table, prog, _ = case
-    reductions = [i for i, op in enumerate(prog) if op[0].endswith("_REDUCE")]
-    if not reductions:
-        return
-    drop = data.draw(st.sampled_from(reductions))
-    with pytest.raises(MachineError) as err:
-        Machine(one_relation_image(mode, shape, table,
-                                   prog[:drop] + prog[drop + 1:]))
-    assert "before reducing other axes" in str(err.value)
+    want = reference(shape, table, inputs, standard_program(mode, len(shape)),
+                     mode == SUMPROD)
+    assert m._exec_relation(rel) == want

@@ -194,7 +194,7 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 1
+FMIMG 2
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
@@ -388,6 +388,25 @@ def test_output_noise_random_rounding():
     assert raw(clean) != raw(noisy)
 
 
+def test_verify_quiescent_leaves_a_noisy_run_unchanged():
+    # the probe recomputes every message without noise, so the continued
+    # run draws the same noise words as one that was never probed
+    bench = apps.build_sudoku()
+    image, _ = compile_graph(bench.graph, "MINSUM", grid=bench.grid, seed=0, epochs=5)
+    text = dumps(image)
+    runs = []
+    for probe in (False, True):
+        m = Machine(text, trace=True, noise_lsbs=2)
+        m.run_until_quiescent(300)
+        if probe:
+            m.verify_quiescent()
+        stats, _ = m.run_until_quiescent(600)
+        beliefs, _ = m.read_beliefs()
+        runs.append((stats.text(), m.trace_text(), apps.write_results(beliefs),
+                     m._noise_ctr))
+    assert runs[0] == runs[1]
+
+
 # -- end to end on a real workload --------------------------------------------
 
 def test_machine_decodes_a_clean_codeword():
@@ -402,140 +421,93 @@ def test_machine_decodes_a_clean_codeword():
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+    ("""FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
 VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
      "too many variable slots"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 0 1 2\n",
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 0 1 2\n",
      "duplicate variable slot"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 0 2\n",
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 0 2\n",
      "owned by two cells"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 17\n",
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 17\n",
      "cardinality above limit"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V9\n1 1\nPROG 0\n",
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V9\n1 1\n",
      "dangling variable slot V9"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 H3\n1 1\nPROG 0\n",
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 H3\n1 1\n",
      "dangling shadow slot H3"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 3 V0\n1 1 1\nPROG 0\n",
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 3 V0\n1 1 1\n",
      "table has 3 words, scope needs 2"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VALUE\nCELL 0 1\nVAR 0 1 2\n",
      "has no producer"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 1 2\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 1 2\n"
      "WIRE 0 0 0 0 1 3\n",
      "destination slot 3 is not a shadow"),
-    ("FMIMG 1\nGRID 1 3\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 2\nGRID 1 3\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VTOF 0\nCELL 0 1\nVAR 0 9 2\nCELL 0 2\nVAR 0 1 2\n"
      "WIRE 1 0 1 0 0 0\n",
      "wire source does not own variable 1"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n",
+    ("FMIMG 2\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n",
      "no resample period"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 1\nMUL 0 IN5\n",
-     "operand out of range"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n70000 1\nPROG 0\n",
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n-40000 0\nPROG 0\n",
+    ("FMIMG 2\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 2 V0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 1\nNORMALIZE OUT0\n",
-     "NORMALIZE before LOAD_TABLE_SLICE"),
-    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 2\n"
-     "REL 0 0 4 V0 V1\n0 0 0 0\nPROG 2\nLOAD_TABLE_SLICE\nMUL 1 IN1\n",
-     "MUL in a MINSUM program"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 2\n"
-     "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 3\nLOAD_TABLE_SLICE\nSUM_REDUCE 1\n"
-     "MUL 0 IN0\n",
-     "MUL after a reduction"),
-    ("""FMIMG 1\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"""
-     """SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n1 1 1 1\n"""
-     """PROG 2\nLOAD_TABLE_SLICE 1\nMUL COND\nGIBBS_PERIOD 10 0\n"""
-     """CELL 0 1\nVAR 0 1 2\nGIBBS_PERIOD 10 5\nWIRE 1 0 1 0 0 0\n""",
-     "LOAD_TABLE_SLICE 1 slices a shadow position"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 1\nMUL COND\nGIBBS_PERIOD 10 0\n",
-     "relation 0: MUL COND before LOAD_TABLE_SLICE"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 2\n"
-     "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 2\nLOAD_TABLE_SLICE 0\nMUL 1 IN1\n"
-     "GIBBS_PERIOD 10 0\n",
-     "relation 0: MUL in a GIBBS program"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 1\nSUM_REDUCE 0\nGIBBS_PERIOD 10 0\n",
-     "relation 0: SUM_REDUCE in a GIBBS program"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nMUL COND\nGIBBS_PERIOD 10 0\n",
-     "LOAD_TABLE_SLICE needs an axis in a GIBBS program"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 1\nLOAD_TABLE_SLICE 0\nGIBBS_PERIOD 10 0\n",
-     "LOAD_TABLE_SLICE 0 is not followed by MUL COND"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 3\nMUL COND\nLOAD_TABLE_SLICE\nNORMALIZE OUT0\n",
-     "relation 0: MUL COND in a SUMPROD program"),
-    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n0 0\nPROG 3\nLOAD_TABLE_SLICE\nMUL COND\nNORMALIZE OUT0\n",
-     "relation 0: MUL COND in a MINSUM program"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE 0\nNORMALIZE OUT0\n",
-     "relation 0: LOAD_TABLE_SLICE 0 has an axis in a SUMPROD program"),
-    ("FMIMG 1\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n0 0\nPROG 2\nLOAD_TABLE_SLICE 0\nNORMALIZE OUT0\n",
-     "relation 0: LOAD_TABLE_SLICE 0 has an axis in a MINSUM program"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 1 1 3\n"
-     "REL 0 0 6 V0 V1\n1 1 1 1 1 1\nPROG 2\nLOAD_TABLE_SLICE\nMUL 0 IN1\n",
-     "relation 0: input 1 does not fit axis 0"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nSUM_REDUCE 1\n",
-     "relation 0: reduce axis out of range"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nSUM_REDUCE -1\n",
-     "relation 0: reduce axis out of range"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nNORMALIZE OUT1\n",
-     "relation 0: output position out of range"),
-    ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE\nMUL -1 IN0\n",
-     "relation 0: operand out of range in MUL"),
-    ("FMIMG 1\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n1 1\nPROG 2\nLOAD_TABLE_SLICE -1\nMUL COND\nGIBBS_PERIOD 10 0\n",
-     "relation 0: slice axis out of range"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 1\nREL 0 0 4 V0 H0\n1 1 1 1\nPROG 0\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 1\nREL 0 0 4 V0 H0\n1 1 1 1\n"
      "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
      "relation 0 reads a shadow bound to relation 1"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 FTOV 0\nCELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\nPROG 0\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 FTOV 0\nCELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n"
      "WIRE 1 0 1 0 0 0\n",
      "FTOV shadow of 1 must sit in the owning cell"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 0 2 0 1 FTOV 5\nCELL 0 1\nVAR 0 1 2\nWIRE 0 0 1 0 0 0\n",
      "wire source has no relation 5"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n65535 0 0 65535\nPROG 4\n"
-     "LOAD_TABLE_SLICE\nMUL 1 IN1\nSUM_REDUCE 1\nNORMALIZE OUT0\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n65535 0 0 65535\n"
      "CELL 0 1\nVAR 0 1 2 EVIDENCE 1\nWIRE 1 0 1 0 0 0\n",
      "cell (0, 0): a SUMPROD machine feeds no VALUE shadows"),
-    ("FMIMG 1\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 2\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VTOF 0\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 0 1 2\n"
      "GIBBS_PERIOD 10 5\nWIRE 1 0 1 0 0 0\n",
      "cell (0, 0): a GIBBS machine feeds no VTOF shadows"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 3 0 1 VTOF 0\nREL 0 0 6 V0 H0\n1 1 1 1 1 1\nPROG 4\n"
-     "LOAD_TABLE_SLICE\nMUL 1 IN1\nSUM_REDUCE 1\nNORMALIZE OUT0\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 3 0 1 VTOF 0\nREL 0 0 6 V0 H0\n1 1 1 1 1 1\n"
      "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
      "shadow of variable 1 has cardinality 3, the variable has 2"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 2\n"
-     "PROG 2\nLOAD_TABLE_SLICE\nNORMALIZE OUT0\nCELL 0 1\nVAR 0 1 2\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 2\n"
+     "CELL 0 1\nVAR 0 1 2\n"
      "SHADOW 0 1 2 0 0 FTOV 0\nWIRE 1 0 0 0 1 0\n",
      "wire source has no relation 0 sending to variable 1"),
-    ("FMIMG 1\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\nPROG 4\n"
-     "LOAD_TABLE_SLICE\nMUL 0 IN0\nSUM_REDUCE 0\nNORMALIZE OUT1\n"
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\n"
      "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
      "relation 0: no wire carries its message to variable 1"),
+    # six positions would cost 72 cycles per update
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "REL 0 0 64 V0 V0 V0 V0 V0 V0\n" + "1 " * 64 + "\n",
+     "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
+    # a converging factor id names one relation of the machine ...
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
+     "CELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n",
+     "cell (0, 1): factor id 0 names a second relation"),
+    ("FMIMG 2\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\nREL 0 3 2 V0\n0 0\n"
+     "REL 1 3 2 V0\n0 0\n",
+     "cell (0, 0): factor id 3 names a second relation"),
+    # ... and a GIBBS one a relation per cell
+    ("FMIMG 2\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
+     "REL 1 0 2 V0\n1 1\nGIBBS_PERIOD 10 0\n",
+     "cell (0, 0): factor id 0 names a second relation"),
+    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\n"
+     "CELL 0 1\nVAR 0 1 2\nSHADOW 0 1 2 0 0 FTOV 0\n"
+     "WIRE 1 0 1 0 0 0\nWIRE 1 0 0 0 1 0\nWIRE 1 0 1 0 0 0\n",
+     "cell (0, 0): shadow slot 0 has a second wire"),
 ]
 
 
@@ -544,15 +516,6 @@ def test_build_error_catalog():
         with pytest.raises(MachineError) as err:
             Machine(text)
         assert needle in str(err.value), "wanted %r in %r" % (needle, str(err.value))
-
-
-def test_program_must_reduce_before_normalize():
-    text = ("FMIMG 1\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
-            "VAR 0 0 2\nVAR 1 1 2\n"
-            "REL 0 0 4 V0 V1\n1 1 1 1\nPROG 2\nLOAD_TABLE_SLICE\nNORMALIZE OUT0\n")
-    with pytest.raises(MachineError) as err:
-        Machine(text)
-    assert "before reducing other axes" in str(err.value)
 
 
 def test_relations_with_one_shape_and_program_share_a_kernel():
@@ -631,6 +594,19 @@ def test_mutated_images_fail_only_with_load_errors(data):
         m.read_beliefs()
     except (MachineError, ImageError):
         pass
+
+
+def test_fuzz_image_with_a_reused_factor_id_or_a_repeated_wire_fails_to_load():
+    text = fuzz_images()[0]
+    # relation 1 renamed to 0 would overwrite relation 0's message to
+    # variable 0
+    assert "REL 1 1 2 V0\n" in text
+    with pytest.raises(MachineError, match="factor id 0 names a second relation"):
+        Machine(text.replace("REL 1 1 2 V0\n", "REL 1 0 2 V0\n"))
+    # a second copy of a wire would deliver every packet on it twice
+    first_wire = next(line for line in text.splitlines() if line.startswith("WIRE"))
+    with pytest.raises(MachineError, match="shadow slot 1 has a second wire"):
+        Machine(text + first_wire + "\n")
 
 
 def test_fuzz_images_run_unmutated():
