@@ -1,8 +1,8 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 2`), one record per line, `#` comments:
+Text format (version header `FMIMG 3`), one record per line, `#` comments:
 
-    FMIMG 2
+    FMIMG 3
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
@@ -13,17 +13,18 @@ Text format (version header `FMIMG 2`), one record per line, `#` comments:
     <nwords integer table words on following lines>
     THRESH <lsb>                          per-cell packet gate threshold
     GIBBS_PERIOD <period> <phase>         resample timing (GIBBS mode)
-    WIRE <var_id> <src_r> <src_c> <dst_r> <dst_c> <dst_slot>
 
-Shadow roles: VTOF f holds the variable's message into factor f, FTOV f holds
-factor f's message to the variable, VALUE holds the variable's sampled value.
-SUMPROD and MINSUM machines feed only VTOF and FTOV shadows, GIBBS machines
-only VALUE shadows; the machine rejects any other role at load.  A shadow's
-cardinality is its variable's, and one WIRE feeds it.  An FTOV f shadow sits
-in the variable's cell and is wired from a cell whose relation f sends the
-variable a message, and every such message needs that wire.  Table words are
-quantized integers (u16 for LINEAR-domain modes, raw Q8.8 for MINSUM).
-Unknown records are load errors; nothing is skipped silently.
+A shadow slot is its wire: one link from its producer cell `src` into that
+slot, carrying the variable `var_id`.  Shadow roles: VTOF f holds the
+variable's message into factor f, FTOV f holds factor f's message to the
+variable, VALUE holds the variable's sampled value.  SUMPROD and MINSUM
+machines feed only VTOF and FTOV shadows, GIBBS machines only VALUE shadows;
+the machine rejects any other role at load.  A shadow's cardinality is its
+variable's.  An FTOV f shadow sits in the variable's cell and names a
+producer whose relation f sends the variable a message, and every such
+message needs that shadow.  Table words are quantized integers (u16 for
+LINEAR-domain modes, raw Q8.8 for MINSUM).  Unknown records are load
+errors; nothing is skipped silently.
 
 A relation carries no program: its mode and scope fix what it computes.  In
 SUMPROD and MINSUM a factor id names one relation of the machine, which
@@ -33,7 +34,7 @@ and the vector normalized.  The semiring is the mode's: multiply and sum in
 SUMPROD, add and max in MINSUM.  An update of k positions costs
 `relation_cost(k)` cycles (per output, one table load, k - 1 combines, k - 1
 reductions and a normalize), and the machine rejects a relation costing more
-than MAX_PROGRAM_OPS.  In GIBBS a factor id names at most one relation per
+than MAX_UPDATE_CYCLES.  In GIBBS a factor id names at most one relation per
 cell.  On each tick, for every free variable at a scope position j of a
 relation in its cell, the table words along axis j with every other position
 at its current value (a local variable's sample or a VALUE shadow's last
@@ -56,7 +57,7 @@ FTOV = "FTOV"
 VALUE = "VALUE"
 
 # cycle budget of one converging relation update
-MAX_PROGRAM_OPS = 64
+MAX_UPDATE_CYCLES = 64
 
 # default packet gate, in LSBs of the mode's message format
 DEFAULT_THRESH_LINEAR = 256
@@ -144,7 +145,14 @@ class MachineImage:
     mode: str
     seed: int
     cells: dict = field(default_factory=dict)   # (r, c) -> CellImage
-    wires: list = field(default_factory=list)
+
+    @property
+    def wires(self) -> list:
+        """One Wire per shadow slot, from its `src` cell into the slot, in
+        (cell coordinate, slot) order."""
+        return [Wire(sh.var_id, sh.src, coord, sh.slot)
+                for coord in sorted(self.cells)
+                for sh in sorted(self.cells[coord].shadow_slots, key=lambda s: s.slot)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +160,7 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 2",
+    lines = ["FMIMG 3",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -180,9 +188,6 @@ def dumps(image: MachineImage) -> str:
             lines.append("THRESH %d" % cell.thresh)
         if cell.gibbs_period is not None:
             lines.append("GIBBS_PERIOD %d %d" % (cell.gibbs_period, cell.gibbs_phase))
-    for w in sorted(image.wires, key=lambda w: (w.var_id, w.src, w.dst, w.dst_slot)):
-        lines.append("WIRE %d %d %d %d %d %d" % (w.var_id, w.src[0], w.src[1],
-                                                 w.dst[0], w.dst[1], w.dst_slot))
     return "\n".join(lines) + "\n"
 
 
@@ -224,13 +229,12 @@ def _ints(toks, n, line, what):
 def parse_image(text: str) -> MachineImage:
     src = _Lines(text)
     toks, line = src.next_payload()
-    if toks is None or toks[:2] != ["FMIMG", "2"]:
-        raise ImageError("line %d: expected FMIMG 2 header" % line)
+    if toks is None or toks[:2] != ["FMIMG", "3"]:
+        raise ImageError("line %d: expected FMIMG 3 header" % line)
     grid = None
     mode = None
     seed = 0
     cells = {}
-    wires = []
     cur: Optional[CellImage] = None
     pending_rel: Optional[RelSlot] = None
     pending_words = 0
@@ -334,9 +338,6 @@ def parse_image(text: str) -> MachineImage:
                 raise ImageError("line %d: bad GIBBS_PERIOD values" % line)
             cur.gibbs_period = p
             cur.gibbs_phase = ph
-        elif head == "WIRE":
-            vid, sr, sc, dr, dc, slot = _ints(toks[1:], 6, line, "WIRE")
-            wires.append(Wire(vid, (sr, sc), (dr, dc), slot))
         else:
             raise ImageError("line %d: unknown record %r" % (line, head))
 
@@ -346,4 +347,4 @@ def parse_image(text: str) -> MachineImage:
         raise ImageError("missing GRID record")
     if mode is None:
         raise ImageError("missing MODE record")
-    return MachineImage(grid, mode, seed, cells, wires)
+    return MachineImage(grid, mode, seed, cells)

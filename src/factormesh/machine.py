@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import fixedpoint as fp
-from .image import (MachineImage, MAX_PROGRAM_OPS, DEFAULT_CAPACITIES,
+from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
                     DEFAULT_THRESH_LINEAR, DEFAULT_THRESH_LOG, gibbs_var_cost,
                     relation_cost, MINSUM, GIBBS, VTOF, FTOV, VALUE,
                     Capacities, parse_image)
@@ -103,21 +103,19 @@ class _Var:
 
 
 class _Shadow:
-    __slots__ = ("cell", "slot", "vid", "card", "src", "role", "fid",
-                 "data", "value", "consumers", "wired")
+    __slots__ = ("cell", "slot", "vid", "card", "role", "fid",
+                 "data", "value", "consumers")
 
-    def __init__(self, cell, slot, vid, card, src, role, fid):
+    def __init__(self, cell, slot, vid, card, role, fid):
         self.cell = cell
         self.slot = slot
         self.vid = vid
         self.card = card
-        self.src = src
         self.role = role
         self.fid = fid
         self.data = None        # message tuple (VTOF / FTOV)
         self.value = 0          # domain value (VALUE)
         self.consumers = []     # rels reading this slot
-        self.wired = False
 
 
 class _Rel:
@@ -345,8 +343,7 @@ class Machine:
                                        % (ci.r, ci.c, sh.slot))
                 if sh.card > cap.max_cardinality:
                     raise MachineError("shadow of %d: cardinality above limit" % sh.var_id)
-                shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card,
-                                 sh.src, sh.role, sh.fid)
+                shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card, sh.role, sh.fid)
                 shadow.data = self._uniform(sh.card)
                 hslots[sh.slot] = ("h", shadow)
                 cell.shadows[sh.slot] = shadow
@@ -381,11 +378,11 @@ class Machine:
                 words += len(rs.table)
                 rel = _Rel(cell, rs.slot, rs.factor_id, refs, shape, tuple(rs.table))
                 if self.mode != GIBBS:
-                    if rel.cost > MAX_PROGRAM_OPS:
+                    if rel.cost > MAX_UPDATE_CYCLES:
                         raise MachineError("relation %d: an update of %d scope positions "
                                            "costs %d cycles, above %d" % (
                                                rel.fid, len(shape), rel.cost,
-                                               MAX_PROGRAM_OPS))
+                                               MAX_UPDATE_CYCLES))
                     rel.kernel = _kernel(self.mode, shape)
                 # a factor id names one relation, or one per cell in GIBBS
                 owner = cell.cid if self.mode == GIBBS else None
@@ -414,27 +411,17 @@ class Machine:
                     var.key = stream_key(self.seed, var.vid)
                     cell.tick_cost += gibbs_var_cost(len(var.terms))
 
-        # wire index: quantity key -> list of (dst cell, dst slot, hops)
+        # wire index: quantity key -> list of (dst cell, dst slot, hops),
+        # one wire per shadow slot from the cell its SHADOW record names
         self.wire_index = {}
         self.last_sent = {}
         for w in image.wires:
-            dst = self.cells.get(tuple(w.dst))
+            dst = self.cells[w.dst]
             src = self.cells.get(tuple(w.src))
-            if dst is None or src is None:
+            if src is None:
                 raise MachineError("wire for variable %d references a cell with no config"
                                    % w.var_id)
-            shadow = dst.shadows.get(w.dst_slot)
-            if shadow is None:
-                raise MachineError("wire for variable %d: destination slot %d is not a shadow"
-                                   % (w.var_id, w.dst_slot))
-            if shadow.wired:
-                raise MachineError("cell (%d, %d): shadow slot %d has a second wire"
-                                   % (dst.r, dst.c, w.dst_slot))
-            if shadow.vid != w.var_id:
-                raise MachineError("wire/shadow variable mismatch at slot %d" % w.dst_slot)
-            if shadow.src != tuple(w.src):
-                raise MachineError("shadow for variable %d expects a different producer"
-                                   % w.var_id)
+            shadow = dst.shadows[w.dst_slot]
             # sampling cells send only values, converging cells only messages
             if (shadow.role == VALUE) != (self.mode == GIBBS):
                 raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
@@ -458,15 +445,9 @@ class Machine:
             if shadow.card != owner.card:
                 raise MachineError("shadow of variable %d has cardinality %d, the "
                                    "variable has %d" % (w.var_id, shadow.card, owner.card))
-            shadow.wired = True
             self.wire_index.setdefault(key, []).append(
                 (dst, w.dst_slot, abs(w.src[0] - w.dst[0]) + abs(w.src[1] - w.dst[1])))
 
-        for cell in self.cells.values():
-            for shadow in cell.shadows.values():
-                if not shadow.wired:
-                    raise MachineError("shadow of variable %d in cell (%d, %d) has no producer"
-                                       % (shadow.vid, cell.r, cell.c))
         # GIBBS cells publish sampled values, never messages or beliefs
         if self.mode == GIBBS:
             return
@@ -815,7 +796,6 @@ class Machine:
         MachineError naming the variable, because no distribution can be
         read from it."""
         beliefs = {}
-        assignment = {}
         for vid in sorted(self.var_owner):
             var = self.var_owner[vid]
             if self.mode == GIBBS:
@@ -824,7 +804,6 @@ class Machine:
                     raise MachineError("variable %d: no samples yet (run at least "
                                        "one tick before reading beliefs)" % vid)
                 beliefs[vid] = [c / total for c in var.counts]
-                assignment[vid] = var.value
             else:
                 if self.linear:
                     if not any(var.belief):
@@ -838,12 +817,7 @@ class Machine:
                     vec = [math.exp((x - anchor) / fp.Q88_ONE) for x in var.belief]
                 s = sum(vec)
                 beliefs[vid] = [x / s for x in vec]
-                best = 0
-                for a in range(1, var.card):
-                    if var.belief[a] > var.belief[best]:
-                        best = a
-                assignment[vid] = best
-        return beliefs, assignment
+        return beliefs, self.read_assignment()
 
     def read_assignment(self):
         """Per-variable argmax (or the sampled value in GIBBS mode), without

@@ -16,9 +16,9 @@ from typing import Optional
 from . import fixedpoint as fp
 from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
-from .image import (MachineImage, CellImage, VarSlot, ShadowSlot, RelSlot, Wire,
+from .image import (MachineImage, CellImage, VarSlot, ShadowSlot, RelSlot,
                     Capacities, DEFAULT_CAPACITIES, DEFAULT_THRESH_LINEAR,
-                    DEFAULT_THRESH_LOG, MAX_PROGRAM_OPS, gibbs_var_cost, relation_cost,
+                    DEFAULT_THRESH_LOG, MAX_UPDATE_CYCLES, gibbs_var_cost, relation_cost,
                     SUMPROD, MINSUM, GIBBS, VTOF, FTOV, VALUE)
 
 
@@ -40,16 +40,6 @@ def _default_epsilon(mode: str) -> float:
 # lowering
 # ---------------------------------------------------------------------------
 
-def _max_arity(mode: str) -> int:
-    # a converging update costs relation_cost(arity) cycles
-    if mode == GIBBS:
-        return MAX_PROGRAM_OPS // 2
-    k = 1
-    while relation_cost(k + 1) <= MAX_PROGRAM_OPS:
-        k += 1
-    return k
-
-
 def lower(graph: FactorGraph, epsilon: float = 0.0,
           capacities: Capacities = DEFAULT_CAPACITIES,
           mode: str = SUMPROD) -> FactorGraph:
@@ -63,15 +53,16 @@ def lower(graph: FactorGraph, epsilon: float = 0.0,
     variables = list(graph.variables)
     factors = []
     seen_pairs = set()
-    arity_cap = _max_arity(mode)
 
     def add(scope, table):
         scope = tuple(scope)
-        if len(scope) > arity_cap:
+        # a converging update costs relation_cost(arity) cycles; the table
+        # memory alone bounds a GIBBS factor
+        if mode != GIBBS and relation_cost(len(scope)) > MAX_UPDATE_CYCLES:
             raise MapperError("factor over %d variables costs %d cycles per "
                               "update; limit is %d" % (len(scope),
                                                        relation_cost(len(scope)),
-                                                       MAX_PROGRAM_OPS))
+                                                       MAX_UPDATE_CYCLES))
         words = len(table)
         if words > capacities.table_words:
             raise MapperError("factor table of %d words exceeds cell memory (%d)"
@@ -411,7 +402,6 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         return tables[fid]
 
     cells = {}
-    wires = []
     if mode == GIBBS:
         delta, period = _gibbs_timing(placement.grid, clusters, graph, cvar)
     for ci, cl in enumerate(clusters):
@@ -429,10 +419,8 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
             if key in shadow_slot:
                 return shadow_slot[key]
             s = len(cell.shadow_slots)
-            src = coords[src_cluster]
             cell.shadow_slots.append(ShadowSlot(s, vid, graph.cardinality(vid),
-                                                src, role, fid))
-            wires.append(Wire(vid, src, coord, s))
+                                                coords[src_cluster], role, fid))
             shadow_slot[key] = s
             return s
 
@@ -464,7 +452,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                 or len(cell.shadow_slots) > cap.shadow_slots
                 or nwords > cap.table_words):
             raise MapperError("cluster %d exceeds cell capacity" % ci)
-    return MachineImage(placement.grid, mode, seed, cells, wires)
+    return MachineImage(placement.grid, mode, seed, cells)
 
 
 def _gibbs_timing(grid, clusters, graph, cvar):

@@ -169,7 +169,7 @@ def equality_pair_image(role="VTOF 0", card=2, ftov=0):
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0."""
     table = " ".join("65535" if a == b else "0"
                      for a in range(2) for b in range(card))
-    return """FMIMG 2
+    return """FMIMG 3
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
@@ -182,8 +182,6 @@ REL 1 1 2 V0
 CELL 0 1
 VAR 0 1 2 EVIDENCE 1
 SHADOW 0 1 2 0 0 FTOV %d
-WIRE 1 0 0 0 1 0
-WIRE 1 0 1 0 0 0
 """ % (card, role, 2 * card, table, ftov)
 
 
@@ -218,15 +216,18 @@ def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
 
 def test_run_rejects_the_old_image_format(tmp_path, capsys):
     current = equality_pair_image()
-    old = write(tmp_path, "old.fmimg", current.replace("FMIMG 2", "FMIMG 1"))
-    code, stdout, stderr = run_cli(capsys, "run", old)
-    assert code == 2 and stdout == ""
-    assert "error: " in stderr and "line 1: expected FMIMG 2 header" in stderr
-    prog = write(tmp_path, "prog.fmimg",
-                 current.replace("65535 65535\n", "65535 65535\nPROG 2\n"))
-    code, stdout, stderr = run_cli(capsys, "run", prog)
-    assert code == 2 and stdout == ""
-    assert "line 11: unknown record 'PROG'" in stderr
+    # the formats before relations lost their programs and before shadows
+    # named their own wires
+    for old, new, message in [
+            ("FMIMG 3", "FMIMG 1", "line 1: expected FMIMG 3 header"),
+            ("FMIMG 3", "FMIMG 2", "line 1: expected FMIMG 3 header"),
+            ("65535 65535\n", "65535 65535\nPROG 2\n", "line 11: unknown record 'PROG'"),
+            ("FTOV 0\n", "FTOV 0\nWIRE 1 0 0 0 1 0\n", "line 14: unknown record 'WIRE'")]:
+        assert old in current
+        image = write(tmp_path, "old.fmimg", current.replace(old, new))
+        code, stdout, stderr = run_cli(capsys, "run", image)
+        assert code == 2 and stdout == ""
+        assert "error: " in stderr and message in stderr, (message, stderr)
 
 
 # -- golden -------------------------------------------------------------------

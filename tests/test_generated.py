@@ -17,7 +17,7 @@ import gen
 from test_kernel import reference, standard_program
 from factormesh import fixedpoint as fp
 from factormesh.graph import with_evidence
-from factormesh.image import (MAX_PROGRAM_OPS, MINSUM, SUMPROD, Capacities, dumps,
+from factormesh.image import (MAX_UPDATE_CYCLES, MINSUM, SUMPROD, Capacities, dumps,
                               relation_cost)
 from factormesh.machine import Machine
 from factormesh.mapper import MapperError, compile_graph
@@ -160,10 +160,10 @@ def test_widest_relation_table_generates_and_matches():
     # cardinalities that fill the 512 table words of one cell
     caps = Capacities(var_slots=5)
     shape = (4, 4, 4, 4, 2)
-    assert relation_cost(len(shape)) <= MAX_PROGRAM_OPS < relation_cost(len(shape) + 1)
+    assert relation_cost(len(shape)) <= MAX_UPDATE_CYCLES < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 2", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines = ["FMIMG 3", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
         lines += ["VAR %d %d %d%s" % (p, p, card, " EVIDENCE %d" % (p % 2)
                                       if p in (1, 4) else "")
                   for p, card in enumerate(shape)]
@@ -190,13 +190,11 @@ def star_image(mode, thresh):
     each of which fills its variable, shadow and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 2", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
-    wires = []
+    lines = ["FMIMG 3", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
     for h, fid in enumerate(leaf_fids):
         col = 1 + h // caps.rel_slots
         lines.append("SHADOW %d 0 3 0 %d FTOV %d" % (h, col, fid))
-        wires.append("WIRE 0 0 %d 0 0 %d" % (col, h))
     for fid in range(caps.rel_slots):
         lines += relation(fid, fid, ["V0"], words(mode, 3, rng))
     lines.append("THRESH %d" % thresh)
@@ -209,12 +207,11 @@ def star_image(mode, thresh):
         fids = leaf_fids[(col - 1) * caps.rel_slots:col * caps.rel_slots]
         for slot, fid in enumerate(fids):
             lines.append("SHADOW %d 0 3 0 0 VTOF %d" % (slot, fid))
-            wires.append("WIRE 0 0 0 0 %d %d" % (col, slot))
         for slot, fid in enumerate(fids):
             lines += relation(slot, fid, ["H%d" % slot, "V%d" % slot],
                               words(mode, 6, rng))
         lines.append("THRESH %d" % thresh)
-    return "\n".join(lines + wires) + "\n", caps
+    return "\n".join(lines) + "\n", caps
 
 
 def test_highest_variable_degree_generates_and_matches():

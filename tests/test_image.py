@@ -8,9 +8,10 @@ from hypothesis import given, reject, settings, strategies as st
 import gen
 from factormesh import image
 from factormesh.graph import with_evidence
-from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, ImageError, dumps,
+from factormesh import apps
+from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, ImageError, Wire, dumps,
                               parse_image)
-from factormesh.machine import Machine
+from factormesh.machine import Machine, MachineError
 from factormesh.mapper import MapperError, compile_graph
 
 
@@ -18,7 +19,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then records out of canonical order
-FMIMG 2
+FMIMG 3
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -37,8 +38,6 @@ REL 0 0 6 V0 H1
 8192 4096
 2048
 THRESH 256
-WIRE 1 0 1 0 0 1
-WIRE 0 0 0 0 1 5
 """
 
 
@@ -54,21 +53,22 @@ def test_parse_tolerates_comments_and_order():
     other = img.cells[(0, 1)]
     assert {(v.slot, v.var_id, v.card, v.evidence) for v in other.var_slots} == \
         {(0, 1, 3, 2), (1, 2, 2, None)}
+    # each shadow is one wire from its src cell, in (cell, slot) order
+    assert img.wires == [Wire(1, (0, 1), (0, 0), 0), Wire(1, (0, 1), (0, 0), 1)]
 
 
 def test_dumps_is_canonical_and_stable():
     img = parse_image(MESSY)
     text = dumps(img)
-    # sorted slots, sorted wires, and a second round trip changes nothing
+    # sorted slots, and a second round trip changes nothing
     assert text.index("VAR 0 1 3 EVIDENCE 2") < text.index("VAR 1 2 2")
     assert text.index("SHADOW 0 ") < text.index("SHADOW 1 ")
-    assert text.index("WIRE 0 ") < text.index("WIRE 1 ")
     assert dumps(parse_image(text)) == text
 
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 2", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 3", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 0 2",
         "SHADOW 0 1 2 0 0 VALUE",
@@ -84,18 +84,20 @@ def test_gibbs_records_round_trip():
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 2\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 3\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 2 header"),
-    ("FMIMG 3\nGRID 1 1\n", "expected FMIMG 2 header"),
-    # the format before relations lost their programs
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 2 header"),
-    ("FMIMG 2\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 2\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 2\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 2\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
-    ("FMIMG 2\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
+    ("GRID 1 1\n", "expected FMIMG 3 header"),
+    ("FMIMG 4\nGRID 1 1\n", "expected FMIMG 3 header"),
+    # the formats before relations lost their programs and before shadows
+    # named their own wires
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 3 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 3 header"),
+    ("FMIMG 3\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 3\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 3\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 3\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    ("FMIMG 3\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
     (HEAD + "CELL 2 0\n", "outside grid"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "VAR 0 0 2\n", "VAR outside a CELL"),
@@ -113,7 +115,7 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1\n", "REL record incomplete"),
     (HEAD + "CELL 0 0\nTHRESH -1\n", "threshold must be >= 0"),
     (HEAD + "CELL 0 0\nGIBBS_PERIOD 0 0\n", "bad GIBBS_PERIOD values"),
-    (HEAD + "WIRE 0 0 0 0 1\n", "WIRE needs 6 fields"),
+    (HEAD + "CELL 0 0\nVAR 0 0 2\nWIRE 0 0 0 0 1 0\n", "line 6: unknown record 'WIRE'"),
     (HEAD + "BLORB 1\n", "unknown record"),
 ]
 
@@ -131,7 +133,35 @@ def test_gibbs_var_cost():
 
 def test_relation_cost_admits_five_scope_positions():
     assert [image.relation_cost(k) for k in (1, 2, 5, 6)] == [2, 8, 50, 72]
-    assert image.relation_cost(5) <= image.MAX_PROGRAM_OPS < image.relation_cost(6)
+    assert image.relation_cost(5) <= image.MAX_UPDATE_CYCLES < image.relation_cost(6)
+
+
+# -- an image runs the same machine in memory and from its file ----------------
+
+def run_bytes(img, caps, ticks):
+    """Trace, stats and belief bytes of one run of the image."""
+    m = Machine(img, capacities=caps, trace=True)
+    if m.mode == GIBBS:
+        stats = m.run_ticks(ticks)
+    else:
+        stats, _ = m.run_until_quiescent(3000)
+    try:
+        beliefs = apps.write_results(m.read_beliefs()[0])
+    except MachineError as err:
+        beliefs = str(err)
+    return m.trace_text(), stats.text(), beliefs
+
+
+def test_an_image_and_its_file_run_the_same_machine():
+    # a GIBBS value is sent once per cell reading it, in the order of the
+    # variable's wires, which a compiled image and its text must share
+    bench = apps.build_coloring(apps.FIVE_CYCLE_EDGES, 3)
+    caps = Capacities(var_slots=1)
+    for seed in range(10):
+        img, _ = compile_graph(bench.graph, GIBBS, grid=(3, 3), seed=seed,
+                               capacities=caps)
+        assert run_bytes(img, caps, 200) == \
+            run_bytes(parse_image(dumps(img)), caps, 200), seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,4 +185,6 @@ def test_compiled_images_round_trip_and_load(graph_seed, tree, mode, evidence_se
         reject()
     text = dumps(img)
     assert dumps(parse_image(text)) == text
-    Machine(text, capacities=caps)
+    # and the text loads and runs the same machine as the compiled image
+    assert run_bytes(img, caps, 50) == run_bytes(parse_image(text), caps, 50)
+

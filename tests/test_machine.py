@@ -194,7 +194,7 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 2
+FMIMG 3
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
@@ -421,93 +421,83 @@ def test_machine_decodes_a_clean_codeword():
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+    ("""FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
 VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
      "too many variable slots"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 0 1 2\n",
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 0 1 2\n",
      "duplicate variable slot"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 0 2\n",
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 0 2\n",
      "owned by two cells"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 17\n",
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 17\n",
      "cardinality above limit"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 V9\n1 1\n",
      "dangling variable slot V9"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 H3\n1 1\n",
      "dangling shadow slot H3"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 3 V0\n1 1 1\n",
      "table has 3 words, scope needs 2"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VALUE\nCELL 0 1\nVAR 0 1 2\n",
-     "has no producer"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 1 2\n"
-     "WIRE 0 0 0 0 1 3\n",
-     "destination slot 3 is not a shadow"),
-    ("FMIMG 2\nGRID 1 3\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nCELL 0 1\nVAR 0 9 2\nCELL 0 2\nVAR 0 1 2\n"
-     "WIRE 1 0 1 0 0 0\n",
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 1 1 1\n",
+     "wire for variable 1 references a cell with no config"),
+    ("FMIMG 3\nGRID 1 3\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 VTOF 0\nCELL 0 1\nVAR 0 9 2\nCELL 0 2\nVAR 0 1 2\n",
      "wire source does not own variable 1"),
-    ("FMIMG 2\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n",
+    ("FMIMG 3\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n",
      "no resample period"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 V0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 2\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 2 V0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VTOF 1\nREL 0 0 4 V0 H0\n1 1 1 1\n"
-     "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
+     "CELL 0 1\nVAR 0 1 2\n",
      "relation 0 reads a shadow bound to relation 1"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 FTOV 0\nCELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n"
-     "WIRE 1 0 1 0 0 0\n",
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 1 2 0 1 FTOV 0\nCELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n",
      "FTOV shadow of 1 must sit in the owning cell"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 0 2 0 1 FTOV 5\nCELL 0 1\nVAR 0 1 2\nWIRE 0 0 1 0 0 0\n",
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 0 2 0 1 FTOV 5\nCELL 0 1\nVAR 0 1 2\n",
      "wire source has no relation 5"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n65535 0 0 65535\n"
-     "CELL 0 1\nVAR 0 1 2 EVIDENCE 1\nWIRE 1 0 1 0 0 0\n",
+     "CELL 0 1\nVAR 0 1 2 EVIDENCE 1\n",
      "cell (0, 0): a SUMPROD machine feeds no VALUE shadows"),
-    ("FMIMG 2\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VTOF 0\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 0 1 2\n"
-     "GIBBS_PERIOD 10 5\nWIRE 1 0 1 0 0 0\n",
+     "GIBBS_PERIOD 10 5\n",
      "cell (0, 0): a GIBBS machine feeds no VTOF shadows"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 3 0 1 VTOF 0\nREL 0 0 6 V0 H0\n1 1 1 1 1 1\n"
-     "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
+     "CELL 0 1\nVAR 0 1 2\n",
      "shadow of variable 1 has cardinality 3, the variable has 2"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 2\n"
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 2\n"
      "CELL 0 1\nVAR 0 1 2\n"
-     "SHADOW 0 1 2 0 0 FTOV 0\nWIRE 1 0 0 0 1 0\n",
+     "SHADOW 0 1 2 0 0 FTOV 0\n",
      "wire source has no relation 0 sending to variable 1"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\n"
-     "CELL 0 1\nVAR 0 1 2\nWIRE 1 0 1 0 0 0\n",
+     "CELL 0 1\nVAR 0 1 2\n",
      "relation 0: no wire carries its message to variable 1"),
     # six positions would cost 72 cycles per update
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "REL 0 0 64 V0 V0 V0 V0 V0 V0\n" + "1 " * 64 + "\n",
      "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
     # a converging factor id names one relation of the machine ...
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
+    ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
      "CELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n",
      "cell (0, 1): factor id 0 names a second relation"),
-    ("FMIMG 2\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\nREL 0 3 2 V0\n0 0\n"
+    ("FMIMG 3\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\nREL 0 3 2 V0\n0 0\n"
      "REL 1 3 2 V0\n0 0\n",
      "cell (0, 0): factor id 3 names a second relation"),
     # ... and a GIBBS one a relation per cell
-    ("FMIMG 2\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
+    ("FMIMG 3\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
      "REL 1 0 2 V0\n1 1\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): factor id 0 names a second relation"),
-    ("FMIMG 2\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\n"
-     "CELL 0 1\nVAR 0 1 2\nSHADOW 0 1 2 0 0 FTOV 0\n"
-     "WIRE 1 0 1 0 0 0\nWIRE 1 0 0 0 1 0\nWIRE 1 0 1 0 0 0\n",
-     "cell (0, 0): shadow slot 0 has a second wire"),
 ]
 
 
@@ -596,17 +586,13 @@ def test_mutated_images_fail_only_with_load_errors(data):
         pass
 
 
-def test_fuzz_image_with_a_reused_factor_id_or_a_repeated_wire_fails_to_load():
+def test_fuzz_image_with_a_reused_factor_id_fails_to_load():
     text = fuzz_images()[0]
     # relation 1 renamed to 0 would overwrite relation 0's message to
     # variable 0
     assert "REL 1 1 2 V0\n" in text
     with pytest.raises(MachineError, match="factor id 0 names a second relation"):
         Machine(text.replace("REL 1 1 2 V0\n", "REL 1 0 2 V0\n"))
-    # a second copy of a wire would deliver every packet on it twice
-    first_wire = next(line for line in text.splitlines() if line.startswith("WIRE"))
-    with pytest.raises(MachineError, match="shadow slot 1 has a second wire"):
-        Machine(text + first_wire + "\n")
 
 
 def test_fuzz_images_run_unmutated():
