@@ -20,6 +20,7 @@ from .graph import (ALL_DIFFERENT, EPS_SOFT, PAIRWISE_ISING, PARITY, TABLE,
                     FactorGraph, FactorNode, GraphError, VariableNode,
                     expand_all, with_evidence)
 from .image import GIBBS, MINSUM, SUMPROD
+from .records import Records
 
 ASSIGNMENT = "assignment"
 MARGINALS = "marginals"
@@ -36,7 +37,7 @@ class Benchmark:
     graph: FactorGraph
     mode: str
     oracle_kind: str
-    oracle: object                    # assignment list / marginal vectors / (edges, colors)
+    oracle: object                    # answer per variable id, or (edges, colors)
     note: str
     tolerance: float = 0.0
     compare_vars: list = field(default_factory=list)
@@ -497,72 +498,63 @@ def write_manifest(benchmark: Benchmark) -> str:
 
 
 def parse_manifest(text: str) -> Benchmark:
-    name = "unnamed"
-    mode = SUMPROD
-    kind = None
-    note = ""
+    rec = Records(text, HarnessError)
+    free = {"NAME": "unnamed", "MODE": SUMPROD, "KIND": None, "NOTE": ""}
     tol = 0.0
     compare = []
     oracle_assign = {}
     oracle_marg = {}
     edges = []
     colors = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
+    where = {}                        # record -> line of its last occurrence
+    for head, *fields in rec:
+        where[head] = rec.line
         try:
-            if head == "NAME":
-                name = rest.strip()
-            elif head == "MODE":
-                mode = rest.strip()
-            elif head == "KIND":
-                kind = rest.strip()
-            elif head == "NOTE":
-                note = rest.strip()
+            if head in free:
+                free[head] = " ".join(fields)
             elif head == "TOLERANCE":
-                tol = float(rest)
+                (tol,) = map(float, fields)
             elif head == "VARS":
-                compare = [int(x) for x in rest.split()]
+                compare = [int(x) for x in fields]
             elif head == "COLORS":
-                colors = int(rest)
+                (colors,) = map(int, fields)
             elif head == "EDGE":
-                a, b = (int(x) for x in rest.split())
+                a, b = map(int, fields)
                 edges.append((a, b))
             elif head == "ORACLE":
-                toks = rest.split()
-                v = int(toks[0])
-                if len(toks) == 2 and "." not in toks[1]:
-                    oracle_assign[v] = int(toks[1])
+                v = int(fields[0])
+                if len(fields) == 2 and "." not in fields[1]:
+                    oracle_assign[v] = int(fields[1])
                 else:
-                    oracle_marg[v] = [float(x) for x in toks[1:]]
+                    oracle_marg[v] = [float(x) for x in fields[1:]]
             else:
-                raise HarnessError("line %d: unknown manifest record %r" % (lineno, head))
+                rec.fail("unknown manifest record %r" % head)
+        except HarnessError:
+            raise
         except (ValueError, IndexError):
-            raise HarnessError("line %d: malformed manifest record" % lineno)
+            rec.fail("malformed manifest record")
+    kind = free["KIND"]
     if kind not in (ASSIGNMENT, MARGINALS, PROPER_COLORING):
-        raise HarnessError("manifest KIND missing or unknown")
+        rec.fail("manifest KIND missing or unknown", where.get("KIND"))
     if not compare:
-        raise HarnessError("manifest VARS missing")
-    if kind == ASSIGNMENT:
-        missing = [v for v in compare if v not in oracle_assign]
-        if missing:
-            raise HarnessError("manifest ORACLE missing variable %d" % missing[0])
-        # verify() indexes the oracle by variable id
-        oracle = [oracle_assign.get(i, 0) for i in range(max(compare) + 1)]
-    elif kind == MARGINALS:
-        missing = [v for v in compare if v not in oracle_marg]
-        if missing:
-            raise HarnessError("manifest ORACLE missing variable %d" % missing[0])
-        oracle = [oracle_marg.get(i, [0.0]) for i in range(max(compare) + 1)]
-    else:
+        rec.fail("manifest VARS missing", where.get("VARS"))
+    if kind == PROPER_COLORING:
         if colors < 2:
-            raise HarnessError("manifest COLORS missing")
+            rec.fail("manifest COLORS missing", where.get("COLORS"))
+        outside = [v for edge in edges for v in edge if v not in compare]
+        if outside:
+            rec.fail("manifest EDGE names variable %d outside VARS" % outside[0],
+                     where["VARS"])
         oracle = (edges, colors)
-    return Benchmark(name=name, graph=None, mode=mode, oracle_kind=kind,
-                     oracle=oracle, note=note, tolerance=tol,
-                     compare_vars=compare)
+    else:
+        given = oracle_assign if kind == ASSIGNMENT else oracle_marg
+        missing = [v for v in compare if v not in given]
+        if missing:
+            rec.fail("manifest ORACLE missing variable %d" % missing[0], where["VARS"])
+        oracle = {v: given[v] for v in compare}
+    return Benchmark(name=free["NAME"], graph=None, mode=free["MODE"],
+                     oracle_kind=kind, oracle=oracle, note=free["NOTE"],
+                     tolerance=tol, compare_vars=compare)
 
 
 def write_results(results: dict) -> str:
@@ -578,20 +570,17 @@ def write_results(results: dict) -> str:
 
 
 def parse_results(text: str) -> dict:
+    rec = Records(text, HarnessError)
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
+    for head, *vals in rec:
+        if not vals:
+            rec.fail("malformed results line")
         try:
-            v = int(toks[0])
-            if len(toks) == 2 and "." not in toks[1] and "e" not in toks[1]:
-                out[v] = int(toks[1])
+            v = int(head)
+            if len(vals) == 1 and "." not in vals[0] and "e" not in vals[0]:
+                out[v] = int(vals[0])
             else:
-                out[v] = [float(x) for x in toks[1:]]
-        except (ValueError, IndexError):
-            raise HarnessError("line %d: malformed results line" % lineno)
-        if len(toks) < 2:
-            raise HarnessError("line %d: malformed results line" % lineno)
+                out[v] = [float(x) for x in vals]
+        except ValueError:
+            rec.fail("malformed results line")
     return out

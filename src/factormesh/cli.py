@@ -18,6 +18,7 @@ from .graph import (EPS_SOFT, GraphError, ParseError, expand_all, parse_uai,
                     parse_evidence, with_evidence)
 from .image import ImageError, MODES, SUMPROD, MINSUM, GIBBS, dumps, parse_image
 from .machine import Machine, MachineError
+from .records import Records
 
 
 def _read(path):
@@ -34,15 +35,13 @@ def _write(path, text):
 
 
 def _load_config(path):
+    """{key: (value, line)} from a file of 'key value' lines."""
+    rec = Records(_read(path), GraphError)
     cfg = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(lineno, "config lines are 'key value'")
-        cfg[parts[0].replace("-", "_")] = parts[1].strip()
+    for key, *value in rec:
+        if not value:
+            rec.fail("config lines are 'key value'")
+        cfg[key.replace("-", "_")] = (" ".join(value), rec.line)
     return cfg
 
 
@@ -53,10 +52,11 @@ def _resolve(args, key, default, cast=str):
         return val
     cfg = getattr(args, "_cfg", {})
     if key in cfg:
+        text, line = cfg[key]
         try:
-            return cast(cfg[key])
+            return cast(text)
         except ValueError:
-            raise ParseError(0, "config value for %s is not a %s"
+            raise ParseError(line, "config value for %s is not a %s"
                              % (key, cast.__name__))
     return default
 
@@ -174,24 +174,21 @@ def cmd_verify(args):
 
 
 def cmd_stats(args):
-    text = _read(args.trace)
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("cycle,"):
-        raise ParseError(1, "not a trace file (missing header)")
-    sends = {}
+    rec = Records(_read(args.trace), GraphError, sep=",")
+    rows = iter(rec)
+    if next(rows, [""])[0] != "cycle":
+        rec.fail("not a trace file (missing header)")
     deliver_queues = {}
     send_queues = {}
     per_cycle = {}
-    for lineno, row in enumerate(lines[1:], 2):
-        parts = row.split(",")
-        if len(parts) != 6:
-            raise ParseError(lineno, "malformed trace row")
-        cycle, r, c, event, vid = (int(parts[0]), int(parts[1]), int(parts[2]),
-                                   parts[3], parts[4])
-        if event == "SEND":
+    for row in rows:
+        if len(row) != 6:
+            rec.fail("malformed trace row")
+        cycle, r, c, vid, _detail = rec.ints(row[:3] + row[4:], 5, "trace row")
+        if row[3] == "SEND":
             per_cycle[cycle] = per_cycle.get(cycle, 0) + 1
             send_queues.setdefault(vid, []).append((r, c))
-        elif event == "DELIVER":
+        elif row[3] == "DELIVER":
             deliver_queues.setdefault(vid, []).append((r, c))
     links = {}
     for vid, srcs in sorted(send_queues.items()):

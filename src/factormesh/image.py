@@ -47,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .records import Records
+
 SUMPROD = "SUMPROD"
 MINSUM = "MINSUM"
 GIBBS = "GIBBS"
@@ -195,42 +197,15 @@ def dumps(image: MachineImage) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-class _Lines:
-    def __init__(self, text):
-        self.rows = text.splitlines()
-        self.i = 0
-
-    def next_payload(self) -> tuple:
-        """Next non-empty, non-comment line as (tokens, lineno); None at EOF."""
-        while self.i < len(self.rows):
-            self.i += 1
-            raw = self.rows[self.i - 1]
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                return body.split(), self.i
-        return None, self.i
-
-
-def _parse_ref(tok: str, what: str, line: int):
-    if len(tok) >= 2 and tok[0] in ("V", "H") and tok[1:].isdigit():
-        return (tok[0], int(tok[1:]))
-    raise ImageError("line %d: bad %s reference %r" % (line, what, tok))
-
-
-def _ints(toks, n, line, what):
-    if len(toks) != n:
-        raise ImageError("line %d: %s needs %d fields" % (line, what, n))
-    try:
-        return [int(t) for t in toks]
-    except ValueError:
-        raise ImageError("line %d: %s has a non-integer field" % (line, what))
+# records that attach to the cell opened by the last CELL record
+_CELL_RECORDS = ("VAR", "SHADOW", "REL", "THRESH", "GIBBS_PERIOD")
 
 
 def parse_image(text: str) -> MachineImage:
-    src = _Lines(text)
-    toks, line = src.next_payload()
-    if toks is None or toks[:2] != ["FMIMG", "3"]:
-        raise ImageError("line %d: expected FMIMG 3 header" % line)
+    rec = Records(text, ImageError)
+    records = iter(rec)
+    if next(records, [])[:2] != ["FMIMG", "3"]:
+        rec.fail("expected FMIMG 3 header")
     grid = None
     mode = None
     seed = 0
@@ -239,112 +214,104 @@ def parse_image(text: str) -> MachineImage:
     pending_rel: Optional[RelSlot] = None
     pending_words = 0
 
-    while True:
-        toks, line = src.next_payload()
-        if toks is None:
-            break
+    for toks in records:
         head = toks[0]
         if pending_words > 0:
             # table words, free-form across lines
             try:
                 words = [int(t) for t in toks]
             except ValueError:
-                raise ImageError("line %d: expected %d more table words"
-                                 % (line, pending_words))
+                rec.fail("expected %d more table words" % pending_words)
             if len(words) > pending_words:
-                raise ImageError("line %d: too many table words" % line)
+                rec.fail("too many table words")
             pending_rel.table.extend(words)
             pending_words -= len(words)
             continue
+        if head in _CELL_RECORDS and cur is None:
+            rec.fail("%s outside a CELL" % head)
         if head == "GRID":
-            r, c = _ints(toks[1:], 2, line, "GRID")
+            r, c = rec.ints(toks[1:], 2, "GRID")
             if r < 1 or c < 1:
-                raise ImageError("line %d: grid dimensions must be positive" % line)
+                rec.fail("grid dimensions must be positive")
             grid = (r, c)
         elif head == "MODE":
             if len(toks) != 2 or toks[1] not in MODES:
-                raise ImageError("line %d: MODE must be one of %s" % (line, "/".join(MODES)))
+                rec.fail("MODE must be one of %s" % "/".join(MODES))
             mode = toks[1]
         elif head == "SEED":
-            (seed,) = _ints(toks[1:], 1, line, "SEED")
+            (seed,) = rec.ints(toks[1:], 1, "SEED")
         elif head == "CELL":
-            r, c = _ints(toks[1:], 2, line, "CELL")
+            r, c = rec.ints(toks[1:], 2, "CELL")
             if grid is None:
-                raise ImageError("line %d: CELL before GRID" % line)
+                rec.fail("CELL before GRID")
             if not (0 <= r < grid[0] and 0 <= c < grid[1]):
-                raise ImageError("line %d: cell (%d, %d) outside grid" % (line, r, c))
+                rec.fail("cell (%d, %d) outside grid" % (r, c))
             if (r, c) in cells:
-                raise ImageError("line %d: duplicate CELL (%d, %d)" % (line, r, c))
+                rec.fail("duplicate CELL (%d, %d)" % (r, c))
             cur = CellImage(r, c)
             cells[(r, c)] = cur
         elif head == "VAR":
-            if cur is None:
-                raise ImageError("line %d: VAR outside a CELL" % line)
             if len(toks) == 4:
-                slot, vid, card = _ints(toks[1:], 3, line, "VAR")
+                slot, vid, card = rec.ints(toks[1:], 3, "VAR")
                 ev = None
             elif len(toks) == 6 and toks[4] == "EVIDENCE":
-                slot, vid, card = _ints(toks[1:4], 3, line, "VAR")
-                (ev,) = _ints(toks[5:], 1, line, "EVIDENCE")
+                slot, vid, card = rec.ints(toks[1:4], 3, "VAR")
+                (ev,) = rec.ints(toks[5:], 1, "EVIDENCE")
             else:
-                raise ImageError("line %d: malformed VAR record" % line)
+                rec.fail("malformed VAR record")
             if card < 2:
-                raise ImageError("line %d: variable cardinality must be >= 2" % line)
+                rec.fail("variable cardinality must be >= 2")
             if ev is not None and not (0 <= ev < card):
-                raise ImageError("line %d: evidence value out of range" % line)
+                rec.fail("evidence value out of range")
             cur.var_slots.append(VarSlot(slot, vid, card, ev))
         elif head == "SHADOW":
-            if cur is None:
-                raise ImageError("line %d: SHADOW outside a CELL" % line)
             if len(toks) < 7:
-                raise ImageError("line %d: malformed SHADOW record" % line)
-            slot, vid, card, sr, sc = _ints(toks[1:6], 5, line, "SHADOW")
+                rec.fail("malformed SHADOW record")
+            slot, vid, card, sr, sc = rec.ints(toks[1:6], 5, "SHADOW")
             role = toks[6]
             fid = None
             if role in (VTOF, FTOV):
                 if len(toks) != 8:
-                    raise ImageError("line %d: %s shadow needs a factor id" % (line, role))
-                (fid,) = _ints(toks[7:], 1, line, "SHADOW factor id")
+                    rec.fail("%s shadow needs a factor id" % role)
+                (fid,) = rec.ints(toks[7:], 1, "SHADOW factor id")
             elif role == VALUE:
                 if len(toks) != 7:
-                    raise ImageError("line %d: malformed VALUE shadow" % line)
+                    rec.fail("malformed VALUE shadow")
             else:
-                raise ImageError("line %d: unknown shadow role %r" % (line, role))
+                rec.fail("unknown shadow role %r" % role)
             cur.shadow_slots.append(ShadowSlot(slot, vid, card, (sr, sc), role, fid))
         elif head == "REL":
-            if cur is None:
-                raise ImageError("line %d: REL outside a CELL" % line)
             if len(toks) < 5:
-                raise ImageError("line %d: malformed REL record" % line)
-            slot, fid, nwords = _ints(toks[1:4], 3, line, "REL")
+                rec.fail("malformed REL record")
+            slot, fid, nwords = rec.ints(toks[1:4], 3, "REL")
             if nwords < 1:
-                raise ImageError("line %d: REL needs at least one table word" % line)
-            refs = [_parse_ref(t, "scope", line) for t in toks[4:]]
+                rec.fail("REL needs at least one table word")
+            refs = []
+            for t in toks[4:]:
+                if len(t) < 2 or t[0] not in ("V", "H") or not t[1:].isdecimal():
+                    rec.fail("bad scope reference %r" % t)
+                refs.append((t[0], int(t[1:])))
             pending_rel = RelSlot(slot, fid, refs, [])
             pending_words = nwords
             cur.rel_slots.append(pending_rel)
         elif head == "THRESH":
-            if cur is None:
-                raise ImageError("line %d: THRESH outside a CELL" % line)
-            (t,) = _ints(toks[1:], 1, line, "THRESH")
+            (t,) = rec.ints(toks[1:], 1, "THRESH")
             if t < 0:
-                raise ImageError("line %d: threshold must be >= 0" % line)
+                rec.fail("threshold must be >= 0")
             cur.thresh = t
         elif head == "GIBBS_PERIOD":
-            if cur is None:
-                raise ImageError("line %d: GIBBS_PERIOD outside a CELL" % line)
-            p, ph = _ints(toks[1:], 2, line, "GIBBS_PERIOD")
+            p, ph = rec.ints(toks[1:], 2, "GIBBS_PERIOD")
             if p < 1 or ph < 0:
-                raise ImageError("line %d: bad GIBBS_PERIOD values" % line)
+                rec.fail("bad GIBBS_PERIOD values")
             cur.gibbs_period = p
             cur.gibbs_phase = ph
         else:
-            raise ImageError("line %d: unknown record %r" % (line, head))
+            rec.fail("unknown record %r" % head)
 
     if pending_words:
-        raise ImageError("unexpected end of input: REL record incomplete")
+        rec.fail("unexpected end of input: REL record incomplete")
     if grid is None:
-        raise ImageError("missing GRID record")
+        rec.fail("missing GRID record")
     if mode is None:
-        raise ImageError("missing MODE record")
+        rec.fail("missing MODE record")
     return MachineImage(grid, mode, seed, cells)

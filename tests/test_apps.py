@@ -199,29 +199,43 @@ def test_verify_coloring_and_missing_variable():
 def test_manifest_round_trip_all_kinds():
     benches = [apps.build_sudoku(),
                apps.build_ising_chain(4, 0.5, 0.2),
-               apps.build_coloring(apps.FIVE_CYCLE_EDGES, 3)]
+               apps.build_coloring(apps.FIVE_CYCLE_EDGES, 3),
+               apps.build_parity_code(apps.hamming_encode((1, 0, 1, 1)))]
     results = [
         {i: v for i, v in enumerate(apps.SUDOKU_FIXTURE_SOLUTION)},
         {i: list(benches[1].oracle[i]) for i in range(4)},
         {0: 0, 1: 1, 2: 0, 3: 1, 4: 2},
+        dict(enumerate(benches[3].oracle)),
     ]
     for bench, res in zip(benches, results):
         back = apps.parse_manifest(apps.write_manifest(bench))
-        assert back.name == bench.name
+        # free text is kept exactly
+        assert (back.name, back.mode, back.note) == (bench.name, bench.mode, bench.note)
         assert back.oracle_kind == bench.oracle_kind
         assert back.compare_vars == bench.compare_vars
         assert apps.verify(back, res).passed == apps.verify(bench, res).passed
 
 
 def test_manifest_rejects_malformed():
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError, match="^line 1: manifest VARS missing"):
         apps.parse_manifest("KIND assignment\n")          # no VARS
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError, match="^line 2: manifest KIND missing"):
         apps.parse_manifest("NAME x\nVARS 0\n")           # no KIND
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError,
+                       match="^line 2: manifest ORACLE missing variable 0"):
         apps.parse_manifest("KIND assignment\nVARS 0\n")  # no ORACLE
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError, match="^line 1: unknown manifest record 'WHAT'"):
         apps.parse_manifest("WHAT 1\n")
+    # verify() would look up variable 5's colour and find none
+    with pytest.raises(apps.HarnessError,
+                       match="^line 2: manifest EDGE names variable 5 outside VARS"):
+        apps.parse_manifest("KIND proper_coloring\nVARS 0 1\nCOLORS 3\nEDGE 0 5\n")
+
+
+def test_manifest_oracle_is_keyed_by_variable_id():
+    # verify() looks the oracle up by each compared id, a negative one too
+    back = apps.parse_manifest("KIND assignment\nVARS -1 3\nORACLE -1 1\nORACLE 3 0\n")
+    assert apps.verify(back, {-1: 1, 3: 0}).passed
 
 
 def test_results_round_trip():

@@ -74,6 +74,10 @@ def test_compile_input_errors_exit_2(tmp_path, capsys):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
     assert run_cli(capsys, "compile", graph_file, "--out",
                    str(tmp_path / "x.fmimg"), "--grid", "huge")[0] == 2
+    cfg = write(tmp_path, "bad.cfg", "seed abc\n")
+    code, _, stderr = run_cli(capsys, "compile", graph_file, "--out",
+                              str(tmp_path / "x.fmimg"), "--config", cfg)
+    assert code == 2 and "line 1: config value for seed is not a int" in stderr
 
 
 # -- run ----------------------------------------------------------------------
@@ -336,6 +340,12 @@ def test_verify_pass_fail_and_missing(tmp_path, capsys):
     partial = write(tmp_path, "partial.txt", apps.write_results(results))
     assert run_cli(capsys, "verify", manifest, partial)[0] == 2
 
+    coloring = write(tmp_path, "coloring.manifest",
+                     "KIND proper_coloring\nVARS 0 1\nCOLORS 3\nEDGE 0 5\n")
+    colors = write(tmp_path, "colors.txt", "0 0\n1 1\n")
+    code, _, stderr = run_cli(capsys, "verify", coloring, colors)
+    assert code == 2 and "line 2: manifest EDGE names variable 5 outside VARS" in stderr
+
 
 # -- stats --------------------------------------------------------------------
 
@@ -351,4 +361,9 @@ def test_stats_summarizes_a_trace(tmp_path, capsys):
     assert code == 0
     assert "packets_by_cycle" in stdout and "link_traffic" in stdout
     bad = write(tmp_path, "plain.txt", "hello\n")
-    assert run_cli(capsys, "stats", bad)[0] == 2
+    code, _, stderr = run_cli(capsys, "stats", bad)
+    assert code == 2 and "line 1: not a trace file (missing header)" in stderr
+    header = open(trace_file).readline()
+    bad = write(tmp_path, "field.trace", header + "1,0,x,SEND,0,1\n")
+    code, _, stderr = run_cli(capsys, "stats", bad)
+    assert code == 2 and "line 2: trace row has a non-integer field" in stderr
