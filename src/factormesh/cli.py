@@ -26,7 +26,7 @@ def _read(path):
         with open(path, "r") as fh:
             return fh.read()
     except OSError as e:
-        raise ParseError(0, "cannot read %s: %s" % (path, e.strerror))
+        raise GraphError("cannot read %s: %s" % (path, e.strerror))
 
 
 def _write(path, text):
@@ -61,14 +61,23 @@ def _resolve(args, key, default, cast=str):
     return default
 
 
-def _parse_grid(text):
+def _bad_value(args, key, message):
+    """The error for a bad value `_resolve` returned: it names the config
+    line if the value came from the config file."""
+    cfg = getattr(args, "_cfg", {})
+    if getattr(args, key, None) is None and key in cfg:
+        return ParseError(cfg[key][1], message)
+    return GraphError(message)
+
+
+def _parse_grid(args):
     try:
-        r, c = text.lower().split("x")
+        r, c = _resolve(args, "grid", "4x4").lower().split("x")
         grid = (int(r), int(c))
     except ValueError:
-        raise ParseError(0, "grid must look like 4x4")
+        raise _bad_value(args, "grid", "grid must look like 4x4")
     if grid[0] < 1 or grid[1] < 1:
-        raise ParseError(0, "grid dimensions must be positive")
+        raise _bad_value(args, "grid", "grid dimensions must be positive")
     return grid
 
 
@@ -85,10 +94,10 @@ def _load_graph(args):
 
 def cmd_compile(args):
     graph = _load_graph(args)
-    grid = _parse_grid(_resolve(args, "grid", "4x4"))
+    grid = _parse_grid(args)
     mode = _resolve(args, "mode", SUMPROD)
     if mode not in MODES:
-        raise ParseError(0, "mode must be one of %s" % "/".join(MODES))
+        raise _bad_value(args, "mode", "mode must be one of %s" % "/".join(MODES))
     image, report = mapper.compile_graph(
         graph, mode, grid=grid,
         seed=_resolve(args, "seed", 0, int),
@@ -156,7 +165,7 @@ def cmd_golden(args):
             sweeps=_resolve(args, "sweeps", 10000, int))
         out = apps.write_results(as_dict(res.marginals))
     else:
-        raise ParseError(0, "unknown algorithm %r" % alg)
+        raise GraphError("unknown algorithm %r" % alg)
     if args.out:
         _write(args.out, out)
     else:

@@ -20,7 +20,9 @@ maximum) on their logs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +36,10 @@ FLOODING = "FLOODING"
 SEQUENTIAL = "SEQUENTIAL"
 
 ENUM_BOUND = 1 << 24
+
+# gibbs_sample: a variable with more Markov-blanket states than this samples
+# without a memo of its conditionals
+_MEMO_CAP = 4096
 
 
 class InferenceError(RuntimeError):
@@ -312,8 +318,12 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     The draw for variable v in sweep s uses the counter-based stream
     uniform01(seed, v, s), keyed once per variable, so the sampler is
     deterministic given the seed and independent of everything but (seed,
-    variable, sweep).  Tables must give every conditional a positive total
-    (use soft expansions).
+    variable, sweep).  It picks the first value whose prefix sum of the
+    conditional exceeds the draw scaled by the total.  The prefix sums are
+    memoized per variable, keyed by the values of its Markov blanket,
+    unless the blanket has more than _MEMO_CAP states; either way the draw
+    is the same.  Tables must give every conditional a positive total (use
+    soft expansions).
     """
     _require_tables(graph)
     if sweeps <= 0:
@@ -334,48 +344,64 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
             st.append(step)
             step *= c
         strides.append(list(reversed(st)))
-    # per variable: (flat, others = [(scope var, stride)], own stride, card)
+    # per variable: (flat, others = [(scope var, stride)], own stride)
     rows = {v: [] for v in free}
     for f in graph.factors:
         for k, vid in enumerate(f.scope):
             if vid in rows:
                 others = [(f.scope[j], strides[f.id][j])
                           for j in range(len(f.scope)) if j != k]
-                rows[vid].append((flats[f.id], others, strides[f.id][k], cards[vid]))
-    plan = [(v, rows[v], rng.stream_key(seed, v)) for v in free]
+                rows[vid].append((flats[f.id], others, strides[f.id][k]))
+    # per variable: its blanket as (variable, radix multiplier) over the
+    # distinct variables its terms read, and a memo per blanket state
+    plan = []
+    for v in free:
+        blanket = []
+        size = 1
+        for ov in dict.fromkeys(ov for _f, others, _s in rows[v] for ov, _o in others):
+            blanket.append((ov, size))
+            size *= cards[ov]
+        memo = [None] * size if size <= _MEMO_CAP else None
+        plan.append((v, rows[v], rng.stream_key(seed, v), blanket, memo))
     counts = [[0] * c for c in cards]
     uniform01 = rng.keyed_uniform01
     for s in range(burn_in + sweeps):
-        for v, terms, key in plan:
-            w = None
-            for flat, others, step, card in terms:
-                base = 0
-                for ov, ostride in others:
-                    base += state[ov] * ostride
-                if w is None:
-                    w = [flat[base + a * step] for a in range(card)]
-                else:
-                    for a in range(card):
-                        w[a] *= flat[base + a * step]
-            if w is None:
-                w = [1.0] * cards[v]
-            total = 0.0
-            for x in w:
-                total += x
-            if total <= 0.0:
-                raise InferenceError(
-                    "zero-total Gibbs conditional for variable %d (use soft tables)" % v)
-            threshold = uniform01(key, s) * total
-            acc = 0.0
-            val = len(w) - 1
-            for a, x in enumerate(w):
-                acc += x
-                if acc > threshold:
-                    val = a
-                    break
-            state[v] = val
+        for v, terms, key, blanket, memo in plan:
+            if memo is None:
+                prefix = _gibbs_prefix(v, terms, state, cards[v])
+            else:
+                idx = 0
+                for ov, m in blanket:
+                    idx += state[ov] * m
+                prefix = memo[idx]
+                if prefix is None:
+                    prefix = memo[idx] = _gibbs_prefix(v, terms, state, cards[v])
+            state[v] = bisect_right(prefix, uniform01(key, s) * prefix[-1],
+                                    0, len(prefix) - 1)
         if s >= burn_in:
             for v in range(n):
                 counts[v][state[v]] += 1
     marginals = [np.asarray(c, dtype=np.float64) / sweeps for c in counts]
     return GibbsResult(marginals, list(state), sweeps)
+
+
+def _gibbs_prefix(v, terms, state, card):
+    """Prefix sums of variable v's conditional at the current state, added
+    from 0.0 in value order, so the last is the conditional's total."""
+    w = None
+    for flat, others, step in terms:
+        base = 0
+        for ov, ostride in others:
+            base += state[ov] * ostride
+        if w is None:
+            w = [flat[base + a * step] for a in range(card)]
+        else:
+            for a in range(card):
+                w[a] *= flat[base + a * step]
+    if w is None:
+        w = [1.0] * card
+    prefix = list(accumulate(w, initial=0.0))[1:]
+    if prefix[-1] <= 0.0:
+        raise InferenceError(
+            "zero-total Gibbs conditional for variable %d (use soft tables)" % v)
+    return prefix

@@ -27,6 +27,7 @@ import functools
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
@@ -44,6 +45,10 @@ class MachineError(ValueError):
 
 # random stream of the output noise; variable streams are their ids
 _NOISE_STREAM = (1 << 48) | 1
+
+# GIBBS: a variable with more Markov-blanket states than this samples
+# without a memo of its conditionals
+_MEMO_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +87,7 @@ class Stats:
 class _Var:
     __slots__ = ("cell", "slot", "vid", "card", "evidence", "value",
                  "in_msgs", "out_msgs", "belief", "attached", "local_rels",
-                 "counts", "terms", "key", "refresh")
+                 "counts", "terms", "blanket", "memo", "key", "refresh")
 
     def __init__(self, cell, slot, vid, card, evidence):
         self.cell = cell
@@ -98,6 +103,8 @@ class _Var:
         self.local_rels = {}    # fid -> _Rel in the same cell
         self.counts = [0] * card
         self.terms = []         # GIBBS: (table, stride, others) per scope position
+        self.blanket = ()       # GIBBS: (object, radix multiplier) per blanket object
+        self.memo = None        # GIBBS: conditional prefix sums per blanket state
         self.key = None         # GIBBS: key of the variable's random stream
         self.refresh = None     # generated refresh for its card and degree
 
@@ -270,6 +277,20 @@ def _refresh(linear, card, degree):
     return _define("\n".join(lines) + "\n", linear)
 
 
+def _prefix_sums(var):
+    """Prefix sums of a GIBBS variable's conditional at the current values of
+    its blanket: the product of its terms' table slices, uniform if none."""
+    card = var.card
+    cond = None
+    for tbl, sv, others in var.terms:
+        base = 0
+        for obj, st in others:
+            base += obj.value * st
+        row = tbl[base:base + card * sv:sv]
+        cond = row if cond is None else list(map(mul, cond, row))
+    return list(itertools.accumulate(cond or (1,) * card))
+
+
 # ---------------------------------------------------------------------------
 # the machine
 # ---------------------------------------------------------------------------
@@ -410,6 +431,17 @@ class Machine:
                 for var in cell.vars:
                     var.key = stream_key(self.seed, var.vid)
                     cell.tick_cost += gibbs_var_cost(len(var.terms))
+                    # the blanket state is a mixed-radix index over the
+                    # distinct objects the terms read
+                    blanket = []
+                    size = 1
+                    for obj in dict.fromkeys(o for _t, _s, others in var.terms
+                                             for o, _st in others):
+                        blanket.append((obj, size))
+                        size *= obj.card
+                    var.blanket = blanket
+                    if size <= _MEMO_CAP:
+                        var.memo = [None] * size
 
         # wire index: quantity key -> list of (dst cell, dst slot, hops),
         # one wire per shadow slot from the cell its SHADOW record names
@@ -699,35 +731,32 @@ class Machine:
         """Resample the cell's free variables in slot order.  A variable's
         conditional is the product of its terms' table slices at the current
         values of the other scope positions; the draw for tick k is
-        uniform01(seed, vid, k) scaled by the conditional's total."""
+        uniform01(seed, vid, k) scaled by the conditional's total, and picks
+        the first value whose prefix sum exceeds it.  Tables never change,
+        so the prefix sums are memoized per variable, keyed by the values of
+        its Markov blanket, unless the blanket has more than _MEMO_CAP
+        states; either way the draw is the same."""
         k = cell.tick_idx
         changed = []
         trace = self.trace
         activations = 0
         for var in cell.vars:
             if var.evidence is None:
-                card = var.card
-                terms = var.terms
-                activations += len(terms)
-                cond = None
-                for tbl, sv, others in terms:
-                    base = 0
-                    for obj, st in others:
-                        base += obj.value * st
-                    row = tbl[base:base + card * sv:sv]
-                    cond = row if cond is None else list(map(mul, cond, row))
-                if cond is None:
-                    cond = (1,) * card
-                total = sum(cond)
+                activations += len(var.terms)
+                memo = var.memo
+                if memo is None:
+                    prefix = _prefix_sums(var)
+                else:
+                    idx = 0
+                    for obj, m in var.blanket:
+                        idx += obj.value * m
+                    prefix = memo[idx]
+                    if prefix is None:
+                        prefix = memo[idx] = _prefix_sums(var)
+                total = prefix[-1]
                 if total > 0:
-                    target = keyed_uniform01(var.key, k) * total
-                    acc = 0
-                    val = card - 1
-                    for a, w in enumerate(cond):
-                        acc += w
-                        if acc > target:
-                            val = a
-                            break
+                    val = bisect_right(prefix, keyed_uniform01(var.key, k) * total,
+                                       0, var.card - 1)
                     if val != var.value:
                         var.value = val
                         changed.append(var)

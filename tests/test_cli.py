@@ -80,6 +80,38 @@ def test_compile_input_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 1: config value for seed is not a int" in stderr
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("grid huge", "grid must look like 4x4"),
+    ("grid 0x4", "grid dimensions must be positive"),
+    ("mode FOO", "mode must be one of SUMPROD/MINSUM/GIBBS"),
+])
+def test_compile_bad_config_value_names_its_line(tmp_path, capsys, setting, message):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    cfg = write(tmp_path, "bad.cfg", "# mesh setup\nseed 3\n%s\n" % setting)
+    code, _, stderr = run_cli(capsys, "compile", graph_file, "--out",
+                              str(tmp_path / "x.fmimg"), "--config", cfg)
+    assert (code, stderr) == (2, "error: line 3: %s\n" % message)
+
+
+def test_compile_bad_flag_value_names_no_line(tmp_path, capsys):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    out = str(tmp_path / "x.fmimg")
+    for grid, message in (("huge", "grid must look like 4x4"),
+                          ("4x0", "grid dimensions must be positive")):
+        # the flag outranks a good config value
+        cfg = write(tmp_path, "good.cfg", "grid 4x4\n")
+        code, _, stderr = run_cli(capsys, "compile", graph_file, "--out", out,
+                                  "--grid", grid, "--config", cfg)
+        assert (code, stderr) == (2, "error: %s\n" % message)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "compile", graph_file, "--out", out, "--mode", "FOO")
+    assert exc.value.code == 2
+    assert "invalid choice: 'FOO'" in capsys.readouterr().err
+    missing = str(tmp_path / "nope.uai")
+    code, _, stderr = run_cli(capsys, "compile", missing, "--out", out)
+    assert code == 2 and stderr.startswith("error: cannot read %s: " % missing)
+
+
 # -- run ----------------------------------------------------------------------
 
 def test_run_emits_stats_beliefs_trace(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """One propagation loop, two semirings: golden sum_product and min_sum give
-the bytes the two separate loops gave.
+the bytes the two separate loops gave; and gibbs_sample, drawing from
+conditionals memoized by Markov-blanket state, samples what the direct
+loop sampled.
 
 `reference_sum_product` and `reference_min_sum` keep the kernels from before
 they were folded into one loop parameterised by a semiring, verbatim apart
@@ -8,21 +10,28 @@ belief and message byte, the iteration count, the convergence flag, the
 assignment and any exception's type and text must agree.  The one wording
 that moved is min_sum's all-(-inf) belief error, which now reads like every
 other void message: `expected_error` maps the old text onto the new.
+
+`reference_gibbs_sample` keeps the sampler from before its conditionals were
+memoized, verbatim apart from its name: it rebuilds every conditional and
+scans it for the draw.  The marginal bytes, the final assignment and any
+zero-total error must agree, with the memo and without it (cap 0).
 """
 
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gen
-from factormesh import apps
+from factormesh import apps, golden, rng
 from factormesh.golden import (FLOODING, LINEAR, LOG, SEQUENTIAL, BeliefState,
-                               InferenceError, _evidence_indicator, _factor_nd,
-                               _require_tables, min_sum, sum_product)
+                               GibbsResult, InferenceError, _evidence_indicator,
+                               _factor_nd, _require_tables, gibbs_sample, min_sum,
+                               sum_product)
 from factormesh.graph import (EPS_SOFT, TABLE, FactorGraph, FactorNode,
                               VariableNode, expand_all, with_evidence)
 
@@ -239,6 +248,82 @@ def reference_min_sum(graph, schedule=FLOODING, damping=0.0, max_iters=100, tol=
     return state
 
 
+def reference_gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
+                           sweeps: int = 10000) -> GibbsResult:
+    """Systematic-scan Gibbs sampling (variables 0..N-1 per sweep).
+
+    The draw for variable v in sweep s uses the counter-based stream
+    uniform01(seed, v, s), keyed once per variable, so the sampler is
+    deterministic given the seed and independent of everything but (seed,
+    variable, sweep).  Tables must give every conditional a positive total
+    (use soft expansions).
+    """
+    _require_tables(graph)
+    if sweeps <= 0:
+        raise InferenceError("sweeps must be positive")
+    n = len(graph.variables)
+    cards = [v.cardinality for v in graph.variables]
+    state = [v.evidence if v.evidence is not None else 0 for v in graph.variables]
+    free = [v.id for v in graph.variables if v.evidence is None]
+    # flat tables plus mixed-radix strides, last scope position fastest;
+    # the hot loop runs on plain Python floats (vectors are tiny)
+    flats = []
+    strides = []
+    for f in graph.factors:
+        flats.append([float(x) for x in f.table])
+        st = []
+        step = 1
+        for c in reversed(graph.scope_cards(f)):
+            st.append(step)
+            step *= c
+        strides.append(list(reversed(st)))
+    # per variable: (flat, others = [(scope var, stride)], own stride, card)
+    rows = {v: [] for v in free}
+    for f in graph.factors:
+        for k, vid in enumerate(f.scope):
+            if vid in rows:
+                others = [(f.scope[j], strides[f.id][j])
+                          for j in range(len(f.scope)) if j != k]
+                rows[vid].append((flats[f.id], others, strides[f.id][k], cards[vid]))
+    plan = [(v, rows[v], rng.stream_key(seed, v)) for v in free]
+    counts = [[0] * c for c in cards]
+    uniform01 = rng.keyed_uniform01
+    for s in range(burn_in + sweeps):
+        for v, terms, key in plan:
+            w = None
+            for flat, others, step, card in terms:
+                base = 0
+                for ov, ostride in others:
+                    base += state[ov] * ostride
+                if w is None:
+                    w = [flat[base + a * step] for a in range(card)]
+                else:
+                    for a in range(card):
+                        w[a] *= flat[base + a * step]
+            if w is None:
+                w = [1.0] * cards[v]
+            total = 0.0
+            for x in w:
+                total += x
+            if total <= 0.0:
+                raise InferenceError(
+                    "zero-total Gibbs conditional for variable %d (use soft tables)" % v)
+            threshold = uniform01(key, s) * total
+            acc = 0.0
+            val = len(w) - 1
+            for a, x in enumerate(w):
+                acc += x
+                if acc > threshold:
+                    val = a
+                    break
+            state[v] = val
+        if s >= burn_in:
+            for v in range(n):
+                counts[v][state[v]] += 1
+    marginals = [np.asarray(c, dtype=np.float64) / sweeps for c in counts]
+    return GibbsResult(marginals, list(state), sweeps)
+
+
 # -- comparison ----------------------------------------------------------------
 
 def _bytes(vec):
@@ -402,3 +487,69 @@ def test_fold_matches_reference_on_a_moving_hard_zero_message():
     for schedule in (FLOODING, SEQUENTIAL):
         got = assert_same_min_sum(g, schedule=schedule, damping=0.5)
         assert got[2:4] == (True, 60)
+
+
+# -- Gibbs: the memo and the direct loop against the scan they replaced ---------
+
+def gibbs_outcome(sampler, graph, **kwargs):
+    try:
+        res = sampler(graph, **kwargs)
+    except InferenceError as exc:
+        return type(exc), str(exc)
+    return [_bytes(m) for m in res.marginals], res.assignment, res.sweeps
+
+
+def assert_same_gibbs(graph, **kwargs):
+    """The reference outcome, which the memoized sampler gives with its
+    default cap and with every variable on the direct loop (cap 0)."""
+    want = gibbs_outcome(reference_gibbs_sample, graph, **kwargs)
+    assert gibbs_outcome(gibbs_sample, graph, **kwargs) == want
+    with mock.patch.object(golden, "_MEMO_CAP", 0):
+        assert gibbs_outcome(gibbs_sample, graph, **kwargs) == want
+    return want
+
+
+@st.composite
+def gibbs_graphs(draw):
+    """A gen.py tree or builtin loopy graph expanded at ε = EPS_SOFT or 0,
+    with evidence on some variables; at 0 a conditional can have no weight."""
+    graph_seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        graph = gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10, card_hi=4)
+    else:
+        graph = gen.random_builtin_graph(graph_seed)
+    graph = expand_all(graph, draw(st.sampled_from((EPS_SOFT, 0.0))))
+    pick = random.Random(draw(st.integers(0, 10 ** 6)))
+    evidence = {v.id: pick.randrange(v.cardinality) for v in graph.variables
+                if pick.random() < 0.2}
+    return with_evidence(graph, evidence)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph=gibbs_graphs(), seed=st.integers(0, 2 ** 32 - 1),
+       burn_in=st.integers(0, 20), sweeps=st.integers(1, 60))
+def test_gibbs_memo_matches_reference_sampler(graph, seed, burn_in, sweeps):
+    assert_same_gibbs(graph, seed=seed, burn_in=burn_in, sweeps=sweeps)
+
+
+def test_gibbs_memo_matches_reference_on_apps():
+    ising = apps.build_ising_chain(8, 0.5, 0.2)
+    # test_golden.py's pinned counts
+    got = assert_same_gibbs(expand_all(ising.graph, 0.0), seed=1000, burn_in=100,
+                            sweeps=5000)
+    assert len(got) == 3
+    coloring = apps.build_coloring(apps.FIVE_CYCLE_EDGES, 3)
+    graph = with_evidence(coloring.graph, {0: 2, 3: 1})
+    for epsilon in (EPS_SOFT, 0.0):
+        got = assert_same_gibbs(expand_all(graph, epsilon), seed=7, burn_in=50,
+                                sweeps=3000)
+        assert len(got) == 3
+
+
+def test_gibbs_memo_matches_reference_on_contradiction():
+    g = FactorGraph([VariableNode(0, 2, 0), VariableNode(1, 2)],
+                    [FactorNode(0, (0, 1), TABLE, (0.0, 0.0, 1.0, 1.0))])
+    assert assert_same_gibbs(g, seed=1, burn_in=0, sweeps=5) == (
+        InferenceError, "zero-total Gibbs conditional for variable 1 (use soft tables)")
+    assert assert_same_gibbs(g, seed=1, sweeps=0) == (
+        InferenceError, "sweeps must be positive")
