@@ -8,13 +8,14 @@ from .graph import (TABLE, ALL_DIFFERENT, PARITY, EQUALITY, PAIRWISE_ISING,
                     FactorNode, FactorGraph, checked, expand_builtin,
                     expand_all, with_evidence, parse_uai, serialize_uai,
                     parse_evidence, serialize_evidence)
-from .golden import (InferenceError, EnumerationBoundError, FLOODING,
-                     SEQUENTIAL, exact_marginals, map_bruteforce, BeliefState,
-                     sum_product, min_sum, GibbsResult, gibbs_sample)
-from .fixedpoint import (LINEAR, LOG, U16_MAX, Q88_ONE, Q88_MIN, Q88_MAX,
-                         FixedPointError, quantize, dequantize)
+from .golden import (InferenceError, EnumerationBoundError, LINEAR, LOG,
+                     FLOODING, SEQUENTIAL, exact_marginals, map_bruteforce,
+                     BeliefState, sum_product, sum_product_sweeps, min_sum,
+                     GibbsResult, gibbs_sample)
+from .fixedpoint import (U16_MAX, Q88_ONE, Q88_MIN, Q88_MAX, FixedPointError,
+                         Domain, U16, Q88)
 from .image import (SUMPROD, MINSUM, GIBBS, MODES, Capacities,
-                    DEFAULT_CAPACITIES, ImageError, MachineImage, dumps,
+                    DEFAULT_CAPACITIES, ImageError, MachineImage, domain, dumps,
                     parse_image)
 from .machine import Machine, MachineError, Stats
 from .mapper import (MapperError, lower, cluster, place, cost, emit_image,
@@ -29,13 +30,14 @@ __all__ = [
     "FactorNode", "FactorGraph", "checked", "expand_builtin", "expand_all",
     "with_evidence", "parse_uai", "serialize_uai", "parse_evidence",
     "serialize_evidence",
-    "InferenceError", "EnumerationBoundError", "FLOODING", "SEQUENTIAL",
+    "InferenceError", "EnumerationBoundError", "LINEAR", "LOG", "FLOODING",
+    "SEQUENTIAL",
     "exact_marginals", "map_bruteforce", "BeliefState", "sum_product",
-    "min_sum", "GibbsResult", "gibbs_sample",
-    "LINEAR", "LOG", "U16_MAX", "Q88_ONE", "Q88_MIN", "Q88_MAX",
-    "FixedPointError", "quantize", "dequantize",
+    "sum_product_sweeps", "min_sum", "GibbsResult", "gibbs_sample",
+    "U16_MAX", "Q88_ONE", "Q88_MIN", "Q88_MAX", "FixedPointError", "Domain",
+    "U16", "Q88",
     "SUMPROD", "MINSUM", "GIBBS", "MODES", "Capacities",
-    "DEFAULT_CAPACITIES", "ImageError", "MachineImage", "dumps",
+    "DEFAULT_CAPACITIES", "ImageError", "MachineImage", "domain", "dumps",
     "parse_image",
     "Machine", "MachineError", "Stats",
     "MapperError", "lower", "cluster", "place", "cost", "emit_image",

@@ -311,16 +311,13 @@ def decode_by_candidates(assignments, received):
 
 
 def bp_hamming_trajectory(graph, sweeps: int = 20, epsilon: float = EPS_SOFT):
-    """Yield the golden sum-product argmax after each flooding sweep."""
-    from .golden import sum_product
-    expanded = expand_all(graph, epsilon)
-    messages = None
-    for _ in range(sweeps):
-        state = sum_product(expanded, max_iters=1, init_messages=messages)
-        messages = state.messages
-        yield tuple(state.argmax()[:7])
-        if state.converged:
-            break
+    """Yield the golden sum-product argmax after each flooding sweep, up to
+    `sweeps` of them or the first that converges."""
+    from .golden import sum_product_sweeps
+    states = sum_product_sweeps(expand_all(graph, epsilon), max_iters=sweeps)
+    next(states)                    # the start, before any sweep
+    for state in states:
+        yield tuple(state().argmax()[:7])
 
 
 def machine_hamming_trajectory(machine, budget: int = 3000):

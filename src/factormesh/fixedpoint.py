@@ -1,37 +1,33 @@
-"""Fixed-point number formats used by the cell machine.
+"""Fixed-point message formats of the cell machine, one `Domain` each.
 
-Two domains:
+* U16: unsigned 16-bit fraction of full scale (weight = word / 65535),
+  used by SUMPROD and GIBBS.  Message vectors are anchored so the maximum
+  component is 65535; combine multiplies, reduce sums.
+* Q88: signed Q8.8 log weight (weight = exp(word / 256)), range
+  [-128.0, +127.99609375], saturating, used by MINSUM.  Message vectors
+  are anchored so the maximum component is 0; combine adds, reduce takes
+  the maximum.
 
-* LINEAR: unsigned 16-bit fraction of full scale (value = word / 65535).
-  Message vectors are anchored so the maximum component is 65535.
-* LOG: signed Q8.8 (value = word / 256), range [-128.0, +127.99609375],
-  saturating.  Message vectors are anchored so the maximum component is 0.
-
-Rounding is round-to-nearest, ties to even, everywhere.  All machine-side
-arithmetic is done on plain Python ints so results are bit-exact and
-platform independent.
+A domain's `lo` is the word of weight zero and `one` the word of weight
+one.  Rounding is round-to-nearest, ties to even, everywhere.  All
+machine-side arithmetic is done on plain Python ints so results are
+bit-exact and platform independent.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 U16_MAX = 65535
 Q88_ONE = 256
 Q88_MIN = -32768
 Q88_MAX = 32767
 
-LINEAR = "LINEAR"
-LOG = "LOG"
-
 
 class FixedPointError(ValueError):
     pass
-
-
-def rne(x: float) -> int:
-    """Round float to nearest int, ties to even (Python round semantics)."""
-    return int(round(x))
 
 
 def rne_div(num: int, den: int) -> int:
@@ -41,46 +37,6 @@ def rne_div(num: int, den: int) -> int:
     if twice > den or (twice == den and q & 1):
         q += 1
     return q
-
-
-def quantize(values, mode: str) -> list[int]:
-    """Quantize a real vector into fixed point.
-
-    LINEAR: scaled so the max component becomes 65535 (all-zero is an error).
-    LOG: shifted so the max component becomes 0, then Q8.8 with saturation
-    at the bottom of the range (-inf saturates to Q88_MIN).
-    """
-    vals = list(values)
-    if not vals:
-        raise FixedPointError("cannot quantize an empty vector")
-    if mode == LINEAR:
-        m = max(vals)
-        if m <= 0.0:
-            raise FixedPointError("LINEAR quantization needs a positive max component")
-        if min(vals) < 0.0:
-            raise FixedPointError("LINEAR values must be non-negative")
-        return [rne(v * U16_MAX / m) for v in vals]
-    if mode == LOG:
-        m = max(vals)
-        if not math.isfinite(m):
-            raise FixedPointError("LOG quantization needs a finite max component")
-        out = []
-        for v in vals:
-            if v == -math.inf:
-                out.append(Q88_MIN)
-                continue
-            q = rne((v - m) * Q88_ONE)
-            out.append(max(Q88_MIN, min(Q88_MAX, q)))
-        return out
-    raise FixedPointError("unknown mode %r" % (mode,))
-
-
-def dequantize(words, mode: str) -> list[float]:
-    if mode == LINEAR:
-        return [w / U16_MAX for w in words]
-    if mode == LOG:
-        return [w / Q88_ONE for w in words]
-    raise FixedPointError("unknown mode %r" % (mode,))
 
 
 def sat_add(a: int, b: int) -> int:
@@ -123,8 +79,67 @@ def norm_linear(vec: list[int]) -> list[int]:
 
 
 def norm_log(vec: list[int]) -> list[int]:
-    """Shift so the max component is 0, saturating at the bottom."""
+    """Shift so the max component is 0, saturating at the bottom; an
+    all-Q88_MIN vector (weight zero everywhere) passes through."""
     m = max(vec)
-    if m == 0:
+    if m == 0 or m == Q88_MIN:
         return list(vec)
     return [max(Q88_MIN, v - m) for v in vec]
+
+
+def _check_weights(weights) -> list:
+    vals = list(weights)
+    if not vals:
+        raise FixedPointError("cannot quantize an empty vector")
+    if min(vals) < 0.0:
+        raise FixedPointError("weights must be non-negative")
+    return vals
+
+
+def _quantize_u16(weights) -> list[int]:
+    """Scale so the max weight becomes 65535 (all-zero is an error)."""
+    vals = _check_weights(weights)
+    m = max(vals)
+    if m <= 0.0:
+        raise FixedPointError("U16 quantization needs a positive max weight")
+    return [round(v * U16_MAX / m) for v in vals]
+
+
+def _quantize_q88(weights) -> list[int]:
+    """Take logs and shift so the max becomes 0, then Q8.8 saturating at
+    the bottom of the range; a zero weight (log -inf) becomes Q88_MIN."""
+    logs = [math.log(v) if v > 0 else -math.inf for v in _check_weights(weights)]
+    m = max(logs)
+    if not math.isfinite(m):
+        raise FixedPointError("Q88 quantization needs a positive, finite max weight")
+    return [Q88_MIN if v == -math.inf else
+            max(Q88_MIN, min(Q88_MAX, round((v - m) * Q88_ONE))) for v in logs]
+
+
+@dataclass(frozen=True, eq=False)
+class Domain:
+    """One message format: its word range, its units and the arithmetic
+    the machine generates code from."""
+    lo: int                 # smallest word, the word of weight zero
+    hi: int                 # largest word
+    one: int                # the word of weight one
+    thresh: int             # default packet gate, in LSBs
+    combine: str            # template joining two words, {a} and {b}
+    reduce: Callable        # term expressions -> code reducing them
+    norm: Callable          # anchors a word vector: norm(list) -> list
+    quantize: Callable      # a table's weights -> words, anchored
+    weights: Callable       # words -> weights, unnormalized
+
+    def uniform(self, card: int) -> tuple:
+        return (self.one,) * card
+
+    def indicator(self, card: int, value: int) -> tuple:
+        """Weight one at `value`, zero elsewhere."""
+        return tuple(self.one if a == value else self.lo for a in range(card))
+
+
+U16 = Domain(0, U16_MAX, U16_MAX, 256, MUL_U16, " + ".join, norm_linear,
+             _quantize_u16, lambda words: [w / U16_MAX for w in words])
+Q88 = Domain(Q88_MIN, Q88_MAX, 0, 16, SAT_ADD,
+             lambda terms: terms[0] if len(terms) == 1 else "max(%s)" % ", ".join(terms),
+             norm_log, _quantize_q88, lambda words: [math.exp(w / Q88_ONE) for w in words])

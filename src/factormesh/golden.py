@@ -8,7 +8,8 @@ Kernels:
 
     exact_marginals   full-joint enumeration (state space capped at 2**24)
     map_bruteforce    full-joint argmax, lexicographically smallest on ties
-    sum_product       loopy belief propagation, LINEAR messages (sum to 1)
+    sum_product       loopy belief propagation, LINEAR messages (sum to 1);
+                      sum_product_sweeps yields its state after each iteration
     min_sum           max-product in the log domain, messages anchored max=0
     gibbs_sample      systematic-scan Gibbs with counter-based randomness
 
@@ -19,6 +20,7 @@ maximum) on their logs.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -179,10 +181,15 @@ def _change(val: np.ndarray, old: np.ndarray) -> float:
 
 
 def _propagate(sr: _Semiring, graph: FactorGraph, schedule: str, damping: float,
-               max_iters: int, tol: float, init_messages: Optional[dict]) -> BeliefState:
-    """Loopy belief propagation over semiring sr.  A FLOODING iteration
-    updates every variable-to-factor message, then every factor-to-variable
-    one; a SEQUENTIAL iteration does the same factor by factor."""
+               max_iters: int, tol: float):
+    """Loopy belief propagation over semiring sr, one iteration at a time.
+
+    A FLOODING iteration updates every variable-to-factor message, then
+    every factor-to-variable one; a SEQUENTIAL iteration does the same
+    factor by factor.  Yields a function returning the BeliefState at the
+    start and after each iteration, up to max_iters and ending with the
+    first that converges.  It reads the live messages, so call it before
+    advancing."""
     if schedule not in (FLOODING, SEQUENTIAL):
         raise InferenceError("unknown schedule %r" % schedule)
     if not (0.0 <= damping < 1.0):
@@ -204,13 +211,6 @@ def _propagate(sr: _Semiring, graph: FactorGraph, schedule: str, damping: float,
                 start[c] = _normalize(sr, sr.lift(np.ones(c)), "")
             m_vf[(f.id, k)] = start[c]
     m_fv = dict(m_vf)
-    if init_messages:
-        for (kind, fid, k), val in init_messages.items():
-            tgt = m_vf if kind == "vf" else m_fv
-            if (fid, k) not in tgt:
-                raise InferenceError("warm-start message for unknown edge "
-                                     "(%s, %d, %d)" % (kind, fid, k))
-            tgt[(fid, k)] = np.asarray(val, dtype=np.float64)
 
     def gather(vid, skip=None):
         acc = ev[vid]
@@ -243,12 +243,19 @@ def _propagate(sr: _Semiring, graph: FactorGraph, schedule: str, damping: float,
         groups = [list(m_vf)]
     else:
         groups = [[(f.id, k) for k in range(len(f.scope))] for f in graph.factors]
-    converged = False
-    it = 0
-    # -inf - -inf in a change, where log-domain messages share a hard zero
-    with np.errstate(invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            delta = 0.0
+
+    def state(it, converged):
+        beliefs = [_normalize(sr, gather(v.id), "belief of variable %d" % v.id)
+                   for v in graph.variables]
+        messages = {("vf",) + key: val for key, val in m_vf.items()}
+        messages.update({("fv",) + key: val for key, val in m_fv.items()})
+        return BeliefState(beliefs, sr.domain, converged, it, messages)
+
+    yield functools.partial(state, 0, False)
+    for it in range(1, max_iters + 1):
+        delta = 0.0
+        # -inf - -inf in a change, where log-domain messages share a hard zero
+        with np.errstate(invalid="ignore"):
             for group in groups:
                 for edge in group:
                     val = to_factor(*edge)
@@ -261,30 +268,30 @@ def _propagate(sr: _Semiring, graph: FactorGraph, schedule: str, damping: float,
                         val = (1.0 - damping) * val + damping * m_fv[edge]
                     delta = max(delta, _change(val, m_fv[edge]))
                     m_fv[edge] = val
-            if delta < tol:
-                converged = True
-                break
+        converged = delta < tol
+        yield functools.partial(state, it, converged)
+        if converged:
+            return
 
-    beliefs = [_normalize(sr, gather(v.id), "belief of variable %d" % v.id)
-               for v in graph.variables]
-    messages = {("vf",) + key: val for key, val in m_vf.items()}
-    messages.update({("fv",) + key: val for key, val in m_fv.items()})
-    return BeliefState(beliefs, sr.domain, converged, it, messages)
+
+def sum_product_sweeps(graph: FactorGraph, schedule: str = FLOODING,
+                       damping: float = 0.0, max_iters: int = 100, tol: float = 1e-6):
+    """sum_product one iteration at a time: yields a function returning the
+    BeliefState at the start, then after each iteration, the last being
+    sum_product's.  Call it before advancing the generator."""
+    return _propagate(_SUM_PRODUCT, graph, schedule, damping, max_iters, tol)
 
 
 def sum_product(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
-                max_iters: int = 100, tol: float = 1e-6,
-                init_messages: Optional[dict] = None) -> BeliefState:
+                max_iters: int = 100, tol: float = 1e-6) -> BeliefState:
     """Loopy belief propagation with LINEAR messages normalized to sum 1.
 
     Damping mixes each new factor-to-variable message with its previous
     value: new = (1 - damping) * raw + damping * old.  Convergence means the
     largest L-inf message change in the final iteration fell below tol.
-    init_messages warm-starts from a previous BeliefState.messages dict so a
-    caller can iterate in small steps and watch the trajectory.
     """
-    return _propagate(_SUM_PRODUCT, graph, schedule, damping, max_iters, tol,
-                      init_messages)
+    *_, last = sum_product_sweeps(graph, schedule, damping, max_iters, tol)
+    return last()
 
 
 def min_sum(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
@@ -295,7 +302,8 @@ def min_sum(graph: FactorGraph, schedule: str = FLOODING, damping: float = 0.0,
     lowest value.  Zero table entries become -inf log scores; a message that
     is -inf everywhere is an error, mirroring sum_product's all-zero case.
     """
-    state = _propagate(_MAX_PRODUCT, graph, schedule, damping, max_iters, tol, None)
+    *_, last = _propagate(_MAX_PRODUCT, graph, schedule, damping, max_iters, tol)
+    state = last()
     state.assignment = state.argmax()
     return state
 

@@ -22,9 +22,10 @@ machines feed only VTOF and FTOV shadows, GIBBS machines only VALUE shadows;
 the machine rejects any other role at load.  A shadow's cardinality is its
 variable's.  An FTOV f shadow sits in the variable's cell and names a
 producer whose relation f sends the variable a message, and every such
-message needs that shadow.  Table words are quantized integers (u16 for
-LINEAR-domain modes, raw Q8.8 for MINSUM).  Unknown records are load
-errors; nothing is skipped silently.
+message needs that shadow.  Table words, THRESH and message words are in
+the units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8
+logs in MINSUM; a cell with no THRESH record gates at the domain's default.
+Unknown records are load errors; nothing is skipped silently.
 
 A relation carries no program: its mode and scope fix what it computes.  In
 SUMPROD and MINSUM a factor id names one relation of the machine, which
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .fixedpoint import Q88, U16, Domain
 from .records import Records
 
 SUMPROD = "SUMPROD"
@@ -61,9 +63,11 @@ VALUE = "VALUE"
 # cycle budget of one converging relation update
 MAX_UPDATE_CYCLES = 64
 
-# default packet gate, in LSBs of the mode's message format
-DEFAULT_THRESH_LINEAR = 256
-DEFAULT_THRESH_LOG = 16
+
+def domain(mode: str) -> Domain:
+    """The message format of a mode: Q8.8 logs in MINSUM, u16 weights in
+    SUMPROD and GIBBS.  Its `thresh` is a cell's default packet gate."""
+    return Q88 if mode == MINSUM else U16
 
 
 def relation_cost(k: int) -> int:

@@ -9,16 +9,20 @@ reading it, and recomputed messages are re-transmitted only when they moved by
 at least the cell's change threshold.  Event order is the total order
 (time, row-major cell id, sequence number), which makes runs bit-reproducible.
 
-In SUMPROD/MINSUM modes the machine settles to quiescence (empty queue).
-A relation's update is fixed by the mode and the cardinalities of its scope,
-and a variable's message refresh by its cardinality and degree, so both run
-as Python functions generated at load from that structure: straight-line
-fixed-point arithmetic spliced from the expression templates in
-`fixedpoint`, one function shared by every relation or variable of the same
-structure.  In GIBBS mode each cell periodically resamples its variables
-from the fixed-point conditionals given shadowed neighbor values and never
-quiesces on its own; each relation adds one term, built at load, to the
-conditional of each variable of its cell in its scope.
+Every word the machine holds, compares or reads out is in the mode's
+message format, its `fixedpoint.Domain` (`image.domain`): word range,
+uniform and evidence vectors, normalization, default gate and belief
+read-out all come from it.  In SUMPROD/MINSUM modes the machine settles to
+quiescence (empty queue).  A relation's update is fixed by the domain and
+the cardinalities of its scope, and a variable's message refresh by its
+cardinality and degree, so both run as Python functions generated at load
+from that structure: straight-line fixed-point arithmetic spliced from the
+domain's combine and reduce templates, one function shared by every
+relation or variable of the same structure.  In GIBBS mode each cell
+periodically resamples its variables from the fixed-point conditionals
+given shadowed neighbor values and never quiesces on its own; each
+relation adds one term, built at load, to the conditional of each variable
+of its cell in its scope.
 """
 
 from __future__ import annotations
@@ -31,11 +35,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
-from . import fixedpoint as fp
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
-                    DEFAULT_THRESH_LINEAR, DEFAULT_THRESH_LOG, gibbs_var_cost,
-                    relation_cost, MINSUM, GIBBS, VTOF, FTOV, VALUE,
-                    Capacities, parse_image)
+                    gibbs_var_cost, relation_cost, GIBBS, VTOF, FTOV, VALUE,
+                    Capacities, domain, parse_image)
 from .rng import keyed_raw64, keyed_uniform01, stream_key
 
 
@@ -189,10 +191,10 @@ def _lower(shape):
     return tuple(outputs)
 
 
-def _define(source, linear):
+def _define(source, dom):
     """Compile generated source into its one function, with `norm` bound to
-    the mode's normalization."""
-    namespace = {"norm": fp.norm_linear if linear else fp.norm_log}
+    the domain's normalization."""
+    namespace = {"norm": dom.norm}
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["generated"]
 
@@ -203,15 +205,14 @@ def _unpack(names, source):
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel(mode, shape):
+def _kernel(dom, shape):
     """Generate a converging relation's kernel: kernel(table, *inputs) takes
     the table words and one input vector per scope position and returns the
     normalized (j, message) per scope position j as straight-line code over
-    the term lists of `_lower`.  The table is an argument, so every relation
-    with one shape shares one kernel.  The source is built only from the
-    term lists' integers and the `fixedpoint` templates."""
-    linear = mode != MINSUM
-    combine = fp.MUL_U16 if linear else fp.SAT_ADD
+    the term lists of `_lower`, in domain `dom`.  The table is an argument,
+    so every relation with one shape shares one kernel.  The source is built
+    only from the term lists' integers and the domain's templates."""
+    combine = dom.combine
     lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
              _unpack(["t%d" % t for t in range(math.prod(shape))], "T")]
     offset = 0
@@ -228,24 +229,20 @@ def _kernel(mode, shape):
                 for i in offsets:
                     v = combine.format(a=v, b="x%d" % i)
                 terms.append(v)
-            if linear:
-                elems.append(" + ".join(terms))
-            else:
-                elems.append(terms[0] if len(terms) == 1 else
-                             "max(%s)" % ", ".join(terms))
+            elems.append(dom.reduce(terms))
         outs.append("(%d, tuple(norm([%s])))" % (j, ", ".join(elems)))
     lines.append("    return [%s]" % ", ".join(outs))
-    return _define("\n".join(lines) + "\n", linear)
+    return _define("\n".join(lines) + "\n", dom)
 
 
 @functools.lru_cache(maxsize=256)
-def _refresh(linear, card, degree):
+def _refresh(dom, card, degree):
     """Generate a variable's refresh: refresh(*messages) takes its degree
     >= 1 incoming messages in attachment order and returns (the normalized
     outgoing message per attachment, the normalized belief).  Outgoing
     message i combines every incoming message but the i-th, from prefix and
     suffix combinations, and the belief combines them all."""
-    combine = fp.MUL_U16 if linear else fp.SAT_ADD
+    combine = dom.combine
     lines = ["def generated(%s):" % ", ".join("m%d" % i for i in range(degree))]
     msgs = []
     for i in range(degree):
@@ -267,14 +264,14 @@ def _refresh(linear, card, degree):
     suf = [None] * (degree + 1)     # suf[i] combines messages i .. degree-1
     for i in range(degree - 1, 0, -1):
         suf[i] = emit("q%d" % i, msgs[i], suf[i + 1])
-    uniform = ["%d" % (fp.U16_MAX if linear else 0)] * card
+    uniform = ["%d" % dom.one] * card
     outs = []
     for i in range(degree):
         vec = emit("o%d" % i, pre[i], suf[i + 1]) or uniform
         outs.append("tuple(norm([%s]))" % ", ".join(vec))
     lines.append("    return (%s, ), tuple(norm([%s]))"
                  % (", ".join(outs), ", ".join(pre[degree])))
-    return _define("\n".join(lines) + "\n", linear)
+    return _define("\n".join(lines) + "\n", dom)
 
 
 def _prefix_sums(var):
@@ -306,7 +303,7 @@ class Machine:
         self.mode = image.mode
         self.seed = image.seed
         self.grid = image.grid
-        self.linear = image.mode != MINSUM
+        self.dom = domain(image.mode)
         self.stats = Stats()
         self.trace = [] if trace else None
         self.noise_lsbs = noise_lsbs
@@ -325,17 +322,13 @@ class Machine:
         R, C = image.grid
         self.cells = {}
         self.var_owner = {}
-        default_thresh = DEFAULT_THRESH_LINEAR if self.linear else DEFAULT_THRESH_LOG
-        if self.linear:
-            word_lo, word_hi = 0, fp.U16_MAX
-        else:
-            word_lo, word_hi = fp.Q88_MIN, fp.Q88_MAX
+        dom = self.dom
         sends = set()           # wire keys of relation messages to remote variables
         fids = set()            # (cell id in GIBBS else None, factor id)
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
-            cell.thresh = ci.thresh if ci.thresh is not None else default_thresh
+            cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
             cell.period = ci.gibbs_period
             cell.phase = ci.gibbs_phase or 0
             if len(ci.var_slots) > cap.var_slots:
@@ -365,7 +358,7 @@ class Machine:
                 if sh.card > cap.max_cardinality:
                     raise MachineError("shadow of %d: cardinality above limit" % sh.var_id)
                 shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card, sh.role, sh.fid)
-                shadow.data = self._uniform(sh.card)
+                shadow.data = dom.uniform(sh.card)
                 hslots[sh.slot] = ("h", shadow)
                 cell.shadows[sh.slot] = shadow
             words = 0
@@ -393,9 +386,9 @@ class Machine:
                 if size != len(rs.table):
                     raise MachineError("relation %d: table has %d words, scope needs %d"
                                        % (rs.factor_id, len(rs.table), size))
-                if min(rs.table) < word_lo or max(rs.table) > word_hi:
+                if min(rs.table) < dom.lo or max(rs.table) > dom.hi:
                     raise MachineError("relation %d: table word outside [%d, %d]"
-                                       % (rs.factor_id, word_lo, word_hi))
+                                       % (rs.factor_id, dom.lo, dom.hi))
                 words += len(rs.table)
                 rel = _Rel(cell, rs.slot, rs.factor_id, refs, shape, tuple(rs.table))
                 if self.mode != GIBBS:
@@ -404,7 +397,7 @@ class Machine:
                                            "costs %d cycles, above %d" % (
                                                rel.fid, len(shape), rel.cost,
                                                MAX_UPDATE_CYCLES))
-                    rel.kernel = _kernel(self.mode, shape)
+                    rel.kernel = _kernel(dom, shape)
                 # a factor id names one relation, or one per cell in GIBBS
                 owner = cell.cid if self.mode == GIBBS else None
                 if (owner, rel.fid) in fids:
@@ -495,19 +488,16 @@ class Machine:
                 for kind, obj in rel.refs:
                     if kind == "v":
                         obj.local_rels.setdefault(rel.fid, rel)
-                        obj.in_msgs[rel.fid] = self._uniform(obj.card)
+                        obj.in_msgs[rel.fid] = dom.uniform(obj.card)
             for shadow in cell.shadows.values():
                 if shadow.role == FTOV:
                     self.var_owner[shadow.vid].in_msgs[shadow.fid] = shadow.data
         for var in self.var_owner.values():
             var.attached = sorted(var.in_msgs)
-            var.out_msgs = dict.fromkeys(var.attached, self._uniform(var.card))
+            var.out_msgs = dict.fromkeys(var.attached, dom.uniform(var.card))
             if var.attached:
-                var.refresh = _refresh(self.linear, var.card, len(var.attached))
+                var.refresh = _refresh(dom, var.card, len(var.attached))
             self._refresh_var(var)
-
-    def _uniform(self, card):
-        return (fp.U16_MAX,) * card if self.linear else (0,) * card
 
     # -- event plumbing -----------------------------------------------------
 
@@ -619,16 +609,11 @@ class Machine:
     def _refresh_var(self, var):
         """Recompute outgoing messages, one per attachment in order, and the
         belief from stored inputs."""
-        card = var.card
         if var.evidence is not None:
-            if self.linear:
-                ind = tuple(fp.U16_MAX if a == var.evidence else 0 for a in range(card))
-            else:
-                ind = tuple(0 if a == var.evidence else fp.Q88_MIN for a in range(card))
-            var.belief = ind
-            return (ind,) * len(var.attached)
+            var.belief = self.dom.indicator(var.card, var.evidence)
+            return (var.belief,) * len(var.attached)
         if not var.attached:
-            var.belief = self._uniform(card)
+            var.belief = self.dom.uniform(var.card)
             return ()
         in_msgs = var.in_msgs
         outs, var.belief = var.refresh(*[in_msgs[fid] for fid in var.attached])
@@ -795,7 +780,7 @@ class Machine:
 
     def _apply_noise(self, vec):
         span = 2 * self.noise_lsbs + 1
-        lo, hi = (0, fp.U16_MAX) if self.linear else (fp.Q88_MIN, fp.Q88_MAX)
+        lo, hi = self.dom.lo, self.dom.hi
         out = []
         for v in vec:
             self._noise_ctr += 1
@@ -820,10 +805,10 @@ class Machine:
         """Dequantized per-variable beliefs plus argmax assignment.
 
         GIBBS mode reports empirical tick frequencies as beliefs and the
-        current sampled state as the assignment.  A LINEAR belief whose words
-        are all zero, or a GIBBS variable with no samples yet, raises
-        MachineError naming the variable, because no distribution can be
-        read from it."""
+        current sampled state as the assignment.  A belief whose words all
+        stand for weight zero (the domain's `lo`), or a GIBBS variable with
+        no samples yet, raises MachineError naming the variable, because no
+        distribution can be read from it."""
         beliefs = {}
         for vid in sorted(self.var_owner):
             var = self.var_owner[vid]
@@ -834,16 +819,10 @@ class Machine:
                                        "one tick before reading beliefs)" % vid)
                 beliefs[vid] = [c / total for c in var.counts]
             else:
-                if self.linear:
-                    if not any(var.belief):
-                        raise MachineError(
-                            "variable %d: belief collapsed to all zeros "
-                            "(contradictory evidence or underflow)" % vid)
-                    vec = [x / fp.U16_MAX for x in var.belief]
-                else:
-                    # anchored at the maximum, so some entry is exp(0) = 1
-                    anchor = max(var.belief)
-                    vec = [math.exp((x - anchor) / fp.Q88_ONE) for x in var.belief]
+                if max(var.belief) == self.dom.lo:
+                    raise MachineError("variable %d: belief collapsed to all zeros "
+                                       "(contradictory evidence or underflow)" % vid)
+                vec = self.dom.weights(var.belief)
                 s = sum(vec)
                 beliefs[vid] = [x / s for x in vec]
         return beliefs, self.read_assignment()

@@ -13,13 +13,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import fixedpoint as fp
 from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
 from .image import (MachineImage, CellImage, VarSlot, ShadowSlot, RelSlot,
-                    Capacities, DEFAULT_CAPACITIES, DEFAULT_THRESH_LINEAR,
-                    DEFAULT_THRESH_LOG, MAX_UPDATE_CYCLES, gibbs_var_cost, relation_cost,
-                    SUMPROD, MINSUM, GIBBS, VTOF, FTOV, VALUE)
+                    Capacities, DEFAULT_CAPACITIES, MAX_UPDATE_CYCLES, domain,
+                    gibbs_var_cost, relation_cost, SUMPROD, GIBBS, VTOF, FTOV, VALUE)
 
 
 class MapperError(ValueError):
@@ -376,29 +374,20 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
 # image emission
 # ---------------------------------------------------------------------------
 
-def _quantize_table(table, mode):
-    if mode == MINSUM:
-        logs = [math.log(x) if x > 0 else float("-inf") for x in table]
-        return tuple(fp.quantize(logs, fp.LOG))
-    return tuple(fp.quantize(list(table), fp.LINEAR))
-
-
 def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                mode: str, seed: int = 0, thresh: Optional[int] = None,
                capacities: Capacities = DEFAULT_CAPACITIES) -> MachineImage:
     cap = capacities
     cvar, home = _factor_home(clusters, graph, mode)
     coords = placement.coords
-    factors = {f.id: f for f in graph.factors}
-    factors_of = {v.id: [fid for fid, _ in graph.factors_of(v.id)]
-                  for v in graph.variables}
+    dom = domain(mode)
     if thresh is None:
-        thresh = DEFAULT_THRESH_LOG if mode == MINSUM else DEFAULT_THRESH_LINEAR
+        thresh = dom.thresh
     tables = {}
 
     def qtable(fid):
         if fid not in tables:
-            tables[fid] = _quantize_table(factors[fid].table, mode)
+            tables[fid] = dom.quantize(graph.factors[fid].table)
         return tables[fid]
 
     cells = {}
@@ -425,9 +414,8 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
             return s
 
         for rs, fid in enumerate(cl.rels):
-            f = factors[fid]
             refs = []
-            for v in f.scope:
+            for v in graph.factors[fid].scope:
                 if v in vslot:
                     refs.append(("V", vslot[v]))
                 elif mode == GIBBS:
@@ -439,7 +427,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         if mode != GIBBS:
             rset = set(cl.rels)
             for v in cl.vars:
-                for fid in factors_of[v]:
+                for fid, _ in graph.factors_of(v):
                     if fid not in rset:
                         shadow_for(("fv", v, fid), v, FTOV, fid, home[fid])
         cell.thresh = thresh
@@ -460,22 +448,15 @@ def _gibbs_timing(grid, clusters, graph, cvar):
     plus the cell's value fan-out, padded, so each cluster samples against
     fully fresh neighbor values."""
     R, C = grid
-    factors_of = {v.id: [fid for fid, _ in graph.factors_of(v.id)]
-                  for v in graph.variables}
     max_tick = 0
     max_fanout = 0
     for ci, cl in enumerate(clusters):
-        tick = sum(gibbs_var_cost(len(factors_of[v])) for v in cl.vars)
+        tick = sum(gibbs_var_cost(len(graph.factors_of(v))) for v in cl.vars)
         max_tick = max(max_tick, tick)
         fanout = 0
         for v in cl.vars:
-            consumers = set()
-            for f in graph.factors:
-                if v in f.scope:
-                    for u in f.scope:
-                        if cvar[u] != ci:
-                            consumers.add(cvar[u])
-            fanout += len(consumers)
+            fanout += len({cvar[u] for fid, _ in graph.factors_of(v)
+                           for u in graph.factors[fid].scope if cvar[u] != ci})
         max_fanout = max(max_fanout, fanout)
     delta = (R - 1) + (C - 1) + max_fanout + max_tick + GIBBS_SLACK
     return delta, delta * len(clusters)

@@ -174,7 +174,7 @@ def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):
     assert not beliefs_file.exists()
 
 
-def test_run_collapsed_belief_exits_2(tmp_path, capsys):
+def assert_contradictory_chain_exits_2(tmp_path, capsys, *compile_args):
     # v0 = 0 and v2 = 1 tied through v1 by two equalities: v1 has no state
     eq = (1.0, 0.0, 0.0, 1.0)
     graph = FactorGraph([VariableNode(i, 2) for i in range(3)],
@@ -185,13 +185,23 @@ def test_run_collapsed_belief_exits_2(tmp_path, capsys):
                           serialize_evidence({0: 0, 2: 1}))
     image = str(tmp_path / "chain.fmimg")
     assert run_cli(capsys, "compile", graph_file, "--evidence", evidence_file,
-                   "--out", image, "--grid", "1x1")[0] == 0
+                   "--out", image, "--grid", "1x1", *compile_args)[0] == 0
     beliefs_file = tmp_path / "chain.beliefs"
     code, _, stderr = run_cli(capsys, "run", image, "--beliefs",
                               str(beliefs_file))
     assert code == 2
     assert "error: variable 1: belief collapsed" in stderr
     assert not beliefs_file.exists()
+
+
+def test_run_collapsed_belief_exits_2(tmp_path, capsys):
+    assert_contradictory_chain_exits_2(tmp_path, capsys)
+
+
+def test_run_minsum_collapsed_belief_exits_2(tmp_path, capsys):
+    # hard equalities keep every Q8.8 word of v1's belief at the floor
+    assert_contradictory_chain_exits_2(tmp_path, capsys, "--mode", "MINSUM",
+                                       "--epsilon", "0")
 
 
 def test_run_rejects_garbage_image(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Fixed-point formats: rounding, anchoring, saturation."""
+"""Fixed-point formats: rounding, anchoring, saturation, and the two
+message domains built from them."""
 
 import math
 import random
@@ -8,15 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factormesh import fixedpoint as fp
-
-
-def test_rne_ties_to_even():
-    assert fp.rne(0.5) == 0
-    assert fp.rne(1.5) == 2
-    assert fp.rne(2.5) == 2
-    assert fp.rne(-0.5) == 0
-    assert fp.rne(-1.5) == -2
-    assert fp.rne(3.2) == 3
 
 
 def test_rne_div_matches_fraction_rounding():
@@ -34,45 +26,58 @@ def test_rne_div_halfway_cases():
 
 
 def test_quantize_linear_anchor():
-    assert fp.quantize([1.0, 1.0], fp.LINEAR) == [65535, 65535]
+    assert fp.U16.quantize([1.0, 1.0]) == [65535, 65535]
     # 0.3 / 0.7 * 65535 = 28086.43, rounded
-    assert fp.quantize([0.3, 0.7], fp.LINEAR) == [28086, 65535]
-    assert fp.quantize([2.0], fp.LINEAR) == [65535]
+    assert fp.U16.quantize([0.3, 0.7]) == [28086, 65535]
+    assert fp.U16.quantize([2.0]) == [65535]
 
 
 def test_quantize_log_anchor_and_saturation():
-    assert fp.quantize([-3.0, 0.0], fp.LOG) == [-768, 0]
+    assert fp.Q88.quantize([math.exp(-3.0), 1.0]) == [-768, 0]
     # anchored to the max before scaling
-    assert fp.quantize([2.0, 5.0], fp.LOG) == [-768, 0]
-    assert fp.quantize([-200.0, 0.0], fp.LOG) == [fp.Q88_MIN, 0]
-    assert fp.quantize([-math.inf, 0.0], fp.LOG) == [fp.Q88_MIN, 0]
+    assert fp.Q88.quantize([math.exp(2.0), math.exp(5.0)]) == [-768, 0]
+    assert fp.Q88.quantize([math.exp(-200.0), 1.0]) == [fp.Q88_MIN, 0]
+    assert fp.Q88.quantize([0.0, 1.0]) == [fp.Q88_MIN, 0]
+    # 0.3 has log -1.2040 = -308.22 / 256
+    assert fp.Q88.quantize((0.3, 1.0)) == [-308, 0]
 
 
 def test_quantize_rejects_bad_input():
+    for dom in (fp.U16, fp.Q88):
+        for bad in ([], [0.0, 0.0], [-0.1, 1.0]):
+            with pytest.raises(fp.FixedPointError):
+                dom.quantize(bad)
     with pytest.raises(fp.FixedPointError):
-        fp.quantize([], fp.LINEAR)
-    with pytest.raises(fp.FixedPointError):
-        fp.quantize([0.0, 0.0], fp.LINEAR)
-    with pytest.raises(fp.FixedPointError):
-        fp.quantize([-0.1, 1.0], fp.LINEAR)
-    with pytest.raises(fp.FixedPointError):
-        fp.quantize([math.inf, 0.0], fp.LOG)
-    with pytest.raises(fp.FixedPointError):
-        fp.quantize([1.0], "OCTAL")
+        fp.Q88.quantize([math.inf, 1.0])
 
 
-def test_dequantize_within_half_lsb():
+def test_quantize_then_weights_within_half_lsb():
     rng = random.Random(0)
     vals = [rng.uniform(0.05, 1.0) for _ in range(8)]
     m = max(vals)
-    back = fp.dequantize(fp.quantize(vals, fp.LINEAR), fp.LINEAR)
+    back = fp.U16.weights(fp.U16.quantize(vals))
     for v, b in zip(vals, back):
         assert abs(b - v / m) <= 0.5 / fp.U16_MAX + 1e-12
     logs = [rng.uniform(-20.0, 0.0) for _ in range(8)]
     shift = max(logs)
-    back = fp.dequantize(fp.quantize(logs, fp.LOG), fp.LOG)
+    back = fp.Q88.weights(fp.Q88.quantize([math.exp(v) for v in logs]))
     for v, b in zip(logs, back):
-        assert abs(b - (v - shift)) <= 0.5 / fp.Q88_ONE + 1e-12
+        assert abs(math.log(b) - (v - shift)) <= 0.5 / fp.Q88_ONE + 1e-12
+
+
+def test_domains_anchor_their_uniform_and_indicator_vectors():
+    for dom in (fp.U16, fp.Q88):
+        for card in (2, 3, 16):
+            uniform = dom.uniform(card)
+            assert uniform == (dom.one,) * card
+            assert dom.norm(list(uniform)) == list(uniform)
+            for value in (0, card - 1):
+                ind = dom.indicator(card, value)
+                assert dom.norm(list(ind)) == list(ind)
+                assert ind[value] == dom.one
+                assert ind.count(dom.lo) == card - 1
+        assert dom.weights([dom.one, dom.lo])[0] == 1.0
+    assert fp.U16.weights([fp.U16.lo]) == [0.0]
 
 
 def test_sat_add():
@@ -109,6 +114,8 @@ def test_norm_log():
     assert fp.norm_log([0, -5]) == [0, -5]
     assert fp.norm_log([10, -5]) == [0, -15]
     assert fp.norm_log([32767, -32760]) == [0, fp.Q88_MIN]
+    # weight zero everywhere stays there, as norm_linear keeps all-zero
+    assert fp.norm_log([fp.Q88_MIN] * 3) == [fp.Q88_MIN] * 3
 
 
 

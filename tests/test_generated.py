@@ -25,6 +25,13 @@ from factormesh.mapper import MapperError, compile_graph
 
 class ReferenceKernelMachine(Machine):
 
+    @property
+    def linear(self):
+        return self.mode != MINSUM
+
+    def _uniform(self, card):
+        return (fp.U16_MAX,) * card if self.linear else (0,) * card
+
     def _refresh_var(self, var):
         # the machine takes the messages in attachment order
         outs = self._reference_refresh(var)

@@ -10,7 +10,8 @@ import gen
 from factormesh import apps
 from factormesh.golden import (FLOODING, SEQUENTIAL, EnumerationBoundError,
                                InferenceError, exact_marginals, gibbs_sample,
-                               map_bruteforce, min_sum, sum_product)
+                               map_bruteforce, min_sum, sum_product,
+                               sum_product_sweeps)
 from factormesh.graph import (ALL_DIFFERENT, EPS_SOFT, TABLE, FactorGraph,
                               FactorNode, GraphError, VariableNode,
                               expand_all, with_evidence)
@@ -131,13 +132,19 @@ def test_sum_product_respects_evidence():
     assert np.allclose(state.beliefs[1], [3 / 7, 4 / 7])
 
 
-def test_sum_product_warm_start_continues_run():
+def test_sum_product_sweeps_stop_where_sum_product_stops():
     g = triangle_coloring()
-    split = sum_product(g, max_iters=3, tol=0.0)
-    split = sum_product(g, max_iters=4, tol=0.0, init_messages=split.messages)
-    whole = sum_product(g, max_iters=7, tol=0.0)
-    for x, y in zip(split.beliefs, whole.beliefs):
-        assert np.allclose(x, y, atol=1e-12)
+    states = [state() for state in sum_product_sweeps(g, max_iters=7, tol=0.0)]
+    assert [s.iterations for s in states] == list(range(8))
+    for it in (0, 3, 7):
+        whole = sum_product(g, max_iters=it, tol=0.0)
+        assert (states[it].converged, states[it].iterations) == (False, it)
+        assert whole.iterations == it and not whole.converged
+        for x, y in zip(states[it].beliefs, whole.beliefs):
+            assert np.array_equal(x, y)
+        assert states[it].messages.keys() == whole.messages.keys()
+        for key, val in whole.messages.items():
+            assert np.array_equal(states[it].messages[key], val)
 
 
 def test_sum_product_rejects_bad_arguments():
@@ -146,8 +153,6 @@ def test_sum_product_rejects_bad_arguments():
         sum_product(g, schedule="RANDOM")
     with pytest.raises(InferenceError):
         sum_product(g, damping=1.0)
-    with pytest.raises(InferenceError):
-        sum_product(g, init_messages={("vf", 7, 0): np.ones(2)})
 
 
 def test_sum_product_zero_message_raises():

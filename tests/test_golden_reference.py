@@ -10,6 +10,11 @@ belief and message byte, the iteration count, the convergence flag, the
 assignment and any exception's type and text must agree.  The one wording
 that moved is min_sum's all-(-inf) belief error, which now reads like every
 other void message: `expected_error` maps the old text onto the new.
+`reference_sum_product` also keeps its warm start (`init_messages`), which
+golden no longer has: `sum_product_sweeps` must yield, after each
+iteration, the state that many warm-started one-iteration calls reach, and
+`bp_hamming_trajectory`, which now reads those states, the trajectory it
+read from such calls.
 
 `reference_gibbs_sample` keeps the sampler from before its conditionals were
 memoized, verbatim apart from its name: it rebuilds every conditional and
@@ -31,7 +36,7 @@ from factormesh import apps, golden, rng
 from factormesh.golden import (FLOODING, LINEAR, LOG, SEQUENTIAL, BeliefState,
                                GibbsResult, InferenceError, _evidence_indicator,
                                _factor_nd, _require_tables, gibbs_sample, min_sum,
-                               sum_product)
+                               sum_product, sum_product_sweeps)
 from factormesh.graph import (EPS_SOFT, TABLE, FactorGraph, FactorNode,
                               VariableNode, expand_all, with_evidence)
 
@@ -361,19 +366,39 @@ def assert_same_min_sum(graph, **kwargs):
     return got
 
 
-def assert_same_sum_product_chain(graph, steps=1, **kwargs):
-    """Run `steps` calls, each warm-started from the messages of the one
-    before, on both sides; return the last outcome."""
-    mine = ref = None
-    for _ in range(steps):
-        got, mine = outcome(sum_product, graph, init_messages=mine and mine.messages,
-                            **kwargs)
-        want, ref = outcome(reference_sum_product, graph,
+def assert_same_sum_product(graph, **kwargs):
+    got, _ = outcome(sum_product, graph, **kwargs)
+    assert got == outcome(reference_sum_product, graph, **kwargs)[0]
+    return got
+
+
+def assert_sweeps_match_warm_started_reference(graph, max_iters=100, **kwargs):
+    """Each state sum_product_sweeps yields is the reference's after as many
+    calls of one iteration, each warm-started from the messages of the one
+    before, as bp_hamming_trajectory used to run them: the same bytes but
+    for the iteration count, which every call restarts at 1, the same
+    error, and the generator stops where the calls converge."""
+    sweeps = sum_product_sweeps(graph, max_iters=max_iters, **kwargs)
+    got, start = outcome(lambda g: next(sweeps)(), graph)
+    assert got == outcome(reference_sum_product, graph, max_iters=0, **kwargs)[0]
+    if start is None:
+        return
+    ref = None
+    for it in range(1, max_iters + 1):
+        def step(g):
+            state = next(sweeps)()
+            assert state.iterations == it
+            state.iterations = 1
+            return state
+        got, _ = outcome(step, graph)
+        want, ref = outcome(reference_sum_product, graph, max_iters=1,
                             init_messages=ref and ref.messages, **kwargs)
         assert got == want
-        if mine is None:
+        if ref is None:
+            return
+        if ref.converged:
             break
-    return got
+    assert next(sweeps, None) is None
 
 
 # -- Hypothesis over gen.py graphs ----------------------------------------------
@@ -399,11 +424,12 @@ def golden_cases(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=golden_cases(), steps=st.integers(1, 3))
-def test_fold_matches_reference_kernels(case, steps):
+@given(case=golden_cases())
+def test_fold_matches_reference_kernels(case):
     graph, kwargs = case
     assert_same_min_sum(graph, **kwargs)
-    assert_same_sum_product_chain(graph, steps, **kwargs)
+    assert_same_sum_product(graph, **kwargs)
+    assert_sweeps_match_warm_started_reference(graph, **kwargs)
 
 
 # -- fixed cases ----------------------------------------------------------------
@@ -418,7 +444,7 @@ def test_fold_matches_reference_on_sudoku():
         graph = expand_all(bench.graph, epsilon)
         for kwargs in ARGUMENTS:
             assert_same_min_sum(graph, **kwargs)
-            assert_same_sum_product_chain(graph, **kwargs)
+            assert_same_sum_product(graph, **kwargs)
     # the benchmark's call
     got = assert_same_min_sum(expand_all(bench.graph, EPS_SOFT))
     assert got[4] == list(apps.SUDOKU_FIXTURE_SOLUTION)
@@ -429,11 +455,34 @@ def test_fold_matches_reference_on_hamming_words():
         rx = list(word)
         rx[i % 7] ^= 1
         graph = expand_all(apps.build_parity_code(tuple(rx)).graph, EPS_SOFT)
-        # bp_hamming_trajectory's warm-started single sweeps
-        assert_same_sum_product_chain(graph, steps=20, max_iters=1)
+        assert_sweeps_match_warm_started_reference(graph, max_iters=20)
         for kwargs in ARGUMENTS:
             assert_same_min_sum(graph, **kwargs)
-            assert_same_sum_product_chain(graph, **kwargs)
+            assert_same_sum_product(graph, **kwargs)
+
+
+def warm_started_trajectory(graph, sweeps=20, epsilon=EPS_SOFT):
+    """bp_hamming_trajectory as it was: one reference call of one iteration
+    per sweep, each warm-started from the messages of the one before."""
+    expanded = expand_all(graph, epsilon)
+    messages = None
+    for _ in range(sweeps):
+        state = reference_sum_product(expanded, max_iters=1, init_messages=messages)
+        messages = state.messages
+        yield tuple(state.argmax()[:7])
+        if state.converged:
+            break
+
+
+def test_hamming_trajectory_matches_warm_started_sweeps():
+    # every single flip of every codeword: hamming-t0's cases for any seed
+    for word in apps.hamming_codewords():
+        for flip in range(7):
+            rx = list(word)
+            rx[flip] ^= 1
+            graph = apps.build_parity_code(tuple(rx)).graph
+            assert (list(apps.bp_hamming_trajectory(graph, sweeps=20))
+                    == list(warm_started_trajectory(graph)))
 
 
 def test_fold_matches_reference_on_contradiction():
@@ -441,7 +490,7 @@ def test_fold_matches_reference_on_contradiction():
     g = FactorGraph([VariableNode(0, 2, 0), VariableNode(1, 2)],
                     [FactorNode(0, (0, 1), TABLE, (0.0, 0.0, 1.0, 1.0))])
     for kwargs in ARGUMENTS:
-        got = assert_same_sum_product_chain(g, **kwargs)
+        got = assert_same_sum_product(g, **kwargs)
         assert got == (InferenceError, "all-zero message from factor 0 to variable 1 "
                        "(hard-contradictory evidence)")
         got = assert_same_min_sum(g, **kwargs)
@@ -456,7 +505,7 @@ def test_fold_matches_reference_on_disjoint_unaries():
                     [FactorNode(0, (0,), TABLE, (1.0, 0.0)),
                      FactorNode(1, (0,), TABLE, (0.0, 1.0))])
     for kwargs in ARGUMENTS:
-        linear = assert_same_sum_product_chain(g, **kwargs)
+        linear = assert_same_sum_product(g, **kwargs)
         log = assert_same_min_sum(g, **kwargs)
         if kwargs["damping"] == 0.0:
             assert linear == (InferenceError, "all-zero message belief of variable 0 "
@@ -471,10 +520,8 @@ def test_fold_matches_reference_on_bad_arguments():
     g = gen.random_tree_graph(3)
     for kwargs in (dict(schedule="RANDOM"), dict(damping=1.0), dict(damping=-0.5)):
         assert_same_min_sum(g, **kwargs)
-        assert_same_sum_product_chain(g, **kwargs)
-    bad = {("vf", 99, 0): np.ones(2)}
-    got, _ = outcome(sum_product, g, init_messages=bad)
-    assert got == outcome(reference_sum_product, g, init_messages=bad)[0]
+        assert_same_sum_product(g, **kwargs)
+        assert_sweeps_match_warm_started_reference(g, **kwargs)
 
 
 def test_fold_matches_reference_on_a_moving_hard_zero_message():

@@ -176,6 +176,35 @@ def test_collapsed_belief_raises_instead_of_reading_uniform():
     assert "variable 1" in str(err.value) and "collapsed" in str(err.value)
 
 
+def test_minsum_collapsed_belief_raises_instead_of_reading_uniform():
+    # hard equalities (epsilon 0): every Q8.8 word of v1's belief is the
+    # floor, weight zero, which must not normalize up to a uniform belief
+    image, _ = compile_graph(contradiction_chain(), "MINSUM", grid=(1, 1),
+                             epsilon=0.0, epochs=5)
+    m = Machine(dumps(image))
+    _, quiescent = m.run_until_quiescent()
+    assert quiescent
+    assert m.var_owner[1].belief == (-32768, -32768)
+    with pytest.raises(MachineError, match="variable 1: belief collapsed"):
+        m.read_beliefs()
+
+
+def test_every_mode_loads_its_domains_default_threshold_and_table_range():
+    for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
+                                 ("MINSUM", 16, -32768, 32767),
+                                 ("GIBBS", 256, 0, 65535)):
+        head = "FMIMG 3\nGRID 1 1\nMODE %s\n" % mode
+        cell = "CELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n%d %d\n"
+        if mode == "GIBBS":
+            cell += "GIBBS_PERIOD 4 0\n"
+        m = Machine(head + cell % (lo, hi))
+        assert m.cells[(0, 0)].thresh == thresh, mode
+        for words in ((lo - 1, hi), (lo, hi + 1)):
+            with pytest.raises(MachineError, match=r"table word outside \[%d, %d\]"
+                               % (lo, hi)):
+                Machine(head + cell % words)
+
+
 def test_minsum_machine_recovers_map_assignment():
     variables = [VariableNode(i, 2) for i in range(3)]
     factors = [FactorNode(0, (0, 1), TABLE, (0.9, 0.1, 0.1, 0.9)),
