@@ -17,7 +17,7 @@ from . import apps, golden, mapper
 from .graph import (EPS_SOFT, GraphError, ParseError, expand_all, parse_uai,
                     parse_evidence, with_evidence)
 from .image import ImageError, MODES, SUMPROD, MINSUM, GIBBS, dumps, parse_image
-from .machine import Machine, MachineError
+from .machine import Machine, MachineError, xy_links
 from .records import Records
 
 
@@ -201,17 +201,9 @@ def cmd_stats(args):
             deliver_queues.setdefault(vid, []).append((r, c))
     links = {}
     for vid, srcs in sorted(send_queues.items()):
-        dsts = deliver_queues.get(vid, [])
-        for (sr, sc), (dr, dc) in zip(srcs, dsts):
-            r, c = sr, sc
-            while c != dc:
-                nc = c + (1 if dc > c else -1)
-                links[((r, c), (r, nc))] = links.get(((r, c), (r, nc)), 0) + 1
-                c = nc
-            while r != dr:
-                nr = r + (1 if dr > r else -1)
-                links[((r, c), (nr, c))] = links.get(((r, c), (nr, c)), 0) + 1
-                r = nr
+        for src, dst in zip(srcs, deliver_queues.get(vid, [])):
+            for link in xy_links(src, dst):
+                links[link] = links.get(link, 0) + 1
     print("packets_by_cycle")
     for cycle in sorted(per_cycle):
         print("%d %d" % (cycle, per_cycle[cycle]))

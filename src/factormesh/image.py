@@ -11,8 +11,8 @@ Text format (version header `FMIMG 3`), one record per line, `#` comments:
     SHADOW <slot> <var_id> <card> <src_r> <src_c> VTOF <fid>|FTOV <fid>|VALUE
     REL <slot> <factor_id> <nwords> <ref>...   refs bind scope positions, V<slot>/H<slot>
     <nwords integer table words on following lines>
-    THRESH <lsb>                          per-cell packet gate threshold
-    GIBBS_PERIOD <period> <phase>         resample timing (GIBBS mode)
+    THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
+    GIBBS_PERIOD <period> <phase>         resample timing (GIBBS)
 
 A shadow slot is its wire: one link from its producer cell `src` into that
 slot, carrying the variable `var_id`.  Shadow roles: VTOF f holds the
@@ -25,6 +25,8 @@ producer whose relation f sends the variable a message, and every such
 message needs that shadow.  Table words, THRESH and message words are in
 the units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8
 logs in MINSUM; a cell with no THRESH record gates at the domain's default.
+A GIBBS cell sends a value whenever it changes, so the machine rejects a
+THRESH record in a GIBBS image, and a GIBBS_PERIOD record in any other.
 Unknown records are load errors; nothing is skipped silently.
 
 A relation carries no program: its mode and scope fix what it computes.  In

@@ -23,6 +23,11 @@ periodically resamples its variables from the fixed-point conditionals
 given shadowed neighbor values and never quiesces on its own; each
 relation adds one term, built at load, to the conditional of each variable
 of its cell in its scope.
+
+Wires are resolved at load into ports: each quantity a cell sends (a
+variable's message to a factor, a relation's message to a remote variable,
+a GIBBS value) is one `_Port`, held by its variable or relation, with its
+last payload and its destinations, each with its `xy_links` route.
 """
 
 from __future__ import annotations
@@ -86,10 +91,32 @@ class Stats:
 # runtime cell structures
 # ---------------------------------------------------------------------------
 
+def xy_links(src, dst):
+    """The mesh links of the dimension-order route from cell `src` to cell
+    `dst`, both (row, col): along the row to dst's column, then along that
+    column, each link a (from, to) pair of neighbouring cells.  A cell's
+    route to itself has no mesh link."""
+    (r, c), (dr, dc) = src, dst
+    sc, sr = (1 if dc > c else -1), (1 if dr > r else -1)
+    return (tuple(((r, x), (r, x + sc)) for x in range(c, dc, sc))
+            + tuple(((y, dc), (y + sr, dc)) for y in range(r, dr, sr)))
+
+
+class _Port:
+    """One sent quantity and every wire that carries it."""
+    __slots__ = ("vid", "dests", "last")
+
+    def __init__(self, vid):
+        self.vid = vid
+        self.dests = []         # (dst cell, dst slot, hops, route links)
+        self.last = None        # payload last sent, None before the first
+
+
 class _Var:
     __slots__ = ("cell", "slot", "vid", "card", "evidence", "value",
                  "in_msgs", "out_msgs", "belief", "attached", "local_rels",
-                 "counts", "terms", "blanket", "memo", "key", "refresh")
+                 "ports", "port", "counts", "terms", "blanket", "memo", "key",
+                 "refresh")
 
     def __init__(self, cell, slot, vid, card, evidence):
         self.cell = cell
@@ -103,6 +130,8 @@ class _Var:
         self.belief = None
         self.attached = []      # sorted fids
         self.local_rels = {}    # fid -> _Rel in the same cell
+        self.ports = []         # per attachment: its message's _Port, or None
+        self.port = None        # GIBBS: the _Port of its value, if wired
         self.counts = [0] * card
         self.terms = []         # GIBBS: (table, stride, others) per scope position
         self.blanket = ()       # GIBBS: (object, radix multiplier) per blanket object
@@ -122,13 +151,13 @@ class _Shadow:
         self.card = card
         self.role = role
         self.fid = fid
-        self.data = None        # message tuple (VTOF / FTOV)
+        self.data = None        # message tuple (VTOF)
         self.value = 0          # domain value (VALUE)
         self.consumers = []     # rels reading this slot
 
 
 class _Rel:
-    __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
+    __slots__ = ("cell", "slot", "fid", "refs", "ports", "shape", "strides",
                  "table", "kernel", "cost", "pending")
 
     def __init__(self, cell, slot, fid, refs, shape, table):
@@ -136,6 +165,7 @@ class _Rel:
         self.slot = slot
         self.fid = fid
         self.refs = refs        # per scope position: ("v", _Var) or ("h", _Shadow)
+        self.ports = [None] * len(refs)     # converging: the _Port per shadow position
         self.shape = shape
         strides = [1] * len(shape)
         for i in range(len(shape) - 2, -1, -1):
@@ -312,7 +342,7 @@ class Machine:
         self._heap = []
         self._seq = 0
         self.time = 0
-        self._links = {}        # (r, c, dir) -> next free cycle
+        self._links = {}        # route link -> next free cycle
         self._build(image, capacities)
         self._init_flush()
 
@@ -323,12 +353,21 @@ class Machine:
         self.cells = {}
         self.var_owner = {}
         dom = self.dom
-        sends = set()           # wire keys of relation messages to remote variables
+        # (sending cell id, shadow role, variable id, factor id) -> _Port
+        ports = {}
         fids = set()            # (cell id in GIBBS else None, factor id)
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
-            cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
+            # a GIBBS cell sends its value whenever it changes, and only a
+            # GIBBS cell resamples
+            record, value = (("THRESH", ci.thresh) if self.mode == GIBBS
+                             else ("GIBBS_PERIOD", ci.gibbs_period))
+            if value is not None:
+                raise MachineError("cell (%d, %d): a %s machine takes no %s"
+                                   % (coord + (self.mode, record)))
+            if self.mode != GIBBS:
+                cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
             cell.period = ci.gibbs_period
             cell.phase = ci.gibbs_phase or 0
             if len(ci.var_slots) > cap.var_slots:
@@ -358,7 +397,8 @@ class Machine:
                 if sh.card > cap.max_cardinality:
                     raise MachineError("shadow of %d: cardinality above limit" % sh.var_id)
                 shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card, sh.role, sh.fid)
-                shadow.data = dom.uniform(sh.card)
+                if sh.role == VTOF:
+                    shadow.data = dom.uniform(sh.card)
                 hslots[sh.slot] = ("h", shadow)
                 cell.shadows[sh.slot] = shadow
             words = 0
@@ -378,6 +418,9 @@ class Machine:
                         if ent[1].role == VTOF and ent[1].fid != rs.factor_id:
                             raise MachineError("relation %d reads a shadow bound to "
                                                "relation %s" % (rs.factor_id, ent[1].fid))
+                        if ent[1].role == FTOV:
+                            raise MachineError("relation %d reads an FTOV shadow, a "
+                                               "variable's input" % rs.factor_id)
                     refs.append(ent)
                 shape = tuple(r[1].card for r in refs)
                 size = 1
@@ -409,7 +452,8 @@ class Machine:
                     if kind == "h":
                         obj.consumers.append(rel)
                         if self.mode != GIBBS:
-                            sends.add((cell.cid, "fv", rel.fid, obj.vid))
+                            rel.ports[pos] = ports.setdefault(
+                                (cell.cid, FTOV, obj.vid, rel.fid), _Port(obj.vid))
                     elif self.mode == GIBBS:
                         # the table slice along pos at the other positions' values
                         others = tuple((o, rel.strides[q])
@@ -436,10 +480,8 @@ class Machine:
                     if size <= _MEMO_CAP:
                         var.memo = [None] * size
 
-        # wire index: quantity key -> list of (dst cell, dst slot, hops),
-        # one wire per shadow slot from the cell its SHADOW record names
-        self.wire_index = {}
-        self.last_sent = {}
+        # one wire per shadow slot from the cell its SHADOW record names,
+        # a destination of the port of the quantity it carries
         for w in image.wires:
             dst = self.cells[w.dst]
             src = self.cells.get(tuple(w.src))
@@ -452,48 +494,49 @@ class Machine:
                 raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
                                    % (dst.r, dst.c, self.mode, shadow.role))
             owner = self.var_owner.get(w.var_id)
+            key = (src.cid, shadow.role, w.var_id, shadow.fid)
             if shadow.role == FTOV:
                 if owner is None or owner.cell is not dst:
                     raise MachineError("FTOV shadow of %d must sit in the owning cell"
                                        % w.var_id)
-                key = (src.cid, "fv", shadow.fid, w.var_id)
-                if key not in sends:
+                if key not in ports:
                     raise MachineError("wire source has no relation %d sending to "
                                        "variable %d" % (shadow.fid, w.var_id))
-            else:
-                if owner is None or owner.cell is not src:
-                    raise MachineError("wire source does not own variable %d" % w.var_id)
-                if shadow.role == VTOF:
-                    key = (src.cid, "vf", w.var_id, shadow.fid)
-                else:
-                    key = (src.cid, "val", w.var_id, 0)
+            elif owner is None or owner.cell is not src:
+                raise MachineError("wire source does not own variable %d" % w.var_id)
             if shadow.card != owner.card:
                 raise MachineError("shadow of variable %d has cardinality %d, the "
                                    "variable has %d" % (w.var_id, shadow.card, owner.card))
-            self.wire_index.setdefault(key, []).append(
-                (dst, w.dst_slot, abs(w.src[0] - w.dst[0]) + abs(w.src[1] - w.dst[1])))
+            links = xy_links(w.src, w.dst)
+            # a packet to its own cell takes the cell's local port
+            ports.setdefault(key, _Port(w.var_id)).dests.append(
+                (dst, w.dst_slot, len(links), links or ((w.dst, w.dst),)))
 
         # GIBBS cells publish sampled values, never messages or beliefs
         if self.mode == GIBBS:
+            for var in self.var_owner.values():
+                var.port = ports.get((var.cell.cid, VALUE, var.vid, None))
             return
 
-        missing = sends - self.wire_index.keys()
-        if missing:
-            raise MachineError("relation %d: no wire carries its message to variable %d"
-                               % min(missing)[2:])
         # attach relations to their local variables; remote factor inputs
         # arrive through FTOV shadows of the owner cell
         for cell in self.cells.values():
             for rel in cell.rels:
-                for kind, obj in rel.refs:
+                for (kind, obj), port in zip(rel.refs, rel.ports):
                     if kind == "v":
                         obj.local_rels.setdefault(rel.fid, rel)
                         obj.in_msgs[rel.fid] = dom.uniform(obj.card)
+                    elif not port.dests:
+                        raise MachineError("relation %d: no wire carries its message "
+                                           "to variable %d" % (rel.fid, port.vid))
             for shadow in cell.shadows.values():
                 if shadow.role == FTOV:
-                    self.var_owner[shadow.vid].in_msgs[shadow.fid] = shadow.data
+                    self.var_owner[shadow.vid].in_msgs[shadow.fid] = \
+                        dom.uniform(shadow.card)
         for var in self.var_owner.values():
             var.attached = sorted(var.in_msgs)
+            var.ports = [ports.get((var.cell.cid, VTOF, var.vid, fid))
+                         for fid in var.attached]
             var.out_msgs = dict.fromkeys(var.attached, dom.uniform(var.card))
             if var.attached:
                 var.refresh = _refresh(dom, var.card, len(var.attached))
@@ -516,8 +559,8 @@ class Machine:
                               % (cycle, cell.r, cell.c, event, vid, detail))
 
     def _init_flush(self):
-        """Startup: publish every variable's initial message/value (the
-        sentinel last-sent forces a first packet), then run every relation
+        """Startup: publish every variable's initial message/value (a port
+        that has sent nothing sends its first packet), then run every relation
         once.  Work within a cell is serialized, so later units start after
         the cycles charged to earlier ones."""
         for coord in sorted(self.cells):
@@ -604,7 +647,7 @@ class Machine:
                     obj.in_msgs[rel.fid] = payload
                     self._emit_var(obj, avail)
             else:
-                self._gate_send((cell.cid, "fv", rel.fid, obj.vid), payload, avail, cell)
+                self._gate_send(rel.ports[pos], payload, avail, cell)
 
     def _refresh_var(self, var):
         """Recompute outgoing messages, one per attachment in order, and the
@@ -624,23 +667,21 @@ class Machine:
         cell = var.cell
         if self.mode == GIBBS:
             # sampling cells exchange bare values, not message vectors
-            key = (cell.cid, "val", var.vid, 0)
-            if key in self.wire_index:
-                self._gate_send(key, var.value, time, cell, value_packet=True)
+            if var.port is not None:
+                self._gate_send(var.port, var.value, time, cell, value_packet=True)
             return
         outs = self._refresh_var(var)
-        for fid, new in zip(var.attached, outs):
+        for fid, new, port in zip(var.attached, outs, var.ports):
             if var.out_msgs[fid] != new:
                 var.out_msgs[fid] = new
                 rel = var.local_rels.get(fid)
                 if rel is not None:
                     self._pend_exec(rel, time)
-            key = (cell.cid, "vf", var.vid, fid)
-            if key in self.wire_index:
-                self._gate_send(key, var.out_msgs[fid], time, cell)
+            if port is not None:
+                self._gate_send(port, var.out_msgs[fid], time, cell)
 
-    def _gate_send(self, key, payload, time, cell, value_packet=False):
-        last = self.last_sent.get(key)
+    def _gate_send(self, port, payload, time, cell, value_packet=False):
+        last = port.last
         if last is None:
             flush = True
         else:
@@ -652,45 +693,32 @@ class Machine:
                 diff = max(abs(a - b) for a, b in zip(payload, last))
                 if diff < cell.thresh:
                     return
-        self.last_sent[key] = payload
-        self._push(time, cell, "S", (key, payload, flush))
+        port.last = payload
+        self._push(time, cell, "S", (port, payload, flush))
 
     def _on_send(self, cell, payload, time):
-        key, value, flush = payload
-        for dst, slot, hops in self.wire_index[key]:
-            arrival = self._route(cell, dst, time)
+        port, value, flush = payload
+        for dst, slot, hops, links in port.dests:
+            arrival = self._route(links, time)
             self.stats.packets += 1
             if flush:
                 self.stats.flush_packets += 1
             self.stats.hops += hops
-            vid = key[2] if key[1] != "fv" else key[3]
-            self._trace(time, cell, "SEND", vid, hops)
+            self._trace(time, cell, "SEND", port.vid, hops)
             self._push(arrival, dst, "D", (slot, value, hops))
 
-    def _route(self, src, dst, time):
-        """Reserve the dimension-order path; one packet per link per cycle."""
+    def _route(self, links, time):
+        """Reserve a packet's route links in order, one packet per link per
+        cycle, from cycle `time`; returns its arrival cycle."""
         t = time
-        links = self._links
-        r, c = src.r, src.c
-        if (r, c) == (dst.r, dst.c):
-            path = [(r, c, "L")]
-        else:
-            path = []
-            while c != dst.c:
-                step = 1 if dst.c > c else -1
-                path.append((r, c, "E" if step > 0 else "W"))
-                c += step
-            while r != dst.r:
-                step = 1 if dst.r > r else -1
-                path.append((r, c, "S" if step > 0 else "N"))
-                r += step
-        for link in path:
-            free = links.get(link, 0)
+        free_at = self._links
+        for link in links:
+            free = free_at.get(link, 0)
             depart = free if free > t else t
             wait = depart - t
             if wait + 1 > self.stats.peak_link_occupancy:
                 self.stats.peak_link_occupancy = wait + 1
-            links[link] = depart + 1
+            free_at[link] = depart + 1
             t = depart + 1
         return t
 
@@ -700,7 +728,6 @@ class Machine:
         self._trace(time, cell, "DELIVER", shadow.vid, hops)
         if shadow.role == FTOV:
             var = self.var_owner[shadow.vid]
-            shadow.data = value
             if var.in_msgs.get(shadow.fid) != value:
                 var.in_msgs[shadow.fid] = value
                 self._emit_var(var, time)
@@ -850,41 +877,33 @@ class Machine:
 
         Returns {"local": d1, "remote": d2}: the largest deviation between a
         recomputed message and (local) what its consumer holds, or (remote)
-        the last-sent copy.  At quiescence local must be 0 and remote below
-        the sending cell's threshold.  Recomputed messages carry no output
+        what its port last sent.  At quiescence local must be 0 and remote
+        below the sending cell's threshold.  Recomputed messages carry no output
         noise, and the check draws nothing from the noise stream, so a run
         continued after it is the run it would have been.  GIBBS machines
         never quiesce and compute no messages, so asking one raises
         MachineError."""
         if self.mode == GIBBS:
             raise MachineError("quiescence only applies to SUMPROD and MINSUM modes")
-        local = 0
-        remote = 0
+        local = []              # (recomputed, held) message pairs
+        remote = []             # (recomputed, last sent) message pairs
         for cell in self.cells.values():
             for var in cell.vars:
                 outs = self._refresh_var(var)
-                for fid, new in zip(var.attached, outs):
-                    d = max(abs(a - b) for a, b in zip(new, var.out_msgs[fid]))
-                    local = max(local, d)
-                    key = (cell.cid, "vf", var.vid, fid)
-                    if key in self.wire_index and key in self.last_sent:
-                        d = max(abs(a - b)
-                                for a, b in zip(new, self.last_sent[key]))
-                        remote = max(remote, d)
+                for fid, new, port in zip(var.attached, outs, var.ports):
+                    local.append((new, var.out_msgs[fid]))
+                    if port is not None and port.last is not None:
+                        remote.append((new, port.last))
             for rel in cell.rels:
                 for pos, payload in rel.kernel(rel.table, *self._inputs(rel)):
                     kind, obj = rel.refs[pos]
                     if kind == "v":
-                        held = obj.in_msgs.get(rel.fid)
-                        d = max(abs(a - b) for a, b in zip(payload, held))
-                        local = max(local, d)
-                    else:
-                        key = (cell.cid, "fv", rel.fid, obj.vid)
-                        if key in self.last_sent:
-                            d = max(abs(a - b)
-                                    for a, b in zip(payload, self.last_sent[key]))
-                            remote = max(remote, d)
-        return {"local": local, "remote": remote}
+                        local.append((payload, obj.in_msgs[rel.fid]))
+                    elif rel.ports[pos].last is not None:
+                        remote.append((payload, rel.ports[pos].last))
+        return {name: max((abs(a - b) for new, old in pairs for a, b in zip(new, old)),
+                          default=0)
+                for name, pairs in (("local", local), ("remote", remote))}
 
     def trace_text(self) -> str:
         if self.trace is None:

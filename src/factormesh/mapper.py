@@ -27,6 +27,9 @@ class MapperError(ValueError):
 # margin added to the per-phase budget over travel + compute time
 GIBBS_SLACK = 4
 
+# annealing temperature factor per placement epoch
+COOLING = 0.95
+
 
 def _default_epsilon(mode: str) -> float:
     # hard zeros are exact for sum-product; sampling and log-domain
@@ -72,15 +75,6 @@ def lower(graph: FactorGraph, epsilon: float = 0.0,
                                      capacities.max_cardinality))
         factors.append(FactorNode(len(factors), scope, TABLE, tuple(table)))
 
-    def not_equal(u, v):
-        cu = variables[u].cardinality
-        cv = variables[v].cardinality
-        return [1.0 if a != b else epsilon for a in range(cu) for b in range(cv)]
-
-    def parity3(eps):
-        return [1.0 if (a ^ b ^ c) == 0 else eps
-                for a in range(2) for b in range(2) for c in range(2)]
-
     for f in graph.factors:
         if f.kind == ALL_DIFFERENT:
             for i in range(len(f.scope)):
@@ -90,7 +84,9 @@ def lower(graph: FactorGraph, epsilon: float = 0.0,
                     if key in seen_pairs:
                         continue
                     seen_pairs.add(key)
-                    add((u, v), not_equal(u, v))
+                    pair = FactorNode(f.id, (u, v), ALL_DIFFERENT)
+                    cards = (variables[u].cardinality, variables[v].cardinality)
+                    add((u, v), expand_builtin(pair, cards, epsilon).table)
         elif f.kind == PARITY and len(f.scope) > 3:
             s = f.scope
             aux = []
@@ -101,7 +97,8 @@ def lower(graph: FactorGraph, epsilon: float = 0.0,
             for k in range(1, len(s) - 3):
                 chain.append((aux[k - 1], s[k + 1], aux[k]))
             chain.append((aux[-1], s[-2], s[-1]))
-            tbl = parity3(epsilon)
+            tbl = expand_builtin(FactorNode(f.id, chain[0], PARITY), (2, 2, 2),
+                                 epsilon).table
             for scope in chain:
                 add(scope, tbl)
         elif f.kind == TABLE:
@@ -290,8 +287,7 @@ def cost(placement: Placement, clusters: list, graph: FactorGraph,
 
 
 def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
-          mode: str = SUMPROD, epochs: int = 50, epoch_scale: int = 100,
-          cooling: float = 0.95) -> Placement:
+          mode: str = SUMPROD, epochs: int = 50, epoch_scale: int = 100) -> Placement:
     """Simulated annealing from a row-major start; returns the best placement
     seen, never worse than the start.
 
@@ -366,7 +362,7 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
                     best = list(pos)
         if accepts == 0:
             break
-        temp *= cooling
+        temp *= COOLING
     return Placement(grid, [cells[p] for p in best], cost0, best_cost)
 
 
@@ -381,7 +377,11 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
     cvar, home = _factor_home(clusters, graph, mode)
     coords = placement.coords
     dom = domain(mode)
-    if thresh is None:
+    # a GIBBS cell sends a value whenever it changes
+    if mode == GIBBS:
+        if thresh is not None:
+            raise MapperError("GIBBS cells take no change threshold")
+    elif thresh is None:
         thresh = dom.thresh
     tables = {}
 
@@ -469,15 +469,13 @@ def _gibbs_timing(grid, clusters, graph, cvar):
 def compile_graph(graph: FactorGraph, mode: str, grid: tuple = (4, 4),
                   seed: int = 0, capacities: Capacities = DEFAULT_CAPACITIES,
                   thresh: Optional[int] = None, epsilon: Optional[float] = None,
-                  epochs: int = 50, epoch_scale: int = 100,
-                  cooling: float = 0.95):
+                  epochs: int = 50):
     """lower -> cluster -> place -> emit.  Returns (image, report dict)."""
     if epsilon is None:
         epsilon = _default_epsilon(mode)
     lowered = lower(graph, epsilon=epsilon, capacities=capacities, mode=mode)
     clusters = cluster(lowered, capacities=capacities, mode=mode)
-    placement = place(clusters, lowered, grid, seed=seed, mode=mode,
-                      epochs=epochs, epoch_scale=epoch_scale, cooling=cooling)
+    placement = place(clusters, lowered, grid, seed=seed, mode=mode, epochs=epochs)
     image = emit_image(placement, clusters, lowered, mode, seed=seed,
                        thresh=thresh, capacities=capacities)
     report = {

@@ -159,6 +159,16 @@ def test_run_gibbs_ticks(tmp_path, capsys):
     assert all(abs(sum(beliefs[v]) - 1.0) < 1e-9 for v in range(3))
 
 
+def test_compile_gibbs_with_a_threshold_exits_3(tmp_path, capsys):
+    bench = apps.build_coloring(apps.TRIANGLE_EDGES, 3)
+    graph_file = write(tmp_path, "tri.uai",
+                       serialize_uai(expand_all(bench.graph, np.exp(-20.0))))
+    code, _, stderr = run_cli(capsys, "compile", graph_file, "--out",
+                              str(tmp_path / "tri.fmimg"), "--mode", "GIBBS",
+                              "--grid", "2x2", "--thresh", "7")
+    assert code == 3 and "GIBBS cells take no change threshold" in stderr
+
+
 def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):
     bench = apps.build_coloring(apps.TRIANGLE_EDGES, 3)
     graph_file = write(tmp_path, "tri.uai",
@@ -402,10 +412,19 @@ def test_stats_summarizes_a_trace(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "stats", trace_file)
     assert code == 0
     assert "packets_by_cycle" in stdout and "link_traffic" in stdout
+    header = open(trace_file).readline()
+    # one packet from (0, 0) to (2, 3) takes three links along row 0, then
+    # two down column 3
+    hand = write(tmp_path, "hand.trace",
+                 header + "0,0,0,SEND,4,5\n5,2,3,DELIVER,4,5\n")
+    code, stdout, _ = run_cli(capsys, "stats", hand)
+    assert code == 0
+    assert stdout == ("packets_by_cycle\n0 1\nlink_traffic\n"
+                      "(0,0)->(0,1) 1\n(0,1)->(0,2) 1\n(0,2)->(0,3) 1\n"
+                      "(0,3)->(1,3) 1\n(1,3)->(2,3) 1\n")
     bad = write(tmp_path, "plain.txt", "hello\n")
     code, _, stderr = run_cli(capsys, "stats", bad)
     assert code == 2 and "line 1: not a trace file (missing header)" in stderr
-    header = open(trace_file).readline()
     bad = write(tmp_path, "field.trace", header + "1,0,x,SEND,0,1\n")
     code, _, stderr = run_cli(capsys, "stats", bad)
     assert code == 2 and "line 2: trace row has a non-integer field" in stderr

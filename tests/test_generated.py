@@ -99,7 +99,9 @@ def run(cls, text, caps, noise, inject, budget):
         m.inject_evidence(*inject)
     stats, _ = m.run_until_quiescent(budget)
     beliefs = {vid: var.belief for vid, var in m.var_owner.items()}
-    return stats, m.time, m.trace, beliefs, m.last_sent
+    sent = [port.last for cell in m.cells.values() for unit in cell.vars + cell.rels
+            for port in unit.ports if port is not None]
+    return stats, m.time, m.trace, beliefs, sent
 
 
 def assert_same_runs(text, caps, inject=None, budget=1500):

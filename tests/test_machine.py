@@ -11,7 +11,7 @@ from factormesh import apps, golden
 from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
                               expand_all, with_evidence)
 from factormesh.image import Capacities, ImageError, dumps
-from factormesh.machine import Machine, MachineError
+from factormesh.machine import Machine, MachineError, xy_links
 from factormesh.mapper import Placement, cluster, compile_graph, emit_image, lower, place
 
 TOL_CELL = 2.0 ** -7
@@ -192,13 +192,17 @@ def test_minsum_collapsed_belief_raises_instead_of_reading_uniform():
 def test_every_mode_loads_its_domains_default_threshold_and_table_range():
     for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
                                  ("MINSUM", 16, -32768, 32767),
-                                 ("GIBBS", 256, 0, 65535)):
+                                 ("GIBBS", None, 0, 65535)):
         head = "FMIMG 3\nGRID 1 1\nMODE %s\n" % mode
         cell = "CELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n%d %d\n"
         if mode == "GIBBS":
             cell += "GIBBS_PERIOD 4 0\n"
         m = Machine(head + cell % (lo, hi))
         assert m.cells[(0, 0)].thresh == thresh, mode
+        if mode == "GIBBS":
+            # a GIBBS cell sends a value whenever it changes
+            with pytest.raises(MachineError, match="a GIBBS machine takes no THRESH"):
+                Machine(head + cell % (lo, hi) + "THRESH 0\n")
         for words in ((lo - 1, hi), (lo, hi + 1)):
             with pytest.raises(MachineError, match=r"table word outside \[%d, %d\]"
                                % (lo, hi)):
@@ -236,19 +240,44 @@ VAR 0 1 2
 def test_route_charges_one_cycle_per_link():
     m = Machine(ROUTE_IMG)
     # 3 column hops then 2 row hops
-    assert m._route(m.cells[(0, 0)], m.cells[(2, 3)], 0) == 5
-    assert m._route(m.cells[(2, 3)], m.cells[(0, 0)], 0) == 5
+    assert xy_links((0, 0), (2, 3)) == (((0, 0), (0, 1)), ((0, 1), (0, 2)),
+                                        ((0, 2), (0, 3)), ((0, 3), (1, 3)),
+                                        ((1, 3), (2, 3)))
+    assert xy_links((2, 3), (0, 0)) == (((2, 3), (2, 2)), ((2, 2), (2, 1)),
+                                        ((2, 1), (2, 0)), ((2, 0), (1, 0)),
+                                        ((1, 0), (0, 0)))
+    assert m._route(xy_links((0, 0), (2, 3)), 0) == 5
+    assert m._route(xy_links((2, 3), (0, 0)), 0) == 5
+
+
+# variable 0 messages relation 0, and relation 0 messages variable 0,
+# through shadows of the cell they share
+LOCAL_IMG = """\
+FMIMG 3
+GRID 1 1
+MODE SUMPROD
+CELL 0 0
+VAR 0 0 2
+SHADOW 0 0 2 0 0 VTOF 0
+SHADOW 1 0 2 0 0 FTOV 0
+REL 0 0 2 H0
+1 2
+"""
 
 
 def test_route_local_port_costs_one_cycle():
-    m = Machine(ROUTE_IMG)
-    assert m._route(m.cells[(0, 0)], m.cells[(0, 0)], 0) == 1
+    assert xy_links((0, 0), (0, 0)) == ()
+    m = Machine(LOCAL_IMG)
+    (port,) = m.var_owner[0].ports
+    ((_cell, slot, hops, links),) = port.dests
+    assert (slot, hops) == (0, 0)
+    assert m._route(links, 0) == 1
 
 
 def test_route_contention_stalls_second_packet():
     m = Machine(ROUTE_IMG)
-    first = m._route(m.cells[(0, 0)], m.cells[(2, 3)], 0)
-    second = m._route(m.cells[(0, 0)], m.cells[(2, 3)], 0)
+    first = m._route(xy_links((0, 0), (2, 3)), 0)
+    second = m._route(xy_links((0, 0), (2, 3)), 0)
     assert (first, second) == (5, 6)
     assert m.stats.peak_link_occupancy == 2
 
@@ -489,6 +518,9 @@ VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
     ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 1 2 0 1 FTOV 0\nCELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n",
      "FTOV shadow of 1 must sit in the owning cell"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
+     "SHADOW 0 0 2 0 0 FTOV 0\nREL 0 0 2 H0\n1 1\n",
+     "relation 0 reads an FTOV shadow"),
     ("FMIMG 3\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
      "SHADOW 0 0 2 0 1 FTOV 5\nCELL 0 1\nVAR 0 1 2\n",
      "wire source has no relation 5"),
@@ -527,6 +559,14 @@ VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
     ("FMIMG 3\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
      "REL 1 0 2 V0\n1 1\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): factor id 0 names a second relation"),
+    # a GIBBS cell sends a value whenever it changes, and a converging cell
+    # never resamples
+    ("FMIMG 3\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
+     "THRESH 7\nGIBBS_PERIOD 10 0\n",
+     "cell (0, 0): a GIBBS machine takes no THRESH"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 65535\n"
+     "GIBBS_PERIOD 4 0\n",
+     "cell (0, 0): a SUMPROD machine takes no GIBBS_PERIOD"),
 ]
 
 

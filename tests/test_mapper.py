@@ -12,7 +12,7 @@ import gen
 from factormesh import apps, golden
 from factormesh.graph import (ALL_DIFFERENT, PARITY, TABLE, FactorGraph,
                               FactorNode, VariableNode, expand_all)
-from factormesh.image import Capacities
+from factormesh.image import Capacities, dumps
 from factormesh.machine import Machine
 from factormesh.mapper import (MapperError, Placement, _edge_weights, cluster,
                                compile_graph, cost, emit_image, lower, place)
@@ -385,6 +385,16 @@ def test_minsum_emission_uses_log_ops():
     assert all(w <= 0 for w in rel.table)
 
 
+def test_gibbs_emission_writes_no_threshold():
+    # a GIBBS cell sends a value whenever it changes
+    bench = apps.build_ising_chain(8, 0.5, 0.1)
+    image, _ = compile_graph(bench.graph, "GIBBS", grid=bench.grid)
+    assert all(cell.thresh is None for cell in image.cells.values())
+    assert "THRESH" not in dumps(image)
+    with pytest.raises(MapperError, match="GIBBS cells take no change threshold"):
+        compile_graph(bench.graph, "GIBBS", grid=bench.grid, thresh=7)
+
+
 def test_compile_report_fields():
     bench = apps.build_parity_code((0,) * 7)
     image, report = compile_graph(bench.graph, "SUMPROD", grid=(4, 4), seed=1)
@@ -397,7 +407,6 @@ def test_compile_report_fields():
 
 
 def test_compile_is_deterministic():
-    from factormesh.image import dumps
     bench = apps.build_parity_code((1, 0, 1, 1, 0, 0, 1))
     a, _ = compile_graph(bench.graph, "SUMPROD", grid=(4, 4), seed=2)
     b, _ = compile_graph(bench.graph, "SUMPROD", grid=(4, 4), seed=2)

@@ -66,9 +66,8 @@ class ReferenceTickMachine(Machine):
         cell.tick_idx = k + 1
         out_t = time + cell.tick_cost
         for var in changed:
-            key = (cell.cid, "val", var.vid, 0)
-            if key in self.wire_index:
-                self._gate_send(key, var.value, out_t, cell, value_packet=True)
+            if var.port is not None:
+                self._gate_send(var.port, var.value, out_t, cell, value_packet=True)
         if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
             self._push(time + cell.period, cell, "T", None)
 
