@@ -1,14 +1,14 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 3`), one record per line, `#` comments:
+Text format (version header `FMIMG 4`), one record per line, `#` comments:
 
-    FMIMG 3
+    FMIMG 4
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
     CELL <r> <c>                          opens a cell; records below attach to it
     VAR <slot> <var_id> <card> [EVIDENCE <value>]
-    SHADOW <slot> <var_id> <card> <src_r> <src_c> VTOF <fid>|FTOV <fid>|VALUE
+    SHADOW <slot> <var_id> <card> <src_r> <src_c> VTOF <fid>|VALUE
     REL <slot> <factor_id> <nwords> <ref>...   refs bind scope positions, V<slot>/H<slot>
     <nwords integer table words on following lines>
     THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
@@ -16,16 +16,16 @@ Text format (version header `FMIMG 3`), one record per line, `#` comments:
 
 A shadow slot is its wire: one link from its producer cell `src` into that
 slot, carrying the variable `var_id`.  Shadow roles: VTOF f holds the
-variable's message into factor f, FTOV f holds factor f's message to the
-variable, VALUE holds the variable's sampled value.  SUMPROD and MINSUM
-machines feed only VTOF and FTOV shadows, GIBBS machines only VALUE shadows;
-the machine rejects any other role at load.  A shadow's cardinality is its
-variable's.  An FTOV f shadow sits in the variable's cell and names a
-producer whose relation f sends the variable a message, and every such
-message needs that shadow.  Table words, THRESH and message words are in
-the units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8
-logs in MINSUM; a cell with no THRESH record gates at the domain's default.
-A GIBBS cell sends a value whenever it changes, so the machine rejects a
+variable's message into factor f, VALUE holds its sampled value.  SUMPROD
+and MINSUM machines feed only VTOF shadows, GIBBS machines only VALUE
+shadows; the machine rejects any other role at load.  A shadow has its
+variable's cardinality, and a relation of its cell reads it.  A VTOF f
+shadow also declares its edge's return wire, on which relation f sends
+`src` its message to the variable, into a register that counts as one of
+`src`'s shadow slots.  Table words, THRESH and message words are in the
+units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs
+in MINSUM; a cell with no THRESH record gates at the domain's default.  A
+GIBBS cell sends a value whenever it changes, so the machine rejects a
 THRESH record in a GIBBS image, and a GIBBS_PERIOD record in any other.
 Unknown records are load errors; nothing is skipped silently.
 
@@ -59,7 +59,6 @@ GIBBS = "GIBBS"
 MODES = (SUMPROD, MINSUM, GIBBS)
 
 VTOF = "VTOF"
-FTOV = "FTOV"
 VALUE = "VALUE"
 
 # cycle budget of one converging relation update
@@ -115,8 +114,8 @@ class ShadowSlot:
     var_id: int
     card: int
     src: tuple                      # (r, c) of the producing cell
-    role: str                       # VTOF / FTOV / VALUE
-    fid: Optional[int] = None       # factor id for VTOF / FTOV
+    role: str                       # VTOF / VALUE
+    fid: Optional[int] = None       # factor id for VTOF
 
 
 @dataclass
@@ -141,10 +140,15 @@ class CellImage:
 
 @dataclass
 class Wire:
+    """One link from cell `src` to cell `dst` carrying variable `var_id`:
+    its message or value into shadow slot `slot` of `dst`, or, when `back`,
+    the message of the relation reading VTOF shadow slot `slot` of `src`
+    into the variable."""
     var_id: int
     src: tuple
     dst: tuple
-    dst_slot: int
+    slot: int
+    back: bool = False
 
 
 @dataclass
@@ -156,11 +160,16 @@ class MachineImage:
 
     @property
     def wires(self) -> list:
-        """One Wire per shadow slot, from its `src` cell into the slot, in
-        (cell coordinate, slot) order."""
-        return [Wire(sh.var_id, sh.src, coord, sh.slot)
-                for coord in sorted(self.cells)
-                for sh in sorted(self.cells[coord].shadow_slots, key=lambda s: s.slot)]
+        """One Wire per shadow slot, from its `src` cell into the slot, each
+        VTOF one followed by its return wire, in (cell coordinate, slot)
+        order."""
+        wires = []
+        for coord in sorted(self.cells):
+            for sh in sorted(self.cells[coord].shadow_slots, key=lambda s: s.slot):
+                wires.append(Wire(sh.var_id, sh.src, coord, sh.slot))
+                if sh.role == VTOF:
+                    wires.append(Wire(sh.var_id, coord, sh.src, sh.slot, back=True))
+        return wires
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +177,7 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 3",
+    lines = ["FMIMG 4",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -183,7 +192,7 @@ def dumps(image: MachineImage) -> str:
         for sh in sorted(cell.shadow_slots, key=lambda s: s.slot):
             row = "SHADOW %d %d %d %d %d %s" % (sh.slot, sh.var_id, sh.card,
                                                 sh.src[0], sh.src[1], sh.role)
-            if sh.role in (VTOF, FTOV):
+            if sh.role == VTOF:
                 row += " %d" % sh.fid
             lines.append(row)
         for rel in sorted(cell.rel_slots, key=lambda s: s.slot):
@@ -210,8 +219,8 @@ _CELL_RECORDS = ("VAR", "SHADOW", "REL", "THRESH", "GIBBS_PERIOD")
 def parse_image(text: str) -> MachineImage:
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "3"]:
-        rec.fail("expected FMIMG 3 header")
+    if next(records, [])[:2] != ["FMIMG", "4"]:
+        rec.fail("expected FMIMG 4 header")
     grid = None
     mode = None
     seed = 0
@@ -276,9 +285,9 @@ def parse_image(text: str) -> MachineImage:
             slot, vid, card, sr, sc = rec.ints(toks[1:6], 5, "SHADOW")
             role = toks[6]
             fid = None
-            if role in (VTOF, FTOV):
+            if role == VTOF:
                 if len(toks) != 8:
-                    rec.fail("%s shadow needs a factor id" % role)
+                    rec.fail("VTOF shadow needs a factor id")
                 (fid,) = rec.ints(toks[7:], 1, "SHADOW factor id")
             elif role == VALUE:
                 if len(toks) != 7:

@@ -25,13 +25,15 @@ relation adds one term, built at load, to the conditional of each variable
 of its cell in its scope.
 
 Wires are resolved at load into ports: each quantity a cell sends (a
-variable's message to a factor, a relation's message to a remote variable,
-a GIBBS value) is one `_Port`, held by its variable or relation, with its
-last payload and its destinations, each with its `xy_links` route.
+variable's message to a factor, a relation's message to a remote variable on
+the return wire of the VTOF shadow it reads, a GIBBS value) is one `_Port`,
+held by its variable or shadow, with its last payload and its destinations,
+each with its `xy_links` route.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
-                    gibbs_var_cost, relation_cost, GIBBS, VTOF, FTOV, VALUE,
+                    gibbs_var_cost, relation_cost, GIBBS, VTOF, VALUE,
                     Capacities, domain, parse_image)
 from .rng import keyed_raw64, keyed_uniform01, stream_key
 
@@ -104,11 +106,12 @@ def xy_links(src, dst):
 
 class _Port:
     """One sent quantity and every wire that carries it."""
-    __slots__ = ("vid", "dests", "last")
+    __slots__ = ("vid", "fid", "dests", "last")
 
-    def __init__(self, vid):
+    def __init__(self, vid, fid):
         self.vid = vid
-        self.dests = []         # (dst cell, dst slot, hops, route links)
+        self.fid = fid          # factor id of a message, None for a value
+        self.dests = []         # (dst cell, _Shadow or _Var, hops, route links)
         self.last = None        # payload last sent, None before the first
 
 
@@ -142,7 +145,7 @@ class _Var:
 
 class _Shadow:
     __slots__ = ("cell", "slot", "vid", "card", "role", "fid",
-                 "data", "value", "consumers")
+                 "data", "value", "consumers", "port")
 
     def __init__(self, cell, slot, vid, card, role, fid):
         self.cell = cell
@@ -154,10 +157,11 @@ class _Shadow:
         self.data = None        # message tuple (VTOF)
         self.value = 0          # domain value (VALUE)
         self.consumers = []     # rels reading this slot
+        self.port = None        # VTOF: its reader's message back to the variable
 
 
 class _Rel:
-    __slots__ = ("cell", "slot", "fid", "refs", "ports", "shape", "strides",
+    __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
                  "table", "kernel", "cost", "pending")
 
     def __init__(self, cell, slot, fid, refs, shape, table):
@@ -165,7 +169,6 @@ class _Rel:
         self.slot = slot
         self.fid = fid
         self.refs = refs        # per scope position: ("v", _Var) or ("h", _Shadow)
-        self.ports = [None] * len(refs)     # converging: the _Port per shadow position
         self.shape = shape
         strides = [1] * len(shape)
         for i in range(len(shape) - 2, -1, -1):
@@ -353,6 +356,9 @@ class Machine:
         self.cells = {}
         self.var_owner = {}
         dom = self.dom
+        wires = image.wires
+        # every wire, a return wire too, lands in a shadow register of its dst
+        registers = collections.Counter(w.dst for w in wires)
         # (sending cell id, shadow role, variable id, factor id) -> _Port
         ports = {}
         fids = set()            # (cell id in GIBBS else None, factor id)
@@ -372,8 +378,9 @@ class Machine:
             cell.phase = ci.gibbs_phase or 0
             if len(ci.var_slots) > cap.var_slots:
                 raise MachineError("cell (%d, %d): too many variable slots" % coord)
-            if len(ci.shadow_slots) > cap.shadow_slots:
-                raise MachineError("cell (%d, %d): too many shadow slots" % coord)
+            if registers[coord] > cap.shadow_slots:
+                raise MachineError("cell (%d, %d): too many shadow slots, return "
+                                   "wires included" % coord)
             if len(ci.rel_slots) > cap.rel_slots:
                 raise MachineError("cell (%d, %d): too many relation slots" % coord)
             vslots = {}
@@ -418,9 +425,9 @@ class Machine:
                         if ent[1].role == VTOF and ent[1].fid != rs.factor_id:
                             raise MachineError("relation %d reads a shadow bound to "
                                                "relation %s" % (rs.factor_id, ent[1].fid))
-                        if ent[1].role == FTOV:
-                            raise MachineError("relation %d reads an FTOV shadow, a "
-                                               "variable's input" % rs.factor_id)
+                    if any(obj.vid == ent[1].vid for _kind, obj in refs):
+                        raise MachineError("relation %d binds variable %d at two scope "
+                                           "positions" % (rs.factor_id, ent[1].vid))
                     refs.append(ent)
                 shape = tuple(r[1].card for r in refs)
                 size = 1
@@ -451,9 +458,6 @@ class Machine:
                 for pos, (kind, obj) in enumerate(refs):
                     if kind == "h":
                         obj.consumers.append(rel)
-                        if self.mode != GIBBS:
-                            rel.ports[pos] = ports.setdefault(
-                                (cell.cid, FTOV, obj.vid, rel.fid), _Port(obj.vid))
                     elif self.mode == GIBBS:
                         # the table slice along pos at the other positions' values
                         others = tuple((o, rel.strides[q])
@@ -461,6 +465,10 @@ class Machine:
                         obj.terms.append((rel.table, rel.strides[pos], others))
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
+            for shadow in cell.shadows.values():
+                if not shadow.consumers:
+                    raise MachineError("cell (%d, %d): no relation reads shadow slot %d"
+                                       % (coord + (shadow.slot,)))
             if self.mode == GIBBS:
                 if cell.vars and not cell.period:
                     raise MachineError("cell (%d, %d) owns variables but has no "
@@ -480,37 +488,38 @@ class Machine:
                     if size <= _MEMO_CAP:
                         var.memo = [None] * size
 
-        # one wire per shadow slot from the cell its SHADOW record names,
-        # a destination of the port of the quantity it carries
-        for w in image.wires:
+        # one wire per shadow slot from the cell its SHADOW record names, a
+        # destination of the port of the quantity it carries; a VTOF one's
+        # return wire follows it, the one destination of its reader's port
+        for w in wires:
             dst = self.cells[w.dst]
             src = self.cells.get(tuple(w.src))
             if src is None:
                 raise MachineError("wire for variable %d references a cell with no config"
                                    % w.var_id)
-            shadow = dst.shadows[w.dst_slot]
-            # sampling cells send only values, converging cells only messages
-            if (shadow.role == VALUE) != (self.mode == GIBBS):
-                raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
-                                   % (dst.r, dst.c, self.mode, shadow.role))
             owner = self.var_owner.get(w.var_id)
-            key = (src.cid, shadow.role, w.var_id, shadow.fid)
-            if shadow.role == FTOV:
-                if owner is None or owner.cell is not dst:
-                    raise MachineError("FTOV shadow of %d must sit in the owning cell"
-                                       % w.var_id)
-                if key not in ports:
-                    raise MachineError("wire source has no relation %d sending to "
-                                       "variable %d" % (shadow.fid, w.var_id))
-            elif owner is None or owner.cell is not src:
-                raise MachineError("wire source does not own variable %d" % w.var_id)
-            if shadow.card != owner.card:
-                raise MachineError("shadow of variable %d has cardinality %d, the "
-                                   "variable has %d" % (w.var_id, shadow.card, owner.card))
+            if w.back:
+                shadow = src.shadows[w.slot]
+                port = shadow.port = _Port(w.var_id, shadow.fid)
+                target = owner
+                owner.in_msgs[shadow.fid] = dom.uniform(owner.card)
+            else:
+                target = shadow = dst.shadows[w.slot]
+                # sampling cells send only values, converging cells only messages
+                if (shadow.role == VALUE) != (self.mode == GIBBS):
+                    raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
+                                       % (dst.r, dst.c, self.mode, shadow.role))
+                if owner is None or owner.cell is not src:
+                    raise MachineError("wire source does not own variable %d" % w.var_id)
+                if shadow.card != owner.card:
+                    raise MachineError("shadow of variable %d has cardinality %d, the "
+                                       "variable has %d" % (w.var_id, shadow.card,
+                                                            owner.card))
+                port = ports.setdefault((src.cid, shadow.role, w.var_id, shadow.fid),
+                                        _Port(w.var_id, shadow.fid))
             links = xy_links(w.src, w.dst)
             # a packet to its own cell takes the cell's local port
-            ports.setdefault(key, _Port(w.var_id)).dests.append(
-                (dst, w.dst_slot, len(links), links or ((w.dst, w.dst),)))
+            port.dests.append((dst, target, len(links), links or ((w.dst, w.dst),)))
 
         # GIBBS cells publish sampled values, never messages or beliefs
         if self.mode == GIBBS:
@@ -518,21 +527,14 @@ class Machine:
                 var.port = ports.get((var.cell.cid, VALUE, var.vid, None))
             return
 
-        # attach relations to their local variables; remote factor inputs
-        # arrive through FTOV shadows of the owner cell
+        # attach relations to their local variables; remote ones are
+        # attached by their return wires
         for cell in self.cells.values():
             for rel in cell.rels:
-                for (kind, obj), port in zip(rel.refs, rel.ports):
+                for kind, obj in rel.refs:
                     if kind == "v":
-                        obj.local_rels.setdefault(rel.fid, rel)
+                        obj.local_rels[rel.fid] = rel
                         obj.in_msgs[rel.fid] = dom.uniform(obj.card)
-                    elif not port.dests:
-                        raise MachineError("relation %d: no wire carries its message "
-                                           "to variable %d" % (rel.fid, port.vid))
-            for shadow in cell.shadows.values():
-                if shadow.role == FTOV:
-                    self.var_owner[shadow.vid].in_msgs[shadow.fid] = \
-                        dom.uniform(shadow.card)
         for var in self.var_owner.values():
             var.attached = sorted(var.in_msgs)
             var.ports = [ports.get((var.cell.cid, VTOF, var.vid, fid))
@@ -647,7 +649,7 @@ class Machine:
                     obj.in_msgs[rel.fid] = payload
                     self._emit_var(obj, avail)
             else:
-                self._gate_send(rel.ports[pos], payload, avail, cell)
+                self._gate_send(obj.port, payload, avail, cell)
 
     def _refresh_var(self, var):
         """Recompute outgoing messages, one per attachment in order, and the
@@ -698,14 +700,14 @@ class Machine:
 
     def _on_send(self, cell, payload, time):
         port, value, flush = payload
-        for dst, slot, hops, links in port.dests:
+        for dst, target, hops, links in port.dests:
             arrival = self._route(links, time)
             self.stats.packets += 1
             if flush:
                 self.stats.flush_packets += 1
             self.stats.hops += hops
             self._trace(time, cell, "SEND", port.vid, hops)
-            self._push(arrival, dst, "D", (slot, value, hops))
+            self._push(arrival, dst, "D", (target, port.fid, value, hops))
 
     def _route(self, links, time):
         """Reserve a packet's route links in order, one packet per link per
@@ -723,21 +725,21 @@ class Machine:
         return t
 
     def _on_deliver(self, cell, payload, time):
-        slot, value, hops = payload
-        shadow = cell.shadows[slot]
-        self._trace(time, cell, "DELIVER", shadow.vid, hops)
-        if shadow.role == FTOV:
-            var = self.var_owner[shadow.vid]
-            if var.in_msgs.get(shadow.fid) != value:
-                var.in_msgs[shadow.fid] = value
-                self._emit_var(var, time)
-        elif shadow.role == VTOF:
-            if shadow.data != value:
-                shadow.data = value
-                for rel in shadow.consumers:
-                    self._pend_exec(rel, time)
-        else:
-            shadow.value = value
+        target, fid, value, hops = payload
+        self._trace(time, cell, "DELIVER", target.vid, hops)
+        if fid is None:
+            # a GIBBS value into its VALUE shadow
+            target.value = value
+        elif isinstance(target, _Var):
+            # relation fid's message to its remote variable
+            if target.in_msgs[fid] != value:
+                target.in_msgs[fid] = value
+                self._emit_var(target, time)
+        elif target.data != value:
+            # a variable's message into its VTOF shadow
+            target.data = value
+            for rel in target.consumers:
+                self._pend_exec(rel, time)
 
     def _on_tick(self, cell, time):
         """Resample the cell's free variables in slot order.  A variable's
@@ -899,8 +901,8 @@ class Machine:
                     kind, obj = rel.refs[pos]
                     if kind == "v":
                         local.append((payload, obj.in_msgs[rel.fid]))
-                    elif rel.ports[pos].last is not None:
-                        remote.append((payload, rel.ports[pos].last))
+                    elif obj.port.last is not None:
+                        remote.append((payload, obj.port.last))
         return {name: max((abs(a - b) for new, old in pairs for a, b in zip(new, old)),
                           default=0)
                 for name, pairs in (("local", local), ("remote", remote))}

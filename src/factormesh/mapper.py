@@ -17,7 +17,7 @@ from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
 from .image import (MachineImage, CellImage, VarSlot, ShadowSlot, RelSlot,
                     Capacities, DEFAULT_CAPACITIES, MAX_UPDATE_CYCLES, domain,
-                    gibbs_var_cost, relation_cost, SUMPROD, GIBBS, VTOF, FTOV, VALUE)
+                    gibbs_var_cost, relation_cost, SUMPROD, GIBBS, VTOF, VALUE)
 
 
 class MapperError(ValueError):
@@ -374,7 +374,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                mode: str, seed: int = 0, thresh: Optional[int] = None,
                capacities: Capacities = DEFAULT_CAPACITIES) -> MachineImage:
     cap = capacities
-    cvar, home = _factor_home(clusters, graph, mode)
+    cvar, _ = _factor_home(clusters, graph, mode)
     coords = placement.coords
     dom = domain(mode)
     # a GIBBS cell sends a value whenever it changes
@@ -402,34 +402,27 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
             var = graph.variables[v]
             cell.var_slots.append(VarSlot(s, v, var.cardinality, var.evidence))
             vslot[v] = s
-        shadow_slot = {}
-
-        def shadow_for(key, vid, role, fid, src_cluster):
-            if key in shadow_slot:
-                return shadow_slot[key]
-            s = len(cell.shadow_slots)
-            cell.shadow_slots.append(ShadowSlot(s, vid, graph.cardinality(vid),
-                                                coords[src_cluster], role, fid))
-            shadow_slot[key] = s
-            return s
-
+        shadow_slot = {}        # (variable, factor id or None) -> slot
         for rs, fid in enumerate(cl.rels):
             refs = []
             for v in graph.factors[fid].scope:
                 if v in vslot:
                     refs.append(("V", vslot[v]))
-                elif mode == GIBBS:
-                    refs.append(("H", shadow_for(("val", v), v, VALUE, None, cvar[v])))
-                else:
-                    refs.append(("H", shadow_for(("vf", v, fid), v, VTOF, fid,
-                                                 cvar[v])))
+                    continue
+                # a GIBBS cell's relations share one VALUE shadow per variable
+                key = (v, None) if mode == GIBBS else (v, fid)
+                if key not in shadow_slot:
+                    shadow_slot[key] = len(cell.shadow_slots)
+                    cell.shadow_slots.append(ShadowSlot(
+                        shadow_slot[key], v, graph.cardinality(v), coords[cvar[v]],
+                        VTOF if key[1] is not None else VALUE, key[1]))
+                refs.append(("H", shadow_slot[key]))
             cell.rel_slots.append(RelSlot(rs, fid, refs, list(qtable(fid))))
+        registers = len(cell.shadow_slots)
         if mode != GIBBS:
-            rset = set(cl.rels)
-            for v in cl.vars:
-                for fid, _ in graph.factors_of(v):
-                    if fid not in rset:
-                        shadow_for(("fv", v, fid), v, FTOV, fid, home[fid])
+            # a remote relation's message lands on its return wire in a register
+            registers += sum(fid not in cl.rels for v in cl.vars
+                             for fid, _ in graph.factors_of(v))
         cell.thresh = thresh
         if mode == GIBBS and cl.vars:
             cell.gibbs_period = period
@@ -437,7 +430,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         nwords = sum(len(r.table) for r in cell.rel_slots)
         if (len(cell.var_slots) > cap.var_slots
                 or len(cell.rel_slots) > cap.rel_slots
-                or len(cell.shadow_slots) > cap.shadow_slots
+                or registers > cap.shadow_slots
                 or nwords > cap.table_words):
             raise MapperError("cluster %d exceeds cell capacity" % ci)
     return MachineImage(placement.grid, mode, seed, cells)

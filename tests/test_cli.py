@@ -220,25 +220,25 @@ def test_run_rejects_garbage_image(tmp_path, capsys):
     assert code == 2 and "error:" in stderr
 
 
-def equality_pair_image(role="VTOF 0", card=2, ftov=0):
+def equality_pair_image(role="VTOF 0", card=2, refs="V0 H0"):
     """Variable 0 in cell (0, 0) tied by an equality relation to variable 1,
-    clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0."""
+    clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0.
+    Relation 0's message to variable 1 returns on the wire of its shadow."""
     table = " ".join("65535" if a == b else "0"
                      for a in range(2) for b in range(card))
-    return """FMIMG 3
+    return """FMIMG 4
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
 VAR 0 0 2
 SHADOW 0 1 %d 0 1 %s
-REL 0 0 %d V0 H0
+REL 0 0 %d %s
 %s
 REL 1 1 2 V0
 65535 65535
 CELL 0 1
 VAR 0 1 2 EVIDENCE 1
-SHADOW 0 1 2 0 0 FTOV %d
-""" % (card, role, 2 * card, table, ftov)
+""" % (card, role, 2 * card, refs, table)
 
 
 def test_run_equality_pair_image(tmp_path, capsys):
@@ -256,8 +256,8 @@ def test_run_equality_pair_image(tmp_path, capsys):
     ({"role": "VALUE"}, "a SUMPROD machine feeds no VALUE shadows"),
     # the relation's kernel would unpack a 2-word message as 3 words
     ({"card": 3}, "shadow of variable 1 has cardinality 3, the variable has 2"),
-    # relation 0's message to variable 1 would have no wire to travel
-    ({"ftov": 1}, "wire source has no relation 1 sending to variable 1"),
+    # relation 0 would send variable 1 two messages, three packets in all
+    ({"refs": "H0 H0"}, "relation 0 binds variable 1 at two scope positions"),
 ])
 def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
                                                            fields, message):
@@ -272,13 +272,18 @@ def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
 
 def test_run_rejects_the_old_image_format(tmp_path, capsys):
     current = equality_pair_image()
-    # the formats before relations lost their programs and before shadows
-    # named their own wires
+    # the formats before relations lost their programs, before shadows
+    # named their own wires and before VTOF shadows declared their return
+    # wires
     for old, new, message in [
-            ("FMIMG 3", "FMIMG 1", "line 1: expected FMIMG 3 header"),
-            ("FMIMG 3", "FMIMG 2", "line 1: expected FMIMG 3 header"),
+            ("FMIMG 4", "FMIMG 1", "line 1: expected FMIMG 4 header"),
+            ("FMIMG 4", "FMIMG 2", "line 1: expected FMIMG 4 header"),
+            ("FMIMG 4", "FMIMG 3", "line 1: expected FMIMG 4 header"),
             ("65535 65535\n", "65535 65535\nPROG 2\n", "line 11: unknown record 'PROG'"),
-            ("FTOV 0\n", "FTOV 0\nWIRE 1 0 0 0 1 0\n", "line 14: unknown record 'WIRE'")]:
+            ("EVIDENCE 1\n", "EVIDENCE 1\nWIRE 1 0 0 0 1 0\n",
+             "line 13: unknown record 'WIRE'"),
+            ("EVIDENCE 1\n", "EVIDENCE 1\nSHADOW 0 1 2 0 0 FTOV 0\n",
+             "line 13: unknown shadow role 'FTOV'")]:
         assert old in current
         image = write(tmp_path, "old.fmimg", current.replace(old, new))
         code, stdout, stderr = run_cli(capsys, "run", image)

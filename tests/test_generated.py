@@ -99,8 +99,9 @@ def run(cls, text, caps, noise, inject, budget):
         m.inject_evidence(*inject)
     stats, _ = m.run_until_quiescent(budget)
     beliefs = {vid: var.belief for vid, var in m.var_owner.items()}
-    sent = [port.last for cell in m.cells.values() for unit in cell.vars + cell.rels
-            for port in unit.ports if port is not None]
+    ports = [port for var in m.var_owner.values() for port in var.ports]
+    ports += [sh.port for cell in m.cells.values() for sh in cell.shadows.values()]
+    sent = [port.last for port in ports if port is not None]
     return stats, m.time, m.trace, beliefs, sent
 
 
@@ -172,7 +173,7 @@ def test_widest_relation_table_generates_and_matches():
     assert relation_cost(len(shape)) <= MAX_UPDATE_CYCLES < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 3", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines = ["FMIMG 4", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
         lines += ["VAR %d %d %d%s" % (p, p, card, " EVIDENCE %d" % (p % 2)
                                       if p in (1, 4) else "")
                   for p, card in enumerate(shape)]
@@ -195,15 +196,13 @@ def test_widest_relation_table_generates_and_matches():
 def star_image(mode, thresh):
     """Variable 0 at the highest degree the default capacities allow: every
     relation slot of its cell holds a unary relation on it, and every shadow
-    slot an FTOV message from a pairwise relation in one of four leaf cells,
-    each of which fills its variable, shadow and relation slots."""
+    register a message from a pairwise relation in one of four leaf cells,
+    on the return wire of the relation's VTOF shadow of variable 0; each
+    leaf cell fills its variable and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 3", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
+    lines = ["FMIMG 4", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
-    for h, fid in enumerate(leaf_fids):
-        col = 1 + h // caps.rel_slots
-        lines.append("SHADOW %d 0 3 0 %d FTOV %d" % (h, col, fid))
     for fid in range(caps.rel_slots):
         lines += relation(fid, fid, ["V0"], words(mode, 3, rng))
     lines.append("THRESH %d" % thresh)

@@ -19,7 +19,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then records out of canonical order
-FMIMG 3
+FMIMG 4
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -32,11 +32,11 @@ THRESH 16
 CELL 0 0
 VAR 0 0 2
 SHADOW 1 1 3 0 1 VTOF 0   # shadows listed high slot first
-SHADOW 0 1 3 0 1 FTOV 0
-REL 0 0 6 V0 H1
+SHADOW 0 2 2 0 1 VTOF 0
+REL 0 0 12 V0 H1 H0
 65535 32768 16384
 8192 4096
-2048
+2048 1 2 3 4 5 6
 THRESH 256
 """
 
@@ -48,13 +48,15 @@ def test_parse_tolerates_comments_and_order():
     cell = img.cells[(0, 0)]
     assert cell.thresh == 256
     rel = cell.rel_slots[0]
-    assert rel.table == [65535, 32768, 16384, 8192, 4096, 2048]
-    assert rel.scope_refs == [("V", 0), ("H", 1)]
+    assert rel.table == [65535, 32768, 16384, 8192, 4096, 2048, 1, 2, 3, 4, 5, 6]
+    assert rel.scope_refs == [("V", 0), ("H", 1), ("H", 0)]
     other = img.cells[(0, 1)]
     assert {(v.slot, v.var_id, v.card, v.evidence) for v in other.var_slots} == \
         {(0, 1, 3, 2), (1, 2, 2, None)}
-    # each shadow is one wire from its src cell, in (cell, slot) order
-    assert img.wires == [Wire(1, (0, 1), (0, 0), 0), Wire(1, (0, 1), (0, 0), 1)]
+    # each shadow is one wire from its src cell, each VTOF one followed by
+    # its return wire, in (cell, slot) order
+    assert img.wires == [Wire(2, (0, 1), (0, 0), 0), Wire(2, (0, 0), (0, 1), 0, back=True),
+                         Wire(1, (0, 1), (0, 0), 1), Wire(1, (0, 0), (0, 1), 1, back=True)]
 
 
 def test_dumps_is_canonical_and_stable():
@@ -68,7 +70,7 @@ def test_dumps_is_canonical_and_stable():
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 3", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 4", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 0 2",
         "SHADOW 0 1 2 0 0 VALUE",
@@ -84,20 +86,22 @@ def test_gibbs_records_round_trip():
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 3\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 4\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 3 header"),
-    ("FMIMG 4\nGRID 1 1\n", "expected FMIMG 3 header"),
-    # the formats before relations lost their programs and before shadows
-    # named their own wires
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 3 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 3 header"),
-    ("FMIMG 3\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 3\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 3\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 3\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
-    ("FMIMG 3\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
+    ("GRID 1 1\n", "expected FMIMG 4 header"),
+    ("FMIMG 5\nGRID 1 1\n", "expected FMIMG 4 header"),
+    # the formats before relations lost their programs, before shadows
+    # named their own wires and before VTOF shadows declared their return
+    # wires
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 4 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 4 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 4 header"),
+    ("FMIMG 4\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 4\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 4\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 4\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    ("FMIMG 4\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
     (HEAD + "CELL 2 0\n", "outside grid"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "VAR 0 0 2\n", "VAR outside a CELL"),
@@ -105,6 +109,7 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nVAR 0 0 2 EVIDENCE 5\n", "evidence value out of range"),
     (HEAD + "CELL 0 0\nVAR 0 0 2 WAT 1\n", "malformed VAR record"),
     (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 0 SIDEWAYS\n", "unknown shadow role"),
+    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 FTOV 0\n", "line 5: unknown shadow role 'FTOV'"),
     (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 0 VTOF\n", "needs a factor id"),
     (HEAD + "CELL 0 0\nREL 0 0 0 V0\n", "at least one table word"),
     (HEAD + "CELL 0 0\nREL 0 0 2 X9\n", "bad scope reference"),
@@ -187,4 +192,12 @@ def test_compiled_images_round_trip_and_load(graph_seed, tree, mode, evidence_se
     assert dumps(parse_image(text)) == text
     # and the text loads and runs the same machine as the compiled image
     assert run_bytes(img, caps, 50) == run_bytes(parse_image(text), caps, 50)
+    if mode != GIBBS:
+        # a remote edge is one VTOF shadow and its return wire, so each
+        # message travels on exactly one wire
+        m = Machine(img, capacities=caps)
+        ports = [port for var in m.var_owner.values() for port in var.ports
+                 if port is not None]
+        ports += [sh.port for cell in m.cells.values() for sh in cell.shadows.values()]
+        assert [len(port.dests) for port in ports] == [1] * len(ports)
 

@@ -371,7 +371,12 @@ def test_chain_image_wire_and_shadow_structure():
     roles = {}
     for ci, coord in enumerate(placement.coords):
         roles[ci] = sorted(s.role for s in image.cells[coord].shadow_slots)
-    assert roles == {0: ["VTOF"], 1: ["FTOV", "VTOF"], 2: ["FTOV"]}
+    assert roles == {0: ["VTOF"], 1: ["VTOF"], 2: []}
+    # a VTOF shadow's return wire carries its relation's message into the
+    # next cell, whose shadow registers it fills with the shadow slots
+    registers = {ci: sum(w.dst == coord for w in image.wires)
+                 for ci, coord in enumerate(placement.coords)}
+    assert registers == {0: 1, 1: 2, 2: 1}
     m = Machine(image, capacities=caps)
     _, quiescent = m.run_until_quiescent(5000)
     assert quiescent
