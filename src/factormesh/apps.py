@@ -294,13 +294,18 @@ def decode_by_candidates(assignments, received):
     assignment that satisfies all checks, and returns the one closest to the
     received word (maximum channel likelihood for any flip rate below 1/2,
     ties to the lexicographically smallest).  Falls back to the last
-    assignment seen when nothing satisfied the checks.
+    assignment seen when nothing satisfied the checks.  The answer depends
+    only on the distinct words seen and the last one, so a word equal to the
+    one before it is not checked again.
     """
     rx = tuple(received)
     best = None
     last = None
     for a in assignments:
-        last = tuple(a)
+        a = tuple(a)
+        if a == last:
+            continue
+        last = a
         if checks_satisfied(last):
             key = (sum(x != y for x, y in zip(last, rx)), last)
             if best is None or key < best[0]:

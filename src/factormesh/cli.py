@@ -70,6 +70,14 @@ def _bad_value(args, key, message):
     return GraphError(message)
 
 
+def _non_negative(args, key, default):
+    """An int setting that must be >= 0 when given."""
+    value = _resolve(args, key, default, int)
+    if value is not None and value < 0:
+        raise _bad_value(args, key, "%s must be >= 0, got %d" % (key, value))
+    return value
+
+
 def _parse_grid(args):
     try:
         r, c = _resolve(args, "grid", "4x4").lower().split("x")
@@ -101,7 +109,7 @@ def cmd_compile(args):
     image, report = mapper.compile_graph(
         graph, mode, grid=grid,
         seed=_resolve(args, "seed", 0, int),
-        thresh=_resolve(args, "thresh", None, int),
+        thresh=_non_negative(args, "thresh", None),
         epsilon=_resolve(args, "epsilon", None, float),
         epochs=_resolve(args, "epochs", 50, int))
     _write(args.out, dumps(image))
@@ -116,7 +124,7 @@ def cmd_compile(args):
 def cmd_run(args):
     image = parse_image(_read(args.image))
     machine = Machine(image, trace=bool(args.trace),
-                      noise_lsbs=_resolve(args, "noise", 0, int))
+                      noise_lsbs=_non_negative(args, "noise", 0))
     code = 0
     if image.mode == GIBBS:
         stats = machine.run_ticks(_resolve(args, "ticks", 1000, int))

@@ -11,7 +11,12 @@
 A domain's `lo` is the word of weight zero and `one` the word of weight
 one.  Rounding is round-to-nearest, ties to even, everywhere.  All
 machine-side arithmetic is done on plain Python ints so results are
-bit-exact and platform independent.
+bit-exact and platform independent.  The machine runs that arithmetic as
+code generated at load, spliced from each domain's templates: `combine`
+(MUL_U16 / SAT_ADD), `reduce`, and `normalization` (NORM_U16 / NORM_Q88),
+which anchors a vector held in local names in place.  The scalar
+functions mul_u16, sat_add, norm_linear and norm_log are the references
+the templates are tested against.
 """
 
 from __future__ import annotations
@@ -66,6 +71,18 @@ def mul_u16(a: int, b: int) -> int:
 MUL_U16 = "(({a} * {b} + %d) // %d)" % (U16_MAX // 2, U16_MAX)
 SAT_ADD = "(%d if (s := {a} + {b}) < %d else %d if s > %d else s)" % (
     Q88_MIN, Q88_MIN, Q88_MAX, Q88_MAX)
+
+
+# Templates of norm_linear and norm_log, each a (guard, step) pair: the guard
+# binds mx to the maximum {mx} of a vector's words and holds when the vector
+# needs anchoring; the step then rewrites each word {w} in place.  The U16
+# step is rne_div(w * 65535, mx) inline, and rescales any mx but 65535: a
+# reduced sum often exceeds it.
+NORM_U16 = ("0 < (mx := {mx}) != %d" % U16_MAX,
+            "q, r = divmod({w} * %d, mx); {w} = q + (2 * r > mx or (2 * r == mx and q & 1))"
+            % U16_MAX)
+NORM_Q88 = ("0 != (mx := {mx}) != %d" % Q88_MIN,
+            "{w} = %d if (d := {w} - mx) < %d else d" % (Q88_MIN, Q88_MIN))
 
 
 def norm_linear(vec: list[int]) -> list[int]:
@@ -126,9 +143,17 @@ class Domain:
     thresh: int             # default packet gate, in LSBs
     combine: str            # template joining two words, {a} and {b}
     reduce: Callable        # term expressions -> code reducing them
-    norm: Callable          # anchors a word vector: norm(list) -> list
+    normalization: tuple    # (guard, step) template anchoring words in place
     quantize: Callable      # a table's weights -> words, anchored
     weights: Callable       # words -> weights, unnormalized
+
+    def normalize(self, names) -> list:
+        """The lines, in a generated function's body, that anchor the words
+        held in the local `names` in place, from the normalization template."""
+        guard, step = self.normalization
+        mx = names[0] if len(names) == 1 else "max(%s)" % ", ".join(names)
+        return ["    if %s:" % guard.format(mx=mx)] + ["        " + step.format(w=n)
+                                                       for n in names]
 
     def uniform(self, card: int) -> tuple:
         return (self.one,) * card
@@ -138,8 +163,8 @@ class Domain:
         return tuple(self.one if a == value else self.lo for a in range(card))
 
 
-U16 = Domain(0, U16_MAX, U16_MAX, 256, MUL_U16, " + ".join, norm_linear,
+U16 = Domain(0, U16_MAX, U16_MAX, 256, MUL_U16, " + ".join, NORM_U16,
              _quantize_u16, lambda words: [w / U16_MAX for w in words])
 Q88 = Domain(Q88_MIN, Q88_MAX, 0, 16, SAT_ADD,
              lambda terms: terms[0] if len(terms) == 1 else "max(%s)" % ", ".join(terms),
-             norm_log, _quantize_q88, lambda words: [math.exp(w / Q88_ONE) for w in words])
+             NORM_Q88, _quantize_q88, lambda words: [math.exp(w / Q88_ONE) for w in words])

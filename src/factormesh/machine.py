@@ -17,12 +17,15 @@ quiescence (empty queue).  A relation's update is fixed by the domain and
 the cardinalities of its scope, and a variable's message refresh by its
 cardinality and degree, so both run as Python functions generated at load
 from that structure: straight-line fixed-point arithmetic spliced from the
-domain's combine and reduce templates, one function shared by every
-relation or variable of the same structure.  In GIBBS mode each cell
-periodically resamples its variables from the fixed-point conditionals
-given shadowed neighbor values and never quiesces on its own; each
-relation adds one term, built at load, to the conditional of each variable
-of its cell in its scope.
+domain's combine, reduce and normalize templates, one function shared by
+every relation or variable of the same structure.  Each output word is
+bound to a local name and normalized in place, so generated code calls no
+normalization function.  In GIBBS mode each cell periodically resamples
+its variables from the fixed-point conditionals given shadowed neighbor
+values and never quiesces on its own; each relation adds one term, built
+at load, to the conditional of each variable of its cell in its scope.
+A draw whose conditional has total weight zero keeps the variable's value
+and is counted in `Stats.zero_total_draws`.
 
 Wires are resolved at load into ports: each quantity a cell sends (a
 variable's message to a factor, a relation's message to a remote variable on
@@ -39,7 +42,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
@@ -73,6 +76,9 @@ class Stats:
     peak_link_occupancy: int = 0
     cycles: int = 0
     quiescent: bool = False
+    # GIBBS draws whose conditional had total weight zero, so the variable
+    # kept its value; a diagnostic, in neither text() nor ==
+    zero_total_draws: int = field(default=0, compare=False)
 
     def energy_proxy(self) -> float:
         return self.activations + 0.1 * self.hops
@@ -224,11 +230,10 @@ def _lower(shape):
     return tuple(outputs)
 
 
-def _define(source, dom):
-    """Compile generated source into its one function, with `norm` bound to
-    the domain's normalization."""
-    namespace = {"norm": dom.norm}
-    exec(compile(source, "<generated>", "exec"), namespace)
+def _define(lines):
+    """Compile generated source lines into their one function."""
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", "<generated>", "exec"), namespace)
     return namespace["generated"]
 
 
@@ -237,14 +242,21 @@ def _unpack(names, source):
     return "    %s= %s" % ("".join(n + ", " for n in names), source)
 
 
+def _tuple(items):
+    """Code building a tuple of the expressions `items`."""
+    return "(%s)" % "".join(n + ", " for n in items)
+
+
 @functools.lru_cache(maxsize=256)
 def _kernel(dom, shape):
     """Generate a converging relation's kernel: kernel(table, *inputs) takes
     the table words and one input vector per scope position and returns the
     normalized (j, message) per scope position j as straight-line code over
-    the term lists of `_lower`, in domain `dom`.  The table is an argument,
-    so every relation with one shape shares one kernel.  The source is built
-    only from the term lists' integers and the domain's templates."""
+    the term lists of `_lower`, in domain `dom`: each message word is bound
+    to a local name, and each message is then normalized in place.  The
+    table is an argument, so every relation with one shape shares one
+    kernel.  The source is built only from the term lists' integers and the
+    domain's templates."""
     combine = dom.combine
     lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
              _unpack(["t%d" % t for t in range(math.prod(shape))], "T")]
@@ -254,18 +266,19 @@ def _kernel(dom, shape):
         offset += card
     outs = []
     for j, groups in _lower(shape):
-        elems = []
-        for group in groups:
+        names = ["y%d_%d" % (j, a) for a in range(len(groups))]
+        for name, group in zip(names, groups):
             terms = []
             for t, offsets in group:
                 v = "t%d" % t
                 for i in offsets:
                     v = combine.format(a=v, b="x%d" % i)
                 terms.append(v)
-            elems.append(dom.reduce(terms))
-        outs.append("(%d, tuple(norm([%s])))" % (j, ", ".join(elems)))
+            lines.append("    %s = %s" % (name, dom.reduce(terms)))
+        lines += dom.normalize(names)
+        outs.append("(%d, %s)" % (j, _tuple(names)))
     lines.append("    return [%s]" % ", ".join(outs))
-    return _define("\n".join(lines) + "\n", dom)
+    return _define(lines)
 
 
 @functools.lru_cache(maxsize=256)
@@ -297,14 +310,16 @@ def _refresh(dom, card, degree):
     suf = [None] * (degree + 1)     # suf[i] combines messages i .. degree-1
     for i in range(degree - 1, 0, -1):
         suf[i] = emit("q%d" % i, msgs[i], suf[i + 1])
+    # every combine is emitted before any vector is normalized in place;
+    # the uniform message is a constant and already normalized
+    outs = [emit("o%d" % i, pre[i], suf[i + 1]) for i in range(degree)]
+    for names in outs + [pre[degree]]:
+        if names is not None:
+            lines += dom.normalize(names)
     uniform = ["%d" % dom.one] * card
-    outs = []
-    for i in range(degree):
-        vec = emit("o%d" % i, pre[i], suf[i + 1]) or uniform
-        outs.append("tuple(norm([%s]))" % ", ".join(vec))
-    lines.append("    return (%s, ), tuple(norm([%s]))"
-                 % (", ".join(outs), ", ".join(pre[degree])))
-    return _define("\n".join(lines) + "\n", dom)
+    lines.append("    return %s, %s" % (_tuple(_tuple(names or uniform) for names in outs),
+                                        _tuple(pre[degree])))
+    return _define(lines)
 
 
 def _prefix_sums(var):
@@ -339,6 +354,8 @@ class Machine:
         self.dom = domain(image.mode)
         self.stats = Stats()
         self.trace = [] if trace else None
+        if noise_lsbs < 0:
+            raise MachineError("noise_lsbs must be >= 0, got %d" % noise_lsbs)
         self.noise_lsbs = noise_lsbs
         self._noise_key = stream_key(image.seed, _NOISE_STREAM)
         self._noise_ctr = 0
@@ -374,6 +391,8 @@ class Machine:
                                    % (coord + (self.mode, record)))
             if self.mode != GIBBS:
                 cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
+                if cell.thresh < 0:
+                    raise MachineError("cell (%d, %d): threshold must be >= 0" % coord)
             cell.period = ci.gibbs_period
             cell.phase = ci.gibbs_phase or 0
             if len(ci.var_slots) > cap.var_slots:
@@ -774,6 +793,8 @@ class Machine:
                     if val != var.value:
                         var.value = val
                         changed.append(var)
+                else:
+                    self.stats.zero_total_draws += 1
             var.counts[var.value] += 1
             if trace is not None:
                 self._trace(time, cell, "SAMPLE", var.vid, var.value)

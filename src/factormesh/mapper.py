@@ -383,6 +383,8 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
             raise MapperError("GIBBS cells take no change threshold")
     elif thresh is None:
         thresh = dom.thresh
+    elif thresh < 0:
+        raise MapperError("threshold must be >= 0, got %d" % thresh)
     tables = {}
 
     def qtable(fid):

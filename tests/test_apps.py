@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factormesh import apps, golden
 from factormesh.graph import PARITY, TABLE, expand_all
@@ -123,6 +124,39 @@ def test_decode_by_candidates_breaks_ties_lexicographically():
     db = sum(x != y for x, y in zip(b, rx))
     assert da == db
     assert apps.decode_by_candidates([b, a], rx) == min(a, b)
+
+
+def decode_checking_every_word(assignments, received):
+    """decode_by_candidates as a plain loop that checks every word."""
+    best = last = None
+    for a in assignments:
+        last = tuple(a)
+        if apps.checks_satisfied(last):
+            key = (sum(x != y for x, y in zip(last, received)), last)
+            if best is None or key < best[0]:
+                best = (key, last)
+    return last if best is None else best[1]
+
+
+ALL_WORDS = list(itertools.product((0, 1), repeat=7))
+NON_CODEWORDS = [w for w in ALL_WORDS if not apps.checks_satisfied(w)]
+
+
+@st.composite
+def trajectories(draw):
+    """Runs of repeated 7-bit words, the way a per-cycle poll repeats the
+    argmax, some with no word that satisfies the checks."""
+    pool = ALL_WORDS if draw(st.booleans()) else NON_CODEWORDS
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 60)),
+                         max_size=12))
+    return [list(word) for word, n in runs for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectories(), st.sampled_from(ALL_WORDS))
+def test_decode_by_candidates_matches_checking_every_word(trajectory, received):
+    assert apps.decode_by_candidates(trajectory, received) == \
+        decode_checking_every_word(trajectory, received)
 
 
 def test_bp_trajectory_decodes_single_flips_of_zero_word():

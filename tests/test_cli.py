@@ -169,6 +169,25 @@ def test_compile_gibbs_with_a_threshold_exits_3(tmp_path, capsys):
     assert code == 3 and "GIBBS cells take no change threshold" in stderr
 
 
+def test_negative_noise_or_threshold_exits_2(tmp_path, capsys):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    image = str(tmp_path / "pair.fmimg")
+    code, _, stderr = run_cli(capsys, "compile", graph_file, "--out", image,
+                              "--thresh", "-5")
+    assert (code, stderr) == (2, "error: thresh must be >= 0, got -5\n")
+    cfg = write(tmp_path, "bad.cfg", "# gates\nthresh -5\n")
+    code, _, stderr = run_cli(capsys, "compile", graph_file, "--out", image,
+                              "--config", cfg)
+    assert (code, stderr) == (2, "error: line 2: thresh must be >= 0, got -5\n")
+    assert not (tmp_path / "pair.fmimg").exists()
+    assert run_cli(capsys, "compile", graph_file, "--out", image)[0] == 0
+    code, stdout, stderr = run_cli(capsys, "run", image, "--noise", "-3")
+    assert (code, stdout, stderr) == (2, "", "error: noise must be >= 0, got -3\n")
+    cfg = write(tmp_path, "noise.cfg", "noise -3\n")
+    code, _, stderr = run_cli(capsys, "run", image, "--config", cfg)
+    assert (code, stderr) == (2, "error: line 1: noise must be >= 0, got -3\n")
+
+
 def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):
     bench = apps.build_coloring(apps.TRIANGLE_EDGES, 3)
     graph_file = write(tmp_path, "tri.uai",

@@ -1,12 +1,13 @@
 """Fixed-point formats: rounding, anchoring, saturation, and the two
 message domains built from them."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from factormesh import fixedpoint as fp
 
@@ -65,15 +66,31 @@ def test_quantize_then_weights_within_half_lsb():
         assert abs(math.log(b) - (v - shift)) <= 0.5 / fp.Q88_ONE + 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def normalizer(dom, card):
+    """The domain's normalization template as a function of `card` words,
+    the way generated code runs it: words in local names, rewritten in
+    place, then read back."""
+    names = ["w%d" % i for i in range(card)]
+    namespace = {}
+    exec("def f(%s):\n%s\n    return [%s]\n"
+         % (", ".join(names), "\n".join(dom.normalize(names)), ", ".join(names)), namespace)
+    return namespace["f"]
+
+
+def normalized(dom, words):
+    return normalizer(dom, len(words))(*words)
+
+
 def test_domains_anchor_their_uniform_and_indicator_vectors():
     for dom in (fp.U16, fp.Q88):
         for card in (2, 3, 16):
             uniform = dom.uniform(card)
             assert uniform == (dom.one,) * card
-            assert dom.norm(list(uniform)) == list(uniform)
+            assert normalized(dom, list(uniform)) == list(uniform)
             for value in (0, card - 1):
                 ind = dom.indicator(card, value)
-                assert dom.norm(list(ind)) == list(ind)
+                assert normalized(dom, list(ind)) == list(ind)
                 assert ind[value] == dom.one
                 assert ind.count(dom.lo) == card - 1
         assert dom.weights([dom.one, dom.lo])[0] == 1.0
@@ -170,3 +187,32 @@ def test_mul_u16_template_matches_scalar(a, b):
 @given(st.integers(fp.Q88_MIN, fp.Q88_MAX), st.integers(fp.Q88_MIN, fp.Q88_MAX))
 def test_sat_add_template_matches_scalar(a, b):
     assert template(fp.SAT_ADD)(a, b) == fp.sat_add(a, b)
+
+
+# a reduced U16 sum reaches card * 65535; small words make exact ties likely
+U16_WORDS = st.lists(st.one_of(st.integers(0, 4), st.integers(0, 16 * fp.U16_MAX)),
+                     min_size=1, max_size=16)
+Q88_WORDS = st.lists(st.one_of(st.just(fp.Q88_MIN), st.integers(fp.Q88_MIN, fp.Q88_MAX)),
+                     min_size=1, max_size=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(U16_WORDS)
+@example([1, 2])                    # 65535 / 2, a tie rounded to even
+@example([3, 2, 6])                 # 65535 / 2 again, from 3 / 6
+@example([0, 0, 0])
+@example([fp.U16_MAX + 1, 5])       # a sum above full scale scales down
+@example([7])
+@example([fp.U16_MAX])
+def test_u16_normalize_template_matches_norm_linear(words):
+    assert normalized(fp.U16, words) == fp.norm_linear(words)
+
+
+@settings(max_examples=500, deadline=None)
+@given(Q88_WORDS)
+@example([fp.Q88_MIN] * 3)
+@example([fp.Q88_MAX, fp.Q88_MIN])  # shifted below the floor, saturates
+@example([-5])
+@example([0, -7])
+def test_q88_normalize_template_matches_norm_log(words):
+    assert normalized(fp.Q88, words) == fp.norm_log(words)

@@ -467,6 +467,36 @@ def test_verify_quiescent_leaves_a_noisy_run_unchanged():
     assert runs[0] == runs[1]
 
 
+def test_negative_noise_is_rejected():
+    image, _ = compile_graph(pair_graph(), "SUMPROD", grid=(1, 1), epochs=5)
+    with pytest.raises(MachineError, match="noise_lsbs must be >= 0, got -1"):
+        Machine(image, noise_lsbs=-1)
+
+
+def test_negative_threshold_in_an_image_is_rejected():
+    # the text form cannot carry one; an image built in memory can
+    image, _ = compile_graph(pair_graph(), "SUMPROD", grid=(1, 1), epochs=5)
+    image.cells[(0, 0)].thresh = -5
+    with pytest.raises(MachineError, match=r"cell \(0, 0\): threshold must be >= 0"):
+        Machine(image)
+
+
+# -- zero-total GIBBS draws ---------------------------------------------------
+
+def test_gibbs_counts_draws_whose_conditional_total_is_zero():
+    # variable 2's neighbours 0, 1 and 3 can hold all three colours, and
+    # the soft constraint's epsilon quantizes to word 0: that conditional
+    # has total 0 and the variable keeps its value
+    bench = apps.build_coloring([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)], 3)
+    image, _ = compile_graph(bench.graph, "GIBBS", grid=(4, 4), seed=0)
+    stats = Machine(dumps(image)).run_ticks(2000)
+    assert stats.zero_total_draws == 1
+    assert "zero_total" not in stats.text()
+    ising = apps.build_ising_chain(4, 0.5, 0.1)
+    image, _ = compile_graph(ising.graph, "GIBBS", grid=ising.grid, epochs=5)
+    assert Machine(dumps(image)).run_ticks(200).zero_total_draws == 0
+
+
 # -- end to end on a real workload --------------------------------------------
 
 def test_machine_decodes_a_clean_codeword():

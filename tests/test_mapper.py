@@ -400,6 +400,11 @@ def test_gibbs_emission_writes_no_threshold():
         compile_graph(bench.graph, "GIBBS", grid=bench.grid, thresh=7)
 
 
+def test_negative_threshold_is_rejected():
+    with pytest.raises(MapperError, match="threshold must be >= 0, got -5"):
+        compile_graph(chain_graph(2), "SUMPROD", grid=(1, 1), thresh=-5)
+
+
 def test_compile_report_fields():
     bench = apps.build_parity_code((0,) * 7)
     image, report = compile_graph(bench.graph, "SUMPROD", grid=(4, 4), seed=1)
