@@ -70,11 +70,11 @@ def _bad_value(args, key, message):
     return GraphError(message)
 
 
-def _non_negative(args, key, default):
-    """An int setting that must be >= 0 when given."""
+def _at_least(args, key, default, least=0):
+    """An int setting that must be >= `least` when given."""
     value = _resolve(args, key, default, int)
-    if value is not None and value < 0:
-        raise _bad_value(args, key, "%s must be >= 0, got %d" % (key, value))
+    if value is not None and value < least:
+        raise _bad_value(args, key, "%s must be >= %d, got %d" % (key, least, value))
     return value
 
 
@@ -109,7 +109,7 @@ def cmd_compile(args):
     image, report = mapper.compile_graph(
         graph, mode, grid=grid,
         seed=_resolve(args, "seed", 0, int),
-        thresh=_non_negative(args, "thresh", None),
+        thresh=_at_least(args, "thresh", None),
         epsilon=_resolve(args, "epsilon", None, float),
         epochs=_resolve(args, "epochs", 50, int))
     _write(args.out, dumps(image))
@@ -124,13 +124,13 @@ def cmd_compile(args):
 def cmd_run(args):
     image = parse_image(_read(args.image))
     machine = Machine(image, trace=bool(args.trace),
-                      noise_lsbs=_non_negative(args, "noise", 0))
+                      noise_lsbs=_at_least(args, "noise", 0))
     code = 0
     if image.mode == GIBBS:
         stats = machine.run_ticks(_resolve(args, "ticks", 1000, int))
     else:
         stats, quiescent = machine.run_until_quiescent(
-            _resolve(args, "max_cycles", 100000, int))
+            _at_least(args, "max_cycles", 100000))
         if not quiescent:
             code = 4
     beliefs, _assignment = machine.read_beliefs()
@@ -162,14 +162,15 @@ def cmd_golden(args):
             graph,
             schedule=_resolve(args, "schedule", golden.FLOODING),
             damping=_resolve(args, "damping", 0.0, float),
-            max_iters=_resolve(args, "max_iters", 100, int),
+            # zero iterations would print the start state as an answer
+            max_iters=_at_least(args, "max_iters", 100, 1),
             tol=_resolve(args, "tol", 1e-6, float))
         out = apps.write_results(as_dict(state.beliefs if alg == "sumprod"
                                          else state.assignment))
     elif alg == "gibbs":
         res = golden.gibbs_sample(
             graph, seed=seed,
-            burn_in=_resolve(args, "burn_in", 1000, int),
+            burn_in=_at_least(args, "burn_in", 1000),
             sweeps=_resolve(args, "sweeps", 10000, int))
         out = apps.write_results(as_dict(res.marginals))
     else:

@@ -194,6 +194,8 @@ def _propagate(sr: _Semiring, graph: FactorGraph, schedule: str, damping: float,
         raise InferenceError("unknown schedule %r" % schedule)
     if not (0.0 <= damping < 1.0):
         raise InferenceError("damping must be in [0, 1)")
+    if max_iters < 0:
+        raise InferenceError("max_iters must be >= 0, got %d" % max_iters)
     _require_tables(graph)
     combine = sr.combine
     with np.errstate(divide="ignore"):
@@ -336,6 +338,8 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     _require_tables(graph)
     if sweeps <= 0:
         raise InferenceError("sweeps must be positive")
+    if burn_in < 0:
+        raise InferenceError("burn_in must be >= 0, got %d" % burn_in)
     n = len(graph.variables)
     cards = [v.cardinality for v in graph.variables]
     state = [v.evidence if v.evidence is not None else 0 for v in graph.variables]

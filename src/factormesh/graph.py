@@ -321,6 +321,8 @@ def parse_uai(text: str) -> FactorGraph:
             if x < 0:
                 raise ParseError(ts.line, "factor %d: negative table entry" % j)
             table.append(x)
+        if not any(table):
+            raise ParseError(ts.line, "factor %d: table has no positive entry" % j)
         factors.append(FactorNode(j, scope, TABLE, tuple(table)))
     if not ts.at_end():
         raise ParseError(ts.line, "trailing tokens after last table")

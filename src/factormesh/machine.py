@@ -27,11 +27,20 @@ at load, to the conditional of each variable of its cell in its scope.
 A draw whose conditional has total weight zero keeps the variable's value
 and is counted in `Stats.zero_total_draws`.
 
-Wires are resolved at load into ports: each quantity a cell sends (a
-variable's message to a factor, a relation's message to a remote variable on
-the return wire of the VTOF shadow it reads, a GIBBS value) is one `_Port`,
-held by its variable or shadow, with its last payload and its destinations,
-each with its `xy_links` route.
+In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
+factor-id order: the register pair of its message to the factor and the
+factor's reply.  A relation in the variable's cell reads and writes the edge
+itself; a relation elsewhere reads a VTOF shadow of it, fed by the edge's
+port, and answers on the shadow's return port.  A relation's scope is its
+edges and shadows (in GIBBS, the variables and VALUE shadows it reads), so
+each update dispatches on the object it writes.
+
+Wires are resolved at load into ports, each made by the sender of the
+quantity it carries: an edge's port for its message, a GIBBS variable's one
+value port, and a VTOF shadow's port for its reader's reply.  A `_Port`
+holds its last payload and its destinations, each with its `xy_links`
+route.  Every queued event carries its handler and the object it acts on,
+and `step` calls the one on the other.
 """
 
 from __future__ import annotations
@@ -112,19 +121,33 @@ def xy_links(src, dst):
 
 class _Port:
     """One sent quantity and every wire that carries it."""
-    __slots__ = ("vid", "fid", "dests", "last")
+    __slots__ = ("vid", "dests", "last")
 
-    def __init__(self, vid, fid):
+    def __init__(self, vid):
         self.vid = vid
-        self.fid = fid          # factor id of a message, None for a value
-        self.dests = []         # (dst cell, _Shadow or _Var, hops, route links)
+        self.dests = []         # (dst cell, _Shadow or _Edge, hops, route links)
         self.last = None        # payload last sent, None before the first
 
 
+class _Edge:
+    """One attachment of a variable to factor `fid`: the variable's message
+    to the factor and the factor's reply, read and written by the factor's
+    relation when it shares the variable's cell (`rel`), otherwise carried
+    by `port` to the VTOF shadow of the factor's cell and back."""
+    __slots__ = ("var", "fid", "msg", "reply", "rel", "port")
+
+    def __init__(self, var, fid, uniform):
+        self.var = var
+        self.fid = fid
+        self.msg = uniform
+        self.reply = uniform
+        self.rel = None
+        self.port = None
+
+
 class _Var:
-    __slots__ = ("cell", "slot", "vid", "card", "evidence", "value",
-                 "in_msgs", "out_msgs", "belief", "attached", "local_rels",
-                 "ports", "port", "counts", "terms", "blanket", "memo", "key",
+    __slots__ = ("cell", "slot", "vid", "card", "evidence", "value", "edges",
+                 "belief", "port", "counts", "terms", "blanket", "memo", "key",
                  "refresh")
 
     def __init__(self, cell, slot, vid, card, evidence):
@@ -134,12 +157,8 @@ class _Var:
         self.card = card
         self.evidence = evidence
         self.value = evidence if evidence is not None else 0
-        self.in_msgs = {}       # fid -> message tuple
-        self.out_msgs = {}      # fid -> message tuple
+        self.edges = []         # SUMPROD/MINSUM: _Edge per attached factor, fid order
         self.belief = None
-        self.attached = []      # sorted fids
-        self.local_rels = {}    # fid -> _Rel in the same cell
-        self.ports = []         # per attachment: its message's _Port, or None
         self.port = None        # GIBBS: the _Port of its value, if wired
         self.counts = [0] * card
         self.terms = []         # GIBBS: (table, stride, others) per scope position
@@ -151,7 +170,7 @@ class _Var:
 
 class _Shadow:
     __slots__ = ("cell", "slot", "vid", "card", "role", "fid",
-                 "data", "value", "consumers", "port")
+                 "msg", "value", "consumers", "port")
 
     def __init__(self, cell, slot, vid, card, role, fid):
         self.cell = cell
@@ -160,10 +179,10 @@ class _Shadow:
         self.card = card
         self.role = role
         self.fid = fid
-        self.data = None        # message tuple (VTOF)
-        self.value = 0          # domain value (VALUE)
+        self.msg = None         # VTOF: the variable's message to its reader
+        self.value = 0          # VALUE: the variable's sampled value
         self.consumers = []     # rels reading this slot
-        self.port = None        # VTOF: its reader's message back to the variable
+        self.port = None        # VTOF: its reader's reply to the variable's edge
 
 
 class _Rel:
@@ -174,7 +193,7 @@ class _Rel:
         self.cell = cell
         self.slot = slot
         self.fid = fid
-        self.refs = refs        # per scope position: ("v", _Var) or ("h", _Shadow)
+        self.refs = refs        # per scope position: _Edge or _Shadow (GIBBS: _Var or _Shadow)
         self.shape = shape
         strides = [1] * len(shape)
         for i in range(len(shape) - 2, -1, -1):
@@ -376,8 +395,6 @@ class Machine:
         wires = image.wires
         # every wire, a return wire too, lands in a shadow register of its dst
         registers = collections.Counter(w.dst for w in wires)
-        # (sending cell id, shadow role, variable id, factor id) -> _Port
-        ports = {}
         fids = set()            # (cell id in GIBBS else None, factor id)
         for coord, ci in sorted(image.cells.items()):
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
@@ -413,7 +430,7 @@ class Machine:
                     raise MachineError("cell (%d, %d): duplicate variable slot %d"
                                        % (ci.r, ci.c, vs.slot))
                 var = _Var(cell, vs.slot, vs.var_id, vs.card, vs.evidence)
-                vslots[vs.slot] = ("v", var)
+                vslots[vs.slot] = var
                 cell.vars.append(var)
                 self.var_owner[vs.var_id] = var
             for sh in sorted(ci.shadow_slots, key=lambda s: s.slot):
@@ -424,8 +441,8 @@ class Machine:
                     raise MachineError("shadow of %d: cardinality above limit" % sh.var_id)
                 shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card, sh.role, sh.fid)
                 if sh.role == VTOF:
-                    shadow.data = dom.uniform(sh.card)
-                hslots[sh.slot] = ("h", shadow)
+                    shadow.msg = dom.uniform(sh.card)
+                hslots[sh.slot] = shadow
                 cell.shadows[sh.slot] = shadow
             words = 0
             for rs in sorted(ci.rel_slots, key=lambda s: s.slot):
@@ -441,14 +458,14 @@ class Machine:
                         if ent is None:
                             raise MachineError("relation %d: dangling shadow slot H%d"
                                                % (rs.factor_id, sl))
-                        if ent[1].role == VTOF and ent[1].fid != rs.factor_id:
+                        if ent.role == VTOF and ent.fid != rs.factor_id:
                             raise MachineError("relation %d reads a shadow bound to "
-                                               "relation %s" % (rs.factor_id, ent[1].fid))
-                    if any(obj.vid == ent[1].vid for _kind, obj in refs):
+                                               "relation %s" % (rs.factor_id, ent.fid))
+                    if any(obj.vid == ent.vid for obj in refs):
                         raise MachineError("relation %d binds variable %d at two scope "
-                                           "positions" % (rs.factor_id, ent[1].vid))
+                                           "positions" % (rs.factor_id, ent.vid))
                     refs.append(ent)
-                shape = tuple(r[1].card for r in refs)
+                shape = tuple(obj.card for obj in refs)
                 size = 1
                 for c in shape:
                     size *= c
@@ -474,14 +491,20 @@ class Machine:
                                        "relation" % (coord + (rel.fid,)))
                 fids.add((owner, rel.fid))
                 cell.rels.append(rel)
-                for pos, (kind, obj) in enumerate(refs):
-                    if kind == "h":
+                for pos, obj in enumerate(refs):
+                    if type(obj) is _Shadow:
                         obj.consumers.append(rel)
                     elif self.mode == GIBBS:
                         # the table slice along pos at the other positions' values
                         others = tuple((o, rel.strides[q])
-                                       for q, (_kind, o) in enumerate(refs) if q != pos)
+                                       for q, o in enumerate(refs) if q != pos)
                         obj.terms.append((rel.table, rel.strides[pos], others))
+                    else:
+                        # the relation shares the variable's cell: it reads
+                        # and writes their edge directly
+                        refs[pos] = edge = _Edge(obj, rel.fid, dom.uniform(obj.card))
+                        edge.rel = rel
+                        obj.edges.append(edge)
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
             for shadow in cell.shadows.values():
@@ -508,8 +531,8 @@ class Machine:
                         var.memo = [None] * size
 
         # one wire per shadow slot from the cell its SHADOW record names, a
-        # destination of the port of the quantity it carries; a VTOF one's
-        # return wire follows it, the one destination of its reader's port
+        # destination of the port its sender makes for the quantity it
+        # carries; a VTOF one's return wire follows it and ends at its edge
         for w in wires:
             dst = self.cells[w.dst]
             src = self.cells.get(tuple(w.src))
@@ -518,10 +541,8 @@ class Machine:
                                    % w.var_id)
             owner = self.var_owner.get(w.var_id)
             if w.back:
-                shadow = src.shadows[w.slot]
-                port = shadow.port = _Port(w.var_id, shadow.fid)
-                target = owner
-                owner.in_msgs[shadow.fid] = dom.uniform(owner.card)
+                port = src.shadows[w.slot].port = _Port(w.var_id)
+                target = edge
             else:
                 target = shadow = dst.shadows[w.slot]
                 # sampling cells send only values, converging cells only messages
@@ -534,45 +555,34 @@ class Machine:
                     raise MachineError("shadow of variable %d has cardinality %d, the "
                                        "variable has %d" % (w.var_id, shadow.card,
                                                             owner.card))
-                port = ports.setdefault((src.cid, shadow.role, w.var_id, shadow.fid),
-                                        _Port(w.var_id, shadow.fid))
+                if self.mode == GIBBS:
+                    port = owner.port = owner.port or _Port(w.var_id)
+                else:
+                    edge = _Edge(owner, shadow.fid, dom.uniform(owner.card))
+                    port = edge.port = _Port(w.var_id)
+                    owner.edges.append(edge)
             links = xy_links(w.src, w.dst)
             # a packet to its own cell takes the cell's local port
             port.dests.append((dst, target, len(links), links or ((w.dst, w.dst),)))
 
-        # GIBBS cells publish sampled values, never messages or beliefs
-        if self.mode == GIBBS:
-            for var in self.var_owner.values():
-                var.port = ports.get((var.cell.cid, VALUE, var.vid, None))
-            return
-
-        # attach relations to their local variables; remote ones are
-        # attached by their return wires
-        for cell in self.cells.values():
-            for rel in cell.rels:
-                for kind, obj in rel.refs:
-                    if kind == "v":
-                        obj.local_rels[rel.fid] = rel
-                        obj.in_msgs[rel.fid] = dom.uniform(obj.card)
         for var in self.var_owner.values():
-            var.attached = sorted(var.in_msgs)
-            var.ports = [ports.get((var.cell.cid, VTOF, var.vid, fid))
-                         for fid in var.attached]
-            var.out_msgs = dict.fromkeys(var.attached, dom.uniform(var.card))
-            if var.attached:
-                var.refresh = _refresh(dom, var.card, len(var.attached))
-            self._refresh_var(var)
+            var.edges.sort(key=lambda e: e.fid)
+            if var.edges:
+                var.refresh = _refresh(dom, var.card, len(var.edges))
+            if self.mode != GIBBS:
+                self._refresh_var(var)
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, time, cell, kind, payload):
+    def _push(self, time, cell, handler, payload):
+        """Queue the call handler(payload, time) at cycle `time` in `cell`."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, cell.cid, self._seq, kind, cell, payload))
+        heapq.heappush(self._heap, (time, cell.cid, self._seq, handler, payload))
 
     def _pend_exec(self, rel, time):
         if not rel.pending:
             rel.pending = True
-            self._push(time, rel.cell, "E", rel)
+            self._push(time, rel.cell, self._on_exec, rel)
 
     def _trace(self, cycle, cell, event, vid, detail):
         if self.trace is not None:
@@ -594,7 +604,7 @@ class Machine:
                 lat += 1
             if self.mode == GIBBS:
                 if cell.period:
-                    self._push(cell.period + cell.phase, cell, "T", None)
+                    self._push(cell.period + cell.phase, cell, self._on_tick, cell)
             else:
                 for rel in cell.rels:
                     self._pend_exec(rel, lat)
@@ -604,22 +614,15 @@ class Machine:
         """Process the single globally next event.  False when idle."""
         if not self._heap:
             return False
-        time, _cid, _seq, kind, cell, payload = heapq.heappop(self._heap)
+        time, _cid, _seq, handler, payload = heapq.heappop(self._heap)
         self.time = time
-        if kind == "E":
-            self._on_exec(cell, payload, time)
-        elif kind == "S":
-            self._on_send(cell, payload, time)
-        elif kind == "D":
-            self._on_deliver(cell, payload, time)
-        elif kind == "T":
-            self._on_tick(cell, time)
-        elif kind == "I":
-            self._on_inject(cell, payload, time)
+        handler(payload, time)
         return True
 
     def run_until_quiescent(self, max_cycles: int = 100000):
         """Drain the event queue; give up past max_cycles (returns False)."""
+        if max_cycles < 0:
+            raise MachineError("max_cycles must be >= 0, got %d" % max_cycles)
         while self._heap and self._heap[0][0] <= max_cycles:
             self.step()
         quiescent = not self._heap
@@ -655,32 +658,31 @@ class Machine:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_exec(self, cell, rel, time):
+    def _on_exec(self, rel, time):
+        cell = rel.cell
         rel.pending = False
         outs = self._exec_relation(rel)
         self.stats.activations += 1
         self._trace(time, cell, "UPDATE", rel.fid, rel.cost)
         avail = time + rel.cost
         for pos, payload in outs:
-            kind, obj = rel.refs[pos]
-            if kind == "v":
-                if obj.in_msgs.get(rel.fid) != payload:
-                    obj.in_msgs[rel.fid] = payload
-                    self._emit_var(obj, avail)
-            else:
-                self._gate_send(obj.port, payload, avail, cell)
+            ref = rel.refs[pos]
+            if type(ref) is _Shadow:
+                self._gate_send(ref.port, payload, avail, cell)
+            elif ref.reply != payload:
+                ref.reply = payload
+                self._emit_var(ref.var, avail)
 
     def _refresh_var(self, var):
-        """Recompute outgoing messages, one per attachment in order, and the
-        belief from stored inputs."""
+        """Recompute outgoing messages, one per edge in order, and the belief
+        from the edges' replies."""
         if var.evidence is not None:
             var.belief = self.dom.indicator(var.card, var.evidence)
-            return (var.belief,) * len(var.attached)
-        if not var.attached:
+            return (var.belief,) * len(var.edges)
+        if not var.edges:
             var.belief = self.dom.uniform(var.card)
             return ()
-        in_msgs = var.in_msgs
-        outs, var.belief = var.refresh(*[in_msgs[fid] for fid in var.attached])
+        outs, var.belief = var.refresh(*[edge.reply for edge in var.edges])
         return outs
 
     def _emit_var(self, var, time):
@@ -689,36 +691,37 @@ class Machine:
         if self.mode == GIBBS:
             # sampling cells exchange bare values, not message vectors
             if var.port is not None:
-                self._gate_send(var.port, var.value, time, cell, value_packet=True)
+                self._gate_send(var.port, var.value, time, cell)
             return
         outs = self._refresh_var(var)
-        for fid, new, port in zip(var.attached, outs, var.ports):
-            if var.out_msgs[fid] != new:
-                var.out_msgs[fid] = new
-                rel = var.local_rels.get(fid)
-                if rel is not None:
-                    self._pend_exec(rel, time)
-            if port is not None:
-                self._gate_send(port, var.out_msgs[fid], time, cell)
+        for edge, new in zip(var.edges, outs):
+            if edge.msg != new:
+                edge.msg = new
+                if edge.rel is not None:
+                    self._pend_exec(edge.rel, time)
+            if edge.port is not None:
+                self._gate_send(edge.port, new, time, cell)
 
-    def _gate_send(self, port, payload, time, cell, value_packet=False):
+    def _gate_send(self, port, payload, time, cell):
+        """Send `payload` on `port` unless the port's first packet has gone
+        and the cell's gate holds it back: a GIBBS cell (no threshold) sends
+        a value only when it changed, a converging one a message only when
+        some word moved by at least its threshold."""
         last = port.last
-        if last is None:
-            flush = True
-        else:
-            flush = False
-            if value_packet:
+        if last is not None:
+            thresh = cell.thresh
+            if thresh is None:
                 if payload == last:
                     return
-            elif cell.thresh > 0:
+            elif thresh > 0:
                 diff = max(abs(a - b) for a, b in zip(payload, last))
-                if diff < cell.thresh:
+                if diff < thresh:
                     return
         port.last = payload
-        self._push(time, cell, "S", (port, payload, flush))
+        self._push(time, cell, self._on_send, (cell, port, payload, last is None))
 
-    def _on_send(self, cell, payload, time):
-        port, value, flush = payload
+    def _on_send(self, payload, time):
+        cell, port, value, flush = payload
         for dst, target, hops, links in port.dests:
             arrival = self._route(links, time)
             self.stats.packets += 1
@@ -726,7 +729,7 @@ class Machine:
                 self.stats.flush_packets += 1
             self.stats.hops += hops
             self._trace(time, cell, "SEND", port.vid, hops)
-            self._push(arrival, dst, "D", (target, port.fid, value, hops))
+            self._push(arrival, dst, self._on_deliver, (dst, target, port.vid, value, hops))
 
     def _route(self, links, time):
         """Reserve a packet's route links in order, one packet per link per
@@ -743,20 +746,20 @@ class Machine:
             t = depart + 1
         return t
 
-    def _on_deliver(self, cell, payload, time):
-        target, fid, value, hops = payload
-        self._trace(time, cell, "DELIVER", target.vid, hops)
-        if fid is None:
-            # a GIBBS value into its VALUE shadow
+    def _on_deliver(self, payload, time):
+        cell, target, vid, value, hops = payload
+        self._trace(time, cell, "DELIVER", vid, hops)
+        if type(target) is _Edge:
+            # a remote relation's reply to the variable
+            if target.reply != value:
+                target.reply = value
+                self._emit_var(target.var, time)
+        elif self.mode == GIBBS:
+            # a value into its VALUE shadow
             target.value = value
-        elif isinstance(target, _Var):
-            # relation fid's message to its remote variable
-            if target.in_msgs[fid] != value:
-                target.in_msgs[fid] = value
-                self._emit_var(target, time)
-        elif target.data != value:
+        elif target.msg != value:
             # a variable's message into its VTOF shadow
-            target.data = value
+            target.msg = value
             for rel in target.consumers:
                 self._pend_exec(rel, time)
 
@@ -804,21 +807,20 @@ class Machine:
         for var in changed:
             self._emit_var(var, out_t)
         if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
-            self._push(time + cell.period, cell, "T", None)
+            self._push(time + cell.period, cell, self._on_tick, cell)
 
-    def _on_inject(self, cell, payload, time):
+    def _on_inject(self, payload, time):
         var, value = payload
         var.evidence = value
         var.value = value
-        self._trace(time, cell, "CLAMP", var.vid, value)
+        self._trace(time, var.cell, "CLAMP", var.vid, value)
         self._emit_var(var, time)
 
     # -- relation kernels -----------------------------------------------------
 
     def _inputs(self, rel):
         """The relation's input vector per scope position."""
-        fid = rel.fid
-        return [obj.out_msgs[fid] if kind == "v" else obj.data for kind, obj in rel.refs]
+        return [ref.msg for ref in rel.refs]
 
     def _exec_relation(self, rel):
         """Run the relation's kernel on its current inputs: (j, message) per
@@ -849,7 +851,7 @@ class Machine:
         if at_time < self.time:
             raise MachineError("cannot inject evidence at cycle %d: the machine "
                                "is already at cycle %d" % (at_time, self.time))
-        self._push(at_time, var.cell, "I", (var, value))
+        self._push(at_time, var.cell, self._on_inject, (var, value))
 
     def read_beliefs(self):
         """Dequantized per-variable beliefs plus argmax assignment.
@@ -912,18 +914,17 @@ class Machine:
         remote = []             # (recomputed, last sent) message pairs
         for cell in self.cells.values():
             for var in cell.vars:
-                outs = self._refresh_var(var)
-                for fid, new, port in zip(var.attached, outs, var.ports):
-                    local.append((new, var.out_msgs[fid]))
-                    if port is not None and port.last is not None:
-                        remote.append((new, port.last))
+                for edge, new in zip(var.edges, self._refresh_var(var)):
+                    local.append((new, edge.msg))
+                    if edge.port is not None and edge.port.last is not None:
+                        remote.append((new, edge.port.last))
             for rel in cell.rels:
                 for pos, payload in rel.kernel(rel.table, *self._inputs(rel)):
-                    kind, obj = rel.refs[pos]
-                    if kind == "v":
-                        local.append((payload, obj.in_msgs[rel.fid]))
-                    elif obj.port.last is not None:
-                        remote.append((payload, obj.port.last))
+                    ref = rel.refs[pos]
+                    if type(ref) is _Edge:
+                        local.append((payload, ref.reply))
+                    elif ref.port.last is not None:
+                        remote.append((payload, ref.port.last))
         return {name: max((abs(a - b) for new, old in pairs for a, b in zip(new, old)),
                           default=0)
                 for name, pairs in (("local", local), ("remote", remote))}

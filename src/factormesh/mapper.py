@@ -119,18 +119,6 @@ class Cluster:
     rels: list = field(default_factory=list)
 
 
-def _shadow_count(cl_vars, cl_rels, factors_of, scopes):
-    """Converging modes: one slot per remote message endpoint."""
-    vset = set(cl_vars)
-    rset = set(cl_rels)
-    n = 0
-    for v in cl_vars:
-        n += sum(1 for fid in factors_of[v] if fid not in rset)
-    for fid in cl_rels:
-        n += sum(1 for u in scopes[fid] if u not in vset)
-    return n
-
-
 def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
             mode: str = SUMPROD) -> list:
     """Greedy breadth-first grouping.
@@ -160,24 +148,20 @@ def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
         return seen
 
     def feasible(cl_vars, cl_rels):
-        if len(cl_vars) > cap.var_slots:
-            return False
+        """Whether one cell holds the cluster's slots, table words and
+        registers: a register per distinct remote (variable, factor) pair
+        its relations read, the factor None for the value a GIBBS cell's
+        relations share, and one per return wire of a remote relation of
+        its variables, which a GIBBS cluster's replicas leave none of."""
         if mode == GIBBS:
-            reps = touching(cl_vars)
-            if len(reps) > cap.rel_slots:
-                return False
-            if sum(words[fid] for fid in reps) > cap.table_words:
-                return False
-            vset = set(cl_vars)
-            value_shadows = set()
-            for fid in reps:
-                value_shadows.update(u for u in scopes[fid] if u not in vset)
-            return len(value_shadows) <= cap.shadow_slots
-        if len(cl_rels) > cap.rel_slots:
-            return False
-        if sum(words[fid] for fid in cl_rels) > cap.table_words:
-            return False
-        return _shadow_count(cl_vars, cl_rels, factors_of, scopes) <= cap.shadow_slots
+            cl_rels = touching(cl_vars)
+        vset, rset = set(cl_vars), set(cl_rels)
+        shadows = {(u, None if mode == GIBBS else fid)
+                   for fid in cl_rels for u in scopes[fid] if u not in vset}
+        returns = sum(fid not in rset for v in cl_vars for fid in factors_of[v])
+        return (len(cl_vars) <= cap.var_slots and len(cl_rels) <= cap.rel_slots
+                and sum(words[fid] for fid in cl_rels) <= cap.table_words
+                and len(shadows) + returns <= cap.shadow_slots)
 
     unassigned_vars = set(v.id for v in graph.variables)
     unassigned_rels = set(f.id for f in graph.factors)
@@ -371,9 +355,9 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
-               mode: str, seed: int = 0, thresh: Optional[int] = None,
-               capacities: Capacities = DEFAULT_CAPACITIES) -> MachineImage:
-    cap = capacities
+               mode: str, seed: int = 0, thresh: Optional[int] = None) -> MachineImage:
+    """The loadable image of placed clusters; `cluster` has already fitted
+    each one to a cell."""
     cvar, _ = _factor_home(clusters, graph, mode)
     coords = placement.coords
     dom = domain(mode)
@@ -420,21 +404,10 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                         VTOF if key[1] is not None else VALUE, key[1]))
                 refs.append(("H", shadow_slot[key]))
             cell.rel_slots.append(RelSlot(rs, fid, refs, list(qtable(fid))))
-        registers = len(cell.shadow_slots)
-        if mode != GIBBS:
-            # a remote relation's message lands on its return wire in a register
-            registers += sum(fid not in cl.rels for v in cl.vars
-                             for fid, _ in graph.factors_of(v))
         cell.thresh = thresh
         if mode == GIBBS and cl.vars:
             cell.gibbs_period = period
             cell.gibbs_phase = ci * delta
-        nwords = sum(len(r.table) for r in cell.rel_slots)
-        if (len(cell.var_slots) > cap.var_slots
-                or len(cell.rel_slots) > cap.rel_slots
-                or registers > cap.shadow_slots
-                or nwords > cap.table_words):
-            raise MapperError("cluster %d exceeds cell capacity" % ci)
     return MachineImage(placement.grid, mode, seed, cells)
 
 
@@ -472,7 +445,7 @@ def compile_graph(graph: FactorGraph, mode: str, grid: tuple = (4, 4),
     clusters = cluster(lowered, capacities=capacities, mode=mode)
     placement = place(clusters, lowered, grid, seed=seed, mode=mode, epochs=epochs)
     image = emit_image(placement, clusters, lowered, mode, seed=seed,
-                       thresh=thresh, capacities=capacities)
+                       thresh=thresh)
     report = {
         "clusters": len(clusters),
         "cost_initial": placement.cost_initial,

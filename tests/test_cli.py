@@ -188,6 +188,25 @@ def test_negative_noise_or_threshold_exits_2(tmp_path, capsys):
     assert (code, stderr) == (2, "error: line 1: noise must be >= 0, got -3\n")
 
 
+def test_budgets_that_compute_nothing_exit_2(tmp_path, capsys):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    for argv, message in ((("--alg", "sumprod", "--max-iters", "-1"),
+                           "max_iters must be >= 1, got -1"),
+                          (("--alg", "minsum", "--max-iters", "0"),
+                           "max_iters must be >= 1, got 0"),
+                          (("--alg", "gibbs", "--burn-in", "-5", "--sweeps", "10"),
+                           "burn_in must be >= 0, got -5")):
+        code, stdout, stderr = run_cli(capsys, "golden", graph_file, *argv)
+        assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    image = str(tmp_path / "pair.fmimg")
+    assert run_cli(capsys, "compile", graph_file, "--out", image)[0] == 0
+    code, stdout, stderr = run_cli(capsys, "run", image, "--max-cycles", "-5")
+    assert (code, stdout, stderr) == (2, "", "error: max_cycles must be >= 0, got -5\n")
+    cfg = write(tmp_path, "budget.cfg", "max_cycles -5\n")
+    code, _, stderr = run_cli(capsys, "run", image, "--config", cfg)
+    assert (code, stderr) == (2, "error: line 1: max_cycles must be >= 0, got -5\n")
+
+
 def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):
     bench = apps.build_coloring(apps.TRIANGLE_EDGES, 3)
     graph_file = write(tmp_path, "tri.uai",

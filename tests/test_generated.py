@@ -35,7 +35,7 @@ class ReferenceKernelMachine(Machine):
     def _refresh_var(self, var):
         # the machine takes the messages in attachment order
         outs = self._reference_refresh(var)
-        return [outs[fid] for fid in var.attached]
+        return [outs[edge.fid] for edge in var.edges]
 
     def _reference_refresh(self, var):
         """Recompute outgoing messages and belief from stored inputs."""
@@ -46,8 +46,8 @@ class ReferenceKernelMachine(Machine):
             else:
                 ind = tuple(0 if a == var.evidence else fp.Q88_MIN for a in range(card))
             var.belief = ind
-            return {fid: ind for fid in var.attached}
-        msgs = [var.in_msgs[fid] for fid in var.attached]
+            return {edge.fid: ind for edge in var.edges}
+        msgs = [edge.reply for edge in var.edges]
         n = len(msgs)
         if n == 0:
             var.belief = self._uniform(card)
@@ -64,13 +64,13 @@ class ReferenceKernelMachine(Machine):
         suf.reverse()
         norm = self._norm
         outs = {}
-        for i, fid in enumerate(var.attached):
+        for i, edge in enumerate(var.edges):
             a, b = pre[i], suf[i + 1]
             if a is None:
                 vec = self._uniform(card) if b is None else b
             else:
                 vec = a if b is None else combine(a, b)
-            outs[fid] = norm(vec)
+            outs[edge.fid] = norm(vec)
         var.belief = norm(pre[n])
         return outs
 
@@ -84,8 +84,7 @@ class ReferenceKernelMachine(Machine):
         """Interpret the relation's update on its current inputs: (j,
         message) per scope position j, anchored and, with noise_lsbs,
         perturbed."""
-        fid = rel.fid
-        inputs = [obj.out_msgs[fid] if kind == "v" else obj.data for kind, obj in rel.refs]
+        inputs = [ref.msg for ref in rel.refs]
         outs = reference(rel.shape, rel.table, inputs,
                          standard_program(self.mode, len(rel.shape)), self.linear)
         if self.noise_lsbs:
@@ -99,7 +98,7 @@ def run(cls, text, caps, noise, inject, budget):
         m.inject_evidence(*inject)
     stats, _ = m.run_until_quiescent(budget)
     beliefs = {vid: var.belief for vid, var in m.var_owner.items()}
-    ports = [port for var in m.var_owner.values() for port in var.ports]
+    ports = [edge.port for var in m.var_owner.values() for edge in var.edges]
     ports += [sh.port for cell in m.cells.values() for sh in cell.shadows.values()]
     sent = [port.last for port in ports if port is not None]
     return stats, m.time, m.trace, beliefs, sent
@@ -188,7 +187,7 @@ def test_widest_relation_table_generates_and_matches():
             outs = []
             for m in machines:
                 for p, vec in enumerate(inputs):
-                    m.var_owner[p].out_msgs[0] = vec
+                    m.var_owner[p].edges[0].msg = vec
                 outs.append(m._exec_relation(m.cells[(0, 0)].rels[0]))
             assert outs[0] == outs[1]
 
@@ -227,5 +226,5 @@ def test_highest_variable_degree_generates_and_matches():
         for thresh in (0, 16):
             text, caps = star_image(mode, thresh)
             m = Machine(text)
-            assert len(m.var_owner[0].attached) == caps.rel_slots + caps.shadow_slots
+            assert len(m.var_owner[0].edges) == caps.rel_slots + caps.shadow_slots
             assert_same_runs(text, caps, inject=(0, 2, 40))

@@ -155,6 +155,19 @@ def test_sum_product_rejects_bad_arguments():
         sum_product(g, damping=1.0)
 
 
+def test_kernels_reject_budgets_that_compute_nothing():
+    g = two_var_graph()
+    # zero iterations asks for the start state; fewer asks for nothing
+    for kernel in (sum_product, min_sum):
+        with pytest.raises(InferenceError, match="max_iters must be >= 0, got -1"):
+            kernel(g, max_iters=-1)
+    # a negative burn-in would count more sweeps than it divides by
+    with pytest.raises(InferenceError, match="burn_in must be >= 0, got -5"):
+        gibbs_sample(g, seed=0, burn_in=-5, sweeps=10)
+    assert np.allclose([sum(m) for m in gibbs_sample(g, seed=0, burn_in=0,
+                                                     sweeps=10).marginals], 1.0)
+
+
 def test_sum_product_zero_message_raises():
     g = FactorGraph([VariableNode(0, 2, 0), VariableNode(1, 2)],
                     [FactorNode(0, (0, 1), TABLE, (0.0, 0.0, 1.0, 1.0))])

@@ -194,6 +194,13 @@ def test_parse_errors_carry_line_numbers():
         assert err.value.line >= 1
 
 
+def test_an_all_zero_table_names_the_line_it_ends_on():
+    text = "MARKOV\n2\n2 2\n2\n1 0\n2 0 1\n\n2\n1 1\n\n4\n0 0\n0 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_uai(text)
+    assert str(err.value) == "line 13: factor 1: table has no positive entry"
+
+
 def test_serialize_round_trip_structure():
     for seed in range(5):
         g = gen.random_tree_graph(seed)

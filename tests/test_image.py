@@ -196,8 +196,8 @@ def test_compiled_images_round_trip_and_load(graph_seed, tree, mode, evidence_se
         # a remote edge is one VTOF shadow and its return wire, so each
         # message travels on exactly one wire
         m = Machine(img, capacities=caps)
-        ports = [port for var in m.var_owner.values() for port in var.ports
-                 if port is not None]
+        ports = [edge.port for var in m.var_owner.values() for edge in var.edges
+                 if edge.port is not None]
         ports += [sh.port for cell in m.cells.values() for sh in cell.shadows.values()]
         assert [len(port.dests) for port in ports] == [1] * len(ports)
 

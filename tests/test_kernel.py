@@ -91,7 +91,7 @@ def test_kernel_matches_nested_loop_reference(case):
     m = Machine(one_relation_image(mode, shape, table))
     rel = m.cells[(0, 0)].rels[0]
     for p, vec in enumerate(inputs):
-        m.var_owner[p].out_msgs[rel.fid] = vec
+        m.var_owner[p].edges[0].msg = vec
     want = reference(shape, table, inputs, standard_program(mode, len(shape)),
                      mode == SUMPROD)
     assert m._exec_relation(rel) == want

@@ -4,15 +4,16 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import gen
 from factormesh import apps, golden
 from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
                               expand_all, with_evidence)
-from factormesh.image import Capacities, ImageError, dumps
-from factormesh.machine import Machine, MachineError, xy_links
-from factormesh.mapper import Placement, cluster, compile_graph, emit_image, lower, place
+from factormesh.image import GIBBS, MINSUM, SUMPROD, Capacities, ImageError, dumps
+from factormesh.machine import Machine, MachineError, _Edge, _Port, _Shadow, xy_links
+from factormesh.mapper import (MapperError, Placement, cluster, compile_graph, emit_image,
+                               lower, place)
 
 TOL_CELL = 2.0 ** -7
 TOL_MESH = 2.0 ** -6
@@ -270,7 +271,7 @@ def test_route_local_port_costs_one_cycle():
         m = Machine(LOCAL_IMG)
         var = m.var_owner[0]
         shadow = m.cells[(0, 0)].shadows[0]
-        port, target = (shadow.port, var) if back else (var.ports[0], shadow)
+        port, target = (shadow.port, var.edges[0]) if back else (var.edges[0].port, shadow)
         ((_cell, got, hops, links),) = port.dests
         assert (got, hops) == (target, 0)
         assert m._route(links, 0) == 1
@@ -282,6 +283,78 @@ def test_route_contention_stalls_second_packet():
     second = m._route(xy_links((0, 0), (2, 3)), 0)
     assert (first, second) == (5, 6)
     assert m.stats.peak_link_occupancy == 2
+
+
+# -- edges and ports ---------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(graph_seed=st.integers(0, 10 ** 6), tree=st.booleans(),
+       mode=st.sampled_from([SUMPROD, MINSUM, GIBBS]), var_slots=st.integers(1, 3),
+       place_seed=st.integers(0, 2 ** 32 - 1))
+def test_each_edge_is_a_local_relation_or_a_shadow_round_trip(graph_seed, tree, mode,
+                                                              var_slots, place_seed):
+    graph = (gen.random_tree_graph(graph_seed) if tree
+             else gen.random_builtin_graph(graph_seed))
+    caps = Capacities(var_slots=var_slots, rel_slots=16, shadow_slots=64,
+                      table_words=4096)
+    try:
+        image, _ = compile_graph(graph, mode, grid=(4, 4), seed=place_seed,
+                                 capacities=caps, epochs=2)
+    except MapperError:
+        reject()
+    m = Machine(image, capacities=caps)
+    # the factors each variable is in, from the relations' scopes
+    fids = {vid: [] for vid in m.var_owner}
+    for cell in m.cells.values():
+        for rel in cell.rels:
+            for ref in rel.refs:
+                if type(ref) is _Edge:
+                    assert ref.rel is rel and ref.var.cell is cell
+                else:
+                    assert type(ref) is _Shadow or mode == GIBBS
+                fids[ref.var.vid if type(ref) is _Edge else ref.vid].append(rel.fid)
+    for vid, var in m.var_owner.items():
+        if mode == GIBBS:
+            assert var.edges == []
+            continue
+        assert [edge.fid for edge in var.edges] == sorted(fids[vid])
+        for edge in var.edges:
+            assert edge.var is var
+            if edge.port is None:
+                assert edge.rel.fid == edge.fid
+                assert any(ref is edge for ref in edge.rel.refs)
+            else:
+                assert edge.rel is None
+                ((_dst, shadow, _hops, _links),) = edge.port.dests
+                assert type(shadow) is _Shadow
+                assert (shadow.vid, shadow.fid) == (vid, edge.fid)
+                ((owner_cell, back, _hops, _links),) = shadow.port.dests
+                assert back is edge and owner_cell is var.cell
+
+
+def test_gate_send_rules():
+    m = Machine(LOCAL_IMG)
+    cell = m.cells[(0, 0)]
+
+    def sent(thresh, payloads):
+        """(payload, flush) of each send the gate queues on a fresh port."""
+        cell.thresh = thresh
+        port = _Port(0)
+        m._heap.clear()
+        for payload in payloads:
+            m._gate_send(port, payload, 0, cell)
+        events = sorted(m._heap, key=lambda e: e[2])
+        assert all(e[3] == m._on_send and e[4][:2] == (cell, port) for e in events)
+        return [e[4][2:] for e in events]
+
+    # thresh 0 resends an equal message; only a port's first packet flushes
+    assert sent(0, [(5, 9), (5, 9)]) == [((5, 9), True), ((5, 9), False)]
+    # thresh k drops a move smaller than k, measured from the last send
+    assert sent(16, [(100, 200), (110, 200), (116, 200), (100, 209)]) == [
+        ((100, 200), True), ((116, 200), False), ((100, 209), False)]
+    # a GIBBS cell has no threshold: it drops an equal value and sends a
+    # changed one
+    assert sent(None, [1, 1, 2, 2, 0]) == [(1, True), (2, False), (0, False)]
 
 
 # -- packet gating -----------------------------------------------------------
@@ -356,7 +429,7 @@ def test_gibbs_machine_has_no_quiescence_to_verify():
     # sampling cells publish values: no variable gets message state
     for var in m.var_owner.values():
         assert var.refresh is None
-        assert var.in_msgs == {} and var.out_msgs == {} and var.attached == []
+        assert var.edges == []
     m.run_ticks(20)
     with pytest.raises(MachineError, match="SUMPROD and MINSUM"):
         m.verify_quiescent()
@@ -471,6 +544,13 @@ def test_negative_noise_is_rejected():
     image, _ = compile_graph(pair_graph(), "SUMPROD", grid=(1, 1), epochs=5)
     with pytest.raises(MachineError, match="noise_lsbs must be >= 0, got -1"):
         Machine(image, noise_lsbs=-1)
+
+
+def test_negative_cycle_budget_is_rejected():
+    m, _ = compiled(pair_graph(), "SUMPROD", grid=(1, 1))
+    with pytest.raises(MachineError, match="max_cycles must be >= 0, got -5"):
+        m.run_until_quiescent(-5)
+    assert m.run_until_quiescent(0)[0].cycles == 0
 
 
 def test_negative_threshold_in_an_image_is_rejected():
@@ -631,7 +711,7 @@ def test_return_wires_count_against_the_owner_cells_shadow_slots():
 
     caps = Capacities(shadow_slots=3)
     m = Machine(image(2), capacities=caps)
-    assert m.var_owner[0].attached == [0, 1, 2]
+    assert [edge.fid for edge in m.var_owner[0].edges] == [0, 1, 2]
     assert m.run_until_quiescent()[1]
     with pytest.raises(MachineError, match=r"cell \(0, 0\): too many shadow slots, "
                        "return wires included"):

@@ -366,7 +366,7 @@ def test_chain_image_wire_and_shadow_structure():
     graph = chain_graph(3)
     clusters = cluster(graph, capacities=caps)
     placement = place(clusters, graph, (1, 3), seed=0)
-    image = emit_image(placement, clusters, graph, "SUMPROD", capacities=caps)
+    image = emit_image(placement, clusters, graph, "SUMPROD")
     assert len(image.wires) == 4
     roles = {}
     for ci, coord in enumerate(placement.coords):

@@ -14,7 +14,7 @@ import gen
 from factormesh import rng
 from factormesh.graph import with_evidence
 from factormesh.image import Capacities, dumps
-from factormesh.machine import Machine
+from factormesh.machine import Machine, _Var
 from factormesh.mapper import MapperError, compile_graph
 
 
@@ -26,8 +26,8 @@ class ReferenceTickMachine(Machine):
         for cell in self.cells.values():
             uses = {var: [] for var in cell.vars}
             for rel in cell.rels:
-                for pos, (kind, obj) in enumerate(rel.refs):
-                    if kind == "v":
+                for pos, obj in enumerate(rel.refs):
+                    if type(obj) is _Var:
                         uses[obj].append((rel, pos))
             self._ref_plan[cell.cid] = [(var, uses[var]) for var in cell.vars]
 
@@ -39,7 +39,7 @@ class ReferenceTickMachine(Machine):
                 cond = [1] * var.card
                 for rel, pos in uses:
                     base = 0
-                    for q, (kind, obj) in enumerate(rel.refs):
+                    for q, obj in enumerate(rel.refs):
                         if q == pos:
                             continue
                         base += obj.value * rel.strides[q]
@@ -67,9 +67,9 @@ class ReferenceTickMachine(Machine):
         out_t = time + cell.tick_cost
         for var in changed:
             if var.port is not None:
-                self._gate_send(var.port, var.value, out_t, cell, value_packet=True)
+                self._gate_send(var.port, var.value, out_t, cell)
         if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
-            self._push(time + cell.period, cell, "T", None)
+            self._push(time + cell.period, cell, self._on_tick, cell)
 
 
 @st.composite
