@@ -111,7 +111,7 @@ def cmd_compile(args):
         seed=_resolve(args, "seed", 0, int),
         thresh=_at_least(args, "thresh", None),
         epsilon=_resolve(args, "epsilon", None, float),
-        epochs=_resolve(args, "epochs", 50, int))
+        epochs=_at_least(args, "epochs", 50))
     _write(args.out, dumps(image))
     print("clusters=%d" % report["clusters"])
     print("cost_initial=%d" % report["cost_initial"])
@@ -127,7 +127,7 @@ def cmd_run(args):
                       noise_lsbs=_at_least(args, "noise", 0))
     code = 0
     if image.mode == GIBBS:
-        stats = machine.run_ticks(_resolve(args, "ticks", 1000, int))
+        stats = machine.run_ticks(_at_least(args, "ticks", 1000, 1))
     else:
         stats, quiescent = machine.run_until_quiescent(
             _at_least(args, "max_cycles", 100000))
@@ -171,7 +171,7 @@ def cmd_golden(args):
         res = golden.gibbs_sample(
             graph, seed=seed,
             burn_in=_at_least(args, "burn_in", 1000),
-            sweeps=_resolve(args, "sweeps", 10000, int))
+            sweeps=_at_least(args, "sweeps", 10000, 1))
         out = apps.write_results(as_dict(res.marginals))
     else:
         raise GraphError("unknown algorithm %r" % alg)

@@ -1,28 +1,31 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 4`), one record per line, `#` comments:
+Text format (version header `FMIMG 5`), one record per line, `#` comments:
 
-    FMIMG 4
+    FMIMG 5
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
     CELL <r> <c>                          opens a cell; records below attach to it
-    VAR <slot> <var_id> <card> [EVIDENCE <value>]
-    SHADOW <slot> <var_id> <card> <src_r> <src_c> VTOF <fid>|VALUE
-    REL <slot> <factor_id> <nwords> <ref>...   refs bind scope positions, V<slot>/H<slot>
+    VAR <var_id> <card> [EVIDENCE <value>]
+    SHADOW <var_id> VTOF <fid>|VALUE
+    REL <factor_id> <nwords> <ref>...     refs bind scope positions, V<i>/H<i>
     <nwords integer table words on following lines>
     THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
     GIBBS_PERIOD <period> <phase>         resample timing (GIBBS)
 
-A shadow slot is its wire: one link from its producer cell `src` into that
-slot, carrying the variable `var_id`.  Shadow roles: VTOF f holds the
-variable's message into factor f, VALUE holds its sampled value.  SUMPROD
-and MINSUM machines feed only VTOF shadows, GIBBS machines only VALUE
-shadows; the machine rejects any other role at load.  A shadow has its
-variable's cardinality, and a relation of its cell reads it.  A VTOF f
-shadow also declares its edge's return wire, on which relation f sends
-`src` its message to the variable, into a register that counts as one of
-`src`'s shadow slots.  Table words, THRESH and message words are in the
+A cell's slots are its record positions: `V<i>` names the cell's i-th VAR
+record and `H<i>` its i-th SHADOW record, counting from 0.  A shadow slot
+is its wire: one link into that slot from the cell whose VAR record
+declares `var_id`, carrying that variable, and the shadow has that
+variable's cardinality.  Shadow roles: VTOF f holds the variable's message
+into factor f, VALUE holds its sampled value.  SUMPROD and MINSUM machines
+feed only VTOF shadows, GIBBS machines only VALUE shadows; the machine
+rejects any other role, and a shadow of a variable no cell declares, at
+load.  A relation of its cell reads each shadow.  A VTOF f shadow also
+declares its edge's return wire, on which relation f sends the variable's
+cell its message to the variable, into a register that counts as one of
+that cell's shadow slots.  Table words, THRESH and message words are in the
 units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs
 in MINSUM; a cell with no THRESH record gates at the domain's default.  A
 GIBBS cell sends a value whenever it changes, so the machine rejects a
@@ -102,7 +105,6 @@ class ImageError(ValueError):
 
 @dataclass
 class VarSlot:
-    slot: int
     var_id: int
     card: int
     evidence: Optional[int] = None
@@ -110,17 +112,13 @@ class VarSlot:
 
 @dataclass
 class ShadowSlot:
-    slot: int
     var_id: int
-    card: int
-    src: tuple                      # (r, c) of the producing cell
     role: str                       # VTOF / VALUE
     fid: Optional[int] = None       # factor id for VTOF
 
 
 @dataclass
 class RelSlot:
-    slot: int
     factor_id: int
     scope_refs: list                # ('V'|'H', slot) per scope position
     table: list                     # quantized integer words
@@ -143,7 +141,8 @@ class Wire:
     """One link from cell `src` to cell `dst` carrying variable `var_id`:
     its message or value into shadow slot `slot` of `dst`, or, when `back`,
     the message of the relation reading VTOF shadow slot `slot` of `src`
-    into the variable."""
+    into the variable.  `src` of a shadow's wire, and `dst` of its return
+    wire, is the cell declaring the variable, None if there is none."""
     var_id: int
     src: tuple
     dst: tuple
@@ -160,15 +159,18 @@ class MachineImage:
 
     @property
     def wires(self) -> list:
-        """One Wire per shadow slot, from its `src` cell into the slot, each
-        VTOF one followed by its return wire, in (cell coordinate, slot)
+        """One Wire per shadow slot, from its variable's cell into the slot,
+        each VTOF one followed by its return wire, in (cell coordinate, slot)
         order."""
+        home = {vs.var_id: coord for coord, ci in self.cells.items()
+                for vs in ci.var_slots}
         wires = []
         for coord in sorted(self.cells):
-            for sh in sorted(self.cells[coord].shadow_slots, key=lambda s: s.slot):
-                wires.append(Wire(sh.var_id, sh.src, coord, sh.slot))
+            for slot, sh in enumerate(self.cells[coord].shadow_slots):
+                src = home.get(sh.var_id)
+                wires.append(Wire(sh.var_id, src, coord, slot))
                 if sh.role == VTOF:
-                    wires.append(Wire(sh.var_id, coord, sh.src, sh.slot, back=True))
+                    wires.append(Wire(sh.var_id, coord, src, slot, back=True))
         return wires
 
 
@@ -177,28 +179,26 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 4",
+    lines = ["FMIMG 5",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
     for coord in sorted(image.cells):
         cell = image.cells[coord]
         lines.append("CELL %d %d" % (cell.r, cell.c))
-        for vs in sorted(cell.var_slots, key=lambda s: s.slot):
-            row = "VAR %d %d %d" % (vs.slot, vs.var_id, vs.card)
+        for vs in cell.var_slots:
+            row = "VAR %d %d" % (vs.var_id, vs.card)
             if vs.evidence is not None:
                 row += " EVIDENCE %d" % vs.evidence
             lines.append(row)
-        for sh in sorted(cell.shadow_slots, key=lambda s: s.slot):
-            row = "SHADOW %d %d %d %d %d %s" % (sh.slot, sh.var_id, sh.card,
-                                                sh.src[0], sh.src[1], sh.role)
+        for sh in cell.shadow_slots:
+            row = "SHADOW %d %s" % (sh.var_id, sh.role)
             if sh.role == VTOF:
                 row += " %d" % sh.fid
             lines.append(row)
-        for rel in sorted(cell.rel_slots, key=lambda s: s.slot):
+        for rel in cell.rel_slots:
             refs = " ".join("%s%d" % ref for ref in rel.scope_refs)
-            lines.append("REL %d %d %d %s" % (rel.slot, rel.factor_id,
-                                              len(rel.table), refs))
+            lines.append("REL %d %d %s" % (rel.factor_id, len(rel.table), refs))
             for i in range(0, len(rel.table), 12):
                 lines.append(" ".join(str(w) for w in rel.table[i:i + 12]))
         if cell.thresh is not None:
@@ -219,8 +219,8 @@ _CELL_RECORDS = ("VAR", "SHADOW", "REL", "THRESH", "GIBBS_PERIOD")
 def parse_image(text: str) -> MachineImage:
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "4"]:
-        rec.fail("expected FMIMG 4 header")
+    if next(records, [])[:2] != ["FMIMG", "5"]:
+        rec.fail("expected FMIMG 5 header")
     grid = None
     mode = None
     seed = 0
@@ -266,47 +266,47 @@ def parse_image(text: str) -> MachineImage:
             cur = CellImage(r, c)
             cells[(r, c)] = cur
         elif head == "VAR":
-            if len(toks) == 4:
-                slot, vid, card = rec.ints(toks[1:], 3, "VAR")
+            if len(toks) == 3:
+                vid, card = rec.ints(toks[1:], 2, "VAR")
                 ev = None
-            elif len(toks) == 6 and toks[4] == "EVIDENCE":
-                slot, vid, card = rec.ints(toks[1:4], 3, "VAR")
-                (ev,) = rec.ints(toks[5:], 1, "EVIDENCE")
+            elif len(toks) == 5 and toks[3] == "EVIDENCE":
+                vid, card = rec.ints(toks[1:3], 2, "VAR")
+                (ev,) = rec.ints(toks[4:], 1, "EVIDENCE")
             else:
                 rec.fail("malformed VAR record")
             if card < 2:
                 rec.fail("variable cardinality must be >= 2")
             if ev is not None and not (0 <= ev < card):
                 rec.fail("evidence value out of range")
-            cur.var_slots.append(VarSlot(slot, vid, card, ev))
+            cur.var_slots.append(VarSlot(vid, card, ev))
         elif head == "SHADOW":
-            if len(toks) < 7:
+            if len(toks) < 3:
                 rec.fail("malformed SHADOW record")
-            slot, vid, card, sr, sc = rec.ints(toks[1:6], 5, "SHADOW")
-            role = toks[6]
+            (vid,) = rec.ints(toks[1:2], 1, "SHADOW")
+            role = toks[2]
             fid = None
             if role == VTOF:
-                if len(toks) != 8:
+                if len(toks) != 4:
                     rec.fail("VTOF shadow needs a factor id")
-                (fid,) = rec.ints(toks[7:], 1, "SHADOW factor id")
+                (fid,) = rec.ints(toks[3:], 1, "SHADOW factor id")
             elif role == VALUE:
-                if len(toks) != 7:
+                if len(toks) != 3:
                     rec.fail("malformed VALUE shadow")
             else:
                 rec.fail("unknown shadow role %r" % role)
-            cur.shadow_slots.append(ShadowSlot(slot, vid, card, (sr, sc), role, fid))
+            cur.shadow_slots.append(ShadowSlot(vid, role, fid))
         elif head == "REL":
-            if len(toks) < 5:
+            if len(toks) < 4:
                 rec.fail("malformed REL record")
-            slot, fid, nwords = rec.ints(toks[1:4], 3, "REL")
+            fid, nwords = rec.ints(toks[1:3], 2, "REL")
             if nwords < 1:
                 rec.fail("REL needs at least one table word")
             refs = []
-            for t in toks[4:]:
+            for t in toks[3:]:
                 if len(t) < 2 or t[0] not in ("V", "H") or not t[1:].isdecimal():
                     rec.fail("bad scope reference %r" % t)
                 refs.append((t[0], int(t[1:])))
-            pending_rel = RelSlot(slot, fid, refs, [])
+            pending_rel = RelSlot(fid, refs, [])
             pending_words = nwords
             cur.rel_slots.append(pending_rel)
         elif head == "THRESH":

@@ -146,13 +146,12 @@ class _Edge:
 
 
 class _Var:
-    __slots__ = ("cell", "slot", "vid", "card", "evidence", "value", "edges",
+    __slots__ = ("cell", "vid", "card", "evidence", "value", "edges",
                  "belief", "port", "counts", "terms", "blanket", "memo", "key",
                  "refresh")
 
-    def __init__(self, cell, slot, vid, card, evidence):
+    def __init__(self, cell, vid, card, evidence):
         self.cell = cell
-        self.slot = slot
         self.vid = vid
         self.card = card
         self.evidence = evidence
@@ -169,12 +168,11 @@ class _Var:
 
 
 class _Shadow:
-    __slots__ = ("cell", "slot", "vid", "card", "role", "fid",
+    __slots__ = ("cell", "vid", "card", "role", "fid",
                  "msg", "value", "consumers", "port")
 
-    def __init__(self, cell, slot, vid, card, role, fid):
+    def __init__(self, cell, vid, card, role, fid):
         self.cell = cell
-        self.slot = slot
         self.vid = vid
         self.card = card
         self.role = role
@@ -186,12 +184,11 @@ class _Shadow:
 
 
 class _Rel:
-    __slots__ = ("cell", "slot", "fid", "refs", "shape", "strides",
+    __slots__ = ("cell", "fid", "refs", "shape", "strides",
                  "table", "kernel", "cost", "pending")
 
-    def __init__(self, cell, slot, fid, refs, shape, table):
+    def __init__(self, cell, fid, refs, shape, table):
         self.cell = cell
-        self.slot = slot
         self.fid = fid
         self.refs = refs        # per scope position: _Edge or _Shadow (GIBBS: _Var or _Shadow)
         self.shape = shape
@@ -213,9 +210,9 @@ class _Cell:
         self.r = r
         self.c = c
         self.cid = cid
-        self.vars = []          # _Var in slot order
-        self.rels = []          # _Rel in slot order
-        self.shadows = {}       # slot -> _Shadow
+        self.vars = []          # _Var in record order
+        self.rels = []          # _Rel in record order
+        self.shadows = []       # _Shadow in record order
         self.thresh = None
         self.period = None
         self.phase = 0
@@ -392,13 +389,27 @@ class Machine:
         self.cells = {}
         self.var_owner = {}
         dom = self.dom
+        # a shadow may read a variable of a later cell, so every cell's
+        # variables exist before any cell's shadows
+        for coord, ci in sorted(image.cells.items()):
+            cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
+            self.cells[coord] = cell
+            if len(ci.var_slots) > cap.var_slots:
+                raise MachineError("cell (%d, %d): too many variable slots" % coord)
+            for vs in ci.var_slots:
+                if vs.card > cap.max_cardinality:
+                    raise MachineError("variable %d: cardinality above limit" % vs.var_id)
+                if vs.var_id in self.var_owner:
+                    raise MachineError("variable %d owned by two cells" % vs.var_id)
+                var = _Var(cell, vs.var_id, vs.card, vs.evidence)
+                cell.vars.append(var)
+                self.var_owner[vs.var_id] = var
         wires = image.wires
         # every wire, a return wire too, lands in a shadow register of its dst
         registers = collections.Counter(w.dst for w in wires)
         fids = set()            # (cell id in GIBBS else None, factor id)
         for coord, ci in sorted(image.cells.items()):
-            cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
-            self.cells[coord] = cell
+            cell = self.cells[coord]
             # a GIBBS cell sends its value whenever it changes, and only a
             # GIBBS cell resamples
             record, value = (("THRESH", ci.thresh) if self.mode == GIBBS
@@ -412,55 +423,33 @@ class Machine:
                     raise MachineError("cell (%d, %d): threshold must be >= 0" % coord)
             cell.period = ci.gibbs_period
             cell.phase = ci.gibbs_phase or 0
-            if len(ci.var_slots) > cap.var_slots:
-                raise MachineError("cell (%d, %d): too many variable slots" % coord)
             if registers[coord] > cap.shadow_slots:
                 raise MachineError("cell (%d, %d): too many shadow slots, return "
                                    "wires included" % coord)
             if len(ci.rel_slots) > cap.rel_slots:
                 raise MachineError("cell (%d, %d): too many relation slots" % coord)
-            vslots = {}
-            hslots = {}
-            for vs in sorted(ci.var_slots, key=lambda s: s.slot):
-                if vs.card > cap.max_cardinality:
-                    raise MachineError("variable %d: cardinality above limit" % vs.var_id)
-                if vs.var_id in self.var_owner:
-                    raise MachineError("variable %d owned by two cells" % vs.var_id)
-                if vs.slot in vslots:
-                    raise MachineError("cell (%d, %d): duplicate variable slot %d"
-                                       % (ci.r, ci.c, vs.slot))
-                var = _Var(cell, vs.slot, vs.var_id, vs.card, vs.evidence)
-                vslots[vs.slot] = var
-                cell.vars.append(var)
-                self.var_owner[vs.var_id] = var
-            for sh in sorted(ci.shadow_slots, key=lambda s: s.slot):
-                if sh.slot in hslots:
-                    raise MachineError("cell (%d, %d): duplicate shadow slot %d"
-                                       % (ci.r, ci.c, sh.slot))
-                if sh.card > cap.max_cardinality:
-                    raise MachineError("shadow of %d: cardinality above limit" % sh.var_id)
-                shadow = _Shadow(cell, sh.slot, sh.var_id, sh.card, sh.role, sh.fid)
+            for sh in ci.shadow_slots:
+                owner = self.var_owner.get(sh.var_id)
+                if owner is None:
+                    raise MachineError("cell (%d, %d): shadow of variable %d, which no "
+                                       "cell owns" % (coord + (sh.var_id,)))
+                shadow = _Shadow(cell, sh.var_id, owner.card, sh.role, sh.fid)
                 if sh.role == VTOF:
-                    shadow.msg = dom.uniform(sh.card)
-                hslots[sh.slot] = shadow
-                cell.shadows[sh.slot] = shadow
+                    shadow.msg = dom.uniform(owner.card)
+                cell.shadows.append(shadow)
             words = 0
-            for rs in sorted(ci.rel_slots, key=lambda s: s.slot):
+            for rs in ci.rel_slots:
                 refs = []
                 for kind, sl in rs.scope_refs:
-                    if kind == "V":
-                        ent = vslots.get(sl)
-                        if ent is None:
-                            raise MachineError("relation %d: dangling variable slot V%d"
-                                               % (rs.factor_id, sl))
-                    else:
-                        ent = hslots.get(sl)
-                        if ent is None:
-                            raise MachineError("relation %d: dangling shadow slot H%d"
-                                               % (rs.factor_id, sl))
-                        if ent.role == VTOF and ent.fid != rs.factor_id:
-                            raise MachineError("relation %d reads a shadow bound to "
-                                               "relation %s" % (rs.factor_id, ent.fid))
+                    slots = cell.vars if kind == "V" else cell.shadows
+                    if sl >= len(slots):
+                        raise MachineError("relation %d: dangling %s slot %s%d" % (
+                            rs.factor_id, "variable" if kind == "V" else "shadow",
+                            kind, sl))
+                    ent = slots[sl]
+                    if kind == "H" and ent.role == VTOF and ent.fid != rs.factor_id:
+                        raise MachineError("relation %d reads a shadow bound to "
+                                           "relation %s" % (rs.factor_id, ent.fid))
                     if any(obj.vid == ent.vid for obj in refs):
                         raise MachineError("relation %d binds variable %d at two scope "
                                            "positions" % (rs.factor_id, ent.vid))
@@ -476,7 +465,7 @@ class Machine:
                     raise MachineError("relation %d: table word outside [%d, %d]"
                                        % (rs.factor_id, dom.lo, dom.hi))
                 words += len(rs.table)
-                rel = _Rel(cell, rs.slot, rs.factor_id, refs, shape, tuple(rs.table))
+                rel = _Rel(cell, rs.factor_id, refs, shape, tuple(rs.table))
                 if self.mode != GIBBS:
                     if rel.cost > MAX_UPDATE_CYCLES:
                         raise MachineError("relation %d: an update of %d scope positions "
@@ -507,10 +496,10 @@ class Machine:
                         obj.edges.append(edge)
             if words > cap.table_words:
                 raise MachineError("cell (%d, %d): table memory over capacity" % coord)
-            for shadow in cell.shadows.values():
+            for slot, shadow in enumerate(cell.shadows):
                 if not shadow.consumers:
                     raise MachineError("cell (%d, %d): no relation reads shadow slot %d"
-                                       % (coord + (shadow.slot,)))
+                                       % (coord + (slot,)))
             if self.mode == GIBBS:
                 if cell.vars and not cell.period:
                     raise MachineError("cell (%d, %d) owns variables but has no "
@@ -530,18 +519,13 @@ class Machine:
                     if size <= _MEMO_CAP:
                         var.memo = [None] * size
 
-        # one wire per shadow slot from the cell its SHADOW record names, a
-        # destination of the port its sender makes for the quantity it
-        # carries; a VTOF one's return wire follows it and ends at its edge
+        # one wire per shadow slot from its variable's cell, a destination of
+        # the port its sender makes for the quantity it carries; a VTOF
+        # one's return wire follows it and ends at its edge
         for w in wires:
             dst = self.cells[w.dst]
-            src = self.cells.get(tuple(w.src))
-            if src is None:
-                raise MachineError("wire for variable %d references a cell with no config"
-                                   % w.var_id)
-            owner = self.var_owner.get(w.var_id)
             if w.back:
-                port = src.shadows[w.slot].port = _Port(w.var_id)
+                port = self.cells[w.src].shadows[w.slot].port = _Port(w.var_id)
                 target = edge
             else:
                 target = shadow = dst.shadows[w.slot]
@@ -549,12 +533,7 @@ class Machine:
                 if (shadow.role == VALUE) != (self.mode == GIBBS):
                     raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
                                        % (dst.r, dst.c, self.mode, shadow.role))
-                if owner is None or owner.cell is not src:
-                    raise MachineError("wire source does not own variable %d" % w.var_id)
-                if shadow.card != owner.card:
-                    raise MachineError("shadow of variable %d has cardinality %d, the "
-                                       "variable has %d" % (w.var_id, shadow.card,
-                                                            owner.card))
+                owner = self.var_owner[w.var_id]
                 if self.mode == GIBBS:
                     port = owner.port = owner.port or _Port(w.var_id)
                 else:
@@ -764,7 +743,7 @@ class Machine:
                 self._pend_exec(rel, time)
 
     def _on_tick(self, cell, time):
-        """Resample the cell's free variables in slot order.  A variable's
+        """Resample the cell's free variables in record order.  A variable's
         conditional is the product of its terms' table slices at the current
         values of the other scope positions; the draw for tick k is
         uniform01(seed, vid, k) scaled by the conditional's total, and picks
@@ -893,9 +872,6 @@ class Machine:
                     best = a
             assignment[vid] = best
         return assignment
-
-    def read_state(self):
-        return {vid: self.var_owner[vid].value for vid in sorted(self.var_owner)}
 
     def verify_quiescent(self):
         """Recompute everything and measure drift against stored copies.

@@ -285,6 +285,8 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     Inlining that loop skips two Python frames per draw while every seed
     consumes the same bits, so placements match `randrange`'s exactly
     (test_mapper.py pins this contract)."""
+    if epochs < 0:
+        raise MapperError("epochs must be >= 0, got %d" % epochs)
     R, C = grid
     n, cells_n = len(clusters), R * C
     if n > cells_n:
@@ -386,10 +388,10 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         vslot = {}
         for s, v in enumerate(cl.vars):
             var = graph.variables[v]
-            cell.var_slots.append(VarSlot(s, v, var.cardinality, var.evidence))
+            cell.var_slots.append(VarSlot(v, var.cardinality, var.evidence))
             vslot[v] = s
         shadow_slot = {}        # (variable, factor id or None) -> slot
-        for rs, fid in enumerate(cl.rels):
+        for fid in cl.rels:
             refs = []
             for v in graph.factors[fid].scope:
                 if v in vslot:
@@ -400,10 +402,9 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                 if key not in shadow_slot:
                     shadow_slot[key] = len(cell.shadow_slots)
                     cell.shadow_slots.append(ShadowSlot(
-                        shadow_slot[key], v, graph.cardinality(v), coords[cvar[v]],
-                        VTOF if key[1] is not None else VALUE, key[1]))
+                        v, VTOF if key[1] is not None else VALUE, key[1]))
                 refs.append(("H", shadow_slot[key]))
-            cell.rel_slots.append(RelSlot(rs, fid, refs, list(qtable(fid))))
+            cell.rel_slots.append(RelSlot(fid, refs, list(qtable(fid))))
         cell.thresh = thresh
         if mode == GIBBS and cl.vars:
             cell.gibbs_period = period

@@ -183,7 +183,7 @@ def test_criterion_06_coloring_machine_gibbs():
             machine = Machine(image)
             for budget in range(250, 10001, 250):
                 machine.run_until_quiescent(budget)
-                if apps.is_proper_coloring(edges, machine.read_state()):
+                if apps.is_proper_coloring(edges, machine.read_assignment()):
                     hits += 1
                     break
         details.append("%s %d/10" % (name, hits))

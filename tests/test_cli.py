@@ -84,6 +84,8 @@ def test_compile_input_errors_exit_2(tmp_path, capsys):
     ("grid huge", "grid must look like 4x4"),
     ("grid 0x4", "grid dimensions must be positive"),
     ("mode FOO", "mode must be one of SUMPROD/MINSUM/GIBBS"),
+    # a negative budget would skip annealing and still exit 0
+    ("epochs -5", "epochs must be >= 0, got -5"),
 ])
 def test_compile_bad_config_value_names_its_line(tmp_path, capsys, setting, message):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
@@ -195,10 +197,19 @@ def test_budgets_that_compute_nothing_exit_2(tmp_path, capsys):
                           (("--alg", "minsum", "--max-iters", "0"),
                            "max_iters must be >= 1, got 0"),
                           (("--alg", "gibbs", "--burn-in", "-5", "--sweeps", "10"),
-                           "burn_in must be >= 0, got -5")):
+                           "burn_in must be >= 0, got -5"),
+                          (("--alg", "gibbs", "--sweeps", "0"),
+                           "sweeps must be >= 1, got 0")):
         code, stdout, stderr = run_cli(capsys, "golden", graph_file, *argv)
         assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    cfg = write(tmp_path, "sweeps.cfg", "# sampler\nsweeps 0\n")
+    code, stdout, stderr = run_cli(capsys, "golden", graph_file, "--alg", "gibbs",
+                                   "--config", cfg)
+    assert (code, stdout, stderr) == (2, "", "error: line 2: sweeps must be >= 1, got 0\n")
     image = str(tmp_path / "pair.fmimg")
+    code, stdout, stderr = run_cli(capsys, "compile", graph_file, "--out", image,
+                                   "--epochs", "-5")
+    assert (code, stdout, stderr) == (2, "", "error: epochs must be >= 0, got -5\n")
     assert run_cli(capsys, "compile", graph_file, "--out", image)[0] == 0
     code, stdout, stderr = run_cli(capsys, "run", image, "--max-cycles", "-5")
     assert (code, stdout, stderr) == (2, "", "error: max_cycles must be >= 0, got -5\n")
@@ -217,8 +228,11 @@ def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):
     beliefs_file = tmp_path / "tri.beliefs"
     code, stdout, stderr = run_cli(capsys, "run", image, "--ticks", "0",
                                    "--beliefs", str(beliefs_file))
-    assert code == 2 and stdout == ""
-    assert "error: tick count must be at least 1" in stderr
+    assert (code, stdout, stderr) == (2, "", "error: ticks must be >= 1, got 0\n")
+    cfg = write(tmp_path, "ticks.cfg", "ticks 0\n")
+    code, stdout, stderr = run_cli(capsys, "run", image, "--config", cfg,
+                                   "--beliefs", str(beliefs_file))
+    assert (code, stdout, stderr) == (2, "", "error: line 1: ticks must be >= 1, got 0\n")
     assert not beliefs_file.exists()
 
 
@@ -258,25 +272,24 @@ def test_run_rejects_garbage_image(tmp_path, capsys):
     assert code == 2 and "error:" in stderr
 
 
-def equality_pair_image(role="VTOF 0", card=2, refs="V0 H0"):
+def equality_pair_image(role="VTOF 0", refs="V0 H0", clamped=1):
     """Variable 0 in cell (0, 0) tied by an equality relation to variable 1,
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0.
-    Relation 0's message to variable 1 returns on the wire of its shadow."""
-    table = " ".join("65535" if a == b else "0"
-                     for a in range(2) for b in range(card))
-    return """FMIMG 4
+    Relation 0's message to variable 1 returns on the wire of its shadow.
+    `clamped` names the variable that cell (0, 1) declares."""
+    return """FMIMG 5
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
-VAR 0 0 2
-SHADOW 0 1 %d 0 1 %s
-REL 0 0 %d %s
-%s
-REL 1 1 2 V0
+VAR 0 2
+SHADOW 1 %s
+REL 0 4 %s
+65535 0 0 65535
+REL 1 2 V0
 65535 65535
 CELL 0 1
-VAR 0 1 2 EVIDENCE 1
-""" % (card, role, 2 * card, refs, table)
+VAR %d 2 EVIDENCE 1
+""" % (role, refs, clamped)
 
 
 def test_run_equality_pair_image(tmp_path, capsys):
@@ -292,8 +305,8 @@ def test_run_equality_pair_image(tmp_path, capsys):
     # the relation would read a uniform VALUE shadow and report variable 0
     # as [0.5, 0.5]
     ({"role": "VALUE"}, "a SUMPROD machine feeds no VALUE shadows"),
-    # the relation's kernel would unpack a 2-word message as 3 words
-    ({"card": 3}, "shadow of variable 1 has cardinality 3, the variable has 2"),
+    # the shadow's wire would come from no cell
+    ({"clamped": 2}, "shadow of variable 1, which no cell owns"),
     # relation 0 would send variable 1 two messages, three packets in all
     ({"refs": "H0 H0"}, "relation 0 binds variable 1 at two scope positions"),
 ])
@@ -311,16 +324,22 @@ def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
 def test_run_rejects_the_old_image_format(tmp_path, capsys):
     current = equality_pair_image()
     # the formats before relations lost their programs, before shadows
-    # named their own wires and before VTOF shadows declared their return
-    # wires
+    # named their own wires, before VTOF shadows declared their return
+    # wires and before records lost their slot numbers and shadows their
+    # source cells and cardinalities
     for old, new, message in [
-            ("FMIMG 4", "FMIMG 1", "line 1: expected FMIMG 4 header"),
-            ("FMIMG 4", "FMIMG 2", "line 1: expected FMIMG 4 header"),
-            ("FMIMG 4", "FMIMG 3", "line 1: expected FMIMG 4 header"),
+            ("FMIMG 5", "FMIMG 1", "line 1: expected FMIMG 5 header"),
+            ("FMIMG 5", "FMIMG 2", "line 1: expected FMIMG 5 header"),
+            ("FMIMG 5", "FMIMG 3", "line 1: expected FMIMG 5 header"),
+            ("FMIMG 5", "FMIMG 4", "line 1: expected FMIMG 5 header"),
+            ("VAR 1 2 EVIDENCE 1", "VAR 0 1 2 EVIDENCE 1",
+             "line 12: malformed VAR record"),
+            ("SHADOW 1 VTOF 0", "SHADOW 0 1 2 0 1 VTOF 0",
+             "line 6: unknown shadow role '1'"),
             ("65535 65535\n", "65535 65535\nPROG 2\n", "line 11: unknown record 'PROG'"),
             ("EVIDENCE 1\n", "EVIDENCE 1\nWIRE 1 0 0 0 1 0\n",
              "line 13: unknown record 'WIRE'"),
-            ("EVIDENCE 1\n", "EVIDENCE 1\nSHADOW 0 1 2 0 0 FTOV 0\n",
+            ("EVIDENCE 1\n", "EVIDENCE 1\nSHADOW 1 FTOV 0\n",
              "line 13: unknown shadow role 'FTOV'")]:
         assert old in current
         image = write(tmp_path, "old.fmimg", current.replace(old, new))

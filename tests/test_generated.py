@@ -99,7 +99,7 @@ def run(cls, text, caps, noise, inject, budget):
     stats, _ = m.run_until_quiescent(budget)
     beliefs = {vid: var.belief for vid, var in m.var_owner.items()}
     ports = [edge.port for var in m.var_owner.values() for edge in var.edges]
-    ports += [sh.port for cell in m.cells.values() for sh in cell.shadows.values()]
+    ports += [sh.port for cell in m.cells.values() for sh in cell.shadows]
     sent = [port.last for port in ports if port is not None]
     return stats, m.time, m.trace, beliefs, sent
 
@@ -159,8 +159,8 @@ def words(mode, n, rng):
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
-def relation(slot, fid, refs, table):
-    return ["REL %d %d %d %s" % (slot, fid, len(table), " ".join(refs)),
+def relation(fid, refs, table):
+    return ["REL %d %d %s" % (fid, len(table), " ".join(refs)),
             " ".join(map(str, table))]
 
 
@@ -172,11 +172,11 @@ def test_widest_relation_table_generates_and_matches():
     assert relation_cost(len(shape)) <= MAX_UPDATE_CYCLES < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 4", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
-        lines += ["VAR %d %d %d%s" % (p, p, card, " EVIDENCE %d" % (p % 2)
-                                      if p in (1, 4) else "")
+        lines = ["FMIMG 5", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines += ["VAR %d %d%s" % (p, card, " EVIDENCE %d" % (p % 2)
+                                   if p in (1, 4) else "")
                   for p, card in enumerate(shape)]
-        lines += relation(0, 0, ["V%d" % p for p in range(len(shape))],
+        lines += relation(0, ["V%d" % p for p in range(len(shape))],
                           words(mode, caps.table_words, rng))
         text = "\n".join(lines) + "\nTHRESH 0\n"
         assert_same_runs(text, caps)
@@ -200,22 +200,21 @@ def star_image(mode, thresh):
     leaf cell fills its variable and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 4", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 0 3"]
+    lines = ["FMIMG 5", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 3"]
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
     for fid in range(caps.rel_slots):
-        lines += relation(fid, fid, ["V0"], words(mode, 3, rng))
+        lines += relation(fid, ["V0"], words(mode, 3, rng))
     lines.append("THRESH %d" % thresh)
     for col in range(1, 5):
         lines.append("CELL 0 %d" % col)
         for slot in range(caps.var_slots):
             vid = col * caps.var_slots + slot
-            lines.append("VAR %d %d 2%s" % (slot, vid,
-                                            " EVIDENCE 1" if vid % 3 == 0 else ""))
+            lines.append("VAR %d 2%s" % (vid, " EVIDENCE 1" if vid % 3 == 0 else ""))
         fids = leaf_fids[(col - 1) * caps.rel_slots:col * caps.rel_slots]
+        for fid in fids:
+            lines.append("SHADOW 0 VTOF %d" % fid)
         for slot, fid in enumerate(fids):
-            lines.append("SHADOW %d 0 3 0 0 VTOF %d" % (slot, fid))
-        for slot, fid in enumerate(fids):
-            lines += relation(slot, fid, ["H%d" % slot, "V%d" % slot],
+            lines += relation(fid, ["H%d" % slot, "V%d" % slot],
                               words(mode, 6, rng))
         lines.append("THRESH %d" % thresh)
     return "\n".join(lines) + "\n", caps

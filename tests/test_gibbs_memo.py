@@ -28,7 +28,7 @@ def observe(image, caps, inject, ticks):
         m.inject_evidence(inject[0], inject[1], at_time=inject[2])
     stats = m.run_ticks(ticks)
     counts = {vid: list(var.counts) for vid, var in m.var_owner.items()}
-    return m, (m.trace_text(), stats.text(), counts, m.read_beliefs(), m.read_state())
+    return m, (m.trace_text(), stats.text(), counts, m.read_beliefs(), m.read_assignment())
 
 
 def assert_both_paths(image, caps, inject, ticks):

@@ -18,22 +18,22 @@ from factormesh.mapper import MapperError, compile_graph
 # -- round trip through the text form ----------------------------------------
 
 MESSY = """\
-# comment, then records out of canonical order
-FMIMG 4
+# comment, then cells out of canonical order
+FMIMG 5
 GRID 1 2
 MODE SUMPROD
 SEED 3
 
 CELL 0 1
-VAR 1 2 2
-VAR 0 1 3 EVIDENCE 2
+VAR 1 3 EVIDENCE 2
+VAR 2 2
 THRESH 16
 
 CELL 0 0
-VAR 0 0 2
-SHADOW 1 1 3 0 1 VTOF 0   # shadows listed high slot first
-SHADOW 0 2 2 0 1 VTOF 0
-REL 0 0 12 V0 H1 H0
+VAR 0 2
+SHADOW 2 VTOF 0   # a shadow of a variable in a later cell
+SHADOW 1 VTOF 0
+REL 0 12 V0 H1 H0
 65535 32768 16384
 8192 4096
 2048 1 2 3 4 5 6
@@ -51,10 +51,10 @@ def test_parse_tolerates_comments_and_order():
     assert rel.table == [65535, 32768, 16384, 8192, 4096, 2048, 1, 2, 3, 4, 5, 6]
     assert rel.scope_refs == [("V", 0), ("H", 1), ("H", 0)]
     other = img.cells[(0, 1)]
-    assert {(v.slot, v.var_id, v.card, v.evidence) for v in other.var_slots} == \
-        {(0, 1, 3, 2), (1, 2, 2, None)}
-    # each shadow is one wire from its src cell, each VTOF one followed by
-    # its return wire, in (cell, slot) order
+    assert [(v.var_id, v.card, v.evidence) for v in other.var_slots] == \
+        [(1, 3, 2), (2, 2, None)]
+    # each shadow is one wire from its variable's cell, each VTOF one
+    # followed by its return wire, in (cell, slot) order
     assert img.wires == [Wire(2, (0, 1), (0, 0), 0), Wire(2, (0, 0), (0, 1), 0, back=True),
                          Wire(1, (0, 1), (0, 0), 1), Wire(1, (0, 0), (0, 1), 1, back=True)]
 
@@ -62,19 +62,21 @@ def test_parse_tolerates_comments_and_order():
 def test_dumps_is_canonical_and_stable():
     img = parse_image(MESSY)
     text = dumps(img)
-    # sorted slots, and a second round trip changes nothing
-    assert text.index("VAR 0 1 3 EVIDENCE 2") < text.index("VAR 1 2 2")
-    assert text.index("SHADOW 0 ") < text.index("SHADOW 1 ")
+    # sorted cells, records in their slot order, and a second round trip
+    # changes nothing
+    assert text.index("CELL 0 0") < text.index("CELL 0 1")
+    assert text.index("VAR 1 3 EVIDENCE 2") < text.index("VAR 2 2")
+    assert text.index("SHADOW 2 ") < text.index("SHADOW 1 ")
     assert dumps(parse_image(text)) == text
 
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 4", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 5", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
-        "VAR 0 0 2",
-        "SHADOW 0 1 2 0 0 VALUE",
-        "REL 0 0 4 V0 H0",
+        "VAR 0 2",
+        "SHADOW 1 VALUE",
+        "REL 0 4 V0 H0",
         "200 100 100 200",
         "GIBBS_PERIOD 12 4",
     ]) + "\n"
@@ -86,41 +88,53 @@ def test_gibbs_records_round_trip():
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 4\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 5\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 4 header"),
-    ("FMIMG 5\nGRID 1 1\n", "expected FMIMG 4 header"),
+    ("GRID 1 1\n", "expected FMIMG 5 header"),
+    ("FMIMG 6\nGRID 1 1\n", "expected FMIMG 5 header"),
     # the formats before relations lost their programs, before shadows
-    # named their own wires and before VTOF shadows declared their return
-    # wires
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 4 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 4 header"),
-    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 4 header"),
-    ("FMIMG 4\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 4\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 4\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 4\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
-    ("FMIMG 4\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
+    # named their own wires, before VTOF shadows declared their return
+    # wires and before records lost their slot numbers
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 5 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 5 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 5 header"),
+    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 5 header"),
+    ("FMIMG 5\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 5\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 5\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 5\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    ("FMIMG 5\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
     (HEAD + "CELL 2 0\n", "outside grid"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
-    (HEAD + "VAR 0 0 2\n", "VAR outside a CELL"),
-    (HEAD + "CELL 0 0\nVAR 0 0 1\n", "cardinality must be >= 2"),
-    (HEAD + "CELL 0 0\nVAR 0 0 2 EVIDENCE 5\n", "evidence value out of range"),
-    (HEAD + "CELL 0 0\nVAR 0 0 2 WAT 1\n", "malformed VAR record"),
-    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 0 SIDEWAYS\n", "unknown shadow role"),
-    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 FTOV 0\n", "line 5: unknown shadow role 'FTOV'"),
-    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 0 VTOF\n", "needs a factor id"),
-    (HEAD + "CELL 0 0\nREL 0 0 0 V0\n", "at least one table word"),
-    (HEAD + "CELL 0 0\nREL 0 0 2 X9\n", "bad scope reference"),
-    (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1 2 3\n", "too many table words"),
-    (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1 oops\n", "expected 2 more table words"),
-    (HEAD + "CELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\nPROG 2\n",
+    (HEAD + "VAR 0 2\n", "VAR outside a CELL"),
+    (HEAD + "CELL 0 0\nVAR 0 1\n", "cardinality must be >= 2"),
+    (HEAD + "CELL 0 0\nVAR 0 2 EVIDENCE 5\n", "evidence value out of range"),
+    (HEAD + "CELL 0 0\nVAR 0 2 WAT 1\n", "malformed VAR record"),
+    (HEAD + "CELL 0 0\nVAR 0\n", "line 5: malformed VAR record"),
+    (HEAD + "CELL 0 0\nVAR 0 2 EVIDENCE\n", "line 5: malformed VAR record"),
+    (HEAD + "CELL 0 0\nVAR 0 0 2\n", "line 5: malformed VAR record"),
+    (HEAD + "CELL 0 0\nVAR x 2\n", "line 5: VAR has a non-integer field"),
+    (HEAD + "CELL 0 0\nSHADOW 1\n", "line 5: malformed SHADOW record"),
+    (HEAD + "CELL 0 0\nSHADOW x VALUE\n", "line 5: SHADOW has a non-integer field"),
+    (HEAD + "CELL 0 0\nSHADOW 1 VALUE 0\n", "line 5: malformed VALUE shadow"),
+    (HEAD + "CELL 0 0\nSHADOW 1 VTOF 0 1\n", "line 5: VTOF shadow needs a factor id"),
+    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 VTOF 0\n", "line 5: unknown shadow role '1'"),
+    (HEAD + "CELL 0 0\nREL 0 2\n", "line 5: malformed REL record"),
+    (HEAD + "CELL 0 0\nREL 0 1 2 V0\n1\n", "line 5: bad scope reference '2'"),
+    (HEAD + "CELL 0 0\nSHADOW 1 SIDEWAYS\n", "unknown shadow role"),
+    (HEAD + "CELL 0 0\nSHADOW 1 FTOV 0\n", "line 5: unknown shadow role 'FTOV'"),
+    (HEAD + "CELL 0 0\nSHADOW 1 VTOF\n", "needs a factor id"),
+    (HEAD + "CELL 0 0\nREL 0 0 V0\n", "at least one table word"),
+    (HEAD + "CELL 0 0\nREL 0 2 X9\n", "bad scope reference"),
+    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 2 3\n", "too many table words"),
+    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 oops\n", "expected 2 more table words"),
+    (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\nPROG 2\n",
      "line 8: unknown record 'PROG'"),
-    (HEAD + "CELL 0 0\nREL 0 0 2 V0\n1\n", "REL record incomplete"),
+    (HEAD + "CELL 0 0\nREL 0 2 V0\n1\n", "REL record incomplete"),
     (HEAD + "CELL 0 0\nTHRESH -1\n", "threshold must be >= 0"),
     (HEAD + "CELL 0 0\nGIBBS_PERIOD 0 0\n", "bad GIBBS_PERIOD values"),
-    (HEAD + "CELL 0 0\nVAR 0 0 2\nWIRE 0 0 0 0 1 0\n", "line 6: unknown record 'WIRE'"),
+    (HEAD + "CELL 0 0\nVAR 0 2\nWIRE 0 0 0 0 1 0\n", "line 6: unknown record 'WIRE'"),
     (HEAD + "BLORB 1\n", "unknown record"),
 ]
 
@@ -198,6 +212,6 @@ def test_compiled_images_round_trip_and_load(graph_seed, tree, mode, evidence_se
         m = Machine(img, capacities=caps)
         ports = [edge.port for var in m.var_owner.values() for edge in var.edges
                  if edge.port is not None]
-        ports += [sh.port for cell in m.cells.values() for sh in cell.shadows.values()]
+        ports += [sh.port for cell in m.cells.values() for sh in cell.shadows]
         assert [len(port.dests) for port in ports] == [1] * len(ports)
 

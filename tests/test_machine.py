@@ -194,8 +194,8 @@ def test_every_mode_loads_its_domains_default_threshold_and_table_range():
     for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
                                  ("MINSUM", 16, -32768, 32767),
                                  ("GIBBS", None, 0, 65535)):
-        head = "FMIMG 4\nGRID 1 1\nMODE %s\n" % mode
-        cell = "CELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n%d %d\n"
+        head = "FMIMG 5\nGRID 1 1\nMODE %s\n" % mode
+        cell = "CELL 0 0\nVAR 0 2\nREL 0 2 V0\n%d %d\n"
         if mode == "GIBBS":
             cell += "GIBBS_PERIOD 4 0\n"
         m = Machine(head + cell % (lo, hi))
@@ -228,13 +228,13 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 4
+FMIMG 5
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
-VAR 0 0 2
+VAR 0 2
 CELL 2 3
-VAR 0 1 2
+VAR 1 2
 """
 
 
@@ -254,13 +254,13 @@ def test_route_charges_one_cycle_per_link():
 # variable 0 messages relation 0 through a shadow of the cell they share,
 # and relation 0 messages variable 0 over the shadow's return wire
 LOCAL_IMG = """\
-FMIMG 4
+FMIMG 5
 GRID 1 1
 MODE SUMPROD
 CELL 0 0
-VAR 0 0 2
-SHADOW 0 0 2 0 0 VTOF 0
-REL 0 0 2 H0
+VAR 0 2
+SHADOW 0 VTOF 0
+REL 0 2 H0
 1 2
 """
 
@@ -503,7 +503,7 @@ def test_gibbs_samples_do_not_depend_on_placement():
         m = Machine(dumps(image))
         m.run_ticks(200)
         beliefs, _ = m.read_beliefs()
-        runs.append((m.read_state(), beliefs))
+        runs.append((m.read_assignment(), beliefs))
     assert runs[0] == runs[1]
 
 
@@ -591,101 +591,92 @@ def test_machine_decodes_a_clean_codeword():
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
-VAR 0 0 2\nVAR 1 1 2\nVAR 2 2 2\nVAR 3 3 2\nVAR 4 4 2\n""",
+    ("""FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+VAR 0 2\nVAR 1 2\nVAR 2 2\nVAR 3 2\nVAR 4 2\n""",
      "too many variable slots"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nVAR 0 1 2\n",
-     "duplicate variable slot"),
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nCELL 0 1\nVAR 0 0 2\n",
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
      "owned by two cells"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 17\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
      "cardinality above limit"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V9\n1 1\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 2 V9\n1 1\n",
      "dangling variable slot V9"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 H3\n1 1\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 2 H3\n1 1\n",
      "dangling shadow slot H3"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 3 V0\n1 1 1\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 3 V0\n1 1 1\n",
      "table has 3 words, scope needs 2"),
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 1 1 1\n",
-     "wire for variable 1 references a cell with no config"),
-    ("FMIMG 4\nGRID 1 3\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 1 1 1\n"
-     "CELL 0 1\nVAR 0 9 2\nCELL 0 2\nVAR 0 1 2\n",
-     "wire source does not own variable 1"),
-    ("FMIMG 4\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n",
+    # a shadow's wire comes from its variable's cell
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1 VTOF 0\nREL 0 4 V0 H0\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
+     "cell (0, 0): shadow of variable 1, which no cell owns"),
+    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n",
      "no resample period"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n70000 1\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 2 V0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 4\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 2 V0\n-40000 0\n",
+    ("FMIMG 5\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 2 V0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 1\nREL 0 0 4 V0 H0\n1 1 1 1\n"
-     "CELL 0 1\nVAR 0 1 2\n",
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1 VTOF 1\nREL 0 4 V0 H0\n1 1 1 1\n"
+     "CELL 0 1\nVAR 1 2\n",
      "relation 0 reads a shadow bound to relation 1"),
     # a shadow no relation reads would be a wire the machine ignores, and
     # a VTOF one would have no relation to answer it
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 0 2 0 0 VTOF 7\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 0 VTOF 7\n",
      "cell (0, 0): no relation reads shadow slot 0"),
-    ("FMIMG 4\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VALUE\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 0 1 2\n"
+    ("FMIMG 5\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1 VALUE\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 1 2\n"
      "GIBBS_PERIOD 10 5\n",
      "cell (0, 0): no relation reads shadow slot 0"),
     # a relation reading one variable twice would send it two messages
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 4 V0 V0\n1 2 3 4\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 4 V0 V0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 H0 H0\n1 2 3 4\nCELL 0 1\nVAR 0 1 2\n",
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1 VTOF 0\nREL 0 4 H0 H0\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
      "relation 0 binds variable 1 at two scope positions"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 0 2 0 0 VTOF 0\nREL 0 0 4 V0 H0\n1 2 3 4\n",
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 0 VTOF 0\nREL 0 4 V0 H0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 4\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "REL 0 0 4 V0 V0\n1 2 3 4\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 4 V0 V0\n1 2 3 4\nGIBBS_PERIOD 10 0\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VALUE\nREL 0 0 4 V0 H0\n65535 0 0 65535\n"
-     "CELL 0 1\nVAR 0 1 2 EVIDENCE 1\n",
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1 VALUE\nREL 0 4 V0 H0\n65535 0 0 65535\n"
+     "CELL 0 1\nVAR 1 2 EVIDENCE 1\n",
      "cell (0, 0): a SUMPROD machine feeds no VALUE shadows"),
-    ("FMIMG 4\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 0 4 V0 H0\n1 1 1 1\nGIBBS_PERIOD 10 0\n"
-     "CELL 0 1\nVAR 0 1 2\nGIBBS_PERIOD 10 5\n",
+    ("FMIMG 5\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1 VTOF 0\nREL 0 4 V0 H0\n1 1 1 1\nGIBBS_PERIOD 10 0\n"
+     "CELL 0 1\nVAR 1 2\nGIBBS_PERIOD 10 5\n",
      "cell (0, 0): a GIBBS machine feeds no VTOF shadows"),
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\n"
-     "SHADOW 0 1 3 0 1 VTOF 0\nREL 0 0 6 V0 H0\n1 1 1 1 1 1\n"
-     "CELL 0 1\nVAR 0 1 2\n",
-     "shadow of variable 1 has cardinality 3, the variable has 2"),
     # six positions would cost 72 cycles per update
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
-     + "".join("VAR %d %d 2\n" % (v, v) for v in range(4))
-     + "SHADOW 0 4 2 0 1 VTOF 0\nSHADOW 1 5 2 0 1 VTOF 0\n"
-     "REL 0 0 64 V0 V1 V2 V3 H0 H1\n" + "1 " * 64 + "\n"
-     "CELL 0 1\nVAR 0 4 2\nVAR 1 5 2\n",
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
+     + "".join("VAR %d 2\n" % v for v in range(4))
+     + "SHADOW 4 VTOF 0\nSHADOW 5 VTOF 0\n"
+     "REL 0 64 V0 V1 V2 V3 H0 H1\n" + "1 " * 64 + "\n"
+     "CELL 0 1\nVAR 4 2\nVAR 5 2\n",
      "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
     # a converging factor id names one relation of the machine ...
-    ("FMIMG 4\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
-     "CELL 0 1\nVAR 0 1 2\nREL 0 0 2 V0\n1 1\n",
+    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
+     "CELL 0 1\nVAR 1 2\nREL 0 2 V0\n1 1\n",
      "cell (0, 1): factor id 0 names a second relation"),
-    ("FMIMG 4\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 0 2\nREL 0 3 2 V0\n0 0\n"
-     "REL 1 3 2 V0\n0 0\n",
+    ("FMIMG 5\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 2 V0\n0 0\n"
+     "REL 3 2 V0\n0 0\n",
      "cell (0, 0): factor id 3 names a second relation"),
     # ... and a GIBBS one a relation per cell
-    ("FMIMG 4\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
-     "REL 1 0 2 V0\n1 1\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
+     "REL 0 2 V0\n1 1\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): factor id 0 names a second relation"),
     # a GIBBS cell sends a value whenever it changes, and a converging cell
     # never resamples
-    ("FMIMG 4\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 1\n"
+    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
      "THRESH 7\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): a GIBBS machine takes no THRESH"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 0 2\nREL 0 0 2 V0\n1 65535\n"
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 65535\n"
      "GIBBS_PERIOD 4 0\n",
      "cell (0, 0): a SUMPROD machine takes no GIBBS_PERIOD"),
 ]
@@ -701,12 +692,11 @@ def test_build_error_catalog():
 def test_return_wires_count_against_the_owner_cells_shadow_slots():
     def image(n):
         # cell (0, 0) holds one shadow and receives n return wires
-        lines = ["FMIMG 4", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 0 2",
-                 "SHADOW 0 1 2 0 1 VTOF 0", "REL 0 0 4 V0 H0", "1 2 3 4",
-                 "CELL 0 1", "VAR 0 1 2"]
+        lines = ["FMIMG 5", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
+                 "SHADOW 1 VTOF 0", "REL 0 4 V0 H0", "1 2 3 4",
+                 "CELL 0 1", "VAR 1 2"]
         for k in range(n):
-            lines += ["SHADOW %d 0 2 0 0 VTOF %d" % (k, k + 1),
-                      "REL %d %d 2 H%d" % (k, k + 1, k), "1 2"]
+            lines += ["SHADOW 0 VTOF %d" % (k + 1), "REL %d 2 H%d" % (k + 1, k), "1 2"]
         return "\n".join(lines) + "\n"
 
     caps = Capacities(shadow_slots=3)
@@ -716,6 +706,21 @@ def test_return_wires_count_against_the_owner_cells_shadow_slots():
     with pytest.raises(MachineError, match=r"cell \(0, 0\): too many shadow slots, "
                        "return wires included"):
         Machine(image(3), capacities=caps)
+
+
+def test_a_shadow_of_a_later_cells_variable_loads():
+    # the shadow's source cell and cardinality are its variable's, which
+    # only a later CELL record declares
+    m = Machine("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+                "SHADOW 1 VTOF 0\nREL 0 6 V0 H0\n65535 0 0 0 65535 0\n"
+                "CELL 0 1\nVAR 1 3 EVIDENCE 1\n")
+    shadow = m.cells[(0, 0)].shadows[0]
+    edge = m.var_owner[1].edges[0]
+    assert (shadow.vid, shadow.card, len(shadow.msg)) == (1, 3, 3)
+    assert [dest[:2] for dest in edge.port.dests] == [(m.cells[(0, 0)], shadow)]
+    assert [dest[:2] for dest in shadow.port.dests] == [(m.cells[(0, 1)], edge)]
+    assert m.run_until_quiescent()[1]
+    assert m.read_beliefs()[0][0] == [0.0, 1.0]
 
 
 def test_relations_with_one_shape_and_program_share_a_kernel():
@@ -800,9 +805,9 @@ def test_fuzz_image_with_a_reused_factor_id_fails_to_load():
     text = fuzz_images()[0]
     # relation 1 renamed to 0 would overwrite relation 0's message to
     # variable 0
-    assert "REL 1 1 2 V0\n" in text
+    assert "REL 1 2 V0\n" in text
     with pytest.raises(MachineError, match="factor id 0 names a second relation"):
-        Machine(text.replace("REL 1 1 2 V0\n", "REL 1 0 2 V0\n"))
+        Machine(text.replace("REL 1 2 V0\n", "REL 0 2 V0\n"))
 
 
 def test_fuzz_images_run_unmutated():

@@ -200,6 +200,9 @@ def test_place_is_deterministic_and_never_worse_than_start():
     with pytest.raises(MapperError) as err:
         place(clusters, low, (1, 1), seed=0)
     assert "too small" in str(err.value)
+    # a negative budget would return the unannealed start
+    with pytest.raises(MapperError, match="epochs must be >= 0, got -1"):
+        place(clusters, low, (4, 4), seed=0, epochs=-1)
 
 
 def reference_place(clusters, graph, grid, seed=0, mode="SUMPROD", epochs=50,

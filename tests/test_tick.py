@@ -108,7 +108,7 @@ def run(cls, text, caps, inject, ticks, trace):
         m.inject_evidence(inject[0], inject[1], at_time=inject[2])
     stats = m.run_ticks(ticks)
     counts = {vid: list(var.counts) for vid, var in m.var_owner.items()}
-    return m.read_state(), counts, stats, m.trace
+    return m.read_assignment(), counts, stats, m.trace
 
 
 @settings(max_examples=100, deadline=None)
