@@ -125,12 +125,14 @@ def cmd_run(args):
     image = parse_image(_read(args.image))
     machine = Machine(image, trace=bool(args.trace),
                       noise_lsbs=_at_least(args, "noise", 0))
+    # both budgets are checked whichever the image's mode reads
+    ticks = _at_least(args, "ticks", 1000, 1)
+    max_cycles = _at_least(args, "max_cycles", 100000)
     code = 0
     if image.mode == GIBBS:
-        stats = machine.run_ticks(_at_least(args, "ticks", 1000, 1))
+        stats = machine.run_ticks(ticks)
     else:
-        stats, quiescent = machine.run_until_quiescent(
-            _at_least(args, "max_cycles", 100000))
+        stats, quiescent = machine.run_until_quiescent(max_cycles)
         if not quiescent:
             code = 4
     beliefs, _assignment = machine.read_beliefs()
@@ -141,6 +143,10 @@ def cmd_run(args):
         _write(args.beliefs, apps.write_results(beliefs))
     if args.trace:
         _write(args.trace, machine.trace_text())
+    if stats.zero_total_draws:
+        # a draw with no weight kept its value: the counts are not the model's
+        print("error: zero_total_draws=%d" % stats.zero_total_draws, file=sys.stderr)
+        code = 2
     return code
 
 

@@ -328,7 +328,8 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     The draw for variable v in sweep s uses the counter-based stream
     uniform01(seed, v, s), keyed once per variable, so the sampler is
     deterministic given the seed and independent of everything but (seed,
-    variable, sweep).  It picks the first value whose prefix sum of the
+    variable, sweep); each variable hashes rng.DRAW_BLOCK sweeps' draws at
+    once.  The sampler picks the first value whose prefix sum of the
     conditional exceeds the draw scaled by the total.  The prefix sums are
     memoized per variable, keyed by the values of its Markov blanket,
     unless the blanket has more than _MEMO_CAP states; either way the draw
@@ -376,9 +377,12 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
         memo = [None] * size if size <= _MEMO_CAP else None
         plan.append((v, rows[v], rng.stream_key(seed, v), blanket, memo))
     counts = [[0] * c for c in cards]
-    uniform01 = rng.keyed_uniform01
     for s in range(burn_in + sweeps):
-        for v, terms, key, blanket, memo in plan:
+        j = s % rng.DRAW_BLOCK
+        if not j:
+            blocks = [rng.keyed_uniform01_block(key, s, rng.DRAW_BLOCK)
+                      for _v, _t, key, _b, _m in plan]
+        for (v, terms, _key, blanket, memo), draws in zip(plan, blocks):
             if memo is None:
                 prefix = _gibbs_prefix(v, terms, state, cards[v])
             else:
@@ -388,7 +392,7 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                 prefix = memo[idx]
                 if prefix is None:
                     prefix = memo[idx] = _gibbs_prefix(v, terms, state, cards[v])
-            state[v] = bisect_right(prefix, uniform01(key, s) * prefix[-1],
+            state[v] = bisect_right(prefix, draws[j] * prefix[-1],
                                     0, len(prefix) - 1)
         if s >= burn_in:
             for v in range(n):

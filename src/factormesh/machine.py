@@ -25,7 +25,9 @@ its variables from the fixed-point conditionals given shadowed neighbor
 values and never quiesces on its own; each relation adds one term, built
 at load, to the conditional of each variable of its cell in its scope.
 A draw whose conditional has total weight zero keeps the variable's value
-and is counted in `Stats.zero_total_draws`.
+and is counted in `Stats.zero_total_draws`.  A cell hashes its variables'
+uniforms `rng.DRAW_BLOCK` ticks at a time, each the scalar stream's draw,
+so every value, trace row and stat is the one scalar draws give.
 
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
 factor-id order: the register pair of its message to the factor and the
@@ -57,7 +59,7 @@ from operator import mul
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
                     gibbs_var_cost, relation_cost, GIBBS, VTOF, VALUE,
                     Capacities, domain, parse_image)
-from .rng import keyed_raw64, keyed_uniform01, stream_key
+from .rng import DRAW_BLOCK, keyed_raw64, keyed_uniform01_block, stream_key
 
 
 class MachineError(ValueError):
@@ -148,7 +150,7 @@ class _Edge:
 class _Var:
     __slots__ = ("cell", "vid", "card", "evidence", "value", "edges",
                  "belief", "port", "counts", "terms", "blanket", "memo", "key",
-                 "refresh")
+                 "draws", "refresh")
 
     def __init__(self, cell, vid, card, evidence):
         self.cell = cell
@@ -164,6 +166,7 @@ class _Var:
         self.blanket = ()       # GIBBS: (object, radix multiplier) per blanket object
         self.memo = None        # GIBBS: conditional prefix sums per blanket state
         self.key = None         # GIBBS: key of the variable's random stream
+        self.draws = None       # GIBBS: uniforms of the current DRAW_BLOCK ticks
         self.refresh = None     # generated refresh for its card and degree
 
 
@@ -747,11 +750,19 @@ class Machine:
         conditional is the product of its terms' table slices at the current
         values of the other scope positions; the draw for tick k is
         uniform01(seed, vid, k) scaled by the conditional's total, and picks
-        the first value whose prefix sum exceeds it.  Tables never change,
-        so the prefix sums are memoized per variable, keyed by the values of
-        its Markov blanket, unless the blanket has more than _MEMO_CAP
-        states; either way the draw is the same."""
+        the first value whose prefix sum exceeds it.  At each tick k that is
+        a multiple of DRAW_BLOCK a free variable hashes the uniforms of
+        ticks k .. k + DRAW_BLOCK - 1 at once; tick_idx runs 0, 1, 2, ...
+        across runs.  Tables never change, so the prefix sums are memoized
+        per variable, keyed by the values of its Markov blanket, unless the
+        blanket has more than _MEMO_CAP states; either way the draw is the
+        same."""
         k = cell.tick_idx
+        j = k % DRAW_BLOCK
+        if not j:
+            for var in cell.vars:
+                if var.evidence is None:
+                    var.draws = keyed_uniform01_block(var.key, k, DRAW_BLOCK)
         changed = []
         trace = self.trace
         activations = 0
@@ -770,7 +781,7 @@ class Machine:
                         prefix = memo[idx] = _prefix_sums(var)
                 total = prefix[-1]
                 if total > 0:
-                    val = bisect_right(prefix, keyed_uniform01(var.key, k) * total,
+                    val = bisect_right(prefix, var.draws[j] * total,
                                        0, var.card - 1)
                     if val != var.value:
                         var.value = val

@@ -8,6 +8,7 @@ from factormesh import apps, cli, golden
 from factormesh.graph import (FactorGraph, FactorNode, VariableNode, TABLE,
                               expand_all, parse_uai, serialize_uai,
                               serialize_evidence)
+from factormesh.machine import Machine
 
 PAIR_UAI = "MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 3 4\n"
 
@@ -154,11 +155,30 @@ def test_run_gibbs_ticks(tmp_path, capsys):
     assert run_cli(capsys, "compile", graph_file, "--out", image,
                    "--mode", "GIBBS", "--grid", "2x2")[0] == 0
     beliefs_file = str(tmp_path / "tri.beliefs")
-    code, stdout, _ = run_cli(capsys, "run", image, "--ticks", "200",
-                              "--beliefs", beliefs_file)
-    assert code == 0 and "quiescent=false" in stdout
+    code, stdout, stderr = run_cli(capsys, "run", image, "--ticks", "200",
+                                   "--beliefs", beliefs_file)
+    assert (code, stderr) == (0, "") and "quiescent=false" in stdout
     beliefs = apps.parse_results((tmp_path / "tri.beliefs").read_text())
     assert all(abs(sum(beliefs[v]) - 1.0) < 1e-9 for v in range(3))
+
+
+def test_run_gibbs_zero_total_draw_exits_2(tmp_path, capsys):
+    # variable 2's first draw finds its neighbours 0, 1 and 3 holding all
+    # three colours, and epsilon quantizes to word 0: no value has weight
+    bench = apps.build_coloring([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)], 3)
+    graph_file = write(tmp_path, "col.uai",
+                       serialize_uai(expand_all(bench.graph, np.exp(-20.0))))
+    image = str(tmp_path / "col.fmimg")
+    assert run_cli(capsys, "compile", graph_file, "--out", image, "--mode", "GIBBS",
+                   "--grid", "4x4", "--seed", "0")[0] == 0
+    beliefs_file = tmp_path / "col.beliefs"
+    code, stdout, stderr = run_cli(capsys, "run", image, "--ticks", "2000",
+                                   "--beliefs", str(beliefs_file))
+    assert (code, stderr) == (2, "error: zero_total_draws=1\n")
+    # the run's output is written as it stands
+    machine = Machine((tmp_path / "col.fmimg").read_text())
+    assert stdout == machine.run_ticks(2000).text()
+    assert beliefs_file.read_text() == apps.write_results(machine.read_beliefs()[0])
 
 
 def test_compile_gibbs_with_a_threshold_exits_3(tmp_path, capsys):
@@ -216,6 +236,15 @@ def test_budgets_that_compute_nothing_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "budget.cfg", "max_cycles -5\n")
     code, _, stderr = run_cli(capsys, "run", image, "--config", cfg)
     assert (code, stderr) == (2, "error: line 1: max_cycles must be >= 0, got -5\n")
+    # each budget is checked in either mode, not only the one the image runs
+    code, stdout, stderr = run_cli(capsys, "run", image, "--ticks", "0")
+    assert (code, stdout, stderr) == (2, "", "error: ticks must be >= 1, got 0\n")
+    gibbs_image = str(tmp_path / "pairg.fmimg")
+    assert run_cli(capsys, "compile", graph_file, "--out", gibbs_image,
+                   "--mode", "GIBBS")[0] == 0
+    code, stdout, stderr = run_cli(capsys, "run", gibbs_image, "--ticks", "5",
+                                   "--max-cycles", "-3")
+    assert (code, stdout, stderr) == (2, "", "error: max_cycles must be >= 0, got -3\n")
 
 
 def test_run_gibbs_zero_ticks_exits_2(tmp_path, capsys):

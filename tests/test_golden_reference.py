@@ -18,7 +18,8 @@ read from such calls.
 
 `reference_gibbs_sample` keeps the sampler from before its conditionals were
 memoized, verbatim apart from its name: it rebuilds every conditional and
-scans it for the draw.  The marginal bytes, the final assignment and any
+scans it for the draw, which it takes one scalar `keyed_uniform01` at a
+time where golden hashes blocks of `rng.DRAW_BLOCK` sweeps.  The marginal bytes, the final assignment and any
 zero-total error must agree, with the memo and without it (cap 0).
 """
 
@@ -591,6 +592,11 @@ def test_gibbs_memo_matches_reference_on_apps():
         got = assert_same_gibbs(expand_all(graph, epsilon), seed=7, burn_in=50,
                                 sweeps=3000)
         assert len(got) == 3
+    # the sampled sweeps 1000 .. 2048 cross two edges of the draw blocks
+    assert 1000 < rng.DRAW_BLOCK < 2 * rng.DRAW_BLOCK < 1000 + 1049
+    got = assert_same_gibbs(expand_all(graph, EPS_SOFT), seed=11, burn_in=1000,
+                            sweeps=1049)
+    assert len(got) == 3
 
 
 def test_gibbs_memo_matches_reference_on_contradiction():

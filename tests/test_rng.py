@@ -1,5 +1,6 @@
-"""Counter-based randomness: reference mixing, purity, range, keyed draws."""
+"""Counter-based randomness: reference mixing, purity, range, keyed and block draws."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from factormesh import rng
@@ -70,3 +71,30 @@ def test_keyed_draw_equals_unkeyed(seed, stream, counter):
     assert 0 <= key < 1 << 64
     assert rng.keyed_raw64(key, counter) == rng.raw64(seed, stream, counter)
     assert rng.keyed_uniform01(key, counter) == rng.uniform01(seed, stream, counter)
+
+
+@st.composite
+def counter_runs(draw):
+    """A key, a run length on either side of DRAW_BLOCK, and a start that
+    may sit anywhere up to the last run that fits below 2**64."""
+    n = draw(st.sampled_from((0, 1, rng.DRAW_BLOCK - 1, rng.DRAW_BLOCK,
+                              rng.DRAW_BLOCK + 1)))
+    top = (1 << 64) - n
+    start = draw(st.one_of(st.integers(0, top), st.integers(max(0, top - 4096), top)))
+    return draw(st.integers(0, (1 << 64) - 1)), start, n
+
+
+@given(run=counter_runs())
+def test_block_equals_scalar_draws(run):
+    key, start, n = run
+    assert rng.keyed_uniform01_block(key, start, n) == [
+        rng.keyed_uniform01(key, c) for c in range(start, start + n)]
+
+
+def test_block_rejects_counters_outside_64_bits():
+    for start, n in ((-1, 4), (0, -1), ((1 << 64) - 3, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            rng.keyed_uniform01_block(7, start, n)
+    assert rng.keyed_uniform01_block(7, (1 << 64) - 1, 1) == [
+        rng.keyed_uniform01(7, (1 << 64) - 1)]
+    assert rng.keyed_uniform01_block(7, 1 << 64, 0) == []

@@ -3,7 +3,9 @@
 `ReferenceTickMachine` keeps the tick loop from before the relation
 programs were lowered into a tick plan: it walks every (relation, scope
 position) that reads a local variable and builds the conditional from the
-relation's table directly, drawing with the unkeyed `uniform01`.
+relation's table directly, drawing with the unkeyed `uniform01`, one
+scalar draw per tick, so it also checks that the machine's block draws
+(`rng.DRAW_BLOCK` ticks hashed at once) are the scalar stream's.
 """
 
 import random
@@ -11,9 +13,9 @@ import random
 from hypothesis import given, reject, settings, strategies as st
 
 import gen
-from factormesh import rng
+from factormesh import apps, rng
 from factormesh.graph import with_evidence
-from factormesh.image import Capacities, dumps
+from factormesh.image import DEFAULT_CAPACITIES, Capacities, dumps
 from factormesh.machine import Machine, _Var
 from factormesh.mapper import MapperError, compile_graph
 
@@ -121,3 +123,39 @@ def test_tick_plan_matches_reference_loop(case, ticks, trace):
     assert got[1] == want[1]
     assert got[2] == want[2]
     assert got[3] == want[3]
+
+
+def ising_image():
+    bench = apps.build_ising_chain(4, 0.5, 0.2)
+    image, _ = compile_graph(bench.graph, "GIBBS", grid=bench.grid, seed=3, epochs=5)
+    return dumps(image)
+
+
+def test_block_draws_match_reference_at_block_edges():
+    # 2 cells with period 50; variable 1 is clamped mid-block, near tick 500
+    text = ising_image()
+    block = rng.DRAW_BLOCK
+    for ticks in (1, block - 1, block, block + 1, 2 * block + 1):
+        got = run(Machine, text, DEFAULT_CAPACITIES, (1, 1, 25010), ticks, True)
+        want = run(ReferenceTickMachine, text, DEFAULT_CAPACITIES, (1, 1, 25010),
+                   ticks, True)
+        assert got == want, ticks
+
+
+def test_runs_that_stop_mid_block_continue_the_stream():
+    # tick k of a cell falls at 50 (k + 1) + phase: the first run stops
+    # near tick 600 and the second crosses the block edge at tick 1024
+    text = ising_image()
+    ends = (50 * 600 + 10, 50 * (rng.DRAW_BLOCK + 476) + 10)
+    split = Machine(text)
+    for end in ends:
+        split.run_until_quiescent(end)
+    whole = Machine(text)
+    whole.run_until_quiescent(ends[1])
+    for m in (split, whole):
+        assert all(cell.tick_idx > rng.DRAW_BLOCK for cell in m.cells.values())
+    assert split.read_assignment() == whole.read_assignment()
+    assert ({vid: var.counts for vid, var in split.var_owner.items()}
+            == {vid: var.counts for vid, var in whole.var_owner.items()})
+    assert split.stats == whole.stats
+    assert split.stats.text() == whole.stats.text()
