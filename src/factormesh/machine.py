@@ -389,12 +389,16 @@ class Machine:
 
     def _build(self, image, cap):
         R, C = image.grid
+        if R < 1 or C < 1:
+            raise MachineError("grid dimensions must be positive")
         self.cells = {}
         self.var_owner = {}
         dom = self.dom
         # a shadow may read a variable of a later cell, so every cell's
         # variables exist before any cell's shadows
         for coord, ci in sorted(image.cells.items()):
+            if not (0 <= coord[0] < R and 0 <= coord[1] < C):
+                raise MachineError("cell (%d, %d) outside grid" % coord)
             cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
             self.cells[coord] = cell
             if len(ci.var_slots) > cap.var_slots:
@@ -872,17 +876,11 @@ class Machine:
     def read_assignment(self):
         """Per-variable argmax (or the sampled value in GIBBS mode), without
         the float belief conversion; cheap enough to poll every cycle."""
-        assignment = {}
-        for vid, var in self.var_owner.items():
-            if self.mode == GIBBS:
-                assignment[vid] = var.value
-                continue
-            best = 0
-            for a in range(1, var.card):
-                if var.belief[a] > var.belief[best]:
-                    best = a
-            assignment[vid] = best
-        return assignment
+        if self.mode == GIBBS:
+            return {vid: var.value for vid, var in self.var_owner.items()}
+        # index() finds the first maximal word, so ties go to the lowest value
+        return {vid: var.belief.index(max(var.belief))
+                for vid, var in self.var_owner.items()}
 
     def verify_quiescent(self):
         """Recompute everything and measure drift against stored copies.

@@ -275,9 +275,10 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     """Simulated annealing from a row-major start; returns the best placement
     seen, never worse than the start.
 
-    A move scores only the moved clusters' edges, read from a table of grid
-    distances between cells, so each placement equals the one a full
-    recompute of every touched edge would pick.
+    A wireless stand-in fills every empty cell so that every move is a swap,
+    each cluster keeps its wires' far-end cells, and the chance of taking a
+    lengthening move is tabled once per epoch from the same float expression,
+    so each placement equals the one a full recompute would pick.
 
     A move's cluster i and target cell q are drawn as `randrange` draws
     them (CPython's `_randbelow_with_getrandbits`, the same in 3.10-3.13):
@@ -288,32 +289,45 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     if epochs < 0:
         raise MapperError("epochs must be >= 0, got %d" % epochs)
     R, C = grid
+    if R < 1 or C < 1:
+        raise MapperError("grid dimensions must be positive, got %dx%d" % (R, C))
     n, cells_n = len(clusters), R * C
     if n > cells_n:
         raise MapperError("grid %dx%d too small for %d clusters" % (R, C, n))
     cells = [(p // C, p % C) for p in range(cells_n)]
     dist = [[abs(r1 - r2) + abs(c1 - c2) for r2, c2 in cells] for r1, c1 in cells]
     edges = _edge_weights(clusters, graph, mode)
-    adj = [[] for _ in range(n)]
-    for a, b, w in edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
     cost0 = sum(w * dist[a][b] for a, b, w in edges)
-    if cost0 == 0 or n <= 1:
+    # a wire joins two clusters, so from here on n >= 2 and edges weigh >= 1
+    if cost0 == 0:
         return Placement(grid, cells[:n], cost0, cost0)
 
-    edge_total = sum(w for _, _, w in edges)
-    temp = 2.0 * cost0 / max(edge_total, 1)
+    # cluster n is the stand-in; far[i] holds [cell, weight] of each far end
+    # of i's wires (cluster v starts at cell v), ends[i] the ones naming i
+    far, ends = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    weight = [[0] * (n + 1) for _ in range(n + 1)]
+    for a, b, w in edges:
+        weight[a][b] = weight[b][a] = w
+        for u, v in ((a, b), (b, a)):
+            far[u].append([v, w])
+            ends[v].append(far[u][-1])
+    # a move lengthens each wire by at most the move's length, and none of
+    # the i-j wire's, so the two heaviest clusters bound every lengthening
+    degree = sorted(sum(w for _, w in f) for f in far)
+    lengthenings = range((degree[-1] + degree[-2]) * dist[0][-1] + 1)
+
+    temp = 2.0 * cost0 / sum(w for _, _, w in edges)
     rng = random.Random(seed)
     getrandbits, uniform = rng.getrandbits, rng.random
     ki, kq = n.bit_length(), cells_n.bit_length()
-    pos = list(range(n))
-    at = pos + [None] * (cells_n - n)
+    pos = list(range(n + 1))
+    at = pos[:n] + [n] * (cells_n - n)
     cur = cost0
-    best = list(pos)
+    best = pos[:n]
     best_cost = cost0
 
     for _ in range(epochs):
+        chance = [math.exp(-d / temp) for d in lengthenings]
         accepts = 0
         for _ in range(epoch_scale * n):
             i = getrandbits(ki)
@@ -327,25 +341,24 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
                 continue
             j = at[q]
             dp, dq = dist[p], dist[q]
-            # explicit loops beat sum() over generators here; the i-j edge
-            # keeps its length in a swap
-            delta = 0
-            for k, w in adj[i]:
-                if k != j:
-                    delta += w * (dq[pos[k]] - dp[pos[k]])
-            if j is not None:
-                for k, w in adj[j]:
-                    if k != i:
-                        delta += w * (dp[pos[k]] - dq[pos[k]])
-            if delta <= 0 or uniform() < math.exp(-delta / temp):
-                pos[i], at[q], at[p] = q, i, j
-                if j is not None:
-                    pos[j] = p
+            # the loops count the i-j wire, which keeps its length, as
+            # shortened twice by dp[q]; explicit loops beat sum() here
+            delta = 2 * weight[i][j] * dp[q]
+            for x, w in far[i]:
+                delta += w * (dq[x] - dp[x])
+            for x, w in far[j]:
+                delta -= w * (dq[x] - dp[x])
+            if delta <= 0 or uniform() < chance[delta]:
+                pos[i], pos[j], at[q], at[p] = q, p, i, j
+                for entry in ends[i]:
+                    entry[0] = q
+                for entry in ends[j]:
+                    entry[0] = p
                 cur += delta
                 accepts += 1
                 if cur < best_cost:
                     best_cost = cur
-                    best = list(pos)
+                    best = pos[:n]
         if accepts == 0:
             break
         temp *= COOLING

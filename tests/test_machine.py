@@ -1,5 +1,6 @@
 """Event-driven simulator: build checks, timing, gating, golden agreement."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -208,6 +209,18 @@ def test_every_mode_loads_its_domains_default_threshold_and_table_range():
             with pytest.raises(MachineError, match=r"table word outside \[%d, %d\]"
                                % (lo, hi)):
                 Machine(head + cell % words)
+
+
+@pytest.mark.parametrize("mode", ["SUMPROD", "MINSUM"])
+def test_tied_beliefs_read_as_the_lowest_value(mode):
+    graph = FactorGraph([VariableNode(0, 3)],
+                        [FactorNode(0, (0,), TABLE, (0.2, 0.4, 0.4))])
+    m, _ = compiled(graph, mode, grid=(1, 1))
+    assert m.run_until_quiescent(1000)[1]
+    belief = m.var_owner[0].belief
+    assert belief[1] == belief[2] > belief[0]
+    assert m.read_assignment() == {0: 1}
+    assert m.read_beliefs()[1] == {0: 1}
 
 
 def test_minsum_machine_recovers_map_assignment():
@@ -687,6 +700,20 @@ def test_build_error_catalog():
         with pytest.raises(MachineError) as err:
             Machine(text)
         assert needle in str(err.value), "wanted %r in %r" % (needle, str(err.value))
+
+
+def test_load_rejects_a_grid_or_cell_off_the_mesh():
+    # parse_image applies these rules to text; an image built in code meets
+    # them at load
+    image, _ = compile_graph(apps.build_ising_chain(4, 0.5, 0.2).graph, "SUMPROD",
+                             grid=(2, 2))
+    for grid in ((-2, -2), (2, 0)):
+        with pytest.raises(MachineError, match="grid dimensions must be positive"):
+            Machine(dataclasses.replace(image, grid=grid))
+    cells = dict(image.cells)
+    cells[(7, 9)] = dataclasses.replace(cells.pop(max(cells)), r=7, c=9)
+    with pytest.raises(MachineError, match=r"cell \(7, 9\) outside grid"):
+        Machine(dataclasses.replace(image, cells=cells))
 
 
 def test_return_wires_count_against_the_owner_cells_shadow_slots():

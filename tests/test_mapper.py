@@ -14,8 +14,9 @@ from factormesh.graph import (ALL_DIFFERENT, PARITY, TABLE, FactorGraph,
                               FactorNode, VariableNode, expand_all)
 from factormesh.image import Capacities, dumps
 from factormesh.machine import Machine
-from factormesh.mapper import (MapperError, Placement, _edge_weights, cluster,
-                               compile_graph, cost, emit_image, lower, place)
+from factormesh.mapper import (Cluster, MapperError, Placement, _edge_weights,
+                               cluster, compile_graph, cost, emit_image, lower,
+                               place)
 
 
 def vars_of(n, card=2):
@@ -333,6 +334,50 @@ def test_place_matches_full_recompute_reference(case, seed, epochs, epoch_scale)
                            epochs=epochs, epoch_scale=epoch_scale)
     assert got == want
     assert cost(got, clusters, graph, mode) == got.cost_final
+
+
+def heavy_clusters(n, seed):
+    """n one-variable clusters, each joined to a random earlier one by 3-5
+    factors, and cluster 0 a hub joined to every fourth one by 3 more, so
+    that a swap can lengthen wires by far more than the move's length."""
+    rng = random.Random(seed)
+    scopes = []
+    for v in range(1, n):
+        scopes += [(rng.randrange(v), v)] * rng.randint(3, 5)
+        if v % 4 == 0:
+            scopes += [(0, v)] * 3
+    graph = FactorGraph(vars_of(n), [FactorNode(f, s, TABLE, (1.0,) * 4)
+                                     for f, s in enumerate(scopes)])
+    clusters = [Cluster([v], []) for v in range(n)]
+    for f, s in enumerate(scopes):
+        clusters[s[f % 2]].rels.append(f)
+    return clusters, graph
+
+
+@pytest.mark.parametrize("grid", [(1, 12), (3, 7), (8, 8)])
+@pytest.mark.parametrize("full", [True, False])
+def test_place_matches_reference_on_wide_grids_and_heavy_wires(grid, full):
+    # placement_cases stops at 4x4 with mostly unit wires; here every
+    # cluster has weighted degree >= 3 and the hub's is the largest
+    n = grid[0] * grid[1] if full else grid[0] * grid[1] // 2
+    clusters, graph = heavy_clusters(n, seed=n)
+    weights = _edge_weights(clusters, graph, "SUMPROD")
+    assert min(w for _, _, w in weights) >= 3
+    scale = 100 if n <= 21 else 10
+    for seed in (0, 1):
+        got = place(clusters, graph, grid, seed=seed, epoch_scale=scale)
+        assert got == reference_place(clusters, graph, grid, seed=seed,
+                                      epoch_scale=scale)
+        assert got.cost_final < got.cost_initial
+
+
+@pytest.mark.parametrize("grid", [(-2, -2), (2, 0), (0, 5)])
+def test_place_rejects_a_grid_with_no_cells(grid):
+    # checked before the size, so (2, 0) is not reported as too small
+    graph = apps.build_ising_chain(4, 0.5, 0.2).graph
+    with pytest.raises(MapperError, match="grid dimensions must be positive, "
+                       "got %dx%d" % grid):
+        compile_graph(graph, "SUMPROD", grid=grid)
 
 
 @pytest.mark.parametrize("n_vars, grid", [(1, (1, 1)), (1, (3, 2)), (4, (2, 2)),
