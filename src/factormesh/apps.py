@@ -218,11 +218,8 @@ HAMMING_H = (
 
 def hamming_codewords() -> list:
     """All 16 codewords of the (7,4) code, by exhaustive membership test."""
-    words = []
-    for bits in itertools.product((0, 1), repeat=7):
-        if all(sum(h * b for h, b in zip(row, bits)) % 2 == 0 for row in HAMMING_H):
-            words.append(tuple(bits))
-    return words
+    return [bits for bits in itertools.product((0, 1), repeat=7)
+            if checks_satisfied(bits)]
 
 
 def hamming_encode(data) -> tuple:

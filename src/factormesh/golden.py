@@ -39,10 +39,6 @@ SEQUENTIAL = "SEQUENTIAL"
 
 ENUM_BOUND = 1 << 24
 
-# gibbs_sample: a variable with more Markov-blanket states than this samples
-# without a memo of its conditionals
-_MEMO_CAP = 4096
-
 
 class InferenceError(RuntimeError):
     pass
@@ -331,10 +327,10 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     variable, sweep); each variable hashes rng.DRAW_BLOCK sweeps' draws at
     once.  The sampler picks the first value whose prefix sum of the
     conditional exceeds the draw scaled by the total.  The prefix sums are
-    memoized per variable, keyed by the values of its Markov blanket,
-    unless the blanket has more than _MEMO_CAP states; either way the draw
-    is the same.  Tables must give every conditional a positive total (use
-    soft expansions).
+    memoized per variable, keyed by the mixed-radix index of its Markov
+    blanket's values, so a memo grows by at most one entry per sweep.
+    Tables must give every conditional a positive total (use soft
+    expansions).
     """
     _require_tables(graph)
     if sweeps <= 0:
@@ -366,7 +362,7 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                           for j in range(len(f.scope)) if j != k]
                 rows[vid].append((flats[f.id], others, strides[f.id][k]))
     # per variable: its blanket as (variable, radix multiplier) over the
-    # distinct variables its terms read, and a memo per blanket state
+    # distinct variables its terms read, and a memo by blanket index
     plan = []
     for v in free:
         blanket = []
@@ -374,8 +370,7 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
         for ov in dict.fromkeys(ov for _f, others, _s in rows[v] for ov, _o in others):
             blanket.append((ov, size))
             size *= cards[ov]
-        memo = [None] * size if size <= _MEMO_CAP else None
-        plan.append((v, rows[v], rng.stream_key(seed, v), blanket, memo))
+        plan.append((v, rows[v], rng.stream_key(seed, v), blanket, {}))
     counts = [[0] * c for c in cards]
     for s in range(burn_in + sweeps):
         j = s % rng.DRAW_BLOCK
@@ -383,15 +378,13 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
             blocks = [rng.keyed_uniform01_block(key, s, rng.DRAW_BLOCK)
                       for _v, _t, key, _b, _m in plan]
         for (v, terms, _key, blanket, memo), draws in zip(plan, blocks):
-            if memo is None:
-                prefix = _gibbs_prefix(v, terms, state, cards[v])
-            else:
-                idx = 0
-                for ov, m in blanket:
-                    idx += state[ov] * m
+            idx = 0
+            for ov, m in blanket:
+                idx += state[ov] * m
+            try:
                 prefix = memo[idx]
-                if prefix is None:
-                    prefix = memo[idx] = _gibbs_prefix(v, terms, state, cards[v])
+            except KeyError:
+                prefix = memo[idx] = _gibbs_prefix(v, terms, state, cards[v])
             state[v] = bisect_right(prefix, draws[j] * prefix[-1],
                                     0, len(prefix) - 1)
         if s >= burn_in:

@@ -82,9 +82,6 @@ class FactorGraph:
                     adj[vid].append((f.id, k))
         self._adjacency = adj
 
-    def cardinality(self, var_id: int) -> int:
-        return self.variables[var_id].cardinality
-
     def factors_of(self, var_id: int):
         """(factor id, scope position) pairs touching this variable."""
         return self._adjacency.get(var_id, [])

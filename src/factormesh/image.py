@@ -30,7 +30,9 @@ units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs
 in MINSUM; a cell with no THRESH record gates at the domain's default.  A
 GIBBS cell sends a value whenever it changes, so the machine rejects a
 THRESH record in a GIBBS image, and a GIBBS_PERIOD record in any other.
-Unknown records are load errors; nothing is skipped silently.
+A cell's CELL record is its only coordinate, its key in `MachineImage.cells`,
+and a second THRESH or GIBBS_PERIOD record in one cell is a load error, as is
+an unknown record; nothing is skipped silently.
 
 A relation carries no program: its mode and scope fix what it computes.  In
 SUMPROD and MINSUM a factor id names one relation of the machine, which
@@ -126,14 +128,13 @@ class RelSlot:
 
 @dataclass
 class CellImage:
-    r: int
-    c: int
+    """One cell's records; its coordinate is its key in `MachineImage.cells`."""
     var_slots: list = field(default_factory=list)
     shadow_slots: list = field(default_factory=list)
     rel_slots: list = field(default_factory=list)
     thresh: Optional[int] = None
     gibbs_period: Optional[int] = None
-    gibbs_phase: Optional[int] = None
+    gibbs_phase: int = 0
 
 
 @dataclass
@@ -185,7 +186,7 @@ def dumps(image: MachineImage) -> str:
              "SEED %d" % image.seed]
     for coord in sorted(image.cells):
         cell = image.cells[coord]
-        lines.append("CELL %d %d" % (cell.r, cell.c))
+        lines.append("CELL %d %d" % coord)
         for vs in cell.var_slots:
             row = "VAR %d %d" % (vs.var_id, vs.card)
             if vs.evidence is not None:
@@ -244,6 +245,9 @@ def parse_image(text: str) -> MachineImage:
             continue
         if head in _CELL_RECORDS and cur is None:
             rec.fail("%s outside a CELL" % head)
+        # a cell's one THRESH or GIBBS_PERIOD fills `thresh` or `gibbs_period`
+        if head in ("THRESH", "GIBBS_PERIOD") and getattr(cur, head.lower()) is not None:
+            rec.fail("second %s in cell (%d, %d)" % ((head,) + coord))
         if head == "GRID":
             r, c = rec.ints(toks[1:], 2, "GRID")
             if r < 1 or c < 1:
@@ -261,10 +265,10 @@ def parse_image(text: str) -> MachineImage:
                 rec.fail("CELL before GRID")
             if not (0 <= r < grid[0] and 0 <= c < grid[1]):
                 rec.fail("cell (%d, %d) outside grid" % (r, c))
-            if (r, c) in cells:
-                rec.fail("duplicate CELL (%d, %d)" % (r, c))
-            cur = CellImage(r, c)
-            cells[(r, c)] = cur
+            coord = (r, c)
+            if coord in cells:
+                rec.fail("duplicate CELL (%d, %d)" % coord)
+            cur = cells[coord] = CellImage()
         elif head == "VAR":
             if len(toks) == 3:
                 vid, card = rec.ints(toks[1:], 2, "VAR")

@@ -69,10 +69,6 @@ class MachineError(ValueError):
 # random stream of the output noise; variable streams are their ids
 _NOISE_STREAM = (1 << 48) | 1
 
-# GIBBS: a variable with more Markov-blanket states than this samples
-# without a memo of its conditionals
-_MEMO_CAP = 4096
-
 
 # ---------------------------------------------------------------------------
 # run statistics
@@ -164,7 +160,7 @@ class _Var:
         self.counts = [0] * card
         self.terms = []         # GIBBS: (table, stride, others) per scope position
         self.blanket = ()       # GIBBS: (object, radix multiplier) per blanket object
-        self.memo = None        # GIBBS: conditional prefix sums per blanket state
+        self.memo = {}          # GIBBS: blanket index -> conditional prefix sums
         self.key = None         # GIBBS: key of the variable's random stream
         self.draws = None       # GIBBS: uniforms of the current DRAW_BLOCK ticks
         self.refresh = None     # generated refresh for its card and degree
@@ -399,7 +395,7 @@ class Machine:
         for coord, ci in sorted(image.cells.items()):
             if not (0 <= coord[0] < R and 0 <= coord[1] < C):
                 raise MachineError("cell (%d, %d) outside grid" % coord)
-            cell = _Cell(ci.r, ci.c, ci.r * C + ci.c)
+            cell = _Cell(*coord, coord[0] * C + coord[1])
             self.cells[coord] = cell
             if len(ci.var_slots) > cap.var_slots:
                 raise MachineError("cell (%d, %d): too many variable slots" % coord)
@@ -429,7 +425,7 @@ class Machine:
                 if cell.thresh < 0:
                     raise MachineError("cell (%d, %d): threshold must be >= 0" % coord)
             cell.period = ci.gibbs_period
-            cell.phase = ci.gibbs_phase or 0
+            cell.phase = ci.gibbs_phase
             if registers[coord] > cap.shadow_slots:
                 raise MachineError("cell (%d, %d): too many shadow slots, return "
                                    "wires included" % coord)
@@ -516,15 +512,12 @@ class Machine:
                     cell.tick_cost += gibbs_var_cost(len(var.terms))
                     # the blanket state is a mixed-radix index over the
                     # distinct objects the terms read
-                    blanket = []
+                    blanket = var.blanket = []
                     size = 1
                     for obj in dict.fromkeys(o for _t, _s, others in var.terms
                                              for o, _st in others):
                         blanket.append((obj, size))
                         size *= obj.card
-                    var.blanket = blanket
-                    if size <= _MEMO_CAP:
-                        var.memo = [None] * size
 
         # one wire per shadow slot from its variable's cell, a destination of
         # the port its sender makes for the quantity it carries; a VTOF
@@ -758,9 +751,8 @@ class Machine:
         a multiple of DRAW_BLOCK a free variable hashes the uniforms of
         ticks k .. k + DRAW_BLOCK - 1 at once; tick_idx runs 0, 1, 2, ...
         across runs.  Tables never change, so the prefix sums are memoized
-        per variable, keyed by the values of its Markov blanket, unless the
-        blanket has more than _MEMO_CAP states; either way the draw is the
-        same."""
+        per variable, keyed by the mixed-radix index of its Markov blanket's
+        values; the memo grows by at most one entry per tick."""
         k = cell.tick_idx
         j = k % DRAW_BLOCK
         if not j:
@@ -773,16 +765,13 @@ class Machine:
         for var in cell.vars:
             if var.evidence is None:
                 activations += len(var.terms)
-                memo = var.memo
-                if memo is None:
-                    prefix = _prefix_sums(var)
-                else:
-                    idx = 0
-                    for obj, m in var.blanket:
-                        idx += obj.value * m
-                    prefix = memo[idx]
-                    if prefix is None:
-                        prefix = memo[idx] = _prefix_sums(var)
+                idx = 0
+                for obj, m in var.blanket:
+                    idx += obj.value * m
+                try:
+                    prefix = var.memo[idx]
+                except KeyError:
+                    prefix = var.memo[idx] = _prefix_sums(var)
                 total = prefix[-1]
                 if total > 0:
                     val = bisect_right(prefix, var.draws[j] * total,

@@ -396,8 +396,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         delta, period = _gibbs_timing(placement.grid, clusters, graph, cvar)
     for ci, cl in enumerate(clusters):
         coord = coords[ci]
-        cell = CellImage(coord[0], coord[1])
-        cells[coord] = cell
+        cell = cells[coord] = CellImage()
         vslot = {}
         for s, v in enumerate(cl.vars):
             var = graph.variables[v]

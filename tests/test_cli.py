@@ -377,6 +377,16 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
         assert "error: " in stderr and message in stderr, (message, stderr)
 
 
+def test_run_rejects_a_repeated_cell_record(tmp_path, capsys):
+    for record in ("THRESH 3", "GIBBS_PERIOD 4 0"):
+        text = equality_pair_image() + "%s\n%s\n" % (record, record)
+        image = write(tmp_path, "twice.fmimg", text)
+        code, stdout, stderr = run_cli(capsys, "run", image)
+        assert code == 2 and stdout == ""
+        assert ("error: line 14: second %s in cell (0, 1)" % record.split()[0]
+                in stderr), stderr
+
+
 # -- golden -------------------------------------------------------------------
 
 def test_golden_exact_vs_sumprod_on_a_tree(tmp_path, capsys):

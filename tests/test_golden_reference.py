@@ -1,7 +1,7 @@
 """One propagation loop, two semirings: golden sum_product and min_sum give
 the bytes the two separate loops gave; and gibbs_sample, drawing from
-conditionals memoized by Markov-blanket state, samples what the direct
-loop sampled.
+conditionals memoized by Markov-blanket state, samples what the sampler
+that rebuilt every conditional sampled.
 
 `reference_sum_product` and `reference_min_sum` keep the kernels from before
 they were folded into one loop parameterised by a semiring, verbatim apart
@@ -19,21 +19,20 @@ read from such calls.
 `reference_gibbs_sample` keeps the sampler from before its conditionals were
 memoized, verbatim apart from its name: it rebuilds every conditional and
 scans it for the draw, which it takes one scalar `keyed_uniform01` at a
-time where golden hashes blocks of `rng.DRAW_BLOCK` sweeps.  The marginal bytes, the final assignment and any
-zero-total error must agree, with the memo and without it (cap 0).
+time where golden hashes blocks of `rng.DRAW_BLOCK` sweeps.  The marginal
+bytes, the final assignment and any zero-total error must agree.
 """
 
 import math
 import random
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gen
-from factormesh import apps, golden, rng
+from factormesh import apps, rng
 from factormesh.golden import (FLOODING, LINEAR, LOG, SEQUENTIAL, BeliefState,
                                GibbsResult, InferenceError, _evidence_indicator,
                                _factor_nd, _require_tables, gibbs_sample, min_sum,
@@ -537,7 +536,7 @@ def test_fold_matches_reference_on_a_moving_hard_zero_message():
         assert got[2:4] == (True, 60)
 
 
-# -- Gibbs: the memo and the direct loop against the scan they replaced ---------
+# -- Gibbs: the memo against the scan it replaced -------------------------------
 
 def gibbs_outcome(sampler, graph, **kwargs):
     try:
@@ -548,12 +547,9 @@ def gibbs_outcome(sampler, graph, **kwargs):
 
 
 def assert_same_gibbs(graph, **kwargs):
-    """The reference outcome, which the memoized sampler gives with its
-    default cap and with every variable on the direct loop (cap 0)."""
+    """The reference outcome, which the memoized sampler must give."""
     want = gibbs_outcome(reference_gibbs_sample, graph, **kwargs)
     assert gibbs_outcome(gibbs_sample, graph, **kwargs) == want
-    with mock.patch.object(golden, "_MEMO_CAP", 0):
-        assert gibbs_outcome(gibbs_sample, graph, **kwargs) == want
     return want
 
 

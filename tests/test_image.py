@@ -1,5 +1,6 @@
 """Image text format: canonical dumps, round trips, parse diagnostics."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,8 @@ import gen
 from factormesh import image
 from factormesh.graph import with_evidence
 from factormesh import apps
-from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, ImageError, Wire, dumps,
+from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, CellImage, ImageError,
+                              MachineImage, RelSlot, ShadowSlot, VarSlot, Wire, dumps,
                               parse_image)
 from factormesh.machine import Machine, MachineError
 from factormesh.mapper import MapperError, compile_graph
@@ -134,6 +136,10 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nREL 0 2 V0\n1\n", "REL record incomplete"),
     (HEAD + "CELL 0 0\nTHRESH -1\n", "threshold must be >= 0"),
     (HEAD + "CELL 0 0\nGIBBS_PERIOD 0 0\n", "bad GIBBS_PERIOD values"),
+    # a second gate or timing record would silently replace the first
+    (HEAD + "CELL 0 1\nTHRESH 3\nTHRESH 9\n", "line 6: second THRESH in cell (0, 1)"),
+    (HEAD + "CELL 1 0\nGIBBS_PERIOD 4 0\nVAR 0 2\nGIBBS_PERIOD 4 1\n",
+     "line 7: second GIBBS_PERIOD in cell (1, 0)"),
     (HEAD + "CELL 0 0\nVAR 0 2\nWIRE 0 0 0 0 1 0\n", "line 6: unknown record 'WIRE'"),
     (HEAD + "BLORB 1\n", "unknown record"),
 ]
@@ -181,6 +187,56 @@ def test_an_image_and_its_file_run_the_same_machine():
                                capacities=caps)
         assert run_bytes(img, caps, 200) == \
             run_bytes(parse_image(dumps(img)), caps, 200), seed
+
+
+@pytest.mark.parametrize("mode", [SUMPROD, GIBBS])
+def test_a_cells_key_is_its_only_coordinate(mode):
+    # moving a cell is re-keying it: its trace rows, its routes and its
+    # text form all name the new key
+    bench = apps.build_ising_chain(4, 0.5, 0.2)
+    img, _ = compile_graph(bench.graph, mode, grid=(3, 3), epochs=5)
+    old, new = (0, 1), (2, 2)
+    assert sorted(img.cells) == [(0, 0), old]
+    cells = dict(img.cells)
+    cells[new] = cells.pop(old)
+    img = dataclasses.replace(img, cells=cells)
+    text = dumps(img)
+    assert "\nCELL 2 2\n" in text and "\nCELL 0 1\n" not in text
+    trace, stats, beliefs = run_bytes(img, Capacities(), 20)
+    assert run_bytes(parse_image(text), Capacities(), 20) == (trace, stats, beliefs)
+    rows = [row.split(",") for row in trace.splitlines()[1:]]
+    assert {(int(row[1]), int(row[2])) for row in rows} == {(0, 0), new}
+    m = Machine(img)
+    ports = [var.port for var in m.var_owner.values()]
+    ports += [edge.port for var in m.var_owner.values() for edge in var.edges]
+    ports += [sh.port for cell in m.cells.values() for sh in cell.shadows]
+    ends = set()
+    for port in filter(None, ports):
+        for dst, _target, hops, links in port.dests:
+            # a route ends at the cell whose rows its deliveries write
+            assert links[-1][1] == (dst.r, dst.c)
+            ends.add((dst.r, dst.c))
+            if (dst.r, dst.c) == new:
+                assert hops == 4
+    assert new in ends
+
+
+def test_a_code_built_gibbs_cell_with_only_a_period_round_trips():
+    # the phase defaults to 0, in the machine and in the text form
+    cells = {(0, 0): CellImage(var_slots=[VarSlot(0, 2)],
+                               rel_slots=[RelSlot(0, [("V", 0)], [100, 300])],
+                               gibbs_period=5),
+             (0, 1): CellImage(var_slots=[VarSlot(1, 2)],
+                               shadow_slots=[ShadowSlot(0, image.VALUE)],
+                               rel_slots=[RelSlot(1, [("V", 0), ("H", 0)],
+                                                  [300, 100, 100, 300])],
+                               gibbs_period=5)}
+    img = MachineImage((1, 2), GIBBS, 7, cells)
+    text = dumps(img)
+    assert text.count("GIBBS_PERIOD 5 0\n") == 2
+    trace, stats, beliefs = run_bytes(img, Capacities(), 30)
+    assert run_bytes(parse_image(text), Capacities(), 30) == (trace, stats, beliefs)
+    assert [row for row in trace.splitlines() if ",SAMPLE," in row][0].startswith("5,0,0,")
 
 
 @settings(max_examples=40, deadline=None)

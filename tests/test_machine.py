@@ -711,7 +711,7 @@ def test_load_rejects_a_grid_or_cell_off_the_mesh():
         with pytest.raises(MachineError, match="grid dimensions must be positive"):
             Machine(dataclasses.replace(image, grid=grid))
     cells = dict(image.cells)
-    cells[(7, 9)] = dataclasses.replace(cells.pop(max(cells)), r=7, c=9)
+    cells[(7, 9)] = cells.pop(max(cells))
     with pytest.raises(MachineError, match=r"cell \(7, 9\) outside grid"):
         Machine(dataclasses.replace(image, cells=cells))
 
