@@ -328,16 +328,16 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     once.  The sampler picks the first value whose prefix sum of the
     conditional exceeds the draw scaled by the total.  The prefix sums are
     memoized per variable, keyed by the mixed-radix index of its Markov
-    blanket's values, so a memo grows by at most one entry per sweep.
-    Tables must give every conditional a positive total (use soft
-    expansions).
+    blanket's values, so a memo grows by at most one entry per sweep.  A
+    kept sweep counts each draw as it is made; an evidence variable is
+    counted once, for all sweeps.  Tables must give every conditional a
+    positive total (use soft expansions).
     """
     _require_tables(graph)
     if sweeps <= 0:
         raise InferenceError("sweeps must be positive")
     if burn_in < 0:
         raise InferenceError("burn_in must be >= 0, got %d" % burn_in)
-    n = len(graph.variables)
     cards = [v.cardinality for v in graph.variables]
     state = [v.evidence if v.evidence is not None else 0 for v in graph.variables]
     free = [v.id for v in graph.variables if v.evidence is None]
@@ -371,13 +371,17 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
             blanket.append((ov, size))
             size *= cards[ov]
         plan.append((v, rows[v], rng.stream_key(seed, v), blanket, {}))
-    counts = [[0] * c for c in cards]
+    # an evidence variable holds its value in all `sweeps` kept sweeps
+    counts = [[sweeps * (v.evidence == a) for a in range(v.cardinality)]
+              for v in graph.variables]
     for s in range(burn_in + sweeps):
         j = s % rng.DRAW_BLOCK
         if not j:
-            blocks = [rng.keyed_uniform01_block(key, s, rng.DRAW_BLOCK)
-                      for _v, _t, key, _b, _m in plan]
-        for (v, terms, _key, blanket, memo), draws in zip(plan, blocks):
+            block = [(v, terms, blanket, memo, counts[v],
+                      rng.keyed_uniform01_block(key, s, rng.DRAW_BLOCK))
+                     for v, terms, key, blanket, memo in plan]
+        keep = s >= burn_in
+        for v, terms, blanket, memo, row, draws in block:
             idx = 0
             for ov, m in blanket:
                 idx += state[ov] * m
@@ -385,11 +389,10 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                 prefix = memo[idx]
             except KeyError:
                 prefix = memo[idx] = _gibbs_prefix(v, terms, state, cards[v])
-            state[v] = bisect_right(prefix, draws[j] * prefix[-1],
-                                    0, len(prefix) - 1)
-        if s >= burn_in:
-            for v in range(n):
-                counts[v][state[v]] += 1
+            val = state[v] = bisect_right(prefix, draws[j] * prefix[-1],
+                                          0, len(prefix) - 1)
+            if keep:
+                row[val] += 1
     marginals = [np.asarray(c, dtype=np.float64) / sweeps for c in counts]
     return GibbsResult(marginals, list(state), sweeps)
 

@@ -22,12 +22,12 @@ every relation or variable of the same structure.  Each output word is
 bound to a local name and normalized in place, so generated code calls no
 normalization function.  In GIBBS mode each cell periodically resamples
 its variables from the fixed-point conditionals given shadowed neighbor
-values and never quiesces on its own; each relation adds one term, built
-at load, to the conditional of each variable of its cell in its scope.
-A draw whose conditional has total weight zero keeps the variable's value
-and is counted in `Stats.zero_total_draws`.  A cell hashes its variables'
-uniforms `rng.DRAW_BLOCK` ticks at a time, each the scalar stream's draw,
-so every value, trace row and stat is the one scalar draws give.
+values, sends each changed value as soon as it draws it, and never
+quiesces on its own; each relation adds one term, built at load, to the
+conditional of each variable of its cell in its scope.  A draw whose
+conditional has total weight zero keeps the value and is counted in
+`Stats.zero_total_draws`.  A cell hashes its variables' uniforms
+`rng.DRAW_BLOCK` ticks at a time, each the scalar stream's own draw.
 
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
 factor-id order: the register pair of its message to the factor and the
@@ -402,6 +402,10 @@ class Machine:
             for vs in ci.var_slots:
                 if vs.card > cap.max_cardinality:
                     raise MachineError("variable %d: cardinality above limit" % vs.var_id)
+                if vs.card < 2:
+                    raise MachineError("variable %d: cardinality below 2" % vs.var_id)
+                if vs.evidence is not None and not 0 <= vs.evidence < vs.card:
+                    raise MachineError("variable %d: evidence out of range" % vs.var_id)
                 if vs.var_id in self.var_owner:
                     raise MachineError("variable %d owned by two cells" % vs.var_id)
                 var = _Var(cell, vs.var_id, vs.card, vs.evidence)
@@ -426,6 +430,8 @@ class Machine:
                     raise MachineError("cell (%d, %d): threshold must be >= 0" % coord)
             cell.period = ci.gibbs_period
             cell.phase = ci.gibbs_phase
+            if (cell.period is not None and cell.period < 1) or cell.phase < 0:
+                raise MachineError("cell (%d, %d): bad GIBBS_PERIOD values" % coord)
             if registers[coord] > cap.shadow_slots:
                 raise MachineError("cell (%d, %d): too many shadow slots, return "
                                    "wires included" % coord)
@@ -458,9 +464,7 @@ class Machine:
                                            "positions" % (rs.factor_id, ent.vid))
                     refs.append(ent)
                 shape = tuple(obj.card for obj in refs)
-                size = 1
-                for c in shape:
-                    size *= c
+                size = math.prod(shape)
                 if size != len(rs.table):
                     raise MachineError("relation %d: table has %d words, scope needs %d"
                                        % (rs.factor_id, len(rs.table), size))
@@ -564,6 +568,7 @@ class Machine:
             self._push(time, rel.cell, self._on_exec, rel)
 
     def _trace(self, cycle, cell, event, vid, detail):
+        # the run paths test self.trace first, to save the call untraced
         if self.trace is not None:
             self.trace.append("%d,%d,%d,%s,%d,%s"
                               % (cycle, cell.r, cell.c, event, vid, detail))
@@ -577,7 +582,7 @@ class Machine:
             cell = self.cells[coord]
             lat = 0
             for var in cell.vars:
-                if var.evidence is not None:
+                if var.evidence is not None and self.trace is not None:
                     self._trace(0, cell, "CLAMP", var.vid, var.evidence)
                 self._emit_var(var, lat)
                 lat += 1
@@ -602,9 +607,10 @@ class Machine:
         """Drain the event queue; give up past max_cycles (returns False)."""
         if max_cycles < 0:
             raise MachineError("max_cycles must be >= 0, got %d" % max_cycles)
-        while self._heap and self._heap[0][0] <= max_cycles:
-            self.step()
-        quiescent = not self._heap
+        heap, step = self._heap, self.step
+        while heap and heap[0][0] <= max_cycles:
+            step()
+        quiescent = not heap
         self.stats.quiescent = quiescent
         self.stats.cycles = self.time if quiescent else max_cycles
         return self.stats, quiescent
@@ -629,8 +635,9 @@ class Machine:
                                    "ticked" % (coord + (cell.tick_idx,)))
         for cell in self.cells.values():
             cell.tick_budget = ticks
-        while self._heap:
-            self.step()
+        heap, step = self._heap, self.step
+        while heap:
+            step()
         self.stats.quiescent = False
         self.stats.cycles = self.time
         return self.stats
@@ -642,7 +649,8 @@ class Machine:
         rel.pending = False
         outs = self._exec_relation(rel)
         self.stats.activations += 1
-        self._trace(time, cell, "UPDATE", rel.fid, rel.cost)
+        if self.trace is not None:
+            self._trace(time, cell, "UPDATE", rel.fid, rel.cost)
         avail = time + rel.cost
         for pos, payload in outs:
             ref = rel.refs[pos]
@@ -701,14 +709,16 @@ class Machine:
 
     def _on_send(self, payload, time):
         cell, port, value, flush = payload
+        stats, vid = self.stats, port.vid
         for dst, target, hops, links in port.dests:
             arrival = self._route(links, time)
-            self.stats.packets += 1
+            stats.packets += 1
             if flush:
-                self.stats.flush_packets += 1
-            self.stats.hops += hops
-            self._trace(time, cell, "SEND", port.vid, hops)
-            self._push(arrival, dst, self._on_deliver, (dst, target, port.vid, value, hops))
+                stats.flush_packets += 1
+            stats.hops += hops
+            if self.trace is not None:
+                self._trace(time, cell, "SEND", vid, hops)
+            self._push(arrival, dst, self._on_deliver, (dst, target, vid, value, hops))
 
     def _route(self, links, time):
         """Reserve a packet's route links in order, one packet per link per
@@ -727,15 +737,16 @@ class Machine:
 
     def _on_deliver(self, payload, time):
         cell, target, vid, value, hops = payload
-        self._trace(time, cell, "DELIVER", vid, hops)
-        if type(target) is _Edge:
+        if self.trace is not None:
+            self._trace(time, cell, "DELIVER", vid, hops)
+        if self.mode == GIBBS:
+            # a value into its VALUE shadow, the only GIBBS target
+            target.value = value
+        elif type(target) is _Edge:
             # a remote relation's reply to the variable
             if target.reply != value:
                 target.reply = value
                 self._emit_var(target.var, time)
-        elif self.mode == GIBBS:
-            # a value into its VALUE shadow
-            target.value = value
         elif target.msg != value:
             # a variable's message into its VTOF shadow
             target.msg = value
@@ -752,15 +763,17 @@ class Machine:
         ticks k .. k + DRAW_BLOCK - 1 at once; tick_idx runs 0, 1, 2, ...
         across runs.  Tables never change, so the prefix sums are memoized
         per variable, keyed by the mixed-radix index of its Markov blanket's
-        values; the memo grows by at most one entry per tick."""
+        values; the memo grows by at most one entry per tick.  A value that
+        changes is sent as soon as it is drawn, ready once the whole tick's
+        cost has passed."""
         k = cell.tick_idx
         j = k % DRAW_BLOCK
         if not j:
             for var in cell.vars:
                 if var.evidence is None:
                     var.draws = keyed_uniform01_block(var.key, k, DRAW_BLOCK)
-        changed = []
         trace = self.trace
+        out_t = time + cell.tick_cost
         activations = 0
         for var in cell.vars:
             if var.evidence is None:
@@ -778,7 +791,8 @@ class Machine:
                                        0, var.card - 1)
                     if val != var.value:
                         var.value = val
-                        changed.append(var)
+                        if var.port is not None:
+                            self._gate_send(var.port, val, out_t, cell)
                 else:
                     self.stats.zero_total_draws += 1
             var.counts[var.value] += 1
@@ -786,9 +800,6 @@ class Machine:
                 self._trace(time, cell, "SAMPLE", var.vid, var.value)
         self.stats.activations += activations
         cell.tick_idx = k + 1
-        out_t = time + cell.tick_cost
-        for var in changed:
-            self._emit_var(var, out_t)
         if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
             self._push(time + cell.period, cell, self._on_tick, cell)
 
@@ -796,19 +807,16 @@ class Machine:
         var, value = payload
         var.evidence = value
         var.value = value
-        self._trace(time, var.cell, "CLAMP", var.vid, value)
+        if self.trace is not None:
+            self._trace(time, var.cell, "CLAMP", var.vid, value)
         self._emit_var(var, time)
 
     # -- relation kernels -----------------------------------------------------
 
-    def _inputs(self, rel):
-        """The relation's input vector per scope position."""
-        return [ref.msg for ref in rel.refs]
-
     def _exec_relation(self, rel):
         """Run the relation's kernel on its current inputs: (j, message) per
         scope position j, anchored and, with noise_lsbs, perturbed."""
-        outs = rel.kernel(rel.table, *self._inputs(rel))
+        outs = rel.kernel(rel.table, *[ref.msg for ref in rel.refs])
         if self.noise_lsbs:
             outs = [(j, self._apply_noise(vec)) for j, vec in outs]
         return outs
@@ -893,7 +901,7 @@ class Machine:
                     if edge.port is not None and edge.port.last is not None:
                         remote.append((new, edge.port.last))
             for rel in cell.rels:
-                for pos, payload in rel.kernel(rel.table, *self._inputs(rel)):
+                for pos, payload in rel.kernel(rel.table, *[ref.msg for ref in rel.refs]):
                     ref = rel.refs[pos]
                     if type(ref) is _Edge:
                         local.append((payload, ref.reply))

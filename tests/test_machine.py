@@ -11,7 +11,8 @@ import gen
 from factormesh import apps, golden
 from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
                               expand_all, with_evidence)
-from factormesh.image import GIBBS, MINSUM, SUMPROD, Capacities, ImageError, dumps
+from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, CellImage, ImageError,
+                              MachineImage, RelSlot, VarSlot, dumps, parse_image)
 from factormesh.machine import Machine, MachineError, _Edge, _Port, _Shadow, xy_links
 from factormesh.mapper import (MapperError, Placement, cluster, compile_graph, emit_image,
                                lower, place)
@@ -714,6 +715,33 @@ def test_load_rejects_a_grid_or_cell_off_the_mesh():
     cells[(7, 9)] = cells.pop(max(cells))
     with pytest.raises(MachineError, match=r"cell \(7, 9\) outside grid"):
         Machine(dataclasses.replace(image, cells=cells))
+
+
+# a 1x1 GIBBS image built in code, one value away from what its text form
+# would say; parse_image rejects each as text, and the machine at load
+CODE_BUILT_REJECTS = [
+    ({"card": 1}, {}, "variable 0: cardinality below 2"),
+    ({"evidence": 5}, {}, "variable 0: evidence out of range"),
+    ({"evidence": -1}, {}, "variable 0: evidence out of range"),
+    ({}, {"gibbs_period": -2}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
+    ({}, {"gibbs_period": 0}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
+    ({}, {"gibbs_phase": -5}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
+]
+
+
+@pytest.mark.parametrize("var_kw, cell_kw, needle", CODE_BUILT_REJECTS,
+                         ids=["card1", "evidence5", "evidence-1", "period-2",
+                              "period0", "phase-5"])
+def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw, needle):
+    var = dict({"var_id": 0, "card": 2}, **var_kw)
+    cell = CellImage(var_slots=[VarSlot(**var)],
+                     rel_slots=[RelSlot(0, [("V", 0)], [1] * var["card"])],
+                     **dict({"gibbs_period": 2}, **cell_kw))
+    image = MachineImage((1, 1), GIBBS, 0, {(0, 0): cell})
+    with pytest.raises(ImageError):
+        parse_image(dumps(image))
+    with pytest.raises(MachineError, match=needle):
+        Machine(image)
 
 
 def test_return_wires_count_against_the_owner_cells_shadow_slots():
