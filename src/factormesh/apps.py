@@ -79,11 +79,8 @@ def is_proper_coloring(edges, assignment) -> bool:
 
 def count_proper_colorings(edges, colors: int, n: int) -> int:
     """Exhaustive count over all colors**n assignments."""
-    total = 0
-    for assign in itertools.product(range(colors), repeat=n):
-        if is_proper_coloring(edges, assign):
-            total += 1
-    return total
+    return sum(is_proper_coloring(edges, assign)
+               for assign in itertools.product(range(colors), repeat=n))
 
 
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2)]
@@ -307,9 +304,7 @@ def decode_by_candidates(assignments, received):
             key = (sum(x != y for x, y in zip(last, rx)), last)
             if best is None or key < best[0]:
                 best = (key, last)
-    if best is not None:
-        return best[1]
-    return last
+    return last if best is None else best[1]
 
 
 def bp_hamming_trajectory(graph, sweeps: int = 20, epsilon: float = EPS_SOFT):
@@ -405,11 +400,8 @@ def _as_assignment(results: dict, vid: int) -> int:
     val = results[vid]
     if isinstance(val, (list, tuple, np.ndarray)):
         vec = list(val)
-        best = 0
-        for a in range(1, len(vec)):
-            if vec[a] > vec[best]:
-                best = a
-        return best
+        # the first maximal value: max keeps the earliest of equal keys
+        return max(range(len(vec)), key=vec.__getitem__, default=0)
     return int(val)
 
 

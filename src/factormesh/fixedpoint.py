@@ -88,9 +88,7 @@ NORM_Q88 = ("0 != (mx := {mx}) != %d" % Q88_MIN,
 def norm_linear(vec: list[int]) -> list[int]:
     """Rescale so the max component is 65535; all-zero passes through."""
     m = max(vec)
-    if m <= 0:
-        return list(vec)
-    if m == U16_MAX:
+    if m <= 0 or m == U16_MAX:
         return list(vec)
     return [rne_div(v * U16_MAX, m) for v in vec]
 

@@ -71,9 +71,7 @@ def _joint(graph: FactorGraph) -> np.ndarray:
     """Dense joint weight array over all variables, evidence rows zeroed."""
     _require_tables(graph)
     cards = [v.cardinality for v in graph.variables]
-    size = 1
-    for c in cards:
-        size *= c
+    size = math.prod(cards)
     if size > ENUM_BOUND:
         raise EnumerationBoundError(
             "state space %d exceeds enumeration bound %d" % (size, ENUM_BOUND))
@@ -347,12 +345,8 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     strides = []
     for f in graph.factors:
         flats.append([float(x) for x in f.table])
-        st = []
-        step = 1
-        for c in reversed(graph.scope_cards(f)):
-            st.append(step)
-            step *= c
-        strides.append(list(reversed(st)))
+        sc = graph.scope_cards(f)
+        strides.append([math.prod(sc[i + 1:]) for i in range(len(sc))])
     # per variable: (flat, others = [(scope var, stride)], own stride)
     rows = {v: [] for v in free}
     for f in graph.factors:

@@ -124,9 +124,7 @@ def validate(graph: FactorGraph) -> list:
             out.append("factor %d: duplicate variable in scope" % f.id)
         cards = graph.scope_cards(f)
         if f.kind == TABLE:
-            want = 1
-            for c in cards:
-                want *= c
+            want = math.prod(cards)
             if f.table is None:
                 out.append("factor %d: TABLE factor has no table" % f.id)
             elif len(f.table) != want:
@@ -248,17 +246,11 @@ class _TokenStream:
             raise ParseError(self.line, "unexpected end of input, expected %s" % what)
         return tok
 
-    def next_int(self, what: str) -> int:
+    def next_number(self, what: str, cast=int):
+        """The next token read by `cast`, int or float."""
         tok = self.next(what)
         try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(self.line, "expected %s, got %r" % (what, tok))
-
-    def next_float(self, what: str) -> float:
-        tok = self.next(what)
-        try:
-            return float(tok)
+            return cast(tok)
         except ValueError:
             raise ParseError(self.line, "expected %s, got %r" % (what, tok))
 
@@ -277,26 +269,26 @@ def parse_uai(text: str) -> FactorGraph:
     header = ts.next("MARKOV header")
     if header != "MARKOV":
         raise ParseError(ts.line, "expected MARKOV header, got %r" % header)
-    n = ts.next_int("variable count")
+    n = ts.next_number("variable count")
     if n < 0:
         raise ParseError(ts.line, "negative variable count")
     variables = []
     for i in range(n):
-        c = ts.next_int("cardinality of variable %d" % i)
+        c = ts.next_number("cardinality of variable %d" % i)
         if c < 2:
             raise ParseError(ts.line, "variable %d: cardinality must be >= 2 (got %d)" % (i, c))
         variables.append(VariableNode(i, c))
-    nf = ts.next_int("factor count")
+    nf = ts.next_number("factor count")
     if nf < 0:
         raise ParseError(ts.line, "negative factor count")
     scopes = []
     for j in range(nf):
-        arity = ts.next_int("arity of factor %d" % j)
+        arity = ts.next_number("arity of factor %d" % j)
         if arity < 1:
             raise ParseError(ts.line, "factor %d: arity must be >= 1" % j)
         scope = []
         for _ in range(arity):
-            v = ts.next_int("scope variable of factor %d" % j)
+            v = ts.next_number("scope variable of factor %d" % j)
             if not (0 <= v < n):
                 raise ParseError(ts.line, "factor %d: dangling variable id %d" % (j, v))
             scope.append(v)
@@ -305,16 +297,14 @@ def parse_uai(text: str) -> FactorGraph:
         scopes.append(tuple(scope))
     factors = []
     for j, scope in enumerate(scopes):
-        declared = ts.next_int("table size of factor %d" % j)
-        want = 1
-        for v in scope:
-            want *= variables[v].cardinality
+        declared = ts.next_number("table size of factor %d" % j)
+        want = math.prod(variables[v].cardinality for v in scope)
         if declared != want:
             raise ParseError(ts.line, "factor %d: table-length mismatch (declared %d, expected %d)"
                              % (j, declared, want))
         table = []
         for _ in range(declared):
-            x = ts.next_float("table entry of factor %d" % j)
+            x = ts.next_number("table entry of factor %d" % j, float)
             if x < 0:
                 raise ParseError(ts.line, "factor %d: negative table entry" % j)
             table.append(x)
@@ -354,13 +344,13 @@ def serialize_uai(graph: FactorGraph) -> str:
 def parse_evidence(text: str) -> dict:
     """Evidence file: first an observation count, then (variable, value) pairs."""
     ts = _TokenStream(text)
-    count = ts.next_int("evidence count")
+    count = ts.next_number("evidence count")
     if count < 0:
         raise ParseError(ts.line, "negative evidence count")
     out = {}
     for _ in range(count):
-        v = ts.next_int("evidence variable id")
-        val = ts.next_int("evidence value")
+        v = ts.next_number("evidence variable id")
+        val = ts.next_number("evidence value")
         if v in out and out[v] != val:
             raise ParseError(ts.line, "conflicting evidence for variable %d" % v)
         out[v] = val

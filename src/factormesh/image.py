@@ -70,9 +70,12 @@ VALUE = "VALUE"
 MAX_UPDATE_CYCLES = 64
 
 
-def domain(mode: str) -> Domain:
+def domain(mode: str, error: type = ValueError) -> Domain:
     """The message format of a mode: Q8.8 logs in MINSUM, u16 weights in
-    SUMPROD and GIBBS.  Its `thresh` is a cell's default packet gate."""
+    SUMPROD and GIBBS.  Its `thresh` is a cell's default packet gate.  Any
+    other mode raises the caller's `error`, naming the modes."""
+    if mode not in MODES:
+        raise error("mode must be one of %s, got %r" % ("/".join(MODES), mode))
     return Q88 if mode == MINSUM else U16
 
 

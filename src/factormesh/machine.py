@@ -191,10 +191,7 @@ class _Rel:
         self.fid = fid
         self.refs = refs        # per scope position: _Edge or _Shadow (GIBBS: _Var or _Shadow)
         self.shape = shape
-        strides = [1] * len(shape)
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        self.strides = strides
+        self.strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
         self.table = table      # flat tuple of ints, last scope position fastest
         self.kernel = None      # generated kernel in SUMPROD/MINSUM modes
         self.cost = relation_cost(len(shape))
@@ -366,7 +363,7 @@ class Machine:
         self.mode = image.mode
         self.seed = image.seed
         self.grid = image.grid
-        self.dom = domain(image.mode)
+        self.dom = domain(image.mode, MachineError)
         self.stats = Stats()
         self.trace = [] if trace else None
         if noise_lsbs < 0:
@@ -450,6 +447,9 @@ class Machine:
             for rs in ci.rel_slots:
                 refs = []
                 for kind, sl in rs.scope_refs:
+                    if kind not in ("V", "H") or sl < 0:
+                        raise MachineError("relation %d: bad scope reference %s%d"
+                                           % (rs.factor_id, kind, sl))
                     slots = cell.vars if kind == "V" else cell.shadows
                     if sl >= len(slots):
                         raise MachineError("relation %d: dangling %s slot %s%d" % (

@@ -233,19 +233,10 @@ class Placement:
 
 def _factor_home(clusters, graph, mode):
     """Cluster charged with each relation for wire-length accounting."""
-    cvar = {}
-    for i, cl in enumerate(clusters):
-        for v in cl.vars:
-            cvar[v] = i
-    home = {}
+    cvar = {v: i for i, cl in enumerate(clusters) for v in cl.vars}
     if mode == GIBBS:
-        for f in graph.factors:
-            home[f.id] = cvar[min(f.scope)]
-    else:
-        for i, cl in enumerate(clusters):
-            for fid in cl.rels:
-                home[fid] = i
-    return cvar, home
+        return cvar, {f.id: cvar[min(f.scope)] for f in graph.factors}
+    return cvar, {fid: i for i, cl in enumerate(clusters) for fid in cl.rels}
 
 
 def _edge_weights(clusters, graph, mode):
@@ -270,10 +261,33 @@ def cost(placement: Placement, clusters: list, graph: FactorGraph,
     return total
 
 
+def _cost_floor(n, edges):
+    """A wire cost no placement of the n clusters goes below: every wire
+    spans at least one hop, and as the mesh is bipartite, an odd cycle of
+    wires cannot alternate cell colours, so one of its wires spans two."""
+    nbrs = [[] for _ in range(n)]
+    for a, b, _ in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    side = {}
+    for s in range(n):
+        todo = [(s, 0)]
+        while todo:
+            u, c = todo.pop()
+            if u not in side:
+                side[u] = c
+                todo += [(v, 1 - c) for v in nbrs[u]]
+    weights = [w for _, _, w in edges]
+    odd = any(side[a] == side[b] for a, b, _ in edges)
+    return sum(weights) + (min(weights) if odd else 0)
+
+
 def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
           mode: str = SUMPROD, epochs: int = 50, epoch_scale: int = 100) -> Placement:
     """Simulated annealing from a row-major start; returns the best placement
-    seen, never worse than the start.
+    seen, never worse than the start.  It returns as soon as that best
+    reaches `_cost_floor`, which no later move could beat, so every
+    placement is the one the full schedule would return.
 
     A wireless stand-in fills every empty cell so that every move is a swap,
     each cluster keeps its wires' far-end cells, and the chance of taking a
@@ -298,8 +312,9 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     dist = [[abs(r1 - r2) + abs(c1 - c2) for r2, c2 in cells] for r1, c1 in cells]
     edges = _edge_weights(clusters, graph, mode)
     cost0 = sum(w * dist[a][b] for a, b, w in edges)
-    # a wire joins two clusters, so from here on n >= 2 and edges weigh >= 1
-    if cost0 == 0:
+    floor = _cost_floor(n, edges)
+    # with no wire the floor is 0, so from here on n >= 2 and edges weigh >= 1
+    if cost0 == floor:
         return Placement(grid, cells[:n], cost0, cost0)
 
     # cluster n is the stand-in; far[i] holds [cell, weight] of each far end
@@ -359,6 +374,8 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
                 if cur < best_cost:
                     best_cost = cur
                     best = pos[:n]
+                    if cur == floor:
+                        return Placement(grid, [cells[p] for p in best], cost0, cur)
         if accepts == 0:
             break
         temp *= COOLING
@@ -375,7 +392,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
     each one to a cell."""
     cvar, _ = _factor_home(clusters, graph, mode)
     coords = placement.coords
-    dom = domain(mode)
+    dom = domain(mode, MapperError)
     # a GIBBS cell sends a value whenever it changes
     if mode == GIBBS:
         if thresh is not None:
@@ -452,6 +469,7 @@ def compile_graph(graph: FactorGraph, mode: str, grid: tuple = (4, 4),
                   thresh: Optional[int] = None, epsilon: Optional[float] = None,
                   epochs: int = 50):
     """lower -> cluster -> place -> emit.  Returns (image, report dict)."""
+    domain(mode, MapperError)       # an unknown mode fails before any pass
     if epsilon is None:
         epsilon = _default_epsilon(mode)
     lowered = lower(graph, epsilon=epsilon, capacities=capacities, mode=mode)

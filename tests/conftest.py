@@ -1,8 +1,16 @@
-"""Fixtures shared across test modules."""
+"""Fixtures shared across test modules, and the Hypothesis profiles."""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from test_acceptance import artifact_bundle
+
+# HYPOTHESIS_PROFILE=deep runs the placement properties of test_mapper.py at
+# 1000 examples; unset, the suite runs under Hypothesis' default profile
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

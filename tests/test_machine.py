@@ -726,22 +726,49 @@ CODE_BUILT_REJECTS = [
     ({}, {"gibbs_period": -2}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
     ({}, {"gibbs_period": 0}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
     ({}, {"gibbs_phase": -5}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
+    # a negative slot would index from the end, and V-1 bind variable 0
+    ({}, {"rel_slots": [RelSlot(0, [("V", -1)], [1, 1])]},
+     "relation 0: bad scope reference V-1"),
+    ({}, {"rel_slots": [RelSlot(0, [("H", -1)], [1, 1])]},
+     "relation 0: bad scope reference H-1"),
+    ({}, {"rel_slots": [RelSlot(0, [("X", 0)], [1, 1])]},
+     "relation 0: bad scope reference X0"),
 ]
 
 
 @pytest.mark.parametrize("var_kw, cell_kw, needle", CODE_BUILT_REJECTS,
                          ids=["card1", "evidence5", "evidence-1", "period-2",
-                              "period0", "phase-5"])
+                              "period0", "phase-5", "ref-V-1", "ref-H-1", "ref-X0"])
 def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw, needle):
     var = dict({"var_id": 0, "card": 2}, **var_kw)
     cell = CellImage(var_slots=[VarSlot(**var)],
-                     rel_slots=[RelSlot(0, [("V", 0)], [1] * var["card"])],
-                     **dict({"gibbs_period": 2}, **cell_kw))
+                     **dict({"gibbs_period": 2,
+                             "rel_slots": [RelSlot(0, [("V", 0)], [1] * var["card"])]},
+                            **cell_kw))
     image = MachineImage((1, 1), GIBBS, 0, {(0, 0): cell})
     with pytest.raises(ImageError):
         parse_image(dumps(image))
     with pytest.raises(MachineError, match=needle):
         Machine(image)
+
+
+def test_an_unknown_mode_is_rejected_where_an_image_or_graph_is_taken():
+    # parse_image rejects the text MODE BOGUS; an image or a graph built in
+    # code meets the same rule in the machine and the compiler
+    graph = apps.build_ising_chain(4, 0.5, 0.2).graph
+    image, _ = compile_graph(graph, SUMPROD, grid=(2, 2))
+    bogus = dataclasses.replace(image, mode="BOGUS")
+    with pytest.raises(ImageError, match="MODE must be one of SUMPROD/MINSUM/GIBBS"):
+        parse_image(dumps(bogus))
+    needle = "mode must be one of SUMPROD/MINSUM/GIBBS, got 'BOGUS'"
+    with pytest.raises(MachineError, match=needle):
+        Machine(bogus)
+    with pytest.raises(MapperError, match=needle):
+        compile_graph(graph, "BOGUS", grid=(2, 2))
+    low = lower(graph)
+    clusters = cluster(low)
+    with pytest.raises(MapperError, match=needle):
+        emit_image(place(clusters, low, (2, 2)), clusters, low, "BOGUS")
 
 
 def test_return_wires_count_against_the_owner_cells_shadow_slots():

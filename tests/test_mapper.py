@@ -3,20 +3,26 @@
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import gen
-from factormesh import apps, golden
+from factormesh import apps, golden, mapper
 from factormesh.graph import (ALL_DIFFERENT, PARITY, TABLE, FactorGraph,
                               FactorNode, VariableNode, expand_all)
 from factormesh.image import Capacities, dumps
 from factormesh.machine import Machine
-from factormesh.mapper import (Cluster, MapperError, Placement, _edge_weights,
-                               cluster, compile_graph, cost, emit_image, lower,
-                               place)
+from factormesh.mapper import (Cluster, MapperError, Placement, _cost_floor,
+                               _edge_weights, cluster, compile_graph, cost,
+                               emit_image, lower, place)
+
+# the placement properties' budget: 150 examples, or a deeper profile's
+# (HYPOTHESIS_PROFILE=deep, registered in conftest.py)
+PLACEMENT_SETTINGS = settings(max_examples=max(150, settings().max_examples),
+                              deadline=None)
 
 
 def vars_of(n, card=2):
@@ -323,7 +329,7 @@ def placement_cases(draw):
     return clusters, low, (rows, cols), mode
 
 
-@settings(max_examples=150, deadline=None)
+@PLACEMENT_SETTINGS
 @given(case=placement_cases(), seed=st.integers(0, 2 ** 32 - 1),
        epochs=st.integers(1, 10), epoch_scale=st.sampled_from((1, 7, 40, 100)))
 def test_place_matches_full_recompute_reference(case, seed, epochs, epoch_scale):
@@ -393,6 +399,83 @@ def test_place_early_returns_match_reference(n_vars, grid):
     assert got == reference_place(clusters, graph, grid, seed=3)
     assert got.cost_initial == got.cost_final == 0
     assert got.coords == [(i // grid[1], i % grid[1]) for i in range(n_vars)]
+
+
+@st.composite
+def wire_lists(draw):
+    """Up to 6 clusters, a grid of at most 9 cells that holds them, and
+    weighted wires between distinct clusters, as `_edge_weights` lists them."""
+    n = draw(st.integers(1, 6))
+    grid = draw(st.sampled_from([(r, c) for r in range(1, 10) for c in range(1, 10)
+                                 if n <= r * c <= 9]))
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 4))
+                   if pairs else st.just({}))
+    return n, grid, [(a, b, w) for (a, b), w in sorted(weights.items())]
+
+
+@PLACEMENT_SETTINGS
+@given(case=wire_lists())
+def test_cost_floor_is_at_most_the_optimum(case):
+    n, (R, C), edges = case
+    cells = [(p // C, p % C) for p in range(R * C)]
+    dist = [[abs(r1 - r2) + abs(c1 - c2) for r2, c2 in cells] for r1, c1 in cells]
+    best = min(sum(w * dist[at[a]][at[b]] for a, b, w in edges)
+               for at in itertools.permutations(range(R * C), n))
+    assert _cost_floor(n, edges) <= best
+
+
+def test_cost_floor_counts_an_odd_cycle_once():
+    # a path and an even cycle can lay every wire on one hop; a triangle's
+    # colours cannot alternate, so its lightest wire spans two
+    assert _cost_floor(3, [(0, 1, 2), (1, 2, 3)]) == 5
+    assert _cost_floor(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]) == 4
+    assert _cost_floor(3, [(0, 1, 2), (1, 2, 3), (0, 2, 4)]) == 11
+    assert _cost_floor(1, []) == 0
+
+
+def placed_with_counted_moves(monkeypatch, bench, mode, seed, floor=None):
+    """place() on the compiled clusters of `bench`, with the moves it made:
+    each move draws its cluster below n by getrandbits(n.bit_length())."""
+    low = lower(bench.graph, epsilon=mapper._default_epsilon(mode), mode=mode)
+    clusters = cluster(low, mode=mode)
+    n = len(clusters)
+    draws = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            r = super().getrandbits(k)
+            draws.append((k, r))
+            return r
+
+    monkeypatch.setattr(mapper, "random", types.SimpleNamespace(Random=Counting))
+    if floor is not None:
+        monkeypatch.setattr(mapper, "_cost_floor", lambda n, edges: floor)
+    got = place(clusters, low, bench.grid, seed=seed, mode=mode)
+    # a move's cell draw must not read as a cluster draw
+    assert n.bit_length() != (bench.grid[0] * bench.grid[1]).bit_length()
+    moves = sum(k == n.bit_length() and r < n for k, r in draws)
+    return got, moves, n, _cost_floor(n, _edge_weights(clusters, low, mode))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_place_stops_at_the_floor_with_the_full_schedules_placement(monkeypatch, seed):
+    bench = apps.build_ising_chain(8, 0.5, 0.2)
+    got, moves, n, floor = placed_with_counted_moves(monkeypatch, bench, "GIBBS", seed)
+    assert bench.grid == (4, 4) and got.cost_final == floor
+    assert moves < 50 * 100 * n
+    # a floor of -1 is never reached, so the full schedule runs
+    full, full_moves, _, _ = placed_with_counted_moves(monkeypatch, bench, "GIBBS",
+                                                       seed, floor=-1)
+    assert full == got and full_moves == 50 * 100 * n
+
+
+def test_place_runs_the_full_schedule_above_the_floor(monkeypatch):
+    # sudoku's floor (73) lies below its optimum, so no move reaches it
+    got, moves, n, floor = placed_with_counted_moves(monkeypatch, apps.build_sudoku(),
+                                                     "MINSUM", 56226)
+    assert (floor, n) == (73, 14) and got.cost_final > floor
+    assert moves == 50 * 100 * n
 
 
 # -- emission -----------------------------------------------------------------
