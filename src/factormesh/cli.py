@@ -123,8 +123,10 @@ def cmd_compile(args):
 
 def cmd_run(args):
     image = parse_image(_read(args.image))
-    machine = Machine(image, trace=bool(args.trace),
-                      noise_lsbs=_at_least(args, "noise", 0))
+    noise = _at_least(args, "noise", 0)
+    if noise and image.mode == GIBBS:
+        raise _bad_value(args, "noise", "a GIBBS machine takes no output noise, got %d" % noise)
+    machine = Machine(image, trace=bool(args.trace), noise_lsbs=noise)
     # both budgets are checked whichever the image's mode reads
     ticks = _at_least(args, "ticks", 1000, 1)
     max_cycles = _at_least(args, "max_cycles", 100000)
@@ -173,14 +175,12 @@ def cmd_golden(args):
             tol=_resolve(args, "tol", 1e-6, float))
         out = apps.write_results(as_dict(state.beliefs if alg == "sumprod"
                                          else state.assignment))
-    elif alg == "gibbs":
+    else:                   # gibbs, the last of the parser's choices
         res = golden.gibbs_sample(
             graph, seed=seed,
             burn_in=_at_least(args, "burn_in", 1000),
             sweeps=_at_least(args, "sweeps", 10000, 1))
         out = apps.write_results(as_dict(res.marginals))
-    else:
-        raise GraphError("unknown algorithm %r" % alg)
     if args.out:
         _write(args.out, out)
     else:

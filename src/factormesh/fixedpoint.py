@@ -16,7 +16,9 @@ code generated at load, spliced from each domain's templates: `combine`
 (MUL_U16 / SAT_ADD), `reduce`, and `normalization` (NORM_U16 / NORM_Q88),
 which anchors a vector held in local names in place.  The scalar
 functions mul_u16, sat_add, norm_linear and norm_log are the references
-the templates are tested against.
+the templates are tested against.  A domain's `folds` are the table words
+a kernel folds, exactly for any input: `one`, combine's identity, and U16's
+0, which zeroes its term; not Q88_MIN: sat_add(Q88_MIN, x) > Q88_MIN if x > 0.
 """
 
 from __future__ import annotations
@@ -74,14 +76,13 @@ SAT_ADD = "(%d if (s := {a} + {b}) < %d else %d if s > %d else s)" % (
 
 
 # Templates of norm_linear and norm_log, each a (guard, step) pair: the guard
-# binds mx to the maximum {mx} of a vector's words and holds when the vector
-# needs anchoring; the step then rewrites each word {w} in place.  The U16
-# step is rne_div(w * 65535, mx) inline, and rescales any mx but 65535: a
-# reduced sum often exceeds it.
-NORM_U16 = ("0 < (mx := {mx}) != %d" % U16_MAX,
+# holds when a vector whose maximum word is mx needs anchoring; the step
+# then rewrites each word {w} in place.  The U16 step is rne_div(w * 65535,
+# mx) inline, and rescales any mx but 65535: a reduced sum often exceeds it.
+NORM_U16 = ("0 < mx != %d" % U16_MAX,
             "q, r = divmod({w} * %d, mx); {w} = q + (2 * r > mx or (2 * r == mx and q & 1))"
             % U16_MAX)
-NORM_Q88 = ("0 != (mx := {mx}) != %d" % Q88_MIN,
+NORM_Q88 = ("0 != mx != %d" % Q88_MIN,
             "{w} = %d if (d := {w} - mx) < %d else d" % (Q88_MIN, Q88_MIN))
 
 
@@ -138,6 +139,7 @@ class Domain:
     lo: int                 # smallest word, the word of weight zero
     hi: int                 # largest word
     one: int                # the word of weight one
+    folds: tuple            # words a kernel folds: one, then a word zeroing a term
     thresh: int             # default packet gate, in LSBs
     combine: str            # template joining two words, {a} and {b}
     reduce: Callable        # term expressions -> code reducing them
@@ -147,11 +149,10 @@ class Domain:
 
     def normalize(self, names) -> list:
         """The lines, in a generated function's body, that anchor the words
-        held in the local `names` in place, from the normalization template."""
+        held in the local `names` in place; mx takes their maximum, no max()."""
         guard, step = self.normalization
-        mx = names[0] if len(names) == 1 else "max(%s)" % ", ".join(names)
-        return ["    if %s:" % guard.format(mx=mx)] + ["        " + step.format(w=n)
-                                                       for n in names]
+        return (["    mx = " + names[0]] + ["    if %s > mx: mx = %s" % (n, n) for n in names[1:]]
+                + ["    if %s:" % guard] + ["        " + step.format(w=n) for n in names])
 
     def uniform(self, card: int) -> tuple:
         return (self.one,) * card
@@ -161,8 +162,8 @@ class Domain:
         return tuple(self.one if a == value else self.lo for a in range(card))
 
 
-U16 = Domain(0, U16_MAX, U16_MAX, 256, MUL_U16, " + ".join, NORM_U16,
+U16 = Domain(0, U16_MAX, U16_MAX, (U16_MAX, 0), 256, MUL_U16, " + ".join, NORM_U16,
              _quantize_u16, lambda words: [w / U16_MAX for w in words])
-Q88 = Domain(Q88_MIN, Q88_MAX, 0, 16, SAT_ADD,
+Q88 = Domain(Q88_MIN, Q88_MAX, 0, (0,), 16, SAT_ADD,
              lambda terms: terms[0] if len(terms) == 1 else "max(%s)" % ", ".join(terms),
              NORM_Q88, _quantize_q88, lambda words: [math.exp(w / Q88_ONE) for w in words])

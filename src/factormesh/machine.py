@@ -13,21 +13,22 @@ Every word the machine holds, compares or reads out is in the mode's
 message format, its `fixedpoint.Domain` (`image.domain`): word range,
 uniform and evidence vectors, normalization, default gate and belief
 read-out all come from it.  In SUMPROD/MINSUM modes the machine settles to
-quiescence (empty queue).  A relation's update is fixed by the domain and
-the cardinalities of its scope, and a variable's message refresh by its
-cardinality and degree, so both run as Python functions generated at load
-from that structure: straight-line fixed-point arithmetic spliced from the
-domain's combine, reduce and normalize templates, one function shared by
-every relation or variable of the same structure.  Each output word is
-bound to a local name and normalized in place, so generated code calls no
-normalization function.  In GIBBS mode each cell periodically resamples
-its variables from the fixed-point conditionals given shadowed neighbor
-values, sends each changed value as soon as it draws it, and never
-quiesces on its own; each relation adds one term, built at load, to the
-conditional of each variable of its cell in its scope.  A draw whose
-conditional has total weight zero keeps the value and is counted in
-`Stats.zero_total_draws`.  A cell hashes its variables' uniforms
-`rng.DRAW_BLOCK` ticks at a time, each the scalar stream's own draw.
+quiescence (empty queue).  A relation's update is fixed by the domain, its
+scope's cardinalities and its table's fold pattern (`_kernel`), and a
+variable's message refresh by its cardinality and degree, so both run as
+Python functions generated at load from that structure: straight-line
+fixed-point arithmetic spliced from the domain's combine, reduce and
+normalize templates, one function shared by every relation or variable of
+the same structure.  Each output word is bound to a local name and
+normalized in place, so generated code calls no normalization function.
+In GIBBS mode each cell periodically resamples its variables from the
+fixed-point conditionals given shadowed neighbor values, sends each changed
+value as soon as it draws it, and never quiesces on its own; each relation
+adds one term, built at load, to the conditional of each variable of its
+cell in its scope.  A draw whose conditional has total weight zero keeps
+the value and is counted in `Stats.zero_total_draws`.  A cell hashes its
+variables' uniforms `rng.DRAW_BLOCK` ticks at a time, each the scalar
+stream's own draw.  It computes no message, so it takes no output noise.
 
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
 factor-id order: the register pair of its message to the factor and the
@@ -260,15 +261,15 @@ def _tuple(items):
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel(dom, shape):
+def _kernel(dom, shape, folds):
     """Generate a converging relation's kernel: kernel(table, *inputs) takes
     the table words and one input vector per scope position and returns the
     normalized (j, message) per scope position j as straight-line code over
     the term lists of `_lower`, in domain `dom`: each message word is bound
-    to a local name, and each message is then normalized in place.  The
-    table is an argument, so every relation with one shape shares one
-    kernel.  The source is built only from the term lists' integers and the
-    domain's templates."""
+    to a local name, and each message is then normalized in place.  `folds`
+    holds per table word the word if it is in `dom.folds`, else None: a term
+    on `dom.one` skips its combine and one on `dom.lo` drops out (an empty
+    element is `dom.lo`).  The source is built only from integers and templates."""
     combine = dom.combine
     lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
              _unpack(["t%d" % t for t in range(math.prod(shape))], "T")]
@@ -280,13 +281,11 @@ def _kernel(dom, shape):
     for j, groups in _lower(shape):
         names = ["y%d_%d" % (j, a) for a in range(len(groups))]
         for name, group in zip(names, groups):
-            terms = []
-            for t, offsets in group:
-                v = "t%d" % t
-                for i in offsets:
-                    v = combine.format(a=v, b="x%d" % i)
-                terms.append(v)
-            lines.append("    %s = %s" % (name, dom.reduce(terms)))
+            terms = [functools.reduce(lambda a, b: combine.format(a=a, b=b),
+                                      ([] if folds[t] == dom.one and offsets else ["t%d" % t])
+                                      + ["x%d" % i for i in offsets])
+                     for t, offsets in group if folds[t] != dom.lo]
+            lines.append("    %s = %s" % (name, dom.reduce(terms) if terms else dom.lo))
         lines += dom.normalize(names)
         outs.append("(%d, %s)" % (j, _tuple(names)))
     lines.append("    return [%s]" % ", ".join(outs))
@@ -368,6 +367,8 @@ class Machine:
         self.trace = [] if trace else None
         if noise_lsbs < 0:
             raise MachineError("noise_lsbs must be >= 0, got %d" % noise_lsbs)
+        if noise_lsbs and self.mode == GIBBS:
+            raise MachineError("a GIBBS machine takes no output noise, got %d" % noise_lsbs)
         self.noise_lsbs = noise_lsbs
         self._noise_key = stream_key(image.seed, _NOISE_STREAM)
         self._noise_ctr = 0
@@ -479,7 +480,10 @@ class Machine:
                                            "costs %d cycles, above %d" % (
                                                rel.fid, len(shape), rel.cost,
                                                MAX_UPDATE_CYCLES))
-                    rel.kernel = _kernel(dom, shape)
+                    folds = tuple(w if w in dom.folds else None for w in rel.table)
+                    # a dense table's maximum folds too: fold only tables mostly of such words
+                    rel.kernel = _kernel(dom, shape, folds if 2 * folds.count(None) < len(folds)
+                                         else (None,) * len(folds))
                 # a factor id names one relation, or one per cell in GIBBS
                 owner = cell.cid if self.mode == GIBBS else None
                 if (owner, rel.fid) in fids:

@@ -210,6 +210,22 @@ def test_negative_noise_or_threshold_exits_2(tmp_path, capsys):
     assert (code, stderr) == (2, "error: line 1: noise must be >= 0, got -3\n")
 
 
+def test_run_gibbs_with_output_noise_exits_2(tmp_path, capsys):
+    bench = apps.build_ising_chain(8, 0.5, 0.2)
+    graph_file = write(tmp_path, "ising.uai", serialize_uai(expand_all(bench.graph, 0.0)))
+    image = str(tmp_path / "ising.fmimg")
+    assert run_cli(capsys, "compile", graph_file, "--out", image, "--mode", "GIBBS",
+                   "--grid", "%dx%d" % bench.grid)[0] == 0
+    code, stdout, stderr = run_cli(capsys, "run", image, "--noise", "5")
+    assert (code, stdout, stderr) == (
+        2, "", "error: a GIBBS machine takes no output noise, got 5\n")
+    cfg = write(tmp_path, "noise.cfg", "# output noise\nnoise 5\n")
+    code, stdout, stderr = run_cli(capsys, "run", image, "--config", cfg)
+    assert (code, stdout, stderr) == (
+        2, "", "error: line 2: a GIBBS machine takes no output noise, got 5\n")
+    assert run_cli(capsys, "run", image, "--noise", "0", "--ticks", "50")[0] == 0
+
+
 def test_budgets_that_compute_nothing_exit_2(tmp_path, capsys):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
     for argv, message in ((("--alg", "sumprod", "--max-iters", "-1"),

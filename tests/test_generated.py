@@ -15,7 +15,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 import gen
 from test_kernel import reference, standard_program
-from factormesh import fixedpoint as fp
+from factormesh import apps, fixedpoint as fp
 from factormesh.graph import with_evidence
 from factormesh.image import (MAX_UPDATE_CYCLES, MINSUM, SUMPROD, Capacities, dumps,
                               relation_cost)
@@ -227,3 +227,17 @@ def test_highest_variable_degree_generates_and_matches():
             m = Machine(text)
             assert len(m.var_owner[0].edges) == caps.rel_slots + caps.shadow_slots
             assert_same_runs(text, caps, inject=(0, 2, 40))
+
+
+def test_images_whose_tables_fold_match():
+    # every word of hamming's parity tables folds (U16's zero and one), and
+    # sudoku's all-different tables hold Q88's one, 0, off the diagonal
+    word = apps.hamming_codewords()[5]
+    hamming = apps.build_parity_code(tuple(b ^ (i == 2) for i, b in enumerate(word)),
+                                     flip_p=0.05)
+    sudoku = apps.build_sudoku()
+    for bench, mode, thresh, budget in ((hamming, SUMPROD, 0, 400),
+                                        (sudoku, MINSUM, None, 1500)):
+        image, _ = compile_graph(bench.graph, mode, grid=bench.grid, seed=0,
+                                 thresh=thresh, epochs=10)
+        assert_same_runs(dumps(image), Capacities(), budget=budget)

@@ -14,7 +14,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from factormesh import fixedpoint as fp
-from factormesh.image import MINSUM, SUMPROD
+from factormesh.image import MINSUM, SUMPROD, domain
 from factormesh.machine import Machine
 
 
@@ -87,6 +87,41 @@ def relations(draw):
 @settings(max_examples=300, deadline=None)
 @given(relations())
 def test_kernel_matches_nested_loop_reference(case):
+    mode, shape, table, inputs = case
+    m = Machine(one_relation_image(mode, shape, table))
+    rel = m.cells[(0, 0)].rels[0]
+    for p, vec in enumerate(inputs):
+        m.var_owner[p].edges[0].msg = vec
+    want = reference(shape, table, inputs, standard_program(mode, len(shape)),
+                     mode == SUMPROD)
+    assert m._exec_relation(rel) == want
+
+
+@st.composite
+def folding_relations(draw):
+    """Like `relations`, but most table words are the mode's `lo`, `one`
+    and `hi`, the words a kernel might fold, mixed with arbitrary words,
+    and the inputs, drawn across the whole word range, often hit those
+    words too.  A table takes its words from a palette of at most three,
+    so one word often fills every cell of some message element."""
+    mode = draw(st.sampled_from([SUMPROD, MINSUM]))
+    dom = domain(mode)
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    special = st.sampled_from((dom.lo, dom.one, dom.hi))
+    words = st.integers(dom.lo, dom.hi)
+    size = math.prod(shape)
+    palette = draw(st.lists(st.one_of(special, special, words), min_size=1, max_size=3))
+    table = draw(st.lists(st.sampled_from(palette), min_size=size, max_size=size))
+    inputs = [tuple(draw(st.lists(st.one_of(special, words), min_size=c, max_size=c)))
+              for c in shape]
+    return mode, shape, table, inputs
+
+
+# at least 300 examples, or a deeper profile's (HYPOTHESIS_PROFILE=deep,
+# registered in conftest.py)
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(folding_relations())
+def test_every_fold_is_exact(case):
     mode, shape, table, inputs = case
     m = Machine(one_relation_image(mode, shape, table))
     rel = m.cells[(0, 0)].rels[0]

@@ -13,7 +13,9 @@ from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
                               expand_all, with_evidence)
 from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, CellImage, ImageError,
                               MachineImage, RelSlot, VarSlot, dumps, parse_image)
-from factormesh.machine import Machine, MachineError, _Edge, _Port, _Shadow, xy_links
+from factormesh.fixedpoint import Q88, U16
+from factormesh.machine import (Machine, MachineError, _Edge, _Port, _Shadow, _kernel,
+                                xy_links)
 from factormesh.mapper import (MapperError, Placement, cluster, compile_graph, emit_image,
                                lower, place)
 
@@ -560,6 +562,16 @@ def test_negative_noise_is_rejected():
         Machine(image, noise_lsbs=-1)
 
 
+def test_gibbs_machine_rejects_output_noise():
+    # noise perturbs computed messages, and a sampling cell computes none:
+    # a noisy GIBBS run would be the clean one under another name
+    bench = apps.build_ising_chain(8, 0.5, 0.2)
+    image, _ = compile_graph(bench.graph, GIBBS, grid=bench.grid, seed=0, epochs=5)
+    assert Machine(image, noise_lsbs=0).run_ticks(300).activations > 0
+    with pytest.raises(MachineError, match="a GIBBS machine takes no output noise, got 5"):
+        Machine(image, noise_lsbs=5)
+
+
 def test_negative_cycle_budget_is_rejected():
     m, _ = compiled(pair_graph(), "SUMPROD", grid=(1, 1))
     with pytest.raises(MachineError, match="max_cycles must be >= 0, got -5"):
@@ -811,6 +823,48 @@ def test_relations_with_one_shape_and_program_share_a_kernel():
     rels = [rel for cell in m.cells.values() for rel in cell.rels]
     assert len(rels) == 56 and {rel.shape for rel in rels} == {(4, 4)}
     assert len({id(rel.kernel) for rel in rels}) == 1
+
+
+def test_relations_with_one_fold_pattern_share_a_kernel():
+    # every word of hamming's lowered parity table is U16's zero or one
+    word = apps.hamming_codewords()[5]
+    bench = apps.build_parity_code(tuple(b ^ (i == 2) for i, b in enumerate(word)),
+                                   flip_p=0.05)
+    m, _ = compiled(bench.graph, "SUMPROD", grid=bench.grid, thresh=0)
+    parity = [rel for cell in m.cells.values() for rel in cell.rels if len(rel.shape) == 3]
+    assert len(parity) == 6
+    assert {rel.table for rel in parity} == {(65535, 0, 0, 65535, 0, 65535, 65535, 0)}
+    assert len({id(rel.kernel) for rel in parity}) == 1
+    assert parity[0].kernel is _kernel(U16, (2, 2, 2), (65535, 0, 0, 65535, 0, 65535, 65535, 0))
+
+
+@pytest.mark.parametrize("mode,dom", [("SUMPROD", U16), ("MINSUM", Q88)])
+def test_compiled_dense_tables_share_the_kernel_of_their_shape(mode, dom):
+    # quantizing anchors a table's maximum at dom.one, a word that folds, so
+    # every compiled table holds one; a table with few such words folds none
+    shapes, kernels = set(), set()
+    for seed in range(8):
+        graph = gen.random_tree_graph(seed, n_lo=8, n_hi=10, card_hi=4)
+        m, _ = compiled(graph, mode, grid=(3, 3))
+        for rel in (rel for cell in m.cells.values() for rel in cell.rels):
+            assert dom.one in rel.table
+            assert rel.kernel is _kernel(dom, rel.shape, (None,) * len(rel.table))
+            shapes.add(rel.shape)
+            kernels.add(rel.kernel)
+    assert len(kernels) == len(shapes) > 1
+
+
+def test_only_a_table_mostly_of_foldable_words_is_folded():
+    # (2, 3) tables: 4 foldable words of 6 fold, 3 of 6 do not
+    for mode, dom, table, folds in (
+            ("SUMPROD", U16, (65535, 0, 0, 0, 8, 7), (65535, 0, 0, 0, None, None)),
+            ("SUMPROD", U16, (65535, 0, 0, 9, 8, 7), (None,) * 6),
+            ("MINSUM", Q88, (0, 0, 0, 0, -32768, -5), (0, 0, 0, 0, None, None)),
+            ("MINSUM", Q88, (0, 0, 0, -32768, -32768, -5), (None,) * 6)):
+        text = "FMIMG 5\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
+        text += "REL 0 6 V0 V1\n%s\n" % " ".join(map(str, table))
+        rel, = Machine(text).cells[(0, 0)].rels
+        assert rel.kernel is _kernel(dom, (2, 3), folds)
 
 
 def test_stats_text_matches_energy_proxy():
