@@ -13,12 +13,14 @@ one.  Rounding is round-to-nearest, ties to even, everywhere.  All
 machine-side arithmetic is done on plain Python ints so results are
 bit-exact and platform independent.  The machine runs that arithmetic as
 code generated at load, spliced from each domain's templates: `combine`
-(MUL_U16 / SAT_ADD), `reduce`, and `normalization` (NORM_U16 / NORM_Q88),
-which anchors a vector held in local names in place.  The scalar
-functions mul_u16, sat_add, norm_linear and norm_log are the references
-the templates are tested against.  A domain's `folds` are the table words
-a kernel folds, exactly for any input: `one`, combine's identity, and U16's
-0, which zeroes its term; not Q88_MIN: sat_add(Q88_MIN, x) > Q88_MIN if x > 0.
+(MUL_U16 / SAT_ADD), `reduce` (a sum, or a maximum by inline comparisons
+as Q88's terms can be too many to nest), and `normalization` (NORM_U16 /
+NORM_Q88), which anchors a vector held in local names in place.  The
+scalar functions mul_u16, sat_add, norm_linear and norm_log are the
+references the templates are tested against.  A domain's `folds` are the
+table words a kernel folds, exactly for any input: `one`, combine's
+identity, and U16's 0, which zeroes its term; not Q88_MIN:
+sat_add(Q88_MIN, x) > Q88_MIN if x > 0.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class Domain:
     folds: tuple            # words a kernel folds: one, then a word zeroing a term
     thresh: int             # default packet gate, in LSBs
     combine: str            # template joining two words, {a} and {b}
-    reduce: Callable        # term expressions -> code reducing them
+    reduce: Callable        # (name, terms) -> lines binding name to their reduction
     normalization: tuple    # (guard, step) template anchoring words in place
     quantize: Callable      # a table's weights -> words, anchored
     weights: Callable       # words -> weights, unnormalized
@@ -162,8 +164,16 @@ class Domain:
         return tuple(self.one if a == value else self.lo for a in range(card))
 
 
-U16 = Domain(0, U16_MAX, U16_MAX, (U16_MAX, 0), 256, MUL_U16, " + ".join, NORM_U16,
+def _sum_lines(name, terms):
+    return ["    %s = %s" % (name, " + ".join(terms))]
+
+
+def _max_lines(name, terms):
+    return (["    %s = %s" % (name, terms[0])]
+            + ["    if (m := %s) > %s: %s = m" % (t, name, name) for t in terms[1:]])
+
+
+U16 = Domain(0, U16_MAX, U16_MAX, (U16_MAX, 0), 256, MUL_U16, _sum_lines, NORM_U16,
              _quantize_u16, lambda words: [w / U16_MAX for w in words])
-Q88 = Domain(Q88_MIN, Q88_MAX, 0, (0,), 16, SAT_ADD,
-             lambda terms: terms[0] if len(terms) == 1 else "max(%s)" % ", ".join(terms),
+Q88 = Domain(Q88_MIN, Q88_MAX, 0, (0,), 16, SAT_ADD, _max_lines,
              NORM_Q88, _quantize_q88, lambda words: [math.exp(w / Q88_ONE) for w in words])

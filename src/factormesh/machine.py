@@ -285,7 +285,7 @@ def _kernel(dom, shape, folds):
                                       ([] if folds[t] == dom.one and offsets else ["t%d" % t])
                                       + ["x%d" % i for i in offsets])
                      for t, offsets in group if folds[t] != dom.lo]
-            lines.append("    %s = %s" % (name, dom.reduce(terms) if terms else dom.lo))
+            lines += dom.reduce(name, terms or ["%d" % dom.lo])
         lines += dom.normalize(names)
         outs.append("(%d, %s)" % (j, _tuple(names)))
     lines.append("    return [%s]" % ", ".join(outs))
@@ -556,8 +556,6 @@ class Machine:
             var.edges.sort(key=lambda e: e.fid)
             if var.edges:
                 var.refresh = _refresh(dom, var.card, len(var.edges))
-            if self.mode != GIBBS:
-                self._refresh_var(var)
 
     # -- event plumbing -----------------------------------------------------
 

@@ -119,20 +119,32 @@ class Cluster:
     rels: list = field(default_factory=list)
 
 
+def _shadow_keys(graph, cl_vars, cl_rels, mode):
+    """The shadow register each remote read of a cluster's relations goes
+    through: per read (variable, factor id), in slot order (relations in
+    order, then scope order), the key of its register.  A register holds
+    one remote (variable, factor) message, or, in GIBBS, the one value of a
+    remote variable that the cell's relations share, keyed (variable, None)."""
+    vset = set(cl_vars)
+    return {(u, fid): (u, None if mode == GIBBS else fid)
+            for fid in cl_rels for u in graph.factors[fid].scope if u not in vset}
+
+
 def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
             mode: str = SUMPROD) -> list:
     """Greedy breadth-first grouping.
 
-    Seeds at the lowest unassigned variable id, then alternately absorbs
-    every feasible adjacent relation (id order) and the lowest feasible
-    adjacent variable until the cell is saturated.  Relations left over in
-    converging modes are packed, in id order, into relation-only clusters.
-    In GIBBS mode every relation touching a cluster is replicated into it, so
-    relation slots and table words are budgeted for the full replica set."""
+    Seeds at the lowest unassigned variable id, then grows the cell in one
+    loop: absorb every feasible adjacent relation (id order), pass after
+    pass until a pass adds none, then the lowest feasible adjacent
+    variable, until no variable fits.  Relations left over are packed, in
+    id order, into relation-only clusters.  In GIBBS mode every relation
+    touching a cluster is replicated into it, so none is left over or
+    absorbed, and relation slots and table words are budgeted for the full
+    replica set."""
     cap = capacities
     factors_of = {v.id: [fid for fid, _ in graph.factors_of(v.id)]
                   for v in graph.variables}
-    scopes = {f.id: f.scope for f in graph.factors}
     words = {f.id: len(f.table) for f in graph.factors}
     neighbors = {v.id: set() for v in graph.variables}
     for f in graph.factors:
@@ -149,22 +161,20 @@ def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
 
     def feasible(cl_vars, cl_rels):
         """Whether one cell holds the cluster's slots, table words and
-        registers: a register per distinct remote (variable, factor) pair
-        its relations read, the factor None for the value a GIBBS cell's
-        relations share, and one per return wire of a remote relation of
-        its variables, which a GIBBS cluster's replicas leave none of."""
+        registers: its relations' shadow registers (`_shadow_keys`), and one
+        per return wire of a remote relation of its variables, which a GIBBS
+        cluster's replicas leave none of."""
         if mode == GIBBS:
             cl_rels = touching(cl_vars)
-        vset, rset = set(cl_vars), set(cl_rels)
-        shadows = {(u, None if mode == GIBBS else fid)
-                   for fid in cl_rels for u in scopes[fid] if u not in vset}
+        rset = set(cl_rels)
+        shadows = set(_shadow_keys(graph, cl_vars, cl_rels, mode).values())
         returns = sum(fid not in rset for v in cl_vars for fid in factors_of[v])
         return (len(cl_vars) <= cap.var_slots and len(cl_rels) <= cap.rel_slots
                 and sum(words[fid] for fid in cl_rels) <= cap.table_words
                 and len(shadows) + returns <= cap.shadow_slots)
 
     unassigned_vars = set(v.id for v in graph.variables)
-    unassigned_rels = set(f.id for f in graph.factors)
+    unassigned_rels = set() if mode == GIBBS else set(f.id for f in graph.factors)
     clusters = []
     while unassigned_vars:
         seed = min(unassigned_vars)
@@ -174,48 +184,30 @@ def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
         if not feasible(cl_vars, cl_rels):
             raise MapperError("variable %d does not fit an empty cell" % seed)
         while True:
-            progressed = False
-            if mode != GIBBS:
-                grown = True
-                while grown:
-                    grown = False
-                    vset = set(cl_vars)
-                    adj = sorted(fid for fid in unassigned_rels
-                                 if any(u in vset for u in scopes[fid]))
-                    for fid in adj:
-                        if feasible(cl_vars, cl_rels + [fid]):
-                            cl_rels.append(fid)
-                            unassigned_rels.discard(fid)
-                            grown = True
-                            progressed = True
+            absorbed = len(cl_rels)
+            for fid in sorted(touching(cl_vars) & unassigned_rels):
+                if feasible(cl_vars, cl_rels + [fid]):
+                    cl_rels.append(fid)
+                    unassigned_rels.discard(fid)
+            if len(cl_rels) > absorbed:
+                continue
             frontier = sorted(u for v in cl_vars for u in neighbors[v]
                               if u in unassigned_vars)
-            for u in frontier:
-                if feasible(cl_vars + [u], cl_rels):
-                    cl_vars.append(u)
-                    unassigned_vars.discard(u)
-                    progressed = True
-                    break
-            if not progressed:
+            u = next((u for u in frontier if feasible(cl_vars + [u], cl_rels)), None)
+            if u is None:
                 break
-        if mode == GIBBS:
-            cl_rels = sorted(touching(cl_vars))
-            unassigned_rels.difference_update(cl_rels)
-        clusters.append(Cluster(sorted(cl_vars), sorted(cl_rels)))
+            cl_vars.append(u)
+            unassigned_vars.discard(u)
+        clusters.append(Cluster(sorted(cl_vars), sorted(
+            touching(cl_vars) if mode == GIBBS else cl_rels)))
 
-    if mode == GIBBS:
-        unassigned_rels.clear()     # replicas cover every relation
     for fid in sorted(unassigned_rels):
-        placed = False
-        if clusters and not clusters[-1].vars:
-            last = clusters[-1]
-            if feasible([], last.rels + [fid]):
-                last.rels.append(fid)
-                placed = True
-        if not placed:
-            if not feasible([], [fid]):
-                raise MapperError("relation %d does not fit an empty cell" % fid)
+        if clusters and not clusters[-1].vars and feasible([], clusters[-1].rels + [fid]):
+            clusters[-1].rels.append(fid)
+        elif feasible([], [fid]):
             clusters.append(Cluster([], [fid]))
+        else:
+            raise MapperError("relation %d does not fit an empty cell" % fid)
     return clusters
 
 
@@ -419,20 +411,13 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
             var = graph.variables[v]
             cell.var_slots.append(VarSlot(v, var.cardinality, var.evidence))
             vslot[v] = s
-        shadow_slot = {}        # (variable, factor id or None) -> slot
+        reads = _shadow_keys(graph, cl.vars, cl.rels, mode)
+        shadow_slot = {key: s for s, key in enumerate(dict.fromkeys(reads.values()))}
+        cell.shadow_slots = [ShadowSlot(v, VALUE if fid is None else VTOF, fid)
+                             for v, fid in shadow_slot]
         for fid in cl.rels:
-            refs = []
-            for v in graph.factors[fid].scope:
-                if v in vslot:
-                    refs.append(("V", vslot[v]))
-                    continue
-                # a GIBBS cell's relations share one VALUE shadow per variable
-                key = (v, None) if mode == GIBBS else (v, fid)
-                if key not in shadow_slot:
-                    shadow_slot[key] = len(cell.shadow_slots)
-                    cell.shadow_slots.append(ShadowSlot(
-                        v, VTOF if key[1] is not None else VALUE, key[1]))
-                refs.append(("H", shadow_slot[key]))
+            refs = [("V", vslot[v]) if v in vslot else ("H", shadow_slot[reads[v, fid]])
+                    for v in graph.factors[fid].scope]
             cell.rel_slots.append(RelSlot(fid, refs, list(qtable(fid))))
         cell.thresh = thresh
         if mode == GIBBS and cl.vars:

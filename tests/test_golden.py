@@ -82,6 +82,9 @@ def test_map_bruteforce_and_ties():
     flat = FactorGraph([VariableNode(0, 2), VariableNode(1, 2)],
                        [FactorNode(0, (0, 1), TABLE, (1.0, 1.0, 1.0, 1.0))])
     assert map_bruteforce(flat) == [0, 0]
+    zero = FactorGraph([VariableNode(0, 2)], [FactorNode(0, (0,), TABLE, (0.0, 0.0))])
+    with pytest.raises(InferenceError, match="no assignment has positive weight"):
+        map_bruteforce(zero)
 
 
 def test_map_triangle_lexicographic():

@@ -122,6 +122,8 @@ def test_expand_passthrough_and_errors():
         expand_builtin(FactorNode(0, (0, 1), ALL_DIFFERENT), (2, 3), 0.0)
     with pytest.raises(GraphError):
         expand_builtin(FactorNode(0, (0, 1), PAIRWISE_ISING), (2, 2), 0.0)
+    with pytest.raises(GraphError, match="PAIRWISE_ISING requires arity 2"):
+        expand_builtin(FactorNode(0, (0, 1, 2), PAIRWISE_ISING, coupling=1.0), (2, 2, 2), 0.0)
 
 
 def test_expand_all_leaves_only_tables():
@@ -179,6 +181,8 @@ def test_parse_errors_carry_line_numbers():
         ("BAYES\n", "expected MARKOV header"),
         ("MARKOV\n-1\n", "negative variable count"),
         ("MARKOV\n1\n1\n", "cardinality must be >= 2"),
+        ("MARKOV\n1\n2\n-1\n", "line 4: negative factor count"),
+        ("MARKOV\n1\n2\n2\n1 0\n0\n", "line 6: factor 1: arity must be >= 1"),
         ("MARKOV\n1\n2\n1\n1 4\n2\n1 1\n", "dangling variable id"),
         ("MARKOV\n2\n2 2\n1\n2 0 0\n4\n1 1 1 1\n", "duplicate variable"),
         ("MARKOV\n2\n2 2\n1\n2 0 1\n3\n1 1 1\n", "table-length mismatch"),

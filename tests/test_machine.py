@@ -679,6 +679,14 @@ VAR 0 2\nVAR 1 2\nVAR 2 2\nVAR 3 2\nVAR 4 2\n""",
      "SHADOW 1 VTOF 0\nREL 0 4 V0 H0\n1 1 1 1\nGIBBS_PERIOD 10 0\n"
      "CELL 0 1\nVAR 1 2\nGIBBS_PERIOD 10 5\n",
      "cell (0, 0): a GIBBS machine feeds no VTOF shadows"),
+    # a cell holds 4 relations and 512 table words
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     + "".join("REL %d 2 V0\n1 1\n" % k for k in range(5)),
+     "cell (0, 0): too many relation slots"),
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
+     + "".join("REL %d 256 V0 V1\n" % k + "1 " * 256 + "\n" for k in range(2))
+     + "REL 2 16 V0\n" + "1 " * 16 + "\n",
+     "cell (0, 0): table memory over capacity"),
     # six positions would cost 72 cycles per update
     ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
      + "".join("VAR %d 2\n" % v for v in range(4))

@@ -13,14 +13,14 @@ import gen
 from factormesh import apps, golden, mapper
 from factormesh.graph import (ALL_DIFFERENT, PARITY, TABLE, FactorGraph,
                               FactorNode, VariableNode, expand_all)
-from factormesh.image import Capacities, dumps
+from factormesh.image import GIBBS, Capacities, dumps
 from factormesh.machine import Machine
 from factormesh.mapper import (Cluster, MapperError, Placement, _cost_floor,
                                _edge_weights, cluster, compile_graph, cost,
                                emit_image, lower, place)
 
-# the placement properties' budget: 150 examples, or a deeper profile's
-# (HYPOTHESIS_PROFILE=deep, registered in conftest.py)
+# the clustering and placement properties' budget: 150 examples, or a
+# deeper profile's (HYPOTHESIS_PROFILE=deep, registered in conftest.py)
 PLACEMENT_SETTINGS = settings(max_examples=max(150, settings().max_examples),
                               deadline=None)
 
@@ -159,6 +159,144 @@ def test_cluster_rejects_oversized_gibbs_fanout():
     with pytest.raises(MapperError) as err:
         cluster(graph, mode="GIBBS")
     assert "does not fit an empty cell" in str(err.value)
+
+
+def test_cluster_absorbs_a_relation_that_a_later_one_made_room_for():
+    # relation 0 needs two registers and its return wire a third, which the
+    # unary relation 1 frees; a second pass then absorbs relation 0
+    variables = vars_of(3, 2)
+    factors = [FactorNode(0, (0, 1, 2), TABLE, (1.0,) * 8),
+               FactorNode(1, (0,), TABLE, (1.0, 1.0))]
+    caps = Capacities(var_slots=1, shadow_slots=2)
+    clusters = cluster(FactorGraph(variables, factors), capacities=caps)
+    assert [(c.vars, c.rels) for c in clusters] == [([0], [0, 1]), ([1], []), ([2], [])]
+
+
+def test_a_leftover_relation_that_fits_no_empty_cell_is_rejected():
+    # each variable's own pairwise relation blocks the three-way one, which
+    # alone reads three remote variables through two shadow registers
+    variables = vars_of(6, 2)
+    factors = [FactorNode(0, (0, 1, 2), TABLE, (1.0,) * 8)] + \
+        [FactorNode(1 + v, (v, 3 + v), TABLE, (1.0,) * 4) for v in range(3)]
+    caps = Capacities(var_slots=1, rel_slots=1, shadow_slots=2)
+    with pytest.raises(MapperError, match="^relation 0 does not fit an empty cell$"):
+        cluster(FactorGraph(variables, factors), capacities=caps)
+
+
+def reference_cluster(graph, capacities=Capacities(), mode="SUMPROD"):
+    """The clustering before its two growth branches became one loop, kept
+    verbatim as the reference `cluster` must equal: relation passes only
+    outside GIBBS, each scanning every unassigned relation, and a
+    `progressed` flag ending the growth."""
+    cap = capacities
+    factors_of = {v.id: [fid for fid, _ in graph.factors_of(v.id)]
+                  for v in graph.variables}
+    scopes = {f.id: f.scope for f in graph.factors}
+    words = {f.id: len(f.table) for f in graph.factors}
+    neighbors = {v.id: set() for v in graph.variables}
+    for f in graph.factors:
+        for u in f.scope:
+            for w in f.scope:
+                if u != w:
+                    neighbors[u].add(w)
+
+    def touching(cl_vars):
+        seen = set()
+        for v in cl_vars:
+            seen.update(factors_of[v])
+        return seen
+
+    def feasible(cl_vars, cl_rels):
+        """Whether one cell holds the cluster's slots, table words and
+        registers: a register per distinct remote (variable, factor) pair
+        its relations read, the factor None for the value a GIBBS cell's
+        relations share, and one per return wire of a remote relation of
+        its variables, which a GIBBS cluster's replicas leave none of."""
+        if mode == GIBBS:
+            cl_rels = touching(cl_vars)
+        vset, rset = set(cl_vars), set(cl_rels)
+        shadows = {(u, None if mode == GIBBS else fid)
+                   for fid in cl_rels for u in scopes[fid] if u not in vset}
+        returns = sum(fid not in rset for v in cl_vars for fid in factors_of[v])
+        return (len(cl_vars) <= cap.var_slots and len(cl_rels) <= cap.rel_slots
+                and sum(words[fid] for fid in cl_rels) <= cap.table_words
+                and len(shadows) + returns <= cap.shadow_slots)
+
+    unassigned_vars = set(v.id for v in graph.variables)
+    unassigned_rels = set(f.id for f in graph.factors)
+    clusters = []
+    while unassigned_vars:
+        seed = min(unassigned_vars)
+        cl_vars = [seed]
+        cl_rels = []
+        unassigned_vars.discard(seed)
+        if not feasible(cl_vars, cl_rels):
+            raise MapperError("variable %d does not fit an empty cell" % seed)
+        while True:
+            progressed = False
+            if mode != GIBBS:
+                grown = True
+                while grown:
+                    grown = False
+                    vset = set(cl_vars)
+                    adj = sorted(fid for fid in unassigned_rels
+                                 if any(u in vset for u in scopes[fid]))
+                    for fid in adj:
+                        if feasible(cl_vars, cl_rels + [fid]):
+                            cl_rels.append(fid)
+                            unassigned_rels.discard(fid)
+                            grown = True
+                            progressed = True
+            frontier = sorted(u for v in cl_vars for u in neighbors[v]
+                              if u in unassigned_vars)
+            for u in frontier:
+                if feasible(cl_vars + [u], cl_rels):
+                    cl_vars.append(u)
+                    unassigned_vars.discard(u)
+                    progressed = True
+                    break
+            if not progressed:
+                break
+        if mode == GIBBS:
+            cl_rels = sorted(touching(cl_vars))
+            unassigned_rels.difference_update(cl_rels)
+        clusters.append(Cluster(sorted(cl_vars), sorted(cl_rels)))
+
+    if mode == GIBBS:
+        unassigned_rels.clear()     # replicas cover every relation
+    for fid in sorted(unassigned_rels):
+        placed = False
+        if clusters and not clusters[-1].vars:
+            last = clusters[-1]
+            if feasible([], last.rels + [fid]):
+                last.rels.append(fid)
+                placed = True
+        if not placed:
+            if not feasible([], [fid]):
+                raise MapperError("relation %d does not fit an empty cell" % fid)
+            clusters.append(Cluster([], [fid]))
+    return clusters
+
+
+@PLACEMENT_SETTINGS
+@given(mode=st.sampled_from(("SUMPROD", "MINSUM", "GIBBS")),
+       graph_seed=st.integers(0, 10 ** 6), tree=st.booleans(),
+       var_slots=st.integers(1, 4), rel_slots=st.integers(1, 6),
+       shadow_slots=st.integers(1, 16), table_words=st.sampled_from((8, 16, 32, 64, 512)))
+def test_cluster_matches_reference(mode, graph_seed, tree, var_slots, rel_slots,
+                                   shadow_slots, table_words):
+    graph = (gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10) if tree
+             else gen.random_builtin_graph(graph_seed))
+    low = lower(graph, mode=mode)
+    caps = Capacities(var_slots=var_slots, rel_slots=rel_slots,
+                      shadow_slots=shadow_slots, table_words=table_words)
+    results = []
+    for fn in (cluster, reference_cluster):
+        try:
+            results.append([(c.vars, c.rels) for c in fn(low, capacities=caps, mode=mode)])
+        except MapperError as err:
+            results.append(str(err))
+    assert results[0] == results[1]
 
 
 # -- placement ----------------------------------------------------------------
