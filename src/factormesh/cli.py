@@ -34,14 +34,23 @@ def _write(path, text):
         fh.write(text)
 
 
-def _load_config(path):
-    """{key: (value, line)} from a file of 'key value' lines."""
+# what a config file may not set: the subcommand, and the files it reads or writes
+_NOT_SETTINGS = {"command", "func", "alg", "config", "graph", "evidence", "out",
+                 "image", "stats", "beliefs", "trace", "manifest", "results"}
+
+
+def _load_config(path, settings):
+    """{key: (value, line)} from a file of 'key value' lines, each key one
+    of `settings`, the options that the subcommand reads through `_resolve`."""
     rec = Records(_read(path), GraphError)
     cfg = {}
     for key, *value in rec:
         if not value:
             rec.fail("config lines are 'key value'")
-        cfg[key.replace("-", "_")] = (" ".join(value), rec.line)
+        key = key.replace("-", "_")
+        if key not in settings:
+            rec.fail("unknown config key %r" % key)
+        cfg[key] = (" ".join(value), rec.line)
     return cfg
 
 
@@ -295,7 +304,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args._cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        args._cfg = (_load_config(args.config, set(vars(args)) - _NOT_SETTINGS)
+                     if getattr(args, "config", None) else {})
         return args.func(args)
     except golden.EnumerationBoundError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -319,11 +319,11 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                  sweeps: int = 10000) -> GibbsResult:
     """Systematic-scan Gibbs sampling (variables 0..N-1 per sweep).
 
-    The draw for variable v in sweep s uses the counter-based stream
-    uniform01(seed, v, s), keyed once per variable, so the sampler is
-    deterministic given the seed and independent of everything but (seed,
-    variable, sweep); each variable hashes rng.DRAW_BLOCK sweeps' draws at
-    once.  The sampler picks the first value whose prefix sum of the
+    The draw for variable v in sweep s is the counter-based draw
+    keyed_uniform01(stream_key(seed, v), s), keyed once per variable, so
+    the sampler is deterministic given the seed and independent of
+    everything but (seed, variable, sweep); each variable hashes
+    rng.DRAW_BLOCK sweeps' draws at once.  The sampler picks the first value whose prefix sum of the
     conditional exceeds the draw scaled by the total.  The prefix sums are
     memoized per variable, keyed by the mixed-radix index of its Markov
     blanket's values, so a memo grows by at most one entry per sweep.  A

@@ -1,14 +1,14 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 5`), one record per line, `#` comments:
+Text format (version header `FMIMG 6`), one record per line, `#` comments:
 
-    FMIMG 5
+    FMIMG 6
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
     CELL <r> <c>                          opens a cell; records below attach to it
     VAR <var_id> <card> [EVIDENCE <value>]
-    SHADOW <var_id> VTOF <fid>|VALUE
+    SHADOW <var_id>
     REL <factor_id> <nwords> <ref>...     refs bind scope positions, V<i>/H<i>
     <nwords integer table words on following lines>
     THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
@@ -18,16 +18,19 @@ A cell's slots are its record positions: `V<i>` names the cell's i-th VAR
 record and `H<i>` its i-th SHADOW record, counting from 0.  A shadow slot
 is its wire: one link into that slot from the cell whose VAR record
 declares `var_id`, carrying that variable, and the shadow has that
-variable's cardinality.  Shadow roles: VTOF f holds the variable's message
-into factor f, VALUE holds its sampled value.  SUMPROD and MINSUM machines
-feed only VTOF shadows, GIBBS machines only VALUE shadows; the machine
-rejects any other role, and a shadow of a variable no cell declares, at
-load.  A relation of its cell reads each shadow.  A VTOF f shadow also
-declares its edge's return wire, on which relation f sends the variable's
-cell its message to the variable, into a register that counts as one of
-that cell's shadow slots.  Table words, THRESH and message words are in the
-units of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs
-in MINSUM; a cell with no THRESH record gates at the domain's default.  A
+variable's cardinality; the machine rejects a shadow of a variable no cell
+declares, and one no relation of its cell reads, at load.  The mode fixes
+what a shadow holds.  In GIBBS it holds the variable's sampled value,
+which any of the cell's relations may read.  In SUMPROD and MINSUM it
+holds the variable's message into the one relation that reads it, and a
+second reader is a load error; the shadow also declares that edge's
+return wire, on which the relation sends the variable's cell its message
+to the variable, into a register that counts as one of that cell's shadow
+slots.  FMIMG 5 also wrote each shadow's role and relation id, which the
+mode and the reading REL record already fix, so its images are rejected
+by their header.  Table words, THRESH and message words are in the units
+of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in
+MINSUM; a cell with no THRESH record gates at the domain's default.  A
 GIBBS cell sends a value whenever it changes, so the machine rejects a
 THRESH record in a GIBBS image, and a GIBBS_PERIOD record in any other.
 A cell's CELL record is its only coordinate, its key in `MachineImage.cells`,
@@ -45,9 +48,9 @@ reductions and a normalize), and the machine rejects a relation costing more
 than MAX_UPDATE_CYCLES.  In GIBBS a factor id names at most one relation per
 cell.  On each tick, for every free variable at a scope position j of a
 relation in its cell, the table words along axis j with every other position
-at its current value (a local variable's sample or a VALUE shadow's last
-delivered value) multiply elementwise into that variable's conditional,
-which starts at all ones; the variable is then drawn from the conditional.
+at its current value (a local variable's sample or a shadow's last delivered
+value) multiply elementwise into that variable's conditional, which starts
+at all ones; the variable is then drawn from the conditional.
 """
 
 from __future__ import annotations
@@ -62,9 +65,6 @@ SUMPROD = "SUMPROD"
 MINSUM = "MINSUM"
 GIBBS = "GIBBS"
 MODES = (SUMPROD, MINSUM, GIBBS)
-
-VTOF = "VTOF"
-VALUE = "VALUE"
 
 # cycle budget of one converging relation update
 MAX_UPDATE_CYCLES = 64
@@ -116,13 +116,6 @@ class VarSlot:
 
 
 @dataclass
-class ShadowSlot:
-    var_id: int
-    role: str                       # VTOF / VALUE
-    fid: Optional[int] = None       # factor id for VTOF
-
-
-@dataclass
 class RelSlot:
     factor_id: int
     scope_refs: list                # ('V'|'H', slot) per scope position
@@ -133,7 +126,7 @@ class RelSlot:
 class CellImage:
     """One cell's records; its coordinate is its key in `MachineImage.cells`."""
     var_slots: list = field(default_factory=list)
-    shadow_slots: list = field(default_factory=list)
+    shadow_slots: list = field(default_factory=list)    # var_id per SHADOW record
     rel_slots: list = field(default_factory=list)
     thresh: Optional[int] = None
     gibbs_period: Optional[int] = None
@@ -144,9 +137,9 @@ class CellImage:
 class Wire:
     """One link from cell `src` to cell `dst` carrying variable `var_id`:
     its message or value into shadow slot `slot` of `dst`, or, when `back`,
-    the message of the relation reading VTOF shadow slot `slot` of `src`
-    into the variable.  `src` of a shadow's wire, and `dst` of its return
-    wire, is the cell declaring the variable, None if there is none."""
+    the message of the relation reading converging shadow slot `slot` of
+    `src` into the variable.  `src` of a shadow's wire, and `dst` of its
+    return wire, is the cell declaring the variable, None if there is none."""
     var_id: int
     src: tuple
     dst: tuple
@@ -164,17 +157,17 @@ class MachineImage:
     @property
     def wires(self) -> list:
         """One Wire per shadow slot, from its variable's cell into the slot,
-        each VTOF one followed by its return wire, in (cell coordinate, slot)
-        order."""
+        each followed, outside GIBBS, by its return wire, in (cell
+        coordinate, slot) order."""
         home = {vs.var_id: coord for coord, ci in self.cells.items()
                 for vs in ci.var_slots}
         wires = []
         for coord in sorted(self.cells):
-            for slot, sh in enumerate(self.cells[coord].shadow_slots):
-                src = home.get(sh.var_id)
-                wires.append(Wire(sh.var_id, src, coord, slot))
-                if sh.role == VTOF:
-                    wires.append(Wire(sh.var_id, coord, src, slot, back=True))
+            for slot, vid in enumerate(self.cells[coord].shadow_slots):
+                src = home.get(vid)
+                wires.append(Wire(vid, src, coord, slot))
+                if self.mode != GIBBS:
+                    wires.append(Wire(vid, coord, src, slot, back=True))
         return wires
 
 
@@ -183,7 +176,7 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 5",
+    lines = ["FMIMG 6",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -195,11 +188,7 @@ def dumps(image: MachineImage) -> str:
             if vs.evidence is not None:
                 row += " EVIDENCE %d" % vs.evidence
             lines.append(row)
-        for sh in cell.shadow_slots:
-            row = "SHADOW %d %s" % (sh.var_id, sh.role)
-            if sh.role == VTOF:
-                row += " %d" % sh.fid
-            lines.append(row)
+        lines.extend("SHADOW %d" % vid for vid in cell.shadow_slots)
         for rel in cell.rel_slots:
             refs = " ".join("%s%d" % ref for ref in rel.scope_refs)
             lines.append("REL %d %d %s" % (rel.factor_id, len(rel.table), refs))
@@ -223,8 +212,8 @@ _CELL_RECORDS = ("VAR", "SHADOW", "REL", "THRESH", "GIBBS_PERIOD")
 def parse_image(text: str) -> MachineImage:
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "5"]:
-        rec.fail("expected FMIMG 5 header")
+    if next(records, [])[:2] != ["FMIMG", "6"]:
+        rec.fail("expected FMIMG 6 header")
     grid = None
     mode = None
     seed = 0
@@ -287,21 +276,7 @@ def parse_image(text: str) -> MachineImage:
                 rec.fail("evidence value out of range")
             cur.var_slots.append(VarSlot(vid, card, ev))
         elif head == "SHADOW":
-            if len(toks) < 3:
-                rec.fail("malformed SHADOW record")
-            (vid,) = rec.ints(toks[1:2], 1, "SHADOW")
-            role = toks[2]
-            fid = None
-            if role == VTOF:
-                if len(toks) != 4:
-                    rec.fail("VTOF shadow needs a factor id")
-                (fid,) = rec.ints(toks[3:], 1, "SHADOW factor id")
-            elif role == VALUE:
-                if len(toks) != 3:
-                    rec.fail("malformed VALUE shadow")
-            else:
-                rec.fail("unknown shadow role %r" % role)
-            cur.shadow_slots.append(ShadowSlot(vid, role, fid))
+            cur.shadow_slots.extend(rec.ints(toks[1:], 1, "SHADOW"))
         elif head == "REL":
             if len(toks) < 4:
                 rec.fail("malformed REL record")

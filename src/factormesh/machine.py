@@ -33,14 +33,14 @@ stream's own draw.  It computes no message, so it takes no output noise.
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
 factor-id order: the register pair of its message to the factor and the
 factor's reply.  A relation in the variable's cell reads and writes the edge
-itself; a relation elsewhere reads a VTOF shadow of it, fed by the edge's
-port, and answers on the shadow's return port.  A relation's scope is its
-edges and shadows (in GIBBS, the variables and VALUE shadows it reads), so
-each update dispatches on the object it writes.
+itself; a relation elsewhere is the one reader of a shadow of it, fed by
+the edge's port, and answers on the shadow's return port.  A relation's
+scope is its edges and shadows (in GIBBS, the variables and shadows it
+reads), so each update dispatches on the object it writes.
 
 Wires are resolved at load into ports, each made by the sender of the
 quantity it carries: an edge's port for its message, a GIBBS variable's one
-value port, and a VTOF shadow's port for its reader's reply.  A `_Port`
+value port, and a converging shadow's port for its reader's reply.  A `_Port`
 holds its last payload and its destinations, each with its `xy_links`
 route.  Every queued event carries its handler and the object it acts on,
 and `step` calls the one on the other.
@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
-                    gibbs_var_cost, relation_cost, GIBBS, VTOF, VALUE,
-                    Capacities, domain, parse_image)
+                    gibbs_var_cost, relation_cost, GIBBS, Capacities, domain,
+                    parse_image)
 from .rng import DRAW_BLOCK, keyed_raw64, keyed_uniform01_block, stream_key
 
 
@@ -132,7 +132,7 @@ class _Edge:
     """One attachment of a variable to factor `fid`: the variable's message
     to the factor and the factor's reply, read and written by the factor's
     relation when it shares the variable's cell (`rel`), otherwise carried
-    by `port` to the VTOF shadow of the factor's cell and back."""
+    by `port` to the shadow of the factor's cell and back."""
     __slots__ = ("var", "fid", "msg", "reply", "rel", "port")
 
     def __init__(self, var, fid, uniform):
@@ -168,19 +168,15 @@ class _Var:
 
 
 class _Shadow:
-    __slots__ = ("cell", "vid", "card", "role", "fid",
-                 "msg", "value", "consumers", "port")
+    __slots__ = ("vid", "card", "msg", "value", "consumers", "port")
 
-    def __init__(self, cell, vid, card, role, fid):
-        self.cell = cell
+    def __init__(self, vid, card, msg):
         self.vid = vid
         self.card = card
-        self.role = role
-        self.fid = fid
-        self.msg = None         # VTOF: the variable's message to its reader
-        self.value = 0          # VALUE: the variable's sampled value
-        self.consumers = []     # rels reading this slot
-        self.port = None        # VTOF: its reader's reply to the variable's edge
+        self.msg = msg          # SUMPROD/MINSUM: the variable's message to its reader
+        self.value = 0          # GIBBS: the variable's sampled value
+        self.consumers = []     # rels reading this slot, one in SUMPROD/MINSUM
+        self.port = None        # SUMPROD/MINSUM: its reader's reply to the edge
 
 
 class _Rel:
@@ -435,15 +431,13 @@ class Machine:
                                    "wires included" % coord)
             if len(ci.rel_slots) > cap.rel_slots:
                 raise MachineError("cell (%d, %d): too many relation slots" % coord)
-            for sh in ci.shadow_slots:
-                owner = self.var_owner.get(sh.var_id)
+            for vid in ci.shadow_slots:
+                owner = self.var_owner.get(vid)
                 if owner is None:
                     raise MachineError("cell (%d, %d): shadow of variable %d, which no "
-                                       "cell owns" % (coord + (sh.var_id,)))
-                shadow = _Shadow(cell, sh.var_id, owner.card, sh.role, sh.fid)
-                if sh.role == VTOF:
-                    shadow.msg = dom.uniform(owner.card)
-                cell.shadows.append(shadow)
+                                       "cell owns" % (coord + (vid,)))
+                cell.shadows.append(_Shadow(vid, owner.card, None if self.mode == GIBBS
+                                            else dom.uniform(owner.card)))
             words = 0
             for rs in ci.rel_slots:
                 refs = []
@@ -457,9 +451,6 @@ class Machine:
                             rs.factor_id, "variable" if kind == "V" else "shadow",
                             kind, sl))
                     ent = slots[sl]
-                    if kind == "H" and ent.role == VTOF and ent.fid != rs.factor_id:
-                        raise MachineError("relation %d reads a shadow bound to "
-                                           "relation %s" % (rs.factor_id, ent.fid))
                     if any(obj.vid == ent.vid for obj in refs):
                         raise MachineError("relation %d binds variable %d at two scope "
                                            "positions" % (rs.factor_id, ent.vid))
@@ -493,6 +484,12 @@ class Machine:
                 cell.rels.append(rel)
                 for pos, obj in enumerate(refs):
                     if type(obj) is _Shadow:
+                        # a converging shadow is one edge, of its one reader
+                        if obj.consumers and self.mode != GIBBS:
+                            raise MachineError("cell (%d, %d): relations %d and %d both "
+                                               "read shadow slot %d" % (coord + (
+                                                   obj.consumers[0].fid, rel.fid,
+                                                   cell.shadows.index(obj))))
                         obj.consumers.append(rel)
                     elif self.mode == GIBBS:
                         # the table slice along pos at the other positions' values
@@ -528,7 +525,7 @@ class Machine:
                         size *= obj.card
 
         # one wire per shadow slot from its variable's cell, a destination of
-        # the port its sender makes for the quantity it carries; a VTOF
+        # the port its sender makes for the quantity it carries; a converging
         # one's return wire follows it and ends at its edge
         for w in wires:
             dst = self.cells[w.dst]
@@ -537,15 +534,11 @@ class Machine:
                 target = edge
             else:
                 target = shadow = dst.shadows[w.slot]
-                # sampling cells send only values, converging cells only messages
-                if (shadow.role == VALUE) != (self.mode == GIBBS):
-                    raise MachineError("cell (%d, %d): a %s machine feeds no %s shadows"
-                                       % (dst.r, dst.c, self.mode, shadow.role))
                 owner = self.var_owner[w.var_id]
                 if self.mode == GIBBS:
                     port = owner.port = owner.port or _Port(w.var_id)
                 else:
-                    edge = _Edge(owner, shadow.fid, dom.uniform(owner.card))
+                    edge = _Edge(owner, shadow.consumers[0].fid, dom.uniform(owner.card))
                     port = edge.port = _Port(w.var_id)
                     owner.edges.append(edge)
             links = xy_links(w.src, w.dst)
@@ -742,7 +735,7 @@ class Machine:
         if self.trace is not None:
             self._trace(time, cell, "DELIVER", vid, hops)
         if self.mode == GIBBS:
-            # a value into its VALUE shadow, the only GIBBS target
+            # a value into its shadow, the only GIBBS target
             target.value = value
         elif type(target) is _Edge:
             # a remote relation's reply to the variable
@@ -750,7 +743,7 @@ class Machine:
                 target.reply = value
                 self._emit_var(target.var, time)
         elif target.msg != value:
-            # a variable's message into its VTOF shadow
+            # a variable's message into its shadow
             target.msg = value
             for rel in target.consumers:
                 self._pend_exec(rel, time)
@@ -759,11 +752,11 @@ class Machine:
         """Resample the cell's free variables in record order.  A variable's
         conditional is the product of its terms' table slices at the current
         values of the other scope positions; the draw for tick k is
-        uniform01(seed, vid, k) scaled by the conditional's total, and picks
-        the first value whose prefix sum exceeds it.  At each tick k that is
-        a multiple of DRAW_BLOCK a free variable hashes the uniforms of
-        ticks k .. k + DRAW_BLOCK - 1 at once; tick_idx runs 0, 1, 2, ...
-        across runs.  Tables never change, so the prefix sums are memoized
+        keyed_uniform01(var.key, k) scaled by the conditional's total, where
+        var.key is stream_key(seed, vid), and picks the first value whose
+        prefix sum exceeds it.  At each tick k that is a multiple of
+        DRAW_BLOCK a free variable hashes the uniforms of ticks k .. k +
+        DRAW_BLOCK - 1 at once; tick_idx runs 0, 1, 2, ... across runs.  Tables never change, so the prefix sums are memoized
         per variable, keyed by the mixed-radix index of its Markov blanket's
         values; the memo grows by at most one entry per tick.  A value that
         changes is sent as soon as it is drawn, ready once the whole tick's

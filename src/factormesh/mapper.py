@@ -15,9 +15,9 @@ from typing import Optional
 
 from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
-from .image import (MachineImage, CellImage, VarSlot, ShadowSlot, RelSlot,
-                    Capacities, DEFAULT_CAPACITIES, MAX_UPDATE_CYCLES, domain,
-                    gibbs_var_cost, relation_cost, SUMPROD, GIBBS, VTOF, VALUE)
+from .image import (MachineImage, CellImage, VarSlot, RelSlot, Capacities,
+                    DEFAULT_CAPACITIES, MAX_UPDATE_CYCLES, domain,
+                    gibbs_var_cost, relation_cost, SUMPROD, GIBBS)
 
 
 class MapperError(ValueError):
@@ -413,8 +413,7 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
             vslot[v] = s
         reads = _shadow_keys(graph, cl.vars, cl.rels, mode)
         shadow_slot = {key: s for s, key in enumerate(dict.fromkeys(reads.values()))}
-        cell.shadow_slots = [ShadowSlot(v, VALUE if fid is None else VTOF, fid)
-                             for v, fid in shadow_slot]
+        cell.shadow_slots = [v for v, _fid in shadow_slot]
         for fid in cl.rels:
             refs = [("V", vslot[v]) if v in vslot else ("H", shadow_slot[reads[v, fid]])
                     for v in graph.factors[fid].scope]

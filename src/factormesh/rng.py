@@ -8,9 +8,7 @@ pseudorandom number generators", OOPSLA 2014), a full-avalanche 64-bit hash.
 
 A draw mixes in two steps: `stream_key(seed, stream)` folds the fixed pair
 into one 64-bit key, and each draw mixes that key with its counter.  A
-consumer that draws many times from one stream keys it once and calls the
-`keyed_*` functions; `raw64` and `uniform01` are the same draws keyed on
-every call.
+consumer keys its stream once and calls the `keyed_*` functions.
 
 `keyed_uniform01_block` hashes a run of counters in one numpy pass; each of
 its draws equals the scalar `keyed_uniform01` of its counter, which stays
@@ -52,16 +50,6 @@ def keyed_raw64(key: int, counter: int) -> int:
 def keyed_uniform01(key: int, counter: int) -> float:
     """Uniform double in [0, 1), 53 bits of precision, from a keyed stream."""
     return (keyed_raw64(key, counter) >> 11) * _UNIT
-
-
-def raw64(seed: int, stream: int, counter: int) -> int:
-    """64 pseudo-random bits keyed by (seed, stream, counter)."""
-    return keyed_raw64(stream_key(seed, stream), counter)
-
-
-def uniform01(seed: int, stream: int, counter: int) -> float:
-    """Uniform double in [0, 1), 53 bits of precision."""
-    return keyed_uniform01(stream_key(seed, stream), counter)
 
 
 def keyed_uniform01_block(key: int, start: int, n: int) -> list:

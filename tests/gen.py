@@ -62,14 +62,15 @@ def flooding_rounds(graph):
     return max(1, (diameter + 1) // 2)
 
 
-def random_builtin_graph(seed, state_cap=1 << 18):
+def random_builtin_graph(seed, state_cap=1 << 18, degree=0):
     """Random enumeration-sized graph mixing TABLE factors with
     ALL_DIFFERENT and wide PARITY builtins, for lowering coverage.
 
     Built on a variable tree so the graph stays connected; the builtin
     factors are grafted over existing variables.  All TABLE entries are
     positive, ALL_DIFFERENT arity never exceeds the shared cardinality, and
-    the joint state space stays below state_cap.
+    the joint state space stays below state_cap.  Unary TABLE factors,
+    numbered last, then bring every variable up to `degree` factors.
     """
     rng = random.Random(seed)
     while True:
@@ -104,4 +105,8 @@ def random_builtin_graph(seed, state_cap=1 << 18):
             arity = rng.randint(2, min(card, len(shared)))
             scope = tuple(rng.sample(shared, arity))
             factors.append(FactorNode(len(factors), scope, ALL_DIFFERENT))
+        for v in range(n):
+            for _ in range(degree - sum(v in f.scope for f in factors)):
+                table = tuple(rng.uniform(0.2, 1.0) for _ in range(cards[v]))
+                factors.append(FactorNode(len(factors), (v,), TABLE, table))
         return checked(FactorGraph(variables, factors))

@@ -96,6 +96,27 @@ def test_compile_bad_config_value_names_its_line(tmp_path, capsys, setting, mess
     assert (code, stderr) == (2, "error: line 3: %s\n" % message)
 
 
+@pytest.mark.parametrize("command, text, message", [
+    # misspelled settings would compile with seed 0 on a 4x4 grid
+    ("compile", "sede 5\ngird 9x9\n", "line 1: unknown config key 'sede'"),
+    ("compile", "# mesh\nseed 5\ngird 9x9\n", "line 3: unknown config key 'gird'"),
+    # a setting of another subcommand, and files and choices only flags give
+    ("run", "seed 3\n", "line 1: unknown config key 'seed'"),
+    ("compile", "out other.fmimg\n", "line 1: unknown config key 'out'"),
+    ("golden", "alg exact\n", "line 1: unknown config key 'alg'"),
+])
+def test_unknown_config_key_names_its_line(tmp_path, capsys, command, text, message):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    out = tmp_path / "x.fmimg"
+    target = {"compile": [graph_file, "--out", str(out)],
+              "run": [write(tmp_path, "pair.fmimg", equality_pair_image())],
+              "golden": [graph_file, "--alg", "map"]}[command]
+    cfg = write(tmp_path, "c.cfg", text)
+    code, stdout, stderr = run_cli(capsys, command, *target, "--config", cfg)
+    assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    assert not out.exists()
+
+
 def test_compile_bad_flag_value_names_no_line(tmp_path, capsys):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
     out = str(tmp_path / "x.fmimg")
@@ -317,24 +338,24 @@ def test_run_rejects_garbage_image(tmp_path, capsys):
     assert code == 2 and "error:" in stderr
 
 
-def equality_pair_image(role="VTOF 0", refs="V0 H0", clamped=1):
+def equality_pair_image(refs="V0 H0", unary="V0", clamped=1):
     """Variable 0 in cell (0, 0) tied by an equality relation to variable 1,
-    clamped to 1 in cell (0, 1); relation 1 is a flat unary on variable 0.
-    Relation 0's message to variable 1 returns on the wire of its shadow.
-    `clamped` names the variable that cell (0, 1) declares."""
-    return """FMIMG 5
+    clamped to 1 in cell (0, 1); relation 1 is a flat unary on `unary`,
+    variable 0.  Relation 0's message to variable 1 returns on the wire of
+    its shadow.  `clamped` names the variable that cell (0, 1) declares."""
+    return """FMIMG 6
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
 VAR 0 2
-SHADOW 1 %s
+SHADOW 1
 REL 0 4 %s
 65535 0 0 65535
-REL 1 2 V0
+REL 1 2 %s
 65535 65535
 CELL 0 1
 VAR %d 2 EVIDENCE 1
-""" % (role, refs, clamped)
+""" % (refs, unary, clamped)
 
 
 def test_run_equality_pair_image(tmp_path, capsys):
@@ -347,9 +368,8 @@ def test_run_equality_pair_image(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields, message", [
-    # the relation would read a uniform VALUE shadow and report variable 0
-    # as [0.5, 0.5]
-    ({"role": "VALUE"}, "a SUMPROD machine feeds no VALUE shadows"),
+    # the shadow's one return wire would carry two relations' messages
+    ({"unary": "H0"}, "cell (0, 0): relations 0 and 1 both read shadow slot 0"),
     # the shadow's wire would come from no cell
     ({"clamped": 2}, "shadow of variable 1, which no cell owns"),
     # relation 0 would send variable 1 two messages, three packets in all
@@ -370,22 +390,24 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
     current = equality_pair_image()
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
-    # wires and before records lost their slot numbers and shadows their
-    # source cells and cardinalities
+    # wires, before records lost their slot numbers and shadows their
+    # source cells and cardinalities, and before shadows lost their roles
+    # and relation ids
     for old, new, message in [
-            ("FMIMG 5", "FMIMG 1", "line 1: expected FMIMG 5 header"),
-            ("FMIMG 5", "FMIMG 2", "line 1: expected FMIMG 5 header"),
-            ("FMIMG 5", "FMIMG 3", "line 1: expected FMIMG 5 header"),
-            ("FMIMG 5", "FMIMG 4", "line 1: expected FMIMG 5 header"),
+            ("FMIMG 6", "FMIMG 1", "line 1: expected FMIMG 6 header"),
+            ("FMIMG 6", "FMIMG 2", "line 1: expected FMIMG 6 header"),
+            ("FMIMG 6", "FMIMG 3", "line 1: expected FMIMG 6 header"),
+            ("FMIMG 6", "FMIMG 4", "line 1: expected FMIMG 6 header"),
+            ("FMIMG 6", "FMIMG 5", "line 1: expected FMIMG 6 header"),
             ("VAR 1 2 EVIDENCE 1", "VAR 0 1 2 EVIDENCE 1",
              "line 12: malformed VAR record"),
-            ("SHADOW 1 VTOF 0", "SHADOW 0 1 2 0 1 VTOF 0",
-             "line 6: unknown shadow role '1'"),
+            ("SHADOW 1\n", "SHADOW 0 1 2 0 1 VTOF 0\n", "line 6: SHADOW needs 1 fields"),
+            ("SHADOW 1\n", "SHADOW 1 VTOF 0\n", "line 6: SHADOW needs 1 fields"),
             ("65535 65535\n", "65535 65535\nPROG 2\n", "line 11: unknown record 'PROG'"),
             ("EVIDENCE 1\n", "EVIDENCE 1\nWIRE 1 0 0 0 1 0\n",
              "line 13: unknown record 'WIRE'"),
             ("EVIDENCE 1\n", "EVIDENCE 1\nSHADOW 1 FTOV 0\n",
-             "line 13: unknown shadow role 'FTOV'")]:
+             "line 13: SHADOW needs 1 fields")]:
         assert old in current
         image = write(tmp_path, "old.fmimg", current.replace(old, new))
         code, stdout, stderr = run_cli(capsys, "run", image)

@@ -172,7 +172,7 @@ def test_widest_relation_table_generates_and_matches():
     assert relation_cost(len(shape)) <= MAX_UPDATE_CYCLES < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 5", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines = ["FMIMG 6", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
         lines += ["VAR %d %d%s" % (p, card, " EVIDENCE %d" % (p % 2)
                                    if p in (1, 4) else "")
                   for p, card in enumerate(shape)]
@@ -196,11 +196,11 @@ def star_image(mode, thresh):
     """Variable 0 at the highest degree the default capacities allow: every
     relation slot of its cell holds a unary relation on it, and every shadow
     register a message from a pairwise relation in one of four leaf cells,
-    on the return wire of the relation's VTOF shadow of variable 0; each
+    on the return wire of the relation's shadow of variable 0; each
     leaf cell fills its variable and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 5", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 3"]
+    lines = ["FMIMG 6", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 3"]
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
     for fid in range(caps.rel_slots):
         lines += relation(fid, ["V0"], words(mode, 3, rng))
@@ -212,7 +212,7 @@ def star_image(mode, thresh):
             lines.append("VAR %d 2%s" % (vid, " EVIDENCE 1" if vid % 3 == 0 else ""))
         fids = leaf_fids[(col - 1) * caps.rel_slots:col * caps.rel_slots]
         for fid in fids:
-            lines.append("SHADOW 0 VTOF %d" % fid)
+            lines.append("SHADOW 0")
         for slot, fid in enumerate(fids):
             lines += relation(fid, ["H%d" % slot, "V%d" % slot],
                               words(mode, 6, rng))

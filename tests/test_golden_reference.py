@@ -257,11 +257,11 @@ def reference_gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                            sweeps: int = 10000) -> GibbsResult:
     """Systematic-scan Gibbs sampling (variables 0..N-1 per sweep).
 
-    The draw for variable v in sweep s uses the counter-based stream
-    uniform01(seed, v, s), keyed once per variable, so the sampler is
-    deterministic given the seed and independent of everything but (seed,
-    variable, sweep).  Tables must give every conditional a positive total
-    (use soft expansions).
+    The draw for variable v in sweep s is the counter-based draw
+    keyed_uniform01(stream_key(seed, v), s), keyed once per variable, so
+    the sampler is deterministic given the seed and independent of
+    everything but (seed, variable, sweep).  Tables must give every
+    conditional a positive total (use soft expansions).
     """
     _require_tables(graph)
     if sweeps <= 0:

@@ -11,7 +11,7 @@ from factormesh import image
 from factormesh.graph import with_evidence
 from factormesh import apps
 from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, CellImage, ImageError,
-                              MachineImage, RelSlot, ShadowSlot, VarSlot, Wire, dumps,
+                              MachineImage, RelSlot, VarSlot, Wire, dumps,
                               parse_image)
 from factormesh.machine import Machine, MachineError
 from factormesh.mapper import MapperError, compile_graph
@@ -21,7 +21,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then cells out of canonical order
-FMIMG 5
+FMIMG 6
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -33,8 +33,8 @@ THRESH 16
 
 CELL 0 0
 VAR 0 2
-SHADOW 2 VTOF 0   # a shadow of a variable in a later cell
-SHADOW 1 VTOF 0
+SHADOW 2   # a shadow of a variable in a later cell
+SHADOW 1
 REL 0 12 V0 H1 H0
 65535 32768 16384
 8192 4096
@@ -55,8 +55,8 @@ def test_parse_tolerates_comments_and_order():
     other = img.cells[(0, 1)]
     assert [(v.var_id, v.card, v.evidence) for v in other.var_slots] == \
         [(1, 3, 2), (2, 2, None)]
-    # each shadow is one wire from its variable's cell, each VTOF one
-    # followed by its return wire, in (cell, slot) order
+    # each shadow is one wire from its variable's cell, each followed,
+    # outside GIBBS, by its return wire, in (cell, slot) order
     assert img.wires == [Wire(2, (0, 1), (0, 0), 0), Wire(2, (0, 0), (0, 1), 0, back=True),
                          Wire(1, (0, 1), (0, 0), 1), Wire(1, (0, 0), (0, 1), 1, back=True)]
 
@@ -68,16 +68,16 @@ def test_dumps_is_canonical_and_stable():
     # changes nothing
     assert text.index("CELL 0 0") < text.index("CELL 0 1")
     assert text.index("VAR 1 3 EVIDENCE 2") < text.index("VAR 2 2")
-    assert text.index("SHADOW 2 ") < text.index("SHADOW 1 ")
+    assert text.index("SHADOW 2\n") < text.index("SHADOW 1\n")
     assert dumps(parse_image(text)) == text
 
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 5", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 6", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 2",
-        "SHADOW 1 VALUE",
+        "SHADOW 1",
         "REL 0 4 V0 H0",
         "200 100 100 200",
         "GIBBS_PERIOD 12 4",
@@ -85,28 +85,31 @@ def test_gibbs_records_round_trip():
     img = parse_image(text)
     cell = img.cells[(0, 0)]
     assert cell.gibbs_period == 12 and cell.gibbs_phase == 4
-    assert cell.shadow_slots[0].role == image.VALUE
-    assert cell.shadow_slots[0].fid is None
+    assert cell.shadow_slots == [1]
+    # a GIBBS shadow carries a value and no reply
+    assert img.wires == [Wire(1, None, (0, 0), 0)]
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 5\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 6\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 5 header"),
-    ("FMIMG 6\nGRID 1 1\n", "expected FMIMG 5 header"),
+    ("GRID 1 1\n", "expected FMIMG 6 header"),
+    ("FMIMG 7\nGRID 1 1\n", "expected FMIMG 6 header"),
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
-    # wires and before records lost their slot numbers
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 5 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 5 header"),
-    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 5 header"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 5 header"),
-    ("FMIMG 5\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 5\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 5\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 5\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
-    ("FMIMG 5\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
+    # wires, before records lost their slot numbers and before shadows
+    # lost their roles and relation ids
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 6 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
+    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
+    ("FMIMG 6\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 6\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 6\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 6\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    ("FMIMG 6\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
     (HEAD + "CELL 2 0\n", "outside grid"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "VAR 0 2\n", "VAR outside a CELL"),
@@ -117,16 +120,14 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nVAR 0 2 EVIDENCE\n", "line 5: malformed VAR record"),
     (HEAD + "CELL 0 0\nVAR 0 0 2\n", "line 5: malformed VAR record"),
     (HEAD + "CELL 0 0\nVAR x 2\n", "line 5: VAR has a non-integer field"),
-    (HEAD + "CELL 0 0\nSHADOW 1\n", "line 5: malformed SHADOW record"),
-    (HEAD + "CELL 0 0\nSHADOW x VALUE\n", "line 5: SHADOW has a non-integer field"),
-    (HEAD + "CELL 0 0\nSHADOW 1 VALUE 0\n", "line 5: malformed VALUE shadow"),
-    (HEAD + "CELL 0 0\nSHADOW 1 VTOF 0 1\n", "line 5: VTOF shadow needs a factor id"),
-    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 VTOF 0\n", "line 5: unknown shadow role '1'"),
+    (HEAD + "CELL 0 0\nSHADOW\n", "line 5: SHADOW needs 1 fields"),
+    (HEAD + "CELL 0 0\nSHADOW x\n", "line 5: SHADOW has a non-integer field"),
+    (HEAD + "CELL 0 0\nSHADOW 1 2\n", "line 5: SHADOW needs 1 fields"),
+    # the shadow records of FMIMG 5 and of FMIMG 3
+    (HEAD + "CELL 0 0\nSHADOW 1 VTOF 0\n", "line 5: SHADOW needs 1 fields"),
+    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 VTOF 0\n", "line 5: SHADOW needs 1 fields"),
     (HEAD + "CELL 0 0\nREL 0 2\n", "line 5: malformed REL record"),
     (HEAD + "CELL 0 0\nREL 0 1 2 V0\n1\n", "line 5: bad scope reference '2'"),
-    (HEAD + "CELL 0 0\nSHADOW 1 SIDEWAYS\n", "unknown shadow role"),
-    (HEAD + "CELL 0 0\nSHADOW 1 FTOV 0\n", "line 5: unknown shadow role 'FTOV'"),
-    (HEAD + "CELL 0 0\nSHADOW 1 VTOF\n", "needs a factor id"),
     (HEAD + "CELL 0 0\nREL 0 0 V0\n", "at least one table word"),
     (HEAD + "CELL 0 0\nREL 0 2 X9\n", "bad scope reference"),
     (HEAD + "CELL 0 0\nREL 0 2 V0\n1 2 3\n", "too many table words"),
@@ -227,7 +228,7 @@ def test_a_code_built_gibbs_cell_with_only_a_period_round_trips():
                                rel_slots=[RelSlot(0, [("V", 0)], [100, 300])],
                                gibbs_period=5),
              (0, 1): CellImage(var_slots=[VarSlot(1, 2)],
-                               shadow_slots=[ShadowSlot(0, image.VALUE)],
+                               shadow_slots=[0],
                                rel_slots=[RelSlot(1, [("V", 0), ("H", 0)],
                                                   [300, 100, 100, 300])],
                                gibbs_period=5)}
@@ -237,6 +238,24 @@ def test_a_code_built_gibbs_cell_with_only_a_period_round_trips():
     trace, stats, beliefs = run_bytes(img, Capacities(), 30)
     assert run_bytes(parse_image(text), Capacities(), 30) == (trace, stats, beliefs)
     assert [row for row in trace.splitlines() if ",SAMPLE," in row][0].startswith("5,0,0,")
+
+
+def test_a_code_built_converging_image_loads_and_runs_as_its_text():
+    # variable 1, clamped to 1 in cell (0, 1), is tied by an equality to
+    # variable 0 through the one shadow of cell (0, 0); the relation reading
+    # it answers on the shadow's return wire
+    cells = {(0, 0): CellImage(var_slots=[VarSlot(0, 2)], shadow_slots=[1],
+                               rel_slots=[RelSlot(0, [("V", 0), ("H", 0)],
+                                                  [65535, 0, 0, 65535])]),
+             (0, 1): CellImage(var_slots=[VarSlot(1, 2, 1)])}
+    img = MachineImage((1, 2), SUMPROD, 0, cells)
+    assert img.wires == [Wire(1, (0, 1), (0, 0), 0), Wire(1, (0, 0), (0, 1), 0, back=True)]
+    m = Machine(img)
+    assert m.run_until_quiescent()[1]
+    assert m.read_beliefs() == ({0: [0.0, 1.0], 1: [0.0, 1.0]}, {0: 1, 1: 1})
+    text = dumps(img)
+    assert "\nSHADOW 1\n" in text
+    assert run_bytes(img, Capacities(), 0) == run_bytes(parse_image(text), Capacities(), 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +282,7 @@ def test_compiled_images_round_trip_and_load(graph_seed, tree, mode, evidence_se
     # and the text loads and runs the same machine as the compiled image
     assert run_bytes(img, caps, 50) == run_bytes(parse_image(text), caps, 50)
     if mode != GIBBS:
-        # a remote edge is one VTOF shadow and its return wire, so each
+        # a remote edge is one shadow and its return wire, so each
         # message travels on exactly one wire
         m = Machine(img, capacities=caps)
         ports = [edge.port for var in m.var_owner.values() for edge in var.edges

@@ -62,7 +62,7 @@ def reference(shape, table, inputs, prog, linear):
 
 
 def one_relation_image(mode, shape, table):
-    lines = ["FMIMG 5", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+    lines = ["FMIMG 6", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
     lines += ["VAR %d %d" % (p, c) for p, c in enumerate(shape)]
     lines.append("REL 0 %d %s" % (len(table),
                                     " ".join("V%d" % p for p in range(len(shape)))))

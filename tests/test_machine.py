@@ -198,7 +198,7 @@ def test_every_mode_loads_its_domains_default_threshold_and_table_range():
     for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
                                  ("MINSUM", 16, -32768, 32767),
                                  ("GIBBS", None, 0, 65535)):
-        head = "FMIMG 5\nGRID 1 1\nMODE %s\n" % mode
+        head = "FMIMG 6\nGRID 1 1\nMODE %s\n" % mode
         cell = "CELL 0 0\nVAR 0 2\nREL 0 2 V0\n%d %d\n"
         if mode == "GIBBS":
             cell += "GIBBS_PERIOD 4 0\n"
@@ -244,7 +244,7 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 5
+FMIMG 6
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
@@ -270,12 +270,12 @@ def test_route_charges_one_cycle_per_link():
 # variable 0 messages relation 0 through a shadow of the cell they share,
 # and relation 0 messages variable 0 over the shadow's return wire
 LOCAL_IMG = """\
-FMIMG 5
+FMIMG 6
 GRID 1 1
 MODE SUMPROD
 CELL 0 0
 VAR 0 2
-SHADOW 0 VTOF 0
+SHADOW 0
 REL 0 2 H0
 1 2
 """
@@ -343,7 +343,8 @@ def test_each_edge_is_a_local_relation_or_a_shadow_round_trip(graph_seed, tree, 
                 assert edge.rel is None
                 ((_dst, shadow, _hops, _links),) = edge.port.dests
                 assert type(shadow) is _Shadow
-                assert (shadow.vid, shadow.fid) == (vid, edge.fid)
+                assert shadow.vid == vid
+                assert [rel.fid for rel in shadow.consumers] == [edge.fid]
                 ((owner_cell, back, _hops, _links),) = shadow.port.dests
                 assert back is edge and owner_cell is var.cell
 
@@ -617,100 +618,98 @@ def test_machine_decodes_a_clean_codeword():
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+    ("""FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
 VAR 0 2\nVAR 1 2\nVAR 2 2\nVAR 3 2\nVAR 4 2\n""",
      "too many variable slots"),
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
+    ("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
      "owned by two cells"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
      "cardinality above limit"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 2 V9\n1 1\n",
      "dangling variable slot V9"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 2 H3\n1 1\n",
      "dangling shadow slot H3"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 3 V0\n1 1 1\n",
      "table has 3 words, scope needs 2"),
     # a shadow's wire comes from its variable's cell
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1 VTOF 0\nREL 0 4 V0 H0\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
+    ("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1\nREL 0 4 V0 H0\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
      "cell (0, 0): shadow of variable 1, which no cell owns"),
-    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n",
+    ("FMIMG 6\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n",
      "no resample period"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 2 V0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 5\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
      "REL 0 2 V0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1 VTOF 1\nREL 0 4 V0 H0\n1 1 1 1\n"
+    # a converging shadow is one edge: a second reader's messages would
+    # share the first's return wire
+    ("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1\nREL 0 4 V0 H0\n1 1 1 1\nREL 1 2 H0\n1 1\n"
      "CELL 0 1\nVAR 1 2\n",
-     "relation 0 reads a shadow bound to relation 1"),
+     "cell (0, 0): relations 0 and 1 both read shadow slot 0"),
+    ("FMIMG 6\nGRID 1 2\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nVAR 2 2\n"
+     "SHADOW 1\nREL 3 4 V0 H0\n0 0 0 0\nREL 5 4 H0 V1\n0 0 0 0\n"
+     "CELL 0 1\nVAR 1 2\n",
+     "cell (0, 0): relations 3 and 5 both read shadow slot 0"),
     # a shadow no relation reads would be a wire the machine ignores, and
-    # a VTOF one would have no relation to answer it
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 0 VTOF 7\n",
+    # a converging one would have no relation to answer it
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 0\n",
      "cell (0, 0): no relation reads shadow slot 0"),
-    ("FMIMG 5\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1 VALUE\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 1 2\n"
+    ("FMIMG 6\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 1 2\n"
      "GIBBS_PERIOD 10 5\n",
      "cell (0, 0): no relation reads shadow slot 0"),
     # a relation reading one variable twice would send it two messages
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 4 V0 V0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1 VTOF 0\nREL 0 4 H0 H0\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
+    ("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 1\nREL 0 4 H0 H0\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
      "relation 0 binds variable 1 at two scope positions"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 0 VTOF 0\nREL 0 4 V0 H0\n1 2 3 4\n",
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "SHADOW 0\nREL 0 4 V0 H0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
      "REL 0 4 V0 V0\n1 2 3 4\nGIBBS_PERIOD 10 0\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1 VALUE\nREL 0 4 V0 H0\n65535 0 0 65535\n"
-     "CELL 0 1\nVAR 1 2 EVIDENCE 1\n",
-     "cell (0, 0): a SUMPROD machine feeds no VALUE shadows"),
-    ("FMIMG 5\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1 VTOF 0\nREL 0 4 V0 H0\n1 1 1 1\nGIBBS_PERIOD 10 0\n"
-     "CELL 0 1\nVAR 1 2\nGIBBS_PERIOD 10 5\n",
-     "cell (0, 0): a GIBBS machine feeds no VTOF shadows"),
     # a cell holds 4 relations and 512 table words
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      + "".join("REL %d 2 V0\n1 1\n" % k for k in range(5)),
      "cell (0, 0): too many relation slots"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
      + "".join("REL %d 256 V0 V1\n" % k + "1 " * 256 + "\n" for k in range(2))
      + "REL 2 16 V0\n" + "1 " * 16 + "\n",
      "cell (0, 0): table memory over capacity"),
     # six positions would cost 72 cycles per update
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
+    ("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
      + "".join("VAR %d 2\n" % v for v in range(4))
-     + "SHADOW 4 VTOF 0\nSHADOW 5 VTOF 0\n"
+     + "SHADOW 4\nSHADOW 5\n"
      "REL 0 64 V0 V1 V2 V3 H0 H1\n" + "1 " * 64 + "\n"
      "CELL 0 1\nVAR 4 2\nVAR 5 2\n",
      "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
     # a converging factor id names one relation of the machine ...
-    ("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
+    ("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
      "CELL 0 1\nVAR 1 2\nREL 0 2 V0\n1 1\n",
      "cell (0, 1): factor id 0 names a second relation"),
-    ("FMIMG 5\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 2 V0\n0 0\n"
+    ("FMIMG 6\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 2 V0\n0 0\n"
      "REL 3 2 V0\n0 0\n",
      "cell (0, 0): factor id 3 names a second relation"),
     # ... and a GIBBS one a relation per cell
-    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
+    ("FMIMG 6\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
      "REL 0 2 V0\n1 1\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): factor id 0 names a second relation"),
     # a GIBBS cell sends a value whenever it changes, and a converging cell
     # never resamples
-    ("FMIMG 5\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
+    ("FMIMG 6\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\n"
      "THRESH 7\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): a GIBBS machine takes no THRESH"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 65535\n"
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 65535\n"
      "GIBBS_PERIOD 4 0\n",
      "cell (0, 0): a SUMPROD machine takes no GIBBS_PERIOD"),
 ]
@@ -794,11 +793,11 @@ def test_an_unknown_mode_is_rejected_where_an_image_or_graph_is_taken():
 def test_return_wires_count_against_the_owner_cells_shadow_slots():
     def image(n):
         # cell (0, 0) holds one shadow and receives n return wires
-        lines = ["FMIMG 5", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
-                 "SHADOW 1 VTOF 0", "REL 0 4 V0 H0", "1 2 3 4",
+        lines = ["FMIMG 6", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
+                 "SHADOW 1", "REL 0 4 V0 H0", "1 2 3 4",
                  "CELL 0 1", "VAR 1 2"]
         for k in range(n):
-            lines += ["SHADOW 0 VTOF %d" % (k + 1), "REL %d 2 H%d" % (k + 1, k), "1 2"]
+            lines += ["SHADOW 0", "REL %d 2 H%d" % (k + 1, k), "1 2"]
         return "\n".join(lines) + "\n"
 
     caps = Capacities(shadow_slots=3)
@@ -813,8 +812,8 @@ def test_return_wires_count_against_the_owner_cells_shadow_slots():
 def test_a_shadow_of_a_later_cells_variable_loads():
     # the shadow's source cell and cardinality are its variable's, which
     # only a later CELL record declares
-    m = Machine("FMIMG 5\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-                "SHADOW 1 VTOF 0\nREL 0 6 V0 H0\n65535 0 0 0 65535 0\n"
+    m = Machine("FMIMG 6\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+                "SHADOW 1\nREL 0 6 V0 H0\n65535 0 0 0 65535 0\n"
                 "CELL 0 1\nVAR 1 3 EVIDENCE 1\n")
     shadow = m.cells[(0, 0)].shadows[0]
     edge = m.var_owner[1].edges[0]
@@ -869,7 +868,7 @@ def test_only_a_table_mostly_of_foldable_words_is_folded():
             ("SUMPROD", U16, (65535, 0, 0, 9, 8, 7), (None,) * 6),
             ("MINSUM", Q88, (0, 0, 0, 0, -32768, -5), (0, 0, 0, 0, None, None)),
             ("MINSUM", Q88, (0, 0, 0, -32768, -32768, -5), (None,) * 6)):
-        text = "FMIMG 5\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
+        text = "FMIMG 6\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
         text += "REL 0 6 V0 V1\n%s\n" % " ".join(map(str, table))
         rel, = Machine(text).cells[(0, 0)].rels
         assert rel.kernel is _kernel(dom, (2, 3), folds)
@@ -891,7 +890,7 @@ def test_stats_text_matches_energy_proxy():
 @functools.lru_cache(maxsize=None)
 def fuzz_images():
     """One small image per mode, its variables spread over a 2x2 grid so
-    that every shadow role and wire kind appears, and relations 0 and 1
+    that every wire kind appears, and relations 0 and 1
     share a cell so that a factor id off by one names a real relation."""
     tree = FactorGraph([VariableNode(i, c) for i, c in enumerate((2, 3, 2))],
                        [FactorNode(0, (0, 1), TABLE, (0.2, 0.5, 0.9, 0.4, 0.3, 0.7)),
@@ -904,15 +903,9 @@ def fuzz_images():
                  for mode in ("SUMPROD", "MINSUM", "GIBBS"))
 
 
-ROLES = ("VTOF", "VALUE")
-
-
 def token_mutations(tok):
     """Replacements for one image token: an integer (bare or as the index
-    of an IN/OUT/V/H operand) moved by one or set to 0, -1 or 99, or a
-    shadow role swapped for another."""
-    if tok in ROLES:
-        return [role for role in ROLES if role != tok]
+    of an IN/OUT/V/H operand) moved by one or set to 0, -1 or 99."""
     prefix = tok.rstrip("-0123456789")
     if prefix not in ("", "IN", "OUT", "V", "H") or tok == prefix:
         return []

@@ -280,13 +280,23 @@ def reference_cluster(graph, capacities=Capacities(), mode="SUMPROD"):
 
 @PLACEMENT_SETTINGS
 @given(mode=st.sampled_from(("SUMPROD", "MINSUM", "GIBBS")),
-       graph_seed=st.integers(0, 10 ** 6), tree=st.booleans(),
-       var_slots=st.integers(1, 4), rel_slots=st.integers(1, 6),
-       shadow_slots=st.integers(1, 16), table_words=st.sampled_from((8, 16, 32, 64, 512)))
-def test_cluster_matches_reference(mode, graph_seed, tree, var_slots, rel_slots,
+       graph_seed=st.integers(0, 10 ** 6),
+       family=st.sampled_from(("tree", "builtin", "padded")),
+       var_slots=st.integers(1, 4), rel_slots=st.sampled_from(range(1, 9)),
+       shadow_slots=st.sampled_from(range(1, 9)),
+       table_words=st.sampled_from((8, 16, 32, 64, 512)))
+def test_cluster_matches_reference(mode, graph_seed, family, var_slots, rel_slots,
                                    shadow_slots, table_words):
-    graph = (gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10) if tree
-             else gen.random_builtin_graph(graph_seed))
+    # a padded graph gives its variables as many relations as a cell has
+    # registers, so a lowered PARITY relation that a variable's register
+    # budget blocks fits once a later unary relation of the variable is
+    # absorbed, on a repeated relation pass; slot counts are sampled evenly,
+    # since the integers strategy draws mostly budgets that fit no cell
+    if family == "tree":
+        graph = gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10)
+    else:
+        graph = gen.random_builtin_graph(
+            graph_seed, degree=shadow_slots if family == "padded" else 0)
     low = lower(graph, mode=mode)
     caps = Capacities(var_slots=var_slots, rel_slots=rel_slots,
                       shadow_slots=shadow_slots, table_words=table_words)
@@ -637,11 +647,10 @@ def test_chain_image_wire_and_shadow_structure():
     placement = place(clusters, graph, (1, 3), seed=0)
     image = emit_image(placement, clusters, graph, "SUMPROD")
     assert len(image.wires) == 4
-    roles = {}
-    for ci, coord in enumerate(placement.coords):
-        roles[ci] = sorted(s.role for s in image.cells[coord].shadow_slots)
-    assert roles == {0: ["VTOF"], 1: ["VTOF"], 2: []}
-    # a VTOF shadow's return wire carries its relation's message into the
+    shadows = {ci: image.cells[coord].shadow_slots
+               for ci, coord in enumerate(placement.coords)}
+    assert shadows == {0: [1], 1: [2], 2: []}
+    # a shadow's return wire carries its relation's message into the
     # next cell, whose shadow registers it fills with the shadow slots
     registers = {ci: sum(w.dst == coord for w in image.wires)
                  for ci, coord in enumerate(placement.coords)}

@@ -39,7 +39,7 @@ def trace():
 
 def read_config(text, path):
     path.write_text(text)
-    cfg = cli._load_config(str(path))
+    cfg = cli._load_config(str(path), CASTS)
     args = argparse.Namespace(_cfg=cfg)
     for key, cast in CASTS.items():
         cli._resolve(args, key, None, cast)

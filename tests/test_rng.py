@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from factormesh import rng
 
-# (seed, stream, counter) -> (raw64, uniform01), recorded before draws were
-# split into a stream key and a per-counter mix; seeds, streams and counters
-# may be negative or wider than 64 bits and are reduced modulo 2**64
+# (seed, stream, counter) -> (keyed_raw64, keyed_uniform01) of the counter
+# in stream_key(seed, stream), recorded before draws were split into a
+# stream key and a per-counter mix; seeds, streams and counters may be
+# negative or wider than 64 bits and are reduced modulo 2**64
 KNOWN_ANSWERS = [
     ((0, 0, 0), 0xA706DD2F4D197E6F, 0.6524484863740322),
     ((12, 34, 56), 0x410E8426082830D0, 0.25412774971496854),
@@ -28,22 +29,24 @@ def test_mix_matches_reference_splitmix64_sequence():
 
 
 def test_raw64_is_pure():
-    a = rng.raw64(12, 34, 56)
-    assert a == rng.raw64(12, 34, 56)
+    key = rng.stream_key(12, 34)
+    a = rng.keyed_raw64(key, 56)
+    assert a == rng.keyed_raw64(rng.stream_key(12, 34), 56)
     assert 0 <= a < 1 << 64
     # counters wrap at 64 bits
-    assert rng.raw64(12, 34, 56 + (1 << 64)) == a
+    assert rng.keyed_raw64(key, 56 + (1 << 64)) == a
 
 
 def test_raw64_separates_streams_and_counters():
-    base = [rng.raw64(7, 0, i) for i in range(64)]
-    other = [rng.raw64(7, 1, i) for i in range(64)]
+    base = [rng.keyed_raw64(rng.stream_key(7, 0), i) for i in range(64)]
+    other = [rng.keyed_raw64(rng.stream_key(7, 1), i) for i in range(64)]
     assert base != other
     assert len(set(base)) == 64
 
 
 def test_uniform01_range_and_mean():
-    vals = [rng.uniform01(0, 0, i) for i in range(4000)]
+    key = rng.stream_key(0, 0)
+    vals = [rng.keyed_uniform01(key, i) for i in range(4000)]
     assert min(vals) >= 0.0
     assert max(vals) < 1.0
     mean = sum(vals) / len(vals)
@@ -51,26 +54,28 @@ def test_uniform01_range_and_mean():
 
 
 def test_uniform01_independent_of_draw_order():
-    forward = [rng.uniform01(3, 1, i) for i in range(10)]
-    backward = [rng.uniform01(3, 1, i) for i in reversed(range(10))]
+    key = rng.stream_key(3, 1)
+    forward = [rng.keyed_uniform01(key, i) for i in range(10)]
+    backward = [rng.keyed_uniform01(key, i) for i in reversed(range(10))]
     assert forward == list(reversed(backward))
 
 
 def test_known_answers():
-    for args, raw, uniform in KNOWN_ANSWERS:
-        assert rng.raw64(*args) == raw, args
-        assert rng.uniform01(*args) == uniform, args
+    for (seed, stream, counter), raw, uniform in KNOWN_ANSWERS:
+        key = rng.stream_key(seed, stream)
+        assert rng.keyed_raw64(key, counter) == raw, (seed, stream, counter)
+        assert rng.keyed_uniform01(key, counter) == uniform, (seed, stream, counter)
 
 
 wide = st.integers(-(1 << 80), 1 << 80)
 
 
 @given(seed=wide, stream=wide, counter=wide)
-def test_keyed_draw_equals_unkeyed(seed, stream, counter):
+def test_stream_keys_and_keyed_draws_stay_in_range(seed, stream, counter):
     key = rng.stream_key(seed, stream)
     assert 0 <= key < 1 << 64
-    assert rng.keyed_raw64(key, counter) == rng.raw64(seed, stream, counter)
-    assert rng.keyed_uniform01(key, counter) == rng.uniform01(seed, stream, counter)
+    assert 0 <= rng.keyed_raw64(key, counter) < 1 << 64
+    assert 0.0 <= rng.keyed_uniform01(key, counter) < 1.0
 
 
 @st.composite

@@ -3,8 +3,8 @@
 `ReferenceTickMachine` keeps the tick loop from before the relation
 programs were lowered into a tick plan: it walks every (relation, scope
 position) that reads a local variable and builds the conditional from the
-relation's table directly, drawing with the unkeyed `uniform01`, one
-scalar draw per tick, so it also checks that the machine's block draws
+relation's table directly, drawing with the scalar `keyed_uniform01`, one
+draw per tick, so it also checks that the machine's block draws
 (`rng.DRAW_BLOCK` ticks hashed at once) are the scalar stream's.
 """
 
@@ -52,7 +52,7 @@ class ReferenceTickMachine(Machine):
                 self.stats.activations += len(uses)
                 total = sum(cond)
                 if total > 0:
-                    target = rng.uniform01(self.seed, var.vid, k) * total
+                    target = rng.keyed_uniform01(var.key, k) * total
                     acc = 0
                     val = var.card - 1
                     for a in range(var.card):
