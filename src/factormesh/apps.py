@@ -318,19 +318,22 @@ def bp_hamming_trajectory(graph, sweeps: int = 20, epsilon: float = EPS_SOFT):
 
 
 def machine_hamming_trajectory(machine, budget: int = 3000):
-    """Yield the machine argmax at each cycle boundary until the event queue
-    drains or the cycle budget runs out.  Loopy graphs can ride a quantized
-    limit cycle forever, so the budget is load-bearing."""
+    """Yield the argmax of variables 0-6 after the first event of each cycle,
+    then once more when the loop stops.  The loop stops when the event queue
+    drains, or after it has run the first event past `budget`, so a
+    budget-bound run leaves `machine.time` above the budget and its last
+    answer includes that event.  Loopy graphs can ride a quantized limit
+    cycle forever, so the budget is load-bearing."""
+    step, read = machine.step, machine.assignment_reader(range(7))
     last_t = -1
-    while machine.step():
-        if machine.time > budget:
+    while step():
+        t = machine.time
+        if t > budget:
             break
-        if machine.time != last_t:
-            last_t = machine.time
-            a = machine.read_assignment()
-            yield tuple(a[v] for v in range(7))
-    a = machine.read_assignment()
-    yield tuple(a[v] for v in range(7))
+        if t != last_t:
+            last_t = t
+            yield read()
+    yield read()
 
 
 # ---------------------------------------------------------------------------

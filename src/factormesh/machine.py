@@ -21,6 +21,8 @@ fixed-point arithmetic spliced from the domain's combine, reduce and
 normalize templates, one function shared by every relation or variable of
 the same structure.  Each output word is bound to a local name and
 normalized in place, so generated code calls no normalization function.
+A poller's `assignment_reader` is generated the same way, from the mode
+and its variables' cardinalities, when the poller asks for it.
 In GIBBS mode each cell periodically resamples its variables from the
 fixed-point conditionals given shadowed neighbor values, sends each changed
 value as soon as it draws it, and never quiesces on its own; each relation
@@ -329,6 +331,27 @@ def _refresh(dom, card, degree):
     return _define(lines)
 
 
+@functools.lru_cache(maxsize=256)
+def _reader(gibbs, cards):
+    """Generate an assignment reader: generated(*variables) binds one
+    variable per entry of `cards`, their cardinalities, and returns read(),
+    which gives the tuple of their answers in order: the sampled value in
+    GIBBS, else the belief's first maximal word by straight-line
+    comparisons, so ties go to the lowest value."""
+    lines = ["def generated(%s):" % ", ".join("v%d" % i for i in range(len(cards))),
+             "    def read():"]
+    for i, card in enumerate(cards):
+        if gibbs:
+            lines.append("        a%d = v%d.value" % (i, i))
+            continue
+        lines += ["    " + _unpack(["w%d" % a for a in range(card)], "v%d.belief" % i),
+                  "        a%d, m = 0, w0" % i]
+        lines += ["        if w%d > m: a%d, m = %d, w%d" % (a, i, a, a) for a in range(1, card)]
+    lines += ["        return %s" % _tuple("a%d" % i for i in range(len(cards))),
+              "    return read"]
+    return _define(lines)
+
+
 def _prefix_sums(var):
     """Prefix sums of a GIBBS variable's conditional at the current values of
     its blanket: the product of its terms' table slices, uniform if none."""
@@ -563,10 +586,7 @@ class Machine:
             self._push(time, rel.cell, self._on_exec, rel)
 
     def _trace(self, cycle, cell, event, vid, detail):
-        # the run paths test self.trace first, to save the call untraced
-        if self.trace is not None:
-            self.trace.append("%d,%d,%d,%s,%d,%s"
-                              % (cycle, cell.r, cell.c, event, vid, detail))
+        self.trace.append("%d,%d,%d,%s,%d,%s" % (cycle, cell.r, cell.c, event, vid, detail))
 
     def _init_flush(self):
         """Startup: publish every variable's initial message/value (a port
@@ -867,12 +887,26 @@ class Machine:
 
     def read_assignment(self):
         """Per-variable argmax (or the sampled value in GIBBS mode), without
-        the float belief conversion; cheap enough to poll every cycle."""
+        the float belief conversion.  A poller that reads some variables
+        every cycle takes an `assignment_reader` instead."""
         if self.mode == GIBBS:
             return {vid: var.value for vid, var in self.var_owner.items()}
         # index() finds the first maximal word, so ties go to the lowest value
         return {vid: var.belief.index(max(var.belief))
                 for vid, var in self.var_owner.items()}
+
+    def assignment_reader(self, vids):
+        """A zero-argument function giving the tuple of `read_assignment`'s
+        answers for `vids`, in order: straight-line code generated for the
+        mode and their cardinalities (`_reader`), bound to their variables
+        once."""
+        variables = []
+        for vid in vids:
+            var = self.var_owner.get(vid)
+            if var is None:
+                raise MachineError("unknown variable %d" % vid)
+            variables.append(var)
+        return _reader(self.mode == GIBBS, tuple(v.card for v in variables))(*variables)
 
     def verify_quiescent(self):
         """Recompute everything and measure drift against stored copies.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -224,6 +225,70 @@ def test_tied_beliefs_read_as_the_lowest_value(mode):
     assert belief[1] == belief[2] > belief[0]
     assert m.read_assignment() == {0: 1}
     assert m.read_beliefs()[1] == {0: 1}
+    assert m.assignment_reader([0])() == (1,)
+
+
+# -- assignment readers --------------------------------------------------------
+
+def read_reference(m, vids):
+    """The answers of `vids` from `read_assignment`, the reference every
+    generated reader must equal."""
+    a = m.read_assignment()
+    return tuple(a[v] for v in vids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=st.integers(0, 10 ** 6), tree=st.booleans(),
+       mode=st.sampled_from([SUMPROD, MINSUM, GIBBS]),
+       place_seed=st.integers(0, 2 ** 32 - 1), pick_seed=st.integers(0, 10 ** 6))
+def test_assignment_reader_matches_read_assignment(graph_seed, tree, mode, place_seed,
+                                                   pick_seed):
+    graph = (gen.random_tree_graph(graph_seed) if tree
+             else gen.random_builtin_graph(graph_seed))
+    caps = Capacities(var_slots=2, rel_slots=16, shadow_slots=64, table_words=4096)
+    try:
+        image, _ = compile_graph(graph, mode, grid=(4, 4), seed=place_seed,
+                                 capacities=caps, epochs=2)
+    except MapperError:
+        reject()
+    m = Machine(image, capacities=caps)
+    pick = random.Random(pick_seed)
+    vids = pick.sample(sorted(m.var_owner), pick.randint(0, len(m.var_owner)))
+    read = m.assignment_reader(vids)
+    assert read() == read_reference(m, vids)
+    if mode == GIBBS:
+        m.run_ticks(pick.randint(1, 20))
+    else:
+        m.run_until_quiescent(pick.randint(0, 2000))
+    assert read() == read_reference(m, vids)
+    if mode != GIBBS:
+        # words from a few values, so most beliefs hold ties
+        dom = m.dom
+        words = (dom.lo, dom.lo + 1, dom.one, dom.hi)
+        for var in m.var_owner.values():
+            var.belief = tuple(pick.choice(words) for _ in range(var.card))
+        assert read() == read_reference(m, vids)
+
+
+@pytest.mark.parametrize("mode", [SUMPROD, MINSUM])
+def test_assignment_reader_reads_ties_and_collapsed_beliefs_as_the_lowest_value(mode):
+    graph = FactorGraph([VariableNode(0, 3), VariableNode(1, 2)],
+                        [FactorNode(0, (0, 1), TABLE, (1.0,) * 6)])
+    m, _ = compiled(graph, mode, grid=(1, 1))
+    read = m.assignment_reader([1, 0])
+    lo = m.dom.lo
+    for belief0, belief1, want in (((5, 9, 9), (7, 7), (0, 1)),
+                                   ((lo, lo, lo), (lo, lo), (0, 0)),
+                                   ((9, 5, 9), (lo, 3), (1, 0)),
+                                   ((lo, lo, 4), (8, 2), (0, 2))):
+        m.var_owner[0].belief, m.var_owner[1].belief = belief0, belief1
+        assert read() == want == read_reference(m, [1, 0])
+
+
+def test_assignment_reader_rejects_an_unknown_variable():
+    m, _ = compiled(pair_graph(), "SUMPROD", grid=(1, 1))
+    with pytest.raises(MachineError, match="unknown variable 7"):
+        m.assignment_reader([0, 7])
 
 
 def test_minsum_machine_recovers_map_assignment():
@@ -613,6 +678,44 @@ def test_machine_decodes_a_clean_codeword():
     decoded = apps.decode_by_candidates(
         apps.machine_hamming_trajectory(m, budget=3000), word)
     assert decoded == word
+
+
+def reference_hamming_trajectory(machine, budget: int = 3000):
+    """`apps.machine_hamming_trajectory` before it polled an assignment
+    reader, kept verbatim as the reference it must equal."""
+    last_t = -1
+    while machine.step():
+        if machine.time > budget:
+            break
+        if machine.time != last_t:
+            last_t = machine.time
+            a = machine.read_assignment()
+            yield tuple(a[v] for v in range(7))
+    a = machine.read_assignment()
+    yield tuple(a[v] for v in range(7))
+
+
+@pytest.mark.parametrize("thresh", [None, 0])
+def test_hamming_trajectory_matches_reference(thresh):
+    # at budget 600 two of the default threshold's flips and every flip at
+    # thresh 0 run out the budget, and the clean word quiesces
+    budget = 600
+    word = apps.hamming_codewords()[5]
+    received = [tuple(b ^ (i == pos) for i, b in enumerate(word)) for pos in range(-1, 7)]
+    received.append(tuple(b ^ (i in (2, 4)) for i, b in enumerate(word)))
+    bound = 0
+    for r in received:
+        bench = apps.build_parity_code(r, flip_p=0.05)
+        image, _ = compile_graph(bench.graph, SUMPROD, grid=bench.grid, seed=0,
+                                 thresh=thresh)
+        runs = []
+        for trajectory in (apps.machine_hamming_trajectory, reference_hamming_trajectory):
+            m = Machine(image)
+            runs.append((list(trajectory(m, budget=budget)), m.stats.text(), m.time))
+        assert runs[0] == runs[1], r
+        # a budget-bound run has run the first event past its budget
+        bound += runs[0][2] > budget
+    assert bound == (2 if thresh is None else 8)
 
 
 # -- build diagnostics --------------------------------------------------------

@@ -64,7 +64,8 @@ class ReferenceTickMachine(Machine):
                         var.value = val
                         changed.append(var)
             var.counts[var.value] += 1
-            self._trace(time, cell, "SAMPLE", var.vid, var.value)
+            if self.trace is not None:
+                self._trace(time, cell, "SAMPLE", var.vid, var.value)
         cell.tick_idx = k + 1
         out_t = time + cell.tick_cost
         for var in changed:
