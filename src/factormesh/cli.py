@@ -18,7 +18,7 @@ from .graph import (EPS_SOFT, GraphError, ParseError, expand_all, parse_uai,
                     parse_evidence, with_evidence)
 from .image import ImageError, MODES, SUMPROD, MINSUM, GIBBS, dumps, parse_image
 from .machine import Machine, MachineError, xy_links
-from .records import Records
+from .records import Records, line_error
 
 
 def _read(path):
@@ -33,6 +33,8 @@ def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
 
+
+SCHEDULES = (golden.FLOODING, golden.SEQUENTIAL)
 
 # what a config file may not set: the subcommand, and the files it reads or writes
 _NOT_SETTINGS = {"command", "func", "alg", "config", "graph", "evidence", "out",
@@ -65,7 +67,7 @@ def _resolve(args, key, default, cast=str):
         try:
             return cast(text)
         except ValueError:
-            raise ParseError(line, "config value for %s is not a %s"
+            raise line_error(ParseError, line, "config value for %s is not a %s"
                              % (key, cast.__name__))
     return default
 
@@ -75,7 +77,7 @@ def _bad_value(args, key, message):
     line if the value came from the config file."""
     cfg = getattr(args, "_cfg", {})
     if getattr(args, key, None) is None and key in cfg:
-        return ParseError(cfg[key][1], message)
+        return line_error(ParseError, cfg[key][1], message)
     return GraphError(message)
 
 
@@ -165,6 +167,18 @@ def cmd_golden(args):
     graph = _load_graph(args)
     alg = args.alg
     seed = _resolve(args, "seed", 0, int)
+    # every setting is checked whichever --alg reads it
+    schedule = _resolve(args, "schedule", golden.FLOODING)
+    if schedule not in SCHEDULES:
+        raise _bad_value(args, "schedule", "schedule must be one of %s" % "/".join(SCHEDULES))
+    damping = _resolve(args, "damping", 0.0, float)
+    if not 0 <= damping < 1:
+        raise _bad_value(args, "damping", "damping must be in [0, 1), got %g" % damping)
+    # zero iterations would print the start state as an answer
+    max_iters = _at_least(args, "max_iters", 100, 1)
+    tol = _resolve(args, "tol", 1e-6, float)
+    burn_in = _at_least(args, "burn_in", 1000)
+    sweeps = _at_least(args, "sweeps", 10000, 1)
     # hard constraints for the sum-domain kernels, log-finite for the rest
     eps_default = 0.0 if alg in ("exact", "map", "sumprod") else EPS_SOFT
     graph = expand_all(graph, _resolve(args, "epsilon", eps_default, float))
@@ -175,20 +189,12 @@ def cmd_golden(args):
         out = apps.write_results(as_dict(golden.map_bruteforce(graph)))
     elif alg in ("sumprod", "minsum"):
         kernel = golden.sum_product if alg == "sumprod" else golden.min_sum
-        state = kernel(
-            graph,
-            schedule=_resolve(args, "schedule", golden.FLOODING),
-            damping=_resolve(args, "damping", 0.0, float),
-            # zero iterations would print the start state as an answer
-            max_iters=_at_least(args, "max_iters", 100, 1),
-            tol=_resolve(args, "tol", 1e-6, float))
+        state = kernel(graph, schedule=schedule, damping=damping,
+                       max_iters=max_iters, tol=tol)
         out = apps.write_results(as_dict(state.beliefs if alg == "sumprod"
                                          else state.assignment))
     else:                   # gibbs, the last of the parser's choices
-        res = golden.gibbs_sample(
-            graph, seed=seed,
-            burn_in=_at_least(args, "burn_in", 1000),
-            sweeps=_at_least(args, "sweeps", 10000, 1))
+        res = golden.gibbs_sample(graph, seed=seed, burn_in=burn_in, sweeps=sweeps)
         out = apps.write_results(as_dict(res.marginals))
     if args.out:
         _write(args.out, out)
@@ -275,7 +281,7 @@ def _build_parser():
     g.add_argument("--evidence")
     g.add_argument("--alg", required=True,
                    choices=["exact", "map", "sumprod", "minsum", "gibbs"])
-    g.add_argument("--schedule", choices=[golden.FLOODING, golden.SEQUENTIAL])
+    g.add_argument("--schedule", choices=SCHEDULES)
     g.add_argument("--damping", type=float)
     g.add_argument("--max-iters", dest="max_iters", type=int)
     g.add_argument("--tol", type=float)
@@ -313,7 +319,7 @@ def main(argv=None) -> int:
     except mapper.MapperError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except (ParseError, GraphError, ImageError, MachineError,
+    except (GraphError, ImageError, MachineError,
             apps.HarnessError, golden.InferenceError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Discrete factor graph IR and the UAI text format.
+"""Discrete factor graph IR, and the UAI graph and evidence text formats.
 
 A graph is a bipartite structure of variable nodes (finite domains,
 cardinality >= 2, optional hard evidence) and factor nodes (scope = ordered
@@ -16,7 +16,8 @@ assignments):
 
 Two epsilon conventions are used by callers: 0.0 for exact/sum-product
 semantics (hard constraints) and exp(-20) for min-sum and Gibbs, keeping
-log-domain numbers finite.
+log-domain numbers finite.  UAI and evidence texts are read by
+`records.Records`: `#` starts a comment, and every error names its line.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+from .records import Records
 
 TABLE = "TABLE"
 ALL_DIFFERENT = "ALL_DIFFERENT"
@@ -44,11 +47,7 @@ class GraphError(ValueError):
 
 
 class ParseError(GraphError):
-    """Malformed input text; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__("line %d: %s" % (line, message))
-        self.line = line
+    """Malformed input text; `records` builds it with its 1-based `line`."""
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,26 @@ def validate(graph: FactorGraph) -> list:
                     out.append("factor %d: negative table entry" % f.id)
                 if all(x == 0 for x in f.table):
                     out.append("factor %d: table has no positive entry" % f.id)
-        elif f.kind in (ALL_DIFFERENT, PARITY):
-            if len(set(cards)) > 1:
-                out.append("factor %d: %s requires one shared cardinality" % (f.id, f.kind))
-            if f.kind == PARITY and cards and cards[0] != 2:
-                out.append("factor %d: PARITY requires cardinality 2" % f.id)
-        elif f.kind == PAIRWISE_ISING:
-            if len(f.scope) != 2:
-                out.append("factor %d: PAIRWISE_ISING requires arity 2" % f.id)
-            if f.coupling is None:
-                out.append("factor %d: PAIRWISE_ISING requires a coupling" % f.id)
-        elif f.kind == EQUALITY:
-            pass
         else:
-            out.append("factor %d: unknown kind %r" % (f.id, f.kind))
+            out += _builtin_problems(f, cards)
+    return out
+
+
+def _builtin_problems(factor: FactorNode, cards: tuple) -> list:
+    """What keeps a builtin factor over scope cardinalities `cards` from
+    expanding; empty means it expands."""
+    if factor.kind not in BUILTIN_KINDS:
+        return ["factor %d: unknown kind %r" % (factor.id, factor.kind)]
+    out = []
+    if factor.kind in (ALL_DIFFERENT, PARITY) and len(set(cards)) > 1:
+        out.append("factor %d: %s requires one shared cardinality" % (factor.id, factor.kind))
+    if factor.kind == PARITY and cards[0] != 2:
+        out.append("factor %d: PARITY requires cardinality 2" % factor.id)
+    if factor.kind == PAIRWISE_ISING:
+        if len(cards) != 2:
+            out.append("factor %d: PAIRWISE_ISING requires arity 2" % factor.id)
+        if factor.coupling is None:
+            out.append("factor %d: PAIRWISE_ISING requires a coupling" % factor.id)
     return out
 
 
@@ -173,18 +178,9 @@ def expand_builtin(factor: FactorNode, cards, epsilon: float) -> FactorNode:
     cards = tuple(cards)
     if factor.kind == TABLE:
         return factor
-    if factor.kind not in BUILTIN_KINDS:
-        raise GraphError("factor %d: unknown kind %r" % (factor.id, factor.kind))
-    if factor.kind in (ALL_DIFFERENT, PARITY) and len(set(cards)) > 1:
-        raise GraphError("factor %d: %s requires one shared cardinality"
-                         % (factor.id, factor.kind))
-    if factor.kind == PARITY and cards[0] != 2:
-        raise GraphError("factor %d: PARITY requires cardinality 2" % factor.id)
-    if factor.kind == PAIRWISE_ISING:
-        if len(cards) != 2:
-            raise GraphError("factor %d: PAIRWISE_ISING requires arity 2" % factor.id)
-        if factor.coupling is None:
-            raise GraphError("factor %d: PAIRWISE_ISING requires a coupling" % factor.id)
+    bad = _builtin_problems(factor, cards)
+    if bad:
+        raise GraphError(bad[0])
     rows = []
     j = factor.coupling
     # itertools.product varies the last position fastest: the UAI table order
@@ -228,91 +224,56 @@ def with_evidence(graph: FactorGraph, evidence: dict) -> FactorGraph:
 # UAI text format
 # ---------------------------------------------------------------------------
 
-def _tokens(text: str):
-    for lineno, line in enumerate(text.splitlines(), 1):
-        for tok in line.split():
-            yield tok, lineno
-
-
-class _TokenStream:
-    def __init__(self, text):
-        self._it = _tokens(text)
-        self.line = 1
-
-    def next(self, what: str) -> str:
-        try:
-            tok, self.line = next(self._it)
-        except StopIteration:
-            raise ParseError(self.line, "unexpected end of input, expected %s" % what)
-        return tok
-
-    def next_number(self, what: str, cast=int):
-        """The next token read by `cast`, int or float."""
-        tok = self.next(what)
-        try:
-            return cast(tok)
-        except ValueError:
-            raise ParseError(self.line, "expected %s, got %r" % (what, tok))
-
-    def at_end(self) -> bool:
-        try:
-            tok, line = next(self._it)
-        except StopIteration:
-            return True
-        self._it = itertools.chain([(tok, line)], self._it)
-        return False
-
-
 def parse_uai(text: str) -> FactorGraph:
     """Parse the MARKOV network text format into a validated FactorGraph."""
-    ts = _TokenStream(text)
-    header = ts.next("MARKOV header")
+    rec = Records(text, ParseError)
+    header = rec.token("MARKOV header", str)
     if header != "MARKOV":
-        raise ParseError(ts.line, "expected MARKOV header, got %r" % header)
-    n = ts.next_number("variable count")
+        rec.fail("expected MARKOV header, got %r" % header)
+    n = rec.token("variable count")
     if n < 0:
-        raise ParseError(ts.line, "negative variable count")
+        rec.fail("negative variable count")
     variables = []
     for i in range(n):
-        c = ts.next_number("cardinality of variable %d" % i)
+        c = rec.token("cardinality of variable %d" % i)
         if c < 2:
-            raise ParseError(ts.line, "variable %d: cardinality must be >= 2 (got %d)" % (i, c))
+            rec.fail("variable %d: cardinality must be >= 2 (got %d)" % (i, c))
         variables.append(VariableNode(i, c))
-    nf = ts.next_number("factor count")
+    nf = rec.token("factor count")
     if nf < 0:
-        raise ParseError(ts.line, "negative factor count")
+        rec.fail("negative factor count")
     scopes = []
     for j in range(nf):
-        arity = ts.next_number("arity of factor %d" % j)
+        arity = rec.token("arity of factor %d" % j)
         if arity < 1:
-            raise ParseError(ts.line, "factor %d: arity must be >= 1" % j)
+            rec.fail("factor %d: arity must be >= 1" % j)
         scope = []
         for _ in range(arity):
-            v = ts.next_number("scope variable of factor %d" % j)
+            v = rec.token("scope variable of factor %d" % j)
             if not (0 <= v < n):
-                raise ParseError(ts.line, "factor %d: dangling variable id %d" % (j, v))
+                rec.fail("factor %d: dangling variable id %d" % (j, v))
             scope.append(v)
         if len(set(scope)) != len(scope):
-            raise ParseError(ts.line, "factor %d: duplicate variable in scope" % j)
+            rec.fail("factor %d: duplicate variable in scope" % j)
         scopes.append(tuple(scope))
     factors = []
     for j, scope in enumerate(scopes):
-        declared = ts.next_number("table size of factor %d" % j)
+        declared = rec.token("table size of factor %d" % j)
         want = math.prod(variables[v].cardinality for v in scope)
         if declared != want:
-            raise ParseError(ts.line, "factor %d: table-length mismatch (declared %d, expected %d)"
-                             % (j, declared, want))
+            rec.fail("factor %d: table-length mismatch (declared %d, expected %d)"
+                     % (j, declared, want))
         table = []
         for _ in range(declared):
-            x = ts.next_number("table entry of factor %d" % j, float)
+            x = rec.token("table entry of factor %d" % j, float)
             if x < 0:
-                raise ParseError(ts.line, "factor %d: negative table entry" % j)
+                rec.fail("factor %d: negative table entry" % j)
             table.append(x)
         if not any(table):
-            raise ParseError(ts.line, "factor %d: table has no positive entry" % j)
+            rec.fail("factor %d: table has no positive entry" % j)
         factors.append(FactorNode(j, scope, TABLE, tuple(table)))
-    if not ts.at_end():
-        raise ParseError(ts.line, "trailing tokens after last table")
+    if not rec.at_end():
+        rec.fail("trailing tokens after last table")
     return checked(FactorGraph(variables, factors))
 
 
@@ -343,19 +304,21 @@ def serialize_uai(graph: FactorGraph) -> str:
 
 def parse_evidence(text: str) -> dict:
     """Evidence file: first an observation count, then (variable, value) pairs."""
-    ts = _TokenStream(text)
-    count = ts.next_number("evidence count")
+    rec = Records(text, ParseError)
+    count = rec.token("evidence count")
     if count < 0:
-        raise ParseError(ts.line, "negative evidence count")
+        rec.fail("negative evidence count")
     out = {}
     for _ in range(count):
-        v = ts.next_number("evidence variable id")
-        val = ts.next_number("evidence value")
+        v = rec.token("evidence variable id")
+        val = rec.token("evidence value")
+        if v < 0 or val < 0:
+            rec.fail("negative evidence pair %d %d" % (v, val))
         if v in out and out[v] != val:
-            raise ParseError(ts.line, "conflicting evidence for variable %d" % v)
+            rec.fail("conflicting evidence for variable %d" % v)
         out[v] = val
-    if not ts.at_end():
-        raise ParseError(ts.line, "trailing tokens after evidence pairs")
+    if not rec.at_end():
+        rec.fail("trailing tokens after evidence pairs")
     return out
 
 

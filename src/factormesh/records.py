@@ -1,14 +1,22 @@
-"""One reader for the line-record formats: machine images, benchmark
-manifests, results, config files and traces.
+"""One reader for the line-record formats: UAI graphs, evidence files,
+machine images, benchmark manifests, results, config files and traces.
 
 A record is one line cut at its first `#`, split on whitespace (on `,` for
-a trace); blank lines are skipped.  Every error the reader builds names a
-line, so a parser built on it rejects bad input with a line number.
+a trace); blank lines are skipped.  UAI and evidence files read the fields
+as one token stream.  Every error the reader builds names a line and carries
+it as `line`, so a parser built on it rejects bad input with a line number.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+
+def line_error(error: type, line: int, message: str):
+    """`error` for `message` at 1-based `line`, which it carries as `line`."""
+    e = error("line %d: %s" % (line, message))
+    e.line = line
+    return e
 
 
 class Records:
@@ -21,6 +29,7 @@ class Records:
         self._error = error
         self._sep = sep
         self.line = 1
+        self._tokens = (field for fields in self for field in fields)
 
     def __iter__(self):
         for self.line, raw in enumerate(self._lines, 1):
@@ -28,9 +37,24 @@ class Records:
             if body:
                 yield body.split(self._sep)
 
+    def token(self, what: str, cast=int):
+        """The next field, the records' fields read as one stream, by `cast`;
+        a missing or unreadable one is an error that names `what`."""
+        tok = next(self._tokens, None)
+        if tok is None:
+            self.fail("unexpected end of input, expected %s" % what)
+        try:
+            return cast(tok)
+        except ValueError:
+            self.fail("expected %s, got %r" % (what, tok))
+
+    def at_end(self) -> bool:
+        """Whether no token is left; if one is, `line` is now its line."""
+        return next(self._tokens, None) is None
+
     def fail(self, message: str, line: Optional[int] = None):
         """Raise the caller's error at `line`, by default the current one."""
-        raise self._error("line %d: %s" % (self.line if line is None else line, message))
+        raise line_error(self._error, self.line if line is None else line, message)
 
     def ints(self, fields, n: int, what: str) -> list:
         """The n fields of record `what` as integers."""

@@ -469,6 +469,31 @@ def test_golden_minsum_takes_schedule_flags_and_config(tmp_path, capsys):
     assert code == 0 and stdout == want
 
 
+def test_golden_checks_every_setting_whichever_alg_reads_it(tmp_path, capsys):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    for argv, message in (
+            (("--alg", "exact", "--sweeps", "0", "--burn-in", "-4", "--max-iters", "-3",
+              "--damping", "7"), "damping must be in [0, 1), got 7"),
+            (("--alg", "gibbs", "--max-iters", "-3", "--damping", "7"),
+             "damping must be in [0, 1), got 7"),
+            (("--alg", "exact", "--damping", "-0.5"), "damping must be in [0, 1), got -0.5"),
+            (("--alg", "exact", "--max-iters", "-3"), "max_iters must be >= 1, got -3"),
+            (("--alg", "map", "--burn-in", "-4"), "burn_in must be >= 0, got -4"),
+            (("--alg", "sumprod", "--sweeps", "0"), "sweeps must be >= 1, got 0"),
+            (("--alg", "minsum", "--damping", "1"), "damping must be in [0, 1), got 1")):
+        code, stdout, stderr = run_cli(capsys, "golden", graph_file, *argv)
+        assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    for alg in ("exact", "gibbs"):
+        for text, message in (
+                ("# bp\nschedule RANDOM\n", "line 2: schedule must be one of FLOODING/SEQUENTIAL"),
+                ("tol 0\ndamping 1.5\n", "line 2: damping must be in [0, 1), got 1.5"),
+                ("max-iters 0\n", "line 1: max_iters must be >= 1, got 0")):
+            cfg = write(tmp_path, "golden.cfg", text)
+            code, stdout, stderr = run_cli(capsys, "golden", graph_file, "--alg", alg,
+                                           "--config", cfg)
+            assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+
+
 def test_golden_map_with_evidence(tmp_path, capsys):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
     ev_file = write(tmp_path, "pair.evid", serialize_evidence({1: 0}))

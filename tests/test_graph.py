@@ -158,6 +158,36 @@ def test_evidence_file_round_trip():
         parse_evidence("-1\n")
 
 
+def test_a_negative_evidence_id_or_value_names_its_line():
+    for text, line, message in (("1\n-1 0\n", 2, "line 2: negative evidence pair -1 0"),
+                                ("2\n0 1\n# clamp\n3\n-2\n", 5,
+                                 "line 5: negative evidence pair 3 -2")):
+        with pytest.raises(ParseError) as err:
+            parse_evidence(text)
+        assert (str(err.value), err.value.line) == (message, line)
+
+
+def test_a_trailing_token_names_its_own_line():
+    for parse, text, message in (
+            (parse_uai, "MARKOV\n1\n2\n1\n1 0\n2\n1 1\n\nextra\n",
+             "line 9: trailing tokens after last table"),
+            (parse_evidence, "1\n0 1\n\n# more\n2 1\n",
+             "line 5: trailing tokens after evidence pairs")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+def test_validate_lists_every_builtin_problem_and_expansion_raises_the_first():
+    f = FactorNode(0, (0, 1, 2), PAIRWISE_ISING)
+    g = FactorGraph([VariableNode(i, 2) for i in range(3)], [f])
+    assert validate(g) == ["factor 0: PAIRWISE_ISING requires arity 2",
+                           "factor 0: PAIRWISE_ISING requires a coupling"]
+    with pytest.raises(GraphError) as err:
+        expand_builtin(f, (2, 2, 2), 0.0)
+    assert str(err.value) == "factor 0: PAIRWISE_ISING requires arity 2"
+
+
 # -- UAI text format ---------------------------------------------------------
 
 def test_parse_smallest_instance():

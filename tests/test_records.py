@@ -1,5 +1,5 @@
 """The line-record formats share one reader: one comment rule, and every
-parse error names a line of the input."""
+parse error names a line of the input and carries it as `line`."""
 
 import argparse
 import contextlib
@@ -10,8 +10,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gen
 from factormesh import apps, cli
-from factormesh.graph import GraphError
+from factormesh.graph import (GraphError, ParseError, parse_evidence, parse_uai,
+                              serialize_evidence, serialize_uai)
 from factormesh.image import ImageError, parse_image
 from factormesh.machine import Machine
 from test_machine import fuzz_images
@@ -56,6 +58,11 @@ def read_trace(text, path):
 
 # (reader of (text, scratch path), its error class, separator, written texts)
 FORMATS = {
+    "uai": (lambda text, path: parse_uai(text), ParseError, " ",
+            lambda: tuple(serialize_uai(gen.random_tree_graph(s)) for s in range(3))),
+    "evidence": (lambda text, path: parse_evidence(text), ParseError, " ",
+                 lambda: (serialize_evidence({0: 1, 3: 0}),
+                          serialize_evidence({2: 1, 5: 3, 1: 0}))),
     "image": (lambda text, path: parse_image(text), ImageError, " ", fuzz_images),
     "manifest": (lambda text, path: apps.parse_manifest(text), apps.HarnessError, " ",
                  lambda: tuple(apps.write_manifest(b) for b in BENCHES)),
@@ -96,6 +103,7 @@ def test_mutated_input_fails_only_with_a_line_numbered_error(fmt, data,
     except error as e:
         m = re.match(r"^line (\d+): ", str(e))
         assert m and 1 <= int(m.group(1)) <= len(text.splitlines()), str(e)
+        assert e.line == int(m.group(1)), str(e)
         return
     if fmt == "manifest":
         try:
