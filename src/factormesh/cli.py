@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 
 from . import apps, golden, mapper
-from .graph import (EPS_SOFT, GraphError, ParseError, expand_all, parse_uai,
-                    parse_evidence, with_evidence)
-from .image import ImageError, MODES, SUMPROD, MINSUM, GIBBS, dumps, parse_image
+from .graph import GraphError, ParseError, parse_uai, parse_evidence, with_evidence
+from .image import ImageError, MODES, SUMPROD, GIBBS, dumps, parse_image
 from .machine import Machine, MachineError, xy_links
 from .records import Records, line_error
 
@@ -34,70 +34,97 @@ def _write(path, text):
         fh.write(text)
 
 
-SCHEDULES = (golden.FLOODING, golden.SEQUENTIAL)
+def _grid(text):
+    """A grid setting, 'RxC', as (rows, cols)."""
+    try:
+        rows, cols = map(int, text.lower().split("x"))
+    except ValueError:
+        raise GraphError("grid must look like 4x4")
+    if rows < 1 or cols < 1:
+        raise GraphError("grid dimensions must be positive")
+    return rows, cols
 
-# what a config file may not set: the subcommand, and the files it reads or writes
-_NOT_SETTINGS = {"command", "func", "alg", "config", "graph", "evidence", "out",
-                 "image", "stats", "beliefs", "trace", "manifest", "results"}
+
+# A subcommand setting: its flag and config key, the type that reads its
+# text, its default, and its bound: each value is >= `least` (and < `below`
+# if that is given), or is one of `choices`.
+Setting = namedtuple("Setting", "name type default least below choices help",
+                     defaults=(None,) * 5)
+
+# each subcommand's settings, in the order they are checked; a config file
+# may set these and nothing else
+SETTINGS = {
+    "compile": (Setting("grid", _grid, "4x4"),
+                Setting("mode", str, SUMPROD, choices=MODES),
+                Setting("seed", int, 0),
+                Setting("thresh", int, least=0),
+                Setting("epochs", int, 50, least=0)),
+    "run": (Setting("noise", int, 0, least=0),
+            Setting("ticks", int, 1000, least=1, help="GIBBS resample rounds per cell"),
+            Setting("max_cycles", int, 100000, least=0)),
+    "golden": (Setting("seed", int, 0),
+               Setting("schedule", str, golden.FLOODING,
+                       choices=(golden.FLOODING, golden.SEQUENTIAL)),
+               Setting("damping", float, 0.0, least=0, below=1),
+               # zero iterations would print the start state as an answer
+               Setting("max_iters", int, 100, least=1),
+               Setting("tol", float, 1e-6),
+               Setting("burn_in", int, 1000, least=0),
+               Setting("sweeps", int, 10000, least=1)),
+    "verify": (Setting("tolerance", float, least=0),),
+}
 
 
-def _load_config(path, settings):
+def _load_config(path, command):
     """{key: (value, line)} from a file of 'key value' lines, each key one
-    of `settings`, the options that the subcommand reads through `_resolve`."""
+    of the subcommand's settings."""
+    names = {s.name for s in SETTINGS[command]}
     rec = Records(_read(path), GraphError)
     cfg = {}
     for key, *value in rec:
         if not value:
             rec.fail("config lines are 'key value'")
         key = key.replace("-", "_")
-        if key not in settings:
+        if key not in names:
             rec.fail("unknown config key %r" % key)
         cfg[key] = (" ".join(value), rec.line)
     return cfg
 
 
-def _resolve(args, key, default, cast=str):
-    """Flag > config file > hard default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_cfg", {})
-    if key in cfg:
-        text, line = cfg[key]
-        try:
-            return cast(text)
-        except ValueError:
-            raise line_error(ParseError, line, "config value for %s is not a %s"
-                             % (key, cast.__name__))
-    return default
-
-
 def _bad_value(args, key, message):
-    """The error for a bad value `_resolve` returned: it names the config
-    line if the value came from the config file."""
-    cfg = getattr(args, "_cfg", {})
-    if getattr(args, key, None) is None and key in cfg:
-        return line_error(ParseError, cfg[key][1], message)
+    """The error for a bad setting: it names the config line if the value
+    came from the config file."""
+    if getattr(args, key, None) is None and key in args._cfg:
+        return line_error(ParseError, args._cfg[key][1], message)
     return GraphError(message)
 
 
-def _at_least(args, key, default, least=0):
-    """An int setting that must be >= `least` when given."""
-    value = _resolve(args, key, default, int)
-    if value is not None and value < least:
-        raise _bad_value(args, key, "%s must be >= %d, got %d" % (key, least, value))
-    return value
-
-
-def _parse_grid(args):
-    try:
-        r, c = _resolve(args, "grid", "4x4").lower().split("x")
-        grid = (int(r), int(c))
-    except ValueError:
-        raise _bad_value(args, "grid", "grid must look like 4x4")
-    if grid[0] < 1 or grid[1] < 1:
-        raise _bad_value(args, "grid", "grid dimensions must be positive")
-    return grid
+def _settings(args):
+    """{name: value} of the subcommand's settings, checked in table order:
+    each from its flag, else its config line, else its default."""
+    out = {}
+    for s in SETTINGS[args.command]:
+        value = getattr(args, s.name, None)
+        if value is None:
+            value = args._cfg[s.name][0] if s.name in args._cfg else s.default
+        if isinstance(value, str):      # text, which the setting's type reads
+            try:
+                value = s.type(value)
+            except ValueError as e:     # a GraphError is the grid's own message
+                raise _bad_value(args, s.name, str(e) if isinstance(e, GraphError) else
+                                 "config value for %s is not a %s" % (s.name, s.type.__name__))
+        # written so that NaN fails too
+        if value is not None and s.least is not None and not (
+                s.least <= value and (s.below is None or value < s.below)):
+            bound = (">= %d" % s.least if s.below is None
+                     else "in [%g, %g)" % (s.least, s.below))
+            raise _bad_value(args, s.name, "%s must be %s, got %s" % (
+                s.name, bound, value if s.type is int else "%g" % value))
+        if s.choices and value not in s.choices:
+            raise _bad_value(args, s.name, "%s must be one of %s"
+                             % (s.name, "/".join(s.choices)))
+        out[s.name] = value
+    return out
 
 
 def _load_graph(args):
@@ -113,16 +140,7 @@ def _load_graph(args):
 
 def cmd_compile(args):
     graph = _load_graph(args)
-    grid = _parse_grid(args)
-    mode = _resolve(args, "mode", SUMPROD)
-    if mode not in MODES:
-        raise _bad_value(args, "mode", "mode must be one of %s" % "/".join(MODES))
-    image, report = mapper.compile_graph(
-        graph, mode, grid=grid,
-        seed=_resolve(args, "seed", 0, int),
-        thresh=_at_least(args, "thresh", None),
-        epsilon=_resolve(args, "epsilon", None, float),
-        epochs=_at_least(args, "epochs", 50))
+    image, report = mapper.compile_graph(graph, **_settings(args))
     _write(args.out, dumps(image))
     print("clusters=%d" % report["clusters"])
     print("cost_initial=%d" % report["cost_initial"])
@@ -134,18 +152,17 @@ def cmd_compile(args):
 
 def cmd_run(args):
     image = parse_image(_read(args.image))
-    noise = _at_least(args, "noise", 0)
-    if noise and image.mode == GIBBS:
-        raise _bad_value(args, "noise", "a GIBBS machine takes no output noise, got %d" % noise)
-    machine = Machine(image, trace=bool(args.trace), noise_lsbs=noise)
     # both budgets are checked whichever the image's mode reads
-    ticks = _at_least(args, "ticks", 1000, 1)
-    max_cycles = _at_least(args, "max_cycles", 100000)
+    s = _settings(args)
+    if s["noise"] and image.mode == GIBBS:
+        raise _bad_value(args, "noise",
+                         "a GIBBS machine takes no output noise, got %d" % s["noise"])
+    machine = Machine(image, trace=bool(args.trace), noise_lsbs=s["noise"])
     code = 0
     if image.mode == GIBBS:
-        stats = machine.run_ticks(ticks)
+        stats = machine.run_ticks(s["ticks"])
     else:
-        stats, quiescent = machine.run_until_quiescent(max_cycles)
+        stats, quiescent = machine.run_until_quiescent(s["max_cycles"])
         if not quiescent:
             code = 4
     beliefs, _assignment = machine.read_beliefs()
@@ -166,22 +183,8 @@ def cmd_run(args):
 def cmd_golden(args):
     graph = _load_graph(args)
     alg = args.alg
-    seed = _resolve(args, "seed", 0, int)
     # every setting is checked whichever --alg reads it
-    schedule = _resolve(args, "schedule", golden.FLOODING)
-    if schedule not in SCHEDULES:
-        raise _bad_value(args, "schedule", "schedule must be one of %s" % "/".join(SCHEDULES))
-    damping = _resolve(args, "damping", 0.0, float)
-    if not 0 <= damping < 1:
-        raise _bad_value(args, "damping", "damping must be in [0, 1), got %g" % damping)
-    # zero iterations would print the start state as an answer
-    max_iters = _at_least(args, "max_iters", 100, 1)
-    tol = _resolve(args, "tol", 1e-6, float)
-    burn_in = _at_least(args, "burn_in", 1000)
-    sweeps = _at_least(args, "sweeps", 10000, 1)
-    # hard constraints for the sum-domain kernels, log-finite for the rest
-    eps_default = 0.0 if alg in ("exact", "map", "sumprod") else EPS_SOFT
-    graph = expand_all(graph, _resolve(args, "epsilon", eps_default, float))
+    s = _settings(args)
     as_dict = lambda seq: dict(enumerate(seq))
     if alg == "exact":
         out = apps.write_results(as_dict(golden.exact_marginals(graph)))
@@ -189,12 +192,13 @@ def cmd_golden(args):
         out = apps.write_results(as_dict(golden.map_bruteforce(graph)))
     elif alg in ("sumprod", "minsum"):
         kernel = golden.sum_product if alg == "sumprod" else golden.min_sum
-        state = kernel(graph, schedule=schedule, damping=damping,
-                       max_iters=max_iters, tol=tol)
+        state = kernel(graph, schedule=s["schedule"], damping=s["damping"],
+                       max_iters=s["max_iters"], tol=s["tol"])
         out = apps.write_results(as_dict(state.beliefs if alg == "sumprod"
                                          else state.assignment))
     else:                   # gibbs, the last of the parser's choices
-        res = golden.gibbs_sample(graph, seed=seed, burn_in=burn_in, sweeps=sweeps)
+        res = golden.gibbs_sample(graph, seed=s["seed"], burn_in=s["burn_in"],
+                                  sweeps=s["sweeps"])
         out = apps.write_results(as_dict(res.marginals))
     if args.out:
         _write(args.out, out)
@@ -206,8 +210,7 @@ def cmd_golden(args):
 def cmd_verify(args):
     benchmark = apps.parse_manifest(_read(args.manifest))
     results = apps.parse_results(_read(args.results))
-    tol = _resolve(args, "tolerance", None, float)
-    report = apps.verify(benchmark, results, tolerance=tol)
+    report = apps.verify(benchmark, results, **_settings(args))
     sys.stdout.write(report.text())
     return 0 if report.passed else 1
 
@@ -256,24 +259,13 @@ def _build_parser():
     c.add_argument("graph")
     c.add_argument("--evidence")
     c.add_argument("--out", required=True)
-    c.add_argument("--mode", choices=MODES)
-    c.add_argument("--grid")
-    c.add_argument("--seed", type=int)
-    c.add_argument("--thresh", type=int)
-    c.add_argument("--epsilon", type=float)
-    c.add_argument("--epochs", type=int)
-    c.add_argument("--config")
     c.set_defaults(func=cmd_compile)
 
     r = sub.add_parser("run", help="execute a machine image")
     r.add_argument("image")
-    r.add_argument("--max-cycles", dest="max_cycles", type=int)
-    r.add_argument("--ticks", type=int, help="GIBBS resample rounds per cell")
-    r.add_argument("--noise", type=int)
     r.add_argument("--stats")
     r.add_argument("--beliefs")
     r.add_argument("--trace")
-    r.add_argument("--config")
     r.set_defaults(func=cmd_run)
 
     g = sub.add_parser("golden", help="reference kernels on a graph file")
@@ -281,36 +273,34 @@ def _build_parser():
     g.add_argument("--evidence")
     g.add_argument("--alg", required=True,
                    choices=["exact", "map", "sumprod", "minsum", "gibbs"])
-    g.add_argument("--schedule", choices=SCHEDULES)
-    g.add_argument("--damping", type=float)
-    g.add_argument("--max-iters", dest="max_iters", type=int)
-    g.add_argument("--tol", type=float)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--burn-in", dest="burn_in", type=int)
-    g.add_argument("--sweeps", type=int)
-    g.add_argument("--epsilon", type=float)
     g.add_argument("--out")
-    g.add_argument("--config")
     g.set_defaults(func=cmd_golden)
 
     v = sub.add_parser("verify", help="check results against a manifest")
     v.add_argument("manifest")
     v.add_argument("results")
-    v.add_argument("--tolerance", type=float)
-    v.add_argument("--config")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("stats", help="summarize a trace file")
     s.add_argument("trace")
     s.set_defaults(func=cmd_stats)
+
+    for command, settings in SETTINGS.items():
+        for setting in settings:
+            # argparse reads numbers and names a bad one; a grid is read by
+            # `_settings`, as a config line is, with the same errors
+            sub.choices[command].add_argument(
+                "--" + setting.name.replace("_", "-"), help=setting.help,
+                type=None if setting.type is _grid else setting.type,
+                choices=setting.choices)
+        sub.choices[command].add_argument("--config")
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        args._cfg = (_load_config(args.config, set(vars(args)) - _NOT_SETTINGS)
+        args._cfg = (_load_config(args.config, args.command)
                      if getattr(args, "config", None) else {})
         return args.func(args)
     except golden.EnumerationBoundError as e:

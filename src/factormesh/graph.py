@@ -130,6 +130,8 @@ def validate(graph: FactorGraph) -> list:
                 out.append("factor %d: table-length mismatch (got %d, expected %d)"
                            % (f.id, len(f.table), want))
             else:
+                if not all(map(math.isfinite, f.table)):
+                    out.append("factor %d: non-finite table entry" % f.id)
                 if any(x < 0 for x in f.table):
                     out.append("factor %d: negative table entry" % f.id)
                 if all(x == 0 for x in f.table):
@@ -266,6 +268,8 @@ def parse_uai(text: str) -> FactorGraph:
         table = []
         for _ in range(declared):
             x = rec.token("table entry of factor %d" % j, float)
+            if not math.isfinite(x):
+                rec.fail("factor %d: non-finite table entry" % j)
             if x < 0:
                 rec.fail("factor %d: negative table entry" % j)
             table.append(x)

@@ -104,6 +104,9 @@ def test_compile_bad_config_value_names_its_line(tmp_path, capsys, setting, mess
     ("run", "seed 3\n", "line 1: unknown config key 'seed'"),
     ("compile", "out other.fmimg\n", "line 1: unknown config key 'out'"),
     ("golden", "alg exact\n", "line 1: unknown config key 'alg'"),
+    # a builtin's violation weight: no graph a UAI file gives has a builtin
+    ("compile", "epsilon 0\n", "line 1: unknown config key 'epsilon'"),
+    ("golden", "# soft\nepsilon 0\n", "line 2: unknown config key 'epsilon'"),
 ])
 def test_unknown_config_key_names_its_line(tmp_path, capsys, command, text, message):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
@@ -114,6 +117,29 @@ def test_unknown_config_key_names_its_line(tmp_path, capsys, command, text, mess
     cfg = write(tmp_path, "c.cfg", text)
     code, stdout, stderr = run_cli(capsys, command, *target, "--config", cfg)
     assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [("compile", ["--out"]),
+                                             ("golden", ["--alg", "exact", "--out"])])
+def test_epsilon_is_no_flag(tmp_path, capsys, command, target):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, graph_file, *target, str(out), "--epsilon", "0")
+    assert not out.exists()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "Infinity"])
+def test_a_non_finite_table_entry_exits_2(tmp_path, capsys, entry):
+    graph_file = write(tmp_path, "bad.uai", PAIR_UAI.replace("1 2 3 4", entry + " 1 1 1"))
+    out = tmp_path / "bad.fmimg"
+    for argv in (("compile", graph_file, "--out", str(out)),
+                 ("golden", graph_file, "--alg", "sumprod")):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: line 8: factor 0: non-finite table entry\n")
     assert not out.exists()
 
 
@@ -328,8 +354,7 @@ def test_run_collapsed_belief_exits_2(tmp_path, capsys):
 
 def test_run_minsum_collapsed_belief_exits_2(tmp_path, capsys):
     # hard equalities keep every Q8.8 word of v1's belief at the floor
-    assert_contradictory_chain_exits_2(tmp_path, capsys, "--mode", "MINSUM",
-                                       "--epsilon", "0")
+    assert_contradictory_chain_exits_2(tmp_path, capsys, "--mode", "MINSUM")
 
 
 def test_run_rejects_garbage_image(tmp_path, capsys):
@@ -561,6 +586,114 @@ def test_verify_pass_fail_and_missing(tmp_path, capsys):
     colors = write(tmp_path, "colors.txt", "0 0\n1 1\n")
     code, _, stderr = run_cli(capsys, "verify", coloring, colors)
     assert code == 2 and "line 2: manifest EDGE names variable 5 outside VARS" in stderr
+
+
+def test_verify_rejects_a_negative_or_nan_tolerance(tmp_path, capsys):
+    # either would report every correct variable as FAIL
+    bench, manifest, graph_file = ising_fixture(tmp_path)
+    results_file = str(tmp_path / "results.txt")
+    assert run_cli(capsys, "golden", graph_file, "--alg", "exact",
+                   "--out", results_file)[0] == 0
+    for value in ("-1", "nan"):
+        assert run_cli(capsys, "verify", manifest, results_file, "--tolerance", value) == (
+            2, "", "error: tolerance must be >= 0, got %s\n" % value)
+        cfg = write(tmp_path, "verify.cfg", "# loose\ntolerance %s\n" % value)
+        assert run_cli(capsys, "verify", manifest, results_file, "--config", cfg) == (
+            2, "", "error: line 2: tolerance must be >= 0, got %s\n" % value)
+    assert run_cli(capsys, "verify", manifest, results_file, "--tolerance", "0.01")[0] == 0
+
+
+# -- the settings table ---------------------------------------------------------
+
+# a value of each setting that changes what its subcommand writes
+GOOD = {"grid": "3x3", "mode": "MINSUM", "seed": "3", "thresh": "1", "epochs": "1",
+        "noise": "1", "ticks": "20", "max_cycles": "5", "schedule": "SEQUENTIAL",
+        "damping": "0.5", "max_iters": "3", "tol": "0.01", "burn_in": "5",
+        "sweeps": "50", "tolerance": "1.0"}
+# three variables in a loop, so belief propagation takes many sweeps
+LOOP_UAI = ("MARKOV\n3\n2 2 2\n3\n2 0 1\n2 1 2\n2 0 2\n\n"
+            "4\n1 2 3 4\n\n4\n4 1 1 2\n\n4\n2 3 1 5\n")
+SETTINGS = [(command, setting) for command, settings in cli.SETTINGS.items()
+            for setting in settings]
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def settings_target(tmp_path, capsys, command, name):
+    """Arguments of `command` that a flag or config line for setting `name`
+    is added to; what the command writes goes to tmp_path / "out"."""
+    loop_file = write(tmp_path, "loop.uai", LOOP_UAI)
+    out = str(tmp_path / "out")
+    if command == "compile":
+        return [write(tmp_path, "tree.uai", tree_uai()[0]), "--out", out]
+    if command == "run":
+        mode = "GIBBS" if name == "ticks" else "SUMPROD"
+        image = str(tmp_path / "loop.fmimg")
+        assert run_cli(capsys, "compile", loop_file, "--out", image, "--mode", mode)[0] == 0
+        return [image, "--beliefs", out]
+    if command == "golden":
+        if name in ("seed", "burn_in", "sweeps"):
+            short = [a for k in ("burn_in", "sweeps") if k != name for a in (flag(k), GOOD[k])]
+            return [loop_file, "--alg", "gibbs", "--out", out] + short
+        return [loop_file, "--alg", "sumprod", "--out", out]
+    # results with one variable's marginal reversed, which --tolerance 1 accepts
+    _bench, manifest, ising = ising_fixture(tmp_path)
+    results = tmp_path / "ising.results"
+    assert run_cli(capsys, "golden", ising, "--alg", "exact", "--out", str(results))[0] == 0
+    beliefs = apps.parse_results(results.read_text())
+    beliefs[2].reverse()
+    return [manifest, write(tmp_path, "ising.results", apps.write_results(beliefs))]
+
+
+@pytest.mark.parametrize("command, setting", SETTINGS,
+                         ids=["%s-%s" % (c, s.name) for c, s in SETTINGS])
+def test_a_setting_reads_the_same_from_its_flag_and_a_config_line(tmp_path, capsys,
+                                                                  command, setting):
+    argv = settings_target(tmp_path, capsys, command, setting.name)
+    out = tmp_path / "out"
+
+    def outputs(*extra):
+        out.unlink(missing_ok=True)
+        result = run_cli(capsys, command, *argv, *extra)
+        return result, out.read_bytes() if out.exists() else None
+
+    by_flag = outputs(flag(setting.name), GOOD[setting.name])
+    cfg = write(tmp_path, "one.cfg", "# one setting\n%s %s\n" % (setting.name,
+                                                                  GOOD[setting.name]))
+    assert outputs("--config", cfg) == by_flag
+    # the value is read: the default writes something else
+    assert outputs() != by_flag
+    assert by_flag[0][0] in (0, 1, 4)
+    assert (by_flag[1] is None) == (command == "verify")
+
+
+@pytest.mark.parametrize("command, setting",
+                         [(c, s) for c, s in SETTINGS if s.least is not None or s.choices],
+                         ids=lambda x: x if isinstance(x, str) else x.name)
+def test_a_bounded_setting_names_the_config_line_of_a_bad_value(tmp_path, capsys,
+                                                                command, setting):
+    argv = settings_target(tmp_path, capsys, command, setting.name)
+    if setting.choices:
+        bad = ["FOO"]
+    else:
+        bad = [str(setting.least - 1)] + ["nan"] * (setting.type is float) + \
+            [str(setting.below)] * (setting.below is not None)
+    for value in bad:
+        cfg = write(tmp_path, "bad.cfg", "# a bad value\n%s %s\n" % (setting.name, value))
+        code, stdout, stderr = run_cli(capsys, command, *argv, "--config", cfg)
+        assert (code, stdout) == (2, "") and stderr.startswith("error: line 2: %s must be "
+                                                              % setting.name), stderr
+        if setting.choices:
+            # argparse checks a flag's choices
+            with pytest.raises(SystemExit) as exc:
+                run_cli(capsys, command, *argv, flag(setting.name), value)
+            assert exc.value.code == 2
+            assert "invalid choice: 'FOO'" in capsys.readouterr().err
+        else:
+            assert run_cli(capsys, command, *argv, flag(setting.name), value) == (
+                2, "", stderr.replace("line 2: ", ""))
 
 
 # -- stats --------------------------------------------------------------------

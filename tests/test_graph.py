@@ -52,6 +52,12 @@ def test_validate_flags_each_violation():
         (FactorGraph([VariableNode(0, 2)],
                      [FactorNode(0, (0,), TABLE, (0.0, 0.0))]),
          "no positive entry"),
+        (FactorGraph([VariableNode(0, 2)],
+                     [FactorNode(0, (0,), TABLE, (math.nan, 1.0))]),
+         "factor 0: non-finite table entry"),
+        (FactorGraph([VariableNode(0, 2)],
+                     [FactorNode(0, (0,), TABLE, (1.0, math.inf))]),
+         "factor 0: non-finite table entry"),
         (FactorGraph([VariableNode(0, 2), VariableNode(1, 3)],
                      [FactorNode(0, (0, 1), ALL_DIFFERENT)]),
          "one shared cardinality"),
@@ -217,6 +223,8 @@ def test_parse_errors_carry_line_numbers():
         ("MARKOV\n2\n2 2\n1\n2 0 0\n4\n1 1 1 1\n", "duplicate variable"),
         ("MARKOV\n2\n2 2\n1\n2 0 1\n3\n1 1 1\n", "table-length mismatch"),
         ("MARKOV\n1\n2\n1\n1 0\n2\n-1 1\n", "negative table entry"),
+        ("MARKOV\n1\n2\n1\n1 0\n2\nnan 1\n", "line 7: factor 0: non-finite table entry"),
+        ("MARKOV\n1\n2\n1\n1 0\n2\n1\n-inf\n", "line 8: factor 0: non-finite table entry"),
         ("MARKOV\n1\n2\n1\n1 0\n2\n1 1\nextra\n", "trailing tokens"),
         ("MARKOV\n1\n2\n1\n1 0\n2\n1\n", "unexpected end of input"),
         ("MARKOV\n1\n2\n1\n1 0\n2\n1 x\n", "expected table entry"),

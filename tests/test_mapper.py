@@ -11,8 +11,9 @@ from hypothesis import given, reject, settings, strategies as st
 
 import gen
 from factormesh import apps, golden, mapper
-from factormesh.graph import (ALL_DIFFERENT, PARITY, TABLE, FactorGraph,
-                              FactorNode, VariableNode, expand_all)
+from factormesh.graph import (ALL_DIFFERENT, PAIRWISE_ISING, PARITY, TABLE,
+                              FactorGraph, FactorNode, GraphError, VariableNode,
+                              expand_all)
 from factormesh.image import GIBBS, Capacities, dumps
 from factormesh.machine import Machine
 from factormesh.mapper import (Cluster, MapperError, Placement, _cost_floor,
@@ -105,6 +106,14 @@ def test_lowering_capacity_rejections():
     with pytest.raises(MapperError) as err:
         lower(fat)
     assert "exceeds machine limit" in str(err.value)
+
+
+@pytest.mark.parametrize("coupling", [math.nan, math.inf])
+def test_lowering_rejects_a_builtin_that_expands_to_a_non_finite_entry(coupling):
+    graph = FactorGraph(vars_of(2, 2), [FactorNode(0, (0, 1), PAIRWISE_ISING,
+                                                   coupling=coupling)])
+    with pytest.raises(GraphError, match="factor 0: non-finite table entry"):
+        lower(graph)
 
 
 # -- clustering ---------------------------------------------------------------

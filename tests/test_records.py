@@ -27,9 +27,7 @@ BENCHES = (apps.build_sudoku(),
 ANSWERS = tuple({v: b.oracle[v] for v in b.compare_vars} for b in BENCHES[:3]) + \
     ({0: 0, 1: 1, 2: 0, 3: 1, 4: 2},)
 
-CONFIG = "# mesh setup\ngrid 4x4\nseed 3\nepochs 5\nthresh 1\nepsilon 0.001\nmode SUMPROD\n"
-CASTS = {"grid": str, "seed": int, "epochs": int, "thresh": int,
-         "epsilon": float, "mode": str}
+CONFIG = "# mesh setup\ngrid 4x4\nseed 3\nepochs 5\nthresh 1\nmode SUMPROD\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,10 +39,8 @@ def trace():
 
 def read_config(text, path):
     path.write_text(text)
-    cfg = cli._load_config(str(path), CASTS)
-    args = argparse.Namespace(_cfg=cfg)
-    for key, cast in CASTS.items():
-        cli._resolve(args, key, None, cast)
+    cfg = cli._load_config(str(path), "compile")
+    cli._settings(argparse.Namespace(command="compile", _cfg=cfg))
     return cfg
 
 
