@@ -5,7 +5,7 @@ trace), golden (reference kernels on a graph file), verify (results vs a
 benchmark manifest), stats (summarize a trace file).
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 mapping
-error, 4 non-quiescence in a converging mode, 5 enumeration bound exceeded.
+error, 4 unquiesced run or unconverged golden, 5 enumeration bound exceeded.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ SETTINGS = {
                Setting("damping", float, 0.0, least=0, below=1),
                # zero iterations would print the start state as an answer
                Setting("max_iters", int, 100, least=1),
-               Setting("tol", float, 1e-6),
+               Setting("tol", float, 1e-6, least=0),
                Setting("burn_in", int, 1000, least=0),
                Setting("sweeps", int, 10000, least=1)),
     "verify": (Setting("tolerance", float, least=0),),
@@ -185,25 +185,27 @@ def cmd_golden(args):
     alg = args.alg
     # every setting is checked whichever --alg reads it
     s = _settings(args)
-    as_dict = lambda seq: dict(enumerate(seq))
+    state = None            # sumprod's or minsum's, which may not converge
     if alg == "exact":
-        out = apps.write_results(as_dict(golden.exact_marginals(graph)))
+        answer = golden.exact_marginals(graph)
     elif alg == "map":
-        out = apps.write_results(as_dict(golden.map_bruteforce(graph)))
+        answer = golden.map_bruteforce(graph)
     elif alg in ("sumprod", "minsum"):
         kernel = golden.sum_product if alg == "sumprod" else golden.min_sum
         state = kernel(graph, schedule=s["schedule"], damping=s["damping"],
                        max_iters=s["max_iters"], tol=s["tol"])
-        out = apps.write_results(as_dict(state.beliefs if alg == "sumprod"
-                                         else state.assignment))
+        answer = state.beliefs if alg == "sumprod" else state.assignment
     else:                   # gibbs, the last of the parser's choices
-        res = golden.gibbs_sample(graph, seed=s["seed"], burn_in=s["burn_in"],
-                                  sweeps=s["sweeps"])
-        out = apps.write_results(as_dict(res.marginals))
+        answer = golden.gibbs_sample(graph, seed=s["seed"], burn_in=s["burn_in"],
+                                     sweeps=s["sweeps"]).marginals
+    out = apps.write_results(dict(enumerate(answer)))
     if args.out:
         _write(args.out, out)
     else:
         sys.stdout.write(out)
+    if state is not None and not state.converged:
+        print("error: not converged after %d iterations" % s["max_iters"], file=sys.stderr)
+        return 4
     return 0
 
 

@@ -27,10 +27,12 @@ In GIBBS mode each cell periodically resamples its variables from the
 fixed-point conditionals given shadowed neighbor values, sends each changed
 value as soon as it draws it, and never quiesces on its own; each relation
 adds one term, built at load, to the conditional of each variable of its
-cell in its scope.  A draw whose conditional has total weight zero keeps
-the value and is counted in `Stats.zero_total_draws`.  A cell hashes its
-variables' uniforms `rng.DRAW_BLOCK` ticks at a time, each the scalar
-stream's own draw.  It computes no message, so it takes no output noise.
+cell in its scope.  A cell's tick (`_tick`) is generated at load too, from
+its variables' cardinalities, term counts and blanket radixes, bound once
+per cell and queued as its own event handler.  A draw whose conditional
+has total weight zero keeps the value, counted in `Stats.zero_total_draws`.
+Uniforms are hashed `rng.DRAW_BLOCK` ticks at a time, each the scalar
+stream's own draw.  A cell computes no message, so it takes no output noise.
 
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
 factor-id order: the register pair of its message to the factor and the
@@ -199,7 +201,7 @@ class _Rel:
 
 class _Cell:
     __slots__ = ("r", "c", "cid", "vars", "rels", "shadows", "thresh",
-                 "period", "phase", "tick_idx", "tick_budget", "tick_cost")
+                 "period", "phase", "tick_idx", "tick_budget")
 
     def __init__(self, r, c, cid):
         self.r = r
@@ -213,7 +215,6 @@ class _Cell:
         self.phase = 0
         self.tick_idx = 0
         self.tick_budget = None
-        self.tick_cost = 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +243,9 @@ def _lower(shape):
 
 
 def _define(lines):
-    """Compile generated source lines into their one function."""
+    """Compile generated source lines, over this module's globals, into their one function."""
     namespace = {}
-    exec(compile("\n".join(lines) + "\n", "<generated>", "exec"), namespace)
+    exec(compile("\n".join(lines) + "\n", "<generated>", "exec"), globals(), namespace)
     return namespace["generated"]
 
 
@@ -358,12 +359,74 @@ def _prefix_sums(var):
     card = var.card
     cond = None
     for tbl, sv, others in var.terms:
-        base = 0
-        for obj, st in others:
-            base += obj.value * st
+        base = sum(obj.value * st for obj, st in others)
         row = tbl[base:base + card * sv:sv]
         cond = row if cond is None else list(map(mul, cond, row))
     return list(itertools.accumulate(cond or (1,) * card))
+
+
+# a GIBBS cell's tick, one _TICK_VAR block per variable in record order
+_TICK = """\
+def generated(machine, cell, period{params}):
+    def tick(this, time):
+        j = cell.tick_idx % {block}
+        traced = machine.trace is not None
+        activations = 0
+{variables}        machine.stats.activations += activations
+        cell.tick_idx = k = cell.tick_idx + 1
+        if cell.tick_budget is None or k < cell.tick_budget:
+            machine._push(time + period, cell, this, this)
+    return tick
+"""
+_TICK_VAR = """\
+        if v{i}.evidence is None:
+            if not j: v{i}.draws = keyed_uniform01_block(v{i}.key, cell.tick_idx, {block})
+            activations += {terms}
+            try:
+                prefix = memo{i}[{index}]
+            except KeyError:
+                prefix = memo{i}[{index}] = _prefix_sums(v{i})
+            if prefix[-1] > 0:
+                val = bisect_right(prefix, v{i}.draws[j] * prefix[-1], 0, {hi})
+                if val != v{i}.value:
+                    v{i}.value = val
+                    if port{i} is not None: machine._gate_send(port{i}, val, time + {cost}, cell)
+            else:
+                machine.stats.zero_total_draws += 1
+        counts{i}[v{i}.value] += 1
+        if traced: machine._trace(time, cell, "SAMPLE", v{i}.vid, v{i}.value)
+"""
+
+
+@functools.lru_cache(maxsize=256)
+def _tick(structure):
+    """Generate the tick of a GIBBS cell whose variables have `structure`,
+    per variable in record order (cardinality, number of terms, blanket
+    radix multipliers): generated(machine, cell, period, *bindings) takes
+    per variable the variable, its memo, count row, value port and blanket
+    objects, and returns the cell's handler tick(this, time), queued as its
+    own payload `this` so that no cycle holds the machine once ticks stop.
+    A tick resamples the free variables in record order: the draw for tick
+    k (cell.tick_idx, counted across runs) is keyed_uniform01(var.key, k),
+    var.key being stream_key(seed, vid), hashed DRAW_BLOCK ticks at a time,
+    times the total of the conditional, the product of the terms' table
+    slices at the blanket's values; it picks the first value whose prefix
+    sum exceeds it.  Tables never change, so the prefix sums are memoized by
+    the blanket's mixed-radix index.  A changed value is sent at once, ready
+    when the whole tick's cost has passed.  Evidence is tested on every
+    tick, as an injection can clamp a variable mid-run, and the machine's
+    _push, _gate_send and _trace are looked up when called."""
+    cost = sum(gibbs_var_cost(terms) for _card, terms, _radix in structure)
+    params, variables = [], []
+    for i, (card, terms, radix) in enumerate(structure):
+        blanket = ["b%d_%d" % (i, b) for b in range(len(radix))]
+        params += ["v%d" % i, "memo%d" % i, "counts%d" % i, "port%d" % i] + blanket
+        index = " + ".join("%s.value%s" % (b, " * %d" % m if m > 1 else "")
+                           for b, m in zip(blanket, radix)) or "0"
+        variables.append(_TICK_VAR.format(i=i, block=DRAW_BLOCK, terms=terms, index=index,
+                                          hi=card - 1, cost=cost))
+    return _define([_TICK.format(params="".join(", " + p for p in params), block=DRAW_BLOCK,
+                                 variables="".join(variables))])
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +600,12 @@ class Machine:
                                        "resample period" % coord)
                 for var in cell.vars:
                     var.key = stream_key(self.seed, var.vid)
-                    cell.tick_cost += gibbs_var_cost(len(var.terms))
                     # the blanket state is a mixed-radix index over the
                     # distinct objects the terms read
-                    blanket = var.blanket = []
-                    size = 1
-                    for obj in dict.fromkeys(o for _t, _s, others in var.terms
-                                             for o, _st in others):
-                        blanket.append((obj, size))
-                        size *= obj.card
+                    objs = list(dict.fromkeys(o for _t, _s, others in var.terms
+                                              for o, _st in others))
+                    var.blanket = list(zip(objs, itertools.accumulate(
+                        [1] + [o.card for o in objs], mul)))
 
         # one wire per shadow slot from its variable's cell, a destination of
         # the port its sender makes for the quantity it carries; a converging
@@ -585,6 +645,13 @@ class Machine:
             rel.pending = True
             self._push(time, rel.cell, self._on_exec, rel)
 
+    def _tick_handler(self, cell):
+        """A GIBBS cell's tick handler: its `_tick`, bound to it and this machine."""
+        bindings = [x for v in cell.vars
+                    for x in [v, v.memo, v.counts, v.port] + [o for o, _m in v.blanket]]
+        return _tick(tuple((v.card, len(v.terms), tuple(m for _o, m in v.blanket))
+                           for v in cell.vars))(self, cell, cell.period, *bindings)
+
     def _trace(self, cycle, cell, event, vid, detail):
         self.trace.append("%d,%d,%d,%s,%d,%s" % (cycle, cell.r, cell.c, event, vid, detail))
 
@@ -601,13 +668,13 @@ class Machine:
                     self._trace(0, cell, "CLAMP", var.vid, var.evidence)
                 self._emit_var(var, lat)
                 lat += 1
-            if self.mode == GIBBS:
-                if cell.period:
-                    self._push(cell.period + cell.phase, cell, self._on_tick, cell)
-            else:
+            if self.mode != GIBBS:
                 for rel in cell.rels:
                     self._pend_exec(rel, lat)
                     lat += rel.cost
+            elif cell.period:
+                tick = self._tick_handler(cell)
+                self._push(cell.period + cell.phase, cell, tick, tick)
 
     def step(self) -> bool:
         """Process the single globally next event.  False when idle."""
@@ -767,56 +834,6 @@ class Machine:
             target.msg = value
             for rel in target.consumers:
                 self._pend_exec(rel, time)
-
-    def _on_tick(self, cell, time):
-        """Resample the cell's free variables in record order.  A variable's
-        conditional is the product of its terms' table slices at the current
-        values of the other scope positions; the draw for tick k is
-        keyed_uniform01(var.key, k) scaled by the conditional's total, where
-        var.key is stream_key(seed, vid), and picks the first value whose
-        prefix sum exceeds it.  At each tick k that is a multiple of
-        DRAW_BLOCK a free variable hashes the uniforms of ticks k .. k +
-        DRAW_BLOCK - 1 at once; tick_idx runs 0, 1, 2, ... across runs.  Tables never change, so the prefix sums are memoized
-        per variable, keyed by the mixed-radix index of its Markov blanket's
-        values; the memo grows by at most one entry per tick.  A value that
-        changes is sent as soon as it is drawn, ready once the whole tick's
-        cost has passed."""
-        k = cell.tick_idx
-        j = k % DRAW_BLOCK
-        if not j:
-            for var in cell.vars:
-                if var.evidence is None:
-                    var.draws = keyed_uniform01_block(var.key, k, DRAW_BLOCK)
-        trace = self.trace
-        out_t = time + cell.tick_cost
-        activations = 0
-        for var in cell.vars:
-            if var.evidence is None:
-                activations += len(var.terms)
-                idx = 0
-                for obj, m in var.blanket:
-                    idx += obj.value * m
-                try:
-                    prefix = var.memo[idx]
-                except KeyError:
-                    prefix = var.memo[idx] = _prefix_sums(var)
-                total = prefix[-1]
-                if total > 0:
-                    val = bisect_right(prefix, var.draws[j] * total,
-                                       0, var.card - 1)
-                    if val != var.value:
-                        var.value = val
-                        if var.port is not None:
-                            self._gate_send(var.port, val, out_t, cell)
-                else:
-                    self.stats.zero_total_draws += 1
-            var.counts[var.value] += 1
-            if trace is not None:
-                self._trace(time, cell, "SAMPLE", var.vid, var.value)
-        self.stats.activations += activations
-        cell.tick_idx = k + 1
-        if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
-            self._push(time + cell.period, cell, self._on_tick, cell)
 
     def _on_inject(self, payload, time):
         var, value = payload

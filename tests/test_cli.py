@@ -484,14 +484,37 @@ def test_golden_minsum_takes_schedule_flags_and_config(tmp_path, capsys):
     # one flooding sweep decodes this tree differently
     assert one_sweep.assignment != golden.min_sum(graph, max_iters=1, tol=0).assignment
     want = apps.write_results(dict(enumerate(one_sweep.assignment)))
-    code, stdout, _ = run_cli(capsys, "golden", graph_file, "--alg", "minsum",
-                              "--schedule", "SEQUENTIAL", "--max-iters", "1",
-                              "--tol", "0")
-    assert code == 0 and stdout == want
+    # tol 0 never converges: the one sweep's answer is written, and exits 4
+    unconverged = "error: not converged after 1 iterations\n"
+    assert run_cli(capsys, "golden", graph_file, "--alg", "minsum",
+                   "--schedule", "SEQUENTIAL", "--max-iters", "1",
+                   "--tol", "0") == (4, want, unconverged)
     cfg = write(tmp_path, "bp.cfg", "schedule SEQUENTIAL\nmax-iters 1\ntol 0\n")
-    code, stdout, _ = run_cli(capsys, "golden", graph_file, "--alg", "minsum",
-                              "--config", cfg)
-    assert code == 0 and stdout == want
+    assert run_cli(capsys, "golden", graph_file, "--alg", "minsum",
+                   "--config", cfg) == (4, want, unconverged)
+
+
+def test_golden_that_does_not_converge_exits_4(tmp_path, capsys):
+    loop_file = write(tmp_path, "loop.uai", LOOP_UAI)
+    graph = parse_uai(LOOP_UAI)
+    for alg, kernel in (("sumprod", golden.sum_product), ("minsum", golden.min_sum)):
+        state = kernel(graph, max_iters=2)
+        assert not state.converged and kernel(graph).converged
+        want = apps.write_results(dict(enumerate(state.beliefs if alg == "sumprod"
+                                                 else state.assignment)))
+        # the results are written as they stand, and the run exits 4
+        assert run_cli(capsys, "golden", loop_file, "--alg", alg, "--max-iters", "2") == (
+            4, want, "error: not converged after 2 iterations\n")
+        out = tmp_path / ("%s.results" % alg)
+        assert run_cli(capsys, "golden", loop_file, "--alg", alg, "--max-iters", "2",
+                       "--out", str(out)) == (4, "", "error: not converged after 2 "
+                                                     "iterations\n")
+        assert out.read_text() == want
+        assert run_cli(capsys, "golden", loop_file, "--alg", alg)[::2] == (0, "")
+        # a tolerance no change can fall below is an input error
+        for tol in ("-1", "nan"):
+            assert run_cli(capsys, "golden", loop_file, "--alg", alg, "--tol", tol) == (
+                2, "", "error: tol must be >= 0, got %s\n" % tol)
 
 
 def test_golden_checks_every_setting_whichever_alg_reads_it(tmp_path, capsys):
