@@ -1,16 +1,16 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 6`), one record per line, `#` comments:
+Text format (version header `FMIMG 7`), one record per line, `#` comments:
 
-    FMIMG 6
+    FMIMG 7
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
     CELL <r> <c>                          opens a cell; records below attach to it
     VAR <var_id> <card> [EVIDENCE <value>]
     SHADOW <var_id>
-    REL <factor_id> <nwords> <ref>...     refs bind scope positions, V<i>/H<i>
-    <nwords integer table words on following lines>
+    REL <factor_id> <ref>...              refs bind scope positions, V<i>/H<i>
+    <integer table words on following lines, continuing the REL>
     THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
     GIBBS_PERIOD <period> <phase>         resample timing (GIBBS)
 
@@ -23,19 +23,22 @@ declares, and one no relation of its cell reads, at load.  The mode fixes
 what a shadow holds.  In GIBBS it holds the variable's sampled value,
 which any of the cell's relations may read.  In SUMPROD and MINSUM it
 holds the variable's message into the one relation that reads it, and a
-second reader is a load error; the shadow also declares that edge's
-return wire, on which the relation sends the variable's cell its message
-to the variable, into a register that counts as one of that cell's shadow
-slots.  FMIMG 5 also wrote each shadow's role and relation id, which the
-mode and the reading REL record already fix, so its images are rejected
-by their header.  Table words, THRESH and message words are in the units
-of the mode's `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in
-MINSUM; a cell with no THRESH record gates at the domain's default.  A
-GIBBS cell sends a value whenever it changes, so the machine rejects a
-THRESH record in a GIBBS image, and a GIBBS_PERIOD record in any other.
-A cell's CELL record is its only coordinate, its key in `MachineImage.cells`,
-and a second THRESH or GIBBS_PERIOD record in one cell is a load error, as is
-an unknown record; nothing is skipped silently.
+second reader is a load error; the shadow also declares that edge's return
+wire, on which the relation sends the variable's cell its message to the
+variable, into a register that counts as one of that cell's shadow slots.
+FMIMG 5 also wrote each shadow's role and relation id, which the mode and
+the reading REL record already fix, and FMIMG 6 each REL's word count,
+which its scope fixes, so their images are rejected by their header.
+Table words, THRESH and message words are in the units of the mode's
+`domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in MINSUM; a cell
+with no THRESH record gates at the domain's default.  A GIBBS cell sends a
+value whenever it changes, so the machine rejects a THRESH record in a
+GIBBS image, and a GIBBS_PERIOD record in any other.  A cell's CELL record
+is its only coordinate, its key in `MachineImage.cells`, and a second
+THRESH or GIBBS_PERIOD record in one cell is a parse error, as is an
+unknown record; nothing is skipped silently.  `parse_image` checks only
+the records' form, and the loader every value, wiring and capacity rule,
+naming the line (a slot's `line`) of the record that breaks it.
 
 A relation carries no program: its mode and scope fix what it computes.  In
 SUMPROD and MINSUM a factor id names one relation of the machine, which
@@ -113,6 +116,9 @@ class VarSlot:
     var_id: int
     card: int
     evidence: Optional[int] = None
+    # the record's line in the text `parse_image` read, None in code; its
+    # CELL record's for a CellImage
+    line: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -120,6 +126,7 @@ class RelSlot:
     factor_id: int
     scope_refs: list                # ('V'|'H', slot) per scope position
     table: list                     # quantized integer words
+    line: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -131,6 +138,7 @@ class CellImage:
     thresh: Optional[int] = None
     gibbs_period: Optional[int] = None
     gibbs_phase: int = 0
+    line: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -176,7 +184,7 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 6",
+    lines = ["FMIMG 7",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -191,7 +199,7 @@ def dumps(image: MachineImage) -> str:
         lines.extend("SHADOW %d" % vid for vid in cell.shadow_slots)
         for rel in cell.rel_slots:
             refs = " ".join("%s%d" % ref for ref in rel.scope_refs)
-            lines.append("REL %d %d %s" % (rel.factor_id, len(rel.table), refs))
+            lines.append("REL %d %s" % (rel.factor_id, refs))
             for i in range(0, len(rel.table), 12):
                 lines.append(" ".join(str(w) for w in rel.table[i:i + 12]))
         if cell.thresh is not None:
@@ -210,31 +218,30 @@ _CELL_RECORDS = ("VAR", "SHADOW", "REL", "THRESH", "GIBBS_PERIOD")
 
 
 def parse_image(text: str) -> MachineImage:
+    """Read an image's records.  Only their form is checked here; every
+    value, wiring and capacity rule is the loader's (`machine.Machine`),
+    which names the line of the VAR, REL or CELL record that breaks it."""
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "6"]:
-        rec.fail("expected FMIMG 6 header")
+    if next(records, [])[:2] != ["FMIMG", "7"]:
+        rec.fail("expected FMIMG 7 header")
     grid = None
     mode = None
     seed = 0
     cells = {}
     cur: Optional[CellImage] = None
-    pending_rel: Optional[RelSlot] = None
-    pending_words = 0
+    rel: Optional[RelSlot] = None
 
     for toks in records:
         head = toks[0]
-        if pending_words > 0:
-            # table words, free-form across lines
+        if rel is not None and head.lstrip("-").isdigit():
+            # a line of integers continues the REL just read
             try:
-                words = [int(t) for t in toks]
+                rel.table.extend([int(t) for t in toks])
             except ValueError:
-                rec.fail("expected %d more table words" % pending_words)
-            if len(words) > pending_words:
-                rec.fail("too many table words")
-            pending_rel.table.extend(words)
-            pending_words -= len(words)
+                rec.fail("table words must be integers")
             continue
+        rel = None
         if head in _CELL_RECORDS and cur is None:
             rec.fail("%s outside a CELL" % head)
         # a cell's one THRESH or GIBBS_PERIOD fills `thresh` or `gibbs_period`
@@ -252,15 +259,10 @@ def parse_image(text: str) -> MachineImage:
         elif head == "SEED":
             (seed,) = rec.ints(toks[1:], 1, "SEED")
         elif head == "CELL":
-            r, c = rec.ints(toks[1:], 2, "CELL")
-            if grid is None:
-                rec.fail("CELL before GRID")
-            if not (0 <= r < grid[0] and 0 <= c < grid[1]):
-                rec.fail("cell (%d, %d) outside grid" % (r, c))
-            coord = (r, c)
+            coord = tuple(rec.ints(toks[1:], 2, "CELL"))
             if coord in cells:
                 rec.fail("duplicate CELL (%d, %d)" % coord)
-            cur = cells[coord] = CellImage()
+            cur = cells[coord] = CellImage(line=rec.line)
         elif head == "VAR":
             if len(toks) == 3:
                 vid, card = rec.ints(toks[1:], 2, "VAR")
@@ -270,43 +272,27 @@ def parse_image(text: str) -> MachineImage:
                 (ev,) = rec.ints(toks[4:], 1, "EVIDENCE")
             else:
                 rec.fail("malformed VAR record")
-            if card < 2:
-                rec.fail("variable cardinality must be >= 2")
-            if ev is not None and not (0 <= ev < card):
-                rec.fail("evidence value out of range")
-            cur.var_slots.append(VarSlot(vid, card, ev))
+            cur.var_slots.append(VarSlot(vid, card, ev, rec.line))
         elif head == "SHADOW":
             cur.shadow_slots.extend(rec.ints(toks[1:], 1, "SHADOW"))
         elif head == "REL":
-            if len(toks) < 4:
+            if len(toks) < 3:
                 rec.fail("malformed REL record")
-            fid, nwords = rec.ints(toks[1:3], 2, "REL")
-            if nwords < 1:
-                rec.fail("REL needs at least one table word")
+            (fid,) = rec.ints(toks[1:2], 1, "REL")
             refs = []
-            for t in toks[3:]:
+            for t in toks[2:]:
                 if len(t) < 2 or t[0] not in ("V", "H") or not t[1:].isdecimal():
                     rec.fail("bad scope reference %r" % t)
                 refs.append((t[0], int(t[1:])))
-            pending_rel = RelSlot(fid, refs, [])
-            pending_words = nwords
-            cur.rel_slots.append(pending_rel)
+            rel = RelSlot(fid, refs, [], rec.line)
+            cur.rel_slots.append(rel)
         elif head == "THRESH":
-            (t,) = rec.ints(toks[1:], 1, "THRESH")
-            if t < 0:
-                rec.fail("threshold must be >= 0")
-            cur.thresh = t
+            (cur.thresh,) = rec.ints(toks[1:], 1, "THRESH")
         elif head == "GIBBS_PERIOD":
-            p, ph = rec.ints(toks[1:], 2, "GIBBS_PERIOD")
-            if p < 1 or ph < 0:
-                rec.fail("bad GIBBS_PERIOD values")
-            cur.gibbs_period = p
-            cur.gibbs_phase = ph
+            cur.gibbs_period, cur.gibbs_phase = rec.ints(toks[1:], 2, "GIBBS_PERIOD")
         else:
             rec.fail("unknown record %r" % head)
 
-    if pending_words:
-        rec.fail("unexpected end of input: REL record incomplete")
     if grid is None:
         rec.fail("missing GRID record")
     if mode is None:

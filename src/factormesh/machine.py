@@ -1,13 +1,17 @@
 """Discrete-event simulation of the message-passing cell grid.
 
-A Machine is built from a MachineImage.  Each cell owns variable slots
-(registers holding per-relation outgoing messages and a combined belief),
-relation slots (fixed-function table units), and shadow slots (local copies
-of remote quantities kept fresh by routed packets).  Execution is fully
-event-driven: a write that actually changes a stored value triggers the units
-reading it, and recomputed messages are re-transmitted only when they moved by
-at least the cell's change threshold.  Event order is the total order
-(time, row-major cell id, sequence number), which makes runs bit-reproducible.
+A Machine is built from a MachineImage, and the load checks every value,
+wiring and capacity rule of the image, whether parsed or built in code; an
+error from a parsed image names the line of the VAR, REL or CELL record it is
+about (`image.parse_image` checks only the records' form).  Each cell owns
+variable slots (registers holding per-relation outgoing messages and a
+combined belief), relation slots (fixed-function table units), and shadow
+slots (local copies of remote quantities kept fresh by routed packets).
+Execution is fully event-driven: a write that actually changes a stored value
+triggers the units reading it, and recomputed messages are re-transmitted only
+when they moved by at least the cell's change threshold.  Event order is the
+total order (time, row-major cell id, sequence number), which makes runs
+bit-reproducible.
 
 Every word the machine holds, compares or reads out is in the mode's
 message format, its `fixedpoint.Domain` (`image.domain`): word range,
@@ -64,11 +68,20 @@ from operator import mul
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
                     gibbs_var_cost, relation_cost, GIBBS, Capacities, domain,
                     parse_image)
+from .records import line_error
 from .rng import DRAW_BLOCK, keyed_raw64, keyed_uniform01_block, stream_key
 
 
 class MachineError(ValueError):
     pass
+
+
+def _bad(record, message):
+    """The load error `message` about an image's VAR, REL or CELL record,
+    naming the record's line when it was read from text."""
+    if record.line is None:
+        return MachineError(message)
+    return line_error(MachineError, record.line, message)
 
 
 # random stream of the output noise; variable streams are their ids
@@ -91,9 +104,6 @@ class Stats:
     # GIBBS draws whose conditional had total weight zero, so the variable
     # kept its value; a diagnostic, in neither text() nor ==
     zero_total_draws: int = field(default=0, compare=False)
-
-    def energy_proxy(self) -> float:
-        return self.activations + 0.1 * self.hops
 
     def text(self) -> str:
         # energy formatted from integers so reruns are byte-identical
@@ -440,10 +450,8 @@ class Machine:
                  trace: bool = False, noise_lsbs: int = 0):
         if isinstance(image, str):
             image = parse_image(image)
-        self.image = image
         self.mode = image.mode
         self.seed = image.seed
-        self.grid = image.grid
         self.dom = domain(image.mode, MachineError)
         self.stats = Stats()
         self.trace = [] if trace else None
@@ -474,20 +482,20 @@ class Machine:
         # variables exist before any cell's shadows
         for coord, ci in sorted(image.cells.items()):
             if not (0 <= coord[0] < R and 0 <= coord[1] < C):
-                raise MachineError("cell (%d, %d) outside grid" % coord)
+                raise _bad(ci, "cell (%d, %d) outside grid" % coord)
             cell = _Cell(*coord, coord[0] * C + coord[1])
             self.cells[coord] = cell
             if len(ci.var_slots) > cap.var_slots:
-                raise MachineError("cell (%d, %d): too many variable slots" % coord)
+                raise _bad(ci, "cell (%d, %d): too many variable slots" % coord)
             for vs in ci.var_slots:
                 if vs.card > cap.max_cardinality:
-                    raise MachineError("variable %d: cardinality above limit" % vs.var_id)
+                    raise _bad(vs, "variable %d: cardinality above limit" % vs.var_id)
                 if vs.card < 2:
-                    raise MachineError("variable %d: cardinality below 2" % vs.var_id)
+                    raise _bad(vs, "variable %d: cardinality below 2" % vs.var_id)
                 if vs.evidence is not None and not 0 <= vs.evidence < vs.card:
-                    raise MachineError("variable %d: evidence out of range" % vs.var_id)
+                    raise _bad(vs, "variable %d: evidence out of range" % vs.var_id)
                 if vs.var_id in self.var_owner:
-                    raise MachineError("variable %d owned by two cells" % vs.var_id)
+                    raise _bad(vs, "variable %d owned by two cells" % vs.var_id)
                 var = _Var(cell, vs.var_id, vs.card, vs.evidence)
                 cell.vars.append(var)
                 self.var_owner[vs.var_id] = var
@@ -502,26 +510,26 @@ class Machine:
             record, value = (("THRESH", ci.thresh) if self.mode == GIBBS
                              else ("GIBBS_PERIOD", ci.gibbs_period))
             if value is not None:
-                raise MachineError("cell (%d, %d): a %s machine takes no %s"
-                                   % (coord + (self.mode, record)))
+                raise _bad(ci, "cell (%d, %d): a %s machine takes no %s"
+                               % (coord + (self.mode, record)))
             if self.mode != GIBBS:
                 cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
                 if cell.thresh < 0:
-                    raise MachineError("cell (%d, %d): threshold must be >= 0" % coord)
+                    raise _bad(ci, "cell (%d, %d): threshold must be >= 0" % coord)
             cell.period = ci.gibbs_period
             cell.phase = ci.gibbs_phase
             if (cell.period is not None and cell.period < 1) or cell.phase < 0:
-                raise MachineError("cell (%d, %d): bad GIBBS_PERIOD values" % coord)
+                raise _bad(ci, "cell (%d, %d): bad GIBBS_PERIOD values" % coord)
             if registers[coord] > cap.shadow_slots:
-                raise MachineError("cell (%d, %d): too many shadow slots, return "
-                                   "wires included" % coord)
+                raise _bad(ci, "cell (%d, %d): too many shadow slots, return "
+                               "wires included" % coord)
             if len(ci.rel_slots) > cap.rel_slots:
-                raise MachineError("cell (%d, %d): too many relation slots" % coord)
+                raise _bad(ci, "cell (%d, %d): too many relation slots" % coord)
             for vid in ci.shadow_slots:
                 owner = self.var_owner.get(vid)
                 if owner is None:
-                    raise MachineError("cell (%d, %d): shadow of variable %d, which no "
-                                       "cell owns" % (coord + (vid,)))
+                    raise _bad(ci, "cell (%d, %d): shadow of variable %d, which no "
+                                   "cell owns" % (coord + (vid,)))
                 cell.shadows.append(_Shadow(vid, owner.card, None if self.mode == GIBBS
                                             else dom.uniform(owner.card)))
             words = 0
@@ -529,34 +537,34 @@ class Machine:
                 refs = []
                 for kind, sl in rs.scope_refs:
                     if kind not in ("V", "H") or sl < 0:
-                        raise MachineError("relation %d: bad scope reference %s%d"
-                                           % (rs.factor_id, kind, sl))
+                        raise _bad(rs, "relation %d: bad scope reference %s%d"
+                                       % (rs.factor_id, kind, sl))
                     slots = cell.vars if kind == "V" else cell.shadows
                     if sl >= len(slots):
-                        raise MachineError("relation %d: dangling %s slot %s%d" % (
+                        raise _bad(rs, "relation %d: dangling %s slot %s%d" % (
                             rs.factor_id, "variable" if kind == "V" else "shadow",
                             kind, sl))
                     ent = slots[sl]
                     if any(obj.vid == ent.vid for obj in refs):
-                        raise MachineError("relation %d binds variable %d at two scope "
-                                           "positions" % (rs.factor_id, ent.vid))
+                        raise _bad(rs, "relation %d binds variable %d at two scope "
+                                       "positions" % (rs.factor_id, ent.vid))
                     refs.append(ent)
                 shape = tuple(obj.card for obj in refs)
                 size = math.prod(shape)
                 if size != len(rs.table):
-                    raise MachineError("relation %d: table has %d words, scope needs %d"
-                                       % (rs.factor_id, len(rs.table), size))
+                    raise _bad(rs, "relation %d: table has %d words, scope needs %d"
+                                   % (rs.factor_id, len(rs.table), size))
                 if min(rs.table) < dom.lo or max(rs.table) > dom.hi:
-                    raise MachineError("relation %d: table word outside [%d, %d]"
-                                       % (rs.factor_id, dom.lo, dom.hi))
+                    raise _bad(rs, "relation %d: table word outside [%d, %d]"
+                                   % (rs.factor_id, dom.lo, dom.hi))
                 words += len(rs.table)
                 rel = _Rel(cell, rs.factor_id, refs, shape, tuple(rs.table))
                 if self.mode != GIBBS:
                     if rel.cost > MAX_UPDATE_CYCLES:
-                        raise MachineError("relation %d: an update of %d scope positions "
-                                           "costs %d cycles, above %d" % (
-                                               rel.fid, len(shape), rel.cost,
-                                               MAX_UPDATE_CYCLES))
+                        raise _bad(rs, "relation %d: an update of %d scope positions "
+                                       "costs %d cycles, above %d" % (
+                                           rel.fid, len(shape), rel.cost,
+                                           MAX_UPDATE_CYCLES))
                     folds = tuple(w if w in dom.folds else None for w in rel.table)
                     # a dense table's maximum folds too: fold only tables mostly of such words
                     rel.kernel = _kernel(dom, shape, folds if 2 * folds.count(None) < len(folds)
@@ -564,18 +572,18 @@ class Machine:
                 # a factor id names one relation, or one per cell in GIBBS
                 owner = cell.cid if self.mode == GIBBS else None
                 if (owner, rel.fid) in fids:
-                    raise MachineError("cell (%d, %d): factor id %d names a second "
-                                       "relation" % (coord + (rel.fid,)))
+                    raise _bad(rs, "cell (%d, %d): factor id %d names a second "
+                                   "relation" % (coord + (rel.fid,)))
                 fids.add((owner, rel.fid))
                 cell.rels.append(rel)
                 for pos, obj in enumerate(refs):
                     if type(obj) is _Shadow:
                         # a converging shadow is one edge, of its one reader
                         if obj.consumers and self.mode != GIBBS:
-                            raise MachineError("cell (%d, %d): relations %d and %d both "
-                                               "read shadow slot %d" % (coord + (
-                                                   obj.consumers[0].fid, rel.fid,
-                                                   cell.shadows.index(obj))))
+                            raise _bad(rs, "cell (%d, %d): relations %d and %d both "
+                                           "read shadow slot %d" % (coord + (
+                                               obj.consumers[0].fid, rel.fid,
+                                               cell.shadows.index(obj))))
                         obj.consumers.append(rel)
                     elif self.mode == GIBBS:
                         # the table slice along pos at the other positions' values
@@ -589,15 +597,15 @@ class Machine:
                         edge.rel = rel
                         obj.edges.append(edge)
             if words > cap.table_words:
-                raise MachineError("cell (%d, %d): table memory over capacity" % coord)
+                raise _bad(ci, "cell (%d, %d): table memory over capacity" % coord)
             for slot, shadow in enumerate(cell.shadows):
                 if not shadow.consumers:
-                    raise MachineError("cell (%d, %d): no relation reads shadow slot %d"
-                                       % (coord + (slot,)))
+                    raise _bad(ci, "cell (%d, %d): no relation reads shadow slot %d"
+                                   % (coord + (slot,)))
             if self.mode == GIBBS:
                 if cell.vars and not cell.period:
-                    raise MachineError("cell (%d, %d) owns variables but has no "
-                                       "resample period" % coord)
+                    raise _bad(ci, "cell (%d, %d) owns variables but has no "
+                                   "resample period" % coord)
                 for var in cell.vars:
                     var.key = stream_key(self.seed, var.vid)
                     # the blanket state is a mixed-radix index over the

@@ -50,12 +50,19 @@ def test_sudoku_fixture_unique_and_solved():
 
 
 def test_sudoku_rejects_bad_puzzles():
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError, match="more than one solution"):
         apps.build_sudoku(givens=())                 # 288 solutions
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError, match="given value 9 out of range"):
         apps.sudoku_solutions(((0, 0, 9),))
-    with pytest.raises(apps.HarnessError):
+    with pytest.raises(apps.HarnessError, match="violate a constraint"):
         apps.sudoku_solutions(((0, 0, 1), (0, 1, 1)))
+    with pytest.raises(apps.HarnessError, match=r"conflicting givens at cell \(0, 0\)"):
+        apps.sudoku_solutions(((0, 0, 1), (0, 0, 2)))
+    # row 0 needs a 2 in its top-right box, which holds one in row 1
+    givens = ((0, 0, 0), (0, 1, 1), (1, 2, 2))
+    assert apps.sudoku_solutions(givens) == []
+    with pytest.raises(apps.HarnessError, match="puzzle has no solution"):
+        apps.build_sudoku(givens=givens)
 
 
 # -- Hamming (7,4) -----------------------------------------------------------
@@ -73,6 +80,12 @@ def test_encode_produces_codewords():
         word = apps.hamming_encode(data)
         assert apps.checks_satisfied(word)
         assert tuple(word[i] for i in (2, 4, 5, 6)) == data
+
+
+@pytest.mark.parametrize("data", [(1, 0, 1), (1, 0, 1, 1, 0), (1, 0, 2, 1)])
+def test_encode_rejects_anything_but_4_data_bits(data):
+    with pytest.raises(apps.HarnessError, match="need 4 data bits"):
+        apps.hamming_encode(data)
 
 
 def test_syndrome_decode_corrects_single_flips():
@@ -228,6 +241,19 @@ def test_verify_coloring_and_missing_variable():
     assert any("edge (0, 1): FAIL" in line for line in report.lines)
     with pytest.raises(apps.HarnessError):
         apps.verify(b, {0: 0, 1: 1})
+    # a colour outside the palette fails on its own line
+    report = apps.verify(b, {0: 0, 1: 1, 2: 3})
+    assert not report.passed and report.failed == 1
+    assert "var 2: FAIL value 3 out of range" in report.lines
+
+
+def test_verify_marginals_given_an_assignment_fail_on_arity():
+    b = apps.build_ising_chain(4, 0.5, 0.2)
+    results = {i: list(b.oracle[i]) for i in range(4)}
+    results[1] = 0
+    report = apps.verify(b, results)
+    assert not report.passed and report.failed == 1
+    assert "var 1: FAIL wrong arity" in report.lines
 
 
 def test_manifest_round_trip_all_kinds():

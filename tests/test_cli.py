@@ -368,15 +368,15 @@ def equality_pair_image(refs="V0 H0", unary="V0", clamped=1):
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on `unary`,
     variable 0.  Relation 0's message to variable 1 returns on the wire of
     its shadow.  `clamped` names the variable that cell (0, 1) declares."""
-    return """FMIMG 6
+    return """FMIMG 7
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
 VAR 0 2
 SHADOW 1
-REL 0 4 %s
+REL 0 %s
 65535 0 0 65535
-REL 1 2 %s
+REL 1 %s
 65535 65535
 CELL 0 1
 VAR %d 2 EVIDENCE 1
@@ -407,7 +407,10 @@ def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
     code, stdout, stderr = run_cli(capsys, "run", image, "--beliefs",
                                    str(beliefs_file))
     assert code == 2 and stdout == ""
-    assert "error: " in stderr and message in stderr
+    # the error names the line of the record it is about: the REL record
+    # that breaks a rule, or the CELL record of a shadow's wire
+    line = {"unary": 9, "clamped": 4, "refs": 7}[next(iter(fields))]
+    assert stderr.startswith("error: line %d: " % line) and message in stderr, stderr
     assert not beliefs_file.exists()
 
 
@@ -416,14 +419,16 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
     # wires, before records lost their slot numbers and shadows their
-    # source cells and cardinalities, and before shadows lost their roles
-    # and relation ids
+    # source cells and cardinalities, before shadows lost their roles and
+    # relation ids, and before REL records lost their word counts
     for old, new, message in [
-            ("FMIMG 6", "FMIMG 1", "line 1: expected FMIMG 6 header"),
-            ("FMIMG 6", "FMIMG 2", "line 1: expected FMIMG 6 header"),
-            ("FMIMG 6", "FMIMG 3", "line 1: expected FMIMG 6 header"),
-            ("FMIMG 6", "FMIMG 4", "line 1: expected FMIMG 6 header"),
-            ("FMIMG 6", "FMIMG 5", "line 1: expected FMIMG 6 header"),
+            ("FMIMG 7", "FMIMG 1", "line 1: expected FMIMG 7 header"),
+            ("FMIMG 7", "FMIMG 2", "line 1: expected FMIMG 7 header"),
+            ("FMIMG 7", "FMIMG 3", "line 1: expected FMIMG 7 header"),
+            ("FMIMG 7", "FMIMG 4", "line 1: expected FMIMG 7 header"),
+            ("FMIMG 7", "FMIMG 5", "line 1: expected FMIMG 7 header"),
+            ("FMIMG 7", "FMIMG 6", "line 1: expected FMIMG 7 header"),
+            ("REL 1 ", "REL 1 2 ", "line 9: bad scope reference '2'"),
             ("VAR 1 2 EVIDENCE 1", "VAR 0 1 2 EVIDENCE 1",
              "line 12: malformed VAR record"),
             ("SHADOW 1\n", "SHADOW 0 1 2 0 1 VTOF 0\n", "line 6: SHADOW needs 1 fields"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gen
-from factormesh import apps
+from factormesh import apps, rng
 from factormesh.golden import (FLOODING, SEQUENTIAL, EnumerationBoundError,
                                InferenceError, exact_marginals, gibbs_sample,
                                map_bruteforce, min_sum, sum_product,
@@ -229,6 +229,22 @@ def test_gibbs_single_unary_concentration():
                     [FactorNode(0, (0,), TABLE, (0.3, 0.7))])
     res = gibbs_sample(g, seed=0, burn_in=100, sweeps=100000)
     assert abs(res.marginals[0][0] - 0.3) < 0.01
+
+
+def test_gibbs_draws_a_variable_no_factor_touches_uniformly():
+    # variable 1 is in no factor's scope: its conditional is all ones, so
+    # each kept sweep s takes floor(3 u_s) of its own stream, and variable
+    # 0 draws what it draws without it
+    unary = FactorNode(0, (0,), TABLE, (0.3, 0.7))
+    res = gibbs_sample(FactorGraph([VariableNode(0, 2), VariableNode(1, 3)], [unary]),
+                       seed=4, burn_in=7, sweeps=300)
+    alone = gibbs_sample(FactorGraph([VariableNode(0, 2)], [unary]),
+                         seed=4, burn_in=7, sweeps=300)
+    assert np.array_equal(res.marginals[0], alone.marginals[0])
+    draws = rng.keyed_uniform01_block(rng.stream_key(4, 1), 7, 300)
+    counts = np.bincount([int(3 * u) for u in draws], minlength=3)
+    assert np.array_equal(res.marginals[1], counts / 300)
+    assert res.assignment[1] == int(3 * draws[-1])
 
 
 def test_gibbs_matches_exact_on_small_graph():

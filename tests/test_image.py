@@ -21,7 +21,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then cells out of canonical order
-FMIMG 6
+FMIMG 7
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -35,7 +35,7 @@ CELL 0 0
 VAR 0 2
 SHADOW 2   # a shadow of a variable in a later cell
 SHADOW 1
-REL 0 12 V0 H1 H0
+REL 0 V0 H1 H0
 65535 32768 16384
 8192 4096
 2048 1 2 3 4 5 6
@@ -70,15 +70,24 @@ def test_dumps_is_canonical_and_stable():
     assert text.index("VAR 1 3 EVIDENCE 2") < text.index("VAR 2 2")
     assert text.index("SHADOW 2\n") < text.index("SHADOW 1\n")
     assert dumps(parse_image(text)) == text
+    # each VAR, REL and CELL slot keeps its record's line, which neither
+    # comparison nor repr sees
+    again = parse_image(text)
+    assert again == img and "line" not in repr(img)
+    cell = img.cells[(0, 0)]
+    assert (cell.line, cell.var_slots[0].line, cell.rel_slots[0].line) == (12, 13, 16)
+    assert img.cells[(0, 1)].var_slots[1].line == 9
+    assert again.cells[(0, 0)].line == 5
+    assert CellImage().line is None and VarSlot(0, 2).line is None
 
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 6", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 7", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 2",
         "SHADOW 1",
-        "REL 0 4 V0 H0",
+        "REL 0 V0 H0",
         "200 100 100 200",
         "GIBBS_PERIOD 12 4",
     ]) + "\n"
@@ -91,30 +100,29 @@ def test_gibbs_records_round_trip():
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 6\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 7\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 6 header"),
-    ("FMIMG 7\nGRID 1 1\n", "expected FMIMG 6 header"),
+    ("GRID 1 1\n", "expected FMIMG 7 header"),
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
-    # wires, before records lost their slot numbers and before shadows
-    # lost their roles and relation ids
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 6 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
-    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 6 header"),
-    ("FMIMG 6\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 6\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 6\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 6\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
-    ("FMIMG 6\nMODE SUMPROD\nCELL 0 0\n", "CELL before GRID"),
-    (HEAD + "CELL 2 0\n", "outside grid"),
+    # wires, before records lost their slot numbers, before shadows lost
+    # their roles and relation ids and before REL records lost their word
+    # counts
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 7 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
+    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
+    ("FMIMG 7\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 7\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
+    ("FMIMG 7\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 7\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 7\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
+    (HEAD + "CELL 0\n", "line 4: CELL needs 2 fields"),
     (HEAD + "VAR 0 2\n", "VAR outside a CELL"),
-    (HEAD + "CELL 0 0\nVAR 0 1\n", "cardinality must be >= 2"),
-    (HEAD + "CELL 0 0\nVAR 0 2 EVIDENCE 5\n", "evidence value out of range"),
     (HEAD + "CELL 0 0\nVAR 0 2 WAT 1\n", "malformed VAR record"),
     (HEAD + "CELL 0 0\nVAR 0\n", "line 5: malformed VAR record"),
     (HEAD + "CELL 0 0\nVAR 0 2 EVIDENCE\n", "line 5: malformed VAR record"),
@@ -126,17 +134,21 @@ PARSE_ERRORS = [
     # the shadow records of FMIMG 5 and of FMIMG 3
     (HEAD + "CELL 0 0\nSHADOW 1 VTOF 0\n", "line 5: SHADOW needs 1 fields"),
     (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 VTOF 0\n", "line 5: SHADOW needs 1 fields"),
-    (HEAD + "CELL 0 0\nREL 0 2\n", "line 5: malformed REL record"),
-    (HEAD + "CELL 0 0\nREL 0 1 2 V0\n1\n", "line 5: bad scope reference '2'"),
-    (HEAD + "CELL 0 0\nREL 0 0 V0\n", "at least one table word"),
-    (HEAD + "CELL 0 0\nREL 0 2 X9\n", "bad scope reference"),
-    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 2 3\n", "too many table words"),
-    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 oops\n", "expected 2 more table words"),
-    (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 2 V0\n1 1\nPROG 2\n",
+    (HEAD + "CELL 0 0\nREL 0\n", "line 5: malformed REL record"),
+    (HEAD + "CELL 0 0\nREL x V0\n1 1\n", "line 5: REL has a non-integer field"),
+    # the REL record of FMIMG 6, whose word count its scope fixes
+    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 1\n", "line 5: bad scope reference '2'"),
+    (HEAD + "CELL 0 0\nREL 0 X9\n", "bad scope reference"),
+    (HEAD + "CELL 0 0\nREL 0 V-1\n", "line 5: bad scope reference 'V-1'"),
+    # only a line of integers continues a REL
+    (HEAD + "CELL 0 0\nREL 0 V0\n1 oops\n", "line 6: table words must be integers"),
+    (HEAD + "CELL 0 0\nREL 0 V0\n-1 1.5\n", "line 6: table words must be integers"),
+    (HEAD + "CELL 0 0\n1 1\n", "line 5: unknown record '1'"),
+    (HEAD + "CELL 0 0\nVAR 0 2\nTHRESH 1\n1 1\n", "line 7: unknown record '1'"),
+    (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\nPROG 2\n",
      "line 8: unknown record 'PROG'"),
-    (HEAD + "CELL 0 0\nREL 0 2 V0\n1\n", "REL record incomplete"),
-    (HEAD + "CELL 0 0\nTHRESH -1\n", "threshold must be >= 0"),
-    (HEAD + "CELL 0 0\nGIBBS_PERIOD 0 0\n", "bad GIBBS_PERIOD values"),
+    (HEAD + "CELL 0 0\nTHRESH x\n", "line 5: THRESH has a non-integer field"),
+    (HEAD + "CELL 0 0\nGIBBS_PERIOD 4\n", "line 5: GIBBS_PERIOD needs 2 fields"),
     # a second gate or timing record would silently replace the first
     (HEAD + "CELL 0 1\nTHRESH 3\nTHRESH 9\n", "line 6: second THRESH in cell (0, 1)"),
     (HEAD + "CELL 1 0\nGIBBS_PERIOD 4 0\nVAR 0 2\nGIBBS_PERIOD 4 1\n",

@@ -15,7 +15,7 @@ from factormesh import apps, cli
 from factormesh.graph import (GraphError, ParseError, parse_evidence, parse_uai,
                               serialize_evidence, serialize_uai)
 from factormesh.image import ImageError, parse_image
-from factormesh.machine import Machine
+from factormesh.machine import Machine, MachineError
 from test_machine import fuzz_images
 
 BENCHES = (apps.build_sudoku(),
@@ -44,6 +44,13 @@ def read_config(text, path):
     return cfg
 
 
+def load_image(text, path):
+    """The image `text` parses to, once a machine has loaded it."""
+    image = parse_image(text)
+    Machine(image)
+    return image
+
+
 def read_trace(text, path):
     path.write_text(text)
     out = io.StringIO()
@@ -52,14 +59,15 @@ def read_trace(text, path):
     return out.getvalue()
 
 
-# (reader of (text, scratch path), its error class, separator, written texts)
+# (reader of (text, scratch path), its error class or classes, separator,
+# written texts); an image is read as the machine loads it
 FORMATS = {
     "uai": (lambda text, path: parse_uai(text), ParseError, " ",
             lambda: tuple(serialize_uai(gen.random_tree_graph(s)) for s in range(3))),
     "evidence": (lambda text, path: parse_evidence(text), ParseError, " ",
                  lambda: (serialize_evidence({0: 1, 3: 0}),
                           serialize_evidence({2: 1, 5: 3, 1: 0}))),
-    "image": (lambda text, path: parse_image(text), ImageError, " ", fuzz_images),
+    "image": (load_image, (ImageError, MachineError), " ", fuzz_images),
     "manifest": (lambda text, path: apps.parse_manifest(text), apps.HarnessError, " ",
                  lambda: tuple(apps.write_manifest(b) for b in BENCHES)),
     "results": (lambda text, path: apps.parse_results(text), apps.HarnessError, " ",

@@ -240,9 +240,9 @@ def mixed_image():
         words = [0 if pick.random() < 0.15 else pick.randrange(1, 65536)
                  for _ in range(size)]
         words[0] = 65535
-        return ["REL %d %d %s" % (fid, size, " ".join(refs)), " ".join(map(str, words))]
+        return ["REL %d %s" % (fid, " ".join(refs)), " ".join(map(str, words))]
 
-    lines = ["FMIMG 6", "GRID 1 3", "MODE GIBBS", "SEED 5",
+    lines = ["FMIMG 7", "GRID 1 3", "MODE GIBBS", "SEED 5",
              "CELL 0 0", "VAR 0 2", "SHADOW 1", "SHADOW 5"]
     lines += rel(0, ["V0", "H0"], 6) + rel(4, ["V0", "H1"], 8)
     lines += ["GIBBS_PERIOD 30 0", "CELL 0 1", "VAR 1 3", "VAR 2 4", "SHADOW 0", "SHADOW 3"]
