@@ -114,16 +114,10 @@ SUDOKU_FIXTURE_SOLUTION = (
 
 
 def _sudoku_groups():
-    groups = []
-    for r in range(SUDOKU_N):
-        groups.append([r * SUDOKU_N + c for c in range(SUDOKU_N)])
-    for c in range(SUDOKU_N):
-        groups.append([r * SUDOKU_N + c for r in range(SUDOKU_N)])
-    for br in range(0, SUDOKU_N, 2):
-        for bc in range(0, SUDOKU_N, 2):
-            groups.append([(br + dr) * SUDOKU_N + (bc + dc)
-                           for dr in range(2) for dc in range(2)])
-    return groups
+    rows = [[r * SUDOKU_N + c for c in range(SUDOKU_N)] for r in range(SUDOKU_N)]
+    return (rows + [list(col) for col in zip(*rows)]
+            + [[(br + dr) * SUDOKU_N + (bc + dc) for dr in range(2) for dc in range(2)]
+               for br in range(0, SUDOKU_N, 2) for bc in range(0, SUDOKU_N, 2)])
 
 
 def sudoku_solutions(givens, limit: int = 2) -> list:
@@ -260,10 +254,8 @@ def build_parity_code(received, flip_p: float = 0.05,
     if not (0.0 < flip_p < 0.5):
         raise HarnessError("flip probability must be in (0, 0.5)")
     variables = [VariableNode(i, 2) for i in range(7)]
-    factors = []
-    for row in HAMMING_H:
-        scope = tuple(i for i, h in enumerate(row) if h)
-        factors.append(FactorNode(len(factors), scope, PARITY))
+    factors = [FactorNode(k, tuple(i for i, h in enumerate(row) if h), PARITY)
+               for k, row in enumerate(HAMMING_H)]
     for i, bit in enumerate(r):
         table = (1.0 - flip_p, flip_p) if bit == 0 else (flip_p, 1.0 - flip_p)
         factors.append(FactorNode(len(factors), (i,), TABLE, table))
@@ -359,20 +351,14 @@ def ising_chain_marginals(n: int, coupling: float, bias: float) -> list:
     for _ in range(1, n):
         bwd.append(m @ (phi * bwd[-1]))
     bwd.reverse()
-    out = []
-    for i in range(n):
-        w = fwd[i] * bwd[i]
-        out.append(w / w.sum())
-    return out
+    return [w / w.sum() for w in (f * b for f, b in zip(fwd, bwd))]
 
 
 def build_ising_chain(n: int, coupling: float, bias: float,
                       name: str = "ising_chain") -> Benchmark:
     variables = [VariableNode(i, 2) for i in range(n)]
-    factors = []
-    for i in range(n - 1):
-        factors.append(FactorNode(len(factors), (i, i + 1), PAIRWISE_ISING,
-                                  coupling=coupling))
+    factors = [FactorNode(i, (i, i + 1), PAIRWISE_ISING, coupling=coupling)
+               for i in range(n - 1)]
     if bias != 0.0:
         for i in range(n):
             factors.append(FactorNode(len(factors), (i,), TABLE,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import apps, golden, mapper
 from .graph import GraphError, ParseError, parse_uai, parse_evidence, with_evidence
@@ -234,11 +234,10 @@ def cmd_stats(args):
             send_queues.setdefault(vid, []).append((r, c))
         elif row[3] == "DELIVER":
             deliver_queues.setdefault(vid, []).append((r, c))
-    links = {}
+    links = Counter()
     for vid, srcs in sorted(send_queues.items()):
         for src, dst in zip(srcs, deliver_queues.get(vid, [])):
-            for link in xy_links(src, dst):
-                links[link] = links.get(link, 0) + 1
+            links.update(xy_links(src, dst))
     print("packets_by_cycle")
     for cycle in sorted(per_cycle):
         print("%d %d" % (cycle, per_cycle[cycle]))

@@ -323,10 +323,13 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     keyed_uniform01(stream_key(seed, v), s), keyed once per variable, so
     the sampler is deterministic given the seed and independent of
     everything but (seed, variable, sweep); each variable hashes
-    rng.DRAW_BLOCK sweeps' draws at once.  The sampler picks the first value whose prefix sum of the
-    conditional exceeds the draw scaled by the total.  The prefix sums are
-    memoized per variable, keyed by the mixed-radix index of its Markov
-    blanket's values, so a memo grows by at most one entry per sweep.  A
+    rng.DRAW_BLOCK sweeps' draws at once.  The sampler picks the first
+    value whose prefix sum of the conditional exceeds the draw scaled by the
+    total.  The prefix sums are memoized per variable, keyed by the
+    mixed-radix index of its Markov blanket's values, so a memo grows by at
+    most one entry per sweep.  Each index is kept current: a draw that
+    changes a value adds the change, times its radix multiplier, to the
+    index of each variable whose blanket holds it.  A
     kept sweep counts each draw as it is made; an evidence variable is
     counted once, for all sweeps.  Tables must give every conditional a
     positive total (use soft expansions).
@@ -341,12 +344,9 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
     free = [v.id for v in graph.variables if v.evidence is None]
     # flat tables plus mixed-radix strides, last scope position fastest;
     # the hot loop runs on plain Python floats (vectors are tiny)
-    flats = []
-    strides = []
-    for f in graph.factors:
-        flats.append([float(x) for x in f.table])
-        sc = graph.scope_cards(f)
-        strides.append([math.prod(sc[i + 1:]) for i in range(len(sc))])
+    flats = [[float(x) for x in f.table] for f in graph.factors]
+    strides = [[math.prod(sc[i + 1:]) for i in range(len(sc))]
+               for sc in map(graph.scope_cards, graph.factors)]
     # per variable: (flat, others = [(scope var, stride)], own stride)
     rows = {v: [] for v in free}
     for f in graph.factors:
@@ -355,36 +355,39 @@ def gibbs_sample(graph: FactorGraph, seed: int, burn_in: int = 1000,
                 others = [(f.scope[j], strides[f.id][j])
                           for j in range(len(f.scope)) if j != k]
                 rows[vid].append((flats[f.id], others, strides[f.id][k]))
-    # per variable: its blanket as (variable, radix multiplier) over the
-    # distinct variables its terms read, and a memo by blanket index
+    # per variable: the mixed-radix index of its blanket, the distinct
+    # variables its terms read, kept current through each blanket variable's
+    # readers (reader, radix multiplier), and a memo by that index
+    index = [0] * len(cards)
+    readers = [[] for _ in cards]
     plan = []
     for v in free:
-        blanket = []
         size = 1
         for ov in dict.fromkeys(ov for _f, others, _s in rows[v] for ov, _o in others):
-            blanket.append((ov, size))
+            readers[ov].append((v, size))
+            index[v] += state[ov] * size
             size *= cards[ov]
-        plan.append((v, rows[v], rng.stream_key(seed, v), blanket, {}))
+        plan.append((v, rows[v], rng.stream_key(seed, v), {}))
     # an evidence variable holds its value in all `sweeps` kept sweeps
     counts = [[sweeps * (v.evidence == a) for a in range(v.cardinality)]
               for v in graph.variables]
     for s in range(burn_in + sweeps):
         j = s % rng.DRAW_BLOCK
         if not j:
-            block = [(v, terms, blanket, memo, counts[v],
+            block = [(v, terms, memo, counts[v], readers[v],
                       rng.keyed_uniform01_block(key, s, rng.DRAW_BLOCK))
-                     for v, terms, key, blanket, memo in plan]
+                     for v, terms, key, memo in plan]
         keep = s >= burn_in
-        for v, terms, blanket, memo, row, draws in block:
-            idx = 0
-            for ov, m in blanket:
-                idx += state[ov] * m
+        for v, terms, memo, row, vreaders, draws in block:
             try:
-                prefix = memo[idx]
+                prefix = memo[index[v]]
             except KeyError:
-                prefix = memo[idx] = _gibbs_prefix(v, terms, state, cards[v])
-            val = state[v] = bisect_right(prefix, draws[j] * prefix[-1],
-                                          0, len(prefix) - 1)
+                prefix = memo[index[v]] = _gibbs_prefix(v, terms, state, cards[v])
+            val = bisect_right(prefix, draws[j] * prefix[-1], 0, len(prefix) - 1)
+            if val != state[v]:
+                for r, m in vreaders:
+                    index[r] += (val - state[v]) * m
+                state[v] = val
             if keep:
                 row[val] += 1
     marginals = [np.asarray(c, dtype=np.float64) / sweeps for c in counts]

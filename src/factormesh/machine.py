@@ -50,8 +50,10 @@ Wires are resolved at load into ports, each made by the sender of the
 quantity it carries: an edge's port for its message, a GIBBS variable's one
 value port, and a converging shadow's port for its reader's reply.  A `_Port`
 holds its last payload and its destinations, each with its `xy_links`
-route.  Every queued event carries its handler and the object it acts on,
-and `step` calls the one on the other.
+route as integer link ids (`_link_ids`, one id per mesh link or local
+port, so wires crossing one link contend for it).  Every queued event
+carries its handler and the object it acts on, and `step` calls the one on
+the other; a GIBBS tick queues its own next tick and its value sends.
 """
 
 from __future__ import annotations
@@ -378,14 +380,17 @@ def _prefix_sums(var):
 # a GIBBS cell's tick, one _TICK_VAR block per variable in record order
 _TICK = """\
 def generated(machine, cell, period{params}):
+    cid, heappush = cell.cid, heapq.heappush
     def tick(this, time):
         j = cell.tick_idx % {block}
         traced = machine.trace is not None
+        heap, send = machine._heap, machine._on_send
         activations = 0
 {variables}        machine.stats.activations += activations
         cell.tick_idx = k = cell.tick_idx + 1
         if cell.tick_budget is None or k < cell.tick_budget:
-            machine._push(time + period, cell, this, this)
+            machine._seq = s = machine._seq + 1
+            heappush(heap, (time + period, cid, s, this, this))
     return tick
 """
 _TICK_VAR = """\
@@ -400,7 +405,10 @@ _TICK_VAR = """\
                 val = bisect_right(prefix, v{i}.draws[j] * prefix[-1], 0, {hi})
                 if val != v{i}.value:
                     v{i}.value = val
-                    if port{i} is not None: machine._gate_send(port{i}, val, time + {cost}, cell)
+                    if port{i} is not None:
+                        port{i}.last = val
+                        machine._seq = s = machine._seq + 1
+                        heappush(heap, (time + {cost}, cid, s, send, (cell, port{i}, val, False)))
             else:
                 machine.stats.zero_total_draws += 1
         counts{i}[v{i}.value] += 1
@@ -423,9 +431,13 @@ def _tick(structure):
     slices at the blanket's values; it picks the first value whose prefix
     sum exceeds it.  Tables never change, so the prefix sums are memoized by
     the blanket's mixed-radix index.  A changed value is sent at once, ready
-    when the whole tick's cost has passed.  Evidence is tested on every
-    tick, as an injection can clamp a variable mid-run, and the machine's
-    _push, _gate_send and _trace are looked up when called."""
+    when the whole tick's cost has passed; a port's last packet is always
+    its variable's value (`_init_flush` sent the first), so `_gate_send`
+    would pass every such send, none a flush, and the tick queues it, and
+    its own next tick, on the heap itself, as `_push` would.  Evidence is
+    tested on every tick, as an injection can clamp a variable mid-run, and
+    the machine's _heap, _seq, _on_send and _trace are looked up when
+    called, so wrappers on the instance still see every send."""
     cost = sum(gibbs_var_cost(terms) for _card, terms, _radix in structure)
     params, variables = [], []
     for i, (card, terms, radix) in enumerate(structure):
@@ -465,7 +477,8 @@ class Machine:
         self._heap = []
         self._seq = 0
         self.time = 0
-        self._links = {}        # route link -> next free cycle
+        self._link_ids = {}     # route link -> its id, in first-seen order
+        self._links = {}        # route link id -> next free cycle
         self._build(image, capacities)
         self._init_flush()
 
@@ -549,6 +562,8 @@ class Machine:
                         raise _bad(rs, "relation %d binds variable %d at two scope "
                                        "positions" % (rs.factor_id, ent.vid))
                     refs.append(ent)
+                if not refs:
+                    raise _bad(rs, "relation %d has no scope position" % rs.factor_id)
                 shape = tuple(obj.card for obj in refs)
                 size = math.prod(shape)
                 if size != len(rs.table):
@@ -633,8 +648,11 @@ class Machine:
                     port = edge.port = _Port(w.var_id)
                     owner.edges.append(edge)
             links = xy_links(w.src, w.dst)
-            # a packet to its own cell takes the cell's local port
-            port.dests.append((dst, target, len(links), links or ((w.dst, w.dst),)))
+            # a packet to its own cell takes the cell's local port; a route
+            # is reserved by its links' ids
+            ids = tuple(self._link_ids.setdefault(link, len(self._link_ids))
+                        for link in links or ((w.dst, w.dst),))
+            port.dests.append((dst, target, len(links), ids))
 
         for var in self.var_owner.values():
             var.edges.sort(key=lambda e: e.fid)
@@ -668,8 +686,7 @@ class Machine:
         that has sent nothing sends its first packet), then run every relation
         once.  Work within a cell is serialized, so later units start after
         the cycles charged to earlier ones."""
-        for coord in sorted(self.cells):
-            cell = self.cells[coord]
+        for _coord, cell in sorted(self.cells.items()):
             lat = 0
             for var in cell.vars:
                 if var.evidence is not None and self.trace is not None:
@@ -714,8 +731,7 @@ class Machine:
             raise MachineError("tick-bounded runs only apply to GIBBS mode")
         if ticks < 1:
             raise MachineError("tick count must be at least 1, got %d" % ticks)
-        for coord in sorted(self.cells):
-            cell = self.cells[coord]
+        for coord, cell in sorted(self.cells.items()):
             if cell.tick_idx:
                 # after a run_ticks the queue holds no tick to continue
                 # from, and after a run_until_quiescent the budget would
@@ -803,8 +819,7 @@ class Machine:
         for dst, target, hops, links in port.dests:
             arrival = self._route(links, time)
             stats.packets += 1
-            if flush:
-                stats.flush_packets += 1
+            stats.flush_packets += flush
             stats.hops += hops
             if self.trace is not None:
                 self._trace(time, cell, "SEND", vid, hops)
@@ -812,7 +827,8 @@ class Machine:
 
     def _route(self, links, time):
         """Reserve a packet's route links in order, one packet per link per
-        cycle, from cycle `time`; returns its arrival cycle."""
+        cycle, from cycle `time`; returns its arrival cycle.  A port's routes
+        name each link by its id in `_link_ids`, so a hop hashes an int."""
         t = time
         free_at = self._links
         for link in links:
@@ -873,10 +889,15 @@ class Machine:
 
     # -- external surface ----------------------------------------------------
 
-    def inject_evidence(self, vid: int, value: int, at_time: int = 0):
+    def _var(self, vid):
+        """The variable `vid`; MachineError if no cell owns it."""
         var = self.var_owner.get(vid)
         if var is None:
             raise MachineError("unknown variable %d" % vid)
+        return var
+
+    def inject_evidence(self, vid: int, value: int, at_time: int = 0):
+        var = self._var(vid)
         if not (0 <= value < var.card):
             raise MachineError("value %d outside domain of variable %d" % (value, vid))
         if at_time < self.time:
@@ -925,12 +946,7 @@ class Machine:
         answers for `vids`, in order: straight-line code generated for the
         mode and their cardinalities (`_reader`), bound to their variables
         once."""
-        variables = []
-        for vid in vids:
-            var = self.var_owner.get(vid)
-            if var is None:
-                raise MachineError("unknown variable %d" % vid)
-            variables.append(var)
+        variables = [self._var(vid) for vid in vids]
         return _reader(self.mode == GIBBS, tuple(v.card for v in variables))(*variables)
 
     def verify_quiescent(self):

@@ -67,10 +67,12 @@ def test_tracing_changes_nothing_but_the_trace(run, monkeypatch):
 
 
 def counted(m):
-    """Wrap the instance's step() and _push(): (steps that popped an event,
-    events pushed since), both counted from the call on."""
-    counts = {"steps": 0, "pushed": 0}
-    step, push = m.step, m._push
+    """Wrap the instance's step(): {"steps": steps that popped an event,
+    "seq": m._seq at the call}.  Every queued event advances m._seq by one,
+    whether `_push` or a GIBBS tick queued it, so m._seq - seq counts the
+    events queued since."""
+    counts = {"steps": 0, "seq": m._seq}
+    step = m.step
 
     def counted_step():
         if step():
@@ -78,11 +80,7 @@ def counted(m):
             return True
         return False
 
-    def counted_push(*args):
-        counts["pushed"] += 1
-        push(*args)
-
-    m.step, m._push = counted_step, counted_push
+    m.step = counted_step
     return counts
 
 
@@ -93,7 +91,7 @@ def assert_one_step_per_event(m, run):
     counts = counted(m)
     run(m)
     assert counts["steps"] > 0
-    assert counts["steps"] == queued + counts["pushed"] - len(m._heap)
+    assert counts["steps"] == queued + (m._seq - counts["seq"]) - len(m._heap)
 
 
 def test_run_ticks_steps_once_per_event():

@@ -569,7 +569,7 @@ def gibbs_graphs(draw):
     return with_evidence(graph, evidence)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max(120, settings().max_examples), deadline=None)
 @given(graph=gibbs_graphs(), seed=st.integers(0, 2 ** 32 - 1),
        burn_in=st.integers(0, 20), sweeps=st.integers(1, 60))
 def test_gibbs_memo_matches_reference_sampler(graph, seed, burn_in, sweeps):

@@ -1,5 +1,6 @@
 """Image text format: canonical dumps, round trips, parse diagnostics."""
 
+import collections
 import dataclasses
 import random
 
@@ -13,7 +14,7 @@ from factormesh import apps
 from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, CellImage, ImageError,
                               MachineImage, RelSlot, VarSlot, Wire, dumps,
                               parse_image)
-from factormesh.machine import Machine, MachineError
+from factormesh.machine import Machine, MachineError, xy_links
 from factormesh.mapper import MapperError, compile_graph
 
 
@@ -224,14 +225,50 @@ def test_a_cells_key_is_its_only_coordinate(mode):
     ports += [edge.port for var in m.var_owner.values() for edge in var.edges]
     ports += [sh.port for cell in m.cells.values() for sh in cell.shadows]
     ends = set()
+    links = {i: link for link, i in m._link_ids.items()}
     for port in filter(None, ports):
-        for dst, _target, hops, links in port.dests:
+        for dst, _target, hops, ids in port.dests:
             # a route ends at the cell whose rows its deliveries write
-            assert links[-1][1] == (dst.r, dst.c)
+            assert links[ids[-1]][1] == (dst.r, dst.c)
             ends.add((dst.r, dst.c))
             if (dst.r, dst.c) == new:
                 assert hops == 4
     assert new in ends
+
+
+def test_routes_name_each_mesh_link_by_one_id():
+    shared = 0
+    for bench, mode in [(apps.build_parity_code(apps.hamming_encode((1, 0, 1, 1))), SUMPROD),
+                        (apps.build_sudoku(), MINSUM),
+                        (apps.build_ising_chain(8, 0.5, 0.2), GIBBS)]:
+        img, _ = compile_graph(bench.graph, mode, grid=bench.grid, seed=0, epochs=5)
+        m = Machine(img)
+        # ids are 0, 1, ... in first-seen order, one per link
+        assert sorted(m._link_ids.values()) == list(range(len(m._link_ids)))
+        links = {i: link for link, i in m._link_ids.items()}
+        # (source cell, port) of every port, found from the quantity it carries
+        ports = [((var.cell.r, var.cell.c), var.port) for var in m.var_owner.values()]
+        ports += [((var.cell.r, var.cell.c), edge.port)
+                  for var in m.var_owner.values() for edge in var.edges]
+        ports += [((cell.r, cell.c), sh.port)
+                  for cell in m.cells.values() for sh in cell.shadows]
+        crossings = collections.Counter()
+        for src, port in ports:
+            for dst, _target, hops, ids in (port.dests if port is not None else ()):
+                dst = (dst.r, dst.c)
+                mesh = xy_links(src, dst)
+                # the dimension-order route in order, or the local port of
+                # a zero-hop wire
+                assert [links[i] for i in ids] == list(mesh or ((dst, dst),))
+                assert hops == len(mesh)
+                crossings.update(ids)
+        # every wire has one destination
+        assert (sum(crossings.values())
+                == sum(len(xy_links(w.src, w.dst)) or 1 for w in img.wires))
+        shared += sum(count > 1 for count in crossings.values())
+    # wires that cross one mesh link reserve it under its one id, so they
+    # contend for it; the hamming and sudoku images have such links
+    assert shared > 0
 
 
 def test_a_code_built_gibbs_cell_with_only_a_period_round_trips():

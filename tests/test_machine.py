@@ -870,7 +870,8 @@ def test_load_rejects_a_grid_or_cell_off_the_mesh():
 
 # a 1x1 GIBBS image built in code, one value away from a loadable one; the
 # machine rejects each with no line, and its text form at the line of its
-# VAR or CELL record, or, for a reference no text can hold, parse_image
+# VAR or CELL record, or, for a reference or a scope no text can hold,
+# parse_image
 CODE_BUILT_REJECTS = [
     ({"card": 1}, {}, "variable 0: cardinality below 2"),
     ({"evidence": 5}, {}, "variable 0: evidence out of range"),
@@ -885,12 +886,16 @@ CODE_BUILT_REJECTS = [
      "relation 0: bad scope reference H-1"),
     ({}, {"rel_slots": [RelSlot(0, [("X", 0)], [1, 1])]},
      "relation 0: bad scope reference X0"),
+    # a relation of no scope position would run as an update that sends
+    # nothing, and its text `REL 0` is no REL record
+    ({}, {"rel_slots": [RelSlot(0, [], [5])]}, "relation 0 has no scope position"),
 ]
 
 
 @pytest.mark.parametrize("var_kw, cell_kw, needle", CODE_BUILT_REJECTS,
                          ids=["card1", "evidence5", "evidence-1", "period-2",
-                              "period0", "phase-5", "ref-V-1", "ref-H-1", "ref-X0"])
+                              "period0", "phase-5", "ref-V-1", "ref-H-1", "ref-X0",
+                              "no-scope"])
 def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw, needle):
     var = dict({"var_id": 0, "card": 2}, **var_kw)
     cell = CellImage(var_slots=[VarSlot(**var)],
@@ -903,7 +908,7 @@ def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw
     assert not hasattr(err.value, "line")
     with pytest.raises((ImageError, MachineError)) as text_err:
         Machine(dumps(image))
-    if "reference" in needle:
+    if "reference" in needle or "no scope" in needle:
         assert type(text_err.value) is ImageError
     else:
         # VAR on line 6, after the header and CELL on line 5

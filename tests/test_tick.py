@@ -140,6 +140,35 @@ def test_tick_plan_matches_reference_loop(case, ticks, trace):
     assert got == want
 
 
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+@given(case=gibbs_cases(), ticks=st.integers(1, 100), budget=st.integers(0, 3000),
+       until_quiescent=st.booleans())
+def test_every_value_port_last_sent_its_variables_value(case, ticks, budget,
+                                                        until_quiescent):
+    # a tick sends a changed value without _gate_send, so after every step
+    # each wired variable's port must hold its value: a value the tick
+    # sends then always differs from the port's last packet
+    text, caps, inject = case
+    m = Machine(text, capacities=caps)
+    if inject is not None:
+        m.inject_evidence(inject[0], inject[1], at_time=inject[2])
+    wired = [var for var in m.var_owner.values() if var.port is not None]
+    step, steps = m.step, []
+
+    def checked_step():
+        steps.append(step())
+        assert [var.port.last for var in wired] == [var.value for var in wired]
+        return True
+
+    m.step = checked_step
+    if until_quiescent:
+        m.run_until_quiescent(budget)
+    else:
+        m.run_ticks(ticks)
+    # run_ticks runs every tick it is asked for
+    assert steps or until_quiescent
+
+
 def ising_image():
     bench = apps.build_ising_chain(4, 0.5, 0.2)
     image, _ = compile_graph(bench.graph, "GIBBS", grid=bench.grid, seed=3, epochs=5)
