@@ -140,7 +140,7 @@ class _Port:
 
     def __init__(self, vid):
         self.vid = vid
-        self.dests = []         # (dst cell, _Shadow or _Edge, hops, route links)
+        self.dests = []         # (dst cell, _Shadow or _Edge, hops, route link ids)
         self.last = None        # payload last sent, None before the first
 
 
