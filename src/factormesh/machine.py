@@ -44,7 +44,10 @@ factor's reply.  A relation in the variable's cell reads and writes the edge
 itself; a relation elsewhere is the one reader of a shadow of it, fed by
 the edge's port, and answers on the shadow's return port.  A relation's
 scope is its edges and shadows (in GIBBS, the variables and shadows it
-reads), so each update dispatches on the object it writes.
+reads).  Its update handler (`_update`) is generated at load from its
+positions' kinds, shadow or edge, and a variable's emit (`_emitter`) from its
+edges' kinds, local relation or port: one function per structure, each
+reached through `rel.update` or `var.emit`.
 
 Wires are resolved at load into ports, each made by the sender of the
 quantity it carries: an edge's port for its message, a GIBBS variable's one
@@ -52,8 +55,10 @@ value port, and a converging shadow's port for its reader's reply.  A `_Port`
 holds its last payload and its destinations, each with its `xy_links`
 route as integer link ids (`_link_ids`, one id per mesh link or local
 port, so wires crossing one link contend for it).  Every queued event
-carries its handler and the object it acts on, and `step` calls the one on
-the other; a GIBBS tick queues its own next tick and its value sends.
+carries its handler and its payload, and `step` calls the one on the
+other: an update's payload is (machine, rel), so no handler or unit holds
+the machine once the queue drains; a GIBBS tick queues its own next tick
+and its value sends.
 """
 
 from __future__ import annotations
@@ -154,16 +159,14 @@ class _Edge:
     def __init__(self, var, fid, uniform):
         self.var = var
         self.fid = fid
-        self.msg = uniform
-        self.reply = uniform
-        self.rel = None
-        self.port = None
+        self.msg = self.reply = uniform
+        self.rel = self.port = None
 
 
 class _Var:
     __slots__ = ("cell", "vid", "card", "evidence", "value", "edges",
                  "belief", "port", "counts", "terms", "blanket", "memo", "key",
-                 "draws", "refresh")
+                 "draws", "refresh", "emit")
 
     def __init__(self, cell, vid, card, evidence):
         self.cell = cell
@@ -181,6 +184,7 @@ class _Var:
         self.key = None         # GIBBS: key of the variable's random stream
         self.draws = None       # GIBBS: uniforms of the current DRAW_BLOCK ticks
         self.refresh = None     # generated refresh for its card and degree
+        self.emit = None        # emit(machine, var, time): `_emitter`'s, or GIBBS `_send_value`
 
 
 class _Shadow:
@@ -197,7 +201,7 @@ class _Shadow:
 
 class _Rel:
     __slots__ = ("cell", "fid", "refs", "shape", "strides",
-                 "table", "kernel", "cost", "pending")
+                 "table", "kernel", "update", "cost", "pending")
 
     def __init__(self, cell, fid, refs, shape, table):
         self.cell = cell
@@ -207,6 +211,7 @@ class _Rel:
         self.strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
         self.table = table      # flat tuple of ints, last scope position fastest
         self.kernel = None      # generated kernel in SUMPROD/MINSUM modes
+        self.update = None      # its `_update` handler in SUMPROD/MINSUM modes
         self.cost = relation_cost(len(shape))
         self.pending = False
 
@@ -216,9 +221,7 @@ class _Cell:
                  "period", "phase", "tick_idx", "tick_budget")
 
     def __init__(self, r, c, cid):
-        self.r = r
-        self.c = c
-        self.cid = cid
+        self.r, self.c, self.cid = r, c, cid
         self.vars = []          # _Var in record order
         self.rels = []          # _Rel in record order
         self.shadows = []       # _Shadow in record order
@@ -284,10 +287,8 @@ def _kernel(dom, shape, folds):
     combine = dom.combine
     lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
              _unpack(["t%d" % t for t in range(math.prod(shape))], "T")]
-    offset = 0
-    for p, card in enumerate(shape):
-        lines.append(_unpack(["x%d" % (offset + a) for a in range(card)], "m%d" % p))
-        offset += card
+    for p, (start, card) in enumerate(zip(itertools.accumulate(shape, initial=0), shape)):
+        lines.append(_unpack(["x%d" % (start + a) for a in range(card)], "m%d" % p))
     outs = []
     for j, groups in _lower(shape):
         names = ["y%d_%d" % (j, a) for a in range(len(groups))]
@@ -306,16 +307,14 @@ def _kernel(dom, shape, folds):
 @functools.lru_cache(maxsize=256)
 def _refresh(dom, card, degree):
     """Generate a variable's refresh: refresh(*messages) takes its degree
-    >= 1 incoming messages in attachment order and returns (the normalized
+    incoming messages in attachment order and returns (the normalized
     outgoing message per attachment, the normalized belief).  Outgoing
     message i combines every incoming message but the i-th, from prefix and
-    suffix combinations, and the belief combines them all."""
+    suffix combinations, and the belief combines them all (uniform if none)."""
     combine = dom.combine
     lines = ["def generated(%s):" % ", ".join("m%d" % i for i in range(degree))]
-    msgs = []
-    for i in range(degree):
-        msgs.append(["m%d_%d" % (i, a) for a in range(card)])
-        lines.append(_unpack(msgs[i], "m%d" % i))
+    msgs = [["m%d_%d" % (i, a) for a in range(card)] for i in range(degree)]
+    lines += [_unpack(names, "m%d" % i) for i, names in enumerate(msgs)]
 
     def emit(name, u, v):
         # None stands for the uniform message, which combines exactly
@@ -340,8 +339,63 @@ def _refresh(dom, card, degree):
             lines += dom.normalize(names)
     uniform = ["%d" % dom.one] * card
     lines.append("    return %s, %s" % (_tuple(_tuple(names or uniform) for names in outs),
-                                        _tuple(pre[degree])))
+                                        _tuple(pre[degree] or uniform)))
     return _define(lines)
+
+
+@functools.lru_cache(maxsize=256)
+def _update(kinds):
+    """Generate the update handler of a converging relation whose scope
+    positions have `kinds`: "S" reads a shadow and replies on its port, "E"
+    reads and writes an edge in the relation's cell.  update((machine, rel),
+    time) runs rel.kernel, perturbs each message in position order under
+    noise_lsbs, counts the activation and writes the UPDATE row; then, at
+    time + rel.cost, it gates each shadow's reply on its port, or writes a
+    changed edge reply and emits the edge's variable, position by position."""
+    r, y = ["r%d" % p for p in range(len(kinds))], ["y%d" % p for p in range(len(kinds))]
+    lines = ["def generated(payload, time):", "    machine, rel = payload",
+             "    rel.pending = False", _unpack(r, "rel.refs"),
+             _unpack(["(_, %s)" % n for n in y],
+                     "rel.kernel(rel.table, %s)" % ", ".join(n + ".msg" for n in r)),
+             "    if machine.noise_lsbs:",
+             "    " + _unpack(y, _tuple("machine._apply_noise(%s)" % n for n in y)),
+             "    cell = rel.cell", "    machine.stats.activations += 1",
+             "    if machine.trace is not None:",
+             "        machine._trace(time, cell, 'UPDATE', rel.fid, rel.cost)",
+             "    time += rel.cost"]
+    for kind, rp, yp in zip(kinds, r, y):
+        lines += (["    machine._gate_send(%s.port, %s, time, cell)" % (rp, yp)] if kind == "S"
+                  else ["    if %s.reply != %s:" % (rp, yp), "        %s.reply = %s" % (rp, yp),
+                        "        %s.var.emit(machine, %s.var, time)" % (rp, rp)])
+    return _define(lines)
+
+
+@functools.lru_cache(maxsize=256)
+def _emitter(kinds):
+    """Generate the emit of a converging variable whose edges have `kinds`:
+    "L" for a relation in its cell, "P" for a port.  emit(machine, var,
+    time) sets the belief and outgoing messages, by var.refresh from the
+    edges' replies or as the domain's evidence indicator, then per edge
+    writes a changed message and pends the edge's relation, or writes the
+    message and gates it on the edge's port."""
+    e, o = ["e%d" % i for i in range(len(kinds))], ["o%d" % i for i in range(len(kinds))]
+    lines = ["def generated(machine, var, time):", _unpack(e, "var.edges") if e else "",
+             "    if var.evidence is None:", "        %s, var.belief = var.refresh(%s)"
+             % (_tuple(o), ", ".join(n + ".reply" for n in e)), "    else:",
+             "        var.belief = %smachine.dom.indicator(var.card, var.evidence)"
+             % "".join(n + " = " for n in o), "    cell = var.cell"]
+    for kind, edge, out in zip(kinds, e, o):
+        lines += (["    if %s.msg != %s:" % (edge, out), "        %s.msg = %s" % (edge, out),
+                   "        machine._pend_exec(%s.rel, time)" % edge] if kind == "L" else
+                  ["    %s.msg = %s" % (edge, out),
+                   "    machine._gate_send(%s.port, %s, time, cell)" % (edge, out)])
+    return _define(lines)
+
+
+def _send_value(machine, var, time):
+    """A GIBBS variable's emit: its bare value, if wired, to its port's gate."""
+    if var.port is not None:
+        machine._gate_send(var.port, var.value, time, var.cell)
 
 
 @functools.lru_cache(maxsize=256)
@@ -529,8 +583,7 @@ class Machine:
                 cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
                 if cell.thresh < 0:
                     raise _bad(ci, "cell (%d, %d): threshold must be >= 0" % coord)
-            cell.period = ci.gibbs_period
-            cell.phase = ci.gibbs_phase
+            cell.period, cell.phase = ci.gibbs_period, ci.gibbs_phase
             if (cell.period is not None and cell.period < 1) or cell.phase < 0:
                 raise _bad(ci, "cell (%d, %d): bad GIBBS_PERIOD values" % coord)
             if registers[coord] > cap.shadow_slots:
@@ -584,6 +637,8 @@ class Machine:
                     # a dense table's maximum folds too: fold only tables mostly of such words
                     rel.kernel = _kernel(dom, shape, folds if 2 * folds.count(None) < len(folds)
                                          else (None,) * len(folds))
+                    rel.update = _update("".join("S" if type(o) is _Shadow else "E"
+                                                 for o in refs))
                 # a factor id names one relation, or one per cell in GIBBS
                 owner = cell.cid if self.mode == GIBBS else None
                 if (owner, rel.fid) in fids:
@@ -656,8 +711,11 @@ class Machine:
 
         for var in self.var_owner.values():
             var.edges.sort(key=lambda e: e.fid)
-            if var.edges:
+            if self.mode == GIBBS:
+                var.emit = _send_value
+            else:
                 var.refresh = _refresh(dom, var.card, len(var.edges))
+                var.emit = _emitter("".join("L" if e.rel else "P" for e in var.edges))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -667,9 +725,10 @@ class Machine:
         heapq.heappush(self._heap, (time, cell.cid, self._seq, handler, payload))
 
     def _pend_exec(self, rel, time):
+        """Queue rel's `_update` handler, payload (this machine, rel), unless pending."""
         if not rel.pending:
             rel.pending = True
-            self._push(time, rel.cell, self._on_exec, rel)
+            self._push(time, rel.cell, rel.update, (self, rel))
 
     def _tick_handler(self, cell):
         """A GIBBS cell's tick handler: its `_tick`, bound to it and this machine."""
@@ -691,7 +750,7 @@ class Machine:
             for var in cell.vars:
                 if var.evidence is not None and self.trace is not None:
                     self._trace(0, cell, "CLAMP", var.vid, var.evidence)
-                self._emit_var(var, lat)
+                var.emit(self, var, lat)
                 lat += 1
             if self.mode != GIBBS:
                 for rel in cell.rels:
@@ -717,8 +776,7 @@ class Machine:
         heap, step = self._heap, self.step
         while heap and heap[0][0] <= max_cycles:
             step()
-        quiescent = not heap
-        self.stats.quiescent = quiescent
+        self.stats.quiescent = quiescent = not heap
         self.stats.cycles = self.time if quiescent else max_cycles
         return self.stats, quiescent
 
@@ -750,56 +808,12 @@ class Machine:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_exec(self, rel, time):
-        cell = rel.cell
-        rel.pending = False
-        outs = self._exec_relation(rel)
-        self.stats.activations += 1
-        if self.trace is not None:
-            self._trace(time, cell, "UPDATE", rel.fid, rel.cost)
-        avail = time + rel.cost
-        for pos, payload in outs:
-            ref = rel.refs[pos]
-            if type(ref) is _Shadow:
-                self._gate_send(ref.port, payload, avail, cell)
-            elif ref.reply != payload:
-                ref.reply = payload
-                self._emit_var(ref.var, avail)
-
-    def _refresh_var(self, var):
-        """Recompute outgoing messages, one per edge in order, and the belief
-        from the edges' replies."""
-        if var.evidence is not None:
-            var.belief = self.dom.indicator(var.card, var.evidence)
-            return (var.belief,) * len(var.edges)
-        if not var.edges:
-            var.belief = self.dom.uniform(var.card)
-            return ()
-        outs, var.belief = var.refresh(*[edge.reply for edge in var.edges])
-        return outs
-
-    def _emit_var(self, var, time):
-        """Publish changed outgoing messages to local relations and wires."""
-        cell = var.cell
-        if self.mode == GIBBS:
-            # sampling cells exchange bare values, not message vectors
-            if var.port is not None:
-                self._gate_send(var.port, var.value, time, cell)
-            return
-        outs = self._refresh_var(var)
-        for edge, new in zip(var.edges, outs):
-            if edge.msg != new:
-                edge.msg = new
-                if edge.rel is not None:
-                    self._pend_exec(edge.rel, time)
-            if edge.port is not None:
-                self._gate_send(edge.port, new, time, cell)
-
     def _gate_send(self, port, payload, time, cell):
         """Send `payload` on `port` unless the port's first packet has gone
         and the cell's gate holds it back: a GIBBS cell (no threshold) sends
         a value only when it changed, a converging one a message only when
-        some word moved by at least its threshold."""
+        some word moved by at least its threshold.  Every emit and every
+        `_update` handler's shadow reply passes this gate."""
         last = port.last
         if last is not None:
             thresh = cell.thresh
@@ -807,8 +821,7 @@ class Machine:
                 if payload == last:
                     return
             elif thresh > 0:
-                diff = max(abs(a - b) for a, b in zip(payload, last))
-                if diff < thresh:
+                if max(abs(a - b) for a, b in zip(payload, last)) < thresh:
                     return
         port.last = payload
         self._push(time, cell, self._on_send, (cell, port, payload, last is None))
@@ -829,16 +842,14 @@ class Machine:
         """Reserve a packet's route links in order, one packet per link per
         cycle, from cycle `time`; returns its arrival cycle.  A port's routes
         name each link by its id in `_link_ids`, so a hop hashes an int."""
-        t = time
-        free_at = self._links
+        t, free_at = time, self._links
         for link in links:
             free = free_at.get(link, 0)
             depart = free if free > t else t
             wait = depart - t
             if wait + 1 > self.stats.peak_link_occupancy:
                 self.stats.peak_link_occupancy = wait + 1
-            free_at[link] = depart + 1
-            t = depart + 1
+            free_at[link] = t = depart + 1
         return t
 
     def _on_deliver(self, payload, time):
@@ -852,34 +863,23 @@ class Machine:
             # a remote relation's reply to the variable
             if target.reply != value:
                 target.reply = value
-                self._emit_var(target.var, time)
+                target.var.emit(self, target.var, time)
         elif target.msg != value:
-            # a variable's message into its shadow
+            # a variable's message into its shadow, which has one reader
             target.msg = value
-            for rel in target.consumers:
-                self._pend_exec(rel, time)
+            self._pend_exec(target.consumers[0], time)
 
     def _on_inject(self, payload, time):
         var, value = payload
-        var.evidence = value
-        var.value = value
+        var.evidence = var.value = value
         if self.trace is not None:
             self._trace(time, var.cell, "CLAMP", var.vid, value)
-        self._emit_var(var, time)
+        var.emit(self, var, time)
 
-    # -- relation kernels -----------------------------------------------------
-
-    def _exec_relation(self, rel):
-        """Run the relation's kernel on its current inputs: (j, message) per
-        scope position j, anchored and, with noise_lsbs, perturbed."""
-        outs = rel.kernel(rel.table, *[ref.msg for ref in rel.refs])
-        if self.noise_lsbs:
-            outs = [(j, self._apply_noise(vec)) for j, vec in outs]
-        return outs
+    # -- output noise ---------------------------------------------------------
 
     def _apply_noise(self, vec):
-        span = 2 * self.noise_lsbs + 1
-        lo, hi = self.dom.lo, self.dom.hi
+        span, lo, hi = 2 * self.noise_lsbs + 1, self.dom.lo, self.dom.hi
         out = []
         for v in vec:
             self._noise_ctr += 1
@@ -966,7 +966,10 @@ class Machine:
         remote = []             # (recomputed, last sent) message pairs
         for cell in self.cells.values():
             for var in cell.vars:
-                for edge, new in zip(var.edges, self._refresh_var(var)):
+                replies = [edge.reply for edge in var.edges]
+                outs = (var.refresh(*replies)[0] if var.evidence is None else
+                        (self.dom.indicator(var.card, var.evidence),) * len(replies))
+                for edge, new in zip(var.edges, outs):
                     local.append((new, edge.msg))
                     if edge.port is not None and edge.port.last is not None:
                         remote.append((new, edge.port.last))

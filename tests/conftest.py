@@ -7,9 +7,9 @@ from hypothesis import settings
 
 from test_acceptance import artifact_bundle
 
-# HYPOTHESIS_PROFILE=deep runs the clustering and placement properties of
-# test_mapper.py and the kernel-fold property of test_kernel.py at 1000
-# examples; unset, the suite runs under Hypothesis' default profile
+# HYPOTHESIS_PROFILE=deep runs every property whose @settings honour it
+# (those CI's properties-deep job names) at 1000 examples; unset, the suite
+# runs under Hypothesis' default profile
 settings.register_profile("deep", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

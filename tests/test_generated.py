@@ -1,14 +1,19 @@
 """Generated converging path: the machine sends exactly what the old
 interpreter sent.
 
-`ReferenceKernelMachine` keeps a relation kernel and a variable refresh
-that are not generated at load: each relation runs its update written out
-as ops by `test_kernel.standard_program` through the nested-loop
-interpreter `test_kernel.reference`, and the refresh folds prefix and
-suffix combinations in a loop.  Both machines run the same image, and every
-packet, trace row, counter and belief must agree.
+`ReferenceKernelMachine` keeps a relation kernel, a variable refresh and
+an evidence indicator that are not generated at load, and puts them where
+the machine's generated update and emit handlers read them: each relation
+runs its update written out as ops by `test_kernel.standard_program`
+through the nested-loop interpreter `test_kernel.reference`, the refresh
+folds prefix and suffix combinations in a loop, and the machine's domain
+writes the uniform message and the evidence indicator out per mode.  Both
+machines run the same image, and every packet, trace row, counter and
+belief must agree.
 """
 
+import dataclasses
+import functools
 import random
 
 from hypothesis import given, reject, settings, strategies as st
@@ -17,79 +22,79 @@ import gen
 from test_kernel import reference, standard_program
 from factormesh import apps, fixedpoint as fp
 from factormesh.graph import with_evidence
-from factormesh.image import (MAX_UPDATE_CYCLES, MINSUM, SUMPROD, Capacities, dumps,
-                              relation_cost)
+from factormesh.image import (MAX_UPDATE_CYCLES, MINSUM, SUMPROD, Capacities, domain,
+                              dumps, relation_cost)
 from factormesh.machine import Machine
 from factormesh.mapper import MapperError, compile_graph
 
 
-class ReferenceKernelMachine(Machine):
+@dataclasses.dataclass(frozen=True, eq=False)
+class ReferenceDomain(fp.Domain):
+    """A mode's domain whose uniform message and evidence indicator are
+    written out per mode."""
+    linear: bool = True
 
-    @property
-    def linear(self):
-        return self.mode != MINSUM
-
-    def _uniform(self, card):
+    def uniform(self, card):
         return (fp.U16_MAX,) * card if self.linear else (0,) * card
 
-    def _refresh_var(self, var):
-        # the machine takes the messages in attachment order
-        outs = self._reference_refresh(var)
-        return [outs[edge.fid] for edge in var.edges]
+    def indicator(self, card, value):
+        if self.linear:
+            return tuple(fp.U16_MAX if a == value else 0 for a in range(card))
+        return tuple(0 if a == value else fp.Q88_MIN for a in range(card))
 
-    def _reference_refresh(self, var):
-        """Recompute outgoing messages and belief from stored inputs."""
-        card = var.card
-        if var.evidence is not None:
-            if self.linear:
-                ind = tuple(fp.U16_MAX if a == var.evidence else 0 for a in range(card))
-            else:
-                ind = tuple(0 if a == var.evidence else fp.Q88_MIN for a in range(card))
-            var.belief = ind
-            return {edge.fid: ind for edge in var.edges}
-        msgs = [edge.reply for edge in var.edges]
-        n = len(msgs)
-        if n == 0:
-            var.belief = self._uniform(card)
-            return {}
-        # prefix/suffix combinations give each exclude-one combination one
-        # way; None stands for the uniform message, which combines exactly
-        combine = self._combine
-        pre = [None]
-        for m in msgs:
-            pre.append(m if pre[-1] is None else combine(pre[-1], m))
-        suf = [None]
-        for m in reversed(msgs):
-            suf.append(m if suf[-1] is None else combine(m, suf[-1]))
-        suf.reverse()
-        norm = self._norm
-        outs = {}
-        for i, edge in enumerate(var.edges):
-            a, b = pre[i], suf[i + 1]
-            if a is None:
-                vec = self._uniform(card) if b is None else b
-            else:
-                vec = a if b is None else combine(a, b)
-            outs[edge.fid] = norm(vec)
-        var.belief = norm(pre[n])
-        return outs
 
-    def _combine(self, a, b):
-        return tuple(map(fp.mul_u16 if self.linear else fp.sat_add, a, b))
+REFERENCE_DOMAINS = {
+    mode: ReferenceDomain(**{f.name: getattr(domain(mode), f.name)
+                             for f in dataclasses.fields(fp.Domain)},
+                          linear=mode != MINSUM)
+    for mode in (SUMPROD, MINSUM)}
 
-    def _norm(self, v):
-        return tuple(fp.norm_linear(v) if self.linear else fp.norm_log(v))
 
-    def _exec_relation(self, rel):
-        """Interpret the relation's update on its current inputs: (j,
-        message) per scope position j, anchored and, with noise_lsbs,
-        perturbed."""
-        inputs = [ref.msg for ref in rel.refs]
-        outs = reference(rel.shape, rel.table, inputs,
-                         standard_program(self.mode, len(rel.shape)), self.linear)
-        if self.noise_lsbs:
-            outs = [(j, self._apply_noise(vec)) for j, vec in outs]
-        return outs
+def reference_kernel(mode, shape, table, *inputs):
+    """Interpret the relation's update on its inputs: (j, message) per scope
+    position j, anchored."""
+    return reference(shape, table, list(inputs), standard_program(mode, len(shape)),
+                     mode != MINSUM)
+
+
+def reference_refresh(dom, card, *msgs):
+    """Outgoing messages, one per incoming message in attachment order, and
+    the belief, uniform if there are none."""
+    # prefix/suffix combinations give each exclude-one combination one
+    # way; None stands for the uniform message, which combines exactly
+    f = fp.mul_u16 if dom.linear else fp.sat_add
+    combine = lambda a, b: tuple(map(f, a, b))
+    norm = lambda v: tuple(fp.norm_linear(v) if dom.linear else fp.norm_log(v))
+    pre = [None]
+    for m in msgs:
+        pre.append(m if pre[-1] is None else combine(pre[-1], m))
+    suf = [None]
+    for m in reversed(msgs):
+        suf.append(m if suf[-1] is None else combine(m, suf[-1]))
+    suf.reverse()
+    outs = []
+    for i in range(len(msgs)):
+        a, b = pre[i], suf[i + 1]
+        if a is None:
+            vec = dom.uniform(card) if b is None else b
+        else:
+            vec = a if b is None else combine(a, b)
+        outs.append(norm(vec))
+    return tuple(outs), norm(pre[-1]) if msgs else dom.uniform(card)
+
+
+class ReferenceKernelMachine(Machine):
+
+    def _build(self, image, cap):
+        super()._build(image, cap)
+        # the generated handlers read the kernel, the refresh and the
+        # domain's indicator and uniform message here
+        self.dom = REFERENCE_DOMAINS[self.mode]
+        for cell in self.cells.values():
+            for rel in cell.rels:
+                rel.kernel = functools.partial(reference_kernel, self.mode, rel.shape)
+        for var in self.var_owner.values():
+            var.refresh = functools.partial(reference_refresh, self.dom, var.card)
 
 
 def run(cls, text, caps, noise, inject, budget):
@@ -143,7 +148,7 @@ def converging_cases(draw):
     return dumps(image), caps, inject, draw(st.sampled_from((0, 2)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings().max_examples), deadline=None)
 @given(case=converging_cases(), budget=st.integers(100, 1500))
 def test_generated_path_matches_reference_interpreter(case, budget):
     text, caps, inject, noise = case
@@ -188,7 +193,8 @@ def test_widest_relation_table_generates_and_matches():
             for m in machines:
                 for p, vec in enumerate(inputs):
                     m.var_owner[p].edges[0].msg = vec
-                outs.append(m._exec_relation(m.cells[(0, 0)].rels[0]))
+                rel = m.cells[(0, 0)].rels[0]
+                outs.append(rel.kernel(rel.table, *[ref.msg for ref in rel.refs]))
             assert outs[0] == outs[1]
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from factormesh.graph import (TABLE, FactorGraph, FactorNode, VariableNode,
 from factormesh.image import (GIBBS, MINSUM, SUMPROD, Capacities, CellImage, ImageError,
                               MachineImage, RelSlot, VarSlot, dumps, parse_image)
 from factormesh.fixedpoint import Q88, U16
-from factormesh.machine import (Machine, MachineError, _Edge, _Port, _Shadow, _kernel,
-                                xy_links)
+from factormesh.machine import (Machine, MachineError, _Edge, _Port, _Shadow, _emitter,
+                                _kernel, _update, xy_links)
 from factormesh.mapper import (MapperError, Placement, cluster, compile_graph, emit_image,
                                lower, place)
 
@@ -1018,6 +1020,54 @@ def test_only_a_table_mostly_of_foldable_words_is_folded():
         text += "REL 0 V0 V1\n%s\n" % " ".join(map(str, table))
         rel, = Machine(text).cells[(0, 0)].rels
         assert rel.kernel is _kernel(dom, (2, 3), folds)
+
+
+@pytest.mark.parametrize("mode", ["SUMPROD", "MINSUM"])
+def test_relations_and_variables_of_one_structure_share_their_handlers(mode):
+    # an update handler per tuple of position kinds (shadow or edge) and an
+    # emit per tuple of edge kinds (local relation or port), never one per unit
+    word = apps.hamming_codewords()[5]
+    hamming = apps.build_parity_code(tuple(b ^ (i == 2) for i, b in enumerate(word)),
+                                     flip_p=0.05)
+    bench = hamming if mode == "SUMPROD" else apps.build_sudoku()
+    m, _ = compiled(bench.graph, mode, grid=bench.grid, thresh=0 if mode == "SUMPROD" else None)
+    rels = [rel for cell in m.cells.values() for rel in cell.rels]
+    updates = {}
+    for rel in rels:
+        kinds = "".join("S" if type(ref) is _Shadow else "E" for ref in rel.refs)
+        assert rel.update is _update(kinds)
+        updates.setdefault(kinds, set()).add(rel.update)
+    variables = list(m.var_owner.values())
+    emits = {}
+    for var in variables:
+        kinds = "".join("L" if edge.rel is not None else "P" for edge in var.edges)
+        assert var.emit is _emitter(kinds)
+        emits.setdefault(kinds, set()).add(var.emit)
+    for handlers, units in ((updates, rels), (emits, variables)):
+        assert all(len(functions) == 1 for functions in handlers.values())
+        assert len(set.union(*handlers.values())) == len(handlers) < len(units)
+    # both kinds of position and of edge occur
+    assert {k for kinds in updates for k in kinds} == {"S", "E"}
+    assert {k for kinds in emits for k in kinds} == {"L", "P"}
+
+
+@pytest.mark.parametrize("mode", ["SUMPROD", "MINSUM"])
+def test_a_quiescent_converging_machine_is_freed_without_the_collector(mode):
+    # the update and emit handlers hold no unit and no machine, and an
+    # update's payload names the machine only while it is queued, so once
+    # the queue drains no reference cycle holds the machine
+    image, _ = compile_graph(multi_cell_tree(), mode, grid=(4, 4), seed=0,
+                             capacities=Capacities(var_slots=2), epochs=5)
+    text = dumps(image)
+    gc.disable()
+    try:
+        m = Machine(text, capacities=Capacities(var_slots=2))
+        assert m.run_until_quiescent(50000)[1]
+        freed = weakref.ref(m)
+        del m
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_stats_text_matches_energy_proxy():
