@@ -1,34 +1,32 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 7`), one record per line, `#` comments:
+Text format (version header `FMIMG 8`), one record per line, `#` comments:
 
-    FMIMG 7
+    FMIMG 8
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
     CELL <r> <c>                          opens a cell; records below attach to it
     VAR <var_id> <card> [EVIDENCE <value>]
-    SHADOW <var_id>
-    REL <factor_id> <ref>...              refs bind scope positions, V<i>/H<i>
+    REL <factor_id> <var_id>...           the factor's scope, one id per position
     <integer table words on following lines, continuing the REL>
     THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
     GIBBS_PERIOD <period> <phase>         resample timing (GIBBS)
 
-A cell's slots are its record positions: `V<i>` names the cell's i-th VAR
-record and `H<i>` its i-th SHADOW record, counting from 0.  A shadow slot
-is its wire: one link into that slot from the cell whose VAR record
-declares `var_id`, carrying that variable, and the shadow has that
-variable's cardinality; the machine rejects a shadow of a variable no cell
-declares, and one no relation of its cell reads, at load.  The mode fixes
-what a shadow holds.  In GIBBS it holds the variable's sampled value,
-which any of the cell's relations may read.  In SUMPROD and MINSUM it
-holds the variable's message into the one relation that reads it, and a
-second reader is a load error; the shadow also declares that edge's return
-wire, on which the relation sends the variable's cell its message to the
+A relation reads a scope variable that its cell's VAR records declare in
+place, and any other through a shadow register, which the mode and scopes
+fix (`shadow_key`): in SUMPROD and MINSUM one per remote (variable,
+relation), holding the variable's message into that relation, and in GIBBS
+one per remote variable, holding its sampled value.  A cell's shadow slots
+are numbered in first-read order (`CellImage.shadow_keys`).  A shadow slot
+is its wire: one link into it from the cell whose VAR record declares the
+variable, whose cardinality the shadow has; the machine rejects a relation
+reading a variable no cell declares.  A converging shadow also has a return
+wire, on which its relation sends the variable's cell its message to the
 variable, into a register that counts as one of that cell's shadow slots.
-FMIMG 5 also wrote each shadow's role and relation id, which the mode and
-the reading REL record already fix, and FMIMG 6 each REL's word count,
-which its scope fixes, so their images are rejected by their header.
+FMIMG 5 also wrote each shadow's role and relation id, FMIMG 6 each REL's
+word count, and FMIMG 7 a record per shadow register and slot references,
+which the scopes fix, so their images are rejected by their header.
 Table words, THRESH and message words are in the units of the mode's
 `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in MINSUM; a cell
 with no THRESH record gates at the domain's default.  A GIBBS cell sends a
@@ -121,10 +119,17 @@ class VarSlot:
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
 
+def shadow_key(mode: str, var_id: int, factor_id: int) -> tuple:
+    """The shadow register through which relation `factor_id` reads remote
+    variable `var_id`: its value, shared in GIBBS, else its message into the
+    relation."""
+    return (var_id, None if mode == GIBBS else factor_id)
+
+
 @dataclass
 class RelSlot:
     factor_id: int
-    scope_refs: list                # ('V'|'H', slot) per scope position
+    scope: list                     # var_id per scope position
     table: list                     # quantized integer words
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
@@ -133,12 +138,23 @@ class RelSlot:
 class CellImage:
     """One cell's records; its coordinate is its key in `MachineImage.cells`."""
     var_slots: list = field(default_factory=list)
-    shadow_slots: list = field(default_factory=list)    # var_id per SHADOW record
     rel_slots: list = field(default_factory=list)
     thresh: Optional[int] = None
     gibbs_period: Optional[int] = None
     gibbs_phase: int = 0
     line: Optional[int] = field(default=None, compare=False, repr=False)
+
+    def shadow_keys(self, mode: str) -> dict:
+        """The `shadow_key` of every read of a variable that no VAR record of
+        the cell declares, in slot order, the order of first reads (relations
+        in record order, then scope order), each mapped to its first reader."""
+        local = {vs.var_id for vs in self.var_slots}
+        keys = {}
+        for rel in self.rel_slots:
+            for vid in rel.scope:
+                if vid not in local:
+                    keys.setdefault(shadow_key(mode, vid, rel.factor_id), rel)
+        return keys
 
 
 @dataclass
@@ -164,14 +180,14 @@ class MachineImage:
 
     @property
     def wires(self) -> list:
-        """One Wire per shadow slot, from its variable's cell into the slot,
-        each followed, outside GIBBS, by its return wire, in (cell
-        coordinate, slot) order."""
+        """One Wire per shadow slot (`CellImage.shadow_keys`), from its
+        variable's cell into the slot, each followed, outside GIBBS, by its
+        return wire, in (cell coordinate, slot) order."""
         home = {vs.var_id: coord for coord, ci in self.cells.items()
                 for vs in ci.var_slots}
         wires = []
         for coord in sorted(self.cells):
-            for slot, vid in enumerate(self.cells[coord].shadow_slots):
+            for slot, (vid, _fid) in enumerate(self.cells[coord].shadow_keys(self.mode)):
                 src = home.get(vid)
                 wires.append(Wire(vid, src, coord, slot))
                 if self.mode != GIBBS:
@@ -184,7 +200,7 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 7",
+    lines = ["FMIMG 8",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -196,10 +212,8 @@ def dumps(image: MachineImage) -> str:
             if vs.evidence is not None:
                 row += " EVIDENCE %d" % vs.evidence
             lines.append(row)
-        lines.extend("SHADOW %d" % vid for vid in cell.shadow_slots)
         for rel in cell.rel_slots:
-            refs = " ".join("%s%d" % ref for ref in rel.scope_refs)
-            lines.append("REL %d %s" % (rel.factor_id, refs))
+            lines.append(" ".join(map(str, ["REL", rel.factor_id, *rel.scope])))
             for i in range(0, len(rel.table), 12):
                 lines.append(" ".join(str(w) for w in rel.table[i:i + 12]))
         if cell.thresh is not None:
@@ -214,7 +228,7 @@ def dumps(image: MachineImage) -> str:
 # ---------------------------------------------------------------------------
 
 # records that attach to the cell opened by the last CELL record
-_CELL_RECORDS = ("VAR", "SHADOW", "REL", "THRESH", "GIBBS_PERIOD")
+_CELL_RECORDS = ("VAR", "REL", "THRESH", "GIBBS_PERIOD")
 
 
 def parse_image(text: str) -> MachineImage:
@@ -223,8 +237,8 @@ def parse_image(text: str) -> MachineImage:
     which names the line of the VAR, REL or CELL record that breaks it."""
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "7"]:
-        rec.fail("expected FMIMG 7 header")
+    if next(records, [])[:2] != ["FMIMG", "8"]:
+        rec.fail("expected FMIMG 8 header")
     grid = None
     mode = None
     seed = 0
@@ -273,18 +287,11 @@ def parse_image(text: str) -> MachineImage:
             else:
                 rec.fail("malformed VAR record")
             cur.var_slots.append(VarSlot(vid, card, ev, rec.line))
-        elif head == "SHADOW":
-            cur.shadow_slots.extend(rec.ints(toks[1:], 1, "SHADOW"))
         elif head == "REL":
             if len(toks) < 3:
                 rec.fail("malformed REL record")
-            (fid,) = rec.ints(toks[1:2], 1, "REL")
-            refs = []
-            for t in toks[2:]:
-                if len(t) < 2 or t[0] not in ("V", "H") or not t[1:].isdecimal():
-                    rec.fail("bad scope reference %r" % t)
-                refs.append((t[0], int(t[1:])))
-            rel = RelSlot(fid, refs, [], rec.line)
+            fid, *scope = rec.ints(toks[1:], len(toks) - 1, "REL")
+            rel = RelSlot(fid, scope, [], rec.line)
             cur.rel_slots.append(rel)
         elif head == "THRESH":
             (cur.thresh,) = rec.ints(toks[1:], 1, "THRESH")

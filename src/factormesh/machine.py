@@ -41,24 +41,23 @@ stream's own draw.  A cell computes no message, so it takes no output noise.
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
 factor-id order: the register pair of its message to the factor and the
 factor's reply.  A relation in the variable's cell reads and writes the edge
-itself; a relation elsewhere is the one reader of a shadow of it, fed by
-the edge's port, and answers on the shadow's return port.  A relation's
-scope is its edges and shadows (in GIBBS, the variables and shadows it
-reads).  Its update handler (`_update`) is generated at load from its
-positions' kinds, shadow or edge, and a variable's emit (`_emitter`) from its
-edges' kinds, local relation or port: one function per structure, each
-reached through `rel.update` or `var.emit`.
+itself; a relation elsewhere is the one reader (`rel`) of a shadow of it
+(`image.shadow_key`), fed by the edge's port, and answers on the shadow's
+return port.  A relation's scope is its edges and shadows (in GIBBS, the
+variables and shadows it reads).  Its update handler (`_update`) is
+generated at load from its positions' kinds, shadow or edge, and a
+variable's emit (`_emitter`) from its edges' kinds, local relation or port:
+one function per structure, each reached through `rel.update` or `var.emit`.
 
 Wires are resolved at load into ports, each made by the sender of the
 quantity it carries: an edge's port for its message, a GIBBS variable's one
 value port, and a converging shadow's port for its reader's reply.  A `_Port`
 holds its last payload and its destinations, each with its `xy_links`
-route as integer link ids (`_link_ids`, one id per mesh link or local
-port, so wires crossing one link contend for it).  Every queued event
-carries its handler and its payload, and `step` calls the one on the
-other: an update's payload is (machine, rel), so no handler or unit holds
-the machine once the queue drains; a GIBBS tick queues its own next tick
-and its value sends.
+route as integer link ids (`_link_ids`, one id per mesh link, so wires
+crossing one link contend for it).  Every queued event carries its handler
+and its payload, and `step` calls the one on the other: an update's payload
+is (machine, rel), so no handler or unit holds the machine once the queue
+drains; a GIBBS tick queues its own next tick and its value sends.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from operator import mul
 
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
                     gibbs_var_cost, relation_cost, GIBBS, Capacities, domain,
-                    parse_image)
+                    parse_image, shadow_key)
 from .records import line_error
 from .rng import DRAW_BLOCK, keyed_raw64, keyed_uniform01_block, stream_key
 
@@ -188,14 +187,14 @@ class _Var:
 
 
 class _Shadow:
-    __slots__ = ("vid", "card", "msg", "value", "consumers", "port")
+    __slots__ = ("vid", "card", "msg", "value", "rel", "port")
 
     def __init__(self, vid, card, msg):
         self.vid = vid
         self.card = card
         self.msg = msg          # SUMPROD/MINSUM: the variable's message to its reader
         self.value = 0          # GIBBS: the variable's sampled value
-        self.consumers = []     # rels reading this slot, one in SUMPROD/MINSUM
+        self.rel = None         # SUMPROD/MINSUM: the one _Rel reading it
         self.port = None        # SUMPROD/MINSUM: its reader's reply to the edge
 
 
@@ -224,7 +223,7 @@ class _Cell:
         self.r, self.c, self.cid = r, c, cid
         self.vars = []          # _Var in record order
         self.rels = []          # _Rel in record order
-        self.shadows = []       # _Shadow in record order
+        self.shadows = []       # _Shadow in slot order
         self.thresh = None
         self.period = None
         self.phase = 0
@@ -566,6 +565,10 @@ class Machine:
                 var = _Var(cell, vs.var_id, vs.card, vs.evidence)
                 cell.vars.append(var)
                 self.var_owner[vs.var_id] = var
+            for rs in ci.rel_slots:     # `image.wires` reads every scope
+                if not all(type(vid) is int for vid in rs.scope):
+                    raise _bad(rs, "relation %d: a scope entry is no variable id"
+                                   % rs.factor_id)
         wires = image.wires
         # every wire, a return wire too, lands in a shadow register of its dst
         registers = collections.Counter(w.dst for w in wires)
@@ -591,30 +594,25 @@ class Machine:
                                "wires included" % coord)
             if len(ci.rel_slots) > cap.rel_slots:
                 raise _bad(ci, "cell (%d, %d): too many relation slots" % coord)
-            for vid in ci.shadow_slots:
-                owner = self.var_owner.get(vid)
+            shadows = {}
+            for key, rs in ci.shadow_keys(self.mode).items():
+                owner = self.var_owner.get(key[0])
                 if owner is None:
-                    raise _bad(ci, "cell (%d, %d): shadow of variable %d, which no "
-                                   "cell owns" % (coord + (vid,)))
-                cell.shadows.append(_Shadow(vid, owner.card, None if self.mode == GIBBS
-                                            else dom.uniform(owner.card)))
+                    raise _bad(rs, "relation %d reads variable %d, which no cell owns"
+                                   % (rs.factor_id, key[0]))
+                shadows[key] = _Shadow(key[0], owner.card, None if self.mode == GIBBS
+                                       else dom.uniform(owner.card))
+            cell.shadows = list(shadows.values())
+            local = {var.vid: var for var in cell.vars}
             words = 0
             for rs in ci.rel_slots:
-                refs = []
-                for kind, sl in rs.scope_refs:
-                    if kind not in ("V", "H") or sl < 0:
-                        raise _bad(rs, "relation %d: bad scope reference %s%d"
-                                       % (rs.factor_id, kind, sl))
-                    slots = cell.vars if kind == "V" else cell.shadows
-                    if sl >= len(slots):
-                        raise _bad(rs, "relation %d: dangling %s slot %s%d" % (
-                            rs.factor_id, "variable" if kind == "V" else "shadow",
-                            kind, sl))
-                    ent = slots[sl]
-                    if any(obj.vid == ent.vid for obj in refs):
-                        raise _bad(rs, "relation %d binds variable %d at two scope "
-                                       "positions" % (rs.factor_id, ent.vid))
-                    refs.append(ent)
+                twice = [vid for vid in rs.scope if rs.scope.count(vid) > 1]
+                if twice:
+                    raise _bad(rs, "relation %d binds variable %d at two scope positions"
+                                   % (rs.factor_id, twice[0]))
+                refs = [local[vid] if vid in local
+                        else shadows[shadow_key(self.mode, vid, rs.factor_id)]
+                        for vid in rs.scope]
                 if not refs:
                     raise _bad(rs, "relation %d has no scope position" % rs.factor_id)
                 shape = tuple(obj.card for obj in refs)
@@ -647,19 +645,15 @@ class Machine:
                 fids.add((owner, rel.fid))
                 cell.rels.append(rel)
                 for pos, obj in enumerate(refs):
-                    if type(obj) is _Shadow:
+                    if self.mode == GIBBS:
+                        if type(obj) is _Var:
+                            # the table slice along pos at the other positions' values
+                            others = tuple((o, rel.strides[q])
+                                           for q, o in enumerate(refs) if q != pos)
+                            obj.terms.append((rel.table, rel.strides[pos], others))
+                    elif type(obj) is _Shadow:
                         # a converging shadow is one edge, of its one reader
-                        if obj.consumers and self.mode != GIBBS:
-                            raise _bad(rs, "cell (%d, %d): relations %d and %d both "
-                                           "read shadow slot %d" % (coord + (
-                                               obj.consumers[0].fid, rel.fid,
-                                               cell.shadows.index(obj))))
-                        obj.consumers.append(rel)
-                    elif self.mode == GIBBS:
-                        # the table slice along pos at the other positions' values
-                        others = tuple((o, rel.strides[q])
-                                       for q, o in enumerate(refs) if q != pos)
-                        obj.terms.append((rel.table, rel.strides[pos], others))
+                        obj.rel = rel
                     else:
                         # the relation shares the variable's cell: it reads
                         # and writes their edge directly
@@ -668,10 +662,6 @@ class Machine:
                         obj.edges.append(edge)
             if words > cap.table_words:
                 raise _bad(ci, "cell (%d, %d): table memory over capacity" % coord)
-            for slot, shadow in enumerate(cell.shadows):
-                if not shadow.consumers:
-                    raise _bad(ci, "cell (%d, %d): no relation reads shadow slot %d"
-                                   % (coord + (slot,)))
             if self.mode == GIBBS:
                 if cell.vars and not cell.period:
                     raise _bad(ci, "cell (%d, %d) owns variables but has no "
@@ -699,14 +689,11 @@ class Machine:
                 if self.mode == GIBBS:
                     port = owner.port = owner.port or _Port(w.var_id)
                 else:
-                    edge = _Edge(owner, shadow.consumers[0].fid, dom.uniform(owner.card))
+                    edge = _Edge(owner, shadow.rel.fid, dom.uniform(owner.card))
                     port = edge.port = _Port(w.var_id)
                     owner.edges.append(edge)
             links = xy_links(w.src, w.dst)
-            # a packet to its own cell takes the cell's local port; a route
-            # is reserved by its links' ids
-            ids = tuple(self._link_ids.setdefault(link, len(self._link_ids))
-                        for link in links or ((w.dst, w.dst),))
+            ids = tuple(self._link_ids.setdefault(link, len(self._link_ids)) for link in links)
             port.dests.append((dst, target, len(links), ids))
 
         for var in self.var_owner.values():
@@ -867,7 +854,7 @@ class Machine:
         elif target.msg != value:
             # a variable's message into its shadow, which has one reader
             target.msg = value
-            self._pend_exec(target.consumers[0], time)
+            self._pend_exec(target.rel, time)
 
     def _on_inject(self, payload, time):
         var, value = payload

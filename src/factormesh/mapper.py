@@ -3,7 +3,7 @@
 Pipeline: lower builtin relations to capacity-feasible tables, group variables
 and relations into per-cell clusters, place clusters on the grid by simulated
 annealing over total Manhattan wire length, then emit the loadable image
-(slots, quantized tables, shadow wiring, timing).
+(slots, scopes, quantized tables, timing).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
 from .image import (MachineImage, CellImage, VarSlot, RelSlot, Capacities,
                     DEFAULT_CAPACITIES, MAX_UPDATE_CYCLES, domain,
-                    gibbs_var_cost, relation_cost, SUMPROD, GIBBS)
+                    gibbs_var_cost, relation_cost, shadow_key, SUMPROD, GIBBS)
 
 
 class MapperError(ValueError):
@@ -119,17 +119,6 @@ class Cluster:
     rels: list = field(default_factory=list)
 
 
-def _shadow_keys(graph, cl_vars, cl_rels, mode):
-    """The shadow register each remote read of a cluster's relations goes
-    through: per read (variable, factor id), in slot order (relations in
-    order, then scope order), the key of its register.  A register holds
-    one remote (variable, factor) message, or, in GIBBS, the one value of a
-    remote variable that the cell's relations share, keyed (variable, None)."""
-    vset = set(cl_vars)
-    return {(u, fid): (u, None if mode == GIBBS else fid)
-            for fid in cl_rels for u in graph.factors[fid].scope if u not in vset}
-
-
 def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
             mode: str = SUMPROD) -> list:
     """Greedy breadth-first grouping.
@@ -161,13 +150,14 @@ def cluster(graph: FactorGraph, capacities: Capacities = DEFAULT_CAPACITIES,
 
     def feasible(cl_vars, cl_rels):
         """Whether one cell holds the cluster's slots, table words and
-        registers: its relations' shadow registers (`_shadow_keys`), and one
-        per return wire of a remote relation of its variables, which a GIBBS
-        cluster's replicas leave none of."""
+        registers: a shadow register per `shadow_key` of its relations'
+        remote reads, and one per return wire of a remote relation of its
+        variables, which a GIBBS cluster's replicas leave none of."""
         if mode == GIBBS:
             cl_rels = touching(cl_vars)
-        rset = set(cl_rels)
-        shadows = set(_shadow_keys(graph, cl_vars, cl_rels, mode).values())
+        vset, rset = set(cl_vars), set(cl_rels)
+        shadows = {shadow_key(mode, u, fid) for fid in cl_rels
+                   for u in graph.factors[fid].scope if u not in vset}
         returns = sum(fid not in rset for v in cl_vars for fid in factors_of[v])
         return (len(cl_vars) <= cap.var_slots and len(cl_rels) <= cap.rel_slots
                 and sum(words[fid] for fid in cl_rels) <= cap.table_words
@@ -385,13 +375,11 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
     cvar, _ = _factor_home(clusters, graph, mode)
     coords = placement.coords
     dom = domain(mode, MapperError)
-    # a GIBBS cell sends a value whenever it changes
-    if mode == GIBBS:
-        if thresh is not None:
-            raise MapperError("GIBBS cells take no change threshold")
-    elif thresh is None:
-        thresh = dom.thresh
-    elif thresh < 0:
+    # a GIBBS cell sends a value whenever it changes, and a cell with no
+    # threshold gates at the domain's default
+    if mode == GIBBS and thresh is not None:
+        raise MapperError("GIBBS cells take no change threshold")
+    if thresh is not None and thresh < 0:
         raise MapperError("threshold must be >= 0, got %d" % thresh)
     tables = {}
 
@@ -405,20 +393,11 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         delta, period = _gibbs_timing(placement.grid, clusters, graph, cvar)
     for ci, cl in enumerate(clusters):
         coord = coords[ci]
-        cell = cells[coord] = CellImage()
-        vslot = {}
-        for s, v in enumerate(cl.vars):
-            var = graph.variables[v]
-            cell.var_slots.append(VarSlot(v, var.cardinality, var.evidence))
-            vslot[v] = s
-        reads = _shadow_keys(graph, cl.vars, cl.rels, mode)
-        shadow_slot = {key: s for s, key in enumerate(dict.fromkeys(reads.values()))}
-        cell.shadow_slots = [v for v, _fid in shadow_slot]
-        for fid in cl.rels:
-            refs = [("V", vslot[v]) if v in vslot else ("H", shadow_slot[reads[v, fid]])
-                    for v in graph.factors[fid].scope]
-            cell.rel_slots.append(RelSlot(fid, refs, list(qtable(fid))))
-        cell.thresh = thresh
+        variables = [graph.variables[v] for v in cl.vars]
+        cell = cells[coord] = CellImage(
+            [VarSlot(var.id, var.cardinality, var.evidence) for var in variables],
+            [RelSlot(fid, list(graph.factors[fid].scope), list(qtable(fid))) for fid in cl.rels],
+            thresh)
         if mode == GIBBS and cl.vars:
             cell.gibbs_period = period
             cell.gibbs_phase = ci * delta

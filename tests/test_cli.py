@@ -363,42 +363,44 @@ def test_run_rejects_garbage_image(tmp_path, capsys):
     assert code == 2 and "error:" in stderr
 
 
-def equality_pair_image(refs="V0 H0", unary="V0", clamped=1):
+def equality_pair_image(scope="0 1", unary="0", clamped=1):
     """Variable 0 in cell (0, 0) tied by an equality relation to variable 1,
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on `unary`,
     variable 0.  Relation 0's message to variable 1 returns on the wire of
     its shadow.  `clamped` names the variable that cell (0, 1) declares."""
-    return """FMIMG 7
+    return """FMIMG 8
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
 VAR 0 2
-SHADOW 1
 REL 0 %s
 65535 0 0 65535
 REL 1 %s
 65535 65535
 CELL 0 1
 VAR %d 2 EVIDENCE 1
-""" % (refs, unary, clamped)
+""" % (scope, unary, clamped)
 
 
 def test_run_equality_pair_image(tmp_path, capsys):
-    image = write(tmp_path, "pair.fmimg", equality_pair_image())
-    beliefs_file = tmp_path / "pair.beliefs"
-    code, stdout, _ = run_cli(capsys, "run", image, "--beliefs", str(beliefs_file))
-    assert code == 0 and "quiescent=true" in stdout
-    beliefs = apps.parse_results(beliefs_file.read_text())
-    assert beliefs[0] == [0.0, 1.0] and beliefs[1] == [0.0, 1.0]
+    # a unary on variable 1 is a second remote reader, with its own shadow
+    for unary in ("0", "1"):
+        image = write(tmp_path, "pair.fmimg", equality_pair_image(unary=unary))
+        beliefs_file = tmp_path / "pair.beliefs"
+        code, stdout, _ = run_cli(capsys, "run", image, "--beliefs", str(beliefs_file))
+        assert code == 0 and "quiescent=true" in stdout
+        beliefs = apps.parse_results(beliefs_file.read_text())
+        assert beliefs[0] == [0.0, 1.0] and beliefs[1] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("fields, message", [
-    # the shadow's one return wire would carry two relations' messages
-    ({"unary": "H0"}, "cell (0, 0): relations 0 and 1 both read shadow slot 0"),
+    # a second reader has a shadow of its own, so a unary on variable 1
+    # loads; a unary on a variable of no cell has no wire to read
+    ({"unary": "2"}, "relation 1 reads variable 2, which no cell owns"),
     # the shadow's wire would come from no cell
-    ({"clamped": 2}, "shadow of variable 1, which no cell owns"),
+    ({"clamped": 2}, "relation 0 reads variable 1, which no cell owns"),
     # relation 0 would send variable 1 two messages, three packets in all
-    ({"refs": "H0 H0"}, "relation 0 binds variable 1 at two scope positions"),
+    ({"scope": "1 1"}, "relation 0 binds variable 1 at two scope positions"),
 ])
 def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
                                                            fields, message):
@@ -407,9 +409,8 @@ def test_run_rejects_wiring_a_run_would_ignore_or_crash_on(tmp_path, capsys,
     code, stdout, stderr = run_cli(capsys, "run", image, "--beliefs",
                                    str(beliefs_file))
     assert code == 2 and stdout == ""
-    # the error names the line of the record it is about: the REL record
-    # that breaks a rule, or the CELL record of a shadow's wire
-    line = {"unary": 9, "clamped": 4, "refs": 7}[next(iter(fields))]
+    # the error names the line of the REL record that breaks a rule
+    line = {"unary": 8, "clamped": 6, "scope": 6}[next(iter(fields))]
     assert stderr.startswith("error: line %d: " % line) and message in stderr, stderr
     assert not beliefs_file.exists()
 
@@ -420,24 +421,28 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
     # named their own wires, before VTOF shadows declared their return
     # wires, before records lost their slot numbers and shadows their
     # source cells and cardinalities, before shadows lost their roles and
-    # relation ids, and before REL records lost their word counts
+    # relation ids, before REL records lost their word counts, and before
+    # REL records named their scope's variables and lost their SHADOW records
     for old, new, message in [
-            ("FMIMG 7", "FMIMG 1", "line 1: expected FMIMG 7 header"),
-            ("FMIMG 7", "FMIMG 2", "line 1: expected FMIMG 7 header"),
-            ("FMIMG 7", "FMIMG 3", "line 1: expected FMIMG 7 header"),
-            ("FMIMG 7", "FMIMG 4", "line 1: expected FMIMG 7 header"),
-            ("FMIMG 7", "FMIMG 5", "line 1: expected FMIMG 7 header"),
-            ("FMIMG 7", "FMIMG 6", "line 1: expected FMIMG 7 header"),
-            ("REL 1 ", "REL 1 2 ", "line 9: bad scope reference '2'"),
+            ("FMIMG 8", "FMIMG 1", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 8", "FMIMG 2", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 8", "FMIMG 3", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 8", "FMIMG 4", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 8", "FMIMG 5", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 8", "FMIMG 6", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 8", "FMIMG 7", "line 1: expected FMIMG 8 header"),
+            ("REL 1 0", "REL 1 2 V0", "line 8: REL has a non-integer field"),
+            ("REL 0 0 1", "REL 0 V0 H0", "line 6: REL has a non-integer field"),
             ("VAR 1 2 EVIDENCE 1", "VAR 0 1 2 EVIDENCE 1",
-             "line 12: malformed VAR record"),
-            ("SHADOW 1\n", "SHADOW 0 1 2 0 1 VTOF 0\n", "line 6: SHADOW needs 1 fields"),
-            ("SHADOW 1\n", "SHADOW 1 VTOF 0\n", "line 6: SHADOW needs 1 fields"),
-            ("65535 65535\n", "65535 65535\nPROG 2\n", "line 11: unknown record 'PROG'"),
+             "line 11: malformed VAR record"),
+            ("REL 0 ", "SHADOW 0 1 2 0 1 VTOF 0\nREL 0 ", "line 6: unknown record 'SHADOW'"),
+            ("REL 0 ", "SHADOW 1 VTOF 0\nREL 0 ", "line 6: unknown record 'SHADOW'"),
+            ("REL 0 ", "SHADOW 1\nREL 0 ", "line 6: unknown record 'SHADOW'"),
+            ("65535 65535\n", "65535 65535\nPROG 2\n", "line 10: unknown record 'PROG'"),
             ("EVIDENCE 1\n", "EVIDENCE 1\nWIRE 1 0 0 0 1 0\n",
-             "line 13: unknown record 'WIRE'"),
+             "line 12: unknown record 'WIRE'"),
             ("EVIDENCE 1\n", "EVIDENCE 1\nSHADOW 1 FTOV 0\n",
-             "line 13: SHADOW needs 1 fields")]:
+             "line 12: unknown record 'SHADOW'")]:
         assert old in current
         image = write(tmp_path, "old.fmimg", current.replace(old, new))
         code, stdout, stderr = run_cli(capsys, "run", image)
@@ -451,7 +456,7 @@ def test_run_rejects_a_repeated_cell_record(tmp_path, capsys):
         image = write(tmp_path, "twice.fmimg", text)
         code, stdout, stderr = run_cli(capsys, "run", image)
         assert code == 2 and stdout == ""
-        assert ("error: line 14: second %s in cell (0, 1)" % record.split()[0]
+        assert ("error: line 13: second %s in cell (0, 1)" % record.split()[0]
                 in stderr), stderr
 
 

@@ -164,8 +164,8 @@ def words(mode, n, rng):
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
-def relation(fid, refs, table):
-    return ["REL %d %s" % (fid, " ".join(refs)),
+def relation(fid, scope, table):
+    return ["REL %d %s" % (fid, " ".join(scope)),
             " ".join(map(str, table))]
 
 
@@ -177,11 +177,11 @@ def test_widest_relation_table_generates_and_matches():
     assert relation_cost(len(shape)) <= MAX_UPDATE_CYCLES < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 7", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines = ["FMIMG 8", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
         lines += ["VAR %d %d%s" % (p, card, " EVIDENCE %d" % (p % 2)
                                    if p in (1, 4) else "")
                   for p, card in enumerate(shape)]
-        lines += relation(0, ["V%d" % p for p in range(len(shape))],
+        lines += relation(0, [str(p) for p in range(len(shape))],
                           words(mode, caps.table_words, rng))
         text = "\n".join(lines) + "\nTHRESH 0\n"
         assert_same_runs(text, caps)
@@ -206,10 +206,10 @@ def star_image(mode, thresh):
     leaf cell fills its variable and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 7", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 3"]
+    lines = ["FMIMG 8", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 3"]
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
     for fid in range(caps.rel_slots):
-        lines += relation(fid, ["V0"], words(mode, 3, rng))
+        lines += relation(fid, ["0"], words(mode, 3, rng))
     lines.append("THRESH %d" % thresh)
     for col in range(1, 5):
         lines.append("CELL 0 %d" % col)
@@ -217,10 +217,8 @@ def star_image(mode, thresh):
             vid = col * caps.var_slots + slot
             lines.append("VAR %d 2%s" % (vid, " EVIDENCE 1" if vid % 3 == 0 else ""))
         fids = leaf_fids[(col - 1) * caps.rel_slots:col * caps.rel_slots]
-        for fid in fids:
-            lines.append("SHADOW 0")
         for slot, fid in enumerate(fids):
-            lines += relation(fid, ["H%d" % slot, "V%d" % slot],
+            lines += relation(fid, ["0", str(col * caps.var_slots + slot)],
                               words(mode, 6, rng))
         lines.append("THRESH %d" % thresh)
     return "\n".join(lines) + "\n", caps

@@ -22,7 +22,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then cells out of canonical order
-FMIMG 7
+FMIMG 8
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -34,9 +34,7 @@ THRESH 16
 
 CELL 0 0
 VAR 0 2
-SHADOW 2   # a shadow of a variable in a later cell
-SHADOW 1
-REL 0 V0 H1 H0
+REL 0 0 2 1   # reads variables of a later cell through shadows
 65535 32768 16384
 8192 4096
 2048 1 2 3 4 5 6
@@ -52,12 +50,14 @@ def test_parse_tolerates_comments_and_order():
     assert cell.thresh == 256
     rel = cell.rel_slots[0]
     assert rel.table == [65535, 32768, 16384, 8192, 4096, 2048, 1, 2, 3, 4, 5, 6]
-    assert rel.scope_refs == [("V", 0), ("H", 1), ("H", 0)]
+    assert rel.scope == [0, 2, 1]
     other = img.cells[(0, 1)]
     assert [(v.var_id, v.card, v.evidence) for v in other.var_slots] == \
         [(1, 3, 2), (2, 2, None)]
-    # each shadow is one wire from its variable's cell, each followed,
-    # outside GIBBS, by its return wire, in (cell, slot) order
+    # each remote read is a shadow, numbered in first-read order, and one
+    # wire from its variable's cell, each followed, outside GIBBS, by its
+    # return wire, in (cell, slot) order
+    assert list(cell.shadow_keys(SUMPROD)) == [(2, 0), (1, 0)]
     assert img.wires == [Wire(2, (0, 1), (0, 0), 0), Wire(2, (0, 0), (0, 1), 0, back=True),
                          Wire(1, (0, 1), (0, 0), 1), Wire(1, (0, 0), (0, 1), 1, back=True)]
 
@@ -69,14 +69,14 @@ def test_dumps_is_canonical_and_stable():
     # changes nothing
     assert text.index("CELL 0 0") < text.index("CELL 0 1")
     assert text.index("VAR 1 3 EVIDENCE 2") < text.index("VAR 2 2")
-    assert text.index("SHADOW 2\n") < text.index("SHADOW 1\n")
+    assert "\nREL 0 0 2 1\n" in text
     assert dumps(parse_image(text)) == text
     # each VAR, REL and CELL slot keeps its record's line, which neither
     # comparison nor repr sees
     again = parse_image(text)
     assert again == img and "line" not in repr(img)
     cell = img.cells[(0, 0)]
-    assert (cell.line, cell.var_slots[0].line, cell.rel_slots[0].line) == (12, 13, 16)
+    assert (cell.line, cell.var_slots[0].line, cell.rel_slots[0].line) == (12, 13, 14)
     assert img.cells[(0, 1)].var_slots[1].line == 9
     assert again.cells[(0, 0)].line == 5
     assert CellImage().line is None and VarSlot(0, 2).line is None
@@ -84,43 +84,43 @@ def test_dumps_is_canonical_and_stable():
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 7", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 8", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 2",
-        "SHADOW 1",
-        "REL 0 V0 H0",
+        "REL 0 0 1",
         "200 100 100 200",
         "GIBBS_PERIOD 12 4",
     ]) + "\n"
     img = parse_image(text)
     cell = img.cells[(0, 0)]
     assert cell.gibbs_period == 12 and cell.gibbs_phase == 4
-    assert cell.shadow_slots == [1]
+    assert cell.shadow_keys(GIBBS) == {(1, None): cell.rel_slots[0]}
     # a GIBBS shadow carries a value and no reply
     assert img.wires == [Wire(1, None, (0, 0), 0)]
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 7\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 8\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 7 header"),
+    ("GRID 1 1\n", "expected FMIMG 8 header"),
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
     # wires, before records lost their slot numbers, before shadows lost
-    # their roles and relation ids and before REL records lost their word
-    # counts
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 7 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
-    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
-    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 7 header"),
-    ("FMIMG 7\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 7\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
-    ("FMIMG 7\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 7\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 7\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    # their roles and relation ids, before REL records lost their word
+    # counts and before scopes named their variables
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 8 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
+    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
+    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
+    ("FMIMG 8\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 8\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
+    ("FMIMG 8\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 8\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 8\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "CELL 0\n", "line 4: CELL needs 2 fields"),
     (HEAD + "VAR 0 2\n", "VAR outside a CELL"),
@@ -129,24 +129,23 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nVAR 0 2 EVIDENCE\n", "line 5: malformed VAR record"),
     (HEAD + "CELL 0 0\nVAR 0 0 2\n", "line 5: malformed VAR record"),
     (HEAD + "CELL 0 0\nVAR x 2\n", "line 5: VAR has a non-integer field"),
-    (HEAD + "CELL 0 0\nSHADOW\n", "line 5: SHADOW needs 1 fields"),
-    (HEAD + "CELL 0 0\nSHADOW x\n", "line 5: SHADOW has a non-integer field"),
-    (HEAD + "CELL 0 0\nSHADOW 1 2\n", "line 5: SHADOW needs 1 fields"),
-    # the shadow records of FMIMG 5 and of FMIMG 3
-    (HEAD + "CELL 0 0\nSHADOW 1 VTOF 0\n", "line 5: SHADOW needs 1 fields"),
-    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 VTOF 0\n", "line 5: SHADOW needs 1 fields"),
+    # the shadow records of FMIMG 7, of FMIMG 5 and of FMIMG 3
+    (HEAD + "CELL 0 0\nSHADOW 1\n", "line 5: unknown record 'SHADOW'"),
+    (HEAD + "CELL 0 0\nSHADOW 1 VTOF 0\n", "line 5: unknown record 'SHADOW'"),
+    (HEAD + "CELL 0 0\nSHADOW 0 1 2 0 1 VTOF 0\n", "line 5: unknown record 'SHADOW'"),
     (HEAD + "CELL 0 0\nREL 0\n", "line 5: malformed REL record"),
-    (HEAD + "CELL 0 0\nREL x V0\n1 1\n", "line 5: REL has a non-integer field"),
-    # the REL record of FMIMG 6, whose word count its scope fixes
-    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 1\n", "line 5: bad scope reference '2'"),
-    (HEAD + "CELL 0 0\nREL 0 X9\n", "bad scope reference"),
-    (HEAD + "CELL 0 0\nREL 0 V-1\n", "line 5: bad scope reference 'V-1'"),
+    (HEAD + "CELL 0 0\nREL x 0\n1 1\n", "line 5: REL has a non-integer field"),
+    # the REL records of FMIMG 7, with slot references, and of FMIMG 6,
+    # with a word count too
+    (HEAD + "CELL 0 0\nREL 0 V0 H0\n1 1 1 1\n", "line 5: REL has a non-integer field"),
+    (HEAD + "CELL 0 0\nREL 0 2 V0\n1 1\n", "line 5: REL has a non-integer field"),
+    (HEAD + "CELL 0 0\nREL 0 1.5\n", "line 5: REL has a non-integer field"),
     # only a line of integers continues a REL
-    (HEAD + "CELL 0 0\nREL 0 V0\n1 oops\n", "line 6: table words must be integers"),
-    (HEAD + "CELL 0 0\nREL 0 V0\n-1 1.5\n", "line 6: table words must be integers"),
+    (HEAD + "CELL 0 0\nREL 0 0\n1 oops\n", "line 6: table words must be integers"),
+    (HEAD + "CELL 0 0\nREL 0 0\n-1 1.5\n", "line 6: table words must be integers"),
     (HEAD + "CELL 0 0\n1 1\n", "line 5: unknown record '1'"),
     (HEAD + "CELL 0 0\nVAR 0 2\nTHRESH 1\n1 1\n", "line 7: unknown record '1'"),
-    (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\nPROG 2\n",
+    (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 0\n1 1\nPROG 2\n",
      "line 8: unknown record 'PROG'"),
     (HEAD + "CELL 0 0\nTHRESH x\n", "line 5: THRESH has a non-integer field"),
     (HEAD + "CELL 0 0\nGIBBS_PERIOD 4\n", "line 5: GIBBS_PERIOD needs 2 fields"),
@@ -257,14 +256,14 @@ def test_routes_name_each_mesh_link_by_one_id():
             for dst, _target, hops, ids in (port.dests if port is not None else ()):
                 dst = (dst.r, dst.c)
                 mesh = xy_links(src, dst)
-                # the dimension-order route in order, or the local port of
-                # a zero-hop wire
-                assert [links[i] for i in ids] == list(mesh or ((dst, dst),))
+                # the dimension-order route in order, which a shadow's
+                # wire, from another cell, never has empty
+                assert [links[i] for i in ids] == list(mesh) and mesh
                 assert hops == len(mesh)
                 crossings.update(ids)
         # every wire has one destination
         assert (sum(crossings.values())
-                == sum(len(xy_links(w.src, w.dst)) or 1 for w in img.wires))
+                == sum(len(xy_links(w.src, w.dst)) for w in img.wires))
         shared += sum(count > 1 for count in crossings.values())
     # wires that cross one mesh link reserve it under its one id, so they
     # contend for it; the hamming and sudoku images have such links
@@ -274,12 +273,10 @@ def test_routes_name_each_mesh_link_by_one_id():
 def test_a_code_built_gibbs_cell_with_only_a_period_round_trips():
     # the phase defaults to 0, in the machine and in the text form
     cells = {(0, 0): CellImage(var_slots=[VarSlot(0, 2)],
-                               rel_slots=[RelSlot(0, [("V", 0)], [100, 300])],
+                               rel_slots=[RelSlot(0, [0], [100, 300])],
                                gibbs_period=5),
              (0, 1): CellImage(var_slots=[VarSlot(1, 2)],
-                               shadow_slots=[0],
-                               rel_slots=[RelSlot(1, [("V", 0), ("H", 0)],
-                                                  [300, 100, 100, 300])],
+                               rel_slots=[RelSlot(1, [1, 0], [300, 100, 100, 300])],
                                gibbs_period=5)}
     img = MachineImage((1, 2), GIBBS, 7, cells)
     text = dumps(img)
@@ -293,9 +290,8 @@ def test_a_code_built_converging_image_loads_and_runs_as_its_text():
     # variable 1, clamped to 1 in cell (0, 1), is tied by an equality to
     # variable 0 through the one shadow of cell (0, 0); the relation reading
     # it answers on the shadow's return wire
-    cells = {(0, 0): CellImage(var_slots=[VarSlot(0, 2)], shadow_slots=[1],
-                               rel_slots=[RelSlot(0, [("V", 0), ("H", 0)],
-                                                  [65535, 0, 0, 65535])]),
+    cells = {(0, 0): CellImage(var_slots=[VarSlot(0, 2)],
+                               rel_slots=[RelSlot(0, [0, 1], [65535, 0, 0, 65535])]),
              (0, 1): CellImage(var_slots=[VarSlot(1, 2, 1)])}
     img = MachineImage((1, 2), SUMPROD, 0, cells)
     assert img.wires == [Wire(1, (0, 1), (0, 0), 0), Wire(1, (0, 0), (0, 1), 0, back=True)]
@@ -303,7 +299,7 @@ def test_a_code_built_converging_image_loads_and_runs_as_its_text():
     assert m.run_until_quiescent()[1]
     assert m.read_beliefs() == ({0: [0.0, 1.0], 1: [0.0, 1.0]}, {0: 1, 1: 1})
     text = dumps(img)
-    assert "\nSHADOW 1\n" in text
+    assert "\nREL 0 0 1\n" in text
     assert run_bytes(img, Capacities(), 0) == run_bytes(parse_image(text), Capacities(), 0)
 
 

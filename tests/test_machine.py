@@ -201,8 +201,8 @@ def test_every_mode_loads_its_domains_default_threshold_and_table_range():
     for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
                                  ("MINSUM", 16, -32768, 32767),
                                  ("GIBBS", None, 0, 65535)):
-        head = "FMIMG 7\nGRID 1 1\nMODE %s\n" % mode
-        cell = "CELL 0 0\nVAR 0 2\nREL 0 V0\n%d %d\n"
+        head = "FMIMG 8\nGRID 1 1\nMODE %s\n" % mode
+        cell = "CELL 0 0\nVAR 0 2\nREL 0 0\n%d %d\n"
         if mode == "GIBBS":
             cell += "GIBBS_PERIOD 4 0\n"
         m = Machine(head + cell % (lo, hi))
@@ -311,7 +311,7 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 7
+FMIMG 8
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
@@ -332,32 +332,6 @@ def test_route_charges_one_cycle_per_link():
                                         ((1, 0), (0, 0)))
     assert m._route(xy_links((0, 0), (2, 3)), 0) == 5
     assert m._route(xy_links((2, 3), (0, 0)), 0) == 5
-
-
-# variable 0 messages relation 0 through a shadow of the cell they share,
-# and relation 0 messages variable 0 over the shadow's return wire
-LOCAL_IMG = """\
-FMIMG 7
-GRID 1 1
-MODE SUMPROD
-CELL 0 0
-VAR 0 2
-SHADOW 0
-REL 0 H0
-1 2
-"""
-
-
-def test_route_local_port_costs_one_cycle():
-    assert xy_links((0, 0), (0, 0)) == ()
-    for back in (False, True):
-        m = Machine(LOCAL_IMG)
-        var = m.var_owner[0]
-        shadow = m.cells[(0, 0)].shadows[0]
-        port, target = (shadow.port, var.edges[0]) if back else (var.edges[0].port, shadow)
-        ((_cell, got, hops, links),) = port.dests
-        assert (got, hops) == (target, 0)
-        assert m._route(links, 0) == 1
 
 
 def test_route_contention_stalls_second_packet():
@@ -393,8 +367,11 @@ def test_each_edge_is_a_local_relation_or_a_shadow_round_trip(graph_seed, tree, 
             for ref in rel.refs:
                 if type(ref) is _Edge:
                     assert ref.rel is rel and ref.var.cell is cell
+                elif type(ref) is _Shadow:
+                    # a converging shadow's one reader; a GIBBS one keeps none
+                    assert ref.rel is (None if mode == GIBBS else rel)
                 else:
-                    assert type(ref) is _Shadow or mode == GIBBS
+                    assert mode == GIBBS
                 fids[ref.var.vid if type(ref) is _Edge else ref.vid].append(rel.fid)
     for vid, var in m.var_owner.items():
         if mode == GIBBS:
@@ -411,13 +388,13 @@ def test_each_edge_is_a_local_relation_or_a_shadow_round_trip(graph_seed, tree, 
                 ((_dst, shadow, _hops, _links),) = edge.port.dests
                 assert type(shadow) is _Shadow
                 assert shadow.vid == vid
-                assert [rel.fid for rel in shadow.consumers] == [edge.fid]
+                assert shadow.rel.fid == edge.fid
                 ((owner_cell, back, _hops, _links),) = shadow.port.dests
                 assert back is edge and owner_cell is var.cell
 
 
 def test_gate_send_rules():
-    m = Machine(LOCAL_IMG)
+    m = Machine(ROUTE_IMG)
     cell = m.cells[(0, 0)]
 
     def sent(thresh, payloads):
@@ -723,123 +700,98 @@ def test_hamming_trajectory_matches_reference(thresh):
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+    ("""FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
 VAR 0 2\nVAR 1 2\nVAR 2 2\nVAR 3 2\nVAR 4 2\n""",
      "line 4: cell (0, 0): too many variable slots"),
-    ("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
+    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
      "line 7: variable 0 owned by two cells"),
     # the value rules: each names its VAR record's line, or its CELL's
-    ("FMIMG 7\nGRID 2 2\nMODE SUMPROD\nCELL 0 0\nCELL 2 0\n",
+    ("FMIMG 8\nGRID 2 2\nMODE SUMPROD\nCELL 0 0\nCELL 2 0\n",
      "line 5: cell (2, 0) outside grid"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
      "line 5: variable 0: cardinality above limit"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nVAR 1 1\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nVAR 1 1\n",
      "line 6: variable 1: cardinality below 2"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE 2\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE 2\n",
      "line 5: variable 0: evidence out of range"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE -1\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE -1\n",
      "line 5: variable 0: evidence out of range"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\n"
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "THRESH -1\n",
      "line 4: cell (0, 0): threshold must be >= 0"),
-    ("FMIMG 7\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\n"
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "GIBBS_PERIOD 0 0\n",
      "line 4: cell (0, 0): bad GIBBS_PERIOD values"),
-    ("FMIMG 7\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\n"
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "GIBBS_PERIOD 4 -1\n",
      "line 4: cell (0, 0): bad GIBBS_PERIOD values"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V9\n1 1\n",
-     "line 6: relation 0: dangling variable slot V9"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 H3\n1 1\n",
-     "dangling shadow slot H3"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0\n1 1 1\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0\n1 1 1\n",
      "line 6: relation 0: table has 3 words, scope needs 2"),
     # a REL's scope fixes its word count, and its integer lines give its words
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0\n1\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0\n1\n",
      "line 6: relation 0: table has 1 words, scope needs 2"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0\nTHRESH 1\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0\nTHRESH 1\n",
      "line 6: relation 0: table has 0 words, scope needs 2"),
-    # a shadow's wire comes from its variable's cell
-    ("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1\nREL 0 V0 H0\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
-     "line 4: cell (0, 0): shadow of variable 1, which no cell owns"),
-    ("FMIMG 7\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n",
+    # a shadow's wire comes from its variable's cell, so a relation may read
+    # only a variable some cell declares
+    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0 1\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
+     "line 6: relation 0 reads variable 1, which no cell owns"),
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+     "REL 1 0 9\n1 1 1 1\nGIBBS_PERIOD 10 0\n",
+     "line 8: relation 1 reads variable 9, which no cell owns"),
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n",
      "no resample period"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0\n70000 1\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 7\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0\n-40000 0\n",
+    ("FMIMG 8\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
-    # a converging shadow is one edge: a second reader's messages would
-    # share the first's return wire
-    ("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1\nREL 0 V0 H0\n1 1 1 1\nREL 1 H0\n1 1\n"
-     "CELL 0 1\nVAR 1 2\n",
-     "line 9: cell (0, 0): relations 0 and 1 both read shadow slot 0"),
-    ("FMIMG 7\nGRID 1 2\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nVAR 2 2\n"
-     "SHADOW 1\nREL 3 V0 H0\n0 0 0 0\nREL 5 H0 V1\n0 0 0 0\n"
-     "CELL 0 1\nVAR 1 2\n",
-     "cell (0, 0): relations 3 and 5 both read shadow slot 0"),
-    # a shadow no relation reads would be a wire the machine ignores, and
-    # a converging one would have no relation to answer it
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 0\n",
-     "cell (0, 0): no relation reads shadow slot 0"),
-    ("FMIMG 7\nGRID 1 2\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1\nGIBBS_PERIOD 10 0\nCELL 0 1\nVAR 1 2\n"
-     "GIBBS_PERIOD 10 5\n",
-     "cell (0, 0): no relation reads shadow slot 0"),
     # a relation reading one variable twice would send it two messages
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0 V0\n1 2 3 4\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0 0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 1\nREL 0 H0 H0\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
-     "relation 0 binds variable 1 at two scope positions"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     "SHADOW 0\nREL 0 V0 H0\n1 2 3 4\n",
-     "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 7\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 V0 V0\n1 2 3 4\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 1 1\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
+     "line 6: relation 0 binds variable 1 at two scope positions"),
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0 0\n1 2 3 4\nGIBBS_PERIOD 10 0\n",
      "relation 0 binds variable 0 at two scope positions"),
     # a cell holds 4 relations and 512 table words
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-     + "".join("REL %d V0\n1 1\n" % k for k in range(5)),
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     + "".join("REL %d 0\n1 1\n" % k for k in range(5)),
      "line 4: cell (0, 0): too many relation slots"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
-     + "".join("REL %d V0 V1\n" % k + "1 " * 256 + "\n" for k in range(2))
-     + "REL 2 V0\n" + "1 " * 16 + "\n",
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
+     + "".join("REL %d 0 1\n" % k + "1 " * 256 + "\n" for k in range(2))
+     + "REL 2 0\n" + "1 " * 16 + "\n",
      "cell (0, 0): table memory over capacity"),
     # six positions would cost 72 cycles per update
-    ("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
+    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
      + "".join("VAR %d 2\n" % v for v in range(4))
-     + "SHADOW 4\nSHADOW 5\n"
-     "REL 0 V0 V1 V2 V3 H0 H1\n" + "1 " * 64 + "\n"
+     + "REL 0 0 1 2 3 4 5\n" + "1 " * 64 + "\n"
      "CELL 0 1\nVAR 4 2\nVAR 5 2\n",
      "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
     # a converging factor id names one relation of the machine ...
-    ("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\n"
-     "CELL 0 1\nVAR 1 2\nREL 0 V0\n1 1\n",
+    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+     "CELL 0 1\nVAR 1 2\nREL 0 1\n1 1\n",
      "line 10: cell (0, 1): factor id 0 names a second relation"),
-    ("FMIMG 7\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 V0\n0 0\n"
-     "REL 3 V0\n0 0\n",
+    ("FMIMG 8\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 0\n0 0\n"
+     "REL 3 0\n0 0\n",
      "cell (0, 0): factor id 3 names a second relation"),
     # ... and a GIBBS one a relation per cell
-    ("FMIMG 7\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\n"
-     "REL 0 V0\n1 1\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+     "REL 0 0\n1 1\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): factor id 0 names a second relation"),
     # a GIBBS cell sends a value whenever it changes, and a converging cell
     # never resamples
-    ("FMIMG 7\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 1\n"
+    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "THRESH 7\nGIBBS_PERIOD 10 0\n",
      "cell (0, 0): a GIBBS machine takes no THRESH"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 V0\n1 65535\n"
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 65535\n"
      "GIBBS_PERIOD 4 0\n",
      "cell (0, 0): a SUMPROD machine takes no GIBBS_PERIOD"),
 ]
@@ -872,7 +824,7 @@ def test_load_rejects_a_grid_or_cell_off_the_mesh():
 
 # a 1x1 GIBBS image built in code, one value away from a loadable one; the
 # machine rejects each with no line, and its text form at the line of its
-# VAR or CELL record, or, for a reference or a scope no text can hold,
+# VAR, REL or CELL record, or, for a scope entry or a scope no text can hold,
 # parse_image
 CODE_BUILT_REJECTS = [
     ({"card": 1}, {}, "variable 0: cardinality below 2"),
@@ -881,13 +833,16 @@ CODE_BUILT_REJECTS = [
     ({}, {"gibbs_period": -2}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
     ({}, {"gibbs_period": 0}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
     ({}, {"gibbs_phase": -5}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
-    # a negative slot would index from the end, and V-1 bind variable 0
-    ({}, {"rel_slots": [RelSlot(0, [("V", -1)], [1, 1])]},
-     "relation 0: bad scope reference V-1"),
-    ({}, {"rel_slots": [RelSlot(0, [("H", -1)], [1, 1])]},
-     "relation 0: bad scope reference H-1"),
-    ({}, {"rel_slots": [RelSlot(0, [("X", 0)], [1, 1])]},
-     "relation 0: bad scope reference X0"),
+    # a scope entry names a variable some cell declares: -1 names none, and
+    # True, equal to 1, 0.5 and [0], unhashable, are no variable ids
+    ({}, {"rel_slots": [RelSlot(0, [-1], [1, 1])]},
+     "relation 0 reads variable -1, which no cell owns"),
+    ({}, {"rel_slots": [RelSlot(0, [True], [1, 1])]},
+     "relation 0: a scope entry is no variable id"),
+    ({}, {"rel_slots": [RelSlot(0, [0.5], [1, 1])]},
+     "relation 0: a scope entry is no variable id"),
+    ({}, {"rel_slots": [RelSlot(0, [[0]], [1, 1])]},
+     "relation 0: a scope entry is no variable id"),
     # a relation of no scope position would run as an update that sends
     # nothing, and its text `REL 0` is no REL record
     ({}, {"rel_slots": [RelSlot(0, [], [5])]}, "relation 0 has no scope position"),
@@ -896,13 +851,13 @@ CODE_BUILT_REJECTS = [
 
 @pytest.mark.parametrize("var_kw, cell_kw, needle", CODE_BUILT_REJECTS,
                          ids=["card1", "evidence5", "evidence-1", "period-2",
-                              "period0", "phase-5", "ref-V-1", "ref-H-1", "ref-X0",
-                              "no-scope"])
+                              "period0", "phase-5", "scope-1", "scope-true",
+                              "scope-half", "scope-list", "no-scope"])
 def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw, needle):
     var = dict({"var_id": 0, "card": 2}, **var_kw)
     cell = CellImage(var_slots=[VarSlot(**var)],
                      **dict({"gibbs_period": 2,
-                             "rel_slots": [RelSlot(0, [("V", 0)], [1] * var["card"])]},
+                             "rel_slots": [RelSlot(0, [0], [1] * var["card"])]},
                             **cell_kw))
     image = MachineImage((1, 1), GIBBS, 0, {(0, 0): cell})
     with pytest.raises(MachineError, match="^" + needle) as err:
@@ -910,11 +865,11 @@ def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw
     assert not hasattr(err.value, "line")
     with pytest.raises((ImageError, MachineError)) as text_err:
         Machine(dumps(image))
-    if "reference" in needle or "no scope" in needle:
+    if "no variable id" in needle or "no scope" in needle:
         assert type(text_err.value) is ImageError
     else:
-        # VAR on line 6, after the header and CELL on line 5
-        line = 6 if "variable" in needle else 5
+        # CELL on line 5 after the header, then VAR on line 6 and REL on 7
+        line = 7 if "reads" in needle else 6 if "variable" in needle else 5
         assert str(text_err.value) == "line %d: %s" % (line, err.value)
         assert text_err.value.line == line
 
@@ -941,11 +896,11 @@ def test_an_unknown_mode_is_rejected_where_an_image_or_graph_is_taken():
 def test_return_wires_count_against_the_owner_cells_shadow_slots():
     def image(n):
         # cell (0, 0) holds one shadow and receives n return wires
-        lines = ["FMIMG 7", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
-                 "SHADOW 1", "REL 0 V0 H0", "1 2 3 4",
+        lines = ["FMIMG 8", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
+                 "REL 0 0 1", "1 2 3 4",
                  "CELL 0 1", "VAR 1 2"]
         for k in range(n):
-            lines += ["SHADOW 0", "REL %d H%d" % (k + 1, k), "1 2"]
+            lines += ["REL %d 0" % (k + 1), "1 2"]
         return "\n".join(lines) + "\n"
 
     caps = Capacities(shadow_slots=3)
@@ -960,8 +915,8 @@ def test_return_wires_count_against_the_owner_cells_shadow_slots():
 def test_a_shadow_of_a_later_cells_variable_loads():
     # the shadow's source cell and cardinality are its variable's, which
     # only a later CELL record declares
-    m = Machine("FMIMG 7\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
-                "SHADOW 1\nREL 0 V0 H0\n65535 0 0 0 65535 0\n"
+    m = Machine("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+                "REL 0 0 1\n65535 0 0 0 65535 0\n"
                 "CELL 0 1\nVAR 1 3 EVIDENCE 1\n")
     shadow = m.cells[(0, 0)].shadows[0]
     edge = m.var_owner[1].edges[0]
@@ -1016,8 +971,8 @@ def test_only_a_table_mostly_of_foldable_words_is_folded():
             ("SUMPROD", U16, (65535, 0, 0, 9, 8, 7), (None,) * 6),
             ("MINSUM", Q88, (0, 0, 0, 0, -32768, -5), (0, 0, 0, 0, None, None)),
             ("MINSUM", Q88, (0, 0, 0, -32768, -32768, -5), (None,) * 6)):
-        text = "FMIMG 7\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
-        text += "REL 0 V0 V1\n%s\n" % " ".join(map(str, table))
+        text = "FMIMG 8\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
+        text += "REL 0 0 1\n%s\n" % " ".join(map(str, table))
         rel, = Machine(text).cells[(0, 0)].rels
         assert rel.kernel is _kernel(dom, (2, 3), folds)
 
@@ -1103,16 +1058,13 @@ def fuzz_images():
 
 
 def token_mutations(tok):
-    """Replacements for one image token: an integer (bare or as the slot of
-    a V/H reference) moved by one or set to 0, -1 or 99."""
-    prefix = tok.rstrip("-0123456789")
-    if prefix not in ("", "V", "H") or tok == prefix:
-        return []
+    """Replacements for one integer image token: moved by one or set to 0,
+    -1 or 99."""
     try:
-        v = int(tok[len(prefix):])
+        v = int(tok)
     except ValueError:
         return []
-    return sorted({prefix + str(x) for x in (v + 1, v - 1, 0, -1, 99)} - {tok})
+    return sorted({str(x) for x in (v + 1, v - 1, 0, -1, 99)} - {tok})
 
 
 def token_mutants(text):
@@ -1154,9 +1106,9 @@ def test_fuzz_image_with_a_reused_factor_id_fails_to_load():
     text = fuzz_images()[0]
     # relation 1 renamed to 0 would overwrite relation 0's message to
     # variable 0
-    assert "REL 1 V0\n" in text
+    assert "REL 1 0\n" in text
     with pytest.raises(MachineError, match="factor id 0 names a second relation"):
-        Machine(text.replace("REL 1 V0\n", "REL 0 V0\n"))
+        Machine(text.replace("REL 1 0\n", "REL 0 0\n"))
 
 
 def test_fuzz_images_run_unmutated():

@@ -14,14 +14,15 @@ from factormesh import apps, golden, mapper
 from factormesh.graph import (ALL_DIFFERENT, PAIRWISE_ISING, PARITY, TABLE,
                               FactorGraph, FactorNode, GraphError, VariableNode,
                               expand_all)
-from factormesh.image import GIBBS, Capacities, dumps
+from factormesh.image import GIBBS, Capacities, domain, dumps, parse_image
 from factormesh.machine import Machine
 from factormesh.mapper import (Cluster, MapperError, Placement, _cost_floor,
-                               _edge_weights, cluster, compile_graph, cost,
-                               emit_image, lower, place)
+                               _default_epsilon, _edge_weights, cluster,
+                               compile_graph, cost, emit_image, lower, place)
 
-# the clustering and placement properties' budget: 150 examples, or a
-# deeper profile's (HYPOTHESIS_PROFILE=deep, registered in conftest.py)
+# the clustering, placement and shadow-register properties' budget: 150
+# examples, or a deeper profile's (HYPOTHESIS_PROFILE=deep, registered in
+# conftest.py)
 PLACEMENT_SETTINGS = settings(max_examples=max(150, settings().max_examples),
                               deadline=None)
 
@@ -643,7 +644,7 @@ def test_single_cluster_image_has_no_wires():
     assert report["clusters"] == 1 and report["cost_final"] == 0
     assert len(image.cells) == 1 and image.wires == []
     rel = image.cells[next(iter(image.cells))].rel_slots[0]
-    assert rel.scope_refs == [("V", 0), ("V", 1)]
+    assert rel.scope == [0, 1]
     # a pairwise update costs 4 cycles per output
     m = Machine(image)
     assert [r.cost for cell in m.cells.values() for r in cell.rels] == [8] * 3
@@ -656,7 +657,7 @@ def test_chain_image_wire_and_shadow_structure():
     placement = place(clusters, graph, (1, 3), seed=0)
     image = emit_image(placement, clusters, graph, "SUMPROD")
     assert len(image.wires) == 4
-    shadows = {ci: image.cells[coord].shadow_slots
+    shadows = {ci: [vid for vid, _fid in image.cells[coord].shadow_keys("SUMPROD")]
                for ci, coord in enumerate(placement.coords)}
     assert shadows == {0: [1], 1: [2], 2: []}
     # a shadow's return wire carries its relation's message into the
@@ -687,6 +688,22 @@ def test_gibbs_emission_writes_no_threshold():
         compile_graph(bench.graph, "GIBBS", grid=bench.grid, thresh=7)
 
 
+def test_a_default_compile_writes_no_threshold_and_loads_at_the_domains_gate():
+    # the loader gates a cell with no THRESH record at the domain's default,
+    # so the compiler writes one only for a threshold it is given
+    caps = Capacities(var_slots=1, rel_slots=1)
+    for mode in ("SUMPROD", "MINSUM"):
+        image, _ = compile_graph(chain_graph(3), mode, grid=(1, 3), capacities=caps)
+        text = dumps(image)
+        assert all(cell.thresh is None for cell in image.cells.values())
+        assert "THRESH" not in text and len(image.cells) == 3
+        m = Machine(text, capacities=caps)
+        assert [cell.thresh for cell in m.cells.values()] == [domain(mode).thresh] * 3
+        given, _ = compile_graph(chain_graph(3), mode, grid=(1, 3), capacities=caps,
+                                 thresh=3)
+        assert dumps(given).count("\nTHRESH 3\n") == 3
+
+
 def test_negative_threshold_is_rejected():
     with pytest.raises(MapperError, match="threshold must be >= 0, got -5"):
         compile_graph(chain_graph(2), "SUMPROD", grid=(1, 1), thresh=-5)
@@ -708,3 +725,73 @@ def test_compile_is_deterministic():
     a, _ = compile_graph(bench.graph, "SUMPROD", grid=(4, 4), seed=2)
     b, _ = compile_graph(bench.graph, "SUMPROD", grid=(4, 4), seed=2)
     assert dumps(a) == dumps(b)
+
+
+# -- derived shadow registers -------------------------------------------------
+
+def _shadow_keys(graph, cl_vars, cl_rels, mode):
+    """The shadow register each remote read of a cluster's relations goes
+    through: per read (variable, factor id), in slot order (relations in
+    order, then scope order), the key of its register.  A register holds
+    one remote (variable, factor) message, or, in GIBBS, the one value of a
+    remote variable that the cell's relations share, keyed (variable, None)."""
+    vset = set(cl_vars)
+    return {(u, fid): (u, None if mode == GIBBS else fid)
+            for fid in cl_rels for u in graph.factors[fid].scope if u not in vset}
+
+
+def reference_wires(placement, clusters, graph, mode):
+    """(var, src, dst, slot, back) of every wire, and each cell's shadow
+    keys in slot order, as the compiler numbered them when images still
+    listed their shadows, kept verbatim as the reference the derived
+    registers must equal: `_shadow_keys`, `emit_image`'s `shadow_slot` map,
+    and `MachineImage.wires` over the SHADOW records it wrote."""
+    home = {v: placement.coords[ci] for ci, cl in enumerate(clusters) for v in cl.vars}
+    slots = {}
+    for ci, cl in enumerate(clusters):
+        reads = _shadow_keys(graph, cl.vars, cl.rels, mode)
+        shadow_slot = {key: s for s, key in enumerate(dict.fromkeys(reads.values()))}
+        slots[placement.coords[ci]] = list(shadow_slot)
+    wires = []
+    for coord in sorted(slots):
+        for slot, vid in enumerate(v for v, _fid in slots[coord]):
+            src = home.get(vid)
+            wires.append((vid, src, coord, slot, False))
+            if mode != GIBBS:
+                wires.append((vid, coord, src, slot, True))
+    return wires, slots
+
+
+@PLACEMENT_SETTINGS
+@given(mode=st.sampled_from(("SUMPROD", "MINSUM", "GIBBS")),
+       graph_seed=st.integers(0, 10 ** 6), tree=st.booleans(),
+       var_slots=st.integers(1, 4), rel_slots=st.sampled_from(range(2, 17)),
+       shadow_slots=st.sampled_from(range(4, 65)),
+       table_words=st.sampled_from((256, 512, 4096)),
+       place_seed=st.integers(0, 2 ** 32 - 1))
+def test_derived_shadow_registers_match_the_reference(mode, graph_seed, tree, var_slots,
+                                                      rel_slots, shadow_slots,
+                                                      table_words, place_seed):
+    graph = (gen.random_tree_graph(graph_seed, n_lo=1, n_hi=10) if tree
+             else gen.random_builtin_graph(graph_seed))
+    caps = Capacities(var_slots=var_slots, rel_slots=rel_slots,
+                      shadow_slots=shadow_slots, table_words=table_words)
+    try:
+        low = lower(graph, epsilon=_default_epsilon(mode), capacities=caps, mode=mode)
+        clusters = cluster(low, capacities=caps, mode=mode)
+        placement = place(clusters, low, (4, 4), seed=place_seed, mode=mode, epochs=2)
+    except MapperError:
+        reject()
+    image = emit_image(placement, clusters, low, mode)
+    wires, slots = reference_wires(placement, clusters, low, mode)
+    assert [(w.var_id, w.src, w.dst, w.slot, w.back) for w in image.wires] == wires
+    assert {coord: list(cell.shadow_keys(mode)) for coord, cell in image.cells.items()} \
+        == slots
+    text = dumps(image)
+    assert dumps(parse_image(text)) == text
+    m = Machine(text, capacities=caps)
+    for coord, keys in slots.items():
+        shadows = m.cells[coord].shadows
+        assert [sh.vid for sh in shadows] == [vid for vid, _fid in keys]
+        if mode != GIBBS:
+            assert [sh.rel.fid for sh in shadows] == [fid for _vid, fid in keys]

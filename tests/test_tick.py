@@ -265,21 +265,19 @@ def mixed_image():
     two relations and table words of 0, so some conditionals have a zero."""
     pick = random.Random(31)
 
-    def rel(fid, refs, size):
+    def rel(fid, scope, size):
         words = [0 if pick.random() < 0.15 else pick.randrange(1, 65536)
                  for _ in range(size)]
         words[0] = 65535
-        return ["REL %d %s" % (fid, " ".join(refs)), " ".join(map(str, words))]
+        return ["REL %d %s" % (fid, " ".join(scope)), " ".join(map(str, words))]
 
-    lines = ["FMIMG 7", "GRID 1 3", "MODE GIBBS", "SEED 5",
-             "CELL 0 0", "VAR 0 2", "SHADOW 1", "SHADOW 5"]
-    lines += rel(0, ["V0", "H0"], 6) + rel(4, ["V0", "H1"], 8)
-    lines += ["GIBBS_PERIOD 30 0", "CELL 0 1", "VAR 1 3", "VAR 2 4", "SHADOW 0", "SHADOW 3"]
-    lines += rel(0, ["H0", "V0"], 6) + rel(1, ["V0", "V1"], 12) + rel(2, ["V1", "H1"], 8)
-    lines += ["GIBBS_PERIOD 40 7", "CELL 0 2", "VAR 3 2", "VAR 4 3", "VAR 5 4",
-              "SHADOW 2", "SHADOW 0"]
-    lines += (rel(2, ["H0", "V0"], 8) + rel(3, ["V0", "V1", "V2"], 24)
-              + rel(4, ["H1", "V2"], 8) + rel(5, ["V1"], 3))
+    lines = ["FMIMG 8", "GRID 1 3", "MODE GIBBS", "SEED 5", "CELL 0 0", "VAR 0 2"]
+    lines += rel(0, ["0", "1"], 6) + rel(4, ["0", "5"], 8)
+    lines += ["GIBBS_PERIOD 30 0", "CELL 0 1", "VAR 1 3", "VAR 2 4"]
+    lines += rel(0, ["0", "1"], 6) + rel(1, ["1", "2"], 12) + rel(2, ["2", "3"], 8)
+    lines += ["GIBBS_PERIOD 40 7", "CELL 0 2", "VAR 3 2", "VAR 4 3", "VAR 5 4"]
+    lines += (rel(2, ["2", "3"], 8) + rel(3, ["3", "4", "5"], 24)
+              + rel(4, ["0", "5"], 8) + rel(5, ["4", "2"], 12))
     lines.append("GIBBS_PERIOD 50 13")
     return "\n".join(lines) + "\n"
 
