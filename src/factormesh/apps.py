@@ -20,7 +20,7 @@ from .graph import (ALL_DIFFERENT, EPS_SOFT, PAIRWISE_ISING, PARITY, TABLE,
                     FactorGraph, FactorNode, GraphError, VariableNode,
                     expand_all, with_evidence)
 from .image import GIBBS, MINSUM, SUMPROD
-from .records import Records
+from .records import Records, integer
 
 ASSIGNMENT = "assignment"
 MARGINALS = "marginals"
@@ -213,11 +213,17 @@ def hamming_codewords() -> list:
             if checks_satisfied(bits)]
 
 
+def _word(bits, n: int, what: str) -> list:
+    """`bits` as a list, if it is n bits; else HarnessError naming n and `what`."""
+    word = list(bits)
+    if len(word) != n or any(b not in (0, 1) for b in word):
+        raise HarnessError("need %d %s bits" % (n, what))
+    return word
+
+
 def hamming_encode(data) -> tuple:
     """Encode 4 data bits into a 7-bit codeword (data at positions 2,4,5,6)."""
-    d = list(data)
-    if len(d) != 4 or any(b not in (0, 1) for b in d):
-        raise HarnessError("need 4 data bits")
+    d = _word(data, 4, "data")
     c = [0] * 7
     c[2], c[4], c[5], c[6] = d
     c[0] = (c[2] + c[4] + c[6]) % 2
@@ -229,9 +235,7 @@ def hamming_encode(data) -> tuple:
 def syndrome_decode(received) -> tuple:
     """Nearest-codeword decoding via the syndrome: a nonzero syndrome is the
     binary index (1-based) of the single bit to flip."""
-    r = list(received)
-    if len(r) != 7 or any(b not in (0, 1) for b in r):
-        raise HarnessError("need 7 received bits")
+    r = _word(received, 7, "received")
     syndrome = [sum(h * b for h, b in zip(row, r)) % 2 for row in HAMMING_H]
     pos = syndrome[0] + 2 * syndrome[1] + 4 * syndrome[2]
     if pos:
@@ -248,9 +252,7 @@ def build_parity_code(received, flip_p: float = 0.05,
     [1-p, p] (received 0) or [p, 1-p] (received 1).  Oracle: syndrome
     decoding.
     """
-    r = list(received)
-    if len(r) != 7 or any(b not in (0, 1) for b in r):
-        raise HarnessError("need 7 received bits")
+    r = _word(received, 7, "received")
     if not (0.0 < flip_p < 0.5):
         raise HarnessError("flip probability must be in (0, 0.5)")
     variables = [VariableNode(i, 2) for i in range(7)]
@@ -495,16 +497,16 @@ def parse_manifest(text: str) -> Benchmark:
             elif head == "TOLERANCE":
                 (tol,) = map(float, fields)
             elif head == "VARS":
-                compare = [int(x) for x in fields]
+                compare = [integer(x) for x in fields]
             elif head == "COLORS":
-                (colors,) = map(int, fields)
+                (colors,) = map(integer, fields)
             elif head == "EDGE":
-                a, b = map(int, fields)
+                a, b = map(integer, fields)
                 edges.append((a, b))
             elif head == "ORACLE":
-                v = int(fields[0])
+                v = integer(fields[0])
                 if len(fields) == 2 and "." not in fields[1]:
-                    oracle_assign[v] = int(fields[1])
+                    oracle_assign[v] = integer(fields[1])
                 else:
                     oracle_marg[v] = [float(x) for x in fields[1:]]
             else:
@@ -556,9 +558,9 @@ def parse_results(text: str) -> dict:
         if not vals:
             rec.fail("malformed results line")
         try:
-            v = int(head)
+            v = integer(head)
             if len(vals) == 1 and "." not in vals[0] and "e" not in vals[0]:
-                out[v] = int(vals[0])
+                out[v] = integer(vals[0])
             else:
                 out[v] = [float(x) for x in vals]
         except ValueError:

@@ -130,7 +130,7 @@ def _settings(args):
 def _load_graph(args):
     graph = parse_uai(_read(args.graph))
     if getattr(args, "evidence", None):
-        graph = with_evidence(graph, parse_evidence(_read(args.evidence)))
+        graph = with_evidence(graph, parse_evidence(_read(args.evidence), graph))
     return graph
 
 

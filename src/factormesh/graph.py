@@ -106,8 +106,8 @@ def validate(graph: FactorGraph) -> list:
             out.append("variable %d: id %d breaks dense zero-based numbering" % (i, v.id))
         if v.cardinality < 2:
             out.append("variable %d: cardinality must be >= 2 (got %d)" % (v.id, v.cardinality))
-        if v.evidence is not None and not (0 <= v.evidence < v.cardinality):
-            out.append("variable %d: evidence value %d out of range" % (v.id, v.evidence))
+        if v.evidence is not None and (problem := _evidence_problem(graph, i, v.evidence)):
+            out.append(problem)
     n = len(graph.variables)
     for j, f in enumerate(graph.factors):
         if f.id != j:
@@ -205,21 +205,24 @@ def expand_all(graph: FactorGraph, epsilon: float) -> FactorGraph:
     return FactorGraph(graph.variables, factors)
 
 
+def _evidence_problem(graph: FactorGraph, vid: int, value: int) -> Optional[str]:
+    """What keeps `graph` from clamping variable `vid` to `value`, or None: the
+    one evidence rule of `validate`, `with_evidence` and `parse_evidence`."""
+    if not 0 <= vid < len(graph.variables):
+        return "evidence for unknown variable %d" % vid
+    if not 0 <= value < graph.variables[vid].cardinality:
+        return "variable %d: evidence value %d out of range" % (vid, value)
+    return None
+
+
 def with_evidence(graph: FactorGraph, evidence: dict) -> FactorGraph:
-    """New graph with the given {variable id: value} clamps applied."""
-    variables = []
-    for v in graph.variables:
-        if v.id in evidence:
-            val = evidence[v.id]
-            if not (0 <= val < v.cardinality):
-                raise GraphError("variable %d: evidence value %d out of range" % (v.id, val))
-            variables.append(VariableNode(v.id, v.cardinality, val))
-        else:
-            variables.append(v)
-    unknown = set(evidence) - {v.id for v in graph.variables}
-    if unknown:
-        raise GraphError("evidence for unknown variable %d" % min(unknown))
-    return FactorGraph(variables, graph.factors)
+    """New graph with the given {variable id: value} clamps applied; the
+    first, by variable id, that `_evidence_problem` rejects is a GraphError."""
+    for vid in sorted(evidence):
+        if problem := _evidence_problem(graph, vid, evidence[vid]):
+            raise GraphError(problem)
+    return FactorGraph([VariableNode(v.id, v.cardinality, evidence[v.id]) if v.id in evidence
+                        else v for v in graph.variables], graph.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,7 @@ def with_evidence(graph: FactorGraph, evidence: dict) -> FactorGraph:
 # ---------------------------------------------------------------------------
 
 def parse_uai(text: str) -> FactorGraph:
-    """Parse the MARKOV network text format into a validated FactorGraph."""
+    """Parse the MARKOV network text format, checking each `validate` rule at its token."""
     rec = Records(text, ParseError)
     header = rec.token("MARKOV header", str)
     if header != "MARKOV":
@@ -278,7 +281,7 @@ def parse_uai(text: str) -> FactorGraph:
         factors.append(FactorNode(j, scope, TABLE, tuple(table)))
     if not rec.at_end():
         rec.fail("trailing tokens after last table")
-    return checked(FactorGraph(variables, factors))
+    return FactorGraph(variables, factors)
 
 
 def serialize_uai(graph: FactorGraph) -> str:
@@ -306,8 +309,9 @@ def serialize_uai(graph: FactorGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_evidence(text: str) -> dict:
-    """Evidence file: first an observation count, then (variable, value) pairs."""
+def parse_evidence(text: str, graph: FactorGraph) -> dict:
+    """Evidence file for `graph`: first an observation count, then (variable,
+    value) pairs, each checked at its line by `_evidence_problem`."""
     rec = Records(text, ParseError)
     count = rec.token("evidence count")
     if count < 0:
@@ -316,10 +320,10 @@ def parse_evidence(text: str) -> dict:
     for _ in range(count):
         v = rec.token("evidence variable id")
         val = rec.token("evidence value")
-        if v < 0 or val < 0:
-            rec.fail("negative evidence pair %d %d" % (v, val))
         if v in out and out[v] != val:
             rec.fail("conflicting evidence for variable %d" % v)
+        if problem := _evidence_problem(graph, v, val):
+            rec.fail(problem)
         out[v] = val
     if not rec.at_end():
         rec.fail("trailing tokens after evidence pairs")

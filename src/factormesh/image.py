@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .fixedpoint import Q88, U16, Domain
-from .records import Records
+from .records import INTEGER, Records
 
 SUMPROD = "SUMPROD"
 MINSUM = "MINSUM"
@@ -248,12 +248,11 @@ def parse_image(text: str) -> MachineImage:
 
     for toks in records:
         head = toks[0]
-        if rel is not None and head.lstrip("-").isdigit():
+        if rel is not None and INTEGER.fullmatch(head):
             # a line of integers continues the REL just read
-            try:
-                rel.table.extend([int(t) for t in toks])
-            except ValueError:
+            if not all(map(INTEGER.fullmatch, toks)):
                 rec.fail("table words must be integers")
+            rel.table.extend(map(int, toks))
             continue
         rel = None
         if head in _CELL_RECORDS and cur is None:

@@ -17,14 +17,15 @@ Every word the machine holds, compares or reads out is in the mode's
 message format, its `fixedpoint.Domain` (`image.domain`): word range,
 uniform and evidence vectors, normalization, default gate and belief
 read-out all come from it.  In SUMPROD/MINSUM modes the machine settles to
-quiescence (empty queue).  A relation's update is fixed by the domain, its
-scope's cardinalities and its table's fold pattern (`_kernel`), and a
-variable's message refresh by its cardinality and degree, so both run as
-Python functions generated at load from that structure: straight-line
-fixed-point arithmetic spliced from the domain's combine, reduce and
-normalize templates, one function shared by every relation or variable of
-the same structure.  Each output word is bound to a local name and
-normalized in place, so generated code calls no normalization function.
+quiescence (empty queue).  A relation's kernel (`_kernel`), which returns
+its normalized messages in scope-position order, is fixed by the domain, its
+scope's cardinalities and its table's fold pattern, and a variable's message
+refresh by its cardinality and degree, so both run as Python functions
+generated at load from that structure: straight-line fixed-point arithmetic
+spliced from the domain's combine, reduce and normalize templates, one
+function shared by every relation or variable of the same structure.  Each
+output word is bound to a local name and normalized in place, so generated
+code calls no normalization function.
 A poller's `assignment_reader` is generated the same way, from the mode
 and its variables' cardinalities, when the poller asks for it.
 In GIBBS mode each cell periodically resamples its variables from the
@@ -39,15 +40,15 @@ Uniforms are hashed `rng.DRAW_BLOCK` ticks at a time, each the scalar
 stream's own draw.  A cell computes no message, so it takes no output noise.
 
 In SUMPROD/MINSUM each variable holds one `_Edge` per attached factor, in
-factor-id order: the register pair of its message to the factor and the
-factor's reply.  A relation in the variable's cell reads and writes the edge
-itself; a relation elsewhere is the one reader (`rel`) of a shadow of it
-(`image.shadow_key`), fed by the edge's port, and answers on the shadow's
-return port.  A relation's scope is its edges and shadows (in GIBBS, the
-variables and shadows it reads).  Its update handler (`_update`) is
-generated at load from its positions' kinds, shadow or edge, and a
-variable's emit (`_emitter`) from its edges' kinds, local relation or port:
-one function per structure, each reached through `rel.update` or `var.emit`.
+factor-id order.  A relation in the variable's cell reads and writes the
+edge's message and reply itself; a relation elsewhere is the one reader
+(`rel`) of a shadow of it (`image.shadow_key`), fed by the edge's port, and
+answers on the shadow's return port.  A relation's scope is its edges and
+shadows (in GIBBS, the variables and shadows it reads).  Its update handler
+(`_update`) is generated at load from its positions' kinds, shadow or edge,
+and a variable's emit (`_emitter`) from its edges' kinds, local relation or
+port: one function per structure, each reached through `rel.update` or
+`var.emit`.
 
 Wires are resolved at load into ports, each made by the sender of the
 quantity it carries: an edge's port for its message, a GIBBS variable's one
@@ -149,10 +150,10 @@ class _Port:
 
 
 class _Edge:
-    """One attachment of a variable to factor `fid`: the variable's message
-    to the factor and the factor's reply, read and written by the factor's
-    relation when it shares the variable's cell (`rel`), otherwise carried
-    by `port` to the shadow of the factor's cell and back."""
+    """One attachment of a variable to factor `fid`: its message to the
+    factor, held in `msg` for a relation in the variable's cell (`rel`), and
+    the factor's reply; otherwise `port` carries the message, its `last` the
+    one copy, to the shadow of the factor's cell, and the reply back."""
     __slots__ = ("var", "fid", "msg", "reply", "rel", "port")
 
     def __init__(self, var, fid, uniform):
@@ -235,27 +236,6 @@ class _Cell:
 # converging paths generated at load
 # ---------------------------------------------------------------------------
 
-def _lower(shape):
-    """Term lists of a converging relation's update over scope `shape`.
-
-    Returns one (j, groups) per scope position j, in order, with one group
-    per element of the message to j.  A group lists the terms reduced into
-    that element; a term (t, offsets) is table word t combined with the
-    input words at `offsets` in the concatenation of the scope's input
-    vectors, one per other scope position in ascending order, each at its
-    value in table cell t."""
-    starts = list(itertools.accumulate(shape, initial=0))
-    cells = list(enumerate(itertools.product(*map(range, shape))))
-    outputs = []
-    for j, card in enumerate(shape):
-        groups = [[] for _ in range(card)]
-        for t, idx in cells:
-            groups[idx[j]].append((t, tuple(starts[i] + a for i, a in enumerate(idx)
-                                            if i != j)))
-        outputs.append((j, tuple(map(tuple, groups))))
-    return tuple(outputs)
-
-
 def _define(lines):
     """Compile generated source lines, over this module's globals, into their one function."""
     namespace = {}
@@ -277,29 +257,34 @@ def _tuple(items):
 def _kernel(dom, shape, folds):
     """Generate a converging relation's kernel: kernel(table, *inputs) takes
     the table words and one input vector per scope position and returns the
-    normalized (j, message) per scope position j as straight-line code over
-    the term lists of `_lower`, in domain `dom`: each message word is bound
-    to a local name, and each message is then normalized in place.  `folds`
-    holds per table word the word if it is in `dom.folds`, else None: a term
-    on `dom.one` skips its combine and one on `dom.lo` drops out (an empty
-    element is `dom.lo`).  The source is built only from integers and templates."""
-    combine = dom.combine
+    normalized message to each position, in position order, as straight-line
+    code in domain `dom`.  Element a of the message to position j reduces, in
+    table order, one term per table cell t whose value at j is a: word t
+    combined with the input of every other position at its value in t, in
+    ascending position order.  Each word is bound to a local name, and each
+    message is then normalized in place.  `folds` holds per table word the
+    word if it is in `dom.folds`, else None: a term on `dom.one` skips its
+    combine and one on `dom.lo` drops out (an empty element is `dom.lo`).
+    The source is built only from integers and templates."""
+    starts = list(itertools.accumulate(shape, initial=0))
     lines = ["def generated(T, %s):" % ", ".join("m%d" % p for p in range(len(shape))),
              _unpack(["t%d" % t for t in range(math.prod(shape))], "T")]
-    for p, (start, card) in enumerate(zip(itertools.accumulate(shape, initial=0), shape)):
-        lines.append(_unpack(["x%d" % (start + a) for a in range(card)], "m%d" % p))
+    for p, card in enumerate(shape):
+        lines.append(_unpack(["x%d" % (starts[p] + a) for a in range(card)], "m%d" % p))
+    cells = list(enumerate(itertools.product(*map(range, shape))))
     outs = []
-    for j, groups in _lower(shape):
-        names = ["y%d_%d" % (j, a) for a in range(len(groups))]
-        for name, group in zip(names, groups):
-            terms = [functools.reduce(lambda a, b: combine.format(a=a, b=b),
-                                      ([] if folds[t] == dom.one and offsets else ["t%d" % t])
-                                      + ["x%d" % i for i in offsets])
-                     for t, offsets in group if folds[t] != dom.lo]
+    for j, card in enumerate(shape):
+        names = ["y%d_%d" % (j, a) for a in range(card)]
+        for a, name in enumerate(names):
+            terms = [functools.reduce(
+                lambda u, w: dom.combine.format(a=u, b=w),
+                ([] if folds[t] == dom.one and len(shape) > 1 else ["t%d" % t])
+                + ["x%d" % (starts[i] + v) for i, v in enumerate(idx) if i != j])
+                for t, idx in cells if idx[j] == a and folds[t] != dom.lo]
             lines += dom.reduce(name, terms or ["%d" % dom.lo])
         lines += dom.normalize(names)
-        outs.append("(%d, %s)" % (j, _tuple(names)))
-    lines.append("    return [%s]" % ", ".join(outs))
+        outs.append(_tuple(names))
+    lines.append("    return " + _tuple(outs))
     return _define(lines)
 
 
@@ -354,8 +339,7 @@ def _update(kinds):
     r, y = ["r%d" % p for p in range(len(kinds))], ["y%d" % p for p in range(len(kinds))]
     lines = ["def generated(payload, time):", "    machine, rel = payload",
              "    rel.pending = False", _unpack(r, "rel.refs"),
-             _unpack(["(_, %s)" % n for n in y],
-                     "rel.kernel(rel.table, %s)" % ", ".join(n + ".msg" for n in r)),
+             _unpack(y, "rel.kernel(rel.table, %s)" % ", ".join(n + ".msg" for n in r)),
              "    if machine.noise_lsbs:",
              "    " + _unpack(y, _tuple("machine._apply_noise(%s)" % n for n in y)),
              "    cell = rel.cell", "    machine.stats.activations += 1",
@@ -375,8 +359,8 @@ def _emitter(kinds):
     "L" for a relation in its cell, "P" for a port.  emit(machine, var,
     time) sets the belief and outgoing messages, by var.refresh from the
     edges' replies or as the domain's evidence indicator, then per edge
-    writes a changed message and pends the edge's relation, or writes the
-    message and gates it on the edge's port."""
+    writes a changed message and pends the edge's relation, or gates the
+    message on the edge's port, which keeps the last one sent."""
     e, o = ["e%d" % i for i in range(len(kinds))], ["o%d" % i for i in range(len(kinds))]
     lines = ["def generated(machine, var, time):", _unpack(e, "var.edges") if e else "",
              "    if var.evidence is None:", "        %s, var.belief = var.refresh(%s)"
@@ -386,8 +370,7 @@ def _emitter(kinds):
     for kind, edge, out in zip(kinds, e, o):
         lines += (["    if %s.msg != %s:" % (edge, out), "        %s.msg = %s" % (edge, out),
                    "        machine._pend_exec(%s.rel, time)" % edge] if kind == "L" else
-                  ["    %s.msg = %s" % (edge, out),
-                   "    machine._gate_send(%s.port, %s, time, cell)" % (edge, out)])
+                  ["    machine._gate_send(%s.port, %s, time, cell)" % (edge, out)])
     return _define(lines)
 
 
@@ -949,20 +932,21 @@ class Machine:
         MachineError."""
         if self.mode == GIBBS:
             raise MachineError("quiescence only applies to SUMPROD and MINSUM modes")
-        local = []              # (recomputed, held) message pairs
-        remote = []             # (recomputed, last sent) message pairs
+        local, remote = [], []  # (recomputed, held) and (recomputed, last sent) pairs
         for cell in self.cells.values():
             for var in cell.vars:
                 replies = [edge.reply for edge in var.edges]
                 outs = (var.refresh(*replies)[0] if var.evidence is None else
                         (self.dom.indicator(var.card, var.evidence),) * len(replies))
                 for edge, new in zip(var.edges, outs):
-                    local.append((new, edge.msg))
-                    if edge.port is not None and edge.port.last is not None:
+                    # the first emit sent every port's first message
+                    if edge.rel is not None:
+                        local.append((new, edge.msg))
+                    else:
                         remote.append((new, edge.port.last))
             for rel in cell.rels:
-                for pos, payload in rel.kernel(rel.table, *[ref.msg for ref in rel.refs]):
-                    ref = rel.refs[pos]
+                msgs = rel.kernel(rel.table, *[ref.msg for ref in rel.refs])
+                for ref, payload in zip(rel.refs, msgs):
                     if type(ref) is _Edge:
                         local.append((payload, ref.reply))
                     elif ref.port.last is not None:

@@ -9,7 +9,18 @@ it as `line`, so a parser built on it rejects bad input with a line number.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
+
+# every format's one integer rule: an optional `-`, then ASCII digits
+INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(field: str) -> int:
+    """`field` as an integer; ValueError unless `INTEGER` matches all of it."""
+    if not INTEGER.fullmatch(field):
+        raise ValueError("not an integer: %r" % field)
+    return int(field)
 
 
 def line_error(error: type, line: int, message: str):
@@ -37,7 +48,7 @@ class Records:
             if body:
                 yield body.split(self._sep)
 
-    def token(self, what: str, cast=int):
+    def token(self, what: str, cast=integer):
         """The next field, the records' fields read as one stream, by `cast`;
         a missing or unreadable one is an error that names `what`."""
         tok = next(self._tokens, None)
@@ -60,7 +71,6 @@ class Records:
         """The n fields of record `what` as integers."""
         if len(fields) != n:
             self.fail("%s needs %d fields" % (what, n))
-        try:
-            return [int(f) for f in fields]
-        except ValueError:
+        if not all(map(INTEGER.fullmatch, fields)):
             self.fail("%s has a non-integer field" % what)
+        return list(map(int, fields))

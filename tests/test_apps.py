@@ -88,6 +88,13 @@ def test_encode_rejects_anything_but_4_data_bits(data):
         apps.hamming_encode(data)
 
 
+@pytest.mark.parametrize("word", [(1, 0, 1), (0,) * 8, (1, 0, 2, 1, 0, 0, 0)])
+@pytest.mark.parametrize("read", [apps.syndrome_decode, apps.build_parity_code])
+def test_a_received_word_is_7_bits(read, word):
+    with pytest.raises(apps.HarnessError, match="^need 7 received bits$"):
+        read(word)
+
+
 def test_syndrome_decode_corrects_single_flips():
     for data in ((0, 0, 0, 0), (1, 0, 1, 1)):
         word = apps.hamming_encode(data)

@@ -561,6 +561,21 @@ def test_golden_map_with_evidence(tmp_path, capsys):
     assert apps.parse_results(stdout) == {0: 1, 1: 0}
 
 
+@pytest.mark.parametrize("evidence,message", [
+    ("1\n9 0\n", "line 2: evidence for unknown variable 9"),
+    ("# clamp\n1\n0 5\n", "line 3: variable 0: evidence value 5 out of range")])
+@pytest.mark.parametrize("command", ["compile", "golden"])
+def test_an_evidence_pair_the_graph_rejects_exits_2_naming_its_line(tmp_path, capsys, command,
+                                                                     evidence, message):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    ev_file = write(tmp_path, "pair.evid", evidence)
+    image = tmp_path / "pair.fmimg"
+    rest = ["--out", str(image)] if command == "compile" else ["--alg", "exact"]
+    code, stdout, stderr = run_cli(capsys, command, graph_file, "--evidence", ev_file, *rest)
+    assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    assert not image.exists()
+
+
 def test_golden_gibbs_seeded_reruns_match(tmp_path, capsys):
     graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
     args = ("golden", graph_file, "--alg", "gibbs", "--seed", "7",

@@ -51,10 +51,11 @@ REFERENCE_DOMAINS = {
 
 
 def reference_kernel(mode, shape, table, *inputs):
-    """Interpret the relation's update on its inputs: (j, message) per scope
-    position j, anchored."""
-    return reference(shape, table, list(inputs), standard_program(mode, len(shape)),
-                     mode != MINSUM)
+    """Interpret the relation's update on its inputs: the anchored message
+    per scope position, in position order."""
+    return tuple(msg for _j, msg in reference(shape, table, list(inputs),
+                                              standard_program(mode, len(shape)),
+                                              mode != MINSUM))
 
 
 def reference_refresh(dom, card, *msgs):

@@ -153,31 +153,50 @@ def test_with_evidence():
         with_evidence(two_var_graph(), {7: 0})
 
 
+# the graph an evidence file is read against
+EVIDENCE_GRAPH = FactorGraph([VariableNode(i, 3) for i in range(4)], [])
+
+
 def test_evidence_file_round_trip():
     ev = {3: 1, 0: 2}
-    assert parse_evidence(serialize_evidence(ev)) == ev
+    assert parse_evidence(serialize_evidence(ev), EVIDENCE_GRAPH) == ev
     with pytest.raises(ParseError):
-        parse_evidence("2\n0 1\n0 2\n")
+        parse_evidence("2\n0 1\n0 2\n", EVIDENCE_GRAPH)
     with pytest.raises(ParseError):
-        parse_evidence("1\n0 1\nextra\n")
+        parse_evidence("1\n0 1\nextra\n", EVIDENCE_GRAPH)
     with pytest.raises(ParseError):
-        parse_evidence("-1\n")
+        parse_evidence("-1\n", EVIDENCE_GRAPH)
 
 
 def test_a_negative_evidence_id_or_value_names_its_line():
-    for text, line, message in (("1\n-1 0\n", 2, "line 2: negative evidence pair -1 0"),
+    # a negative id names no variable, and a negative value is out of range
+    for text, line, message in (("1\n-1 0\n", 2, "line 2: evidence for unknown variable -1"),
                                 ("2\n0 1\n# clamp\n3\n-2\n", 5,
-                                 "line 5: negative evidence pair 3 -2")):
+                                 "line 5: variable 3: evidence value -2 out of range")):
         with pytest.raises(ParseError) as err:
-            parse_evidence(text)
+            parse_evidence(text, EVIDENCE_GRAPH)
         assert (str(err.value), err.value.line) == (message, line)
+
+
+def test_an_evidence_pair_the_graph_rejects_names_its_line():
+    # the rules with_evidence applies to a dict of clamps, at the pair's line
+    for text, pair, line in (("1\n9 0\n", (9, 0), 2),
+                             ("2\n1 0\n# clamp\n0 5\n", (0, 5), 4)):
+        with pytest.raises(GraphError) as err:
+            with_evidence(two_var_graph(), dict([pair]))
+        message = str(err.value)
+        assert message in ("evidence for unknown variable 9",
+                           "variable 0: evidence value 5 out of range")
+        with pytest.raises(ParseError) as err:
+            parse_evidence(text, two_var_graph())
+        assert (str(err.value), err.value.line) == ("line %d: %s" % (line, message), line)
 
 
 def test_a_trailing_token_names_its_own_line():
     for parse, text, message in (
             (parse_uai, "MARKOV\n1\n2\n1\n1 0\n2\n1 1\n\nextra\n",
              "line 9: trailing tokens after last table"),
-            (parse_evidence, "1\n0 1\n\n# more\n2 1\n",
+            (lambda text: parse_evidence(text, EVIDENCE_GRAPH), "1\n0 1\n\n# more\n2 1\n",
              "line 5: trailing tokens after evidence pairs")):
         with pytest.raises(ParseError) as err:
             parse(text)

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import gen
 from factormesh import apps, cli
-from factormesh.graph import (GraphError, ParseError, parse_evidence, parse_uai,
-                              serialize_evidence, serialize_uai)
-from factormesh.image import ImageError, parse_image
+from factormesh.graph import (FactorGraph, GraphError, ParseError, VariableNode,
+                              parse_evidence, parse_uai, serialize_evidence,
+                              serialize_uai)
+from factormesh.image import ImageError, dumps, parse_image
 from factormesh.machine import Machine, MachineError
 from test_machine import fuzz_images
 
@@ -26,6 +27,10 @@ BENCHES = (apps.build_sudoku(),
 # results each benchmark accepts
 ANSWERS = tuple({v: b.oracle[v] for v in b.compare_vars} for b in BENCHES[:3]) + \
     ({0: 0, 1: 1, 2: 0, 3: 1, 4: 2},)
+
+# the graph every evidence text is read against, so a mutant can name a
+# variable it lacks or a value out of range
+EVIDENCE_GRAPH = FactorGraph([VariableNode(i, 4) for i in range(6)], [])
 
 CONFIG = "# mesh setup\ngrid 4x4\nseed 3\nepochs 5\nthresh 1\nmode SUMPROD\n"
 
@@ -64,7 +69,7 @@ def read_trace(text, path):
 FORMATS = {
     "uai": (lambda text, path: parse_uai(text), ParseError, " ",
             lambda: tuple(serialize_uai(gen.random_tree_graph(s)) for s in range(3))),
-    "evidence": (lambda text, path: parse_evidence(text), ParseError, " ",
+    "evidence": (lambda text, path: parse_evidence(text, EVIDENCE_GRAPH), ParseError, " ",
                  lambda: (serialize_evidence({0: 1, 3: 0}),
                           serialize_evidence({2: 1, 5: 3, 1: 0}))),
     "image": (load_image, (ImageError, MachineError), " ", fuzz_images),
@@ -124,3 +129,44 @@ def test_a_trailing_comment_is_accepted_on_every_record(fmt, tmp_path):
                             for line in text.splitlines())
         assert commented != text
         assert read(commented, tmp_path / "commented") == read(text, tmp_path / "plain")
+
+
+IMAGE_HEAD = "FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
+
+
+# texts whose integers Python's int() reads but the formats' one rule, an
+# optional `-` then ASCII digits, does not: a digit separator, a plus sign
+# or a non-ASCII digit; a table line is told apart and read by that rule
+@pytest.mark.parametrize("read,text,message", [
+    (parse_image, IMAGE_HEAD + "VAR 1_0 2\nREL 0 1_0\n1 1\n",
+     "line 5: VAR has a non-integer field"),
+    (parse_image, IMAGE_HEAD + "VAR 0 2\nREL 0 1_0\n1 1\n",
+     "line 6: REL has a non-integer field"),
+    (parse_image, IMAGE_HEAD + "VAR 0 2\nREL 0 0\n1 1_0\n",
+     "line 7: table words must be integers"),
+    (parse_image, IMAGE_HEAD + "VAR 0 2\nREL 0 0\n1_0 1\n", "line 7: unknown record '1_0'"),
+    (parse_image, IMAGE_HEAD + "VAR \u0663 2\n", "line 5: VAR has a non-integer field"),
+    (parse_image, IMAGE_HEAD + "VAR +3 2\n", "line 5: VAR has a non-integer field"),
+    (parse_image, IMAGE_HEAD + "VAR 0 2\nREL 0 0\n1 \u0661\n",
+     "line 7: table words must be integers"),
+    (parse_image, IMAGE_HEAD + "VAR 0 2\nREL 0 0\n\u0661 1\n",
+     "line 7: unknown record '\u0661'"),
+    (parse_uai, "MARKOV\n1\n2_0\n0\n", "line 3: expected cardinality of variable 0, got '2_0'"),
+    (parse_uai, "MARKOV\n+1\n2\n0\n", "line 2: expected variable count, got '+1'"),
+    (lambda text: parse_evidence(text, EVIDENCE_GRAPH), "1\n0 1_0\n",
+     "line 2: expected evidence value, got '1_0'"),
+    (apps.parse_results, "0 1\n1_0 1\n", "line 2: malformed results line"),
+    (apps.parse_results, "0 +1\n", "line 1: malformed results line"),
+    (apps.parse_manifest, "KIND assignment\nVARS 0 1_0\n", "line 2: malformed manifest record"),
+])
+def test_every_reader_reads_integers_by_one_rule(read, text, message):
+    with pytest.raises((ImageError, ParseError, apps.HarnessError)) as err:
+        read(text)
+    assert (str(err.value), err.value.line) == (message, int(message.split()[1][:-1]))
+
+
+def test_a_negative_integer_reads_by_the_same_rule():
+    text = "FMIMG 8\nGRID 1 1\nMODE SUMPROD\nSEED -3\nCELL 0 0\nVAR 0 2\nREL 0 0\n-1 1\n"
+    image = parse_image(text)
+    assert (image.seed, image.cells[(0, 0)].rel_slots[0].table) == (-3, [-1, 1])
+    assert dumps(image) == text
