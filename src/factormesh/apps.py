@@ -20,7 +20,7 @@ from .graph import (ALL_DIFFERENT, EPS_SOFT, PAIRWISE_ISING, PARITY, TABLE,
                     FactorGraph, FactorNode, GraphError, VariableNode,
                     expand_all, with_evidence)
 from .image import GIBBS, MINSUM, SUMPROD
-from .records import Records, integer
+from .records import Records, integer, real
 
 ASSIGNMENT = "assignment"
 MARGINALS = "marginals"
@@ -48,8 +48,7 @@ class Benchmark:
 # graph colouring
 # ---------------------------------------------------------------------------
 
-def build_coloring(edges, colors: int, n: Optional[int] = None,
-                   name: str = "coloring") -> Benchmark:
+def build_coloring(edges, colors: int, n: Optional[int] = None) -> Benchmark:
     """Colour the vertices of a graph so no edge is monochrome.
 
     One not-equal factor (arity-2 ALL_DIFFERENT) per edge.  The oracle is a
@@ -67,7 +66,7 @@ def build_coloring(edges, colors: int, n: Optional[int] = None,
             raise HarnessError("bad edge (%d, %d)" % (a, b))
         factors.append(FactorNode(len(factors), (a, b), ALL_DIFFERENT))
     graph = FactorGraph(variables, factors)
-    return Benchmark(name=name, graph=graph, mode=GIBBS, oracle_kind=PROPER_COLORING,
+    return Benchmark(name="coloring", graph=graph, mode=GIBBS, oracle_kind=PROPER_COLORING,
                      oracle=(edges, colors),
                      note="accept any assignment where every edge's endpoints differ",
                      compare_vars=list(range(n)))
@@ -173,7 +172,7 @@ def sudoku_solutions(givens, limit: int = 2) -> list:
     return solutions
 
 
-def build_sudoku(givens=SUDOKU_FIXTURE_GIVENS, name: str = "sudoku4") -> Benchmark:
+def build_sudoku(givens=SUDOKU_FIXTURE_GIVENS) -> Benchmark:
     """4x4 sudoku: 16 variables of cardinality 4, one ALL_DIFFERENT factor
     per row, column and 2x2 box; givens become hard evidence.  The oracle is
     the unique backtracking solution (two solutions raise an error)."""
@@ -187,7 +186,7 @@ def build_sudoku(givens=SUDOKU_FIXTURE_GIVENS, name: str = "sudoku4") -> Benchma
                for i, g in enumerate(_sudoku_groups())]
     graph = FactorGraph(variables, factors)
     graph = with_evidence(graph, {r * SUDOKU_N + c: v for r, c, v in givens})
-    return Benchmark(name=name, graph=graph, mode=MINSUM, oracle_kind=ASSIGNMENT,
+    return Benchmark(name="sudoku4", graph=graph, mode=MINSUM, oracle_kind=ASSIGNMENT,
                      oracle=list(sols[0]),
                      note="unique solution found by backtracking search",
                      compare_vars=list(range(SUDOKU_N * SUDOKU_N)),
@@ -243,8 +242,7 @@ def syndrome_decode(received) -> tuple:
     return tuple(r)
 
 
-def build_parity_code(received, flip_p: float = 0.05,
-                      name: str = "hamming74") -> Benchmark:
+def build_parity_code(received, flip_p: float = 0.05) -> Benchmark:
     """Decode a 7-bit word under a binary symmetric channel.
 
     Variables are the transmitted bits; three arity-4 PARITY factors encode
@@ -262,7 +260,7 @@ def build_parity_code(received, flip_p: float = 0.05,
         table = (1.0 - flip_p, flip_p) if bit == 0 else (flip_p, 1.0 - flip_p)
         factors.append(FactorNode(len(factors), (i,), TABLE, table))
     graph = FactorGraph(variables, factors)
-    return Benchmark(name=name, graph=graph, mode=SUMPROD, oracle_kind=ASSIGNMENT,
+    return Benchmark(name="hamming74", graph=graph, mode=SUMPROD, oracle_kind=ASSIGNMENT,
                      oracle=list(syndrome_decode(r)),
                      note="syndrome decoding (flips the bit addressed by the syndrome)",
                      compare_vars=list(range(7)))
@@ -301,11 +299,12 @@ def decode_by_candidates(assignments, received):
     return last if best is None else best[1]
 
 
-def bp_hamming_trajectory(graph, sweeps: int = 20, epsilon: float = EPS_SOFT):
+def bp_hamming_trajectory(graph, sweeps: int = 20):
     """Yield the golden sum-product argmax after each flooding sweep, up to
-    `sweeps` of them or the first that converges."""
+    `sweeps` of them or the first that converges, over the graph's builtins
+    expanded with soft zeros (EPS_SOFT)."""
     from .golden import sum_product_sweeps
-    states = sum_product_sweeps(expand_all(graph, epsilon), max_iters=sweeps)
+    states = sum_product_sweeps(expand_all(graph, EPS_SOFT), max_iters=sweeps)
     next(states)                    # the start, before any sweep
     for state in states:
         yield tuple(state().argmax()[:7])
@@ -356,8 +355,7 @@ def ising_chain_marginals(n: int, coupling: float, bias: float) -> list:
     return [w / w.sum() for w in (f * b for f, b in zip(fwd, bwd))]
 
 
-def build_ising_chain(n: int, coupling: float, bias: float,
-                      name: str = "ising_chain") -> Benchmark:
+def build_ising_chain(n: int, coupling: float, bias: float) -> Benchmark:
     variables = [VariableNode(i, 2) for i in range(n)]
     factors = [FactorNode(i, (i, i + 1), PAIRWISE_ISING, coupling=coupling)
                for i in range(n - 1)]
@@ -366,7 +364,7 @@ def build_ising_chain(n: int, coupling: float, bias: float,
             factors.append(FactorNode(len(factors), (i,), TABLE,
                                       (math.exp(bias), math.exp(-bias))))
     graph = FactorGraph(variables, factors)
-    return Benchmark(name=name, graph=graph, mode=GIBBS, oracle_kind=MARGINALS,
+    return Benchmark(name="ising_chain", graph=graph, mode=GIBBS, oracle_kind=MARGINALS,
                      oracle=ising_chain_marginals(n, coupling, bias),
                      note="transfer-matrix marginals", tolerance=0.05,
                      compare_vars=list(range(n)))
@@ -495,7 +493,7 @@ def parse_manifest(text: str) -> Benchmark:
             if head in free:
                 free[head] = " ".join(fields)
             elif head == "TOLERANCE":
-                (tol,) = map(float, fields)
+                (tol,) = map(real, fields)
             elif head == "VARS":
                 compare = [integer(x) for x in fields]
             elif head == "COLORS":
@@ -508,7 +506,7 @@ def parse_manifest(text: str) -> Benchmark:
                 if len(fields) == 2 and "." not in fields[1]:
                     oracle_assign[v] = integer(fields[1])
                 else:
-                    oracle_marg[v] = [float(x) for x in fields[1:]]
+                    oracle_marg[v] = [real(x) for x in fields[1:]]
             else:
                 rec.fail("unknown manifest record %r" % head)
         except HarnessError:
@@ -562,7 +560,7 @@ def parse_results(text: str) -> dict:
             if len(vals) == 1 and "." not in vals[0] and "e" not in vals[0]:
                 out[v] = integer(vals[0])
             else:
-                out[v] = [float(x) for x in vals]
+                out[v] = [real(x) for x in vals]
         except ValueError:
             rec.fail("malformed results line")
     return out

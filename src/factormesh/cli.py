@@ -18,7 +18,7 @@ from . import apps, golden, mapper
 from .graph import GraphError, ParseError, parse_uai, parse_evidence, with_evidence
 from .image import ImageError, MODES, SUMPROD, GIBBS, dumps, parse_image
 from .machine import Machine, MachineError, xy_links
-from .records import Records, line_error
+from .records import Records, integer, line_error, real
 
 
 def _read(path):
@@ -37,7 +37,7 @@ def _write(path, text):
 def _grid(text):
     """A grid setting, 'RxC', as (rows, cols)."""
     try:
-        rows, cols = map(int, text.lower().split("x"))
+        rows, cols = map(integer, text.lower().split("x"))
     except ValueError:
         raise GraphError("grid must look like 4x4")
     if rows < 1 or cols < 1:
@@ -56,22 +56,22 @@ Setting = namedtuple("Setting", "name type default least below choices help",
 SETTINGS = {
     "compile": (Setting("grid", _grid, "4x4"),
                 Setting("mode", str, SUMPROD, choices=MODES),
-                Setting("seed", int, 0),
-                Setting("thresh", int, least=0),
-                Setting("epochs", int, 50, least=0)),
-    "run": (Setting("noise", int, 0, least=0),
-            Setting("ticks", int, 1000, least=1, help="GIBBS resample rounds per cell"),
-            Setting("max_cycles", int, 100000, least=0)),
-    "golden": (Setting("seed", int, 0),
+                Setting("seed", integer, 0),
+                Setting("thresh", integer, least=0),
+                Setting("epochs", integer, 50, least=0)),
+    "run": (Setting("noise", integer, 0, least=0),
+            Setting("ticks", integer, 1000, least=1, help="GIBBS resample rounds per cell"),
+            Setting("max_cycles", integer, 100000, least=0)),
+    "golden": (Setting("seed", integer, 0),
                Setting("schedule", str, golden.FLOODING,
                        choices=(golden.FLOODING, golden.SEQUENTIAL)),
-               Setting("damping", float, 0.0, least=0, below=1),
+               Setting("damping", real, 0.0, least=0, below=1),
                # zero iterations would print the start state as an answer
-               Setting("max_iters", int, 100, least=1),
-               Setting("tol", float, 1e-6, least=0),
-               Setting("burn_in", int, 1000, least=0),
-               Setting("sweeps", int, 10000, least=1)),
-    "verify": (Setting("tolerance", float, least=0),),
+               Setting("max_iters", integer, 100, least=1),
+               Setting("tol", real, 1e-6, least=0),
+               Setting("burn_in", integer, 1000, least=0),
+               Setting("sweeps", integer, 10000, least=1)),
+    "verify": (Setting("tolerance", real, least=0),),
 }
 
 
@@ -112,14 +112,14 @@ def _settings(args):
                 value = s.type(value)
             except ValueError as e:     # a GraphError is the grid's own message
                 raise _bad_value(args, s.name, str(e) if isinstance(e, GraphError) else
-                                 "config value for %s is not a %s" % (s.name, s.type.__name__))
+                                 "config value for %s is %s" % (s.name, e))
         # written so that NaN fails too
         if value is not None and s.least is not None and not (
                 s.least <= value and (s.below is None or value < s.below)):
             bound = (">= %d" % s.least if s.below is None
                      else "in [%g, %g)" % (s.least, s.below))
             raise _bad_value(args, s.name, "%s must be %s, got %s" % (
-                s.name, bound, value if s.type is int else "%g" % value))
+                s.name, bound, value if s.type is integer else "%g" % value))
         if s.choices and value not in s.choices:
             raise _bad_value(args, s.name, "%s must be one of %s"
                              % (s.name, "/".join(s.choices)))

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .records import Records
+from .records import Records, real
 
 TABLE = "TABLE"
 ALL_DIFFERENT = "ALL_DIFFERENT"
@@ -270,7 +270,7 @@ def parse_uai(text: str) -> FactorGraph:
                      % (j, declared, want))
         table = []
         for _ in range(declared):
-            x = rec.token("table entry of factor %d" % j, float)
+            x = rec.token("table entry of factor %d" % j, real)
             if not math.isfinite(x):
                 rec.fail("factor %d: non-finite table entry" % j)
             if x < 0:

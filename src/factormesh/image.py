@@ -1,8 +1,8 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 8`), one record per line, `#` comments:
+Text format (version header `FMIMG 9`), one record per line, `#` comments:
 
-    FMIMG 8
+    FMIMG 9
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
@@ -11,7 +11,8 @@ Text format (version header `FMIMG 8`), one record per line, `#` comments:
     REL <factor_id> <var_id>...           the factor's scope, one id per position
     <integer table words on following lines, continuing the REL>
     THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
-    GIBBS_PERIOD <period> <phase>         resample timing (GIBBS)
+
+An image of any other version fails at its header.
 
 A relation reads a scope variable that its cell's VAR records declare in
 place, and any other through a shadow register, which the mode and scopes
@@ -24,19 +25,16 @@ variable, whose cardinality the shadow has; the machine rejects a relation
 reading a variable no cell declares.  A converging shadow also has a return
 wire, on which its relation sends the variable's cell its message to the
 variable, into a register that counts as one of that cell's shadow slots.
-FMIMG 5 also wrote each shadow's role and relation id, FMIMG 6 each REL's
-word count, and FMIMG 7 a record per shadow register and slot references,
-which the scopes fix, so their images are rejected by their header.
 Table words, THRESH and message words are in the units of the mode's
 `domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in MINSUM; a cell
 with no THRESH record gates at the domain's default.  A GIBBS cell sends a
 value whenever it changes, so the machine rejects a THRESH record in a
-GIBBS image, and a GIBBS_PERIOD record in any other.  A cell's CELL record
-is its only coordinate, its key in `MachineImage.cells`, and a second
-THRESH or GIBBS_PERIOD record in one cell is a parse error, as is an
-unknown record; nothing is skipped silently.  `parse_image` checks only
-the records' form, and the loader every value, wiring and capacity rule,
-naming the line (a slot's `line`) of the record that breaks it.
+GIBBS image; its resample period and phase are derived, not recorded
+(`gibbs_schedule`).  A cell's CELL record is its only coordinate, its key in
+`MachineImage.cells`, and a second THRESH record in one cell is a parse
+error, as is an unknown record; nothing is skipped silently.  `parse_image`
+checks only the records' form, and the loader every value, wiring and
+capacity rule, naming the line (a slot's `line`) of the record that breaks it.
 
 A relation carries no program: its mode and scope fix what it computes.  In
 SUMPROD and MINSUM a factor id names one relation of the machine, which
@@ -56,6 +54,7 @@ at all ones; the variable is then drawn from the conditional.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -90,6 +89,35 @@ def gibbs_var_cost(n_rels: int) -> int:
     """Cycles to resample one variable: a table slice plus a conditional
     multiply per relation touching it, then draw and publish."""
     return 2 * n_rels + 2
+
+
+def gibbs_tick_cost(n_rels) -> int:
+    """Cycles of one GIBBS tick, given each variable's count of relations."""
+    return sum(map(gibbs_var_cost, n_rels))
+
+
+# cycles added to a GIBBS phase over its travel and compute time
+GIBBS_SLACK = 4
+
+
+def gibbs_schedule(image: MachineImage, wires: list) -> dict:
+    """The one GIBBS resample schedule: (period, phase) by coordinate of
+    every cell that declares a VAR; any other cell never ticks.  Such cells
+    take turns of delta cycles, ranked by their lowest variable id, and
+    delta is the grid's longest route, (rows - 1) + (cols - 1), plus the
+    most value wires leaving one cell, plus the largest tick cost of one
+    cell, plus GIBBS_SLACK, so each cell samples against fresh neighbour
+    values.  A cell's tick cost is `gibbs_tick_cost` of the number of the
+    cell's REL scopes naming each of its variables.  `wires` is
+    `image.wires`, which the caller has already built."""
+    rows, cols = image.grid
+    owners = sorted((min(vs.var_id for vs in ci.var_slots), coord)
+                    for coord, ci in image.cells.items() if ci.var_slots)
+    tick = max([0] + [gibbs_tick_cost(sum(vs.var_id in rel.scope for rel in ci.rel_slots)
+                                      for vs in ci.var_slots) for ci in image.cells.values()])
+    fanout = max(collections.Counter(w.src for w in wires).values(), default=0)
+    delta = (rows - 1) + (cols - 1) + fanout + tick + GIBBS_SLACK
+    return {coord: (delta * len(owners), k * delta) for k, (_vid, coord) in enumerate(owners)}
 
 
 @dataclass(frozen=True)
@@ -140,8 +168,6 @@ class CellImage:
     var_slots: list = field(default_factory=list)
     rel_slots: list = field(default_factory=list)
     thresh: Optional[int] = None
-    gibbs_period: Optional[int] = None
-    gibbs_phase: int = 0
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
     def shadow_keys(self, mode: str) -> dict:
@@ -200,7 +226,7 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 8",
+    lines = ["FMIMG 9",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
@@ -218,8 +244,6 @@ def dumps(image: MachineImage) -> str:
                 lines.append(" ".join(str(w) for w in rel.table[i:i + 12]))
         if cell.thresh is not None:
             lines.append("THRESH %d" % cell.thresh)
-        if cell.gibbs_period is not None:
-            lines.append("GIBBS_PERIOD %d %d" % (cell.gibbs_period, cell.gibbs_phase))
     return "\n".join(lines) + "\n"
 
 
@@ -228,7 +252,7 @@ def dumps(image: MachineImage) -> str:
 # ---------------------------------------------------------------------------
 
 # records that attach to the cell opened by the last CELL record
-_CELL_RECORDS = ("VAR", "REL", "THRESH", "GIBBS_PERIOD")
+_CELL_RECORDS = ("VAR", "REL", "THRESH")
 
 
 def parse_image(text: str) -> MachineImage:
@@ -237,8 +261,8 @@ def parse_image(text: str) -> MachineImage:
     which names the line of the VAR, REL or CELL record that breaks it."""
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "8"]:
-        rec.fail("expected FMIMG 8 header")
+    if next(records, [])[:2] != ["FMIMG", "9"]:
+        rec.fail("expected FMIMG 9 header")
     grid = None
     mode = None
     seed = 0
@@ -257,9 +281,8 @@ def parse_image(text: str) -> MachineImage:
         rel = None
         if head in _CELL_RECORDS and cur is None:
             rec.fail("%s outside a CELL" % head)
-        # a cell's one THRESH or GIBBS_PERIOD fills `thresh` or `gibbs_period`
-        if head in ("THRESH", "GIBBS_PERIOD") and getattr(cur, head.lower()) is not None:
-            rec.fail("second %s in cell (%d, %d)" % ((head,) + coord))
+        if head == "THRESH" and cur.thresh is not None:
+            rec.fail("second THRESH in cell (%d, %d)" % coord)
         if head == "GRID":
             r, c = rec.ints(toks[1:], 2, "GRID")
             if r < 1 or c < 1:
@@ -294,8 +317,6 @@ def parse_image(text: str) -> MachineImage:
             cur.rel_slots.append(rel)
         elif head == "THRESH":
             (cur.thresh,) = rec.ints(toks[1:], 1, "THRESH")
-        elif head == "GIBBS_PERIOD":
-            cur.gibbs_period, cur.gibbs_phase = rec.ints(toks[1:], 2, "GIBBS_PERIOD")
         else:
             rec.fail("unknown record %r" % head)
 

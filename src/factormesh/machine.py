@@ -28,11 +28,12 @@ output word is bound to a local name and normalized in place, so generated
 code calls no normalization function.
 A poller's `assignment_reader` is generated the same way, from the mode
 and its variables' cardinalities, when the poller asks for it.
-In GIBBS mode each cell periodically resamples its variables from the
-fixed-point conditionals given shadowed neighbor values, sends each changed
-value as soon as it draws it, and never quiesces on its own; each relation
-adds one term, built at load, to the conditional of each variable of its
-cell in its scope.  A cell's tick (`_tick`) is generated at load too, from
+In GIBBS mode each cell that declares a variable resamples its variables
+from the fixed-point conditionals given shadowed neighbor values, on the
+period and phase that `image.gibbs_schedule` derives at load, sends each
+changed value as soon as it draws it, and never quiesces on its own; each
+relation adds one term, built at load, to the conditional of each variable
+of its cell in its scope.  A cell's tick (`_tick`) is generated at load too, from
 its variables' cardinalities, term counts and blanket radixes, bound once
 per cell and queued as its own event handler.  A draw whose conditional
 has total weight zero keeps the value, counted in `Stats.zero_total_draws`.
@@ -73,8 +74,8 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .image import (MachineImage, MAX_UPDATE_CYCLES, DEFAULT_CAPACITIES,
-                    gibbs_var_cost, relation_cost, GIBBS, Capacities, domain,
-                    parse_image, shadow_key)
+                    gibbs_schedule, gibbs_tick_cost, relation_cost, GIBBS, Capacities,
+                    domain, parse_image, shadow_key)
 from .records import line_error
 from .rng import DRAW_BLOCK, keyed_raw64, keyed_uniform01_block, stream_key
 
@@ -474,7 +475,7 @@ def _tick(structure):
     tested on every tick, as an injection can clamp a variable mid-run, and
     the machine's _heap, _seq, _on_send and _trace are looked up when
     called, so wrappers on the instance still see every send."""
-    cost = sum(gibbs_var_cost(terms) for _card, terms, _radix in structure)
+    cost = gibbs_tick_cost(terms for _card, terms, _radix in structure)
     params, variables = [], []
     for i, (card, terms, radix) in enumerate(structure):
         blanket = ["b%d_%d" % (i, b) for b in range(len(radix))]
@@ -556,22 +557,16 @@ class Machine:
         # every wire, a return wire too, lands in a shadow register of its dst
         registers = collections.Counter(w.dst for w in wires)
         fids = set()            # (cell id in GIBBS else None, factor id)
+        schedule = gibbs_schedule(image, wires) if self.mode == GIBBS else None
         for coord, ci in sorted(image.cells.items()):
             cell = self.cells[coord]
-            # a GIBBS cell sends its value whenever it changes, and only a
-            # GIBBS cell resamples
-            record, value = (("THRESH", ci.thresh) if self.mode == GIBBS
-                             else ("GIBBS_PERIOD", ci.gibbs_period))
-            if value is not None:
-                raise _bad(ci, "cell (%d, %d): a %s machine takes no %s"
-                               % (coord + (self.mode, record)))
+            # a GIBBS cell sends its value whenever it changes
+            if self.mode == GIBBS and ci.thresh is not None:
+                raise _bad(ci, "cell (%d, %d): a GIBBS machine takes no THRESH" % coord)
             if self.mode != GIBBS:
                 cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
                 if cell.thresh < 0:
                     raise _bad(ci, "cell (%d, %d): threshold must be >= 0" % coord)
-            cell.period, cell.phase = ci.gibbs_period, ci.gibbs_phase
-            if (cell.period is not None and cell.period < 1) or cell.phase < 0:
-                raise _bad(ci, "cell (%d, %d): bad GIBBS_PERIOD values" % coord)
             if registers[coord] > cap.shadow_slots:
                 raise _bad(ci, "cell (%d, %d): too many shadow slots, return "
                                "wires included" % coord)
@@ -646,9 +641,7 @@ class Machine:
             if words > cap.table_words:
                 raise _bad(ci, "cell (%d, %d): table memory over capacity" % coord)
             if self.mode == GIBBS:
-                if cell.vars and not cell.period:
-                    raise _bad(ci, "cell (%d, %d) owns variables but has no "
-                                   "resample period" % coord)
+                cell.period, cell.phase = schedule.get(coord, (None, 0))
                 for var in cell.vars:
                     var.key = stream_key(self.seed, var.vid)
                     # the blanket state is a mixed-radix index over the

@@ -3,7 +3,7 @@
 Pipeline: lower builtin relations to capacity-feasible tables, group variables
 and relations into per-cell clusters, place clusters on the grid by simulated
 annealing over total Manhattan wire length, then emit the loadable image
-(slots, scopes, quantized tables, timing).
+(slots, scopes, quantized tables); `image.gibbs_schedule` times GIBBS cells.
 """
 
 from __future__ import annotations
@@ -17,18 +17,18 @@ from .graph import (FactorGraph, FactorNode, VariableNode, TABLE, ALL_DIFFERENT,
                     PARITY, EPS_SOFT, expand_builtin, checked)
 from .image import (MachineImage, CellImage, VarSlot, RelSlot, Capacities,
                     DEFAULT_CAPACITIES, MAX_UPDATE_CYCLES, domain,
-                    gibbs_var_cost, relation_cost, shadow_key, SUMPROD, GIBBS)
+                    relation_cost, shadow_key, SUMPROD, GIBBS)
 
 
 class MapperError(ValueError):
     pass
 
 
-# margin added to the per-phase budget over travel + compute time
-GIBBS_SLACK = 4
-
 # annealing temperature factor per placement epoch
 COOLING = 0.95
+
+# annealing moves per cluster per placement epoch
+EPOCH_SCALE = 100
 
 
 def _default_epsilon(mode: str) -> float:
@@ -265,7 +265,7 @@ def _cost_floor(n, edges):
 
 
 def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
-          mode: str = SUMPROD, epochs: int = 50, epoch_scale: int = 100) -> Placement:
+          mode: str = SUMPROD, epochs: int = 50) -> Placement:
     """Simulated annealing from a row-major start; returns the best placement
     seen, never worse than the start.  It returns as soon as that best
     reaches `_cost_floor`, which no later move could beat, so every
@@ -326,7 +326,7 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
     for _ in range(epochs):
         chance = [math.exp(-d / temp) for d in lengthenings]
         accepts = 0
-        for _ in range(epoch_scale * n):
+        for _ in range(EPOCH_SCALE * n):
             i = getrandbits(ki)
             while i >= n:
                 i = getrandbits(ki)
@@ -372,8 +372,6 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                mode: str, seed: int = 0, thresh: Optional[int] = None) -> MachineImage:
     """The loadable image of placed clusters; `cluster` has already fitted
     each one to a cell."""
-    cvar, _ = _factor_home(clusters, graph, mode)
-    coords = placement.coords
     dom = domain(mode, MapperError)
     # a GIBBS cell sends a value whenever it changes, and a cell with no
     # threshold gates at the domain's default
@@ -389,38 +387,13 @@ def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
         return tables[fid]
 
     cells = {}
-    if mode == GIBBS:
-        delta, period = _gibbs_timing(placement.grid, clusters, graph, cvar)
-    for ci, cl in enumerate(clusters):
-        coord = coords[ci]
+    for coord, cl in zip(placement.coords, clusters):
         variables = [graph.variables[v] for v in cl.vars]
-        cell = cells[coord] = CellImage(
+        cells[coord] = CellImage(
             [VarSlot(var.id, var.cardinality, var.evidence) for var in variables],
             [RelSlot(fid, list(graph.factors[fid].scope), list(qtable(fid))) for fid in cl.rels],
             thresh)
-        if mode == GIBBS and cl.vars:
-            cell.gibbs_period = period
-            cell.gibbs_phase = ci * delta
     return MachineImage(placement.grid, mode, seed, cells)
-
-
-def _gibbs_timing(grid, clusters, graph, cvar):
-    """Per-cluster phase spacing: worst tick compute time plus grid traversal
-    plus the cell's value fan-out, padded, so each cluster samples against
-    fully fresh neighbor values."""
-    R, C = grid
-    max_tick = 0
-    max_fanout = 0
-    for ci, cl in enumerate(clusters):
-        tick = sum(gibbs_var_cost(len(graph.factors_of(v))) for v in cl.vars)
-        max_tick = max(max_tick, tick)
-        fanout = 0
-        for v in cl.vars:
-            fanout += len({cvar[u] for fid, _ in graph.factors_of(v)
-                           for u in graph.factors[fid].scope if cvar[u] != ci})
-        max_fanout = max(max_fanout, fanout)
-    delta = (R - 1) + (C - 1) + max_fanout + max_tick + GIBBS_SLACK
-    return delta, delta * len(clusters)
 
 
 # ---------------------------------------------------------------------------

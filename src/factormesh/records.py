@@ -16,11 +16,24 @@ from typing import Optional
 INTEGER = re.compile(r"-?[0-9]+")
 
 
+# every format's one real-number rule, which reads back all that %g writes: an
+# optional `-`, then ASCII digits, point and exponent, or inf, infinity or nan
+REAL = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|inf|infinity|nan)",
+                  re.ASCII | re.IGNORECASE)
+
+
 def integer(field: str) -> int:
     """`field` as an integer; ValueError unless `INTEGER` matches all of it."""
     if not INTEGER.fullmatch(field):
         raise ValueError("not an integer: %r" % field)
     return int(field)
+
+
+def real(field: str) -> float:
+    """`field` as a float; ValueError unless `REAL` matches all of it."""
+    if not REAL.fullmatch(field):
+        raise ValueError("not a real number: %r" % field)
+    return float(field)
 
 
 def line_error(error: type, line: int, message: str):

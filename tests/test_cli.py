@@ -9,6 +9,7 @@ from factormesh.graph import (FactorGraph, FactorNode, VariableNode, TABLE,
                               expand_all, parse_uai, serialize_uai,
                               serialize_evidence)
 from factormesh.machine import Machine
+from factormesh.records import real
 
 PAIR_UAI = "MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 3 4\n"
 
@@ -78,7 +79,53 @@ def test_compile_input_errors_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", "seed abc\n")
     code, _, stderr = run_cli(capsys, "compile", graph_file, "--out",
                               str(tmp_path / "x.fmimg"), "--config", cfg)
-    assert code == 2 and "line 1: config value for seed is not a int" in stderr
+    assert code == 2 and "line 1: config value for seed is not an integer: 'abc'" in stderr
+
+
+@pytest.mark.parametrize("setting, message", [
+    # the one integer rule of records.INTEGER: an optional -, then ASCII digits
+    ("seed 1_0", "config value for seed is not an integer: '1_0'"),
+    ("seed +3", "config value for seed is not an integer: '+3'"),
+    ("epochs \u0663", "config value for epochs is not an integer: '\u0663'"),
+    ("grid 1_0x2", "grid must look like 4x4"),
+    ("grid 2x\u0663", "grid must look like 4x4"),
+])
+def test_a_config_integer_follows_the_one_integer_rule(tmp_path, capsys, setting, message):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    out = tmp_path / "x.fmimg"
+    cfg = write(tmp_path, "bad.cfg", "# mesh\n%s\n" % setting)
+    code, stdout, stderr = run_cli(capsys, "compile", graph_file, "--out", str(out),
+                                   "--config", cfg)
+    assert (code, stdout, stderr) == (2, "", "error: line 2: %s\n" % message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["tol 1_0", "damping \u0660.5", "tol +1e-6"])
+def test_a_config_real_follows_the_one_real_rule(tmp_path, capsys, setting):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    cfg = write(tmp_path, "bad.cfg", "# golden\n%s\n" % setting)
+    key, value = setting.split()
+    assert run_cli(capsys, "golden", graph_file, "--alg", "sumprod", "--config", cfg) == (
+        2, "", "error: line 2: config value for %s is not a real number: %r\n" % (key, value))
+
+
+@pytest.mark.parametrize("argv, kind", [
+    # records.INTEGER and records.REAL read every number flag too
+    (("compile", "--seed", "1_0"), "integer"),
+    (("compile", "--epochs", "+3"), "integer"),
+    (("golden", "--alg", "gibbs", "--sweeps", "\u0663"), "integer"),
+    (("golden", "--alg", "sumprod", "--tol", "1_0"), "real"),
+    (("golden", "--alg", "sumprod", "--damping", "\u0660.5"), "real"),
+])
+def test_a_number_flag_follows_the_one_number_rule(tmp_path, capsys, argv, kind):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    command, *flags = argv
+    target = ["--out", str(tmp_path / "x.fmimg")] if command == "compile" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, graph_file, *target, *flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: invalid %s value: %r" % (flags[-2], kind, flags[-1]) in err, err
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -368,7 +415,7 @@ def equality_pair_image(scope="0 1", unary="0", clamped=1):
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on `unary`,
     variable 0.  Relation 0's message to variable 1 returns on the wire of
     its shadow.  `clamped` names the variable that cell (0, 1) declares."""
-    return """FMIMG 8
+    return """FMIMG 9
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
@@ -421,16 +468,18 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
     # named their own wires, before VTOF shadows declared their return
     # wires, before records lost their slot numbers and shadows their
     # source cells and cardinalities, before shadows lost their roles and
-    # relation ids, before REL records lost their word counts, and before
-    # REL records named their scope's variables and lost their SHADOW records
+    # relation ids, before REL records lost their word counts, before REL
+    # records named their scope's variables and lost their SHADOW records,
+    # and before a GIBBS cell's timing left its GIBBS_PERIOD record
     for old, new, message in [
-            ("FMIMG 8", "FMIMG 1", "line 1: expected FMIMG 8 header"),
-            ("FMIMG 8", "FMIMG 2", "line 1: expected FMIMG 8 header"),
-            ("FMIMG 8", "FMIMG 3", "line 1: expected FMIMG 8 header"),
-            ("FMIMG 8", "FMIMG 4", "line 1: expected FMIMG 8 header"),
-            ("FMIMG 8", "FMIMG 5", "line 1: expected FMIMG 8 header"),
-            ("FMIMG 8", "FMIMG 6", "line 1: expected FMIMG 8 header"),
-            ("FMIMG 8", "FMIMG 7", "line 1: expected FMIMG 8 header"),
+            ("FMIMG 9", "FMIMG 1", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 2", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 3", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 4", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 5", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 6", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 7", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 9", "FMIMG 8", "line 1: expected FMIMG 9 header"),
             ("REL 1 0", "REL 1 2 V0", "line 8: REL has a non-integer field"),
             ("REL 0 0 1", "REL 0 V0 H0", "line 6: REL has a non-integer field"),
             ("VAR 1 2 EVIDENCE 1", "VAR 0 1 2 EVIDENCE 1",
@@ -442,7 +491,9 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
             ("EVIDENCE 1\n", "EVIDENCE 1\nWIRE 1 0 0 0 1 0\n",
              "line 12: unknown record 'WIRE'"),
             ("EVIDENCE 1\n", "EVIDENCE 1\nSHADOW 1 FTOV 0\n",
-             "line 12: unknown record 'SHADOW'")]:
+             "line 12: unknown record 'SHADOW'"),
+            ("EVIDENCE 1\n", "EVIDENCE 1\nGIBBS_PERIOD 4 0\n",
+             "line 12: unknown record 'GIBBS_PERIOD'")]:
         assert old in current
         image = write(tmp_path, "old.fmimg", current.replace(old, new))
         code, stdout, stderr = run_cli(capsys, "run", image)
@@ -451,13 +502,11 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
 
 
 def test_run_rejects_a_repeated_cell_record(tmp_path, capsys):
-    for record in ("THRESH 3", "GIBBS_PERIOD 4 0"):
-        text = equality_pair_image() + "%s\n%s\n" % (record, record)
-        image = write(tmp_path, "twice.fmimg", text)
-        code, stdout, stderr = run_cli(capsys, "run", image)
-        assert code == 2 and stdout == ""
-        assert ("error: line 13: second %s in cell (0, 1)" % record.split()[0]
-                in stderr), stderr
+    text = equality_pair_image() + "THRESH 3\nTHRESH 3\n"
+    image = write(tmp_path, "twice.fmimg", text)
+    code, stdout, stderr = run_cli(capsys, "run", image)
+    assert code == 2 and stdout == ""
+    assert "error: line 13: second THRESH in cell (0, 1)" in stderr, stderr
 
 
 # -- golden -------------------------------------------------------------------
@@ -726,7 +775,7 @@ def test_a_bounded_setting_names_the_config_line_of_a_bad_value(tmp_path, capsys
     if setting.choices:
         bad = ["FOO"]
     else:
-        bad = [str(setting.least - 1)] + ["nan"] * (setting.type is float) + \
+        bad = [str(setting.least - 1)] + ["nan"] * (setting.type is real) + \
             [str(setting.below)] * (setting.below is not None)
     for value in bad:
         cfg = write(tmp_path, "bad.cfg", "# a bad value\n%s %s\n" % (setting.name, value))

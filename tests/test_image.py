@@ -22,7 +22,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then cells out of canonical order
-FMIMG 8
+FMIMG 9
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -84,43 +84,43 @@ def test_dumps_is_canonical_and_stable():
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 8", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 9", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 2",
         "REL 0 0 1",
         "200 100 100 200",
-        "GIBBS_PERIOD 12 4",
     ]) + "\n"
     img = parse_image(text)
     cell = img.cells[(0, 0)]
-    assert cell.gibbs_period == 12 and cell.gibbs_phase == 4
     assert cell.shadow_keys(GIBBS) == {(1, None): cell.rel_slots[0]}
     # a GIBBS shadow carries a value and no reply
     assert img.wires == [Wire(1, None, (0, 0), 0)]
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 8\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 9\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 8 header"),
+    ("GRID 1 1\n", "expected FMIMG 9 header"),
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
     # wires, before records lost their slot numbers, before shadows lost
     # their roles and relation ids, before REL records lost their word
-    # counts and before scopes named their variables
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 8 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
-    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
-    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 8 header"),
-    ("FMIMG 8\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 8\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
-    ("FMIMG 8\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 8\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 8\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    # counts, before scopes named their variables and before GIBBS cells
+    # lost their timing records
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 9 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
+    ("FMIMG 9\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 9\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
+    ("FMIMG 9\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 9\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 9\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "CELL 0\n", "line 4: CELL needs 2 fields"),
     (HEAD + "VAR 0 2\n", "VAR outside a CELL"),
@@ -148,11 +148,12 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 0\n1 1\nPROG 2\n",
      "line 8: unknown record 'PROG'"),
     (HEAD + "CELL 0 0\nTHRESH x\n", "line 5: THRESH has a non-integer field"),
-    (HEAD + "CELL 0 0\nGIBBS_PERIOD 4\n", "line 5: GIBBS_PERIOD needs 2 fields"),
-    # a second gate or timing record would silently replace the first
+    # the timing record of FMIMG 8, which the schedule rule replaces
+    (HEAD + "CELL 0 0\nGIBBS_PERIOD 4 0\n", "line 5: unknown record 'GIBBS_PERIOD'"),
+    (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 0\n1 1\nGIBBS_PERIOD 4\n",
+     "line 8: unknown record 'GIBBS_PERIOD'"),
+    # a second gate record would silently replace the first
     (HEAD + "CELL 0 1\nTHRESH 3\nTHRESH 9\n", "line 6: second THRESH in cell (0, 1)"),
-    (HEAD + "CELL 1 0\nGIBBS_PERIOD 4 0\nVAR 0 2\nGIBBS_PERIOD 4 1\n",
-     "line 7: second GIBBS_PERIOD in cell (1, 0)"),
     (HEAD + "CELL 0 0\nVAR 0 2\nWIRE 0 0 0 0 1 0\n", "line 6: unknown record 'WIRE'"),
     (HEAD + "BLORB 1\n", "unknown record"),
 ]
@@ -167,6 +168,8 @@ def test_parse_error_catalog():
 
 def test_gibbs_var_cost():
     assert [image.gibbs_var_cost(n) for n in (0, 1, 3)] == [2, 4, 8]
+    assert image.gibbs_tick_cost([0, 1, 3]) == 14
+    assert image.gibbs_tick_cost([]) == 0
 
 
 def test_relation_cost_admits_five_scope_positions():
@@ -270,20 +273,23 @@ def test_routes_name_each_mesh_link_by_one_id():
     assert shared > 0
 
 
-def test_a_code_built_gibbs_cell_with_only_a_period_round_trips():
-    # the phase defaults to 0, in the machine and in the text form
+def test_a_code_built_gibbs_image_round_trips_on_its_derived_schedule():
+    # the text form carries no timing: on a 1x2 grid, with one value wire
+    # leaving a cell and a tick of one variable in one relation, each turn
+    # is 1 + 1 + 4 + GIBBS_SLACK = 10 cycles, taken in lowest-variable order
     cells = {(0, 0): CellImage(var_slots=[VarSlot(0, 2)],
-                               rel_slots=[RelSlot(0, [0], [100, 300])],
-                               gibbs_period=5),
+                               rel_slots=[RelSlot(0, [0], [100, 300])]),
              (0, 1): CellImage(var_slots=[VarSlot(1, 2)],
-                               rel_slots=[RelSlot(1, [1, 0], [300, 100, 100, 300])],
-                               gibbs_period=5)}
+                               rel_slots=[RelSlot(1, [1, 0], [300, 100, 100, 300])])}
     img = MachineImage((1, 2), GIBBS, 7, cells)
     text = dumps(img)
-    assert text.count("GIBBS_PERIOD 5 0\n") == 2
+    assert "CELL 0 1\nVAR 1 2\nREL 1 1 0\n300 100 100 300\n" in text
+    assert image.gibbs_schedule(img, img.wires) == {(0, 0): (20, 0), (0, 1): (20, 10)}
+    assert [(c.period, c.phase) for c in Machine(text).cells.values()] == [(20, 0), (20, 10)]
     trace, stats, beliefs = run_bytes(img, Capacities(), 30)
     assert run_bytes(parse_image(text), Capacities(), 30) == (trace, stats, beliefs)
-    assert [row for row in trace.splitlines() if ",SAMPLE," in row][0].startswith("5,0,0,")
+    samples = [row for row in trace.splitlines() if ",SAMPLE," in row]
+    assert samples[0].startswith("20,0,0,") and samples[1].startswith("30,0,1,")
 
 
 def test_a_code_built_converging_image_loads_and_runs_as_its_text():

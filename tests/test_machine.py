@@ -201,10 +201,8 @@ def test_every_mode_loads_its_domains_default_threshold_and_table_range():
     for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
                                  ("MINSUM", 16, -32768, 32767),
                                  ("GIBBS", None, 0, 65535)):
-        head = "FMIMG 8\nGRID 1 1\nMODE %s\n" % mode
+        head = "FMIMG 9\nGRID 1 1\nMODE %s\n" % mode
         cell = "CELL 0 0\nVAR 0 2\nREL 0 0\n%d %d\n"
-        if mode == "GIBBS":
-            cell += "GIBBS_PERIOD 4 0\n"
         m = Machine(head + cell % (lo, hi))
         assert m.cells[(0, 0)].thresh == thresh, mode
         if mode == "GIBBS":
@@ -311,7 +309,7 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 8
+FMIMG 9
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
@@ -700,100 +698,88 @@ def test_hamming_trajectory_matches_reference(thresh):
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+    ("""FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
 VAR 0 2\nVAR 1 2\nVAR 2 2\nVAR 3 2\nVAR 4 2\n""",
      "line 4: cell (0, 0): too many variable slots"),
-    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
+    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
      "line 7: variable 0 owned by two cells"),
     # the value rules: each names its VAR record's line, or its CELL's
-    ("FMIMG 8\nGRID 2 2\nMODE SUMPROD\nCELL 0 0\nCELL 2 0\n",
+    ("FMIMG 9\nGRID 2 2\nMODE SUMPROD\nCELL 0 0\nCELL 2 0\n",
      "line 5: cell (2, 0) outside grid"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
      "line 5: variable 0: cardinality above limit"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nVAR 1 1\n",
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nVAR 1 1\n",
      "line 6: variable 1: cardinality below 2"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE 2\n",
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE 2\n",
      "line 5: variable 0: evidence out of range"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE -1\n",
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE -1\n",
      "line 5: variable 0: evidence out of range"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "THRESH -1\n",
      "line 4: cell (0, 0): threshold must be >= 0"),
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
-     "GIBBS_PERIOD 0 0\n",
-     "line 4: cell (0, 0): bad GIBBS_PERIOD values"),
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
-     "GIBBS_PERIOD 4 -1\n",
-     "line 4: cell (0, 0): bad GIBBS_PERIOD values"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n1 1 1\n",
      "line 6: relation 0: table has 3 words, scope needs 2"),
     # a REL's scope fixes its word count, and its integer lines give its words
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n1\n",
      "line 6: relation 0: table has 1 words, scope needs 2"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\nTHRESH 1\n",
      "line 6: relation 0: table has 0 words, scope needs 2"),
     # a shadow's wire comes from its variable's cell, so a relation may read
     # only a variable some cell declares
-    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0 1\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
      "line 6: relation 0 reads variable 1, which no cell owns"),
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
-     "REL 1 0 9\n1 1 1 1\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+     "REL 1 0 9\n1 1 1 1\n",
      "line 8: relation 1 reads variable 9, which no cell owns"),
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n",
-     "no resample period"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 8\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
     # a relation reading one variable twice would send it two messages
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0 0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 1 1\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
      "line 6: relation 0 binds variable 1 at two scope positions"),
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
-     "REL 0 0 0\n1 2 3 4\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+     "REL 0 0 0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
     # a cell holds 4 relations and 512 table words
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      + "".join("REL %d 0\n1 1\n" % k for k in range(5)),
      "line 4: cell (0, 0): too many relation slots"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
      + "".join("REL %d 0 1\n" % k + "1 " * 256 + "\n" for k in range(2))
      + "REL 2 0\n" + "1 " * 16 + "\n",
      "cell (0, 0): table memory over capacity"),
     # six positions would cost 72 cycles per update
-    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
+    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
      + "".join("VAR %d 2\n" % v for v in range(4))
      + "REL 0 0 1 2 3 4 5\n" + "1 " * 64 + "\n"
      "CELL 0 1\nVAR 4 2\nVAR 5 2\n",
      "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
     # a converging factor id names one relation of the machine ...
-    ("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "CELL 0 1\nVAR 1 2\nREL 0 1\n1 1\n",
      "line 10: cell (0, 1): factor id 0 names a second relation"),
-    ("FMIMG 8\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 0\n0 0\n"
+    ("FMIMG 9\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 0\n0 0\n"
      "REL 3 0\n0 0\n",
      "cell (0, 0): factor id 3 names a second relation"),
     # ... and a GIBBS one a relation per cell
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
-     "REL 0 0\n1 1\nGIBBS_PERIOD 10 0\n",
+    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+     "REL 0 0\n1 1\n",
      "cell (0, 0): factor id 0 names a second relation"),
-    # a GIBBS cell sends a value whenever it changes, and a converging cell
-    # never resamples
-    ("FMIMG 8\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
-     "THRESH 7\nGIBBS_PERIOD 10 0\n",
+    # a GIBBS cell sends a value whenever it changes
+    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+     "THRESH 7\n",
      "cell (0, 0): a GIBBS machine takes no THRESH"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 65535\n"
-     "GIBBS_PERIOD 4 0\n",
-     "cell (0, 0): a SUMPROD machine takes no GIBBS_PERIOD"),
 ]
 
 
@@ -824,15 +810,12 @@ def test_load_rejects_a_grid_or_cell_off_the_mesh():
 
 # a 1x1 GIBBS image built in code, one value away from a loadable one; the
 # machine rejects each with no line, and its text form at the line of its
-# VAR, REL or CELL record, or, for a scope entry or a scope no text can hold,
+# VAR or REL record, or, for a scope entry or a scope no text can hold,
 # parse_image
 CODE_BUILT_REJECTS = [
     ({"card": 1}, {}, "variable 0: cardinality below 2"),
     ({"evidence": 5}, {}, "variable 0: evidence out of range"),
     ({"evidence": -1}, {}, "variable 0: evidence out of range"),
-    ({}, {"gibbs_period": -2}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
-    ({}, {"gibbs_period": 0}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
-    ({}, {"gibbs_phase": -5}, r"cell \(0, 0\): bad GIBBS_PERIOD values"),
     # a scope entry names a variable some cell declares: -1 names none, and
     # True, equal to 1, 0.5 and [0], unhashable, are no variable ids
     ({}, {"rel_slots": [RelSlot(0, [-1], [1, 1])]},
@@ -850,14 +833,12 @@ CODE_BUILT_REJECTS = [
 
 
 @pytest.mark.parametrize("var_kw, cell_kw, needle", CODE_BUILT_REJECTS,
-                         ids=["card1", "evidence5", "evidence-1", "period-2",
-                              "period0", "phase-5", "scope-1", "scope-true",
-                              "scope-half", "scope-list", "no-scope"])
+                         ids=["card1", "evidence5", "evidence-1", "scope-1",
+                              "scope-true", "scope-half", "scope-list", "no-scope"])
 def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw, needle):
     var = dict({"var_id": 0, "card": 2}, **var_kw)
     cell = CellImage(var_slots=[VarSlot(**var)],
-                     **dict({"gibbs_period": 2,
-                             "rel_slots": [RelSlot(0, [0], [1] * var["card"])]},
+                     **dict({"rel_slots": [RelSlot(0, [0], [1] * var["card"])]},
                             **cell_kw))
     image = MachineImage((1, 1), GIBBS, 0, {(0, 0): cell})
     with pytest.raises(MachineError, match="^" + needle) as err:
@@ -869,7 +850,7 @@ def test_load_rejects_a_code_built_image_its_text_would_not_load(var_kw, cell_kw
         assert type(text_err.value) is ImageError
     else:
         # CELL on line 5 after the header, then VAR on line 6 and REL on 7
-        line = 7 if "reads" in needle else 6 if "variable" in needle else 5
+        line = 7 if "reads" in needle else 6
         assert str(text_err.value) == "line %d: %s" % (line, err.value)
         assert text_err.value.line == line
 
@@ -896,7 +877,7 @@ def test_an_unknown_mode_is_rejected_where_an_image_or_graph_is_taken():
 def test_return_wires_count_against_the_owner_cells_shadow_slots():
     def image(n):
         # cell (0, 0) holds one shadow and receives n return wires
-        lines = ["FMIMG 8", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
+        lines = ["FMIMG 9", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
                  "REL 0 0 1", "1 2 3 4",
                  "CELL 0 1", "VAR 1 2"]
         for k in range(n):
@@ -915,7 +896,7 @@ def test_return_wires_count_against_the_owner_cells_shadow_slots():
 def test_a_shadow_of_a_later_cells_variable_loads():
     # the shadow's source cell and cardinality are its variable's, which
     # only a later CELL record declares
-    m = Machine("FMIMG 8\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    m = Machine("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
                 "REL 0 0 1\n65535 0 0 0 65535 0\n"
                 "CELL 0 1\nVAR 1 3 EVIDENCE 1\n")
     shadow = m.cells[(0, 0)].shadows[0]
@@ -971,7 +952,7 @@ def test_only_a_table_mostly_of_foldable_words_is_folded():
             ("SUMPROD", U16, (65535, 0, 0, 9, 8, 7), (None,) * 6),
             ("MINSUM", Q88, (0, 0, 0, 0, -32768, -5), (0, 0, 0, 0, None, None)),
             ("MINSUM", Q88, (0, 0, 0, -32768, -32768, -5), (None,) * 6)):
-        text = "FMIMG 8\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
+        text = "FMIMG 9\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
         text += "REL 0 0 1\n%s\n" % " ".join(map(str, table))
         rel, = Machine(text).cells[(0, 0)].rels
         assert rel.kernel is _kernel(dom, (2, 3), folds)

@@ -487,13 +487,20 @@ def placement_cases(draw):
     return clusters, low, (rows, cols), mode
 
 
+def scaled_place(epoch_scale, *args, **kw):
+    """`place` with `epoch_scale` moves per cluster per epoch, its constant."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mapper, "EPOCH_SCALE", epoch_scale)
+        return place(*args, **kw)
+
+
 @PLACEMENT_SETTINGS
 @given(case=placement_cases(), seed=st.integers(0, 2 ** 32 - 1),
        epochs=st.integers(1, 10), epoch_scale=st.sampled_from((1, 7, 40, 100)))
 def test_place_matches_full_recompute_reference(case, seed, epochs, epoch_scale):
     clusters, graph, grid, mode = case
-    got = place(clusters, graph, grid, seed=seed, mode=mode, epochs=epochs,
-                epoch_scale=epoch_scale)
+    got = scaled_place(epoch_scale, clusters, graph, grid, seed=seed, mode=mode,
+                       epochs=epochs)
     want = reference_place(clusters, graph, grid, seed=seed, mode=mode,
                            epochs=epochs, epoch_scale=epoch_scale)
     assert got == want
@@ -529,7 +536,7 @@ def test_place_matches_reference_on_wide_grids_and_heavy_wires(grid, full):
     assert min(w for _, _, w in weights) >= 3
     scale = 100 if n <= 21 else 10
     for seed in (0, 1):
-        got = place(clusters, graph, grid, seed=seed, epoch_scale=scale)
+        got = scaled_place(scale, clusters, graph, grid, seed=seed)
         assert got == reference_place(clusters, graph, grid, seed=seed,
                                       epoch_scale=scale)
         assert got.cost_final < got.cost_initial

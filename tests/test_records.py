@@ -17,6 +17,7 @@ from factormesh.graph import (FactorGraph, GraphError, ParseError, VariableNode,
                               serialize_uai)
 from factormesh.image import ImageError, dumps, parse_image
 from factormesh.machine import Machine, MachineError
+from factormesh.records import REAL, real
 from test_machine import fuzz_images
 
 BENCHES = (apps.build_sudoku(),
@@ -93,7 +94,8 @@ def mutate(data, text, sep):
         j = data.draw(st.integers(0, len(fields) - 1))
         others = sorted({f for line in lines for f in line.split(sep)})
         fields[j] = data.draw(st.sampled_from(
-            ["", "x", "#", "0", "-1", "99", "1.5", fields[j] + "x"] + others))
+            ["", "x", "#", "0", "-1", "99", "1.5", "1_0", "+3", "\u0661", "2_0.5",
+             "nan", "-inf", fields[j] + "x"] + others))
         lines[i] = sep.join(fields)
     return "\n".join(lines) + "\n"
 
@@ -131,7 +133,7 @@ def test_a_trailing_comment_is_accepted_on_every_record(fmt, tmp_path):
         assert read(commented, tmp_path / "commented") == read(text, tmp_path / "plain")
 
 
-IMAGE_HEAD = "FMIMG 8\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
+IMAGE_HEAD = "FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
 
 
 # texts whose integers Python's int() reads but the formats' one rule, an
@@ -166,7 +168,41 @@ def test_every_reader_reads_integers_by_one_rule(read, text, message):
 
 
 def test_a_negative_integer_reads_by_the_same_rule():
-    text = "FMIMG 8\nGRID 1 1\nMODE SUMPROD\nSEED -3\nCELL 0 0\nVAR 0 2\nREL 0 0\n-1 1\n"
+    text = "FMIMG 9\nGRID 1 1\nMODE SUMPROD\nSEED -3\nCELL 0 0\nVAR 0 2\nREL 0 0\n-1 1\n"
     image = parse_image(text)
     assert (image.seed, image.cells[(0, 0)].rel_slots[0].table) == (-3, [-1, 1])
     assert dumps(image) == text
+
+
+# a UAI graph of one binary variable pair, its table on line 7
+PAIR_UAI = "MARKOV\n2\n2 2\n1\n2 0 1\n4\n%s\n"
+
+
+# texts whose reals Python's float() reads but the formats' one rule, an
+# optional `-` then ASCII digits with an optional point and exponent, or
+# inf, infinity or nan, does not
+@pytest.mark.parametrize("read,text,message", [
+    (parse_uai, PAIR_UAI % "1 2_0 3 \u0661",
+     "line 7: expected table entry of factor 0, got '2_0'"),
+    (parse_uai, PAIR_UAI % "1 2 3 \u0661", "line 7: expected table entry of factor 0, got '\u0661'"),
+    (parse_uai, PAIR_UAI % "1 +2 3 4", "line 7: expected table entry of factor 0, got '+2'"),
+    # a non-finite entry reads, and the graph rejects it
+    (parse_uai, PAIR_UAI % "1 2 nan 4", "line 7: factor 0: non-finite table entry"),
+    (parse_uai, PAIR_UAI % "1 -inf 3 4", "line 7: factor 0: non-finite table entry"),
+    (apps.parse_results, "0 0.5 0.5\n1 0.5 0_5\n", "line 2: malformed results line"),
+    (apps.parse_results, "0 \u0660.5 0.5\n", "line 1: malformed results line"),
+    (apps.parse_manifest, "KIND marginals\nTOLERANCE 1_0\n", "line 2: malformed manifest record"),
+    (apps.parse_manifest, "KIND marginals\nVARS 0\nORACLE 0 0.5 0.5_0\n",
+     "line 3: malformed manifest record"),
+])
+def test_every_reader_reads_reals_by_one_rule(read, text, message):
+    with pytest.raises((ParseError, apps.HarnessError)) as err:
+        read(text)
+    assert (str(err.value), err.value.line) == (message, int(message.split()[1][:-1]))
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True), fmt=st.sampled_from(("%.12g", "%.9g")))
+def test_every_number_g_writes_reads_back_by_the_real_rule(x, fmt):
+    text = fmt % x
+    assert REAL.fullmatch(text), text
+    assert real(text) == float(text) or x != x

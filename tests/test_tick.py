@@ -271,14 +271,13 @@ def mixed_image():
         words[0] = 65535
         return ["REL %d %s" % (fid, " ".join(scope)), " ".join(map(str, words))]
 
-    lines = ["FMIMG 8", "GRID 1 3", "MODE GIBBS", "SEED 5", "CELL 0 0", "VAR 0 2"]
+    lines = ["FMIMG 9", "GRID 1 3", "MODE GIBBS", "SEED 5", "CELL 0 0", "VAR 0 2"]
     lines += rel(0, ["0", "1"], 6) + rel(4, ["0", "5"], 8)
-    lines += ["GIBBS_PERIOD 30 0", "CELL 0 1", "VAR 1 3", "VAR 2 4"]
+    lines += ["CELL 0 1", "VAR 1 3", "VAR 2 4"]
     lines += rel(0, ["0", "1"], 6) + rel(1, ["1", "2"], 12) + rel(2, ["2", "3"], 8)
-    lines += ["GIBBS_PERIOD 40 7", "CELL 0 2", "VAR 3 2", "VAR 4 3", "VAR 5 4"]
+    lines += ["CELL 0 2", "VAR 3 2", "VAR 4 3", "VAR 5 4"]
     lines += (rel(2, ["2", "3"], 8) + rel(3, ["3", "4", "5"], 24)
               + rel(4, ["0", "5"], 8) + rel(5, ["4", "2"], 12))
-    lines.append("GIBBS_PERIOD 50 13")
     return "\n".join(lines) + "\n"
 
 
@@ -288,7 +287,7 @@ def test_cells_of_one_to_three_variables_match_the_reference_loop():
     assert [[var.card for var in cell.vars] for cell in m.cells.values()] == [
         [2], [3, 4], [2, 3, 4]]
     assert len({tick.__code__ for tick in tick_handlers(m).values()}) == 3
-    for inject in (None, (4, 2, 900), (0, 1, 3000)):
+    for inject in (None, (4, 2, 900), (0, 1, 7800)):
         got = run(Machine, text, DEFAULT_CAPACITIES, inject, 300, True)
         want = run(ReferenceTickMachine, text, DEFAULT_CAPACITIES, inject, 300, True)
         assert got == want, inject
