@@ -4,7 +4,7 @@ deterministically, or run the floating-point golden kernels for comparison.
 """
 
 from .graph import (TABLE, ALL_DIFFERENT, PARITY, EQUALITY, PAIRWISE_ISING,
-                    EPS_HARD, EPS_SOFT, GraphError, ParseError, VariableNode,
+                    EPS_SOFT, GraphError, ParseError, VariableNode,
                     FactorNode, FactorGraph, checked, expand_builtin,
                     expand_all, with_evidence, parse_uai, serialize_uai,
                     parse_evidence, serialize_evidence)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TABLE", "ALL_DIFFERENT", "PARITY", "EQUALITY", "PAIRWISE_ISING",
-    "EPS_HARD", "EPS_SOFT", "GraphError", "ParseError", "VariableNode",
+    "EPS_SOFT", "GraphError", "ParseError", "VariableNode",
     "FactorNode", "FactorGraph", "checked", "expand_builtin", "expand_all",
     "with_evidence", "parse_uai", "serialize_uai", "parse_evidence",
     "serialize_evidence",

@@ -77,7 +77,7 @@ SETTINGS = {
 
 def _load_config(path, command):
     """{key: (value, line)} from a file of 'key value' lines, each key one
-    of the subcommand's settings."""
+    of the subcommand's settings, given at most once."""
     names = {s.name for s in SETTINGS[command]}
     rec = Records(_read(path), GraphError)
     cfg = {}
@@ -87,6 +87,8 @@ def _load_config(path, command):
         key = key.replace("-", "_")
         if key not in names:
             rec.fail("unknown config key %r" % key)
+        if key in cfg:
+            rec.fail("config key %r given twice; the first is on line %d" % (key, cfg[key][1]))
         cfg[key] = (" ".join(value), rec.line)
     return cfg
 

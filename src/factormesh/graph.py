@@ -38,7 +38,6 @@ PAIRWISE_ISING = "PAIRWISE_ISING"
 BUILTIN_KINDS = (ALL_DIFFERENT, PARITY, EQUALITY, PAIRWISE_ISING)
 
 # soft-penalty weight for constraint violations in min-sum / Gibbs builds
-EPS_HARD = 0.0
 EPS_SOFT = math.exp(-20.0)
 
 

@@ -1,18 +1,20 @@
 """Loadable machine image: per-cell configuration plus inter-cell wiring.
 
-Text format (version header `FMIMG 9`), one record per line, `#` comments:
+Text format (version header `FMIMG 10`), one record per line, `#` comments:
 
-    FMIMG 9
+    FMIMG 10
     GRID <rows> <cols>
     MODE SUMPROD|MINSUM|GIBBS
     SEED <int>
+    THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
     CELL <r> <c>                          opens a cell; records below attach to it
     VAR <var_id> <card> [EVIDENCE <value>]
     REL <factor_id> <var_id>...           the factor's scope, one id per position
     <integer table words on following lines, continuing the REL>
-    THRESH <lsb>                          packet gate threshold (SUMPROD, MINSUM)
 
-An image of any other version fails at its header.
+An image of any other version fails at its header.  GRID, MODE, SEED and
+THRESH are image-wide and each appears at most once; a second one is a parse
+error, as is an unknown record, so nothing is replaced or skipped silently.
 
 A relation reads a scope variable that its cell's VAR records declare in
 place, and any other through a shadow register, which the mode and scopes
@@ -26,15 +28,15 @@ reading a variable no cell declares.  A converging shadow also has a return
 wire, on which its relation sends the variable's cell its message to the
 variable, into a register that counts as one of that cell's shadow slots.
 Table words, THRESH and message words are in the units of the mode's
-`domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in MINSUM; a cell
+`domain`: u16 weights in SUMPROD and GIBBS, Q8.8 logs in MINSUM; an image
 with no THRESH record gates at the domain's default.  A GIBBS cell sends a
-value whenever it changes, so the machine rejects a THRESH record in a
-GIBBS image; its resample period and phase are derived, not recorded
+value whenever it changes, so the machine rejects a THRESH record in a GIBBS
+image; every cell's resample period and phase are derived, not recorded
 (`gibbs_schedule`).  A cell's CELL record is its only coordinate, its key in
-`MachineImage.cells`, and a second THRESH record in one cell is a parse
-error, as is an unknown record; nothing is skipped silently.  `parse_image`
-checks only the records' form, and the loader every value, wiring and
-capacity rule, naming the line (a slot's `line`) of the record that breaks it.
+`MachineImage.cells`.  `parse_image` checks only the records' form, and the
+loader every value, wiring and capacity rule, naming the line of the record
+that breaks it: a slot's `line`, or an image-wide record's in
+`MachineImage.lines`.
 
 A relation carries no program: its mode and scope fix what it computes.  In
 SUMPROD and MINSUM a factor id names one relation of the machine, which
@@ -72,7 +74,7 @@ MAX_UPDATE_CYCLES = 64
 
 def domain(mode: str, error: type = ValueError) -> Domain:
     """The message format of a mode: Q8.8 logs in MINSUM, u16 weights in
-    SUMPROD and GIBBS.  Its `thresh` is a cell's default packet gate.  Any
+    SUMPROD and GIBBS.  Its `thresh` is the machine's default packet gate.  Any
     other mode raises the caller's `error`, naming the modes."""
     if mode not in MODES:
         raise error("mode must be one of %s, got %r" % ("/".join(MODES), mode))
@@ -100,16 +102,16 @@ def gibbs_tick_cost(n_rels) -> int:
 GIBBS_SLACK = 4
 
 
-def gibbs_schedule(image: MachineImage, wires: list) -> dict:
-    """The one GIBBS resample schedule: (period, phase) by coordinate of
-    every cell that declares a VAR; any other cell never ticks.  Such cells
-    take turns of delta cycles, ranked by their lowest variable id, and
-    delta is the grid's longest route, (rows - 1) + (cols - 1), plus the
-    most value wires leaving one cell, plus the largest tick cost of one
-    cell, plus GIBBS_SLACK, so each cell samples against fresh neighbour
-    values.  A cell's tick cost is `gibbs_tick_cost` of the number of the
-    cell's REL scopes naming each of its variables.  `wires` is
-    `image.wires`, which the caller has already built."""
+def gibbs_schedule(image: MachineImage, wires: list) -> tuple:
+    """The one GIBBS resample schedule: (period, phase by coordinate) of the
+    cells that declare a VAR, which share the period; any other cell never
+    ticks.  Such cells take turns of delta cycles, ranked by their lowest
+    variable id, and delta is the grid's longest route, (rows - 1) +
+    (cols - 1), plus the most value wires leaving one cell, plus the largest
+    tick cost of one cell, plus GIBBS_SLACK, so each cell samples against
+    fresh neighbour values.  A cell's tick cost is `gibbs_tick_cost` of the
+    number of the cell's REL scopes naming each of its variables.  `wires`
+    is `image.wires`, which the caller has already built."""
     rows, cols = image.grid
     owners = sorted((min(vs.var_id for vs in ci.var_slots), coord)
                     for coord, ci in image.cells.items() if ci.var_slots)
@@ -117,7 +119,7 @@ def gibbs_schedule(image: MachineImage, wires: list) -> dict:
                                       for vs in ci.var_slots) for ci in image.cells.values()])
     fanout = max(collections.Counter(w.src for w in wires).values(), default=0)
     delta = (rows - 1) + (cols - 1) + fanout + tick + GIBBS_SLACK
-    return {coord: (delta * len(owners), k * delta) for k, (_vid, coord) in enumerate(owners)}
+    return delta * len(owners), {coord: k * delta for k, (_vid, coord) in enumerate(owners)}
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,6 @@ class CellImage:
     """One cell's records; its coordinate is its key in `MachineImage.cells`."""
     var_slots: list = field(default_factory=list)
     rel_slots: list = field(default_factory=list)
-    thresh: Optional[int] = None
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
     def shadow_keys(self, mode: str) -> dict:
@@ -203,6 +204,9 @@ class MachineImage:
     mode: str
     seed: int
     cells: dict = field(default_factory=dict)   # (r, c) -> CellImage
+    thresh: Optional[int] = None    # every converging cell's packet gate
+    # each image-wide record's line in the text `parse_image` read
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def wires(self) -> list:
@@ -226,10 +230,12 @@ class MachineImage:
 # ---------------------------------------------------------------------------
 
 def dumps(image: MachineImage) -> str:
-    lines = ["FMIMG 9",
+    lines = ["FMIMG 10",
              "GRID %d %d" % image.grid,
              "MODE %s" % image.mode,
              "SEED %d" % image.seed]
+    if image.thresh is not None:
+        lines.append("THRESH %d" % image.thresh)
     for coord in sorted(image.cells):
         cell = image.cells[coord]
         lines.append("CELL %d %d" % coord)
@@ -242,8 +248,6 @@ def dumps(image: MachineImage) -> str:
             lines.append(" ".join(map(str, ["REL", rel.factor_id, *rel.scope])))
             for i in range(0, len(rel.table), 12):
                 lines.append(" ".join(str(w) for w in rel.table[i:i + 12]))
-        if cell.thresh is not None:
-            lines.append("THRESH %d" % cell.thresh)
     return "\n".join(lines) + "\n"
 
 
@@ -251,21 +255,19 @@ def dumps(image: MachineImage) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-# records that attach to the cell opened by the last CELL record
-_CELL_RECORDS = ("VAR", "REL", "THRESH")
-
-
 def parse_image(text: str) -> MachineImage:
     """Read an image's records.  Only their form is checked here; every
     value, wiring and capacity rule is the loader's (`machine.Machine`),
-    which names the line of the VAR, REL or CELL record that breaks it."""
+    which names the line of the record that breaks it."""
     rec = Records(text, ImageError)
     records = iter(rec)
-    if next(records, [])[:2] != ["FMIMG", "9"]:
-        rec.fail("expected FMIMG 9 header")
+    if next(records, [])[:2] != ["FMIMG", "10"]:
+        rec.fail("expected FMIMG 10 header")
     grid = None
     mode = None
     seed = 0
+    thresh = None
+    lines = {}                  # image-wide record -> its line
     cells = {}
     cur: Optional[CellImage] = None
     rel: Optional[RelSlot] = None
@@ -279,10 +281,12 @@ def parse_image(text: str) -> MachineImage:
             rel.table.extend(map(int, toks))
             continue
         rel = None
-        if head in _CELL_RECORDS and cur is None:
+        if head in ("VAR", "REL") and cur is None:     # a CELL's records
             rec.fail("%s outside a CELL" % head)
-        if head == "THRESH" and cur.thresh is not None:
-            rec.fail("second THRESH in cell (%d, %d)" % coord)
+        if head in ("GRID", "MODE", "SEED", "THRESH"):
+            if head in lines:
+                rec.fail("second %s record; the first is on line %d" % (head, lines[head]))
+            lines[head] = rec.line
         if head == "GRID":
             r, c = rec.ints(toks[1:], 2, "GRID")
             if r < 1 or c < 1:
@@ -316,7 +320,7 @@ def parse_image(text: str) -> MachineImage:
             rel = RelSlot(fid, scope, [], rec.line)
             cur.rel_slots.append(rel)
         elif head == "THRESH":
-            (cur.thresh,) = rec.ints(toks[1:], 1, "THRESH")
+            (thresh,) = rec.ints(toks[1:], 1, "THRESH")
         else:
             rec.fail("unknown record %r" % head)
 
@@ -324,4 +328,4 @@ def parse_image(text: str) -> MachineImage:
         rec.fail("missing GRID record")
     if mode is None:
         rec.fail("missing MODE record")
-    return MachineImage(grid, mode, seed, cells)
+    return MachineImage(grid, mode, seed, cells, thresh, lines)

@@ -2,16 +2,16 @@
 
 A Machine is built from a MachineImage, and the load checks every value,
 wiring and capacity rule of the image, whether parsed or built in code; an
-error from a parsed image names the line of the VAR, REL or CELL record it is
-about (`image.parse_image` checks only the records' form).  Each cell owns
+error from a parsed image names the line of the record it is about
+(`image.parse_image` checks only the records' form).  Each cell owns
 variable slots (registers holding per-relation outgoing messages and a
 combined belief), relation slots (fixed-function table units), and shadow
 slots (local copies of remote quantities kept fresh by routed packets).
 Execution is fully event-driven: a write that actually changes a stored value
 triggers the units reading it, and recomputed messages are re-transmitted only
-when they moved by at least the cell's change threshold.  Event order is the
-total order (time, row-major cell id, sequence number), which makes runs
-bit-reproducible.
+when they moved by at least the machine's change threshold: the image's one
+THRESH, else the domain's default.  Event order is the total order (time,
+row-major cell id, sequence number), which makes runs bit-reproducible.
 
 Every word the machine holds, compares or reads out is in the mode's
 message format, its `fixedpoint.Domain` (`image.domain`): word range,
@@ -29,8 +29,8 @@ code calls no normalization function.
 A poller's `assignment_reader` is generated the same way, from the mode
 and its variables' cardinalities, when the poller asks for it.
 In GIBBS mode each cell that declares a variable resamples its variables
-from the fixed-point conditionals given shadowed neighbor values, on the
-period and phase that `image.gibbs_schedule` derives at load, sends each
+from the fixed-point conditionals given shadowed neighbor values, at its
+own phase of the machine's one period (`image.gibbs_schedule`), sends each
 changed value as soon as it draws it, and never quiesces on its own; each
 relation adds one term, built at load, to the conditional of each variable
 of its cell in its scope.  A cell's tick (`_tick`) is generated at load too, from
@@ -84,12 +84,12 @@ class MachineError(ValueError):
     pass
 
 
-def _bad(record, message):
-    """The load error `message` about an image's VAR, REL or CELL record,
-    naming the record's line when it was read from text."""
-    if record.line is None:
+def _bad(line, message):
+    """The load error `message` about an image's record, naming its `line`
+    when the record was read from text (None if built in code)."""
+    if line is None:
         return MachineError(message)
-    return line_error(MachineError, record.line, message)
+    return line_error(MachineError, line, message)
 
 
 # random stream of the output noise; variable streams are their ids
@@ -218,19 +218,15 @@ class _Rel:
 
 
 class _Cell:
-    __slots__ = ("r", "c", "cid", "vars", "rels", "shadows", "thresh",
-                 "period", "phase", "tick_idx", "tick_budget")
+    __slots__ = ("r", "c", "cid", "vars", "rels", "shadows", "phase", "tick_idx")
 
     def __init__(self, r, c, cid):
         self.r, self.c, self.cid = r, c, cid
         self.vars = []          # _Var in record order
         self.rels = []          # _Rel in record order
         self.shadows = []       # _Shadow in slot order
-        self.thresh = None
-        self.period = None
-        self.phase = 0
+        self.phase = None       # GIBBS: its resample phase, None if it never ticks
         self.tick_idx = 0
-        self.tick_budget = None
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +421,7 @@ def generated(machine, cell, period{params}):
         activations = 0
 {variables}        machine.stats.activations += activations
         cell.tick_idx = k = cell.tick_idx + 1
-        if cell.tick_budget is None or k < cell.tick_budget:
+        if machine.tick_budget is None or k < machine.tick_budget:
             machine._seq = s = machine._seq + 1
             heappush(heap, (time + period, cid, s, this, this))
     return tick
@@ -516,6 +512,7 @@ class Machine:
         self.time = 0
         self._link_ids = {}     # route link -> its id, in first-seen order
         self._links = {}        # route link id -> next free cycle
+        self.tick_budget = None  # GIBBS: ticks per cell of a run_ticks run
         self._build(image, capacities)
         self._init_flush()
 
@@ -528,56 +525,59 @@ class Machine:
         self.cells = {}
         self.var_owner = {}
         dom = self.dom
+        # one packet gate for every converging cell; a GIBBS cell sends a
+        # value whenever it changes
+        thresh, line = image.thresh, image.lines.get("THRESH")
+        if self.mode == GIBBS and thresh is not None:
+            raise _bad(line, "a GIBBS machine takes no THRESH")
+        if thresh is not None and thresh < 0:
+            raise _bad(line, "threshold must be >= 0, got %d" % thresh)
+        self.thresh = None if self.mode == GIBBS else dom.thresh if thresh is None else thresh
         # a shadow may read a variable of a later cell, so every cell's
         # variables exist before any cell's shadows
         for coord, ci in sorted(image.cells.items()):
             if not (0 <= coord[0] < R and 0 <= coord[1] < C):
-                raise _bad(ci, "cell (%d, %d) outside grid" % coord)
+                raise _bad(ci.line, "cell (%d, %d) outside grid" % coord)
             cell = _Cell(*coord, coord[0] * C + coord[1])
             self.cells[coord] = cell
             if len(ci.var_slots) > cap.var_slots:
-                raise _bad(ci, "cell (%d, %d): too many variable slots" % coord)
+                raise _bad(ci.line, "cell (%d, %d): too many variable slots" % coord)
             for vs in ci.var_slots:
                 if vs.card > cap.max_cardinality:
-                    raise _bad(vs, "variable %d: cardinality above limit" % vs.var_id)
+                    raise _bad(vs.line, "variable %d: cardinality above limit" % vs.var_id)
                 if vs.card < 2:
-                    raise _bad(vs, "variable %d: cardinality below 2" % vs.var_id)
+                    raise _bad(vs.line, "variable %d: cardinality below 2" % vs.var_id)
                 if vs.evidence is not None and not 0 <= vs.evidence < vs.card:
-                    raise _bad(vs, "variable %d: evidence out of range" % vs.var_id)
+                    raise _bad(vs.line, "variable %d: evidence out of range" % vs.var_id)
                 if vs.var_id in self.var_owner:
-                    raise _bad(vs, "variable %d owned by two cells" % vs.var_id)
+                    raise _bad(vs.line, "variable %d owned by two cells" % vs.var_id)
                 var = _Var(cell, vs.var_id, vs.card, vs.evidence)
                 cell.vars.append(var)
                 self.var_owner[vs.var_id] = var
             for rs in ci.rel_slots:     # `image.wires` reads every scope
                 if not all(type(vid) is int for vid in rs.scope):
-                    raise _bad(rs, "relation %d: a scope entry is no variable id"
-                                   % rs.factor_id)
+                    raise _bad(rs.line, "relation %d: a scope entry is no variable id"
+                                        % rs.factor_id)
         wires = image.wires
         # every wire, a return wire too, lands in a shadow register of its dst
         registers = collections.Counter(w.dst for w in wires)
         fids = set()            # (cell id in GIBBS else None, factor id)
-        schedule = gibbs_schedule(image, wires) if self.mode == GIBBS else None
+        # the period every ticking cell shares, and their phases
+        self.period, phases = gibbs_schedule(image, wires) if self.mode == GIBBS else (None, {})
         for coord, ci in sorted(image.cells.items()):
             cell = self.cells[coord]
-            # a GIBBS cell sends its value whenever it changes
-            if self.mode == GIBBS and ci.thresh is not None:
-                raise _bad(ci, "cell (%d, %d): a GIBBS machine takes no THRESH" % coord)
-            if self.mode != GIBBS:
-                cell.thresh = ci.thresh if ci.thresh is not None else dom.thresh
-                if cell.thresh < 0:
-                    raise _bad(ci, "cell (%d, %d): threshold must be >= 0" % coord)
+            cell.phase = phases.get(coord)
             if registers[coord] > cap.shadow_slots:
-                raise _bad(ci, "cell (%d, %d): too many shadow slots, return "
-                               "wires included" % coord)
+                raise _bad(ci.line, "cell (%d, %d): too many shadow slots, return "
+                                    "wires included" % coord)
             if len(ci.rel_slots) > cap.rel_slots:
-                raise _bad(ci, "cell (%d, %d): too many relation slots" % coord)
+                raise _bad(ci.line, "cell (%d, %d): too many relation slots" % coord)
             shadows = {}
             for key, rs in ci.shadow_keys(self.mode).items():
                 owner = self.var_owner.get(key[0])
                 if owner is None:
-                    raise _bad(rs, "relation %d reads variable %d, which no cell owns"
-                                   % (rs.factor_id, key[0]))
+                    raise _bad(rs.line, "relation %d reads variable %d, which no cell owns"
+                                        % (rs.factor_id, key[0]))
                 shadows[key] = _Shadow(key[0], owner.card, None if self.mode == GIBBS
                                        else dom.uniform(owner.card))
             cell.shadows = list(shadows.values())
@@ -586,29 +586,29 @@ class Machine:
             for rs in ci.rel_slots:
                 twice = [vid for vid in rs.scope if rs.scope.count(vid) > 1]
                 if twice:
-                    raise _bad(rs, "relation %d binds variable %d at two scope positions"
-                                   % (rs.factor_id, twice[0]))
+                    raise _bad(rs.line, "relation %d binds variable %d at two scope positions"
+                                        % (rs.factor_id, twice[0]))
                 refs = [local[vid] if vid in local
                         else shadows[shadow_key(self.mode, vid, rs.factor_id)]
                         for vid in rs.scope]
                 if not refs:
-                    raise _bad(rs, "relation %d has no scope position" % rs.factor_id)
+                    raise _bad(rs.line, "relation %d has no scope position" % rs.factor_id)
                 shape = tuple(obj.card for obj in refs)
                 size = math.prod(shape)
                 if size != len(rs.table):
-                    raise _bad(rs, "relation %d: table has %d words, scope needs %d"
-                                   % (rs.factor_id, len(rs.table), size))
+                    raise _bad(rs.line, "relation %d: table has %d words, scope needs %d"
+                                        % (rs.factor_id, len(rs.table), size))
                 if min(rs.table) < dom.lo or max(rs.table) > dom.hi:
-                    raise _bad(rs, "relation %d: table word outside [%d, %d]"
-                                   % (rs.factor_id, dom.lo, dom.hi))
+                    raise _bad(rs.line, "relation %d: table word outside [%d, %d]"
+                                        % (rs.factor_id, dom.lo, dom.hi))
                 words += len(rs.table)
                 rel = _Rel(cell, rs.factor_id, refs, shape, tuple(rs.table))
                 if self.mode != GIBBS:
                     if rel.cost > MAX_UPDATE_CYCLES:
-                        raise _bad(rs, "relation %d: an update of %d scope positions "
-                                       "costs %d cycles, above %d" % (
-                                           rel.fid, len(shape), rel.cost,
-                                           MAX_UPDATE_CYCLES))
+                        raise _bad(rs.line, "relation %d: an update of %d scope positions "
+                                            "costs %d cycles, above %d" % (
+                                                rel.fid, len(shape), rel.cost,
+                                                MAX_UPDATE_CYCLES))
                     folds = tuple(w if w in dom.folds else None for w in rel.table)
                     # a dense table's maximum folds too: fold only tables mostly of such words
                     rel.kernel = _kernel(dom, shape, folds if 2 * folds.count(None) < len(folds)
@@ -618,8 +618,8 @@ class Machine:
                 # a factor id names one relation, or one per cell in GIBBS
                 owner = cell.cid if self.mode == GIBBS else None
                 if (owner, rel.fid) in fids:
-                    raise _bad(rs, "cell (%d, %d): factor id %d names a second "
-                                   "relation" % (coord + (rel.fid,)))
+                    raise _bad(rs.line, "cell (%d, %d): factor id %d names a second "
+                                        "relation" % (coord + (rel.fid,)))
                 fids.add((owner, rel.fid))
                 cell.rels.append(rel)
                 for pos, obj in enumerate(refs):
@@ -639,9 +639,8 @@ class Machine:
                         edge.rel = rel
                         obj.edges.append(edge)
             if words > cap.table_words:
-                raise _bad(ci, "cell (%d, %d): table memory over capacity" % coord)
+                raise _bad(ci.line, "cell (%d, %d): table memory over capacity" % coord)
             if self.mode == GIBBS:
-                cell.period, cell.phase = schedule.get(coord, (None, 0))
                 for var in cell.vars:
                     var.key = stream_key(self.seed, var.vid)
                     # the blanket state is a mixed-radix index over the
@@ -698,7 +697,7 @@ class Machine:
         bindings = [x for v in cell.vars
                     for x in [v, v.memo, v.counts, v.port] + [o for o, _m in v.blanket]]
         return _tick(tuple((v.card, len(v.terms), tuple(m for _o, m in v.blanket))
-                           for v in cell.vars))(self, cell, cell.period, *bindings)
+                           for v in cell.vars))(self, cell, self.period, *bindings)
 
     def _trace(self, cycle, cell, event, vid, detail):
         self.trace.append("%d,%d,%d,%s,%d,%s" % (cycle, cell.r, cell.c, event, vid, detail))
@@ -719,9 +718,9 @@ class Machine:
                 for rel in cell.rels:
                     self._pend_exec(rel, lat)
                     lat += rel.cost
-            elif cell.period:
+            elif cell.phase is not None:
                 tick = self._tick_handler(cell)
-                self._push(cell.period + cell.phase, cell, tick, tick)
+                self._push(self.period + cell.phase, cell, tick, tick)
 
     def step(self) -> bool:
         """Process the single globally next event.  False when idle."""
@@ -760,8 +759,7 @@ class Machine:
                 raise MachineError("cell (%d, %d) has already ticked %d times; "
                                    "run_ticks needs a machine that has not "
                                    "ticked" % (coord + (cell.tick_idx,)))
-        for cell in self.cells.values():
-            cell.tick_budget = ticks
+        self.tick_budget = ticks
         heap, step = self._heap, self.step
         while heap:
             step()
@@ -772,14 +770,14 @@ class Machine:
     # -- event handlers -----------------------------------------------------
 
     def _gate_send(self, port, payload, time, cell):
-        """Send `payload` on `port` unless the port's first packet has gone
-        and the cell's gate holds it back: a GIBBS cell (no threshold) sends
-        a value only when it changed, a converging one a message only when
-        some word moved by at least its threshold.  Every emit and every
-        `_update` handler's shadow reply passes this gate."""
+        """Send `payload` on `port`, from `cell`, unless the port's first
+        packet has gone and the machine's gate holds it back: in GIBBS (no
+        threshold) a value goes only when it changed, and otherwise a message
+        only when some word moved by at least the machine's threshold.  Every
+        emit and every `_update` handler's shadow reply passes this gate."""
         last = port.last
         if last is not None:
-            thresh = cell.thresh
+            thresh = self.thresh
             if thresh is None:
                 if payload == last:
                     return
@@ -918,7 +916,7 @@ class Machine:
         Returns {"local": d1, "remote": d2}: the largest deviation between a
         recomputed message and (local) what its consumer holds, or (remote)
         what its port last sent.  At quiescence local must be 0 and remote
-        below the sending cell's threshold.  Recomputed messages carry no output
+        below the machine's threshold.  Recomputed messages carry no output
         noise, and the check draws nothing from the noise stream, so a run
         continued after it is the run it would have been.  GIBBS machines
         never quiesce and compute no messages, so asking one raises

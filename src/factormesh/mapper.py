@@ -213,16 +213,12 @@ class Placement:
     cost_final: int
 
 
-def _factor_home(clusters, graph, mode):
-    """Cluster charged with each relation for wire-length accounting."""
-    cvar = {v: i for i, cl in enumerate(clusters) for v in cl.vars}
-    if mode == GIBBS:
-        return cvar, {f.id: cvar[min(f.scope)] for f in graph.factors}
-    return cvar, {fid: i for i, cl in enumerate(clusters) for fid in cl.rels}
-
-
 def _edge_weights(clusters, graph, mode):
-    cvar, home = _factor_home(clusters, graph, mode)
+    """(a, b, wires) between each two clusters a < b, a relation charged to
+    its own cluster, in GIBBS to its lowest variable's."""
+    cvar = {v: i for i, cl in enumerate(clusters) for v in cl.vars}
+    home = ({f.id: cvar[min(f.scope)] for f in graph.factors} if mode == GIBBS
+            else {fid: i for i, cl in enumerate(clusters) for fid in cl.rels})
     weights = {}
     for f in graph.factors:
         a = home[f.id]
@@ -371,29 +367,22 @@ def place(clusters: list, graph: FactorGraph, grid: tuple, seed: int = 0,
 def emit_image(placement: Placement, clusters: list, graph: FactorGraph,
                mode: str, seed: int = 0, thresh: Optional[int] = None) -> MachineImage:
     """The loadable image of placed clusters; `cluster` has already fitted
-    each one to a cell."""
+    each one to a cell.  `thresh` is the image's one packet gate."""
     dom = domain(mode, MapperError)
-    # a GIBBS cell sends a value whenever it changes, and a cell with no
+    # a GIBBS cell sends a value whenever it changes, and an image with no
     # threshold gates at the domain's default
     if mode == GIBBS and thresh is not None:
         raise MapperError("GIBBS cells take no change threshold")
     if thresh is not None and thresh < 0:
         raise MapperError("threshold must be >= 0, got %d" % thresh)
-    tables = {}
-
-    def qtable(fid):
-        if fid not in tables:
-            tables[fid] = dom.quantize(graph.factors[fid].table)
-        return tables[fid]
-
     cells = {}
     for coord, cl in zip(placement.coords, clusters):
         variables = [graph.variables[v] for v in cl.vars]
         cells[coord] = CellImage(
             [VarSlot(var.id, var.cardinality, var.evidence) for var in variables],
-            [RelSlot(fid, list(graph.factors[fid].scope), list(qtable(fid))) for fid in cl.rels],
-            thresh)
-    return MachineImage(placement.grid, mode, seed, cells)
+            [RelSlot(fid, list(graph.factors[fid].scope), dom.quantize(graph.factors[fid].table))
+             for fid in cl.rels])
+    return MachineImage(placement.grid, mode, seed, cells, thresh)
 
 
 # ---------------------------------------------------------------------------

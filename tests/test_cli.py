@@ -167,6 +167,29 @@ def test_unknown_config_key_names_its_line(tmp_path, capsys, command, text, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    # the second value would silently replace the first
+    ("compile", "seed 3\nseed 5\n",
+     "line 2: config key 'seed' given twice; the first is on line 1"),
+    # a dash and an underscore name one setting
+    ("run", "max-cycles 10\nnoise 1\nmax_cycles 20\n",
+     "line 3: config key 'max_cycles' given twice; the first is on line 1"),
+    ("golden", "# tolerances\ntol 1e-3\n\ntol 1e-4 # tighter\n",
+     "line 4: config key 'tol' given twice; the first is on line 2"),
+])
+def test_a_repeated_config_key_names_its_second_line(tmp_path, capsys, command, text,
+                                                     message):
+    graph_file = write(tmp_path, "pair.uai", PAIR_UAI)
+    out = tmp_path / "x.fmimg"
+    target = {"compile": [graph_file, "--out", str(out)],
+              "run": [write(tmp_path, "pair.fmimg", equality_pair_image())],
+              "golden": [graph_file, "--alg", "map"]}[command]
+    cfg = write(tmp_path, "c.cfg", text)
+    code, stdout, stderr = run_cli(capsys, command, *target, "--config", cfg)
+    assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, target", [("compile", ["--out"]),
                                              ("golden", ["--alg", "exact", "--out"])])
 def test_epsilon_is_no_flag(tmp_path, capsys, command, target):
@@ -415,7 +438,7 @@ def equality_pair_image(scope="0 1", unary="0", clamped=1):
     clamped to 1 in cell (0, 1); relation 1 is a flat unary on `unary`,
     variable 0.  Relation 0's message to variable 1 returns on the wire of
     its shadow.  `clamped` names the variable that cell (0, 1) declares."""
-    return """FMIMG 9
+    return """FMIMG 10
 GRID 1 2
 MODE SUMPROD
 CELL 0 0
@@ -470,16 +493,18 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
     # source cells and cardinalities, before shadows lost their roles and
     # relation ids, before REL records lost their word counts, before REL
     # records named their scope's variables and lost their SHADOW records,
-    # and before a GIBBS cell's timing left its GIBBS_PERIOD record
+    # before a GIBBS cell's timing left its GIBBS_PERIOD record, and before
+    # THRESH became one image-wide record
     for old, new, message in [
-            ("FMIMG 9", "FMIMG 1", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 2", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 3", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 4", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 5", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 6", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 7", "line 1: expected FMIMG 9 header"),
-            ("FMIMG 9", "FMIMG 8", "line 1: expected FMIMG 9 header"),
+            ("FMIMG 10", "FMIMG 1", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 2", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 3", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 4", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 5", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 6", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 7", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 8", "line 1: expected FMIMG 10 header"),
+            ("FMIMG 10", "FMIMG 9", "line 1: expected FMIMG 10 header"),
             ("REL 1 0", "REL 1 2 V0", "line 8: REL has a non-integer field"),
             ("REL 0 0 1", "REL 0 V0 H0", "line 6: REL has a non-integer field"),
             ("VAR 1 2 EVIDENCE 1", "VAR 0 1 2 EVIDENCE 1",
@@ -501,12 +526,16 @@ def test_run_rejects_the_old_image_format(tmp_path, capsys):
         assert "error: " in stderr and message in stderr, (message, stderr)
 
 
-def test_run_rejects_a_repeated_cell_record(tmp_path, capsys):
-    text = equality_pair_image() + "THRESH 3\nTHRESH 3\n"
-    image = write(tmp_path, "twice.fmimg", text)
+@pytest.mark.parametrize("record", ["GRID 1 2", "MODE SUMPROD", "SEED 3", "THRESH 3"])
+def test_run_rejects_a_repeated_image_wide_record(tmp_path, capsys, record):
+    # a second one would silently replace the first, wherever it stands
+    text = equality_pair_image().replace("CELL 0 0\n", "SEED 0\nTHRESH 0\nCELL 0 0\n")
+    image = write(tmp_path, "twice.fmimg", text + record + "\n")
     code, stdout, stderr = run_cli(capsys, "run", image)
     assert code == 2 and stdout == ""
-    assert "error: line 13: second THRESH in cell (0, 1)" in stderr, stderr
+    first = {"GRID": 2, "MODE": 3, "SEED": 4, "THRESH": 5}[record.split()[0]]
+    assert stderr == "error: line 14: second %s record; the first is on line %d\n" % (
+        record.split()[0], first), stderr
 
 
 # -- golden -------------------------------------------------------------------

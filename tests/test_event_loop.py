@@ -33,7 +33,7 @@ def gibbs_with_a_clamp(trace):
     m = Machine(image_text(apps.build_ising_chain(8, 0.5, 0.2), "GIBBS", (4, 4)),
                 trace=trace)
     ticks = 300
-    period = max(cell.period or 0 for cell in m.cells.values())
+    period = m.period
     # the clamp lands about halfway through the run
     m.inject_evidence(3, 1, at_time=ticks * period // 2)
     m.run_ticks(ticks)

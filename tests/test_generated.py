@@ -178,7 +178,7 @@ def test_widest_relation_table_generates_and_matches():
     assert relation_cost(len(shape)) <= MAX_UPDATE_CYCLES < relation_cost(len(shape) + 1)
     rng = random.Random(9)
     for mode in (SUMPROD, MINSUM):
-        lines = ["FMIMG 9", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+        lines = ["FMIMG 10", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
         lines += ["VAR %d %d%s" % (p, card, " EVIDENCE %d" % (p % 2)
                                    if p in (1, 4) else "")
                   for p, card in enumerate(shape)]
@@ -207,11 +207,11 @@ def star_image(mode, thresh):
     leaf cell fills its variable and relation slots."""
     caps = Capacities()
     rng = random.Random(20)
-    lines = ["FMIMG 9", "GRID 1 5", "MODE %s" % mode, "CELL 0 0", "VAR 0 3"]
+    lines = ["FMIMG 10", "GRID 1 5", "MODE %s" % mode, "THRESH %d" % thresh, "CELL 0 0",
+             "VAR 0 3"]
     leaf_fids = range(caps.rel_slots, caps.rel_slots + caps.shadow_slots)
     for fid in range(caps.rel_slots):
         lines += relation(fid, ["0"], words(mode, 3, rng))
-    lines.append("THRESH %d" % thresh)
     for col in range(1, 5):
         lines.append("CELL 0 %d" % col)
         for slot in range(caps.var_slots):
@@ -221,7 +221,6 @@ def star_image(mode, thresh):
         for slot, fid in enumerate(fids):
             lines += relation(fid, ["0", str(col * caps.var_slots + slot)],
                               words(mode, 6, rng))
-        lines.append("THRESH %d" % thresh)
     return "\n".join(lines) + "\n", caps
 
 

@@ -1,7 +1,8 @@
 """The GIBBS resample schedule that the load derives (`image.gibbs_schedule`)
 against the compiler's timing pass from before images stopped carrying it,
-`reference_gibbs_timing`, kept here verbatim: over compiled images, every
-loaded cell's (period, phase) must be the one that pass gave its cluster."""
+`reference_gibbs_timing`, kept here verbatim: over compiled images, the
+machine's one period and every loaded cell's phase must be the ones that
+pass gave its cluster."""
 
 import random
 
@@ -50,10 +51,11 @@ def assert_schedule_matches_reference(graph, grid, caps, seed, epochs):
     image = emit_image(placement, clusters, lowered, GIBBS, seed=seed)
     cvar = {v: ci for ci, cl in enumerate(clusters) for v in cl.vars}
     delta, period = reference_gibbs_timing(grid, clusters, lowered, cvar)
-    want = {coord: (period, ci * delta) if cl.vars else (None, 0)
+    want = {coord: ci * delta if cl.vars else None
             for ci, (coord, cl) in enumerate(zip(placement.coords, clusters))}
     machine = Machine(parse_image(dumps(image)), capacities=caps)
-    assert {coord: (cell.period, cell.phase) for coord, cell in machine.cells.items()} == want
+    assert machine.period == period
+    assert {coord: cell.phase for coord, cell in machine.cells.items()} == want
     return len(clusters)
 
 
@@ -100,9 +102,9 @@ def test_a_cell_without_variables_never_ticks_and_turns_follow_lowest_variable_i
              (0, 2): CellImage([VarSlot(1, 2)], [RelSlot(2, [1], [2, 1])])}
     image = MachineImage((1, 3), GIBBS, 0, cells)
     # delta = (1 - 1) + (3 - 1) + one value wire + a 4-cycle tick + 4 = 11
-    assert gibbs_schedule(image, image.wires) == {(0, 2): (22, 0), (0, 0): (22, 11)}
+    assert gibbs_schedule(image, image.wires) == (22, {(0, 2): 0, (0, 0): 11})
     machine = Machine(image)
-    assert [(c.period, c.phase) for c in machine.cells.values()] == [
-        (22, 11), (None, 0), (22, 0)]
+    assert machine.period == 22
+    assert [c.phase for c in machine.cells.values()] == [11, None, 0]
     machine.run_ticks(3)
     assert [c.tick_idx for c in machine.cells.values()] == [3, 0, 3]

@@ -22,7 +22,7 @@ from factormesh.mapper import MapperError, compile_graph
 
 MESSY = """\
 # comment, then cells out of canonical order
-FMIMG 9
+FMIMG 10
 GRID 1 2
 MODE SUMPROD
 SEED 3
@@ -30,7 +30,7 @@ SEED 3
 CELL 0 1
 VAR 1 3 EVIDENCE 2
 VAR 2 2
-THRESH 16
+THRESH 256    # image-wide, wherever it stands
 
 CELL 0 0
 VAR 0 2
@@ -38,16 +38,16 @@ REL 0 0 2 1   # reads variables of a later cell through shadows
 65535 32768 16384
 8192 4096
 2048 1 2 3 4 5 6
-THRESH 256
 """
 
 
 def test_parse_tolerates_comments_and_order():
     img = parse_image(MESSY)
     assert img.grid == (1, 2) and img.mode == "SUMPROD" and img.seed == 3
+    assert img.thresh == 256
+    assert img.lines == {"GRID": 3, "MODE": 4, "SEED": 5, "THRESH": 10}
     assert sorted(img.cells) == [(0, 0), (0, 1)]
     cell = img.cells[(0, 0)]
-    assert cell.thresh == 256
     rel = cell.rel_slots[0]
     assert rel.table == [65535, 32768, 16384, 8192, 4096, 2048, 1, 2, 3, 4, 5, 6]
     assert rel.scope == [0, 2, 1]
@@ -65,26 +65,28 @@ def test_parse_tolerates_comments_and_order():
 def test_dumps_is_canonical_and_stable():
     img = parse_image(MESSY)
     text = dumps(img)
-    # sorted cells, records in their slot order, and a second round trip
-    # changes nothing
+    # the image-wide records first, then sorted cells, records in their
+    # slot order, and a second round trip changes nothing
+    assert text.startswith("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nSEED 3\nTHRESH 256\nCELL 0 0\n")
     assert text.index("CELL 0 0") < text.index("CELL 0 1")
     assert text.index("VAR 1 3 EVIDENCE 2") < text.index("VAR 2 2")
     assert "\nREL 0 0 2 1\n" in text
     assert dumps(parse_image(text)) == text
-    # each VAR, REL and CELL slot keeps its record's line, which neither
-    # comparison nor repr sees
+    # each VAR, REL and CELL slot, and the image each image-wide record,
+    # keeps its record's line, which neither comparison nor repr sees
     again = parse_image(text)
     assert again == img and "line" not in repr(img)
     cell = img.cells[(0, 0)]
     assert (cell.line, cell.var_slots[0].line, cell.rel_slots[0].line) == (12, 13, 14)
     assert img.cells[(0, 1)].var_slots[1].line == 9
-    assert again.cells[(0, 0)].line == 5
+    assert again.cells[(0, 0)].line == 6 and again.lines["THRESH"] == 5
     assert CellImage().line is None and VarSlot(0, 2).line is None
+    assert MachineImage((1, 1), SUMPROD, 0).lines == {}
 
 
 def test_gibbs_records_round_trip():
     text = "\n".join([
-        "FMIMG 9", "GRID 1 1", "MODE GIBBS", "SEED 9",
+        "FMIMG 10", "GRID 1 1", "MODE GIBBS", "SEED 9",
         "CELL 0 0",
         "VAR 0 2",
         "REL 0 0 1",
@@ -98,29 +100,30 @@ def test_gibbs_records_round_trip():
     assert dumps(parse_image(dumps(img))) == dumps(img)
 
 
-HEAD = "FMIMG 9\nGRID 2 2\nMODE SUMPROD\n"
+HEAD = "FMIMG 10\nGRID 2 2\nMODE SUMPROD\n"
 
 PARSE_ERRORS = [
-    ("GRID 1 1\n", "expected FMIMG 9 header"),
+    ("GRID 1 1\n", "expected FMIMG 10 header"),
     # the formats before relations lost their programs, before shadows
     # named their own wires, before VTOF shadows declared their return
     # wires, before records lost their slot numbers, before shadows lost
     # their roles and relation ids, before REL records lost their word
-    # counts, before scopes named their variables and before GIBBS cells
-    # lost their timing records
-    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 9 header"),
-    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 9 header"),
-    ("FMIMG 9\nMODE SUMPROD\n", "missing GRID record"),
-    ("FMIMG 9\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
-    ("FMIMG 9\nGRID 1 1\n", "missing MODE record"),
-    ("FMIMG 9\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
-    ("FMIMG 9\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
+    # counts, before scopes named their variables, before GIBBS cells
+    # lost their timing records and before THRESH became image-wide
+    ("# old\nFMIMG 1\nGRID 1 1\nMODE SUMPROD\n", "line 2: expected FMIMG 10 header"),
+    ("FMIMG 2\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 3\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 4\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 5\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 6\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 7\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 8\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\n", "line 1: expected FMIMG 10 header"),
+    ("FMIMG 10\nMODE SUMPROD\n", "missing GRID record"),
+    ("FMIMG 10\nMODE SUMPROD\nCELL 0 0\n", "line 3: missing GRID record"),
+    ("FMIMG 10\nGRID 1 1\n", "missing MODE record"),
+    ("FMIMG 10\nGRID 0 1\nMODE SUMPROD\n", "must be positive"),
+    ("FMIMG 10\nGRID 1 1\nMODE FOO\n", "MODE must be one of"),
     (HEAD + "CELL 0 0\nCELL 0 0\n", "duplicate CELL"),
     (HEAD + "CELL 0\n", "line 4: CELL needs 2 fields"),
     (HEAD + "VAR 0 2\n", "VAR outside a CELL"),
@@ -152,8 +155,15 @@ PARSE_ERRORS = [
     (HEAD + "CELL 0 0\nGIBBS_PERIOD 4 0\n", "line 5: unknown record 'GIBBS_PERIOD'"),
     (HEAD + "CELL 0 0\nVAR 0 2\nREL 0 0\n1 1\nGIBBS_PERIOD 4\n",
      "line 8: unknown record 'GIBBS_PERIOD'"),
-    # a second gate record would silently replace the first
-    (HEAD + "CELL 0 1\nTHRESH 3\nTHRESH 9\n", "line 6: second THRESH in cell (0, 1)"),
+    # a second image-wide record would silently replace the first
+    (HEAD + "CELL 0 1\nTHRESH 3\nTHRESH 9\n",
+     "line 6: second THRESH record; the first is on line 5"),
+    (HEAD + "THRESH 3\nCELL 0 1\nTHRESH 3\n",
+     "line 6: second THRESH record; the first is on line 4"),
+    ("FMIMG 10\nSEED 3\nGRID 1 1\nMODE SUMPROD\nSEED 7\n",
+     "line 5: second SEED record; the first is on line 2"),
+    (HEAD + "CELL 0 0\nGRID 1 1\n", "line 5: second GRID record; the first is on line 2"),
+    (HEAD + "MODE GIBBS\n", "line 4: second MODE record; the first is on line 3"),
     (HEAD + "CELL 0 0\nVAR 0 2\nWIRE 0 0 0 0 1 0\n", "line 6: unknown record 'WIRE'"),
     (HEAD + "BLORB 1\n", "unknown record"),
 ]
@@ -284,8 +294,9 @@ def test_a_code_built_gibbs_image_round_trips_on_its_derived_schedule():
     img = MachineImage((1, 2), GIBBS, 7, cells)
     text = dumps(img)
     assert "CELL 0 1\nVAR 1 2\nREL 1 1 0\n300 100 100 300\n" in text
-    assert image.gibbs_schedule(img, img.wires) == {(0, 0): (20, 0), (0, 1): (20, 10)}
-    assert [(c.period, c.phase) for c in Machine(text).cells.values()] == [(20, 0), (20, 10)]
+    assert image.gibbs_schedule(img, img.wires) == (20, {(0, 0): 0, (0, 1): 10})
+    machine = Machine(text)
+    assert machine.period == 20 and [c.phase for c in machine.cells.values()] == [0, 10]
     trace, stats, beliefs = run_bytes(img, Capacities(), 30)
     assert run_bytes(parse_image(text), Capacities(), 30) == (trace, stats, beliefs)
     samples = [row for row in trace.splitlines() if ",SAMPLE," in row]

@@ -62,7 +62,7 @@ def reference(shape, table, inputs, prog, linear):
 
 
 def one_relation_image(mode, shape, table):
-    lines = ["FMIMG 9", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
+    lines = ["FMIMG 10", "GRID 1 1", "MODE %s" % mode, "CELL 0 0"]
     lines += ["VAR %d %d" % (p, c) for p, c in enumerate(shape)]
     lines.append("REL 0 %s" % " ".join(str(p) for p in range(len(shape))))
     lines.append(" ".join(str(w) for w in table))

@@ -201,13 +201,13 @@ def test_every_mode_loads_its_domains_default_threshold_and_table_range():
     for mode, thresh, lo, hi in (("SUMPROD", 256, 0, 65535),
                                  ("MINSUM", 16, -32768, 32767),
                                  ("GIBBS", None, 0, 65535)):
-        head = "FMIMG 9\nGRID 1 1\nMODE %s\n" % mode
+        head = "FMIMG 10\nGRID 1 1\nMODE %s\n" % mode
         cell = "CELL 0 0\nVAR 0 2\nREL 0 0\n%d %d\n"
         m = Machine(head + cell % (lo, hi))
-        assert m.cells[(0, 0)].thresh == thresh, mode
+        assert m.thresh == thresh, mode
         if mode == "GIBBS":
             # a GIBBS cell sends a value whenever it changes
-            with pytest.raises(MachineError, match="a GIBBS machine takes no THRESH"):
+            with pytest.raises(MachineError, match="line 8: a GIBBS machine takes no THRESH"):
                 Machine(head + cell % (lo, hi) + "THRESH 0\n")
         for words in ((lo - 1, hi), (lo, hi + 1)):
             with pytest.raises(MachineError, match=r"table word outside \[%d, %d\]"
@@ -309,7 +309,7 @@ def test_minsum_machine_recovers_map_assignment():
 # -- routing -----------------------------------------------------------------
 
 ROUTE_IMG = """\
-FMIMG 9
+FMIMG 10
 GRID 3 4
 MODE SUMPROD
 CELL 0 0
@@ -397,7 +397,7 @@ def test_gate_send_rules():
 
     def sent(thresh, payloads):
         """(payload, flush) of each send the gate queues on a fresh port."""
-        cell.thresh = thresh
+        m.thresh = thresh
         port = _Port(0)
         m._heap.clear()
         for payload in payloads:
@@ -622,12 +622,15 @@ def test_negative_cycle_budget_is_rejected():
     assert m.run_until_quiescent(0)[0].cycles == 0
 
 
-def test_negative_threshold_in_an_image_is_rejected():
-    # the text form cannot carry one; an image built in memory can
-    image, _ = compile_graph(pair_graph(), "SUMPROD", grid=(1, 1), epochs=5)
-    image.cells[(0, 0)].thresh = -5
-    with pytest.raises(MachineError, match=r"cell \(0, 0\): threshold must be >= 0"):
-        Machine(image)
+def test_a_threshold_built_in_code_is_checked_at_load_with_no_line():
+    # the compiler refuses both; an image built in memory can carry them
+    for mode, thresh, message in (("SUMPROD", -5, "threshold must be >= 0, got -5"),
+                                  ("GIBBS", 0, "a GIBBS machine takes no THRESH")):
+        image, _ = compile_graph(pair_graph(), mode, grid=(1, 1), epochs=5)
+        image.thresh = thresh
+        with pytest.raises(MachineError) as err:
+            Machine(image)
+        assert str(err.value) == message and not hasattr(err.value, "line")
 
 
 # -- zero-total GIBBS draws ---------------------------------------------------
@@ -698,88 +701,91 @@ def test_hamming_trajectory_matches_reference(thresh):
 # -- build diagnostics --------------------------------------------------------
 
 BUILD_ERRORS = [
-    ("""FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
+    ("""FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0
 VAR 0 2\nVAR 1 2\nVAR 2 2\nVAR 3 2\nVAR 4 2\n""",
      "line 4: cell (0, 0): too many variable slots"),
-    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
+    ("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nCELL 0 1\nVAR 0 2\n",
      "line 7: variable 0 owned by two cells"),
     # the value rules: each names its VAR record's line, or its CELL's
-    ("FMIMG 9\nGRID 2 2\nMODE SUMPROD\nCELL 0 0\nCELL 2 0\n",
+    ("FMIMG 10\nGRID 2 2\nMODE SUMPROD\nCELL 0 0\nCELL 2 0\n",
      "line 5: cell (2, 0) outside grid"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 17\n",
      "line 5: variable 0: cardinality above limit"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nVAR 1 1\n",
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nVAR 1 1\n",
      "line 6: variable 1: cardinality below 2"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE 2\n",
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE 2\n",
      "line 5: variable 0: evidence out of range"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE -1\n",
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2 EVIDENCE -1\n",
      "line 5: variable 0: evidence out of range"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    # the image-wide rules name their record's line
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "THRESH -1\n",
-     "line 4: cell (0, 0): threshold must be >= 0"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+     "line 8: threshold must be >= 0, got -1"),
+    ("FMIMG 10\nGRID 1 1\nMODE MINSUM\nSEED 2\nTHRESH -16\nCELL 0 0\nVAR 0 2\n",
+     "line 5: threshold must be >= 0, got -16"),
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n1 1 1\n",
      "line 6: relation 0: table has 3 words, scope needs 2"),
     # a REL's scope fixes its word count, and its integer lines give its words
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n1\n",
      "line 6: relation 0: table has 1 words, scope needs 2"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\nTHRESH 1\n",
      "line 6: relation 0: table has 0 words, scope needs 2"),
     # a shadow's wire comes from its variable's cell, so a relation may read
     # only a variable some cell declares
-    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0 1\n1 1 1 1\nCELL 0 1\nVAR 2 2\n",
      "line 6: relation 0 reads variable 1, which no cell owns"),
-    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    ("FMIMG 10\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "REL 1 0 9\n1 1 1 1\n",
      "line 8: relation 1 reads variable 9, which no cell owns"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n70000 1\n",
      "table word outside [0, 65535]"),
-    ("FMIMG 9\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0\n-40000 0\n",
      "table word outside [-32768, 32767]"),
     # a relation reading one variable twice would send it two messages
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0 0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
-    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      "REL 0 1 1\n1 2 3 4\nCELL 0 1\nVAR 1 2\n",
      "line 6: relation 0 binds variable 1 at two scope positions"),
-    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\n"
      "REL 0 0 0\n1 2 3 4\n",
      "relation 0 binds variable 0 at two scope positions"),
     # a cell holds 4 relations and 512 table words
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
      + "".join("REL %d 0\n1 1\n" % k for k in range(5)),
      "line 4: cell (0, 0): too many relation slots"),
-    ("FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
+    ("FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\nVAR 0 16\nVAR 1 16\n"
      + "".join("REL %d 0 1\n" % k + "1 " * 256 + "\n" for k in range(2))
      + "REL 2 0\n" + "1 " * 16 + "\n",
      "cell (0, 0): table memory over capacity"),
     # six positions would cost 72 cycles per update
-    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
+    ("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\n"
      + "".join("VAR %d 2\n" % v for v in range(4))
      + "REL 0 0 1 2 3 4 5\n" + "1 " * 64 + "\n"
      "CELL 0 1\nVAR 4 2\nVAR 5 2\n",
      "relation 0: an update of 6 scope positions costs 72 cycles, above 64"),
     # a converging factor id names one relation of the machine ...
-    ("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    ("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "CELL 0 1\nVAR 1 2\nREL 0 1\n1 1\n",
      "line 10: cell (0, 1): factor id 0 names a second relation"),
-    ("FMIMG 9\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 0\n0 0\n"
+    ("FMIMG 10\nGRID 1 1\nMODE MINSUM\nCELL 0 0\nVAR 0 2\nREL 3 0\n0 0\n"
      "REL 3 0\n0 0\n",
      "cell (0, 0): factor id 3 names a second relation"),
     # ... and a GIBBS one a relation per cell
-    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    ("FMIMG 10\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "REL 0 0\n1 1\n",
      "cell (0, 0): factor id 0 names a second relation"),
     # a GIBBS cell sends a value whenever it changes
-    ("FMIMG 9\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
+    ("FMIMG 10\nGRID 1 1\nMODE GIBBS\nCELL 0 0\nVAR 0 2\nREL 0 0\n1 1\n"
      "THRESH 7\n",
-     "cell (0, 0): a GIBBS machine takes no THRESH"),
+     "line 8: a GIBBS machine takes no THRESH"),
 ]
 
 
@@ -877,7 +883,7 @@ def test_an_unknown_mode_is_rejected_where_an_image_or_graph_is_taken():
 def test_return_wires_count_against_the_owner_cells_shadow_slots():
     def image(n):
         # cell (0, 0) holds one shadow and receives n return wires
-        lines = ["FMIMG 9", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
+        lines = ["FMIMG 10", "GRID 1 2", "MODE SUMPROD", "CELL 0 0", "VAR 0 2",
                  "REL 0 0 1", "1 2 3 4",
                  "CELL 0 1", "VAR 1 2"]
         for k in range(n):
@@ -896,7 +902,7 @@ def test_return_wires_count_against_the_owner_cells_shadow_slots():
 def test_a_shadow_of_a_later_cells_variable_loads():
     # the shadow's source cell and cardinality are its variable's, which
     # only a later CELL record declares
-    m = Machine("FMIMG 9\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
+    m = Machine("FMIMG 10\nGRID 1 2\nMODE SUMPROD\nCELL 0 0\nVAR 0 2\n"
                 "REL 0 0 1\n65535 0 0 0 65535 0\n"
                 "CELL 0 1\nVAR 1 3 EVIDENCE 1\n")
     shadow = m.cells[(0, 0)].shadows[0]
@@ -952,7 +958,7 @@ def test_only_a_table_mostly_of_foldable_words_is_folded():
             ("SUMPROD", U16, (65535, 0, 0, 9, 8, 7), (None,) * 6),
             ("MINSUM", Q88, (0, 0, 0, 0, -32768, -5), (0, 0, 0, 0, None, None)),
             ("MINSUM", Q88, (0, 0, 0, -32768, -32768, -5), (None,) * 6)):
-        text = "FMIMG 9\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
+        text = "FMIMG 10\nGRID 1 1\nMODE %s\nCELL 0 0\nVAR 0 2\nVAR 1 3\n" % mode
         text += "REL 0 0 1\n%s\n" % " ".join(map(str, table))
         rel, = Machine(text).cells[(0, 0)].rels
         assert rel.kernel is _kernel(dom, (2, 3), folds)
@@ -1026,16 +1032,17 @@ def test_stats_text_matches_energy_proxy():
 def fuzz_images():
     """One small image per mode, its variables spread over a 2x2 grid so
     that every wire kind appears, and relations 0 and 1
-    share a cell so that a factor id off by one names a real relation."""
+    share a cell so that a factor id off by one names a real relation; the
+    converging images carry a THRESH record."""
     tree = FactorGraph([VariableNode(i, c) for i, c in enumerate((2, 3, 2))],
                        [FactorNode(0, (0, 1), TABLE, (0.2, 0.5, 0.9, 0.4, 0.3, 0.7)),
                         FactorNode(1, (0,), TABLE, (0.3, 0.7)),
                         FactorNode(2, (1, 2), TABLE, (0.6, 0.1, 0.3, 0.8, 0.5, 0.5))])
     tree = with_evidence(tree, {2: 1})
     return tuple(dumps(compile_graph(tree, mode, grid=(2, 2), seed=0,
-                                     capacities=Capacities(var_slots=1),
+                                     capacities=Capacities(var_slots=1), thresh=thresh,
                                      epochs=5)[0])
-                 for mode in ("SUMPROD", "MINSUM", "GIBBS"))
+                 for mode, thresh in (("SUMPROD", 1), ("MINSUM", 1), ("GIBBS", None)))
 
 
 def token_mutations(tok):

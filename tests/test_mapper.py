@@ -689,26 +689,29 @@ def test_gibbs_emission_writes_no_threshold():
     # a GIBBS cell sends a value whenever it changes
     bench = apps.build_ising_chain(8, 0.5, 0.1)
     image, _ = compile_graph(bench.graph, "GIBBS", grid=bench.grid)
-    assert all(cell.thresh is None for cell in image.cells.values())
+    assert image.thresh is None
     assert "THRESH" not in dumps(image)
     with pytest.raises(MapperError, match="GIBBS cells take no change threshold"):
         compile_graph(bench.graph, "GIBBS", grid=bench.grid, thresh=7)
 
 
 def test_a_default_compile_writes_no_threshold_and_loads_at_the_domains_gate():
-    # the loader gates a cell with no THRESH record at the domain's default,
-    # so the compiler writes one only for a threshold it is given
+    # the loader gates an image with no THRESH record at the domain's
+    # default, so the compiler writes one only for a threshold it is given,
+    # once for the whole image
     caps = Capacities(var_slots=1, rel_slots=1)
     for mode in ("SUMPROD", "MINSUM"):
         image, _ = compile_graph(chain_graph(3), mode, grid=(1, 3), capacities=caps)
         text = dumps(image)
-        assert all(cell.thresh is None for cell in image.cells.values())
+        assert image.thresh is None
         assert "THRESH" not in text and len(image.cells) == 3
         m = Machine(text, capacities=caps)
-        assert [cell.thresh for cell in m.cells.values()] == [domain(mode).thresh] * 3
+        assert m.thresh == domain(mode).thresh
         given, _ = compile_graph(chain_graph(3), mode, grid=(1, 3), capacities=caps,
                                  thresh=3)
-        assert dumps(given).count("\nTHRESH 3\n") == 3
+        assert given.thresh == 3
+        assert dumps(given).count("THRESH") == 1 and "\nSEED 0\nTHRESH 3\nCELL " in dumps(given)
+        assert Machine(dumps(given), capacities=caps).thresh == 3
 
 
 def test_negative_threshold_is_rejected():

@@ -133,7 +133,7 @@ def test_a_trailing_comment_is_accepted_on_every_record(fmt, tmp_path):
         assert read(commented, tmp_path / "commented") == read(text, tmp_path / "plain")
 
 
-IMAGE_HEAD = "FMIMG 9\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
+IMAGE_HEAD = "FMIMG 10\nGRID 1 1\nMODE SUMPROD\nCELL 0 0\n"
 
 
 # texts whose integers Python's int() reads but the formats' one rule, an
@@ -168,7 +168,7 @@ def test_every_reader_reads_integers_by_one_rule(read, text, message):
 
 
 def test_a_negative_integer_reads_by_the_same_rule():
-    text = "FMIMG 9\nGRID 1 1\nMODE SUMPROD\nSEED -3\nCELL 0 0\nVAR 0 2\nREL 0 0\n-1 1\n"
+    text = "FMIMG 10\nGRID 1 1\nMODE SUMPROD\nSEED -3\nCELL 0 0\nVAR 0 2\nREL 0 0\n-1 1\n"
     image = parse_image(text)
     assert (image.seed, image.cells[(0, 0)].rel_slots[0].table) == (-3, [-1, 1])
     assert dumps(image) == text

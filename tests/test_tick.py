@@ -80,8 +80,8 @@ class ReferenceTickMachine(Machine):
             for var in changed:
                 if var.port is not None:
                     self._gate_send(var.port, var.value, time + cost, cell)
-            if cell.tick_budget is None or cell.tick_idx < cell.tick_budget:
-                self._push(time + cell.period, cell, this, this)
+            if self.tick_budget is None or cell.tick_idx < self.tick_budget:
+                self._push(time + self.period, cell, this, this)
 
         return tick
 
@@ -271,7 +271,7 @@ def mixed_image():
         words[0] = 65535
         return ["REL %d %s" % (fid, " ".join(scope)), " ".join(map(str, words))]
 
-    lines = ["FMIMG 9", "GRID 1 3", "MODE GIBBS", "SEED 5", "CELL 0 0", "VAR 0 2"]
+    lines = ["FMIMG 10", "GRID 1 3", "MODE GIBBS", "SEED 5", "CELL 0 0", "VAR 0 2"]
     lines += rel(0, ["0", "1"], 6) + rel(4, ["0", "5"], 8)
     lines += ["CELL 0 1", "VAR 1 3", "VAR 2 4"]
     lines += rel(0, ["0", "1"], 6) + rel(1, ["1", "2"], 12) + rel(2, ["2", "3"], 8)
